@@ -63,7 +63,6 @@ class RunConfig:
     amplitude: float | None = None
     coupling: float | None = None
     n: int = 2
-    r: int = 1
     # flow
     dt: float | None = None
     t_max: float = 200.0
@@ -136,7 +135,6 @@ SCHEMA = {
     ("model-params", "amplitude"): ("amplitude", float, lambda v: repr(v)),
     ("model-params", "coupling"): ("coupling", float, lambda v: repr(v)),
     ("model-params", "n"): ("n", int, str),
-    ("model-params", "r"): ("r", int, str),
     ("flow", "dt"): ("dt", _parse_float_or_auto, _fmt_float_or_auto),
     ("flow", "t-max"): ("t_max", float, repr),
     ("flow", "tol"): ("tol", float, repr),

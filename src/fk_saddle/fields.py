@@ -1,10 +1,10 @@
-"""Lattice field containers and the stencil machinery shared by all solvers.
+"""Lattice field containers and the stencil engine shared by all solvers.
 
 Two storage schemes cover everything the solvers need:
 
 * ``TorusField`` - a function on Z^n that is p-periodic, stored on the
   fundamental cell ``{0..p_1-1} x ... x {0..p_n-1}``.  All site reads resolve
-  modulo the periods, so shifts are ``np.roll``.
+  modulo the periods.
 * ``StripField`` - a function on Z x (Z^{n-1}/qZ^{n-1}) stored on the layers
   ``i_1 in [-W, W]`` with constant tails pinned on both ends.  Reads outside
   the window resolve to the tail constants.
@@ -12,14 +12,20 @@ Two storage schemes cover everything the solvers need:
 Values arrays are treated as immutable; every constructor copies and freezes
 its input so fields can be shared freely across threads.
 
-The low-level helpers at the bottom gather stencil configurations, scatter
-per-site gradients into equilibrium residuals, and apply Hessians, all
-vectorized over arbitrary leading batch axes (the lattice axes are always the
-trailing ones).
+:class:`Stencil` at the bottom evaluates the local energies on either
+geometry from index tables built once per lattice shape.  The lattice the
+energy reads is stored as one flat *total* vector: the state values on the
+torus, and on the strip the window values with ``2 r`` ghost layers on each
+side that hold the tail constants, so the strip's Dirichlet data are ordinary
+table entries.  Gathering the stencil configurations and scattering local
+gradients into equilibrium residuals are one ``np.take`` each over any
+leading batch axes (the lattice axes are always the trailing ones); the dense
+Hessian is assembled from the local Hessians through the same tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -230,52 +236,6 @@ class StripField:
     __rmul__ = __mul__
 
 
-# ---------------------------------------------------------------------------
-# stencil machinery (operates on raw arrays, lattice axes trailing)
-# ---------------------------------------------------------------------------
-
-def torus_configs(values: np.ndarray, ball, n: int) -> np.ndarray:
-    """Stack the stencil neighborhoods of every torus site.
-
-    ``values`` has shape ``(..., *p)``; the result has shape
-    ``(..., *p, nball)`` with ``out[..., j, b] = values[(j + ball[b]) mod p]``.
-    """
-    axes = tuple(range(values.ndim - n, values.ndim))
-    cols = [np.roll(values, tuple(-o for o in b), axis=axes) for b in ball]
-    return np.stack(cols, axis=-1)
-
-
-def torus_scatter(contrib: np.ndarray, ball, n: int) -> np.ndarray:
-    """Scatter per-(site, ball-offset) contributions into a per-site field.
-
-    ``contrib`` has shape ``(..., *p, nball)``; returns
-    ``out[i] = sum_b contrib[i - ball[b], b]`` which is exactly the
-    equilibrium residual when ``contrib`` holds the local-energy gradients.
-    """
-    axes = tuple(range(contrib.ndim - 1 - n, contrib.ndim - 1))
-    out = np.zeros(contrib.shape[:-1])
-    for idx, b in enumerate(ball):
-        out += np.roll(contrib[..., idx], tuple(b), axis=axes)
-    return out
-
-
-def torus_hess_mv(hess: np.ndarray, vec: np.ndarray, ball, n: int) -> np.ndarray:
-    """Apply the energy Hessian to ``vec`` given the per-site local Hessians.
-
-    ``hess`` has shape ``(..., *p, nball, nball)`` (stacked local Hessians at
-    every site), ``vec`` shape ``(..., *p)``.
-    """
-    axes = tuple(range(vec.ndim - n, vec.ndim))
-    out = np.zeros_like(vec)
-    shifted = [np.roll(vec, tuple(-o for o in b), axis=axes) for b in ball]
-    for ib, b in enumerate(ball):
-        acc = np.zeros_like(vec)
-        for ib2 in range(len(ball)):
-            acc += hess[..., ib, ib2] * shifted[ib2]
-        out += np.roll(acc, tuple(b), axis=axes)
-    return out
-
-
 def pad_layers(values: np.ndarray, margin: int, left: float, right: float, n: int) -> np.ndarray:
     """Extend the layer axis (first lattice axis) by constant tails."""
     if margin == 0:
@@ -288,44 +248,101 @@ def pad_layers(values: np.ndarray, margin: int, left: float, right: float, n: in
     return np.pad(values, widths, mode="constant", constant_values=cvals)
 
 
-def strip_configs(padded: np.ndarray, ball, n: int, r: int) -> np.ndarray:
-    """Stencil neighborhoods on a strip, from a layer-padded array.
+# ---------------------------------------------------------------------------
+# the stencil engine (operates on raw arrays, lattice axes trailing)
+# ---------------------------------------------------------------------------
 
-    ``padded`` has at least ``r`` extra layers on each side; the result covers
-    the layers ``padded[r:-r]`` and has shape ``(..., L, *q, nball)``.
+class Stencil:
+    """Gather/scatter tables of the stencil ``ball`` on one lattice shape.
+
+    ``shape`` is the state shape: ``p`` on the torus (``margin = 0``) or
+    ``(2 W + 1, *q)`` on the strip (``margin = r``).  The energy sites are
+    the state sites plus ``margin`` layers on each side; the total vector
+    adds ``2 margin`` ghost layers on each side, holding the tails.  All
+    other axes (and, on the torus, the first one too) are periodic.
+
+    * ``fwd[j, b]`` is the total index of site ``j + ball[b]`` for every
+      energy site ``j``: configurations are ``total[..., fwd]``.
+    * ``bwd[b, i]`` points at entry ``(i - ball[b], b)`` of the flattened
+      ``(energy sites, nball)`` local gradients for every state site ``i``:
+      the residual is ``grad[..., bwd].sum(-2)``, which adds the ball
+      offsets one after another in ball order.
     """
-    layer_ax = padded.ndim - n
-    L = padded.shape[layer_ax] - 2 * r
-    taxes = tuple(range(layer_ax + 1, padded.ndim))
-    cols = []
-    for b in ball:
-        sl = [slice(None)] * padded.ndim
-        sl[layer_ax] = slice(r + b[0], r + b[0] + L)
-        a = padded[tuple(sl)]
-        t = tuple(-o for o in b[1:])
-        if any(t):
-            a = np.roll(a, t, axis=taxes)
-        cols.append(a)
-    return np.stack(cols, axis=-1)
+
+    def __init__(self, ball, shape, margin=0):
+        self.shape = tuple(shape)
+        self.ghosts = 2 * margin
+        self.energy_shape = (shape[0] + 2 * margin,) + self.shape[1:]
+        total_shape = (shape[0] + 4 * margin,) + self.shape[1:]
+        self.state_size = math.prod(shape)
+        offsets = np.array(ball)
+        cells = np.indices(total_shape).reshape(len(total_shape), -1).T
+        layer = cells[:, 0]
+        energy = cells[(layer >= margin) & (layer < total_shape[0] - margin)]
+        state = cells[(layer >= 2 * margin) & (layer < total_shape[0] - 2 * margin)]
+        near = (energy[:, None] + offsets) % total_shape
+        self.fwd = np.ravel_multi_index(tuple(np.moveaxis(near, -1, 0)), total_shape)
+        near = (state[:, None] - offsets) % total_shape
+        near[..., 0] -= margin
+        sites = np.ravel_multi_index(tuple(np.moveaxis(near, -1, 0)), self.energy_shape)
+        self.bwd = (sites * len(ball) + np.arange(len(ball))).T.copy()
+        for table in (self.fwd, self.bwd):
+            table.setflags(write=False)
+
+    def gather(self, values, left=0.0, right=0.0):
+        """Configurations ``(..., energy sites, nball)`` of a state batch."""
+        values = np.asarray(values, dtype=float)
+        batch = values.shape[:values.ndim - len(self.shape)]
+        ghosts = self.ghosts
+        if ghosts:
+            tail = (slice(None),) * (len(self.shape) - 1)
+            total = np.empty(batch + (self.shape[0] + 2 * ghosts,) + self.shape[1:])
+            total[(Ellipsis, slice(None, ghosts)) + tail] = left
+            total[(Ellipsis, slice(ghosts, -ghosts)) + tail] = values
+            total[(Ellipsis, slice(-ghosts, None)) + tail] = right
+            values = total
+        return np.take(values.reshape(batch + (-1,)), self.fwd, axis=-1)
+
+    def energies(self, potential, values, left=0.0, right=0.0):
+        """Local energies ``S_j`` at every energy site, in the lattice shape."""
+        e = potential.energy(self.gather(values, left, right))
+        return e.reshape(e.shape[:-1] + self.energy_shape)
+
+    def residual(self, potential, values, left=0.0, right=0.0):
+        """Equilibrium residual ``sum_b d_i S_{i - ball[b]}`` at every state site."""
+        g = potential.gradient(self.gather(values, left, right))
+        batch = g.shape[:-2]
+        flat = np.take(g.reshape(batch + (-1,)), self.bwd, axis=-1)
+        return flat.sum(-2).reshape(batch + self.shape)
+
+    def hessian(self, potential, values, left=0.0, right=0.0):
+        """Dense Hessian at one state, rows/cols in C order of the state.
+
+        Each row offset ``a`` of the local Hessians is summed over the column
+        offsets first, and the row offsets are added in ball order, as in
+        the Hessian action ``sum_a sum_b``; entries on ghost sites are dropped.
+        """
+        h = potential.hessian(self.gather(values, left, right))
+        size = self.state_size ** 2
+        out = np.zeros(size)
+        for a, (index, keep) in enumerate(self._hessian_tables):
+            out += np.bincount(index, h[:, a].T.ravel()[keep], minlength=size)
+        return out.reshape(self.state_size, self.state_size)
+
+    @functools.cached_property
+    def _hessian_tables(self):
+        # the state index of every stencil read, -1 on the ghost layers
+        sites = self.fwd.T - self.ghosts * math.prod(self.shape[1:])
+        sites[(sites < 0) | (sites >= self.state_size)] = -1
+        tables = []
+        for row in sites:
+            pair = row * self.state_size + sites
+            keep = ((row >= 0) & (sites >= 0)).ravel()
+            tables.append((pair.ravel()[keep], keep))
+        return tables
 
 
-def strip_scatter(contrib: np.ndarray, ball, n: int, r: int) -> np.ndarray:
-    """Inverse stencil scatter on a strip.
-
-    ``contrib`` has shape ``(..., L + 2r, *q, nball)`` covering the layers of
-    the target window extended by ``r`` on both sides; the result has shape
-    ``(..., L, *q)`` with ``out[j] = sum_b contrib[j - ball[b], b]``.
-    """
-    layer_ax = contrib.ndim - 1 - n
-    L = contrib.shape[layer_ax] - 2 * r
-    taxes = tuple(range(layer_ax + 1, contrib.ndim - 1))
-    out = None
-    for idx, b in enumerate(ball):
-        sl = [slice(None)] * (contrib.ndim - 1)
-        sl[layer_ax] = slice(r - b[0], r - b[0] + L)
-        a = contrib[..., idx][tuple(sl)]
-        t = tuple(b[1:])
-        if any(t):
-            a = np.roll(a, t, axis=taxes)
-        out = a.copy() if out is None else out + a
-    return out
+@functools.lru_cache(maxsize=64)
+def stencil(ball, shape, margin=0) -> Stencil:
+    """The shared (read-only) tables for one ball, state shape and margin."""
+    return Stencil(ball, shape, margin)

@@ -29,7 +29,7 @@ import numpy as np
 from .defaults import (DEDUP_TOL, MINIMIZER_ENERGY_MARGIN, TAIL_BOUND_TOL,
                        WINDOW_CAP, WINDOW_START)
 from .fields import (FkSaddleError, StripField, WindowError, pad_layers,
-                     strip_configs, strip_scatter, validate_periods)
+                     stencil, validate_periods)
 from .model import SitePotential
 from .mpp import (MinimaxResult, _minimax_heat_flow, _minimax_node_flow,
                   perturbed_path_values, phi_path)
@@ -70,20 +70,13 @@ class StripSystem:
             self.right = 0.0
         self.lattice_ndim = potential.n
         self.dt_safe = potential.dt_safe()
-
-    def _total_padded(self, x, margin):
+        self.stencil = stencil(potential.ball, self.shape, potential.r)
         # base and state tails add; with a base present the state tails are 0
-        values = x + self.base
-        return pad_layers(values, margin,
-                          self.base_left + self.left, self.base_right + self.right,
-                          self.lattice_ndim)
+        self.tails = (self.base_left + self.left, self.base_right + self.right)
 
     def layer_energies(self, x):
         """Renormalized per-layer sums over layers [-W-r, W+r]."""
-        r = self.potential.r
-        padded = self._total_padded(np.asarray(x, dtype=float), 2 * r)
-        cfg = strip_configs(padded, self.potential.ball, self.lattice_ndim, r)
-        e = self.potential.energy(cfg) - self.c0
+        e = self.stencil.energies(self.potential, x + self.base, *self.tails) - self.c0
         taxes = tuple(range(e.ndim - len(self.q), e.ndim))
         return e.sum(axis=taxes) if taxes else e
 
@@ -91,28 +84,10 @@ class StripSystem:
         return self.layer_energies(x).sum(axis=-1)
 
     def grad(self, x):
-        r = self.potential.r
-        padded = self._total_padded(np.asarray(x, dtype=float), 2 * r)
-        cfg = strip_configs(padded, self.potential.ball, self.lattice_ndim, r)
-        g = self.potential.gradient(cfg)
-        return strip_scatter(g, self.potential.ball, self.lattice_ndim, r)
-
-    def hess_mv(self, x, v):
-        r = self.potential.r
-        n = self.lattice_ndim
-        padded = self._total_padded(np.asarray(x, dtype=float), 2 * r)
-        cfg = strip_configs(padded, self.potential.ball, n, r)
-        h = self.potential.hessian(cfg)
-        vp = pad_layers(np.asarray(v, dtype=float), 2 * r, 0.0, 0.0, n)
-        vcfg = strip_configs(vp, self.potential.ball, n, r)
-        contrib = np.einsum("...ij,...j->...i", h, vcfg)
-        return strip_scatter(contrib, self.potential.ball, n, r)
+        return self.stencil.residual(self.potential, x + self.base, *self.tails)
 
     def hess_matrix(self, x):
-        size = math.prod(self.shape)
-        eye = np.eye(size).reshape((size,) + self.shape)
-        cols = self.hess_mv(np.broadcast_to(x, (size,) + self.shape), eye)
-        return cols.reshape(size, size).T
+        return self.stencil.hessian(self.potential, x + self.base, *self.tails)
 
     def field(self, x) -> StripField:
         """Wrap a state array as a StripField carrying the state tails."""
@@ -160,8 +135,9 @@ def renormalized_energy(potential: SitePotential, u: StripField,
     """Truncated renormalized energy of a total field over a layer range.
 
     ``layers=(p, q)`` restricts the sum; the range must cover the stored
-    window (the deviation support plus margin), else the truncation would
-    drop energy and a WindowError is raised.
+    window plus the stencil margin ``[-W-r, W+r]`` (every layer whose local
+    energies read the window), else the truncation would drop energy and a
+    WindowError is raised.
     """
     system = _strip_system(potential, u.q, u.half_width, gap0)
     per_layer = system.layer_energies(u.values)
@@ -170,9 +146,9 @@ def renormalized_energy(potential: SitePotential, u: StripField,
     if layers is None:
         return float(per_layer.sum())
     p, q = int(layers[0]), int(layers[1])
-    if p > -W or q < W:
+    if p > -W - r or q < W + r:
         raise WindowError("layer range [%d, %d] does not cover the window "
-                          "[-%d, %d] plus margin" % (p, q, W, W))
+                          "plus margin [%d, %d]" % (p, q, -W - r, W + r))
     mask = (coords >= p) & (coords <= q)
     return float(per_layer[mask].sum())
 

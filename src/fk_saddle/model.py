@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import FD_STEP, FD_REL_TOL, SHIFT_PERIODICITY_TOL
-from .fields import (FkSaddleError, StripField, TorusField, torus_configs,
-                     torus_scatter)
+from .fields import FkSaddleError, StripField, TorusField, stencil
 
 TWO_PI = 2.0 * np.pi
 
@@ -283,14 +282,14 @@ def local_energy(potential: SitePotential, u, j) -> float:
 
 def site_energies(potential: SitePotential, values: np.ndarray) -> np.ndarray:
     """S_j(u) for every torus site j; values has lattice axes trailing."""
-    cfg = torus_configs(values, potential.ball, potential.n)
-    return potential.energy(cfg)
+    periods = np.shape(values)[-potential.n:]
+    return stencil(potential.ball, periods).energies(potential, values)
 
 
 def residual_field(potential: SitePotential, values: np.ndarray) -> np.ndarray:
     """Equilibrium residual sum_{|j-i|<=r} d_i S_j(u) at every torus site."""
-    cfg = torus_configs(values, potential.ball, potential.n)
-    return torus_scatter(potential.gradient(cfg), potential.ball, potential.n)
+    periods = np.shape(values)[-potential.n:]
+    return stencil(potential.ball, periods).residual(potential, values)
 
 
 def el_residual(potential: SitePotential, u, i) -> float:
@@ -399,25 +398,10 @@ def validate_assumptions(potential: SitePotential, sample_count: int = 200,
 
     # derivative consistency against centered finite differences
     sub = cfg[: min(100, sample_count)]
-    g = potential.gradient(sub)
-    h = FD_STEP
-    gfd = np.empty_like(g)
-    for b in range(potential.nball):
-        up = sub.copy()
-        up[:, b] += h
-        dn = sub.copy()
-        dn[:, b] -= h
-        gfd[:, b] = (potential.energy(up) - potential.energy(dn)) / (2 * h)
-    gerr = np.abs(g - gfd) / (1.0 + np.abs(gfd))
-    hh = potential.hessian(sub)
-    hfd = np.empty_like(hh)
-    for b in range(potential.nball):
-        up = sub.copy()
-        up[:, b] += h
-        dn = sub.copy()
-        dn[:, b] -= h
-        hfd[:, b, :] = (potential.gradient(up) - potential.gradient(dn)) / (2 * h)
-    herr = np.abs(hh - hfd) / (1.0 + np.abs(hfd))
+    gfd = SitePotential.gradient(potential, sub)
+    gerr = np.abs(potential.gradient(sub) - gfd) / (1.0 + np.abs(gfd))
+    hfd = SitePotential.hessian(potential, sub)
+    herr = np.abs(potential.hessian(sub) - hfd) / (1.0 + np.abs(hfd))
     worst_d = float(max(gerr.max(), herr.max()))
     report.checks.append(AssumptionCheck(
         "derivatives", worst_d <= FD_REL_TOL, worst_d))

@@ -14,7 +14,6 @@ order box [0, w0 - v0] around v0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,8 @@ import numpy as np
 from . import defaults
 from .defaults import (DEDUP_TOL, GAP_PROBES, MINIMIZER_ENERGY_MARGIN,
                        STRICT_ORDER_TOL)
-from .fields import FkSaddleError, PeriodError, TorusField, validate_periods
+from .fields import (FkSaddleError, PeriodError, TorusField, stencil,
+                     validate_periods)
 from .model import SitePotential, residual_field, site_energies
 from .semiflow import FlowParams, flow, flow_to_stationarity, refine_critical
 
@@ -52,29 +52,18 @@ class PeriodicSystem:
             self.base = np.broadcast_to(np.asarray(base, dtype=float), self.periods)
         self.lattice_ndim = len(self.periods)
         self.dt_safe = potential.dt_safe()
+        self.stencil = stencil(potential.ball, self.periods)
 
     def energy(self, x):
-        e = site_energies(self.potential, x + self.base)
+        e = self.stencil.energies(self.potential, x + self.base)
         return e.sum(axis=tuple(range(e.ndim - self.lattice_ndim, e.ndim)))
 
     def grad(self, x):
-        return residual_field(self.potential, x + self.base)
+        return self.stencil.residual(self.potential, x + self.base)
 
     def hess_matrix(self, x):
         """Dense Hessian of I at x, rows/cols in C order of the torus cell."""
-        from .fields import torus_configs, torus_hess_mv
-
-        cfg = torus_configs(np.asarray(x, dtype=float) + self.base,
-                            self.potential.ball, self.potential.n)
-        hess = self.potential.hessian(cfg)
-        size = math.prod(self.periods)
-        cols = []
-        for k in range(size):
-            e = np.zeros(size)
-            e[k] = 1.0
-            cols.append(torus_hess_mv(hess, e.reshape(self.periods),
-                                      self.potential.ball, self.potential.n).ravel())
-        return np.stack(cols, axis=1)
+        return self.stencil.hessian(self.potential, x + self.base)
 
 
 # ---------------------------------------------------------------------------

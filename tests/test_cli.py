@@ -28,6 +28,9 @@ def test_parse_rejects_unknown_key():
         parse_config("dx = 0.1\n")
     with pytest.raises(ConfigError, match="flow.dx"):
         parse_config("[flow]\ndx = 0.1\n")
+    # the stencil radius belongs to the model, not to the job file
+    with pytest.raises(ConfigError, match="model-params.r"):
+        parse_config("[model-params]\nr = 2\n")
 
 
 def test_parse_error_carries_line_number():

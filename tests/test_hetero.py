@@ -116,9 +116,24 @@ def test_energy_stable_under_window_doubling(pinned, pinned_gap, het):
 def test_energy_layer_range_guard(pinned, pinned_gap, het):
     with pytest.raises(WindowError):
         renormalized_energy(pinned, het.v1, pinned_gap, layers=(-5, 5))
+    W, r = het.window, pinned.r
     full = renormalized_energy(pinned, het.v1, pinned_gap,
-                               layers=(-het.window, het.window))
+                               layers=(-W - r, W + r))
     assert full == pytest.approx(het.c1q, abs=1e-12)
+
+
+def test_energy_layer_range_must_cover_margin(pinned, pinned_gap):
+    # a tail-to-tail ramp still climbing at the window edges puts energy in
+    # the margin layers [-W-r, -W) and (W, W+r]; dropping it must not pass
+    # silently
+    W, r = 6, pinned.r
+    ramp = np.linspace(-0.25, 0.75, 2 * W + 3)[1:-1].reshape(-1, 1)
+    u = StripField(W, (1,), ramp, -0.25, 0.75)
+    full = renormalized_energy(pinned, u, pinned_gap)
+    assert renormalized_energy(pinned, u, pinned_gap,
+                               layers=(-W - r, W + r)) == full
+    with pytest.raises(WindowError):
+        renormalized_energy(pinned, u, pinned_gap, layers=(-W, W))
 
 
 def test_strip_gradient_matches_finite_differences(pinned, pinned_gap, het):
