@@ -27,9 +27,8 @@ from .defaults import CSV_FLOAT_FORMAT, default_node_count
 from .fields import FkSaddleError, TorusField
 from .hetero import (asymptotics_report, find_gap_pair_hetero,
                      minimize_hetero, mountain_pass_hetero)
-from .model import make_potential, validate_assumptions
-from .mpp import (best_mountain_pass, build_initial_path, mountain_pass,
-                  multiplicity_scan)
+from .model import make_potential, residual_field, validate_assumptions
+from .mpp import best_mountain_pass, build_initial_path, multiplicity_scan
 from .periodic import find_gap_pair, minimize_periodic, require_gap
 from .semiflow import FlowParams
 from .verify import (OracleGrid2D, cross_check_mountain_pass,
@@ -111,6 +110,10 @@ def _default_seeds(cfg, periods):
     return seeds
 
 
+def _window(cfg):
+    return "auto" if cfg.window is None else cfg.window
+
+
 def _gap_or_fail(pot, cfg, params):
     gap = find_gap_pair(pot, (1,) * pot.n, probes=cfg.probes,
                         seed=cfg.seed or 0, params=params)
@@ -126,8 +129,6 @@ def run(cfg: RunConfig) -> Manifest:
     cmd = cfg.command
 
     if cmd == "minimize":
-        from .model import residual_field
-
         res = minimize_periodic(pot, cfg.p, _default_seeds(cfg, cfg.p), params)
         man.scalars["c0p"] = res.c0p
         man.scalars["iterations"] = res.iterations
@@ -152,13 +153,12 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "mpp":
         gap = _gap_or_fail(pot, cfg, params)
-        N = cfg.nodes or default_node_count(cfg.p)
+        N = cfg.nodes if cfg.nodes is not None else default_node_count(cfg.p)
         kind = cfg.kind if cfg.p[0] > 1 else "linear"
-        k = cfg.k or max(2, cfg.p[0])
+        k = cfg.k if cfg.k is not None else max(2, cfg.p[0])
         path0 = build_initial_path(kind, N, k, gap, cfg.p)
-        res = (best_mountain_pass(pot, gap, path0, params, restarts=cfg.restarts)
-               if cfg.mode == "node-flow" else
-               mountain_pass(pot, gap, path0, params, mode=cfg.mode))
+        res = best_mountain_pass(pot, gap, path0, params,
+                                 restarts=cfg.restarts, mode=cfg.mode)
         man.scalars["d0p"] = res.value
         man.scalars["c0p"] = res.c_ref
         man.scalars["barrier"] = res.barrier
@@ -197,7 +197,7 @@ def run(cfg: RunConfig) -> Manifest:
         scan = multiplicity_scan(pot, cfg.kmax, gap, params,
                                  restarts=cfg.restarts)
         man.tables["rows"] = [
-            {"k": r.k, "c0p": r.c0p, "d0p": r.d0p, "barrier": r.barrier,
+            {"k": r.k, "c0p": r.c, "d0p": r.d, "barrier": r.barrier,
              "residual": r.residual, "ok": r.ok, "message": r.message}
             for r in scan.rows]
         man.tables["pairwise_linf"] = scan.distances.tolist()
@@ -209,7 +209,7 @@ def run(cfg: RunConfig) -> Manifest:
         gap0 = _gap_or_fail(pot, cfg, params)
         res = minimize_hetero(pot, cfg.q, gap0, params,
                               start_width=cfg.window_start,
-                              window=cfg.window if cfg.window else "auto")
+                              window=_window(cfg))
         man.scalars["c1q"] = res.c1q
         man.scalars["c1"] = res.consts.c1
         man.scalars["c0"] = res.consts.c0
@@ -230,17 +230,15 @@ def run(cfg: RunConfig) -> Manifest:
         gap0 = _gap_or_fail(pot, cfg, params)
         mres = minimize_hetero(pot, cfg.q, gap0, params,
                                start_width=cfg.window_start,
-                               window=cfg.window if cfg.window else "auto",
-                               check_stability=False)
+                               window=_window(cfg), check_stability=False)
         gap1 = find_gap_pair_hetero(pot, cfg.q, gap0, probes=cfg.probes,
                                     seed=cfg.seed or 0, params=params,
                                     minimized=mres)
         if gap1 is None:
             man.errors.append("no heteroclinic gap pair found")
         else:
-            res = mountain_pass_hetero(pot, gap1, params,
-                                       N=cfg.nodes or 65, mode=cfg.mode,
-                                       restarts=cfg.restarts)
+            res = mountain_pass_hetero(pot, gap1, params, N=cfg.nodes,
+                                       mode=cfg.mode, restarts=cfg.restarts)
             man.scalars["d1q"] = res.value
             man.scalars["c1q"] = res.c_ref
             man.scalars["barrier"] = res.barrier

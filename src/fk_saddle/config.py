@@ -107,10 +107,24 @@ class RunConfig:
             raise ConfigError("path.mode: must be 'node-flow' or 'heat-flow'")
         if self.tol <= 0:
             raise ConfigError("flow.tol: must be positive")
+        if self.nodes is not None and self.nodes < 3:
+            raise ConfigError("path.nodes: must be >= 3 or auto")
+        if self.k is not None and self.k < 2:
+            raise ConfigError("path.k: must be >= 2 or auto")
+        if self.restarts < 0:
+            raise ConfigError("path.restarts: must be >= 0")
+        if self.window is not None and self.window < 1:
+            raise ConfigError("window.size: must be >= 1 or auto")
+        if self.kmax < 2:
+            raise ConfigError("scan.kmax: must be >= 2")
+        if self.probes < 1:
+            raise ConfigError("gap.probes: must be >= 1")
         if self.trials < 0:
             raise ConfigError("verify.trials: must be >= 0")
         if self.grid < 2:
             raise ConfigError("verify.grid: must be >= 2")
+        if not self.resolutions or min(self.resolutions) < 101:
+            raise ConfigError("verify.resolutions: each must be >= 101")
         return self
 
 

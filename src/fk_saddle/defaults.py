@@ -35,7 +35,6 @@ MINIMIZER_ENERGY_MARGIN = 1e-6  # above c0p, a stationary limit is not a minimiz
 WINDOW_START = 20
 WINDOW_CAP = 640
 TAIL_BOUND_TOL = 1e-10        # L * C(r) * (tail l1 mass) must fall below this
-WINDOW_STABILITY_TOL = 1e-9   # |I at W - I at 2W| bound for converged fields
 
 # --- verification suite ---------------------------------------------------------
 SUBMODULARITY_TOL = 1e-10
@@ -45,9 +44,7 @@ SCALING_TOL = 1e-8            # |c0p - prod(p) c0| <= SCALING_TOL * prod(p)
 CROSS_CHECK_TOL = 1e-3        # node-flow vs heat-flow vs bottleneck oracle
 ORACLE_RESOLUTION = 2001
 
-# --- CLI defaults -----------------------------------------------------------------
-DEFAULT_TRIALS = 100
-DEFAULT_GRID = 400
+# --- CLI output -------------------------------------------------------------------
 CSV_FLOAT_FORMAT = "%.16e"    # 17 significant digits
 
 

@@ -26,15 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import (DEDUP_TOL, MINIMIZER_ENERGY_MARGIN, TAIL_BOUND_TOL,
-                       WINDOW_CAP, WINDOW_START)
+from .defaults import DEDUP_TOL, TAIL_BOUND_TOL, WINDOW_CAP, WINDOW_START
 from .fields import (FkSaddleError, StripField, WindowError, pad_layers,
                      stencil, validate_periods)
 from .model import SitePotential
-from .mpp import (MinimaxResult, _minimax_heat_flow, _minimax_node_flow,
-                  perturbed_path_values, phi_path)
-from .periodic import GapPair, require_gap
-from .semiflow import FlowParams, flow_to_stationarity, refine_critical
+from .mpp import (MinimaxResult, best_of_restarts, minimax_engine, phi_path,
+                  scan_rows)
+from .periodic import GapPair, probe_adjacency, require_gap
+from .semiflow import FlowError, FlowParams, flow, refine_critical
 
 
 class StripSystem:
@@ -192,8 +191,6 @@ def _tail_bound(system: StripSystem, x) -> float:
 
 
 def _minimize_on_window(potential, q, W, gap0, params, seeds, seed_arrays=None):
-    from .semiflow import FlowError, flow
-
     system = _strip_system(potential, q, W, gap0)
     arrays = list(seed_arrays or [])
     if seeds is None:
@@ -304,8 +301,6 @@ def flow_hetero(potential: SitePotential, u0: StripField, gap0: GapPair,
     """Integrate the strip semiflow with pinned tails; returns (field, trace)."""
     params = params or FlowParams()
     system = _strip_system(potential, u0.q, u0.half_width, gap0)
-    from .semiflow import flow
-
     x, trace, _ = flow(system, u0.values, params)
     return system.field(x), trace
 
@@ -354,28 +349,9 @@ def find_gap_pair_hetero(potential: SitePotential, q, gap0: GapPair,
         return None
     system = _strip_system(potential, q, res.window, gap0, base=v1.values)
     rng = np.random.default_rng(seed)
-    thetas = [(k + 1) / (probes + 1) for k in range(probes)]
-    probe_vals = [th * width for th in thetas]
-    for _ in range(max(2, probes // 2)):
-        probe_vals.append(rng.uniform(0.05, 0.95) * width)
-    x, _ = flow_to_stationarity(system, np.stack(probe_vals), params)
-    energies = system.energy(x)
-    c1q = res.c1q
-    interior_minimizers = 0
-    interior_critical = 0
-    for i in range(len(probe_vals)):
-        d_v = np.max(np.abs(x[i]))
-        d_w = np.max(np.abs(x[i] - width))
-        if min(d_v, d_w) <= DEDUP_TOL:
-            continue
-        if energies[i] > c1q + MINIMIZER_ENERGY_MARGIN:
-            interior_critical += 1
-            continue
-        interior_minimizers += 1
-    evidence = {"probes": len(probe_vals),
-                "distinct_interior_minimizers": interior_minimizers,
-                "interior_critical_points": interior_critical}
-    if interior_minimizers:
+    evidence = probe_adjacency(system, np.zeros_like(width), width, res.c1q,
+                               params, probes, lambda: rng.uniform(0.05, 0.95))
+    if evidence["distinct_interior_minimizers"]:
         return None
     return HeteroGapPair(v1=v1, w1=w1, gap0=gap0, evidence=evidence)
 
@@ -416,30 +392,9 @@ def mountain_pass_hetero(potential: SitePotential, gap1: HeteroGapPair,
         N = N or 65
         thetas = np.linspace(0.0, 1.0, N).reshape((N,) + (1,) * hi.ndim)
         nodes = thetas * hi
-    engine = _minimax_node_flow if mode == "node-flow" else _minimax_heat_flow
-    result = engine(system, nodes, hi, params, **engine_kw)
-    for s in range(restarts):
-        trial_nodes = perturbed_path_values(nodes, hi, seed=s)
-        trial = engine(system, trial_nodes, hi, params, **engine_kw)
-        if trial.success and (not result.success
-                              or trial.value < result.value - 1e-12):
-            result = trial
-    return result
-
-
-@dataclass
-class HeteroScanRow:
-    k: int
-    c1q: float = math.nan
-    d1q: float = math.nan
-    witness: float = math.nan
-    residual: float = math.nan
-    ok: bool = False
-    message: str = ""
-
-    @property
-    def barrier(self) -> float:
-        return self.d1q - self.c1q
+    engine = minimax_engine(mode)
+    return best_of_restarts(
+        lambda n: engine(system, n, hi, params, **engine_kw), nodes, hi, restarts)
 
 
 def bound_scan_hetero(potential: SitePotential, k_max: int,
@@ -447,47 +402,37 @@ def bound_scan_hetero(potential: SitePotential, k_max: int,
                       N: int | None = None, witness_grid: int = 801):
     """Barrier column over the transverse periods q(k) = (k, 1, ..., 1).
 
-    Each row records c1q, d1q, and the maximum of the transverse staircase
-    path built from the same profile as the periodic construction; the
-    staircase maxima witness the uniform bound on d1q - c1q.
+    Each scan row records c = c1q, d = d1q, and the maximum of the
+    transverse staircase path built from the same profile as the periodic
+    construction; the staircase maxima witness the uniform bound on d1q - c1q.
     """
     gap1 = require_hetero_gap(gap1)
     params = params or FlowParams()
     if len(gap1.v1.q) != 1:
         raise FkSaddleError("the transverse scan needs one transverse axis "
                             "(model dimension 2)")
-    rows = []
-    for k in range(1, k_max + 1):
-        row = HeteroScanRow(k=k)
-        try:
-            v1k = _tile_transverse(gap1.v1, k)
-            w1k = _tile_transverse(gap1.w1, k)
-            gk = HeteroGapPair(v1=v1k, w1=w1k, gap0=gap1.gap0,
-                               evidence=dict(gap1.evidence))
-            system = _offset_system(potential, gk)
-            hi = gk.width_values
-            row.c1q = float(system.energy(np.zeros_like(hi)))
-            thetas = np.linspace(0.0, 1.0, witness_grid)
-            if k >= 2:
-                i2 = np.arange(k)
-                prof = np.stack([phi_path(k, th, i2) for th in thetas])
-                nodes = prof[:, None, :] * hi
-            else:
-                nodes = thetas.reshape(-1, 1, 1) * hi
-            row.witness = float(np.max(system.energy(nodes)) - row.c1q)
-            Nk = N or 65
-            sub = np.linspace(0, witness_grid - 1, Nk).astype(int)
-            res = mountain_pass_hetero(potential, gk, params,
-                                       path_nodes=nodes[sub], restarts=1)
-            row.d1q = res.value
-            row.residual = res.residual
-            row.ok = res.success
-            if not res.success:
-                row.message = res.message
-        except FkSaddleError as exc:
-            row.message = str(exc)
-        rows.append(row)
-    return rows
+
+    def fill(row):
+        k = row.k
+        gk = HeteroGapPair(v1=_tile_transverse(gap1.v1, k),
+                           w1=_tile_transverse(gap1.w1, k), gap0=gap1.gap0,
+                           evidence=dict(gap1.evidence))
+        system = _offset_system(potential, gk)
+        hi = gk.width_values
+        row.c = float(system.energy(np.zeros_like(hi)))
+        thetas = np.linspace(0.0, 1.0, witness_grid)
+        if k >= 2:
+            i2 = np.arange(k)
+            prof = np.stack([phi_path(k, th, i2) for th in thetas])
+            nodes = prof[:, None, :] * hi
+        else:
+            nodes = thetas.reshape(-1, 1, 1) * hi
+        row.witness = float(np.max(system.energy(nodes)) - row.c)
+        sub = np.linspace(0, witness_grid - 1, N or 65).astype(int)
+        row.record(mountain_pass_hetero(potential, gk, params,
+                                        path_nodes=nodes[sub], restarts=1))
+
+    return scan_rows(k_max, fill)
 
 
 def _tile_transverse(u: StripField, k: int) -> StripField:

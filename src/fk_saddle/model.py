@@ -35,6 +35,29 @@ class ModelError(FkSaddleError):
     pass
 
 
+def central_differences(f, x, axes: int = 1) -> np.ndarray:
+    """Centered differences ``(f(x + h e) - f(x - h e)) / 2h``, h = FD_STEP, of
+    a batched function along every coordinate ``e`` of the trailing ``axes``
+    axes of x.
+
+    ``f`` maps ``batch + coords`` arrays to ``batch + tail``; the result has
+    shape ``batch + coords + tail``.  Each coordinate costs two calls of f.
+    """
+    x = np.asarray(x, dtype=float)
+    split = x.ndim - axes
+    flat = x.reshape(x.shape[:split] + (-1,))
+    cols = []
+    for k in range(flat.shape[-1]):
+        up = flat.copy()
+        up[..., k] += FD_STEP
+        dn = flat.copy()
+        dn[..., k] -= FD_STEP
+        cols.append((f(up.reshape(x.shape)) - f(dn.reshape(x.shape)))
+                    / (2.0 * FD_STEP))
+    out = np.stack(cols, axis=split)
+    return out.reshape(x.shape + out.shape[split + 1:])
+
+
 def ball_offsets(n: int, r: int) -> tuple:
     """Offsets k in Z^n with |k|_1 <= r, lexicographically ordered."""
     offs = [k for k in itertools.product(range(-r, r + 1), repeat=n)
@@ -73,28 +96,10 @@ class SitePotential:
 
     # -- finite-difference fallbacks -----------------------------------------
     def gradient(self, cfg: np.ndarray) -> np.ndarray:
-        cfg = np.asarray(cfg, dtype=float)
-        out = np.empty(cfg.shape)
-        h = FD_STEP
-        for b in range(self.nball):
-            up = cfg.copy()
-            up[..., b] += h
-            dn = cfg.copy()
-            dn[..., b] -= h
-            out[..., b] = (self.energy(up) - self.energy(dn)) / (2.0 * h)
-        return out
+        return central_differences(self.energy, cfg)
 
     def hessian(self, cfg: np.ndarray) -> np.ndarray:
-        cfg = np.asarray(cfg, dtype=float)
-        out = np.empty(cfg.shape + (self.nball,))
-        h = FD_STEP
-        for b in range(self.nball):
-            up = cfg.copy()
-            up[..., b] += h
-            dn = cfg.copy()
-            dn[..., b] -= h
-            out[..., b, :] = (self.gradient(up) - self.gradient(dn)) / (2.0 * h)
-        return out
+        return central_differences(self.gradient, cfg)
 
     # -- flow step-size bound --------------------------------------------------
     def lipschitz_bound(self) -> float:

@@ -34,13 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import defaults
 from .defaults import (COMPARE_TOL, MAX_SWEEPS, PLATEAU_TOL,
                        PLATEAU_WINDOW, REPARAM_EVERY, STRICT_ORDER_TOL,
                        default_node_count)
 from .fields import FkSaddleError, TorusField, validate_periods
 from .model import SitePotential
-from .periodic import GapPair, PeriodicSystem, require_gap
+from .periodic import GapPair, PeriodicSystem, minimize_periodic, require_gap
 from .semiflow import FlowParams, guarded_step, refine_critical, rk4_step
 
 
@@ -111,21 +110,15 @@ class PathOnBox:
             raise PathError("need at least 3 nodes shaped (N, *periods)")
         object.__setattr__(self, "nodes", nodes)
 
-    @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
 
-    def thetas(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.node_count)
-
-    def eval_at(self, theta: float) -> np.ndarray:
-        """Evaluate the polygonal path at a continuous parameter."""
-        th = self.thetas()
-        k = min(int(np.searchsorted(th, theta, side="right")) - 1,
-                self.node_count - 2)
-        k = max(k, 0)
-        w = (theta - th[k]) / (th[k + 1] - th[k])
-        return (1.0 - w) * self.nodes[k] + w * self.nodes[k + 1]
+def _polyline_at(nodes: np.ndarray, theta: float) -> np.ndarray:
+    """The polygonal path through ``nodes`` (evenly spaced on [0, 1]) at a
+    continuous parameter."""
+    N = nodes.shape[0]
+    th = np.linspace(0.0, 1.0, N)
+    k = max(min(int(np.searchsorted(th, theta, side="right")) - 1, N - 2), 0)
+    w = (theta - th[k]) / (th[k + 1] - th[k])
+    return (1.0 - w) * nodes[k] + w * nodes[k + 1]
 
 
 def build_initial_path(kind: str, N: int, k: int | None, gap: GapPair,
@@ -389,12 +382,6 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params, *,
                   for li, rep in enumerate(reps)]
     rep_energy = [c[0] for c in candidates]
 
-    def initial_at(th):
-        k = min(int(np.searchsorted(thetas, th, side="right")) - 1, N - 2)
-        k = max(k, 0)
-        w = (th - thetas[k]) / (thetas[k + 1] - thetas[k])
-        return (1.0 - w) * path0[k] + w * path0[k + 1]
-
     # resolve every tear in the flowed chain by bisection on the initial path;
     # a tear's persistent level is its edge state between the two basins
     work = [[thetas[m], thetas[m + 1], labels[m], labels[m + 1]]
@@ -408,7 +395,7 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params, *,
         done = False
         for it in range(max_bisect):
             mid = 0.5 * (lo + hi_th)
-            start = initial_at(mid)
+            start = _polyline_at(path0, mid)
             crossing_cap = max(crossing_cap, float(system.energy(start)))
             lab, dip_x, dip_r, is_new = _classify_flow(
                 system, start, dt, reps, match_tol, settle_tol, t_classify)
@@ -474,6 +461,41 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params, *,
 # public drivers
 # ---------------------------------------------------------------------------
 
+def minimax_engine(mode: str):
+    """The minimax engine of a mode.
+
+    The engine is looked up by its module-global name on every call, so a
+    wrapper bound to that name (the benchmark's tracer) reaches every caller.
+    """
+    if mode not in ("node-flow", "heat-flow"):
+        raise PathError("unknown mode %r" % mode)
+    return globals()["_minimax_" + mode.replace("-", "_")]
+
+
+def best_of_restarts(run, nodes: np.ndarray, hi: np.ndarray, restarts: int):
+    """``run(nodes)``, then ``run`` on ``restarts`` perturbed chains; keeps the
+    smallest validated minimax level (every admissible path gives an upper
+    bound).
+
+    Staircase paths carry the column symmetries of their construction, and
+    the string relaxation preserves symmetry, so a symmetric chain can stall
+    on a higher symmetric critical point.  Restart ``s`` adds 0.05 times
+    standard normal noise drawn from seed ``s``, clipped to the box
+    ``[0, hi]`` with the endpoints pinned, which breaks the symmetry.
+    """
+    best = run(nodes)
+    for s in range(restarts):
+        rng = np.random.default_rng(s)
+        trial_nodes = np.clip(nodes + 0.05 * rng.standard_normal(nodes.shape),
+                              0.0, hi)
+        trial_nodes[0] = 0.0
+        trial_nodes[-1] = hi
+        trial = run(trial_nodes)
+        if trial.success and (not best.success or trial.value < best.value - 1e-12):
+            best = trial
+    return best
+
+
 def mountain_pass(potential: SitePotential, gap: GapPair, path0: PathOnBox,
                   params: FlowParams | None = None, mode: str = "node-flow",
                   **engine_kw) -> MinimaxResult:
@@ -492,17 +514,18 @@ def mountain_pass(potential: SitePotential, gap: GapPair, path0: PathOnBox,
     if np.max(np.abs(path0.nodes[0])) != 0.0 or np.max(np.abs(path0.nodes[-1] - hi)) > 1e-12:
         raise PathError("path endpoints must be pinned to 0 and w0 - v0")
     system = PeriodicSystem(potential, periods, v0)
-    if mode == "node-flow":
-        result = _minimax_node_flow(system, path0.nodes, hi, params, **engine_kw)
-    elif mode == "heat-flow":
-        result = _minimax_heat_flow(system, path0.nodes, hi, params, **engine_kw)
-    else:
-        raise PathError("unknown mode %r" % mode)
-    return result
+    return minimax_engine(mode)(system, path0.nodes, hi, params, **engine_kw)
 
 
-def critical_tor_field(result: MinimaxResult, periods) -> TorusField:
-    return TorusField(periods, result.critical)
+def best_mountain_pass(potential, gap, path0: PathOnBox, params,
+                       restarts: int = 1, mode: str = "node-flow"):
+    """mountain_pass on ``path0`` plus symmetry-broken restarts
+    (:func:`best_of_restarts`)."""
+    hi = require_gap(gap).box_field(path0.periods).values
+    return best_of_restarts(
+        lambda nodes: mountain_pass(potential, gap, PathOnBox(path0.periods, nodes),
+                                    params, mode=mode),
+        path0.nodes, hi, restarts)
 
 
 def minimax_over_unconstrained_paths_check(potential, gap: GapPair, periods,
@@ -657,16 +680,41 @@ def intersects(u, v, tol: float = COMPARE_TOL) -> str:
 
 @dataclass
 class ScanRow:
+    """One row of a barrier scan: ground level c, minimax level d, and (on
+    the strip) the staircase witness of the uniform bound on d - c."""
+
     k: int
-    c0p: float = math.nan
-    d0p: float = math.nan
+    c: float = math.nan
+    d: float = math.nan
+    witness: float = math.nan
     residual: float = math.nan
     ok: bool = False
     message: str = ""
 
     @property
     def barrier(self) -> float:
-        return self.d0p - self.c0p
+        return self.d - self.c
+
+    def record(self, res: MinimaxResult) -> None:
+        self.d = res.value
+        self.residual = res.residual
+        self.ok = res.success
+        if not res.success:
+            self.message = res.message
+
+
+def scan_rows(k_max: int, fill) -> list:
+    """Rows k = 1..k_max, each filled in place by ``fill(row)``; a row whose
+    solve fails carries the error as its message and the scan continues."""
+    rows = []
+    for k in range(1, k_max + 1):
+        row = ScanRow(k=k)
+        try:
+            fill(row)
+        except FkSaddleError as exc:
+            row.message = str(exc)
+        rows.append(row)
+    return rows
 
 
 @dataclass
@@ -694,46 +742,6 @@ def _shift_orbit_distance(a: np.ndarray, b: np.ndarray) -> float:
     return best
 
 
-def perturbed_path_values(nodes: np.ndarray, hi: np.ndarray, seed: int,
-                          scale: float = 0.05) -> np.ndarray:
-    """Clipped, endpoint-pinned random perturbation of a node chain."""
-    rng = np.random.default_rng(seed)
-    out = nodes + scale * rng.standard_normal(nodes.shape)
-    out = np.clip(out, 0.0, hi)
-    out[0] = 0.0
-    out[-1] = hi
-    return out
-
-
-def perturbed_path(path0: PathOnBox, gap: GapPair, seed: int,
-                   scale: float = 0.05) -> PathOnBox:
-    """A clipped, endpoint-pinned random perturbation of a path.
-
-    Staircase paths carry the column symmetries of their construction, and
-    the string relaxation preserves symmetry, so a symmetric chain can stall
-    on a higher symmetric critical point.  A deterministic perturbation
-    breaks the symmetry; the relaxed value can only improve.
-    """
-    hi = gap.box_field(path0.periods).values
-    return PathOnBox(path0.periods,
-                     perturbed_path_values(path0.nodes, hi, seed, scale),
-                     monotone=False)
-
-
-def best_mountain_pass(potential, gap, path0: PathOnBox, params,
-                       restarts: int = 1, mode: str = "node-flow"):
-    """mountain_pass plus symmetry-broken restarts; keeps the smallest
-    validated minimax level (every admissible path gives an upper bound)."""
-    best = mountain_pass(potential, gap, path0, params, mode=mode)
-    for s in range(restarts):
-        trial = mountain_pass(potential, gap,
-                              perturbed_path(path0, gap, seed=s), params,
-                              mode=mode)
-        if trial.success and (not best.success or trial.value < best.value - 1e-12):
-            best = trial
-    return best
-
-
 def multiplicity_scan(potential: SitePotential, k_max: int, gap: GapPair,
                       params: FlowParams | None = None,
                       node_count=None, restarts: int = 1) -> MultiplicityScan:
@@ -749,29 +757,23 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap: GapPair,
     gap = require_gap(gap)
     params = params or FlowParams()
     n = gap.v0.n
-    rows = []
     criticals = {}
-    for k in range(1, k_max + 1):
+
+    def fill(row):
+        k = row.k
         p = (k,) + (1,) * (n - 1)
-        row = ScanRow(k=k)
-        try:
-            N = node_count(p) if callable(node_count) else (
-                node_count or default_node_count(p))
-            kind = "chi" if k >= 2 else "linear"
-            path0 = build_initial_path(kind, N, max(k, 2), gap, p)
-            c0p = minimize_c0p(potential, gap, p, params)
-            res = best_mountain_pass(potential, gap, path0, params,
-                                     restarts=restarts)
-            row.c0p = c0p
-            row.d0p = res.value
-            row.residual = res.residual
-            row.ok = res.success
-            if not res.success:
-                row.message = res.message
-            criticals[k] = res.critical
-        except FkSaddleError as exc:
-            row.message = str(exc)
-        rows.append(row)
+        N = node_count(p) if callable(node_count) else (
+            node_count or default_node_count(p))
+        kind = "chi" if k >= 2 else "linear"
+        path0 = build_initial_path(kind, N, max(k, 2), gap, p)
+        c0p = minimize_c0p(potential, gap, p, params)
+        res = best_mountain_pass(potential, gap, path0, params,
+                                 restarts=restarts)
+        row.c = c0p
+        row.record(res)
+        criticals[k] = res.critical
+
+    rows = scan_rows(k_max, fill)
     ks = sorted(criticals)
     L = math.lcm(*ks) if ks else 1
     extended = {}
@@ -793,8 +795,6 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap: GapPair,
 
 def minimize_c0p(potential, gap: GapPair, periods, params) -> float:
     """Ground energy on the given torus, seeded from the gap endpoints."""
-    from .periodic import minimize_periodic
-
     seeds = [TorusField.constant(periods, gap.v0.values.flat[0]),
              TorusField.constant(periods, gap.w0.values.flat[0])]
     return minimize_periodic(potential, periods, seeds, params).c0p

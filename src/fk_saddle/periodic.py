@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import defaults
 from .defaults import (DEDUP_TOL, GAP_PROBES, MINIMIZER_ENERGY_MARGIN,
                        STRICT_ORDER_TOL)
 from .fields import (FkSaddleError, PeriodError, TorusField, stencil,
@@ -198,9 +197,8 @@ def find_gap_pair(potential: SitePotential, periods, probes: int = GAP_PROBES,
     rng = np.random.default_rng(seed)
     res = minimize_periodic(potential, periods,
                             _default_minimize_seeds(rng, periods), params)
-    tol_e = MINIMIZER_ENERGY_MARGIN
     mins = [(f, e) for f, e in zip(res.limits, res.energies)
-            if e <= res.c0p + tol_e]
+            if e <= res.c0p + MINIMIZER_ENERGY_MARGIN]
     if not mins:
         return None
     fields = [f for f, _ in mins]
@@ -208,39 +206,45 @@ def find_gap_pair(potential: SitePotential, periods, probes: int = GAP_PROBES,
     candidates = [(fields[i], fields[i + 1]) for i in range(len(fields) - 1)]
     candidates.append((fields[-1] - 1.0, fields[0]))
     system = PeriodicSystem(potential, periods)
-    evidence_all = []
     for v, w in candidates:
-        gap = w.values - v.values
-        if np.min(gap) <= STRICT_ORDER_TOL:
+        if np.min(w.values - v.values) <= STRICT_ORDER_TOL:
             continue  # not strictly ordered
-        thetas = [(k + 1) / (probes + 1) for k in range(probes)]
-        probe_vals = [v.values + th * gap for th in thetas]
-        for _ in range(max(2, probes // 2)):
-            probe_vals.append(v.values + rng.uniform(0.05, 0.95, size=periods) * gap)
-        stacked = np.stack(probe_vals)
-        x, _ = flow_to_stationarity(system, stacked, params)
-        energies = system.energy(x)
-        distinct_interior = 0
-        interior_critical = 0
-        adjacent = True
-        for i in range(len(probe_vals)):
-            d_v = np.max(np.abs(x[i] - v.values))
-            d_w = np.max(np.abs(x[i] - w.values))
-            if min(d_v, d_w) <= DEDUP_TOL:
-                continue
-            if energies[i] > res.c0p + tol_e:
-                interior_critical += 1  # stationary but not minimal
-                continue
-            distinct_interior += 1
-            adjacent = False
-        evidence = {"probes": len(probe_vals),
-                    "distinct_interior_minimizers": distinct_interior,
-                    "interior_critical_points": interior_critical,
-                    "minimizer_orbits": len(fields)}
-        evidence_all.append(evidence)
-        if adjacent:
+        evidence = probe_adjacency(
+            system, v.values, w.values, res.c0p, params, probes,
+            lambda: rng.uniform(0.05, 0.95, size=periods))
+        evidence["minimizer_orbits"] = len(fields)
+        if not evidence["distinct_interior_minimizers"]:
             return GapPair(v0=v, w0=w, evidence=evidence)
     return None
+
+
+def probe_adjacency(system, lo, hi, level, params, probes, draw) -> dict:
+    """Probe-flow evidence that no minimizer lies strictly between lo < hi.
+
+    Probe flows start on ``probes`` evenly spaced convex combinations of the
+    two endpoint states and on ``max(2, probes // 2)`` random ones, whose
+    weight ``draw()`` returns (a scalar, or one weight per site).  Each limit
+    is sorted into endpoint (within DEDUP_TOL of lo or hi), interior critical
+    point (energy above ``level + MINIMIZER_ENERGY_MARGIN``: stationary but
+    not minimal, so adjacency holds) or interior minimizer (adjacency fails).
+    """
+    width = hi - lo
+    fractions = [(k + 1) / (probes + 1) for k in range(probes)]
+    fractions += [draw() for _ in range(max(2, probes // 2))]
+    x, _ = flow_to_stationarity(
+        system, np.stack([lo + f * width for f in fractions]), params)
+    energies = system.energy(x)
+    minimizers = critical = 0
+    for xi, e in zip(x, energies):
+        if min(np.max(np.abs(xi - lo)), np.max(np.abs(xi - hi))) <= DEDUP_TOL:
+            continue
+        if e > level + MINIMIZER_ENERGY_MARGIN:
+            critical += 1
+        else:
+            minimizers += 1
+    return {"probes": len(fractions),
+            "distinct_interior_minimizers": minimizers,
+            "interior_critical_points": critical}
 
 
 def require_gap(gap) -> GapPair:

@@ -22,11 +22,11 @@ import numpy as np
 from scipy import ndimage
 
 from .defaults import (BOX_INVARIANCE_TOL, CLIP_ENERGY_TOL, CROSS_CHECK_TOL,
-                       ENERGY_INCREASE_TOL, FD_REL_TOL, FD_STEP,
+                       ENERGY_INCREASE_TOL, FD_REL_TOL,
                        ORACLE_RESOLUTION, SCALING_TOL, STRICT_ORDER_TOL,
                        SUBMODULARITY_TOL)
 from .fields import FkSaddleError, TorusField
-from .model import SitePotential, site_energies
+from .model import SitePotential, central_differences, site_energies
 from .mpp import build_initial_path, mountain_pass
 from .periodic import (GapPair, PeriodicSystem, find_gap_pair,
                        minimize_periodic, require_gap)
@@ -194,13 +194,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         count = min(trials, 25)
         u = rng.uniform(-1.0, 2.0, size=(count,) + periods)
         g = system.grad(u)
-        size = math.prod(periods)
-        gfd = np.empty_like(g)
-        for k in range(size):
-            e = np.zeros(periods)
-            e.flat[k] = FD_STEP
-            gfd.reshape(count, size)[:, k] = (
-                system.energy(u + e) - system.energy(u - e)) / (2 * FD_STEP)
+        gfd = central_differences(system.energy, u, axes=len(periods))
         rel = np.abs(g - gfd) / (1.0 + np.abs(gfd))
         worst = float(rel.max())
         return FD_REL_TOL - worst, "max rel err %g" % worst

@@ -140,8 +140,8 @@ def compute_bundle():
     scan = multiplicity_scan(classical, 6, gap, params)
     T["c7"] = time.monotonic() - t0
     for row in scan.rows:
-        S["scan_d_%d" % row.k] = row.d0p
-        S["scan_c_%d" % row.k] = row.c0p
+        S["scan_d_%d" % row.k] = row.d
+        S["scan_c_%d" % row.k] = row.c
     bundle["scan"] = scan
 
     # -- criterion 8: the property suite ---------------------------------------

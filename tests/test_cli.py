@@ -33,6 +33,32 @@ def test_parse_rejects_unknown_key():
         parse_config("[model-params]\nr = 2\n")
 
 
+@pytest.mark.parametrize("text, path", [
+    ("[path]\nnodes = 0\n", "path.nodes"),
+    ("[path]\nk = 0\n", "path.k"),
+    ("[path]\nrestarts = -1\n", "path.restarts"),
+    ("[window]\nsize = 0\n", "window.size"),
+    ("[gap]\nprobes = 0\n", "gap.probes"),
+    ("[scan]\nkmax = 1\n", "scan.kmax"),
+    ("[verify]\nresolutions = 2001,100\n", "verify.resolutions"),
+])
+def test_parse_rejects_bad_values(text, path):
+    with pytest.raises(ConfigError, match=path):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("flags", [
+    ["mpp", "--nodes", "0"], ["mpp", "--k", "0"], ["mpp", "--restarts", "-1"],
+    ["mph", "--window", "0"], ["gap", "--probes", "0"],
+    ["multiplicity", "--kmax", "1"], ["verify", "--resolutions", "51"],
+])
+def test_bad_values_exit_before_any_stage(flags, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert main(flags + ["--seed", "1", "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ConfigError, match="line 3"):
         parse_config("model = classical-fk\n\nnot a key value line\n")
@@ -105,6 +131,27 @@ def test_gap_and_mpp_manifests(tmp_path):
     assert lines[0] == "i1,i2,value"
     assert len(lines) == 3
     assert data["files"][0]["sha256"]
+
+
+def test_heat_flow_mpp_honours_restarts(tmp_path, monkeypatch):
+    from fk_saddle import mpp
+
+    modes = []
+    real = mpp.mountain_pass
+
+    def counted(*args, **kwargs):
+        modes.append(kwargs.get("mode"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mpp, "mountain_pass", counted)
+    out = tmp_path / "heat.json"
+    assert main(["mpp", "--model", "classical-fk", "--p", "1,1",
+                 "--nodes", "9", "--mode", "heat-flow", "--restarts", "1",
+                 "--seed", "3", "--out", str(out)]) == 0
+    # the base run plus one perturbed restart, both in heat-flow mode
+    assert modes == ["heat-flow", "heat-flow"]
+    assert json.loads(out.read_text())["scalars"]["barrier"] == pytest.approx(
+        2.0, abs=1e-8)
 
 
 def test_verify_exit_codes(tmp_path):

@@ -7,6 +7,7 @@ from fk_saddle import (StripField, asymptotics_report,
                        renormalized_energy, strip_norm)
 from fk_saddle.fields import WindowError
 from fk_saddle.hetero import StripSystem, _strip_system
+from fk_saddle.mpp import PathError
 from fk_saddle.semiflow import flow
 
 # Heteroclinic ground levels at window half-width 40, frozen from an
@@ -272,6 +273,11 @@ def test_mph_critical_strictly_between(mph, het_gap):
     assert np.min((width - mph.critical)[active]) > 0
 
 
+def test_mph_rejects_unknown_mode(pinned, het_gap, params):
+    with pytest.raises(PathError, match="unknown mode 'warp'"):
+        mountain_pass_hetero(pinned, het_gap, params, N=9, mode="warp")
+
+
 def test_mph_stable_under_window_doubling(pinned, pinned_gap, params, het, het_gap, mph):
     big = het_gap.v1.embed(2 * het.window)
     gap_big = type(het_gap)(v1=big, w1=big.shift1(1), gap0=pinned_gap,
@@ -288,7 +294,7 @@ def test_bound_scan(pinned, het_gap, params):
     for r in rows:
         assert r.ok, r.message
         assert 0 < r.barrier <= r.witness + 1e-9
-    assert abs(rows[1].c1q - 2 * rows[0].c1q) <= 1e-8
+    assert abs(rows[1].c - 2 * rows[0].c) <= 1e-8
 
 
 # --- asymptotics ---------------------------------------------------------------
