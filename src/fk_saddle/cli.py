@@ -22,7 +22,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, config_to_dict, parse_config
+from .config import (ConfigError, RunConfig, _parse_float_or_auto,
+                     _parse_int_or_auto, _parse_int_tuple, config_to_dict,
+                     parse_config)
 from .defaults import CSV_FLOAT_FORMAT, default_node_count
 from .fields import FkSaddleError, TorusField
 from .hetero import (asymptotics_report, find_gap_pair_hetero,
@@ -365,17 +367,25 @@ def build_parser():
     return ap
 
 
+def _parse_flag(flag, parser, text):
+    """A free-text flag, parsed as the job file parses its key."""
+    try:
+        return parser(text)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError("%s: %s" % (flag, exc))
+
+
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
     cfg.model = args.model
     cfg.amplitude = args.amplitude
     cfg.coupling = args.coupling
     if args.p:
-        cfg.p = tuple(int(x) for x in args.p.split(","))
+        cfg.p = _parse_flag("--p", _parse_int_tuple, args.p)
     if args.q:
-        cfg.q = tuple(int(x) for x in args.q.split(","))
+        cfg.q = _parse_flag("--q", _parse_int_tuple, args.q)
     cfg.tol = args.tol
-    cfg.dt = None if str(args.dt) == "auto" else float(args.dt)
+    cfg.dt = _parse_flag("--dt", _parse_float_or_auto, args.dt)
     cfg.seed = args.seed
     cfg.out = args.out
     cfg.fields_out = args.fields_out
@@ -384,9 +394,10 @@ def _config_from_args(args) -> RunConfig:
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
     if hasattr(args, "window"):
-        cfg.window = None if str(args.window) == "auto" else int(args.window)
+        cfg.window = _parse_flag("--window", _parse_int_or_auto, args.window)
     if hasattr(args, "resolutions") and args.resolutions:
-        cfg.resolutions = tuple(int(x) for x in str(args.resolutions).split(","))
+        cfg.resolutions = _parse_flag("--resolutions", _parse_int_tuple,
+                                      args.resolutions)
     if hasattr(args, "samples"):
         cfg.trials = args.samples
     return cfg.validate()

@@ -7,7 +7,7 @@ here so that the test suite and the library agree on a single source of truth.
 # --- stationarity / convergence -------------------------------------------
 STATIONARITY_TOL = 1e-10      # l2 residual at which a field counts as stationary
 ENERGY_INCREASE_TOL = 1e-10   # largest admissible energy increase per flow step
-MAX_FLOW_STEPS = 400_000      # hard cap on integrator steps per flow
+MAX_FLOW_STEPS = 400_000      # budget guard on integrator steps per flow (stops are set in flow time)
 MAX_DT_HALVINGS = 20
 
 # --- field bookkeeping ------------------------------------------------------
@@ -21,10 +21,15 @@ FD_STEP = 1e-6                # centered-difference step for derivative checks
 FD_REL_TOL = 1e-6             # required agreement of analytic vs FD derivatives
 
 # --- path / minimax engine ---------------------------------------------------
-REPARAM_EVERY = 10            # node sweeps between arc-length reparametrizations
-PLATEAU_WINDOW = 50           # consecutive sweeps below PLATEAU_TOL to stop
-PLATEAU_TOL = 1e-12
-MAX_SWEEPS = 200_000
+# The string's controls are flow times, so its stops do not depend on the step
+# dt: a cycle is max(1, round(REPARAM_TIME / dt)) sweeps, which at the built-in
+# models' Gershgorin step (dt > REPARAM_TIME) means a reparametrization after
+# every sweep.
+REPARAM_TIME = 5e-3           # flow time between arc-length reparametrizations
+PLATEAU_TIME = 0.025          # flow time the string max must stay flat before a stalled string stops
+PLATEAU_TOL = 1e-12           # flat: the string max moves less than this per REPARAM_TIME of flow
+MAX_SWEEPS = 200_000          # budget guard on node sweeps per string
+CLASSIFY_CHECK_TIME = 0.01    # heat-flow: flow time between basin-membership checks
 NODE_CAP = 257                # ceiling for the default node-count rule
 
 # --- gap detection ------------------------------------------------------------

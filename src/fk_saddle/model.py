@@ -102,11 +102,25 @@ class SitePotential:
         return central_differences(self.gradient, cfg)
 
     # -- flow step-size bound --------------------------------------------------
-    def lipschitz_bound(self) -> float:
-        """C * sqrt(C(r) C1(r)) with the stencil-counting constants."""
+    def stencil_lipschitz_bound(self) -> float:
+        """C * nball^2: each of the nball local energies touching a site
+        contributes at most nball second partials, each bounded by C (S4)."""
         return self.second_derivative_bound * self.nball ** 2
 
+    def lipschitz_bound(self) -> float:
+        """An upper bound L on the spectral radius of the lattice Hessian H,
+        on every torus and strip.
+
+        Gershgorin: every eigenvalue lies within max_i sum_j |H_ij| of zero,
+        and H_ij sums the second partials of the local energies touching i, j.
+        Plug-ins get :meth:`stencil_lipschitz_bound`; the built-in models
+        override it with their exact row sum.
+        """
+        return self.stencil_lipschitz_bound()
+
     def dt_safe(self) -> float:
+        """The flow step 1 / (2 L), L = :meth:`lipschitz_bound`: a quarter of
+        explicit Euler's stability limit 2 / L, well inside RK4's 2.78 / L."""
         return 1.0 / (2.0 * self.lipschitz_bound())
 
 
@@ -120,8 +134,27 @@ class ClassicalFKPotential(SitePotential):
     def __init__(self, amplitude: float = 1.0, coupling: float = 1.0 / 16.0, n: int = 2):
         self.amplitude = float(amplitude)
         self.coupling = float(coupling)
-        bound = 4.0 * np.pi ** 2 * abs(self.amplitude) + 4.0 * abs(self.coupling) * n
+        bound = self.onsite_curvature_bound() + 4.0 * abs(self.coupling) * n
         super().__init__(n=n, r=1, second_derivative_bound=max(bound, 1.0))
+
+    def onsite_curvature_bound(self) -> float:
+        """sup |V''| of the on-site term."""
+        return 4.0 * np.pi ** 2 * abs(self.amplitude)
+
+    def lipschitz_bound(self) -> float:
+        """Gershgorin row sum of the lattice Hessian, sup|V''| + 16 n |c|.
+
+        Each of the 2n bonds at a site carries c (u_i - u_j)^2 from both of
+        its local energies, so a Hessian row holds V''(u_i) + 8 n c on the
+        diagonal and off-diagonal entries of total size 8 n |c|.  A periodic
+        wrap (bond to itself or twice to one neighbour) or a Dirichlet ghost
+        only drops or merges entries, so the row sum bounds the spectral
+        radius on every torus and strip (floored at 1, as C is).  A subclass
+        that changes the energy must keep its couplings' sizes or override
+        this bound.
+        """
+        return max(self.onsite_curvature_bound()
+                   + 16.0 * self.n * abs(self.coupling), 1.0)
 
     def _onsite(self, c0):
         return self.amplitude * np.sin(TWO_PI * c0)
@@ -140,14 +173,14 @@ class ClassicalFKPotential(SitePotential):
         return self._onsite(c0) + self.coupling * np.sum(diffs ** 2, axis=-1)
 
     def gradient(self, cfg):
+        # r = 1: the ball is the origin and its neighbours.  The neighbour sum
+        # goes through a fancy-indexed copy, whose ball-major layout reduces
+        # far faster than the short trailing axis of ``out``.
         cfg = np.asarray(cfg, dtype=float)
-        out = np.zeros(cfg.shape)
-        c0 = cfg[..., self.origin]
-        nb = cfg[..., self.neighbor_indices]
-        diffs = nb - c0[..., None]
-        out[..., self.origin] = self._onsite_d1(c0) - 2.0 * self.coupling * np.sum(diffs, axis=-1)
-        for k, idx in enumerate(self.neighbor_indices):
-            out[..., idx] = 2.0 * self.coupling * diffs[..., k]
+        o = self.origin
+        out = 2.0 * self.coupling * (cfg - cfg[..., o:o + 1])
+        out[..., o] = (self._onsite_d1(cfg[..., o])
+                       - out[..., self.neighbor_indices].sum(axis=-1))
         return out
 
     def hessian(self, cfg):
@@ -171,10 +204,8 @@ class TwoWellFKPotential(ClassicalFKPotential):
     minimizers sit 1/2 apart instead of 1.
     """
 
-    def __init__(self, amplitude: float = 1.0, coupling: float = 1.0 / 16.0, n: int = 2):
-        super().__init__(amplitude=amplitude, coupling=coupling, n=n)
-        bound = 8.0 * np.pi ** 2 * abs(self.amplitude) + 4.0 * abs(self.coupling) * n
-        self.second_derivative_bound = max(bound, 1.0)
+    def onsite_curvature_bound(self) -> float:
+        return 8.0 * np.pi ** 2 * abs(self.amplitude)
 
     def _onsite(self, c0):
         return self.amplitude * np.cos(TWO_PI * c0) ** 2

@@ -5,10 +5,11 @@ I(h(theta))``.  Two solvers compute it:
 
 * ``node-flow``: a string-method relaxation.  The path is a chain of N
   fields; interior nodes evolve under the gradient semiflow (the endpoints
-  are flow fixed points), and every few sweeps the chain is re-equidistributed
-  by l2 arc length.  When the max-node energy plateaus, a damped Newton solve
-  on the equilibrium residual refines the argmax node to the nearby critical
-  point.
+  are flow fixed points), and after every REPARAM_TIME of flow the chain is
+  re-equidistributed by l2 arc length.  When the max-node energy plateaus, a
+  damped Newton solve on the equilibrium residual refines the argmax node to
+  the nearby critical point.  A chain with a segment midpoint far above all
+  its nodes is torn and never reports success.
 
 * ``heat-flow``: the whole path is flowed without reparametrization, tracking
   where the maximum persists.  On a finite node grid the flowed chain tears
@@ -34,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import (COMPARE_TOL, MAX_SWEEPS, PLATEAU_TOL,
-                       PLATEAU_WINDOW, REPARAM_EVERY, STRICT_ORDER_TOL,
-                       default_node_count)
+from .defaults import (CLASSIFY_CHECK_TIME, COMPARE_TOL, MAX_SWEEPS,
+                       PLATEAU_TIME, PLATEAU_TOL, REPARAM_TIME,
+                       STRICT_ORDER_TOL, default_node_count)
 from .fields import FkSaddleError, TorusField, validate_periods
 from .model import SitePotential
 from .periodic import GapPair, PeriodicSystem, minimize_periodic, require_gap
@@ -168,22 +169,30 @@ class MinimaxResult:
     value_trace: np.ndarray
     success: bool
     mode: str
-    string_value: float            # max-node energy at convergence
+    string_value: float            # max of the final chain (node-flow: nodes and segment midpoints)
     c_ref: float                   # energy of the path endpoints (= c0p)
     message: str = ""
     reparam_sweeps: list = field(default_factory=list)
     final_nodes: np.ndarray | None = None
+    # node-flow: the string max at the start of each sweep's flow step (after
+    # any reparametrization); value_trace[m] is its max after sweep m's step
+    flow_start_trace: np.ndarray | None = None
 
     @property
     def barrier(self) -> float:
         return self.value - self.c_ref
 
 
+def _band(string_max, c_ref):
+    """How far a level may sit from the string top and still belong to it: a
+    discrete node chain undershoots the true path maximum by the
+    interpolation dip, so the band is a fraction of the barrier."""
+    return max(1e-6, 0.1 * (string_max - c_ref))
+
+
 def _validate_critical(system, x, hi, energy, c_ref, string_max, tol):
     """Gate a Newton-refined point: strictly inside the box, above the ground
-    level, and within a band around the string top (a discrete node chain
-    undershoots the true path maximum by the interpolation dip, so the band
-    is sized by a fraction of the barrier)."""
+    level, and within :func:`_band` of the string top."""
     active = hi > 1e-12
     if (~active).any() and np.max(np.abs(x[~active])) > 1e-7:
         return False
@@ -193,10 +202,22 @@ def _validate_critical(system, x, hi, energy, c_ref, string_max, tol):
         return False
     if energy - c_ref <= 10.0 * tol:
         return False
-    band = max(1e-6, 0.1 * (string_max - c_ref))
-    if abs(energy - string_max) > band:
+    if abs(energy - string_max) > _band(string_max, c_ref):
         return False
     return True
+
+
+def _chain_top(system, nodes, energies, c_ref):
+    """The string max over nodes and segment midpoints, and whether the chain
+    is torn.
+
+    Neighbouring nodes that sit in different basins across a higher ridge
+    have a segment midpoint far above every node; a midpoint more than
+    :func:`_band` above the node max marks such a tear.
+    """
+    node_max = float(energies.max())
+    mid_max = float(system.energy(0.5 * (nodes[:-1] + nodes[1:])).max())
+    return max(node_max, mid_max), mid_max > node_max + _band(node_max, c_ref)
 
 
 def _reparametrize(nodes: np.ndarray) -> np.ndarray:
@@ -218,42 +239,58 @@ def _reparametrize(nodes: np.ndarray) -> np.ndarray:
     return out.reshape(nodes.shape)
 
 
-def _minimax_node_flow(system, nodes0, hi, params, *, reparam_every=REPARAM_EVERY,
-                       plateau_tol=PLATEAU_TOL, plateau_window=PLATEAU_WINDOW,
+def _sweeps_per(time: float, dt: float) -> int:
+    """The whole number of steps dt closest to a flow time (at least one)."""
+    return max(1, round(time / dt))
+
+
+def _minimax_node_flow(system, nodes0, hi, params, *, reparam_time=REPARAM_TIME,
+                       plateau_tol=PLATEAU_TOL, plateau_time=PLATEAU_TIME,
                        max_sweeps=MAX_SWEEPS, refine_trigger=1e-8):
+    """The string method: flow the interior nodes, reparametrize every
+    ``reparam_time`` of flow, and refine the top node by Newton once the
+    string max has flattened.
+
+    Every control is a flow time or a change of the string max per
+    ``reparam_time`` of flow, so the stops do not depend on the step dt
+    (E, Ren & Vanden-Eijnden, J. Chem. Phys. 126, 164103, 2007).
+    ``max_sweeps`` is a budget guard only.
+    """
     nodes = np.asarray(nodes0, dtype=float).copy()
     dt = params.resolve_dt(system)
     energies = system.energy(nodes)
     c_ref = float(min(energies[0], energies[-1]))
     trace = [float(energies.max())]
+    starts = []
     reparam_sweeps = []
     refine_tol = params.stationarity_tol
     best_refined = None
     sweep = 0
-    # the string drifts within a reparametrization cycle and is pulled back at
-    # its end, so stationarity is judged on cycle boundaries: the per-sweep
-    # plateau budget (plateau_tol over plateau_window sweeps) becomes
-    # plateau_tol * reparam_every per cycle over plateau_window / reparam_every
-    # consecutive cycles
-    cycle_tol = plateau_tol * reparam_every
-    cycle_window = max(2, plateau_window // reparam_every)
     prev_cycle_max = None
-    flat_cycles = 0
+    flat_time = 0.0
     while sweep < max_sweeps and best_refined is None:
-        for _ in range(reparam_every):
+        # one cycle is about reparam_time of flow; the string drifts within a
+        # cycle and is pulled back at its end, so stationarity is judged on
+        # cycle boundaries, with the per-reparam_time budgets scaled to the
+        # cycle's flow time
+        cycle_time = 0.0
+        for _ in range(_sweeps_per(reparam_time, dt)):
             sweep += 1
+            starts.append(float(energies.max()))
             new_int, dt_used, e_int, halved = guarded_step(
                 system, nodes[1:-1], dt, energies[1:-1])
             if halved:
                 dt = dt_used
+            cycle_time += dt_used
             nodes[1:-1] = new_int
             energies[1:-1] = e_int
             trace.append(float(energies.max()))
+        scale = cycle_time / reparam_time
         cycle_max = float(energies.max())
         delta = abs(cycle_max - prev_cycle_max) if prev_cycle_max is not None else np.inf
         prev_cycle_max = cycle_max
-        flat_cycles = flat_cycles + 1 if delta < cycle_tol else 0
-        if delta < refine_trigger:
+        flat_time = flat_time + cycle_time if delta < plateau_tol * scale else 0.0
+        if delta < refine_trigger * scale:
             arg = int(np.argmax(energies))
             x_ref, res_inf, ok = refine_critical(system, nodes[arg], refine_tol)
             if ok:
@@ -262,27 +299,30 @@ def _minimax_node_flow(system, nodes0, hi, params, *, reparam_every=REPARAM_EVER
                                       cycle_max, refine_tol):
                     best_refined = (x_ref, res_inf, e_ref, arg)
                     break
-            if flat_cycles >= cycle_window:
-                break  # fully stalled and still no admissible saddle
+            if flat_time >= plateau_time and flat_time > cycle_time:
+                break  # stalled for plateau_time and two cycles, no saddle
         nodes = _reparametrize(nodes)
         energies = system.energy(nodes)
         reparam_sweeps.append(sweep)
-    arg = int(np.argmax(energies))
-    if best_refined is not None:
+    top, torn = _chain_top(system, nodes, energies, c_ref)
+    record = dict(iterations=sweep, value_trace=np.array(trace),
+                  flow_start_trace=np.array(starts), mode="node-flow",
+                  string_value=top, c_ref=c_ref, reparam_sweeps=reparam_sweeps,
+                  final_nodes=nodes)
+    if torn:
+        message = ("torn string: a segment midpoint sits %.6g above the top "
+                   "node" % (top - float(energies.max())))
+    elif best_refined is None:
+        message = "saddle not isolated at tolerance"
+    else:
         x_ref, res_inf, e_ref, arg = best_refined
-        return MinimaxResult(
-            value=e_ref, argmax_index=arg, critical=x_ref, residual=res_inf,
-            iterations=sweep, value_trace=np.array(trace), success=True,
-            mode="node-flow", string_value=float(energies.max()), c_ref=c_ref,
-            reparam_sweeps=reparam_sweeps, final_nodes=nodes)
+        return MinimaxResult(value=e_ref, argmax_index=arg, critical=x_ref,
+                             residual=res_inf, success=True, **record)
+    arg = int(np.argmax(energies))
     g = system.grad(nodes[arg])
-    return MinimaxResult(
-        value=float(energies[arg]), argmax_index=arg, critical=nodes[arg],
-        residual=float(np.max(np.abs(g))), iterations=sweep,
-        value_trace=np.array(trace), success=False, mode="node-flow",
-        string_value=float(energies[arg]), c_ref=c_ref,
-        message="saddle not isolated at tolerance",
-        reparam_sweeps=reparam_sweeps, final_nodes=nodes)
+    return MinimaxResult(value=float(energies[arg]), argmax_index=arg,
+                         critical=nodes[arg], residual=float(np.max(np.abs(g))),
+                         success=False, message=message, **record)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +330,11 @@ def _minimax_node_flow(system, nodes0, hi, params, *, reparam_every=REPARAM_EVER
 # ---------------------------------------------------------------------------
 
 def _classify_flow(system, x, dt, reps, match_tol, settle_tol, t_budget,
-                   max_steps=200_000, check_every=20):
+                   max_steps=200_000, check_time=CLASSIFY_CHECK_TIME):
     """Flow one state toward an attractor, watching for saddle fly-bys.
+
+    The state is compared with ``reps`` every ``check_time`` of flow;
+    ``max_steps`` is a budget guard only.
 
     Returns ``(label, dip_state, dip_residual)``.  ``label`` indexes ``reps``
     (a new representative is appended when the trajectory settles somewhere
@@ -307,6 +350,7 @@ def _classify_flow(system, x, dt, reps, match_tol, settle_tol, t_budget,
     t = 0.0
     steps = 0
     label = None
+    check_every = _sweeps_per(check_time, dt)
     while t < t_budget and steps < max_steps:
         if rn <= settle_tol:
             break

@@ -35,6 +35,7 @@ class FlowParams:
     ``dt=None`` selects the Lipschitz-safe step of the system.  ``t_max``
     bounds the flow horizon; stationarity (l2 residual below
     ``stationarity_tol``) stops the flow earlier unless ``run_to_t_max``.
+    ``max_steps`` is a budget guard only: the stops are set in flow time.
     """
 
     dt: float | None = None

@@ -51,6 +51,7 @@ def test_parse_rejects_bad_values(text, path):
     ["mpp", "--nodes", "0"], ["mpp", "--k", "0"], ["mpp", "--restarts", "-1"],
     ["mph", "--window", "0"], ["gap", "--probes", "0"],
     ["multiplicity", "--kmax", "1"], ["verify", "--resolutions", "51"],
+    ["mph", "--window", "foo"], ["gap", "--p", "a,1"],
 ])
 def test_bad_values_exit_before_any_stage(flags, tmp_path, capsys):
     out = tmp_path / "never.json"

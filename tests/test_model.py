@@ -255,3 +255,64 @@ def test_make_potential_plugin_path():
     pot = make_potential("helper_models:flipped")
     rep = validate_assumptions(pot, 50, seed=0)
     assert not rep.check("S3").passed
+
+
+BUILTINS = ("classical-fk", "pinned-fk", "two-well-fk", "free-chain")
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_lipschitz_bound_covers_hessian_spectrum(name):
+    pot = make_potential(name)
+    rng = np.random.default_rng(5)
+    systems = [(PeriodicSystem(pot, p), p) for p in ((1, 1), (2, 1), (3, 2), (8, 8))]
+    strip = StripSystem(pot, (2,), 6, -0.25, 0.75, c0=0.0)  # pinned tails
+    systems.append((strip, strip.shape))
+    for system, shape in systems:
+        for _ in range(3):
+            x = rng.uniform(-1.5, 1.5, size=shape)
+            rho = np.max(np.abs(np.linalg.eigvalsh(system.hess_matrix(x))))
+            # the free chain attains the bound (checkerboard mode on even
+            # tori), so allow eigvalsh its rounding error
+            assert rho <= pot.lipschitz_bound() * (1 + 1e-12)
+    assert pot.lipschitz_bound() < pot.stencil_lipschitz_bound()
+
+
+def test_gershgorin_bound_values(classical, pinned, twowell):
+    assert classical.lipschitz_bound() == pytest.approx(4 * np.pi ** 2 + 2.0)
+    assert pinned.lipschitz_bound() == pytest.approx(8 * np.pi ** 2 + 2.0)
+    assert twowell.lipschitz_bound() == pytest.approx(8 * np.pi ** 2 + 2.0)
+    assert classical.dt_safe() == 1.0 / (2.0 * classical.lipschitz_bound())
+    # the (S4) constant C is a different bound and keeps its value
+    assert classical.second_derivative_bound == 4 * np.pi ** 2 + 0.5
+
+
+def test_plugin_keeps_stencil_step():
+    plug = PluginPotential(lambda cfg: np.sum(cfg ** 2, axis=-1), n=2, r=1,
+                           second_derivative_bound=50.0)
+    assert plug.lipschitz_bound() == 50.0 * 25
+    assert plug.dt_safe() == 1.0 / (2.0 * 50.0 * 25)
+
+
+def _loop_energy_gradient(pot, cfg):
+    """The per-neighbour kernel the vectorised ClassicalFKPotential replaced."""
+    c0 = cfg[..., pot.origin]
+    diffs = cfg[..., pot.neighbor_indices] - c0[..., None]
+    energy = pot._onsite(c0) + pot.coupling * np.sum(diffs ** 2, axis=-1)
+    grad = np.zeros(cfg.shape)
+    grad[..., pot.origin] = (pot._onsite_d1(c0)
+                             - 2.0 * pot.coupling * np.sum(diffs, axis=-1))
+    for k, idx in enumerate(pot.neighbor_indices):
+        grad[..., idx] = 2.0 * pot.coupling * diffs[..., k]
+    return energy, grad
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_vectorised_kernel_is_bit_identical(name):
+    # 2c = 1/8 scales every summand of the neighbour sum exactly
+    pot = make_potential(name)
+    rng = np.random.default_rng(9)
+    for batch in ((23, 1, 1), (8, 2, 1), (127, 8, 1), (63, 8, 8)):
+        cfg = rng.uniform(-2.0, 2.0, size=batch + (pot.nball,))
+        energy, grad = _loop_energy_gradient(pot, cfg)
+        assert np.array_equal(pot.energy(cfg), energy)
+        assert np.array_equal(pot.gradient(cfg), grad)

@@ -4,7 +4,8 @@ import pytest
 from fk_saddle import (TorusField, build_initial_path, chi_path, clip_to_box,
                        intersects, minimax_over_unconstrained_paths_check,
                        mountain_pass, multiplicity_scan, phi_path, theta_bounds)
-from fk_saddle.mpp import PathError, PathOnBox, minimize_c0p
+from fk_saddle import mpp
+from fk_saddle.mpp import PathError, PathOnBox, _chain_top, minimize_c0p
 from fk_saddle.periodic import PeriodicSystem
 
 # Exact saddle level on the two-cell torus for the textbook model: the
@@ -160,12 +161,47 @@ def test_barrier_strictly_positive(mp21, params):
 
 
 def test_value_trace_nonincreasing_between_reparams(mp21):
+    # every flow step is checked against the string max it started from, which
+    # follows the reparametrization (interpolation can bump the discrete max)
     trace = mp21.value_trace
-    boundaries = set(mp21.reparam_sweeps)
+    starts = mp21.flow_start_trace
+    assert len(starts) == len(trace) - 1 == mp21.iterations
+    assert starts[0] == trace[0]
     for m in range(1, len(trace)):
-        if m - 1 in boundaries or m in boundaries:
-            continue  # interpolation can bump the discrete max
-        assert trace[m] <= trace[m - 1] + 1e-10
+        assert trace[m] <= starts[m - 1] + 1e-10
+
+
+def test_node_flow_does_not_depend_on_dt(classical, gap, params):
+    path = build_initial_path("chi", 65, 2, gap, (2, 1))
+    dt = PeriodicSystem(classical, (2, 1)).dt_safe
+    runs = [mountain_pass(classical, gap, path, params.with_(dt=h))
+            for h in (dt, dt / 8)]
+    assert all(r.success for r in runs)
+    for r in runs:
+        assert r.value == pytest.approx(REFERENCE_D21, abs=1e-10)
+
+
+def test_torn_chain_is_flagged(classical, gap, params, mp21, monkeypatch):
+    p = (2, 1)
+    system = PeriodicSystem(classical, p, gap.v0.extend(p))
+    hi = gap.box_field(p).values
+    c_ref = float(system.energy(np.zeros(p)))
+    assert not _chain_top(system, mp21.final_nodes,
+                          system.energy(mp21.final_nodes), c_ref)[1]
+    # one jump from the ground state straight to the saddle, across the
+    # higher ridge, then on to the far corner
+    nodes = np.stack([np.zeros(p), mp21.critical, hi])
+    ridge = float(system.energy(0.5 * mp21.critical))
+    assert ridge > mp21.value + 0.5
+    top, torn = _chain_top(system, nodes, system.energy(nodes), c_ref)
+    assert torn and top >= ridge
+    # without reparametrization the tear cannot heal, yet Newton still
+    # refines the top node to the saddle: the guard must refuse success
+    monkeypatch.setattr(mpp, "_reparametrize", lambda chain: chain)
+    res = mpp._minimax_node_flow(system, nodes, hi, params)
+    assert not res.success
+    assert "torn" in res.message
+    assert res.string_value >= ridge
 
 
 def test_monotone_path_preserved(classical, gap, params):

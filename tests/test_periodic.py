@@ -196,3 +196,19 @@ def test_flow_rejects_oversized_dt(classical, gap):
     system = PeriodicSystem(classical, p, gap.v0)
     with pytest.raises(FlowError):
         flow(system, np.zeros(p), FlowParams(dt=1.0))
+
+
+def test_minimize_work_count(classical, params, monkeypatch):
+    # the Gershgorin step: (3,2) took 1,374 RK4 steps at 1 / (2 C nball^2)
+    from fk_saddle import semiflow
+
+    steps = []
+    step = semiflow.rk4_step
+    monkeypatch.setattr(semiflow, "rk4_step",
+                        lambda *a, **k: steps.append(1) or step(*a, **k))
+    p = (3, 2)
+    res = minimize_periodic(classical, p,
+                            [TorusField.constant(p, j / 8.0) for j in range(8)],
+                            params)
+    assert res.c0p == pytest.approx(-6.0, abs=1e-9)
+    assert 0 < len(steps) <= 1374 // 10
