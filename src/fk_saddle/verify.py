@@ -3,8 +3,8 @@
 The minimax solvers are checked against a genuinely independent computation:
 on a two-site torus every field is a point (a, b) in the unit square, the
 energy is a closed two-variable landscape, and the minimax over paths is the
-bottleneck (widest-path) value over the 8-connected grid graph, found by
-binary search on the level threshold with a connected-components flood fill.
+bottleneck (widest-path) value over the 8-connected grid graph, read off the
+fixed point of Gauss-Seidel row sweeps of the minimax-distance field.
 
 The property suite replays, at desk scale, every inequality the theory
 guarantees: submodularity of the local energies, order preservation and
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .defaults import (BOX_INVARIANCE_TOL, CLIP_ENERGY_TOL, CROSS_CHECK_TOL,
                        ENERGY_INCREASE_TOL, FD_REL_TOL,
@@ -31,6 +30,8 @@ from .mpp import build_initial_path, mountain_pass
 from .periodic import (GapPair, PeriodicSystem, find_gap_pair,
                        minimize_periodic, require_gap)
 from .semiflow import FlowParams, flow, rk4_step
+
+ORACLE_CHUNK = 64              # grid rows per block of the energy pass and the fixed-point check
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +46,7 @@ class OracleGrid2D:
     values: np.ndarray         # (R, R), values[ia, ib] = I(u_{a,b})
 
     @staticmethod
-    def build(potential: SitePotential, gap: GapPair, resolution: int,
-              chunk: int = 64) -> "OracleGrid2D":
+    def build(potential: SitePotential, gap: GapPair, resolution: int) -> "OracleGrid2D":
         if resolution < 101:
             raise FkSaddleError("oracle resolution must be >= 101")
         if potential.n != 2:
@@ -55,8 +55,8 @@ class OracleGrid2D:
         system = PeriodicSystem(potential, (2, 1), gap.v0.extend((2, 1)))
         grid = np.linspace(0.0, 1.0, resolution)
         values = np.empty((resolution, resolution))
-        for lo in range(0, resolution, chunk):
-            hi = min(lo + chunk, resolution)
+        for lo in range(0, resolution, ORACLE_CHUNK):
+            hi = min(lo + ORACLE_CHUNK, resolution)
             a = grid[lo:hi][:, None]
             b = grid[None, :]
             fields = np.empty((hi - lo, resolution, 2, 1))
@@ -71,39 +71,56 @@ class OracleGrid2D:
         return float(self.values[idx]), (float(g[idx[0]]), float(g[idx[1]]))
 
 
-def bottleneck_minimax_2d(grid: OracleGrid2D, start=(0, 0), end=None) -> float:
-    """Exact minimax over 8-connected grid paths from start to end.
+def _sweep(D, values, rows, step):
+    """One Gauss-Seidel pass over ``rows`` (ascending if step = 1): each row
+    takes max(values, min(itself, its 3 neighbours in the previous row))."""
+    prev = D[rows[0] - step].copy()
+    row = np.empty_like(prev)
+    for i in rows:
+        np.minimum(D[i], prev, out=row)
+        np.minimum(row[1:], prev[:-1], out=row[1:])
+        np.minimum(row[:-1], prev[1:], out=row[:-1])
+        np.maximum(values[i], row, out=row)
+        D[i] = row
+        prev, row = row, prev
 
-    The value is the smallest threshold T such that start and end lie in one
-    connected component of the sublevel set {values <= T}; found by binary
-    search on the sorted sample values.
+
+def _settled(D, values):
+    """Whether D = max(values, min of D over each 3x3 neighbourhood)."""
+    R = len(D)
+    for lo in range(0, R, ORACLE_CHUNK):
+        hi = min(lo + ORACLE_CHUNK, R)
+        block = np.pad(D[max(lo - 1, 0):hi + 1], ((lo == 0, hi == R), (1, 1)),
+                       constant_values=np.inf)
+        least = block[1:-1, 1:-1].copy()
+        for a in range(3):
+            for b in range(3):
+                np.minimum(least, block[a:a + hi - lo, b:b + R], out=least)
+        if not np.array_equal(D[lo:hi], np.maximum(values[lo:hi], least)):
+            return False
+    return True
+
+
+def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
+    """Exact minimax over 8-connected grid paths between opposite corners.
+
+    D(x), the least path maximum from (0, 0) to x, is the unique fixed point
+    of D = max(values, min of D over the 3x3 neighbourhood) with
+    D(0, 0) = values(0, 0).  Sweeps from D = inf only lower D and never
+    below the true field, so they stop on it exactly, and D(R-1, R-1) is
+    one of the grid's own samples.
     """
     values = grid.values
-    R = grid.resolution
-    end = end if end is not None else (R - 1, R - 1)
-    start = tuple(int(c) for c in start)
-    end = tuple(int(c) for c in end)
-    levels = np.unique(values)
-    structure = np.ones((3, 3), dtype=bool)
-
-    def connected(threshold):
-        mask = values <= threshold
-        if not (mask[start] and mask[end]):
-            return False
-        labels, _ = ndimage.label(mask, structure=structure)
-        return labels[start] == labels[end]
-
-    lo = int(np.searchsorted(levels, max(values[start], values[end])))
-    hi = len(levels) - 1
-    if not connected(levels[hi]):
-        raise FkSaddleError("grid endpoints disconnected at the global maximum")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if connected(levels[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(levels[lo])
+    if not np.all(np.isfinite(values)):
+        raise FkSaddleError("oracle grid has non-finite values")
+    D = np.full(values.shape, np.inf)
+    D[0, 0] = values[0, 0]
+    while True:
+        for d, v in ((D, values), (D.T, values.T)):
+            _sweep(d, v, range(1, len(d)), 1)
+            _sweep(d, v, range(len(d) - 2, -1, -1), -1)
+        if _settled(D, values):
+            return float(D[-1, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +224,20 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         # track the pair difference as its own variable: the contraction rate
         # within one basin is far below double subtraction resolution, and
         # the difference dynamics freezes at a tiny positive value instead of
-        # cancelling to zero
-        def rhs(u, v):
+        # cancelling to zero.  Explicit Euler x - h grad(x) has Jacobian
+        # 1 - h H: off the diagonal -h H_ij >= 0 under (S3), on it
+        # 1 - h H_ii >= 1/2 for h <= 1/(2 L), as the Gershgorin row sum L
+        # bounds H_ii.  The scheme is monotone, and every step keeps at least
+        # half of each site's gap: run to flow time 15 / L (30 steps).
+        dt = system.dt_safe if params.dt is None else min(system.dt_safe, params.dt)
+        steps = math.ceil(15.0 / (potential.lipschitz_bound() * dt) - 1e-9)
+        for _ in range(steps):
             g1 = system.grad(u)
-            g2 = system.grad(u + v)
-            return -g1, -(g2 - g1)
-        # the comparison principle belongs to the continuous semiflow, and
-        # classical RK4 keeps order only at small steps: integrate at the
-        # stencil step 1 / (2 C nball^2), not at the flow's Gershgorin step
-        dt = 1.0 / (2.0 * potential.stencil_lipschitz_bound())
-        dt = dt if params.dt is None else min(dt, params.dt)
-        t, target = 0.0, 1.0
-        while t < target - 1e-15:
-            h = min(dt, target - t)
-            k1u, k1v = rhs(u, v)
-            k2u, k2v = rhs(u + 0.5 * h * k1u, v + 0.5 * h * k1v)
-            k3u, k3v = rhs(u + 0.5 * h * k2u, v + 0.5 * h * k2v)
-            k4u, k4v = rhs(u + h * k3u, v + h * k3v)
-            u = u + (h / 6) * (k1u + 2 * k2u + 2 * k3u + k4u)
-            v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            t += h
+            u, v = u - dt * g1, v - dt * (system.grad(u + v) - g1)
         worst = float(v.min())
-        return worst, ("min sitewise gap %g (RK4 at dt=%g <= 1/(2 C nball^2))"
-                       % (worst, dt))
+        return worst, ("min sitewise gap %g (Euler, monotone under (S3) at "
+                       "dt=%g <= 1/(2 L), %d steps to t >= 15/L)"
+                       % (worst, dt, steps))
 
     def strong_comparison(rng):
         seeds = _smooth_box_fields(system, rng, max(4, trials // 10), box)

@@ -220,6 +220,12 @@ def test_criterion_03_three_way_agreement(bundle):
               "critical pair verified [%.1fs]" % (pairwise, T["c3"]), ok)
 
 
+def test_oracle_exact_at_2001(bundle):
+    # the bottleneck oracle returns one of the grid's own samples: the
+    # recorded value holds bit for bit
+    assert bundle["scalars"]["d21_oracle"] == 0.06249999999999989
+
+
 def test_criterion_04_landscape(bundle):
     S, T = bundle["scalars"], bundle["times"]
     h = 1.0 / 399.0

@@ -1,13 +1,54 @@
+import heapq
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fk_saddle import (OracleGrid2D, bottleneck_minimax_2d,
-                       cross_check_mountain_pass, run_property_suite)
+from fk_saddle import (FkSaddleError, OracleGrid2D, bottleneck_minimax_2d,
+                       cross_check_mountain_pass, find_gap_pair,
+                       run_property_suite)
+from fk_saddle.model import ClassicalFKPotential
 from fk_saddle.verify import CrossCheckReport
 
 from helper_models import flipped, shifted_classical
 
 REFERENCE_D21 = 0.0625
+
+
+def widest_path_reference(values):
+    """Least path maximum from corner (0, 0) to the far corner over the
+    8-connected grid graph: Dijkstra with max in place of +."""
+    R, C = values.shape
+    best = np.full(values.shape, np.inf)
+    best[0, 0] = values[0, 0]
+    heap = [(values[0, 0], 0, 0)]
+    while heap:
+        level, i, j = heapq.heappop(heap)
+        if (i, j) == (R - 1, C - 1):
+            return float(level)
+        if level > best[i, j]:
+            continue
+        for a in range(max(i - 1, 0), min(i + 2, R)):
+            for b in range(max(j - 1, 0), min(j + 2, C)):
+                through = max(level, values[a, b])
+                if through < best[a, b]:
+                    best[a, b] = through
+                    heapq.heappush(heap, (through, a, b))
+    raise AssertionError("far corner unreachable")
+
+
+def walled_maze(rng, size):
+    """Noise in corridors between high walls whose gaps alternate ends, so
+    the widest path winds through every corridor."""
+    values = rng.uniform(0.0, 1.0, (size, size))
+    for n, row in enumerate(range(3, size - 3, 4)):
+        values[row] += 10.0
+        gap = slice(0, 2) if n % 2 else slice(size - 2, size)
+        values[row, gap] -= 10.0
+    return values
 
 
 def test_bottleneck_constant_landscape():
@@ -20,6 +61,49 @@ def test_bottleneck_unavoidable_ridge():
     values[50, :] = 3.5  # a ridge at a = 1/2 crossing the whole square
     grid = OracleGrid2D(resolution=101, values=values)
     assert bottleneck_minimax_2d(grid) == 3.5
+
+
+def test_bottleneck_rejects_non_finite_grid():
+    values = np.zeros((101, 101))
+    values[40, 60] = np.nan
+    grid = OracleGrid2D(resolution=101, values=values)
+    with pytest.raises(FkSaddleError, match="non-finite"):
+        bottleneck_minimax_2d(grid)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bottleneck_matches_widest_path_reference(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(101, 161))
+    for values in (rng.uniform(0.0, 1.0, (size, size)), walled_maze(rng, size),
+                   walled_maze(rng, size).T.copy()):
+        grid = OracleGrid2D(resolution=size, values=values)
+        assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+
+
+@pytest.mark.parametrize("model, resolution, expected", [
+    ("classical", 401, 0.06250000000000011),
+    ("twowell", 801, 1.0156249999999998),
+    ("pinned", 801, 0.0625),
+])
+def test_bottleneck_exact_on_reduced_landscapes(request, params, model,
+                                                resolution, expected):
+    # the oracle returns one of the grid's own samples, so the recorded
+    # values hold bit for bit, not to a tolerance
+    potential = request.getfixturevalue(model)
+    gap = find_gap_pair(potential, (1, 1), seed=3, params=params)
+    grid = OracleGrid2D.build(potential, gap, resolution)
+    assert bottleneck_minimax_2d(grid) == expected
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, fk_saddle; print([m for m in "
+         "sys.modules if m.split('.')[0] == 'scipy'])"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_bottleneck_on_reduced_landscape(classical, gap):
@@ -85,6 +169,25 @@ def test_suite_detects_sign_flip(params):
     # battery must have the power to see it
     reports = run_property_suite(flipped(), (2, 1), seed=7, trials=50,
                                  params=params)
+    comparison = next(r for r in reports if r.name == "flow-comparison")
+    assert not comparison.passed
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_suite_passes_on_two_well(twowell, params, seed):
+    # the pair gap decays like exp(-H_ii t); integrated too far it sank below
+    # the resolution of grad(u + v) - grad(u) and flow-comparison failed on
+    # roundoff at these seeds
+    reports = run_property_suite(twowell, (2, 1), seed=seed, trials=100,
+                                 params=params)
+    for r in reports:
+        assert r.passed, "%s failed: %s" % (r.name, r.detail)
+
+
+@pytest.mark.parametrize("coupling", [-1.0 / 16.0, -1.0 / 4.0])
+def test_flow_comparison_detects_antiferromagnetic_coupling(params, coupling):
+    reports = run_property_suite(ClassicalFKPotential(coupling=coupling), (2, 1),
+                                 seed=7, trials=100, params=params)
     comparison = next(r for r in reports if r.name == "flow-comparison")
     assert not comparison.passed
 
