@@ -42,24 +42,14 @@ def _flow_params(cfg: RunConfig) -> FlowParams:
                       max_steps=cfg.max_steps)
 
 
-def _write_field_csv(path, values, header_dims):
+def _write_field_csv(path, values, first=0):
+    """One row per site: its lattice coordinates and value.  ``first`` is the
+    coordinate of the first index on axis 1 (``-W`` on a strip window)."""
     values = np.asarray(values)
-    cols = [",".join("i%d" % (k + 1) for k in range(header_dims)) + ",value"]
+    rows = [",".join("i%d" % (k + 1) for k in range(values.ndim)) + ",value"]
     for idx in np.ndindex(values.shape):
-        coords = ",".join(str(i) for i in idx)
-        cols.append("%s,%s" % (coords, CSV_FLOAT_FORMAT % values[idx]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(cols) + "\n")
-
-
-def _write_strip_csv(path, strip):
-    W = strip.half_width
-    vals = strip.values
-    n = 1 + len(strip.q)
-    rows = [",".join("i%d" % (k + 1) for k in range(n)) + ",value"]
-    for idx in np.ndindex(vals.shape):
-        coords = [str(idx[0] - W)] + [str(i) for i in idx[1:]]
-        rows.append("%s,%s" % (",".join(coords), CSV_FLOAT_FORMAT % vals[idx]))
+        coords = ",".join(str(i) for i in (idx[0] + first,) + idx[1:])
+        rows.append("%s,%s" % (coords, CSV_FLOAT_FORMAT % values[idx]))
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -140,7 +130,7 @@ def run(cfg: RunConfig) -> Manifest:
             for f in res.limits]
         man.tables["limit_energies"] = res.energies
         if cfg.fields_out:
-            _write_field_csv(cfg.fields_out, res.best.values, len(cfg.p))
+            _write_field_csv(cfg.fields_out, res.best.values)
             man.add_file(cfg.fields_out)
 
     elif cmd == "gap":
@@ -171,7 +161,7 @@ def run(cfg: RunConfig) -> Manifest:
         if not res.success:
             man.errors.append(res.message)
         if cfg.fields_out:
-            _write_field_csv(cfg.fields_out, res.critical, len(cfg.p))
+            _write_field_csv(cfg.fields_out, res.critical)
             man.add_file(cfg.fields_out)
 
     elif cmd == "landscape":
@@ -225,7 +215,7 @@ def run(cfg: RunConfig) -> Manifest:
                                      "left_decay": rep.left_decay,
                                      "right_decay": rep.right_decay}
         if cfg.fields_out:
-            _write_strip_csv(cfg.fields_out, res.v1)
+            _write_field_csv(cfg.fields_out, res.v1.values, -res.v1.half_width)
             man.add_file(cfg.fields_out)
 
     elif cmd == "mph":
@@ -251,8 +241,8 @@ def run(cfg: RunConfig) -> Manifest:
             if not res.success:
                 man.errors.append(res.message)
             if cfg.fields_out:
-                _write_strip_csv(cfg.fields_out,
-                                 gap1.v1.with_values(gap1.v1.values + res.critical))
+                _write_field_csv(cfg.fields_out, gap1.v1.values + res.critical,
+                                 -gap1.v1.half_width)
                 man.add_file(cfg.fields_out)
 
     elif cmd == "verify":

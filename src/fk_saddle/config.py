@@ -7,6 +7,7 @@ formatted text reproduces the configuration exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dc_fields
 
 from .fields import FkSaddleError
@@ -105,8 +106,14 @@ class RunConfig:
             raise ConfigError("path.kind: must be 'linear' or 'chi'")
         if self.mode not in ("node-flow", "heat-flow"):
             raise ConfigError("path.mode: must be 'node-flow' or 'heat-flow'")
-        if self.tol <= 0:
-            raise ConfigError("flow.tol: must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigError("flow.tol: must be finite and positive")
+        if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ConfigError("flow.dt: must be auto or finite and positive")
+        if not (self.t_max > 0 and math.isfinite(self.t_max)):
+            raise ConfigError("flow.t-max: must be finite and positive")
+        if self.max_steps < 1:
+            raise ConfigError("flow.max-steps: must be >= 1")
         if self.nodes is not None and self.nodes < 3:
             raise ConfigError("path.nodes: must be >= 3 or auto")
         if self.k is not None and self.k < 2:

@@ -9,6 +9,9 @@ STATIONARITY_TOL = 1e-10      # l2 residual at which a field counts as stationar
 ENERGY_INCREASE_TOL = 1e-10   # largest admissible energy increase per flow step
 MAX_FLOW_STEPS = 400_000      # budget guard on integrator steps per flow (stops are set in flow time)
 MAX_DT_HALVINGS = 20
+BOX_INTERIOR_TOL = 1e-9       # a site is free (moved and measured by Newton) this far inside (0, hi)
+BOX_POLISH_FACTOR = 1e-2      # box_maximize polishes free residuals to this times the flow tolerance
+BOX_POLISH_MAX_DROP = 1e-8    # largest energy drop the box polish may cost before it is discarded
 
 # --- field bookkeeping ------------------------------------------------------
 DEDUP_TOL = 1e-6              # l-inf distance below which two limits are one orbit
@@ -28,7 +31,13 @@ FD_REL_TOL = 1e-6             # required agreement of analytic vs FD derivatives
 REPARAM_TIME = 5e-3           # flow time between arc-length reparametrizations
 PLATEAU_TIME = 0.025          # flow time the string max must stay flat before a stalled string stops
 PLATEAU_TOL = 1e-12           # flat: the string max moves less than this per REPARAM_TIME of flow
-MAX_SWEEPS = 200_000          # budget guard on node sweeps per string
+REFINE_TRIGGER = 1e-8         # Newton refines the top node once the string max moves less per REPARAM_TIME
+MAX_SWEEPS = 200_000          # budget guard on node sweeps per string and on steps per classify flow
+HEAT_SETTLE_TOL = 1e-8        # heat-flow: l2 residual at which the chain or a classify flow has settled
+HEAT_SETTLE_TIME = 10.0       # heat-flow: flow time allowed for the whole chain to settle
+HEAT_CLASSIFY_TIME = 80.0     # heat-flow: flow time allowed for one state to reach its basin
+BASIN_MATCH_TOL = 1e-4        # heat-flow: l-inf distance at which a state joins a basin representative
+MAX_BISECTIONS = 80           # heat-flow: bisections of the initial path per tear
 CLASSIFY_CHECK_TIME = 0.01    # heat-flow: flow time between basin-membership checks
 NODE_CAP = 257                # ceiling for the default node-count rule
 

@@ -375,8 +375,7 @@ def _offset_system(potential, gap1: HeteroGapPair):
 def mountain_pass_hetero(potential: SitePotential, gap1: HeteroGapPair,
                          params: FlowParams | None = None,
                          N: int | None = None, path_nodes=None,
-                         mode: str = "node-flow", restarts: int = 1,
-                         **engine_kw) -> MinimaxResult:
+                         mode: str = "node-flow", restarts: int = 1) -> MinimaxResult:
     """Minimax over strip paths from 0 to w1 - v1 inside the order box.
 
     The returned critical offset rides on v1; its level d1 exceeds c1 and
@@ -394,7 +393,7 @@ def mountain_pass_hetero(potential: SitePotential, gap1: HeteroGapPair,
         nodes = thetas * hi
     engine = minimax_engine(mode)
     return best_of_restarts(
-        lambda n: engine(system, n, hi, params, **engine_kw), nodes, hi, restarts)
+        lambda n: engine(system, n, hi, params), nodes, hi, restarts)
 
 
 def bound_scan_hetero(potential: SitePotential, k_max: int,

@@ -35,13 +35,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import (CLASSIFY_CHECK_TIME, COMPARE_TOL, MAX_SWEEPS,
-                       PLATEAU_TIME, PLATEAU_TOL, REPARAM_TIME,
-                       STRICT_ORDER_TOL, default_node_count)
+from .defaults import (BASIN_MATCH_TOL, CLASSIFY_CHECK_TIME, COMPARE_TOL,
+                       HEAT_CLASSIFY_TIME, HEAT_SETTLE_TIME, HEAT_SETTLE_TOL,
+                       MAX_BISECTIONS, MAX_SWEEPS, PLATEAU_TIME, PLATEAU_TOL,
+                       REFINE_TRIGGER, REPARAM_TIME, STRICT_ORDER_TOL,
+                       default_node_count)
 from .fields import FkSaddleError, TorusField, validate_periods
 from .model import SitePotential
 from .periodic import GapPair, PeriodicSystem, minimize_periodic, require_gap
-from .semiflow import FlowParams, guarded_step, refine_critical, rk4_step
+from .semiflow import FlowParams, flow, guarded_step, refine_critical, rk4_step
 
 
 class PathError(FkSaddleError):
@@ -244,17 +246,15 @@ def _sweeps_per(time: float, dt: float) -> int:
     return max(1, round(time / dt))
 
 
-def _minimax_node_flow(system, nodes0, hi, params, *, reparam_time=REPARAM_TIME,
-                       plateau_tol=PLATEAU_TOL, plateau_time=PLATEAU_TIME,
-                       max_sweeps=MAX_SWEEPS, refine_trigger=1e-8):
+def _minimax_node_flow(system, nodes0, hi, params):
     """The string method: flow the interior nodes, reparametrize every
-    ``reparam_time`` of flow, and refine the top node by Newton once the
+    ``REPARAM_TIME`` of flow, and refine the top node by Newton once the
     string max has flattened.
 
     Every control is a flow time or a change of the string max per
-    ``reparam_time`` of flow, so the stops do not depend on the step dt
+    ``REPARAM_TIME`` of flow, so the stops do not depend on the step dt
     (E, Ren & Vanden-Eijnden, J. Chem. Phys. 126, 164103, 2007).
-    ``max_sweeps`` is a budget guard only.
+    ``MAX_SWEEPS`` is a budget guard only.
     """
     nodes = np.asarray(nodes0, dtype=float).copy()
     dt = params.resolve_dt(system)
@@ -268,13 +268,13 @@ def _minimax_node_flow(system, nodes0, hi, params, *, reparam_time=REPARAM_TIME,
     sweep = 0
     prev_cycle_max = None
     flat_time = 0.0
-    while sweep < max_sweeps and best_refined is None:
-        # one cycle is about reparam_time of flow; the string drifts within a
+    while sweep < MAX_SWEEPS and best_refined is None:
+        # one cycle is about REPARAM_TIME of flow; the string drifts within a
         # cycle and is pulled back at its end, so stationarity is judged on
-        # cycle boundaries, with the per-reparam_time budgets scaled to the
+        # cycle boundaries, with the per-REPARAM_TIME budgets scaled to the
         # cycle's flow time
         cycle_time = 0.0
-        for _ in range(_sweeps_per(reparam_time, dt)):
+        for _ in range(_sweeps_per(REPARAM_TIME, dt)):
             sweep += 1
             starts.append(float(energies.max()))
             new_int, dt_used, e_int, halved = guarded_step(
@@ -285,12 +285,12 @@ def _minimax_node_flow(system, nodes0, hi, params, *, reparam_time=REPARAM_TIME,
             nodes[1:-1] = new_int
             energies[1:-1] = e_int
             trace.append(float(energies.max()))
-        scale = cycle_time / reparam_time
+        scale = cycle_time / REPARAM_TIME
         cycle_max = float(energies.max())
         delta = abs(cycle_max - prev_cycle_max) if prev_cycle_max is not None else np.inf
         prev_cycle_max = cycle_max
-        flat_time = flat_time + cycle_time if delta < plateau_tol * scale else 0.0
-        if delta < refine_trigger * scale:
+        flat_time = flat_time + cycle_time if delta < PLATEAU_TOL * scale else 0.0
+        if delta < REFINE_TRIGGER * scale:
             arg = int(np.argmax(energies))
             x_ref, res_inf, ok = refine_critical(system, nodes[arg], refine_tol)
             if ok:
@@ -299,8 +299,8 @@ def _minimax_node_flow(system, nodes0, hi, params, *, reparam_time=REPARAM_TIME,
                                       cycle_max, refine_tol):
                     best_refined = (x_ref, res_inf, e_ref, arg)
                     break
-            if flat_time >= plateau_time and flat_time > cycle_time:
-                break  # stalled for plateau_time and two cycles, no saddle
+            if flat_time >= PLATEAU_TIME and flat_time > cycle_time:
+                break  # stalled for PLATEAU_TIME and two cycles, no saddle
         nodes = _reparametrize(nodes)
         energies = system.energy(nodes)
         reparam_sweeps.append(sweep)
@@ -329,18 +329,18 @@ def _minimax_node_flow(system, nodes0, hi, params, *, reparam_time=REPARAM_TIME,
 # heat-flow mode
 # ---------------------------------------------------------------------------
 
-def _classify_flow(system, x, dt, reps, match_tol, settle_tol, t_budget,
-                   max_steps=200_000, check_time=CLASSIFY_CHECK_TIME):
+def _classify_flow(system, x, dt, reps):
     """Flow one state toward an attractor, watching for saddle fly-bys.
 
-    The state is compared with ``reps`` every ``check_time`` of flow;
-    ``max_steps`` is a budget guard only.
+    The state is compared with ``reps`` every ``CLASSIFY_CHECK_TIME`` of
+    flow; ``MAX_SWEEPS`` is a budget guard only.
 
-    Returns ``(label, dip_state, dip_residual)``.  ``label`` indexes ``reps``
-    (a new representative is appended when the trajectory settles somewhere
-    new).  The dip is the smallest residual later confirmed by a threefold
-    rise: the closest approach to a critical point the trajectory passed but
-    did not stop at (the terminal decay into the attractor does not count).
+    Returns ``(label, dip_state, dip_residual, is_new)``.  ``label`` indexes
+    ``reps``; when the trajectory settles somewhere new, its end state is
+    appended to ``reps`` and ``is_new`` is true.  The dip is the smallest
+    residual later confirmed by a threefold rise: the closest approach to a
+    critical point the trajectory passed but did not stop at (the terminal
+    decay into the attractor does not count).
     """
     x = np.asarray(x, dtype=float).copy()
     g = system.grad(x)
@@ -350,13 +350,13 @@ def _classify_flow(system, x, dt, reps, match_tol, settle_tol, t_budget,
     t = 0.0
     steps = 0
     label = None
-    check_every = _sweeps_per(check_time, dt)
-    while t < t_budget and steps < max_steps:
-        if rn <= settle_tol:
+    check_every = _sweeps_per(CLASSIFY_CHECK_TIME, dt)
+    while t < HEAT_CLASSIFY_TIME and steps < MAX_SWEEPS:
+        if rn <= HEAT_SETTLE_TOL:
             break
         if steps % check_every == 0:
             for li, rep in enumerate(reps):
-                if float(np.max(np.abs(x - rep))) <= match_tol:
+                if float(np.max(np.abs(x - rep))) <= BASIN_MATCH_TOL:
                     label = li
                     break
             if label is not None:
@@ -375,7 +375,7 @@ def _classify_flow(system, x, dt, reps, match_tol, settle_tol, t_budget,
     is_new = False
     if label is None:
         for li, rep in enumerate(reps):
-            if float(np.max(np.abs(x - rep))) <= match_tol:
+            if float(np.max(np.abs(x - rep))) <= BASIN_MATCH_TOL:
                 label = li
                 break
     if label is None:
@@ -386,40 +386,22 @@ def _classify_flow(system, x, dt, reps, match_tol, settle_tol, t_budget,
     return label, dip[1], dip[0], is_new
 
 
-def _minimax_heat_flow(system, path0: np.ndarray, hi, params, *,
-                       settle_tol=1e-8, t_settle=10.0, t_classify=80.0,
-                       match_tol=1e-4, max_bisect=80, max_sweeps=MAX_SWEEPS):
+def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
     path0 = np.asarray(path0, dtype=float)
-    nodes = path0.copy()
-    N = nodes.shape[0]
-    dt = params.resolve_dt(system)
-    energies = system.energy(nodes)
-    c_ref = float(min(energies[0], energies[-1]))
-    initial_max = float(energies.max())
-    trace = [initial_max]
+    N = path0.shape[0]
     # settle phase: flow the whole chain (endpoints are fixed points)
-    t = 0.0
-    sweeps = 0
-    while t < t_settle and sweeps < max_sweeps:
-        g = system.grad(nodes)
-        res = np.sqrt(np.sum(g ** 2, axis=tuple(range(1, g.ndim))))
-        if np.max(res) <= settle_tol:
-            break
-        nodes, dt_used, energies, halved = guarded_step(system, nodes, dt,
-                                                        energies, k1=-g)
-        if halved:
-            dt = dt_used
-        t += dt_used
-        sweeps += 1
-        trace.append(float(energies.max()))
+    nodes, settle, _ = flow(system, path0, params.with_(
+        t_max=HEAT_SETTLE_TIME, stationarity_tol=HEAT_SETTLE_TOL))
+    energies = settle.energies[-1]
+    c_ref = float(min(settle.energies[0][0], settle.energies[0][-1]))
+    dt = params.resolve_dt(system)
     # classify node limits; reps collects the attractor representatives
     reps = []
     labels = np.empty(N, dtype=int)
     thetas = np.linspace(0.0, 1.0, N)
     rep_theta = {}
     for m in range(N):
-        lab, _, _, _ = _classify_flow(system, nodes[m], dt, reps, match_tol,
-                                      settle_tol, t_classify)
+        lab, _, _, _ = _classify_flow(system, nodes[m], dt, reps)
         labels[m] = lab
         rep_theta.setdefault(lab, float(thetas[m]))
     candidates = [(float(system.energy(rep)), rep, rep_theta.get(li, -1.0))
@@ -437,12 +419,11 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params, *,
         best_edge = None
         crossing_cap = -np.inf
         done = False
-        for it in range(max_bisect):
+        for it in range(MAX_BISECTIONS):
             mid = 0.5 * (lo + hi_th)
             start = _polyline_at(path0, mid)
             crossing_cap = max(crossing_cap, float(system.energy(start)))
-            lab, dip_x, dip_r, is_new = _classify_flow(
-                system, start, dt, reps, match_tol, settle_tol, t_classify)
+            lab, dip_x, dip_r, is_new = _classify_flow(system, start, dt, reps)
             if is_new:
                 e_new = float(system.energy(reps[lab]))
                 candidates.append((e_new, reps[lab], mid))
@@ -466,8 +447,8 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params, *,
                     # a stuck saddle can be a "basin" itself; the tear is then
                     # already represented by that rep
                     if collapsed and (
-                            np.max(np.abs(x_ref - reps[lab_lo])) <= match_tol
-                            or np.max(np.abs(x_ref - reps[lab_hi])) <= match_tol):
+                            np.max(np.abs(x_ref - reps[lab_lo])) <= BASIN_MATCH_TOL
+                            or np.max(np.abs(x_ref - reps[lab_hi])) <= BASIN_MATCH_TOL):
                         done = True
                         break
             if lab == lab_lo:
@@ -494,7 +475,9 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params, *,
     arg = int(np.argmin(np.abs(thetas - th_best))) if th_best >= 0 else int(np.argmax(energies))
     return MinimaxResult(
         value=val, argmax_index=arg, critical=x_best, residual=res_best,
-        iterations=sweeps, value_trace=np.array(trace), success=bool(ok),
+        iterations=len(settle.times) - 1,
+        value_trace=np.array([float(e.max()) for e in settle.energies]),
+        success=bool(ok),
         mode="heat-flow", string_value=float(energies.max()), c_ref=c_ref,
         message="" if ok else ("%d unresolved tears" % unresolved
                                if unresolved else "edge refinement exceeded tolerance"),
@@ -541,8 +524,8 @@ def best_of_restarts(run, nodes: np.ndarray, hi: np.ndarray, restarts: int):
 
 
 def mountain_pass(potential: SitePotential, gap: GapPair, path0: PathOnBox,
-                  params: FlowParams | None = None, mode: str = "node-flow",
-                  **engine_kw) -> MinimaxResult:
+                  params: FlowParams | None = None,
+                  mode: str = "node-flow") -> MinimaxResult:
     """Compute the minimax level and a critical field inside the gap box.
 
     ``path0`` fixes the torus; its endpoints must be pinned to 0 and w0 - v0.
@@ -558,7 +541,7 @@ def mountain_pass(potential: SitePotential, gap: GapPair, path0: PathOnBox,
     if np.max(np.abs(path0.nodes[0])) != 0.0 or np.max(np.abs(path0.nodes[-1] - hi)) > 1e-12:
         raise PathError("path endpoints must be pinned to 0 and w0 - v0")
     system = PeriodicSystem(potential, periods, v0)
-    return minimax_engine(mode)(system, path0.nodes, hi, params, **engine_kw)
+    return minimax_engine(mode)(system, path0.nodes, hi, params)
 
 
 def best_mountain_pass(potential, gap, path0: PathOnBox, params,
@@ -654,17 +637,8 @@ def theta_bounds(potential: SitePotential, gap: GapPair, path: PathOnBox,
     thetas = np.linspace(0.0, 1.0, N)
     under = np.empty(len(times))
     over = np.empty(len(times))
-    t_cur = 0.0
-    dt = params.resolve_dt(system)
-    energies = system.energy(nodes)
-    for ti, t_target in enumerate(times):
-        while t_cur < t_target - 1e-15:
-            step = min(dt, t_target - t_cur)
-            nodes, dt_used, energies, halved = guarded_step(system, nodes, step,
-                                                            energies)
-            if halved:
-                dt = dt_used
-            t_cur += dt_used
+    for ti, span in enumerate(np.diff(times, prepend=0.0)):
+        nodes, _, _ = flow(system, nodes, params.with_(t_max=span, run_to_t_max=True))
         diff = nodes - u0v
         flat = diff.reshape(N, -1)
         below = (flat.max(axis=1) <= eq_tol) & (np.abs(flat).max(axis=1) > eq_tol)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import (DEDUP_TOL, GAP_PROBES, MINIMIZER_ENERGY_MARGIN,
+from .defaults import (BOX_INTERIOR_TOL, BOX_POLISH_FACTOR, BOX_POLISH_MAX_DROP,
+                       DEDUP_TOL, GAP_PROBES, MINIMIZER_ENERGY_MARGIN,
                        STRICT_ORDER_TOL)
 from .fields import (FkSaddleError, PeriodError, TorusField, stencil,
                      validate_periods)
@@ -304,7 +305,7 @@ def box_maximize(potential: SitePotential, gap: GapPair, seeds=None,
     v0 = gap.v0.extend(periods)
     hi = gap.box_field(periods).values
     system = PeriodicSystem(potential, periods, v0)
-    dt = params.dt if params.dt is not None else system.dt_safe
+    dt = params.resolve_dt(system)
     if seeds is None:
         rng = np.random.default_rng(0)
         seeds = [0.5 * hi, 0.25 * hi, 0.75 * hi,
@@ -316,24 +317,27 @@ def box_maximize(potential: SitePotential, gap: GapPair, seeds=None,
     iterations = 0
     for x0 in seeds:
         x = np.clip(np.asarray(x0, dtype=float), 0.0, hi)
-        for it in range(params.max_steps):
+        for _ in range(params.max_steps):
             g = system.grad(x)
             x_new = np.clip(x + dt * g, 0.0, hi)
             move = np.max(np.abs(x_new - x)) / dt
             x = x_new
+            iterations += 1
             if move <= params.stationarity_tol:
                 break
-        iterations += it + 1
-        # Newton polish on the inactive set pushes interior residuals to tol
-        x = _polish_interior(system, x, hi, params.stationarity_tol)
+        # Newton polish on the free sites pushes interior residuals to tol;
+        # it must not fall off the maximum
+        x_pol, _, _ = refine_critical(
+            system, x, params.stationarity_tol * BOX_POLISH_FACTOR, max_iter=50, hi=hi)
+        if system.energy(x_pol) >= system.energy(x) - BOX_POLISH_MAX_DROP:
+            x = x_pol
         val = float(system.energy(x))
         if best is None or val > best[0]:
             best = (val, x)
     val, x = best
     g = system.grad(x)
-    eps = 1e-9
-    lower = x <= eps
-    upper = x >= hi - eps
+    lower = x <= BOX_INTERIOR_TOL
+    upper = x >= hi - BOX_INTERIOR_TOL
     interior = ~(lower | upper)
     interior_res = float(np.max(np.abs(g[interior]))) if interior.any() else 0.0
     low_res = float(np.max(g[lower])) if lower.any() else 0.0
@@ -344,27 +348,3 @@ def box_maximize(potential: SitePotential, gap: GapPair, seeds=None,
                         upper_clipped_min_residual=up_res,
                         clipped_sites=int(lower.sum() + upper.sum()),
                         iterations=iterations)
-
-
-def _polish_interior(system, x, hi, tol, max_iter=50):
-    """Newton on the residual restricted to strictly interior sites."""
-    x = x.copy()
-    eps = 1e-9
-    for _ in range(max_iter):
-        g = system.grad(x)
-        free = (x > eps) & (x < hi - eps)
-        if not free.any() or np.max(np.abs(g[free])) <= tol * 1e-2:
-            return x
-        H = system.hess_matrix(x)
-        idx = np.flatnonzero(free.ravel())
-        try:
-            step = np.linalg.solve(H[np.ix_(idx, idx)], -g.ravel()[idx])
-        except np.linalg.LinAlgError:
-            return x
-        flat = x.ravel().copy()
-        flat[idx] += step
-        x_new = np.clip(flat.reshape(x.shape), 0.0, hi)
-        if system.energy(x_new) < system.energy(x) - 1e-8:
-            return x  # polish must not fall off the maximum
-        x = x_new
-    return x

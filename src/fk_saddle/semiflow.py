@@ -11,6 +11,9 @@ leading batch axes.  The flow integrates ``dx/dt = -grad(x)`` with a fixed
 step; if a step raises the energy of any batch member by more than
 ``ENERGY_INCREASE_TOL`` the step size is halved and the step retried (at most
 ``MAX_DT_HALVINGS`` times), after which the run aborts.
+
+``refine_critical`` is the one Newton solver of the package: ground-state
+polish, saddle refinement and the box maximizer's polish all call it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .defaults import (ENERGY_INCREASE_TOL, MAX_DT_HALVINGS, MAX_FLOW_STEPS,
-                       STATIONARITY_TOL)
+from .defaults import (BOX_INTERIOR_TOL, ENERGY_INCREASE_TOL, MAX_DT_HALVINGS,
+                       MAX_FLOW_STEPS, STATIONARITY_TOL)
 from .fields import FkSaddleError
 
 
@@ -103,7 +106,8 @@ def flow(system, x0: np.ndarray, params: FlowParams):
     """Integrate the semiflow from x0; returns (x, trace, converged).
 
     Works on batched states; the stopping residual is the worst l2 residual
-    over the batch.  NaN anywhere aborts.
+    over the batch.  NaN anywhere aborts, and so does a ``run_to_t_max`` flow
+    whose step budget runs out before ``t_max``.
     """
     x = np.asarray(x0, dtype=float).copy()
     dt = params.resolve_dt(system)
@@ -129,6 +133,9 @@ def flow(system, x0: np.ndarray, params: FlowParams):
         g = system.grad(x)
         res = float(np.max(_l2(g, nlat)))
         trace.record(t, energy, res)
+    if params.run_to_t_max and t < params.t_max - 1e-15:
+        raise FlowError("flow stopped at t=%g short of t_max=%g: the %d-step budget "
+                        "ran out" % (t, params.t_max, params.max_steps))
     return x, trace, res <= params.stationarity_tol
 
 
@@ -142,33 +149,55 @@ def flow_to_stationarity(system, x0, params: FlowParams):
     return x, trace
 
 
-def refine_critical(system, x0: np.ndarray, tol: float, max_iter: int = 100):
+def refine_critical(system, x0: np.ndarray, tol: float, max_iter: int = 100,
+                    hi: np.ndarray | None = None):
     """Damped Newton on the equilibrium residual from x0.
 
     Uses the squared residual norm as merit function; returns
     (x, linf_residual, converged).  The system must expose ``hess_matrix``.
+
+    With a box ``hi``, only the free sites (more than ``BOX_INTERIOR_TOL``
+    inside ``(0, hi)``) move and count toward the residual: each step solves
+    the free block of the Hessian and every trial point is clipped to
+    ``[0, hi]``, so sites on a face stay there.
     """
     x = np.asarray(x0, dtype=float).copy()
-    shape = x.shape
-    g = system.grad(x)
+
+    def residual(x):
+        g = system.grad(x)
+        if hi is None:
+            return g, None
+        free = np.flatnonzero((x > BOX_INTERIOR_TOL) & (x < hi - BOX_INTERIOR_TOL))
+        return g.ravel()[free], free
+
+    g, free = residual(x)
     merit = float(np.sum(g ** 2))
     for _ in range(max_iter):
-        if float(np.max(np.abs(g))) <= tol:
-            return x, float(np.max(np.abs(g))), True
+        res = float(np.max(np.abs(g), initial=0.0))
+        if res <= tol:
+            return x, res, True
         H = system.hess_matrix(x)
+        if free is not None:
+            H = H[np.ix_(free, free)]
         try:
             step = np.linalg.solve(H, -g.ravel())
         except np.linalg.LinAlgError:
-            return x, float(np.max(np.abs(g))), False
+            return x, res, False
         alpha = 1.0
         while alpha >= 1e-6:
-            x_try = x + alpha * step.reshape(shape)
-            g_try = system.grad(x_try)
+            if free is None:
+                x_try = x + alpha * step.reshape(x.shape)
+            else:
+                x_try = x.flatten()
+                x_try[free] += alpha * step
+                x_try = np.clip(x_try.reshape(x.shape), 0.0, hi)
+            g_try, free_try = residual(x_try)
             m_try = float(np.sum(g_try ** 2))
             if m_try <= merit * (1.0 - 0.25 * alpha) + 1e-300:
-                x, g, merit = x_try, g_try, m_try
+                x, g, free, merit = x_try, g_try, free_try, m_try
                 break
             alpha *= 0.5
         else:
-            return x, float(np.max(np.abs(g))), False
-    return x, float(np.max(np.abs(g))), float(np.max(np.abs(g))) <= tol
+            return x, res, False
+    res = float(np.max(np.abs(g), initial=0.0))
+    return x, res, res <= tol

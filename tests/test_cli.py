@@ -41,6 +41,11 @@ def test_parse_rejects_unknown_key():
     ("[gap]\nprobes = 0\n", "gap.probes"),
     ("[scan]\nkmax = 1\n", "scan.kmax"),
     ("[verify]\nresolutions = 2001,100\n", "verify.resolutions"),
+    ("[flow]\nmax-steps = 0\n", "flow.max-steps"),
+    ("[flow]\nt-max = 0\n", "flow.t-max"),
+    ("[flow]\nt-max = -1\n", "flow.t-max"),
+    ("[flow]\ndt = -0.5\n", "flow.dt"),
+    ("[flow]\ntol = nan\n", "flow.tol"),
 ])
 def test_parse_rejects_bad_values(text, path):
     with pytest.raises(ConfigError, match=path):
@@ -52,6 +57,7 @@ def test_parse_rejects_bad_values(text, path):
     ["mph", "--window", "0"], ["gap", "--probes", "0"],
     ["multiplicity", "--kmax", "1"], ["verify", "--resolutions", "51"],
     ["mph", "--window", "foo"], ["gap", "--p", "a,1"],
+    ["mpp", "--dt", "-1"], ["mpp", "--dt", "nan"], ["mpp", "--tol", "nan"],
 ])
 def test_bad_values_exit_before_any_stage(flags, tmp_path, capsys):
     out = tmp_path / "never.json"
@@ -132,6 +138,18 @@ def test_gap_and_mpp_manifests(tmp_path):
     assert lines[0] == "i1,i2,value"
     assert len(lines) == 3
     assert data["files"][0]["sha256"]
+
+
+def test_strip_csv_starts_at_minus_w(tmp_path):
+    out = tmp_path / "het.json"
+    csv = tmp_path / "v1.csv"
+    assert main(["hetero", "--model", "pinned-fk", "--q", "1", "--window", "20",
+                 "--seed", "5", "--out", str(out), "--fields-out", str(csv)]) == 0
+    lines = csv.read_text().strip().splitlines()
+    assert lines[0] == "i1,i2,value"
+    assert lines[1].startswith("-20,0,")
+    assert lines[-1].startswith("20,0,")
+    assert len(lines) == 1 + 41
 
 
 def test_heat_flow_mpp_honours_restarts(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from fk_saddle import (TorusField, build_initial_path, chi_path, clip_to_box,
 from fk_saddle import mpp
 from fk_saddle.mpp import PathError, PathOnBox, _chain_top, minimize_c0p
 from fk_saddle.periodic import PeriodicSystem
+from fk_saddle.semiflow import FlowError
 
 # Exact saddle level on the two-cell torus for the textbook model: the
 # bottleneck configurations have one column at its half-way point and the
@@ -290,6 +291,10 @@ def test_theta_bounds_guards(classical, gap, params):
     loose = PathOnBox(p, path.nodes, monotone=False)
     with pytest.raises(PathError):
         theta_bounds(classical, gap, loose, TorusField.constant(p, 0.5), 0.0, params)
+    # a step budget too small for the horizon is an error, not an early answer
+    with pytest.raises(FlowError, match="budget"):
+        theta_bounds(classical, gap, path, TorusField.constant(p, 0.5), 1.0,
+                     params.with_(max_steps=5))
 
 
 # --- order classification ------------------------------------------------------

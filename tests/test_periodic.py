@@ -7,7 +7,7 @@ from fk_saddle import (FlowParams, TorusField, box_maximize, find_gap_pair,
                        torus_energy)
 from fk_saddle.fields import PeriodError
 from fk_saddle.periodic import NoGapError, PeriodicSystem, require_gap
-from fk_saddle.semiflow import FlowError, flow
+from fk_saddle.semiflow import FlowError, flow, refine_critical
 
 
 def test_torus_energy_values(classical):
@@ -151,6 +151,54 @@ def test_box_maximize_two_cell(classical, gap, params):
     assert np.max(np.abs(res.field.values - 0.5)) < 1e-8
     assert res.lower_clipped_max_residual <= 1e-9
     assert res.upper_clipped_min_residual >= -1e-9
+
+
+def test_box_maximize_rejects_oversized_dt(classical, gap):
+    dt_safe = classical.dt_safe()
+    with pytest.raises(FlowError, match="Lipschitz-safe"):
+        box_maximize(classical, gap, params=FlowParams(dt=10 * dt_safe))
+
+
+def test_box_maximize_zero_steps(classical, gap):
+    # no ascent step at all: the seeds go straight to the Newton polish
+    res = box_maximize(classical, gap, params=FlowParams(max_steps=0))
+    assert res.iterations == 0
+    assert 0.0 <= res.field.values.flat[0] <= 1.0
+    assert res.interior_residual <= FlowParams().stationarity_tol
+
+
+class _RecordingSystem:
+    """A system that keeps every state its gradient is asked about."""
+
+    def __init__(self, system):
+        self.system = system
+        self.states = []
+
+    def grad(self, x):
+        self.states.append(np.array(x))
+        return self.system.grad(x)
+
+    def hess_matrix(self, x):
+        return self.system.hess_matrix(x)
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.45), (1.0, 0.6), (0.0, 0.3)])
+def test_refine_critical_in_box(classical, gap, x0):
+    # site 0 sits on a face of the (2,1) box; from (0, 0.3) the full Newton
+    # step overshoots and clipping puts site 1 on the upper face
+    p = (2, 1)
+    hi = gap.box_field(p).values
+    system = _RecordingSystem(PeriodicSystem(classical, p, gap.v0.extend(p)))
+    x0 = np.array(x0).reshape(p)
+    tol = 1e-12
+    x, res, ok = refine_critical(system, x0, tol, hi=hi)
+    assert ok and res <= tol
+    assert x[0, 0] == x0[0, 0]
+    for state in system.states:
+        assert np.all(state >= 0.0) and np.all(state <= hi)
+    free = (x > 1e-9) & (x < hi - 1e-9)
+    g = system.system.grad(x)
+    assert np.max(np.abs(g[free]), initial=0.0) <= tol
 
 
 def test_flow_comparison_order(classical, gap, params):
