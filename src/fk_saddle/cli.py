@@ -6,6 +6,11 @@ sha256) of every file produced, so a run can be reproduced and compared
 bit-for-bit.  Fields and grids go to CSV (header ``i1,...,in,value``,
 scientific notation with 17 significant digits); scalars go to JSON.
 
+Each subcommand's flags are job-file keys (``COMMAND_FLAGS``): a flag given
+on the command line is parsed by the key's ``config.SCHEMA`` entry, a flag
+left out keeps the ``RunConfig`` default, and ``RunConfig.validate`` checks
+the result, exactly as for ``fk-saddle run job.cfg``.
+
 Exit status: 0 on success, 1 when any stage fails (for ``verify``: when any
 property fails), 2 on configuration errors.
 """
@@ -22,16 +27,16 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, RunConfig, _parse_float_or_auto,
-                     _parse_int_or_auto, _parse_int_tuple, config_to_dict,
-                     parse_config)
+from .config import (SCHEMA, SEEDED, ConfigError, RunConfig, config_to_dict,
+                     parse_config, set_key)
 from .defaults import CSV_FLOAT_FORMAT, default_node_count
-from .fields import FkSaddleError, TorusField
+from .fields import FkSaddleError
 from .hetero import (asymptotics_report, find_gap_pair_hetero,
                      minimize_hetero, mountain_pass_hetero)
 from .model import make_potential, residual_field, validate_assumptions
 from .mpp import best_mountain_pass, build_initial_path, multiplicity_scan
-from .periodic import find_gap_pair, minimize_periodic, require_gap
+from .periodic import (default_minimize_seeds, find_gap_pair, minimize_periodic,
+                       require_gap)
 from .semiflow import FlowParams
 from .verify import (OracleGrid2D, cross_check_mountain_pass,
                      run_property_suite)
@@ -93,15 +98,6 @@ class Manifest:
         return path
 
 
-def _default_seeds(cfg, periods):
-    seeds = [TorusField.constant(periods, j / 8.0) for j in range(8)]
-    if cfg.seed is not None:
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(4):
-            seeds.append(TorusField(periods, rng.uniform(0.0, 1.0, size=periods)))
-    return seeds
-
-
 def _window(cfg):
     return "auto" if cfg.window is None else cfg.window
 
@@ -121,7 +117,8 @@ def run(cfg: RunConfig) -> Manifest:
     cmd = cfg.command
 
     if cmd == "minimize":
-        res = minimize_periodic(pot, cfg.p, _default_seeds(cfg, cfg.p), params)
+        seeds = default_minimize_seeds(np.random.default_rng(cfg.seed or 0), cfg.p)
+        res = minimize_periodic(pot, cfg.p, seeds, params)
         man.scalars["c0p"] = res.c0p
         man.scalars["iterations"] = res.iterations
         man.scalars["limits"] = [float(f.values.flat[0]) for f in res.limits]
@@ -285,17 +282,39 @@ def run(cfg: RunConfig) -> Manifest:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, seed_required):
-    sp.add_argument("--model", default="classical-fk")
-    sp.add_argument("--amplitude", type=float, default=None)
-    sp.add_argument("--coupling", type=float, default=None)
-    sp.add_argument("--p", default=None, help="periods, e.g. 2,1")
-    sp.add_argument("--q", default=None, help="transverse periods, e.g. 2")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--dt", default="auto")
-    sp.add_argument("--seed", type=int, required=seed_required, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--fields-out", default=None)
+# The job-file keys each subcommand exposes as flags.  A flag is its key's
+# name, parsed by its SCHEMA entry, except for the three in FLAG_KEYS.
+COMMON_FLAGS = ("model", "amplitude", "coupling", "p", "q", "tol", "dt", "seed",
+                "out", "fields-out")
+COMMAND_FLAGS = {
+    "minimize": (),
+    "gap": ("probes",),
+    "mpp": ("nodes", "path", "k", "mode", "restarts"),
+    "landscape": ("grid",),
+    "multiplicity": ("kmax", "restarts"),
+    "hetero": ("window",),
+    "mph": ("nodes", "window", "mode", "restarts"),
+    "verify": ("trials", "cross-check", "resolutions"),
+    "validate": ("samples",),
+}
+FLAG_KEYS = {"path": "kind", "window": "size", "samples": "trials"}
+HELP = {
+    "minimize": "periodic ground states on a torus",
+    "gap": "adjacent minimizer pair detection",
+    "mpp": "periodic mountain pass",
+    "landscape": "reduced 2-variable energy surface",
+    "multiplicity": "mountain-pass scan over p(k)",
+    "hetero": "heteroclinic ground state on the strip",
+    "mph": "heteroclinic mountain pass",
+    "verify": "property suite (nonzero exit on failure)",
+    "validate": "sampling check of the model assumptions",
+}
+
+
+def schema_entry(flag):
+    """The (section, key) of SCHEMA that ``--flag`` sets."""
+    name = FLAG_KEYS.get(flag, flag)
+    return next(entry for entry in SCHEMA if entry[1] == name)
 
 
 def build_parser():
@@ -304,92 +323,27 @@ def build_parser():
         description="Stationary states of generalized Frenkel-Kontorova "
                     "lattices: minimizers, gap pairs, and mountain-pass saddles.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("minimize", help="periodic ground states on a torus")
-    _add_common(sp, seed_required=False)
-
-    sp = sub.add_parser("gap", help="adjacent minimizer pair detection")
-    _add_common(sp, seed_required=True)
-    sp.add_argument("--probes", type=int, default=7)
-
-    sp = sub.add_parser("mpp", help="periodic mountain pass")
-    _add_common(sp, seed_required=True)
-    sp.add_argument("--nodes", type=int, default=None)
-    sp.add_argument("--path", dest="kind", choices=("linear", "chi"), default="chi")
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--mode", choices=("node-flow", "heat-flow"),
-                    default="node-flow")
-    sp.add_argument("--restarts", type=int, default=1)
-
-    sp = sub.add_parser("landscape", help="reduced 2-variable energy surface")
-    _add_common(sp, seed_required=False)
-    sp.add_argument("--grid", type=int, default=400)
-
-    sp = sub.add_parser("multiplicity", help="mountain-pass scan over p(k)")
-    _add_common(sp, seed_required=True)
-    sp.add_argument("--kmax", type=int, default=6)
-    sp.add_argument("--restarts", type=int, default=1)
-
-    sp = sub.add_parser("hetero", help="heteroclinic ground state on the strip")
-    _add_common(sp, seed_required=True)
-    sp.add_argument("--window", default="auto")
-
-    sp = sub.add_parser("mph", help="heteroclinic mountain pass")
-    _add_common(sp, seed_required=True)
-    sp.add_argument("--nodes", type=int, default=None)
-    sp.add_argument("--window", default="auto")
-    sp.add_argument("--mode", choices=("node-flow", "heat-flow"),
-                    default="node-flow")
-    sp.add_argument("--restarts", type=int, default=1)
-
-    sp = sub.add_parser("verify", help="property suite (nonzero exit on failure)")
-    _add_common(sp, seed_required=True)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--cross-check", action="store_true")
-    sp.add_argument("--resolutions", default="2001")
-
-    sp = sub.add_parser("validate", help="sampling check of the model assumptions")
-    _add_common(sp, seed_required=True)
-    sp.add_argument("--samples", type=int, default=200)
-
+    for command, flags in COMMAND_FLAGS.items():
+        sp = sub.add_parser(command, help=HELP[command])
+        for flag in COMMON_FLAGS + flags:
+            key = ".".join(part for part in schema_entry(flag) if part)
+            kw = {"dest": flag, "help": "job-file key " + key}
+            if flag == "cross-check":
+                kw.update(action="store_const", const="true")
+            if flag == "seed":
+                kw["required"] = command in SEEDED
+            sp.add_argument("--" + flag, **kw)
     sp = sub.add_parser("run", help="run from a configuration file")
     sp.add_argument("config", help="path to a key=value configuration file")
     return ap
 
 
-def _parse_flag(flag, parser, text):
-    """A free-text flag, parsed as the job file parses its key."""
-    try:
-        return parser(text)
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError("%s: %s" % (flag, exc))
-
-
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    cfg.model = args.model
-    cfg.amplitude = args.amplitude
-    cfg.coupling = args.coupling
-    if args.p:
-        cfg.p = _parse_flag("--p", _parse_int_tuple, args.p)
-    if args.q:
-        cfg.q = _parse_flag("--q", _parse_int_tuple, args.q)
-    cfg.tol = args.tol
-    cfg.dt = _parse_flag("--dt", _parse_float_or_auto, args.dt)
-    cfg.seed = args.seed
-    cfg.out = args.out
-    cfg.fields_out = args.fields_out
-    for name in ("nodes", "kind", "k", "mode", "restarts", "probes", "kmax",
-                 "grid", "trials", "cross_check"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "window"):
-        cfg.window = _parse_flag("--window", _parse_int_or_auto, args.window)
-    if hasattr(args, "resolutions") and args.resolutions:
-        cfg.resolutions = _parse_flag("--resolutions", _parse_int_tuple,
-                                      args.resolutions)
-    if hasattr(args, "samples"):
-        cfg.trials = args.samples
+    for flag in COMMON_FLAGS + COMMAND_FLAGS[args.command]:
+        text = getattr(args, flag)
+        if text is not None:
+            set_key(cfg, schema_entry(flag), text, "--" + flag)
     return cfg.validate()
 
 

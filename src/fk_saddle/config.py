@@ -1,7 +1,11 @@
 """Run configuration: a small key=value / [section] format with validation.
 
-Unknown keys are errors (named by their full path), parse errors carry line
-numbers, and ``format_config(parse_config(text))`` is canonical: parsing the
+``SCHEMA`` is the one parser of run settings: job files and command-line
+flags both set a key through ``set_key``, and ``RunConfig.validate`` holds
+every rule on the values, so both routes accept and reject the same input.
+``RunConfig``'s field defaults are the only defaults.  Unknown keys are
+errors (named by their full path), parse errors carry line numbers (or the
+flag), and ``format_config(parse_config(text))`` is canonical: parsing the
 formatted text reproduces the configuration exactly.
 """
 
@@ -10,10 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dc_fields
 
+from .defaults import (FLOW_T_MAX, GAP_PROBES, MAX_FLOW_STEPS,
+                       ORACLE_RESOLUTION, STATIONARITY_TOL, WINDOW_START)
 from .fields import FkSaddleError
 
 COMMANDS = ("minimize", "gap", "mpp", "hetero", "mph", "multiplicity",
             "verify", "landscape", "validate")
+# commands with a stochastic stage: they need an explicit seed
+SEEDED = ("gap", "mpp", "multiplicity", "hetero", "mph", "verify", "validate")
 
 
 class ConfigError(FkSaddleError):
@@ -66,9 +74,9 @@ class RunConfig:
     n: int = 2
     # flow
     dt: float | None = None
-    t_max: float = 200.0
-    tol: float = 1e-10
-    max_steps: int = 400000
+    t_max: float = FLOW_T_MAX
+    tol: float = STATIONARITY_TOL
+    max_steps: int = MAX_FLOW_STEPS
     # path / minimax
     nodes: int | None = None
     kind: str = "chi"
@@ -77,13 +85,13 @@ class RunConfig:
     restarts: int = 1
     # window policy
     window: int | None = None
-    window_start: int = 20
+    window_start: int = WINDOW_START
     # scans and verification
     kmax: int = 6
-    probes: int = 7
+    probes: int = GAP_PROBES
     trials: int = 100
     grid: int = 400
-    resolutions: tuple = (2001,)
+    resolutions: tuple = (ORACLE_RESOLUTION,)
     cross_check: bool = False
 
     def model_params(self) -> dict:
@@ -98,6 +106,14 @@ class RunConfig:
         if self.command not in COMMANDS:
             raise ConfigError("command: unknown command %r (choose from %s)"
                               % (self.command, ", ".join(COMMANDS)))
+        if self.seed is None and self.command in SEEDED:
+            raise ConfigError("seed: required by %s" % self.command)
+        for name in ("amplitude", "coupling"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError("model-params.%s: must be finite" % name)
+        if self.n < 1:
+            raise ConfigError("model-params.n: must be >= 1")
         if any(x < 1 for x in self.p):
             raise ConfigError("p: periods must be >= 1")
         if any(x < 1 for x in self.q):
@@ -179,6 +195,16 @@ SCHEMA = {
 _DEFAULTS = RunConfig()
 
 
+def set_key(cfg: RunConfig, entry, text: str, where: str) -> None:
+    """Parse ``text`` as the SCHEMA key ``entry`` into ``cfg``; a bad value
+    is a ConfigError naming ``where`` (a job-file line or a flag)."""
+    attr, parser, _ = SCHEMA[entry]
+    try:
+        setattr(cfg, attr, parser(text))
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError("%s: %s" % (where, exc))
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse key=value / [section] text into a validated RunConfig."""
     cfg = RunConfig()
@@ -202,11 +228,7 @@ def parse_config(text: str) -> RunConfig:
         path = "%s.%s" % (section, key) if section else key
         if (section, key) not in SCHEMA:
             raise ConfigError("line %d: unknown key %r" % (lineno, path))
-        attr, parser, _ = SCHEMA[(section, key)]
-        try:
-            setattr(cfg, attr, parser(value))
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError("line %d: %s: %s" % (lineno, path, exc))
+        set_key(cfg, (section, key), value, "line %d: %s" % (lineno, path))
     return cfg.validate()
 
 

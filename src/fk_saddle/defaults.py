@@ -7,6 +7,7 @@ here so that the test suite and the library agree on a single source of truth.
 # --- stationarity / convergence -------------------------------------------
 STATIONARITY_TOL = 1e-10      # l2 residual at which a field counts as stationary
 ENERGY_INCREASE_TOL = 1e-10   # largest admissible energy increase per flow step
+FLOW_T_MAX = 200.0            # flow horizon of a run (the RunConfig and FlowParams default)
 MAX_FLOW_STEPS = 400_000      # budget guard on integrator steps per flow (stops are set in flow time)
 MAX_DT_HALVINGS = 20
 BOX_INTERIOR_TOL = 1e-9       # a site is free (moved and measured by Newton) this far inside (0, hi)
@@ -41,13 +42,18 @@ MAX_BISECTIONS = 80           # heat-flow: bisections of the initial path per te
 CLASSIFY_CHECK_TIME = 0.01    # heat-flow: flow time between basin-membership checks
 NODE_CAP = 257                # ceiling for the default node-count rule
 
-# --- gap detection ------------------------------------------------------------
+# --- seeds and gap detection ---------------------------------------------------
+MINIMIZE_GRID_SEEDS = 16      # constant minimize seeds j / 16, j = 0..15
+MINIMIZE_RANDOM_SEEDS = 4     # uniform random minimize seeds drawn after them
+BIRKHOFF_SCAN_RANGE = 3       # is_birkhoff checks shifts and offsets |j|, |l| <= this
 GAP_PROBES = 7                # interior convex combinations probed per candidate
 MINIMIZER_ENERGY_MARGIN = 1e-6  # above c0p, a stationary limit is not a minimizer
 
 # --- strip / heteroclinic ------------------------------------------------------
 WINDOW_START = 20
 WINDOW_CAP = 640
+HETERO_SEED_SHIFTS = (0.0, 0.5)  # centres of the default tanh layer seeds
+HETERO_SEED_WIDTH = 5.0       # width of the default tanh layer seeds
 TAIL_BOUND_TOL = 1e-10        # L * C(r) * (tail l1 mass) must fall below this
 
 # --- verification suite ---------------------------------------------------------

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import DEDUP_TOL, TAIL_BOUND_TOL, WINDOW_CAP, WINDOW_START
+from .defaults import (DEDUP_TOL, HETERO_SEED_SHIFTS, HETERO_SEED_WIDTH,
+                       TAIL_BOUND_TOL, WINDOW_CAP, WINDOW_START)
 from .fields import (FkSaddleError, StripField, WindowError, pad_layers,
                      stencil, validate_periods)
 from .model import SitePotential
@@ -168,14 +169,14 @@ class HeteroMinimizeResult:
     consts: RenormalizationConstants
 
 
-def default_hetero_seeds(system: StripSystem, shifts=(0.0, 0.5), width: float = 5.0):
+def default_hetero_seeds(system: StripSystem):
     """Smooth-step layer profiles from the left tail to the right one."""
     W = system.half_width
     i = np.arange(-W, W + 1, dtype=float)
     gap = system.right - system.left
     seeds = []
-    for sh in shifts:
-        prof = system.left + gap * 0.5 * (1.0 + np.tanh((i - sh) / width))
+    for sh in HETERO_SEED_SHIFTS:
+        prof = system.left + gap * 0.5 * (1.0 + np.tanh((i - sh) / HETERO_SEED_WIDTH))
         seeds.append(np.broadcast_to(prof.reshape((system.L,) + (1,) * len(system.q)),
                                      system.shape).copy())
     return seeds

@@ -610,8 +610,7 @@ class ThetaBounds:
 
 
 def theta_bounds(potential: SitePotential, gap: GapPair, path: PathOnBox,
-                 u0: TorusField, t, params: FlowParams | None = None,
-                 eq_tol: float = COMPARE_TOL) -> ThetaBounds:
+                 u0: TorusField, t, params: FlowParams | None = None) -> ThetaBounds:
     """Track the largest flowed node below u0 and the smallest above it.
 
     ``u0`` is an offset field strictly inside the box.  The sup/inf are
@@ -641,9 +640,9 @@ def theta_bounds(potential: SitePotential, gap: GapPair, path: PathOnBox,
         nodes, _, _ = flow(system, nodes, params.with_(t_max=span, run_to_t_max=True))
         diff = nodes - u0v
         flat = diff.reshape(N, -1)
-        below = (flat.max(axis=1) <= eq_tol) & (np.abs(flat).max(axis=1) > eq_tol)
-        above = (flat.min(axis=1) >= -eq_tol) & (np.abs(flat).max(axis=1) > eq_tol)
-        equal = np.abs(flat).max(axis=1) <= eq_tol
+        equal = np.abs(flat).max(axis=1) <= COMPARE_TOL
+        below = (flat.max(axis=1) <= COMPARE_TOL) & ~equal
+        above = (flat.min(axis=1) >= -COMPARE_TOL) & ~equal
         if below.any():
             m = int(np.max(np.flatnonzero(below)))
             if m + 1 < N and equal[m + 1]:
@@ -762,7 +761,7 @@ def _shift_orbit_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def multiplicity_scan(potential: SitePotential, k_max: int, gap: GapPair,
                       params: FlowParams | None = None,
-                      node_count=None, restarts: int = 1) -> MultiplicityScan:
+                      restarts: int = 1) -> MultiplicityScan:
     """Mountain passes on the elongated tori p(k) = (k, 1, ..., 1), k = 1..k_max.
 
     Critical fields are extended to the common axis-1 period and compared
@@ -780,10 +779,8 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap: GapPair,
     def fill(row):
         k = row.k
         p = (k,) + (1,) * (n - 1)
-        N = node_count(p) if callable(node_count) else (
-            node_count or default_node_count(p))
         kind = "chi" if k >= 2 else "linear"
-        path0 = build_initial_path(kind, N, max(k, 2), gap, p)
+        path0 = build_initial_path(kind, default_node_count(p), max(k, 2), gap, p)
         c0p = minimize_c0p(potential, gap, p, params)
         res = best_mountain_pass(potential, gap, path0, params,
                                  restarts=restarts)

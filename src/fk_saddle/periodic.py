@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import (BOX_INTERIOR_TOL, BOX_POLISH_FACTOR, BOX_POLISH_MAX_DROP,
-                       DEDUP_TOL, GAP_PROBES, MINIMIZER_ENERGY_MARGIN,
-                       STRICT_ORDER_TOL)
+from .defaults import (BIRKHOFF_SCAN_RANGE, BOX_INTERIOR_TOL, BOX_POLISH_FACTOR,
+                       BOX_POLISH_MAX_DROP, COMPARE_TOL, DEDUP_TOL, GAP_PROBES,
+                       MINIMIZE_GRID_SEEDS, MINIMIZE_RANDOM_SEEDS,
+                       MINIMIZER_ENERGY_MARGIN, STRICT_ORDER_TOL)
 from .fields import (FkSaddleError, PeriodError, TorusField, stencil,
                      validate_periods)
 from .model import SitePotential, residual_field, site_energies
@@ -173,9 +174,12 @@ class GapPair:
         return g if periods is None else g.extend(periods)
 
 
-def _default_minimize_seeds(rng, periods, count=16, random_count=4):
-    seeds = [TorusField.constant(periods, j / count) for j in range(count)]
-    for _ in range(random_count):
+def default_minimize_seeds(rng, periods):
+    """The minimize seeds of the CLI and of ``find_gap_pair``: the constants
+    j / 16, then 4 uniform random fields drawn from ``rng``."""
+    seeds = [TorusField.constant(periods, j / MINIMIZE_GRID_SEEDS)
+             for j in range(MINIMIZE_GRID_SEEDS)]
+    for _ in range(MINIMIZE_RANDOM_SEEDS):
         seeds.append(TorusField(periods, rng.uniform(0.0, 1.0, size=periods)))
     return seeds
 
@@ -197,7 +201,7 @@ def find_gap_pair(potential: SitePotential, periods, probes: int = GAP_PROBES,
     params = params or FlowParams()
     rng = np.random.default_rng(seed)
     res = minimize_periodic(potential, periods,
-                            _default_minimize_seeds(rng, periods), params)
+                            default_minimize_seeds(rng, periods), params)
     mins = [(f, e) for f, e in zip(res.limits, res.energies)
             if e <= res.c0p + MINIMIZER_ENERGY_MARGIN]
     if not mins:
@@ -258,19 +262,20 @@ def require_gap(gap) -> GapPair:
 # order diagnostics
 # ---------------------------------------------------------------------------
 
-def is_birkhoff(u: TorusField, scan_range: int = 3, tol: float = 1e-9) -> bool:
+def is_birkhoff(u: TorusField) -> bool:
     """True iff all lattice translates plus integer offsets order uniformly.
 
-    Checks tau^k_j u + l against u for |j| <= scan_range, |l| <= scan_range,
-    every axis k; any sign change across sites reports a crossing.
+    Checks tau^k_j u + l against u for |j|, |l| <= BIRKHOFF_SCAN_RANGE, every
+    axis k; a sign change across sites beyond COMPARE_TOL reports a crossing.
     """
+    span = range(-BIRKHOFF_SCAN_RANGE, BIRKHOFF_SCAN_RANGE + 1)
     for axis in range(1, u.n + 1):
-        for j in range(-scan_range, scan_range + 1):
+        for j in span:
             shifted = u.shift(axis, j)
-            for l in range(-scan_range, scan_range + 1):
+            for l in span:
                 d = shifted.values + l - u.values
-                has_pos = np.max(d) > tol
-                has_neg = np.min(d) < -tol
+                has_pos = np.max(d) > COMPARE_TOL
+                has_neg = np.min(d) < -COMPARE_TOL
                 if has_pos and has_neg:
                     return False
     return True

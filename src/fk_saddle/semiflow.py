@@ -18,12 +18,13 @@ polish, saddle refinement and the box maximizer's polish all call it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .defaults import (BOX_INTERIOR_TOL, ENERGY_INCREASE_TOL, MAX_DT_HALVINGS,
-                       MAX_FLOW_STEPS, STATIONARITY_TOL)
+from .defaults import (BOX_INTERIOR_TOL, ENERGY_INCREASE_TOL, FLOW_T_MAX,
+                       MAX_DT_HALVINGS, MAX_FLOW_STEPS, STATIONARITY_TOL)
 from .fields import FkSaddleError
 
 
@@ -42,15 +43,15 @@ class FlowParams:
     """
 
     dt: float | None = None
-    t_max: float = 200.0
+    t_max: float = FLOW_T_MAX
     stationarity_tol: float = STATIONARITY_TOL
     max_steps: int = MAX_FLOW_STEPS
     run_to_t_max: bool = False
 
     def resolve_dt(self, system) -> float:
         dt = self.dt if self.dt is not None else system.dt_safe
-        if dt <= 0:
-            raise FlowError("dt must be positive")
+        if not (dt > 0 and math.isfinite(dt)):
+            raise FlowError("dt must be finite and positive, got %r" % dt)
         if dt > system.dt_safe * (1 + 1e-12):
             raise FlowError("dt=%g exceeds the Lipschitz-safe bound %g"
                             % (dt, system.dt_safe))

@@ -335,8 +335,7 @@ class CrossCheckReport:
 def cross_check_mountain_pass(potential: SitePotential, gap: GapPair | None = None,
                               resolutions=(ORACLE_RESOLUTION,),
                               params: FlowParams | None = None,
-                              N: int = 65, seed: int = 0,
-                              tolerance: float = CROSS_CHECK_TOL) -> CrossCheckReport:
+                              N: int = 65, seed: int = 0) -> CrossCheckReport:
     """Compare node-flow, heat-flow, and the bottleneck oracle on p = (2, 1)."""
     if potential.n != 2:
         raise FkSaddleError("cross check is defined for model dimension 2")
@@ -361,5 +360,5 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair | None = No
     }
     return CrossCheckReport(
         node_flow=node.value, heat_flow=heat.value, oracle=oracle,
-        grid_max=grid_max, grid_max_at=grid_at, tolerance=tolerance,
-        deltas=deltas, agree=bool(max(deltas.values()) <= tolerance))
+        grid_max=grid_max, grid_max_at=grid_at, tolerance=CROSS_CHECK_TOL,
+        deltas=deltas, agree=bool(max(deltas.values()) <= CROSS_CHECK_TOL))

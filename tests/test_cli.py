@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from fk_saddle import ConfigError, RunConfig, format_config, parse_config
-from fk_saddle.cli import main, run
-from fk_saddle.config import config_to_dict
+from fk_saddle.cli import (COMMAND_FLAGS, COMMON_FLAGS, FLAG_KEYS,
+                           _config_from_args, build_parser, main, run,
+                           schema_entry)
+from fk_saddle.config import SCHEMA, config_to_dict
 
 
 def test_parse_minimal_defaults():
@@ -46,6 +48,8 @@ def test_parse_rejects_unknown_key():
     ("[flow]\nt-max = -1\n", "flow.t-max"),
     ("[flow]\ndt = -0.5\n", "flow.dt"),
     ("[flow]\ntol = nan\n", "flow.tol"),
+    ("[model-params]\namplitude = nan\n", "model-params.amplitude"),
+    ("[model-params]\nn = 0\n", "model-params.n"),
 ])
 def test_parse_rejects_bad_values(text, path):
     with pytest.raises(ConfigError, match=path):
@@ -58,12 +62,66 @@ def test_parse_rejects_bad_values(text, path):
     ["multiplicity", "--kmax", "1"], ["verify", "--resolutions", "51"],
     ["mph", "--window", "foo"], ["gap", "--p", "a,1"],
     ["mpp", "--dt", "-1"], ["mpp", "--dt", "nan"], ["mpp", "--tol", "nan"],
+    ["minimize", "--amplitude", "nan"], ["minimize", "--coupling", "inf"],
 ])
 def test_bad_values_exit_before_any_stage(flags, tmp_path, capsys):
     out = tmp_path / "never.json"
     assert main(flags + ["--seed", "1", "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the same job, once as flags and once as a job file: (flags, job-file text)
+SAME_JOB = {
+    "minimize": ([], ""),
+    "gap": (["--probes", "3"], "[gap]\nprobes = 3\n"),
+    "mpp": (["--nodes", "33", "--path", "linear", "--k", "3", "--mode",
+             "heat-flow", "--restarts", "2"],
+            "[path]\nnodes = 33\nkind = linear\nk = 3\nmode = heat-flow\n"
+            "restarts = 2\n"),
+    "landscape": (["--grid", "5"], "[verify]\ngrid = 5\n"),
+    "multiplicity": (["--kmax", "3", "--restarts", "0"],
+                     "[scan]\nkmax = 3\n[path]\nrestarts = 0\n"),
+    "hetero": (["--window", "40", "--q", "2"], "q = 2\n[window]\nsize = 40\n"),
+    "mph": (["--nodes", "auto", "--window", "auto", "--mode", "heat-flow"],
+            "[path]\nnodes = auto\nmode = heat-flow\n[window]\nsize = auto\n"),
+    "verify": (["--trials", "7", "--cross-check", "--resolutions", "401,2001"],
+               "[verify]\ntrials = 7\ncross-check = true\n"
+               "resolutions = 401,2001\n"),
+    "validate": ([], ""),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SAME_JOB))
+def test_cli_and_job_file_agree(command):
+    flags, text = SAME_JOB[command]
+    common = ["--model", "pinned-fk", "--p", "2,1", "--seed", "4",
+              "--amplitude", "1.5", "--dt", "auto", "--tol", "1e-9",
+              "--out", "x.json"]
+    from_flags = _config_from_args(build_parser().parse_args(
+        [command] + common + flags))
+    from_file = parse_config(
+        "command = %s\nmodel = pinned-fk\np = 2,1\nseed = 4\nout = x.json\n%s"
+        "[model-params]\namplitude = 1.5\n[flow]\ndt = auto\ntol = 1e-9\n"
+        % (command, text))
+    assert config_to_dict(from_flags) == config_to_dict(from_file)
+
+
+def test_job_file_requires_seed(tmp_path):
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config("command = gap\n")
+    cfgfile = tmp_path / "noseed.cfg"
+    cfgfile.write_text("command = verify\nout = %s\n" % (tmp_path / "v.json"))
+    assert main(["run", str(cfgfile)]) == 2
+    assert not (tmp_path / "v.json").exists()
+
+
+def test_every_flag_names_one_schema_key():
+    for command, flags in COMMAND_FLAGS.items():
+        for flag in COMMON_FLAGS + flags:
+            name = FLAG_KEYS.get(flag, flag)
+            assert [e for e in SCHEMA if e[1] == name] == [schema_entry(flag)], (
+                command, flag)
 
 
 def test_parse_error_carries_line_number():

@@ -6,6 +6,7 @@ from fk_saddle import (FlowParams, TorusField, box_maximize, find_gap_pair,
                        make_potential, minimize_periodic, relative_energy,
                        torus_energy)
 from fk_saddle.fields import PeriodError
+from fk_saddle.model import PluginPotential
 from fk_saddle.periodic import NoGapError, PeriodicSystem, require_gap
 from fk_saddle.semiflow import FlowError, flow, refine_critical
 
@@ -244,6 +245,18 @@ def test_flow_rejects_oversized_dt(classical, gap):
     system = PeriodicSystem(classical, p, gap.v0)
     with pytest.raises(FlowError):
         flow(system, np.zeros(p), FlowParams(dt=1.0))
+
+
+def test_resolve_dt_rejects_nan_bound():
+    # a NaN second-derivative bound makes dt_safe NaN: refuse it up front
+    # instead of halving a NaN step until the energy guard gives up
+    plug = PluginPotential(lambda cfg: np.sum(cfg ** 2, axis=-1), n=2, r=1,
+                           second_derivative_bound=float("nan"))
+    p = (1, 1)
+    with pytest.raises(FlowError, match="finite and positive"):
+        FlowParams().resolve_dt(PeriodicSystem(plug, p))
+    with pytest.raises(FlowError, match="finite and positive"):
+        minimize_periodic(plug, p, [TorusField.constant(p, 0.3)], FlowParams())
 
 
 def test_minimize_work_count(classical, params, monkeypatch):
