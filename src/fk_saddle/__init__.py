@@ -19,7 +19,7 @@ from .periodic import (BoxMaxResult, GapPair, MinimizeResult, NoGapError,
                        PeriodicSystem, box_maximize, find_gap_pair, flow_field,
                        gradient, is_birkhoff, minimize_periodic,
                        relative_energy, torus_energy)
-from .mpp import (MinimaxResult, PathOnBox, ThetaBounds, best_mountain_pass,
+from .mpp import (MinimaxResult, ThetaBounds, best_mountain_pass, box_path,
                   build_initial_path, chi_path, clip_to_box, intersects,
                   minimax_over_unconstrained_paths_check, mountain_pass,
                   multiplicity_scan, phi_path, theta_bounds)

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .config import (SCHEMA, SEEDED, ConfigError, RunConfig, config_to_dict,
                      parse_config, set_key)
-from .defaults import CSV_FLOAT_FORMAT, default_node_count
+from .defaults import CSV_FLOAT_FORMAT
 from .fields import FkSaddleError
 from .hetero import (asymptotics_report, find_gap_pair_hetero,
                      minimize_hetero, mountain_pass_hetero)
@@ -98,10 +98,6 @@ class Manifest:
         return path
 
 
-def _window(cfg):
-    return "auto" if cfg.window is None else cfg.window
-
-
 def _gap_or_fail(pot, cfg, params):
     gap = find_gap_pair(pot, (1,) * pot.n, probes=cfg.probes,
                         seed=cfg.seed or 0, params=params)
@@ -142,10 +138,7 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "mpp":
         gap = _gap_or_fail(pot, cfg, params)
-        N = cfg.nodes if cfg.nodes is not None else default_node_count(cfg.p)
-        kind = cfg.kind if cfg.p[0] > 1 else "linear"
-        k = cfg.k if cfg.k is not None else max(2, cfg.p[0])
-        path0 = build_initial_path(kind, N, k, gap, cfg.p)
+        path0 = build_initial_path(cfg.kind, cfg.nodes, cfg.k, gap, cfg.p)
         res = best_mountain_pass(pot, gap, path0, params,
                                  restarts=cfg.restarts, mode=cfg.mode)
         man.scalars["d0p"] = res.value
@@ -198,7 +191,7 @@ def run(cfg: RunConfig) -> Manifest:
         gap0 = _gap_or_fail(pot, cfg, params)
         res = minimize_hetero(pot, cfg.q, gap0, params,
                               start_width=cfg.window_start,
-                              window=_window(cfg))
+                              window=cfg.window)
         man.scalars["c1q"] = res.c1q
         man.scalars["c1"] = res.consts.c1
         man.scalars["c0"] = res.consts.c0
@@ -219,7 +212,7 @@ def run(cfg: RunConfig) -> Manifest:
         gap0 = _gap_or_fail(pot, cfg, params)
         mres = minimize_hetero(pot, cfg.q, gap0, params,
                                start_width=cfg.window_start,
-                               window=_window(cfg), check_stability=False)
+                               window=cfg.window, check_stability=False)
         gap1 = find_gap_pair_hetero(pot, cfg.q, gap0, probes=cfg.probes,
                                     seed=cfg.seed or 0, params=params,
                                     minimized=mres)
@@ -243,8 +236,10 @@ def run(cfg: RunConfig) -> Manifest:
                 man.add_file(cfg.fields_out)
 
     elif cmd == "verify":
+        # the suite and the cross check share one gap pair on the unit torus
+        gap = _gap_or_fail(pot, cfg, params) if cfg.cross_check else None
         reports = run_property_suite(pot, cfg.p, seed=cfg.seed or 0,
-                                     trials=cfg.trials, params=params)
+                                     trials=cfg.trials, params=params, gap=gap)
         man.tables["properties"] = [
             {"name": r.name, "trials": r.trials, "worst_margin": r.worst_margin,
              "passed": r.passed, "seed": r.seed, "detail": r.detail}
@@ -253,7 +248,7 @@ def run(cfg: RunConfig) -> Manifest:
         if failed:
             man.errors.append("failed properties: %s" % ", ".join(failed))
         if cfg.cross_check:
-            cc = cross_check_mountain_pass(pot, resolutions=cfg.resolutions,
+            cc = cross_check_mountain_pass(pot, gap, resolutions=cfg.resolutions,
                                            params=params, seed=cfg.seed or 0)
             man.scalars["node_flow"] = cc.node_flow
             man.scalars["heat_flow"] = cc.heat_flow

@@ -10,11 +10,14 @@ ENERGY_INCREASE_TOL = 1e-10   # largest admissible energy increase per flow step
 FLOW_T_MAX = 200.0            # flow horizon of a run (the RunConfig and FlowParams default)
 MAX_FLOW_STEPS = 400_000      # budget guard on integrator steps per flow (stops are set in flow time)
 MAX_DT_HALVINGS = 20
+POLISH_TOL = 1e-13            # Newton finish of a flowed ground state (torus and strip): sup residual
+POLISH_MAX_ITER = 30          # ... and its iteration cap
 BOX_INTERIOR_TOL = 1e-9       # a site is free (moved and measured by Newton) this far inside (0, hi)
 BOX_POLISH_FACTOR = 1e-2      # box_maximize polishes free residuals to this times the flow tolerance
 BOX_POLISH_MAX_DROP = 1e-8    # largest energy drop the box polish may cost before it is discarded
 
 # --- field bookkeeping ------------------------------------------------------
+MAX_TORUS_CELLS = 65536       # largest prod(p) a torus may have
 DEDUP_TOL = 1e-6              # l-inf distance below which two limits are one orbit
 SHIFT_PERIODICITY_TOL = 1e-12 # (S1) check: |s(u+1) - s(u)| <= tol * (1 + |s(u)|)
 STRICT_ORDER_TOL = 1e-12      # slack when asserting strict sitewise inequalities
@@ -41,6 +44,7 @@ BASIN_MATCH_TOL = 1e-4        # heat-flow: l-inf distance at which a state joins
 MAX_BISECTIONS = 80           # heat-flow: bisections of the initial path per tear
 CLASSIFY_CHECK_TIME = 0.01    # heat-flow: flow time between basin-membership checks
 NODE_CAP = 257                # ceiling for the default node-count rule
+PATH_NODES = 65               # nodes of the strip string and of the two-cell cross check
 
 # --- seeds and gap detection ---------------------------------------------------
 MINIMIZE_GRID_SEEDS = 16      # constant minimize seeds j / 16, j = 0..15

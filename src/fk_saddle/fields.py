@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import MAX_TORUS_CELLS
+
 
 class FkSaddleError(Exception):
     """Base class for all library errors."""
@@ -44,15 +46,15 @@ class WindowError(FkSaddleError):
     pass
 
 
-def validate_periods(p, max_cells: int = 65536) -> tuple:
+def validate_periods(p) -> tuple:
     p = tuple(int(x) for x in p)
     if len(p) == 0:
         raise PeriodError("periods must have at least one component")
     if any(x < 1 for x in p):
         raise PeriodError("periods must be >= 1, got %r" % (p,))
-    if math.prod(p) > max_cells:
+    if math.prod(p) > MAX_TORUS_CELLS:
         raise PeriodError("torus cell count %d exceeds the configured maximum %d"
-                          % (math.prod(p), max_cells))
+                          % (math.prod(p), MAX_TORUS_CELLS))
     return p
 
 

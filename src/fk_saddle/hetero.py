@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import (DEDUP_TOL, HETERO_SEED_SHIFTS, HETERO_SEED_WIDTH,
-                       TAIL_BOUND_TOL, WINDOW_CAP, WINDOW_START)
+                       PATH_NODES, POLISH_MAX_ITER, POLISH_TOL, TAIL_BOUND_TOL,
+                       WINDOW_CAP, WINDOW_START)
 from .fields import (FkSaddleError, StripField, WindowError, pad_layers,
                      stencil, validate_periods)
 from .model import SitePotential
-from .mpp import (MinimaxResult, best_of_restarts, minimax_engine, phi_path,
+from .mpp import (MinimaxResult, best_of_restarts, box_path, minimax_engine,
                   scan_rows)
 from .periodic import GapPair, probe_adjacency, require_gap
 from .semiflow import FlowError, FlowParams, flow, refine_critical
@@ -209,7 +210,7 @@ def _minimize_on_window(potential, q, W, gap0, params, seeds, seed_arrays=None):
     for i in range(len(arrays)):
         if any(np.max(np.abs(x[i] - f)) <= DEDUP_TOL for f in fields):
             continue
-        xi, res_inf, ok = refine_critical(system, x[i], tol=1e-13, max_iter=30)
+        xi, res_inf, ok = refine_critical(system, x[i], POLISH_TOL, POLISH_MAX_ITER)
         if not ok and res_inf > params.stationarity_tol:
             continue  # this seed found no stationary limit
         fields.append(xi)
@@ -223,26 +224,26 @@ def _minimize_on_window(potential, q, W, gap0, params, seeds, seed_arrays=None):
 def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
                     params: FlowParams | None = None, seeds=None,
                     start_width: int = WINDOW_START,
-                    window: str | int = "auto",
+                    window: int | None = None,
                     check_stability: bool = True) -> HeteroMinimizeResult:
     """Relax step profiles to the heteroclinic ground state.
 
     The window starts at ``start_width`` and doubles until the tail
     contribution bound drops below tolerance (capped at WINDOW_CAP); a fixed
-    integer ``window`` skips the policy.  The reported stability is the
-    change of c1q under one further window doubling.
+    integer ``window`` skips the policy, ``None`` runs it.  The reported
+    stability is the change of c1q under one further window doubling.
     """
     gap0 = require_gap(gap0)
     params = params or FlowParams()
     q = validate_periods(q) if len(tuple(q)) else ()
-    W = int(window) if window != "auto" else start_width
+    W = int(window) if window is not None else start_width
     carried = None
     prev_bound = math.inf
     while True:
         system, fields, es, best = _minimize_on_window(
             potential, q, W, gap0, params, seeds, carried)
         bound = _tail_bound(system, fields[best])
-        if window != "auto" or bound < TAIL_BOUND_TOL:
+        if window is not None or bound < TAIL_BOUND_TOL:
             break
         if bound > 0.25 * prev_bound:
             # a localized kink sheds tail mass by orders of magnitude per
@@ -386,15 +387,11 @@ def mountain_pass_hetero(potential: SitePotential, gap1: HeteroGapPair,
     params = params or FlowParams()
     hi = gap1.width_values
     system = _offset_system(potential, gap1)
-    if path_nodes is not None:
-        nodes = np.asarray(path_nodes, dtype=float)
-    else:
-        N = N or 65
-        thetas = np.linspace(0.0, 1.0, N).reshape((N,) + (1,) * hi.ndim)
-        nodes = thetas * hi
+    if path_nodes is None:
+        path_nodes = box_path(hi, N or PATH_NODES)
     engine = minimax_engine(mode)
-    return best_of_restarts(
-        lambda n: engine(system, n, hi, params), nodes, hi, restarts)
+    return best_of_restarts(lambda n: engine(system, n, hi, params),
+                            np.asarray(path_nodes, dtype=float), hi, restarts)
 
 
 def bound_scan_hetero(potential: SitePotential, k_max: int,
@@ -420,15 +417,9 @@ def bound_scan_hetero(potential: SitePotential, k_max: int,
         system = _offset_system(potential, gk)
         hi = gk.width_values
         row.c = float(system.energy(np.zeros_like(hi)))
-        thetas = np.linspace(0.0, 1.0, witness_grid)
-        if k >= 2:
-            i2 = np.arange(k)
-            prof = np.stack([phi_path(k, th, i2) for th in thetas])
-            nodes = prof[:, None, :] * hi
-        else:
-            nodes = thetas.reshape(-1, 1, 1) * hi
+        nodes = box_path(hi, witness_grid, k if k >= 2 else None, axis=1)
         row.witness = float(np.max(system.energy(nodes)) - row.c)
-        sub = np.linspace(0, witness_grid - 1, N or 65).astype(int)
+        sub = np.linspace(0, witness_grid - 1, N or PATH_NODES).astype(int)
         row.record(mountain_pass_hetero(potential, gk, params,
                                         path_nodes=nodes[sub], restarts=1))
 

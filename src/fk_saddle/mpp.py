@@ -1,7 +1,11 @@
 """Mountain-pass search over paths in the order box.
 
 The minimax value is ``d = inf over paths h from 0 to w0-v0 of max_theta
-I(h(theta))``.  Two solvers compute it:
+I(h(theta))``.  A path is an ``(N, *p)`` array of N fields (offsets from
+v0) evenly spaced in theta, on the torus here and on the strip window in
+``hetero``; ``box_path`` builds the linear and staircase chains for both,
+and ``build_initial_path`` picks the default torus chain.  Two solvers
+compute the minimax:
 
 * ``node-flow``: a string-method relaxation.  The path is a chain of N
   fields; interior nodes evolve under the gradient semiflow (the endpoints
@@ -22,10 +26,11 @@ I(h(theta))``.  Two solvers compute it:
 Both modes return the same value on the models shipped here; the node-flow
 solver is the default and the heat-flow solver doubles as a cross-check.
 
-This module also hosts the explicit staircase paths (``chi_path`` /
+This module also hosts the explicit staircase profiles (``chi_path`` /
 ``phi_path``) whose maxima bound d - c uniformly in the axis-1 period, the
 order-relation classifier ``intersects``, the monotone-path level tracking
-``theta_bounds``, and the multiplicity scan over elongated tori.
+``theta_bounds`` (which checks the monotonicity on the nodes), and the
+multiplicity scan over elongated tori.
 """
 
 from __future__ import annotations
@@ -99,54 +104,54 @@ def phi_path(k: int, theta, i):
 # paths on the order box
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PathOnBox:
-    """An ordered chain of fields joining 0 to w0 - v0 inside the box."""
-
-    periods: tuple
-    nodes: np.ndarray          # (N, *p), offsets from v0
-    monotone: bool = False
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 + len(self.periods) or nodes.shape[0] < 3:
-            raise PathError("need at least 3 nodes shaped (N, *periods)")
-        object.__setattr__(self, "nodes", nodes)
-
-
-def _polyline_at(nodes: np.ndarray, theta: float) -> np.ndarray:
-    """The polygonal path through ``nodes`` (evenly spaced on [0, 1]) at a
-    continuous parameter."""
-    N = nodes.shape[0]
-    th = np.linspace(0.0, 1.0, N)
-    k = max(min(int(np.searchsorted(th, theta, side="right")) - 1, N - 2), 0)
-    w = (theta - th[k]) / (th[k + 1] - th[k])
-    return (1.0 - w) * nodes[k] + w * nodes[k + 1]
-
-
-def build_initial_path(kind: str, N: int, k: int | None, gap: GapPair,
-                       periods=None) -> PathOnBox:
-    """Construct the starting chain: 'linear' homotopy or the 'chi' staircase."""
-    gap = require_gap(gap)
-    if N < 3:
-        raise PathError("need N >= 3 nodes")
-    periods = validate_periods(periods) if periods is not None else gap.v0.periods
-    box = gap.box_field(periods).values
+def box_path(box, N: int, k: int | None = None, axis: int = 0) -> np.ndarray:
+    """N nodes from 0 to ``box``: the linear homotopy theta * box, or with
+    ``k`` the staircase phi_k(theta, i) * box across lattice axis ``axis``."""
+    box = np.asarray(box, dtype=float)
     thetas = np.linspace(0.0, 1.0, N)
-    if kind == "linear":
-        nodes = thetas.reshape((N,) + (1,) * len(periods)) * box
-    elif kind == "chi":
-        if k is None or k < 2:
-            raise PathError("chi path needs k >= 2")
-        i1 = np.arange(periods[0])
-        prof = np.stack([phi_path(k, th, i1) for th in thetas])   # (N, p1)
-        prof = prof.reshape((N, periods[0]) + (1,) * (len(periods) - 1))
-        nodes = prof * box
+    if k is None:
+        prof = thetas.reshape((N,) + (1,) * box.ndim)
     else:
-        raise PathError("unknown path kind %r" % kind)
+        width = box.shape[axis]
+        prof = phi_path(k, thetas[:, None], np.arange(width)).reshape(
+            (N,) + (1,) * axis + (width,) + (1,) * (box.ndim - axis - 1))
+    nodes = prof * box
     nodes[0] = 0.0
     nodes[-1] = box
-    return PathOnBox(periods=periods, nodes=nodes, monotone=True)
+    return nodes
+
+
+def build_initial_path(kind: str, N: int | None, k: int | None, gap: GapPair,
+                       periods=None) -> np.ndarray:
+    """The starting chain on the torus ``periods`` (default: the gap's), an
+    (N, *p) node array from 0 to w0 - v0.
+
+    ``kind`` is 'linear' (the homotopy) or 'chi' (the staircase phi_k across
+    axis 1; on a torus one column wide it has no columns to stagger and is
+    the linear path).  ``N=None`` takes ``default_node_count(p)`` and
+    ``k=None`` takes max(2, p1).
+    """
+    gap = require_gap(gap)
+    periods = validate_periods(periods) if periods is not None else gap.v0.periods
+    N = default_node_count(periods) if N is None else N
+    k = max(2, periods[0]) if k is None else k
+    if N < 3:
+        raise PathError("need N >= 3 nodes")
+    if kind not in ("linear", "chi"):
+        raise PathError("unknown path kind %r" % kind)
+    if kind == "chi" and k < 2:
+        raise PathError("chi path needs k >= 2")
+    staircase = kind == "chi" and periods[0] > 1
+    return box_path(gap.box_field(periods).values, N, k if staircase else None)
+
+
+def _torus_path(potential: SitePotential, nodes) -> tuple:
+    """The node array of a torus path and its periods ``nodes.shape[1:]``."""
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 + potential.n or nodes.shape[0] < 3:
+        raise PathError("a path is at least 3 nodes shaped (N, *p) with %d "
+                        "periods, got shape %r" % (potential.n, nodes.shape))
+    return nodes, validate_periods(nodes.shape[1:])
 
 
 def clip_to_box(u: TorusField, gap: GapPair, periods=None) -> TorusField:
@@ -222,23 +227,28 @@ def _chain_top(system, nodes, energies, c_ref):
     return max(node_max, mid_max), mid_max > node_max + _band(node_max, c_ref)
 
 
+def _interpolate(nodes: np.ndarray, s: np.ndarray, targets) -> np.ndarray:
+    """The polygonal path through ``nodes`` at the nondecreasing parameters
+    ``s``, evaluated at ``targets`` (a scalar or an array)."""
+    k = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(s) - 2)
+    ds = s[k + 1] - s[k]
+    w = np.where(ds > 0, (targets - s[k]) / np.where(ds > 0, ds, 1.0), 0.0)
+    w = w.reshape(np.shape(w) + (1,) * (nodes.ndim - 1))
+    return (1.0 - w) * nodes[k] + w * nodes[k + 1]
+
+
 def _reparametrize(nodes: np.ndarray) -> np.ndarray:
     """Redistribute the chain uniformly in cumulative l2 arc length."""
     N = nodes.shape[0]
-    flat = nodes.reshape(N, -1)
-    seg = np.linalg.norm(np.diff(flat, axis=0), axis=1)
+    seg = np.linalg.norm(np.diff(nodes.reshape(N, -1), axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
     if s[-1] < 1e-12:
         raise ReparametrizationError("path collapsed: total arc length < 1e-12")
     s /= s[-1]
-    targets = np.linspace(0.0, 1.0, N)
-    k = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, N - 2)
-    ds = s[k + 1] - s[k]
-    w = np.where(ds > 0, (targets - s[k]) / np.where(ds > 0, ds, 1.0), 0.0)
-    out = (1.0 - w)[:, None] * flat[k] + w[:, None] * flat[k + 1]
-    out[0] = flat[0]
-    out[-1] = flat[-1]
-    return out.reshape(nodes.shape)
+    out = _interpolate(nodes, s, np.linspace(0.0, 1.0, N))
+    out[0] = nodes[0]
+    out[-1] = nodes[-1]
+    return out
 
 
 def _sweeps_per(time: float, dt: float) -> int:
@@ -421,7 +431,7 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
         done = False
         for it in range(MAX_BISECTIONS):
             mid = 0.5 * (lo + hi_th)
-            start = _polyline_at(path0, mid)
+            start = _interpolate(path0, thetas, mid)
             crossing_cap = max(crossing_cap, float(system.energy(start)))
             lab, dip_x, dip_r, is_new = _classify_flow(system, start, dt, reps)
             if is_new:
@@ -523,36 +533,37 @@ def best_of_restarts(run, nodes: np.ndarray, hi: np.ndarray, restarts: int):
     return best
 
 
-def mountain_pass(potential: SitePotential, gap: GapPair, path0: PathOnBox,
+def mountain_pass(potential: SitePotential, gap: GapPair, path0,
                   params: FlowParams | None = None,
                   mode: str = "node-flow") -> MinimaxResult:
     """Compute the minimax level and a critical field inside the gap box.
 
-    ``path0`` fixes the torus; its endpoints must be pinned to 0 and w0 - v0.
-    On success the result's critical field (an offset from v0) has sup-site
-    equilibrium residual below tolerance, sits strictly inside the box, and
-    its level exceeds c0p.
+    ``path0`` is an (N, *p) node array with N >= 3; its shape fixes the torus
+    p, and its endpoints must be pinned to 0 and w0 - v0.  On success the
+    result's critical field (an offset from v0) has sup-site equilibrium
+    residual below tolerance, sits strictly inside the box, and its level
+    exceeds c0p.
     """
     gap = require_gap(gap)
     params = params or FlowParams()
-    periods = path0.periods
+    nodes, periods = _torus_path(potential, path0)
     v0 = gap.v0.extend(periods)
     hi = gap.box_field(periods).values
-    if np.max(np.abs(path0.nodes[0])) != 0.0 or np.max(np.abs(path0.nodes[-1] - hi)) > 1e-12:
+    if np.max(np.abs(nodes[0])) != 0.0 or np.max(np.abs(nodes[-1] - hi)) > 1e-12:
         raise PathError("path endpoints must be pinned to 0 and w0 - v0")
     system = PeriodicSystem(potential, periods, v0)
-    return minimax_engine(mode)(system, path0.nodes, hi, params)
+    return minimax_engine(mode)(system, nodes, hi, params)
 
 
-def best_mountain_pass(potential, gap, path0: PathOnBox, params,
+def best_mountain_pass(potential, gap, path0, params,
                        restarts: int = 1, mode: str = "node-flow"):
     """mountain_pass on ``path0`` plus symmetry-broken restarts
     (:func:`best_of_restarts`)."""
-    hi = require_gap(gap).box_field(path0.periods).values
+    nodes, periods = _torus_path(potential, path0)
+    hi = require_gap(gap).box_field(periods).values
     return best_of_restarts(
-        lambda nodes: mountain_pass(potential, gap, PathOnBox(path0.periods, nodes),
-                                    params, mode=mode),
-        path0.nodes, hi, restarts)
+        lambda n: mountain_pass(potential, gap, n, params, mode=mode),
+        nodes, hi, restarts)
 
 
 def minimax_over_unconstrained_paths_check(potential, gap: GapPair, periods,
@@ -565,28 +576,22 @@ def minimax_over_unconstrained_paths_check(potential, gap: GapPair, periods,
     clips it back, re-runs the solver, and reports whether the minimax values
     agree to 1e-6.  Disagreement is reported as a finding, not raised.
     """
-    gap = require_gap(gap)
     params = params or FlowParams()
-    periods = validate_periods(periods)
-    N = N or default_node_count(periods)
-    k = max(2, periods[0])
-    path0 = build_initial_path("chi" if periods[0] > 1 else "linear",
-                               N, k, gap, periods)
+    path0 = build_initial_path("chi", N, None, gap, periods)
     if base is None:
         base = mountain_pass(potential, gap, path0, params)
     rng = np.random.default_rng(seed)
-    hi = gap.box_field(periods).values
+    hi = path0[-1]
     findings = []
     variants = {
-        "scaled-1.5": path0.nodes * 1.5,
-        "bumped": path0.nodes + 0.6 * rng.standard_normal(path0.nodes.shape),
+        "scaled-1.5": path0 * 1.5,
+        "bumped": path0 + 0.6 * rng.standard_normal(path0.shape),
     }
     for name, nodes in variants.items():
         clipped = np.clip(nodes, 0.0, hi)
         clipped[0] = 0.0
         clipped[-1] = hi
-        res = mountain_pass(potential, gap,
-                            PathOnBox(periods, clipped, monotone=False), params)
+        res = mountain_pass(potential, gap, clipped, params)
         findings.append({
             "variant": name,
             "d": res.value,
@@ -609,20 +614,24 @@ class ThetaBounds:
     over: np.ndarray
 
 
-def theta_bounds(potential: SitePotential, gap: GapPair, path: PathOnBox,
+def theta_bounds(potential: SitePotential, gap: GapPair, path,
                  u0: TorusField, t, params: FlowParams | None = None) -> ThetaBounds:
     """Track the largest flowed node below u0 and the smallest above it.
 
-    ``u0`` is an offset field strictly inside the box.  The sup/inf are
-    evaluated on the node grid only; when the path holds a plateau equal to
-    u0, the bound lands on the plateau edge, matching the continuum
-    definition of the supremum.
+    ``path`` is an (N, *p) node array, nondecreasing from node to node (to
+    ``COMPARE_TOL``; checked here, since the bracket means nothing on a
+    path that turns back).  ``u0`` is an offset field strictly inside the
+    box.  The sup/inf are evaluated on the node grid only; when the path
+    holds a plateau equal to u0, the bound lands on the plateau edge,
+    matching the continuum definition of the supremum.
     """
     gap = require_gap(gap)
-    if not path.monotone:
-        raise PathError("theta tracking needs a monotone path")
+    nodes, periods = _torus_path(potential, path)
+    drop = float(np.min(np.diff(nodes, axis=0)))
+    if drop < -COMPARE_TOL:
+        raise PathError("theta tracking needs a monotone path; a node sits "
+                        "%g below its predecessor" % -drop)
     params = params or FlowParams()
-    periods = path.periods
     hi = gap.box_field(periods).values
     u0v = u0.extend(periods).values if u0.periods != periods else u0.values
     if np.min(u0v) <= 0.0 or np.min(hi - u0v) <= 0.0:
@@ -631,7 +640,6 @@ def theta_bounds(potential: SitePotential, gap: GapPair, path: PathOnBox,
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.diff(times) < 0):
         raise PathError("times must be nondecreasing")
-    nodes = path.nodes.copy()
     N = nodes.shape[0]
     thetas = np.linspace(0.0, 1.0, N)
     under = np.empty(len(times))
@@ -664,7 +672,7 @@ def theta_bounds(potential: SitePotential, gap: GapPair, path: PathOnBox,
 # order-relation classifier
 # ---------------------------------------------------------------------------
 
-def intersects(u, v, tol: float = COMPARE_TOL) -> str:
+def intersects(u, v) -> str:
     """Classify the sitewise order relation between two fields.
 
     Returns one of 'equal', 'below', 'above', 'touch-below', 'touch-above',
@@ -679,9 +687,9 @@ def intersects(u, v, tol: float = COMPARE_TOL) -> str:
         d = u.embed(W).values - v.embed(W).values
     else:
         d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
-    has_pos = bool(np.max(d) > tol)
-    has_neg = bool(np.min(d) < -tol)
-    has_zero = bool(np.min(np.abs(d)) <= tol)
+    has_pos = bool(np.max(d) > COMPARE_TOL)
+    has_neg = bool(np.min(d) < -COMPARE_TOL)
+    has_zero = bool(np.min(np.abs(d)) <= COMPARE_TOL)
     if has_pos and has_neg:
         return "cross"
     if not has_pos and not has_neg:
@@ -779,8 +787,7 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap: GapPair,
     def fill(row):
         k = row.k
         p = (k,) + (1,) * (n - 1)
-        kind = "chi" if k >= 2 else "linear"
-        path0 = build_initial_path(kind, default_node_count(p), max(k, 2), gap, p)
+        path0 = build_initial_path("chi", None, None, gap, p)
         c0p = minimize_c0p(potential, gap, p, params)
         res = best_mountain_pass(potential, gap, path0, params,
                                  restarts=restarts)

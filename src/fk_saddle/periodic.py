@@ -21,7 +21,8 @@ import numpy as np
 from .defaults import (BIRKHOFF_SCAN_RANGE, BOX_INTERIOR_TOL, BOX_POLISH_FACTOR,
                        BOX_POLISH_MAX_DROP, COMPARE_TOL, DEDUP_TOL, GAP_PROBES,
                        MINIMIZE_GRID_SEEDS, MINIMIZE_RANDOM_SEEDS,
-                       MINIMIZER_ENERGY_MARGIN, STRICT_ORDER_TOL)
+                       MINIMIZER_ENERGY_MARGIN, POLISH_MAX_ITER, POLISH_TOL,
+                       STRICT_ORDER_TOL)
 from .fields import (FkSaddleError, PeriodError, TorusField, stencil,
                      validate_periods)
 from .model import SitePotential, residual_field, site_energies
@@ -116,12 +117,12 @@ def _as_field(seed, periods) -> TorusField:
     return TorusField.constant(periods, float(seed))
 
 
-def _dedup(fields, energies, tol=DEDUP_TOL):
-    """Lift-normalize, then merge fields within l-inf distance tol."""
+def _dedup(fields, energies):
+    """Lift-normalize, then merge fields within l-inf distance DEDUP_TOL."""
     out, out_e = [], []
     for f, e in zip(fields, energies):
         nf, _ = f.normalize_lift()
-        if not any(np.max(np.abs(nf.values - g.values)) <= tol for g in out):
+        if not any(np.max(np.abs(nf.values - g.values)) <= DEDUP_TOL for g in out):
             out.append(nf)
             out_e.append(e)
     order = np.argsort([g.values.flat[0] for g in out], kind="stable")
@@ -147,7 +148,7 @@ def minimize_periodic(potential: SitePotential, periods, seeds,
     for i in range(len(seeds)):
         # Newton polish: flow-tolerance errors in ground states would leak
         # into every downstream box and strip tail
-        xi, _, ok = refine_critical(system, x[i], tol=1e-13, max_iter=30)
+        xi, _, ok = refine_critical(system, x[i], POLISH_TOL, POLISH_MAX_ITER)
         limits.append(TorusField(periods, xi if ok else x[i]))
     energies = [float(system.energy(f.values)) for f in limits]
     fields, es = _dedup(limits, energies)

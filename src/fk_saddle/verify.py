@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import (BOX_INVARIANCE_TOL, CLIP_ENERGY_TOL, CROSS_CHECK_TOL,
-                       ENERGY_INCREASE_TOL, FD_REL_TOL,
-                       ORACLE_RESOLUTION, SCALING_TOL, STRICT_ORDER_TOL,
+                       ENERGY_INCREASE_TOL, FD_REL_TOL, ORACLE_RESOLUTION,
+                       PATH_NODES, SCALING_TOL, STRICT_ORDER_TOL,
                        SUBMODULARITY_TOL)
 from .fields import FkSaddleError, TorusField
 from .model import SitePotential, central_differences, site_energies
-from .mpp import build_initial_path, mountain_pass
+from .mpp import build_initial_path, minimize_c0p, mountain_pass
 from .periodic import (GapPair, PeriodicSystem, find_gap_pair,
                        minimize_periodic, require_gap)
 from .semiflow import FlowParams, flow, rk4_step
@@ -279,8 +279,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         return CLIP_ENERGY_TOL - rise, "max energy rise under clip %g" % rise
 
     def endpoint_fixity(rng):
-        path = build_initial_path("linear", 9, None, gap, periods)
-        nodes = path.nodes.copy()
+        nodes = build_initial_path("linear", 9, None, gap, periods)
         before = (nodes[0].copy(), nodes[-1].copy())
         for _ in range(25):
             nodes[1:-1], _ = rk4_step(system, nodes[1:-1], system.dt_safe)
@@ -295,11 +294,8 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
                                [gap.v0.values.flat[0]], params).c0p
         worst = 0.0
         for p in [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]:
-            res = minimize_periodic(
-                potential, p,
-                [TorusField.constant(p, gap.v0.values.flat[0]),
-                 TorusField.constant(p, gap.w0.values.flat[0])], params)
-            worst = max(worst, abs(res.c0p - math.prod(p) * c0) / math.prod(p))
+            c0p = minimize_c0p(potential, gap, p, params)
+            worst = max(worst, abs(c0p - math.prod(p) * c0) / math.prod(p))
         return SCALING_TOL - worst, "max scaled error %g" % worst
 
     checks = [("submodularity", submodularity),
@@ -335,7 +331,7 @@ class CrossCheckReport:
 def cross_check_mountain_pass(potential: SitePotential, gap: GapPair | None = None,
                               resolutions=(ORACLE_RESOLUTION,),
                               params: FlowParams | None = None,
-                              N: int = 65, seed: int = 0) -> CrossCheckReport:
+                              seed: int = 0) -> CrossCheckReport:
     """Compare node-flow, heat-flow, and the bottleneck oracle on p = (2, 1)."""
     if potential.n != 2:
         raise FkSaddleError("cross check is defined for model dimension 2")
@@ -343,7 +339,7 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair | None = No
     if gap is None:
         gap = find_gap_pair(potential, (1, 1), seed=seed, params=params)
     gap = require_gap(gap)
-    path0 = build_initial_path("chi", N, 2, gap, (2, 1))
+    path0 = build_initial_path("chi", PATH_NODES, None, gap, (2, 1))
     node = mountain_pass(potential, gap, path0, params, mode="node-flow")
     heat = mountain_pass(potential, gap, path0, params, mode="heat-flow")
     oracle = {}

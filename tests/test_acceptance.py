@@ -125,7 +125,7 @@ def compute_bundle():
         system = PeriodicSystem(classical, p, gap.v0.extend(p))
         dense = build_initial_path("chi", 201, k, gap, p)
         c0p = minimize_periodic(classical, p, [0.1, 0.6], params).c0p
-        witness[k] = float(np.max(system.energy(dense.nodes))) - c0p
+        witness[k] = float(np.max(system.energy(dense))) - c0p
         pth = build_initial_path("chi", min(16 * k + 1, 257), k, gap, p)
         r = best_mountain_pass(classical, gap, pth, params, restarts=1)
         barrier[k] = r.value - c0p

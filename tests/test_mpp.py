@@ -5,7 +5,7 @@ from fk_saddle import (TorusField, build_initial_path, chi_path, clip_to_box,
                        intersects, minimax_over_unconstrained_paths_check,
                        mountain_pass, multiplicity_scan, phi_path, theta_bounds)
 from fk_saddle import mpp
-from fk_saddle.mpp import PathError, PathOnBox, _chain_top, minimize_c0p
+from fk_saddle.mpp import PathError, _chain_top, box_path, minimize_c0p
 from fk_saddle.periodic import PeriodicSystem
 from fk_saddle.semiflow import FlowError
 
@@ -58,14 +58,29 @@ def test_phi_monotone_symmetric_periodic():
 def test_linear_path_midpoint(gap):
     path = build_initial_path("linear", 3, None, gap, (2, 1))
     box = gap.box_field((2, 1)).values
-    assert np.allclose(path.nodes[1], box / 2)
-    assert path.monotone
+    assert np.allclose(path[1], box / 2)
+    assert np.all(np.diff(path, axis=0) >= 0)
 
 
 def test_chi_path_endpoints(gap):
     path = build_initial_path("chi", 9, 4, gap, (4, 1))
-    assert np.all(path.nodes[0] == 0.0)
-    assert np.allclose(path.nodes[-1], gap.box_field((4, 1)).values)
+    assert np.all(path[0] == 0.0)
+    assert np.allclose(path[-1], gap.box_field((4, 1)).values)
+
+
+def test_box_path_matches_the_per_theta_staircase():
+    # one broadcast phi_k call builds the staircase; the per-theta loop it
+    # replaced is the reference, on a torus box (axis 0) and a strip box (axis 1)
+    rng = np.random.default_rng(5)
+    thetas = np.linspace(0.0, 1.0, 41)
+    for box, k, axis in ((rng.uniform(0.5, 1.0, (4, 1)), 4, 0),
+                         (rng.uniform(0.5, 1.0, (4, 2)), 3, 0),
+                         (rng.uniform(0.5, 1.0, (9, 3)), 3, 1)):
+        prof = np.stack([phi_path(k, th, np.arange(box.shape[axis]))
+                         for th in thetas])
+        ref = np.expand_dims(prof, 2 - axis) * box
+        assert np.array_equal(box_path(box, 41, k, axis), ref)
+    assert np.array_equal(box_path(box, 41), thetas[:, None, None] * box)
 
 
 def test_path_guards(gap):
@@ -86,7 +101,7 @@ def test_chi_witness_uniform_bound(classical, gap, params):
         system = PeriodicSystem(classical, p, gap.v0.extend(p))
         path = build_initial_path("chi", 201, k, gap, p)
         c0p = -float(k)
-        witnesses.append(float(np.max(system.energy(path.nodes))) - c0p)
+        witnesses.append(float(np.max(system.energy(path))) - c0p)
     m0 = max(witnesses)
     assert all(0 < w <= m0 for w in witnesses)
     assert m0 < 10.0  # a single desk-scale constant bounds the whole column
@@ -211,7 +226,7 @@ def test_monotone_path_preserved(classical, gap, params):
     p = (2, 1)
     system = PeriodicSystem(classical, p, gap.v0.extend(p))
     path = build_initial_path("chi", 33, 2, gap, p)
-    nodes = path.nodes.copy()
+    nodes = path.copy()
     for _ in range(200):
         nodes[1:-1], _ = rk4_step(system, nodes[1:-1], system.dt_safe)
     assert np.min(np.diff(nodes, axis=0)) >= -1e-12
@@ -226,9 +241,20 @@ def test_mountain_pass_guards(classical, gap, params):
     path = build_initial_path("linear", 9, None, gap, (1, 1))
     with pytest.raises(PathError):
         mountain_pass(classical, gap, path, params, mode="quench")
-    bad = PathOnBox((1, 1), path.nodes + 0.25)
+    bad = path + 0.25
     with pytest.raises(PathError):
         mountain_pass(classical, gap, bad, params)
+
+
+def test_mountain_pass_reads_the_torus_from_the_nodes(classical, gap, params):
+    # a path is its node array: too few nodes or the wrong rank is a PathError,
+    # and a (3, 1) chain is checked against the (3, 1) box, not another torus
+    path = build_initial_path("linear", 9, None, gap, (2, 1))
+    for bad in (path[:2], path[..., 0], path[..., None]):
+        with pytest.raises(PathError, match="at least 3 nodes"):
+            mountain_pass(classical, gap, bad, params)
+    with pytest.raises(PathError, match="pinned"):
+        mountain_pass(classical, gap, np.zeros((9, 3, 1)), params)
 
 
 def test_unconstrained_paths_check(classical, gap, params):
@@ -276,10 +302,22 @@ def test_theta_bounds_plateau(classical, gap, params, mp21):
             nodes.append(u0.values.copy())
         else:
             nodes.append(u0.values + (box - u0.values) * (th - 0.7) / 0.3)
-    path = PathOnBox(p, np.array(nodes), monotone=True)
+    path = np.array(nodes)
     tb = theta_bounds(classical, gap, path, u0, 0.0, params)
     assert tb.under[0] == pytest.approx(0.3, abs=1e-12)
     assert tb.over[0] == pytest.approx(0.7, abs=1e-12)
+
+
+def test_theta_bounds_checks_monotonicity_on_the_nodes(classical, gap, params):
+    # the reversed linear path brackets nothing; the forward one brackets the
+    # box midpoint at its middle node
+    p = (2, 1)
+    path = build_initial_path("linear", 9, None, gap, p)
+    u0 = TorusField.constant(p, 0.5)
+    with pytest.raises(PathError, match="monotone"):
+        theta_bounds(classical, gap, path[::-1], u0, 0.0, params)
+    tb = theta_bounds(classical, gap, path, u0, 0.0, params)
+    assert tb.under.tolist() == [0.5] and tb.over.tolist() == [0.5]
 
 
 def test_theta_bounds_guards(classical, gap, params):
@@ -288,7 +326,7 @@ def test_theta_bounds_guards(classical, gap, params):
     outside = TorusField.constant(p, 1.5)
     with pytest.raises(PathError):
         theta_bounds(classical, gap, path, outside, 0.0, params)
-    loose = PathOnBox(p, path.nodes, monotone=False)
+    loose = path[::-1]
     with pytest.raises(PathError):
         theta_bounds(classical, gap, loose, TorusField.constant(p, 0.5), 0.0, params)
     # a step budget too small for the horizon is an error, not an early answer

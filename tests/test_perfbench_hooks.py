@@ -1,9 +1,10 @@
-"""The benchmark's tracer (perfbench/) must still find every entry point.
+"""The benchmark's tracer and probes (perfbench/) must still run.
 
-``perfbench/layers.install`` wraps library functions and methods by name; a
-rename in the library would break ``perfbench/run.py --trace 1`` long after
-the suite passed.  This test installs and restores the tracer against the
-current package without editing anything under perfbench/.
+``perfbench/layers.install`` wraps library functions and methods by name, and
+``perfbench/probes.run_probes`` builds ``PeriodicSystem`` and ``StripSystem``
+itself; a rename or a constructor change in the library would break
+``perfbench/run.py --trace 1`` long after the suite passed.  These tests run
+both against the current package without editing anything under perfbench/.
 """
 
 import sys
@@ -28,3 +29,17 @@ def test_tracer_installs_and_restores_cleanly(monkeypatch):
     finally:
         for name in ("layers", "tracer"):
             sys.modules.pop(name, None)
+
+
+def test_kernel_probes_build_their_systems(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import probes
+
+    try:
+        monkeypatch.setattr(probes, "BLOCKS", 1)
+        monkeypatch.setattr(probes, "BLOCK_SECONDS", 0.0)
+        figures = probes.run_probes(0)
+        assert len(figures) == 5
+        assert all(us > 0 for us in figures.values())
+    finally:
+        sys.modules.pop("probes", None)

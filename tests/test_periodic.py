@@ -273,3 +273,55 @@ def test_minimize_work_count(classical, params, monkeypatch):
                             params)
     assert res.c0p == pytest.approx(-6.0, abs=1e-9)
     assert 0 < len(steps) <= 1374 // 10
+
+
+class _Quadratic:
+    """One site with energy a x^2 / 2, a step bound of 3 / a, and the
+    gradient and Hessian scaled by ``grad_sign`` and ``hess_sign``."""
+
+    lattice_ndim = 1
+
+    def __init__(self, a=2.0, grad_sign=1.0, hess_sign=1.0):
+        self.a, self.grad_sign, self.hess_sign = a, grad_sign, hess_sign
+        self.dt_safe = 3.0 / a
+        self.energy_calls = 0
+
+    def energy(self, x):
+        self.energy_calls += 1
+        return 0.5 * self.a * np.sum(x ** 2, axis=-1)
+
+    def grad(self, x):
+        return self.grad_sign * self.a * x
+
+    def hess_matrix(self, x):
+        return np.array([[self.hess_sign * self.a]])
+
+
+def test_flow_halves_once_and_keeps_the_step():
+    # RK4 multiplies x by R(-3) = 1.375 at dt = 3/a, which raises the energy:
+    # the guard halves once to R(-1.5) = 0.2734375 and the flow keeps 1.5/a,
+    # so only the first step is tried twice
+    system = _Quadratic(a=2.0)
+    x, trace, _ = flow(system, np.array([1.0]),
+                       FlowParams(t_max=3.0, run_to_t_max=True))
+    assert np.allclose(np.diff(trace.times), 0.75)
+    steps = len(trace.times) - 1
+    assert steps == 4
+    assert system.energy_calls == 1 + 2 + (steps - 1)
+    assert x[0] == pytest.approx(0.2734375 ** 4, rel=1e-12)
+
+
+def test_flow_raises_when_no_step_lowers_the_energy():
+    system = _Quadratic(grad_sign=-1.0)
+    with pytest.raises(FlowError, match="halvings"):
+        flow(system, np.array([1.0]), FlowParams(t_max=1.0))
+
+
+def test_refine_critical_refuses_an_uphill_newton_step():
+    # with the Hessian's sign flipped every Newton step raises the residual,
+    # so the line search runs out and the start point comes back unchanged
+    x0 = np.array([1.0])
+    x, res, ok = refine_critical(_Quadratic(hess_sign=-1.0), x0, 1e-12)
+    assert not ok
+    assert np.array_equal(x, x0)
+    assert res == 2.0

@@ -9,7 +9,7 @@ import pytest
 
 from fk_saddle import (FkSaddleError, OracleGrid2D, bottleneck_minimax_2d,
                        cross_check_mountain_pass, find_gap_pair,
-                       run_property_suite)
+                       make_potential, run_property_suite)
 from fk_saddle.model import ClassicalFKPotential
 from fk_saddle.verify import CrossCheckReport
 
@@ -171,6 +171,42 @@ def test_suite_detects_sign_flip(params):
                                  params=params)
     comparison = next(r for r in reports if r.name == "flow-comparison")
     assert not comparison.passed
+
+
+def test_suite_falls_back_to_the_constant_scan(params, monkeypatch):
+    # the free chain has a continuum of minimizers and no gap pair; the suite
+    # then scans constant fields for its box
+    from fk_saddle import verify
+
+    free = make_potential("free-chain")
+    assert find_gap_pair(free, (1, 1), seed=7, params=params) is None
+    fallbacks = []
+    scan = verify._fallback_gap
+    monkeypatch.setattr(verify, "_fallback_gap",
+                        lambda *a: fallbacks.append(1) or scan(*a))
+    reports = run_property_suite(free, (2, 1), seed=7, trials=20, params=params)
+    assert fallbacks == [1]
+    assert len(reports) == 9
+    for r in reports:
+        assert r.passed, "%s failed: %s" % (r.name, r.detail)
+
+
+def test_suite_falls_back_when_the_gap_search_fails(classical, params,
+                                                     monkeypatch):
+    # a gap search whose flows blow up raises; the suite still runs on the
+    # constant-scan box, which for the classical model is [v0, v0 + 1]
+    from fk_saddle import verify
+    from fk_saddle.semiflow import FlowError
+
+    def diverge(*args, **kwargs):
+        raise FlowError("NaN detected during flow")
+
+    monkeypatch.setattr(verify, "find_gap_pair", diverge)
+    reports = run_property_suite(classical, (2, 1), seed=7, trials=20,
+                                 params=params)
+    assert len(reports) == 9
+    for r in reports:
+        assert r.passed, "%s failed: %s" % (r.name, r.detail)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 7])
