@@ -189,9 +189,7 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "hetero":
         gap0 = _gap_or_fail(pot, cfg, params)
-        res = minimize_hetero(pot, cfg.q, gap0, params,
-                              start_width=cfg.window_start,
-                              window=cfg.window)
+        res = minimize_hetero(pot, cfg.q, gap0, params, window=cfg.window)
         man.scalars["c1q"] = res.c1q
         man.scalars["c1"] = res.consts.c1
         man.scalars["c0"] = res.consts.c0
@@ -210,12 +208,10 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "mph":
         gap0 = _gap_or_fail(pot, cfg, params)
-        mres = minimize_hetero(pot, cfg.q, gap0, params,
-                               start_width=cfg.window_start,
-                               window=cfg.window, check_stability=False)
-        gap1 = find_gap_pair_hetero(pot, cfg.q, gap0, probes=cfg.probes,
-                                    seed=cfg.seed or 0, params=params,
-                                    minimized=mres)
+        mres = minimize_hetero(pot, cfg.q, gap0, params, window=cfg.window,
+                               check_stability=False)
+        gap1 = find_gap_pair_hetero(pot, mres, gap0, probes=cfg.probes,
+                                    seed=cfg.seed or 0, params=params)
         if gap1 is None:
             man.errors.append("no heteroclinic gap pair found")
         else:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields as dc_fields
 
 from .defaults import (FLOW_T_MAX, GAP_PROBES, MAX_FLOW_STEPS,
-                       ORACLE_RESOLUTION, STATIONARITY_TOL, WINDOW_START)
+                       ORACLE_RESOLUTION, STATIONARITY_TOL)
 from .fields import FkSaddleError
 
 COMMANDS = ("minimize", "gap", "mpp", "hetero", "mph", "multiplicity",
@@ -85,7 +85,6 @@ class RunConfig:
     restarts: int = 1
     # window policy
     window: int | None = None
-    window_start: int = WINDOW_START
     # scans and verification
     kmax: int = 6
     probes: int = GAP_PROBES
@@ -182,7 +181,6 @@ SCHEMA = {
     ("path", "mode"): ("mode", str, str),
     ("path", "restarts"): ("restarts", int, str),
     ("window", "size"): ("window", _parse_int_or_auto, _fmt_int_or_auto),
-    ("window", "start"): ("window_start", int, str),
     ("scan", "kmax"): ("kmax", int, str),
     ("gap", "probes"): ("probes", int, str),
     ("verify", "trials"): ("trials", int, str),

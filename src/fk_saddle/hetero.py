@@ -10,7 +10,8 @@ right).  Minimizing I gives the heteroclinic ground level c1 and a kink
 profile v1; the transverse-period scaling c1^q = prod(q) * c1 mirrors the
 periodic case.  An adjacent pair v1 < w1 inside the heteroclinic minimizer
 family (w1 is in practice the axis-1 translate of v1) spans a second order
-box [0, w1 - v1], and the same minimax engine run inside it yields the
+box [0, w1 - v1] (``HeteroGapPair.order_box``, as ``GapPair.order_box`` on
+the torus), and the same minimax engine and chain check run inside it give the
 heteroclinic mountain pass d1 > c1: the Peierls-Nabarro-type barrier between
 neighboring kink positions.
 
@@ -26,16 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import (DEDUP_TOL, HETERO_SEED_SHIFTS, HETERO_SEED_WIDTH,
-                       PATH_NODES, POLISH_MAX_ITER, POLISH_TOL, TAIL_BOUND_TOL,
-                       WINDOW_CAP, WINDOW_START)
+from .defaults import (DEDUP_TOL, GAP_PROBES, HETERO_SEED_SHIFTS,
+                       HETERO_SEED_WIDTH, PATH_NODES, TAIL_BOUND_TOL, WINDOW_CAP,
+                       WINDOW_START)
 from .fields import (FkSaddleError, StripField, WindowError, pad_layers,
                      stencil, validate_periods)
 from .model import SitePotential
-from .mpp import (MinimaxResult, best_of_restarts, box_path, minimax_engine,
-                  scan_rows)
-from .periodic import GapPair, probe_adjacency, require_gap
-from .semiflow import FlowError, FlowParams, flow, refine_critical
+from .mpp import (MinimaxResult, best_of_restarts, box_path, check_chain,
+                  minimax_engine, scan_rows)
+from .periodic import GapPair, polish_limits, probe_adjacency, require_gap
+from .semiflow import FlowError, FlowParams, flow
 
 
 class StripSystem:
@@ -43,7 +44,8 @@ class StripSystem:
 
     States are window value arrays of shape ``(..., 2W+1, *q)``.  The total
     lattice field is ``base + state`` inside the window and the constant
-    tails outside; the tails are Dirichlet data and do not evolve.
+    ``tails`` outside; the tails are Dirichlet data and do not evolve.
+    ``left``/``right`` are the state's own tails: 0 when a base is given.
     """
 
     def __init__(self, potential: SitePotential, q, half_width: int,
@@ -55,25 +57,18 @@ class StripSystem:
                               % (self.q, potential.n))
         self.half_width = int(half_width)
         self.L = 2 * self.half_width + 1
-        self.left = float(left)
-        self.right = float(right)
+        self.tails = (float(left), float(right))
         self.c0 = float(c0)
         self.shape = (self.L,) + self.q
         if base is None:
             self.base = np.zeros(self.shape)
-            self.base_left = 0.0
-            self.base_right = 0.0
+            self.left, self.right = self.tails
         else:
             self.base = np.broadcast_to(np.asarray(base, dtype=float), self.shape)
-            self.base_left = self.left
-            self.base_right = self.right
-            self.left = 0.0
-            self.right = 0.0
+            self.left = self.right = 0.0
         self.lattice_ndim = potential.n
         self.dt_safe = potential.dt_safe()
         self.stencil = stencil(potential.ball, self.shape, potential.r)
-        # base and state tails add; with a base present the state tails are 0
-        self.tails = (self.base_left + self.left, self.base_right + self.right)
 
     def layer_energies(self, x):
         """Renormalized per-layer sums over layers [-W-r, W+r]."""
@@ -112,8 +107,6 @@ class RenormalizationConstants:
     c0: float
     c1: float
     k1_empirical: float       # largest observed dip of windowed partial sums
-    window: int
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _gap_scalars(gap0: GapPair):
@@ -200,35 +193,26 @@ def _minimize_on_window(potential, q, W, gap0, params, seeds, seed_arrays=None):
     else:
         for s in seeds:
             arrays.append(s.values if isinstance(s, StripField) else np.asarray(s, float))
-    stacked = np.stack(arrays)
     # flow first, then Newton: the flow finds the basin, Newton finishes the
     # job (weakly pinned models have diffusive modes far slower than any
     # reasonable flow budget, and the flow tolerance would anyway leave junk
     # in the far layers that keeps the tail-mass bound from converging)
-    x, _, _ = flow(system, stacked, params)
-    fields, es = [], []
-    for i in range(len(arrays)):
-        if any(np.max(np.abs(x[i] - f)) <= DEDUP_TOL for f in fields):
-            continue
-        xi, res_inf, ok = refine_critical(system, x[i], POLISH_TOL, POLISH_MAX_ITER)
-        if not ok and res_inf > params.stationarity_tol:
-            continue  # this seed found no stationary limit
-        fields.append(xi)
-        es.append(float(system.energy(xi)))
+    x, _, _ = flow(system, np.stack(arrays), params)
+    fields = polish_limits(system, x, params)
     if not fields:
         raise FlowError("no heteroclinic seed converged on window W=%d" % W)
+    es = [float(system.energy(f)) for f in fields]
     best = int(np.argmin(es))
     return system, fields, es, best
 
 
 def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
                     params: FlowParams | None = None, seeds=None,
-                    start_width: int = WINDOW_START,
                     window: int | None = None,
                     check_stability: bool = True) -> HeteroMinimizeResult:
     """Relax step profiles to the heteroclinic ground state.
 
-    The window starts at ``start_width`` and doubles until the tail
+    The window starts at WINDOW_START and doubles until the tail
     contribution bound drops below tolerance (capped at WINDOW_CAP); a fixed
     integer ``window`` skips the policy, ``None`` runs it.  The reported
     stability is the change of c1q under one further window doubling.
@@ -236,7 +220,7 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
     gap0 = require_gap(gap0)
     params = params or FlowParams()
     q = validate_periods(q) if len(tuple(q)) else ()
-    W = int(window) if window is not None else start_width
+    W = int(window) if window is not None else WINDOW_START
     carried = None
     prev_bound = math.inf
     while True:
@@ -289,13 +273,12 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
                 % (es[best], prods, prods * c1))
     else:
         c1 = es[best]
-    consts = RenormalizationConstants(
-        c0=system.c0, c1=c1, k1_empirical=max(0.0, -run_min),
-        window=W, diagnostics={"tail_bound": _tail_bound(system, fields[best])})
+    consts = RenormalizationConstants(c0=system.c0, c1=c1,
+                                      k1_empirical=max(0.0, -run_min))
     return HeteroMinimizeResult(
         v1=v1, c1q=es[best], limits=[system.field(f) for f in fields],
-        energies=es, window=W, tail_bound=consts.diagnostics["tail_bound"],
-        stability=stability, consts=consts)
+        energies=es, window=W, tail_bound=bound, stability=stability,
+        consts=consts)
 
 
 def flow_hetero(potential: SitePotential, u0: StripField, gap0: GapPair,
@@ -322,40 +305,44 @@ class HeteroGapPair:
     def width_values(self) -> np.ndarray:
         return self.w1.values - self.v1.values
 
+    def order_box(self, potential: SitePotential):
+        """The order box on v1's window: the strip system on offsets from
+        v1 and the box corner w1 - v1."""
+        v1 = self.v1
+        system = _strip_system(potential, v1.q, v1.half_width, self.gap0, base=v1.values)
+        return system, self.width_values
 
-def find_gap_pair_hetero(potential: SitePotential, q, gap0: GapPair,
-                         probes: int = 5, seed: int = 0,
-                         params: FlowParams | None = None,
-                         minimized: HeteroMinimizeResult | None = None):
+
+def find_gap_pair_hetero(potential: SitePotential,
+                         minimized: HeteroMinimizeResult, gap0: GapPair,
+                         probes: int = GAP_PROBES, seed: int = 0,
+                         params: FlowParams | None = None):
     """Adjacent ordered pair inside the heteroclinic minimizer family.
 
-    The natural candidate partner of v1 is its axis-1 translate.  Probe flows
-    seeded between them certify adjacency heuristically; a continuum of
-    intermediate minimizers (as in the free chain) returns None.
+    The partner of the kink v1 of ``minimized`` (which fixes q and the
+    window) is its axis-1 translate.  Probe flows seeded between them
+    certify adjacency heuristically; a continuum of intermediate
+    minimizers (as in the free chain) returns None.
     """
     gap0 = require_gap(gap0)
     params = params or FlowParams()
-    res = minimized or minimize_hetero(potential, q, gap0, params,
-                                       check_stability=False)
-    v1 = res.v1
-    w1 = v1.shift1(1)
-    width = w1.values - v1.values
+    pair = HeteroGapPair(v1=minimized.v1, w1=minimized.v1.shift1(1), gap0=gap0)
+    system, width = pair.order_box(potential)
     if np.max(np.abs(width)) <= DEDUP_TOL:
         return None  # translate indistinguishable: no discrete kink lattice
     if np.min(width) < -1e-9:
         return None  # translate not ordered above v1
-    plain = _strip_system(potential, q, res.window, gap0)
-    if np.max(np.abs(plain.grad(w1.values))) > max(1e-8, 100 * params.stationarity_tol):
+    if np.max(np.abs(system.grad(width))) > max(1e-8, 100 * params.stationarity_tol):
         # the translate fails the equilibrium equation: the minimizer family
         # is a continuum (free-chain-like), not a discrete kink lattice
         return None
-    system = _strip_system(potential, q, res.window, gap0, base=v1.values)
     rng = np.random.default_rng(seed)
-    evidence = probe_adjacency(system, np.zeros_like(width), width, res.c1q,
-                               params, probes, lambda: rng.uniform(0.05, 0.95))
-    if evidence["distinct_interior_minimizers"]:
+    pair.evidence = probe_adjacency(system, np.zeros_like(width), width,
+                                    minimized.c1q, params, probes,
+                                    lambda: rng.uniform(0.05, 0.95))
+    if pair.evidence["distinct_interior_minimizers"]:
         return None
-    return HeteroGapPair(v1=v1, w1=w1, gap0=gap0, evidence=evidence)
+    return pair
 
 
 def require_hetero_gap(gap1) -> HeteroGapPair:
@@ -368,30 +355,24 @@ def require_hetero_gap(gap1) -> HeteroGapPair:
 # heteroclinic mountain pass
 # ---------------------------------------------------------------------------
 
-def _offset_system(potential, gap1: HeteroGapPair):
-    v1 = gap1.v1
-    return _strip_system(potential, v1.q, v1.half_width, gap1.gap0,
-                         base=v1.values)
-
-
 def mountain_pass_hetero(potential: SitePotential, gap1: HeteroGapPair,
                          params: FlowParams | None = None,
                          N: int | None = None, path_nodes=None,
                          mode: str = "node-flow", restarts: int = 1) -> MinimaxResult:
     """Minimax over strip paths from 0 to w1 - v1 inside the order box.
 
+    ``path_nodes`` (default: the linear chain) must pass ``check_chain``.
     The returned critical offset rides on v1; its level d1 exceeds c1 and
     its residual is below tolerance at every window site.
     """
     gap1 = require_hetero_gap(gap1)
     params = params or FlowParams()
-    hi = gap1.width_values
-    system = _offset_system(potential, gap1)
+    system, hi = gap1.order_box(potential)
     if path_nodes is None:
         path_nodes = box_path(hi, N or PATH_NODES)
     engine = minimax_engine(mode)
     return best_of_restarts(lambda n: engine(system, n, hi, params),
-                            np.asarray(path_nodes, dtype=float), hi, restarts)
+                            check_chain(path_nodes, hi), hi, restarts)
 
 
 def bound_scan_hetero(potential: SitePotential, k_max: int,
@@ -414,8 +395,7 @@ def bound_scan_hetero(potential: SitePotential, k_max: int,
         gk = HeteroGapPair(v1=_tile_transverse(gap1.v1, k),
                            w1=_tile_transverse(gap1.w1, k), gap0=gap1.gap0,
                            evidence=dict(gap1.evidence))
-        system = _offset_system(potential, gk)
-        hi = gk.width_values
+        system, hi = gk.order_box(potential)
         row.c = float(system.energy(np.zeros_like(hi)))
         nodes = box_path(hi, witness_grid, k if k >= 2 else None, axis=1)
         row.witness = float(np.max(system.energy(nodes)) - row.c)

@@ -4,8 +4,9 @@ The minimax value is ``d = inf over paths h from 0 to w0-v0 of max_theta
 I(h(theta))``.  A path is an ``(N, *p)`` array of N fields (offsets from
 v0) evenly spaced in theta, on the torus here and on the strip window in
 ``hetero``; ``box_path`` builds the linear and staircase chains for both,
-and ``build_initial_path`` picks the default torus chain.  Two solvers
-compute the minimax:
+``build_initial_path`` picks the default torus chain, and ``check_chain``
+admits a chain on both geometries (at least 3 nodes shaped like the box,
+pinned to 0 and to the box corner).  Two solvers compute the minimax:
 
 * ``node-flow``: a string-method relaxation.  The path is a chain of N
   fields; interior nodes evolve under the gradient semiflow (the endpoints
@@ -21,7 +22,7 @@ compute the minimax:
   initial path: the bisected trajectories shadow the boundary, and their
   closest approach to a critical point (smallest residual) seeds the same
   Newton refinement.  The reported value is the largest persistent level over
-  settled nodes and tear edges.
+  settled nodes and tear edges, certified like a node-flow saddle.
 
 Both modes return the same value on the models shipped here; the node-flow
 solver is the default and the heat-flow solver doubles as a cross-check.
@@ -47,7 +48,7 @@ from .defaults import (BASIN_MATCH_TOL, CLASSIFY_CHECK_TIME, COMPARE_TOL,
                        default_node_count)
 from .fields import FkSaddleError, TorusField, validate_periods
 from .model import SitePotential
-from .periodic import GapPair, PeriodicSystem, minimize_periodic, require_gap
+from .periodic import GapPair, minimize_periodic, require_gap
 from .semiflow import FlowParams, flow, guarded_step, refine_critical, rk4_step
 
 
@@ -154,6 +155,20 @@ def _torus_path(potential: SitePotential, nodes) -> tuple:
     return nodes, validate_periods(nodes.shape[1:])
 
 
+def check_chain(nodes, hi: np.ndarray) -> np.ndarray:
+    """The node array of a chain of the order box [0, hi]: at least 3 nodes
+    shaped like ``hi``, pinned to 0 and to ``hi`` within 1e-12 (PathError)."""
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 + hi.ndim or nodes.shape[0] < 3 or nodes.shape[1:] != hi.shape:
+        raise PathError("a chain is at least 3 nodes shaped (N, %s), got shape %r"
+                        % (", ".join(map(str, hi.shape)), nodes.shape))
+    off = (float(np.max(np.abs(nodes[0]))), float(np.max(np.abs(nodes[-1] - hi))))
+    if max(off) > 1e-12:
+        raise PathError("chain endpoints must be pinned to 0 and the box corner "
+                        "(off by %.3g and %.3g)" % off)
+    return nodes
+
+
 def clip_to_box(u: TorusField, gap: GapPair, periods=None) -> TorusField:
     """Sitewise max(min(u, w0 - v0), 0); idempotent."""
     gap = require_gap(gap)
@@ -199,19 +214,20 @@ def _band(string_max, c_ref):
 
 def _validate_critical(system, x, hi, energy, c_ref, string_max, tol):
     """Gate a Newton-refined point: strictly inside the box, above the ground
-    level, and within :func:`_band` of the string top."""
+    level, and within :func:`_band` of the string top.  Returns None when
+    the point passes, else a message naming the failed check."""
     active = hi > 1e-12
     if (~active).any() and np.max(np.abs(x[~active])) > 1e-7:
-        return False
+        return "critical point moved off the box's zero-width sites"
     if np.min(x[active]) <= STRICT_ORDER_TOL:
-        return False
+        return "critical point touches the box floor 0"
     if np.min((hi - x)[active]) <= STRICT_ORDER_TOL:
-        return False
+        return "critical point touches the box corner"
     if energy - c_ref <= 10.0 * tol:
-        return False
+        return "critical level %.12g is not above the ground level" % energy
     if abs(energy - string_max) > _band(string_max, c_ref):
-        return False
-    return True
+        return "critical level %.12g is off the string top" % energy
+    return None
 
 
 def _chain_top(system, nodes, energies, c_ref):
@@ -306,7 +322,7 @@ def _minimax_node_flow(system, nodes0, hi, params):
             if ok:
                 e_ref = float(system.energy(x_ref))
                 if _validate_critical(system, x_ref, hi, e_ref, c_ref,
-                                      cycle_max, refine_tol):
+                                      cycle_max, refine_tol) is None:
                     best_refined = (x_ref, res_inf, e_ref, arg)
                     break
             if flat_time >= PLATEAU_TIME and flat_time > cycle_time:
@@ -481,17 +497,18 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
     else:
         res_best = float(np.max(np.abs(system.grad(x_best))))
         ok = res_best <= refine_tol
-    ok = ok and unresolved == 0
+    # certified like a node-flow saddle (the level is its own string top)
+    message = ("%d unresolved tears" % unresolved if unresolved else
+               "edge refinement exceeded tolerance" if not ok else
+               _validate_critical(system, x_best, hi, val, c_ref, val, refine_tol) or "")
     arg = int(np.argmin(np.abs(thetas - th_best))) if th_best >= 0 else int(np.argmax(energies))
     return MinimaxResult(
         value=val, argmax_index=arg, critical=x_best, residual=res_best,
         iterations=len(settle.times) - 1,
         value_trace=np.array([float(e.max()) for e in settle.energies]),
-        success=bool(ok),
+        success=not message,
         mode="heat-flow", string_value=float(energies.max()), c_ref=c_ref,
-        message="" if ok else ("%d unresolved tears" % unresolved
-                               if unresolved else "edge refinement exceeded tolerance"),
-        final_nodes=nodes)
+        message=message, final_nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -538,21 +555,17 @@ def mountain_pass(potential: SitePotential, gap: GapPair, path0,
                   mode: str = "node-flow") -> MinimaxResult:
     """Compute the minimax level and a critical field inside the gap box.
 
-    ``path0`` is an (N, *p) node array with N >= 3; its shape fixes the torus
-    p, and its endpoints must be pinned to 0 and w0 - v0.  On success the
-    result's critical field (an offset from v0) has sup-site equilibrium
+    ``path0`` is an (N, *p) node array; its shape fixes the torus p, and it
+    must be a chain of the order box on p (:func:`check_chain`).  On success
+    the result's critical field (an offset from v0) has sup-site equilibrium
     residual below tolerance, sits strictly inside the box, and its level
     exceeds c0p.
     """
     gap = require_gap(gap)
     params = params or FlowParams()
     nodes, periods = _torus_path(potential, path0)
-    v0 = gap.v0.extend(periods)
-    hi = gap.box_field(periods).values
-    if np.max(np.abs(nodes[0])) != 0.0 or np.max(np.abs(nodes[-1] - hi)) > 1e-12:
-        raise PathError("path endpoints must be pinned to 0 and w0 - v0")
-    system = PeriodicSystem(potential, periods, v0)
-    return minimax_engine(mode)(system, nodes, hi, params)
+    system, hi = gap.order_box(potential, periods)
+    return minimax_engine(mode)(system, check_chain(nodes, hi), hi, params)
 
 
 def best_mountain_pass(potential, gap, path0, params,
@@ -632,11 +645,10 @@ def theta_bounds(potential: SitePotential, gap: GapPair, path,
         raise PathError("theta tracking needs a monotone path; a node sits "
                         "%g below its predecessor" % -drop)
     params = params or FlowParams()
-    hi = gap.box_field(periods).values
+    system, hi = gap.order_box(potential, periods)
     u0v = u0.extend(periods).values if u0.periods != periods else u0.values
     if np.min(u0v) <= 0.0 or np.min(hi - u0v) <= 0.0:
         raise PathError("u0 must lie strictly inside the box")
-    system = PeriodicSystem(potential, periods, gap.v0.extend(periods))
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.diff(times) < 0):
         raise PathError("times must be nondecreasing")

@@ -7,9 +7,11 @@ energies over one fundamental cell,
 
 and the energy relative to a reference minimizer v0 is I(u) = J(u + v0).
 Minimizing J over the torus recovers the ground energy c0p = prod(p) * c0 and
-the ground states; between two adjacent ground states v0 < w0 there is a gap,
-and everything downstream (mountain passes, heteroclinics) lives inside the
-order box [0, w0 - v0] around v0.
+the ground states (``polish_limits`` Newton-finishes each distinct flowed
+limit once, on the torus and the strip alike); between two adjacent ground
+states v0 < w0 there is a gap, and everything downstream (mountain passes,
+heteroclinics) lives inside the order box [0, w0 - v0] around v0, which
+``GapPair.order_box`` builds for every solver.
 """
 
 from __future__ import annotations
@@ -129,12 +131,31 @@ def _dedup(fields, energies):
     return [out[i] for i in order], [out_e[i] for i in order]
 
 
+def polish_limits(system, x, params: FlowParams) -> list:
+    """The distinct limits of a flowed batch ``x``, Newton-finished once each.
+
+    A state within l-inf DEDUP_TOL of a limit already kept is skipped; the
+    others are polished to POLISH_TOL (flow-tolerance errors in ground states
+    would leak into every downstream box and strip tail), and one whose
+    Newton stalls above the flow's ``stationarity_tol`` is dropped.
+    """
+    kept = []
+    for xi in x:
+        if any(np.max(np.abs(xi - k)) <= DEDUP_TOL for k in kept):
+            continue
+        xr, res_inf, ok = refine_critical(system, xi, POLISH_TOL, POLISH_MAX_ITER)
+        if ok or res_inf <= params.stationarity_tol:
+            kept.append(xr)
+    return kept
+
+
 def minimize_periodic(potential: SitePotential, periods, seeds,
                       params: FlowParams | None = None) -> MinimizeResult:
     """Flow every seed to stationarity and keep the lowest-energy limit.
 
-    Seeds may be TorusFields or plain floats (constant fields).  Limits are
-    deduplicated by l-inf distance after lift normalization.
+    Seeds may be TorusFields or plain floats (constant fields).  The distinct
+    flowed limits are Newton-polished once each (:func:`polish_limits`), then
+    lift-normalized and deduplicated by l-inf distance.
     """
     periods = validate_periods(periods)
     params = params or FlowParams()
@@ -142,14 +163,10 @@ def minimize_periodic(potential: SitePotential, periods, seeds,
         raise FkSaddleError("minimize_periodic needs at least one seed")
     seeds = [_as_field(s, periods) for s in seeds]
     system = PeriodicSystem(potential, periods)
-    stacked = np.stack([s.values for s in seeds])
-    x, trace = flow_to_stationarity(system, stacked, params)
-    limits = []
-    for i in range(len(seeds)):
-        # Newton polish: flow-tolerance errors in ground states would leak
-        # into every downstream box and strip tail
-        xi, _, ok = refine_critical(system, x[i], POLISH_TOL, POLISH_MAX_ITER)
-        limits.append(TorusField(periods, xi if ok else x[i]))
+    x, trace = flow_to_stationarity(
+        system, np.stack([s.values for s in seeds]), params)
+    # every flowed state is stationary, so polishing drops none of them
+    limits = [TorusField(periods, xi) for xi in polish_limits(system, x, params)]
     energies = [float(system.energy(f.values)) for f in limits]
     fields, es = _dedup(limits, energies)
     best_i = int(np.argmin(es))
@@ -166,13 +183,15 @@ class GapPair:
     w0: TorusField
     evidence: dict = field(default_factory=dict)
 
-    @property
-    def width(self) -> np.ndarray:
-        return self.w0.values - self.v0.values
-
     def box_field(self, periods=None) -> TorusField:
         g = self.w0 - self.v0
         return g if periods is None else g.extend(periods)
+
+    def order_box(self, potential: SitePotential, periods=None):
+        """The order box on the torus ``periods`` (default: the pair's):
+        the system on offsets from v0 and the box corner w0 - v0."""
+        system = PeriodicSystem(potential, periods or self.v0.periods, self.v0)
+        return system, self.box_field(system.periods).values
 
 
 def default_minimize_seeds(rng, periods):
@@ -307,15 +326,12 @@ def box_maximize(potential: SitePotential, gap: GapPair, seeds=None,
     """
     gap = require_gap(gap)
     params = params or FlowParams()
-    periods = validate_periods(periods) if periods is not None else gap.v0.periods
-    v0 = gap.v0.extend(periods)
-    hi = gap.box_field(periods).values
-    system = PeriodicSystem(potential, periods, v0)
+    system, hi = gap.order_box(potential, periods)
     dt = params.resolve_dt(system)
     if seeds is None:
         rng = np.random.default_rng(0)
         seeds = [0.5 * hi, 0.25 * hi, 0.75 * hi,
-                 np.clip(0.5 * hi + 0.2 * rng.standard_normal(periods) * hi, 0.0, hi)]
+                 np.clip(0.5 * hi + 0.2 * rng.standard_normal(hi.shape) * hi, 0.0, hi)]
     else:
         seeds = [s.values if isinstance(s, TorusField) else np.asarray(s, float)
                  for s in seeds]
@@ -348,7 +364,7 @@ def box_maximize(potential: SitePotential, gap: GapPair, seeds=None,
     interior_res = float(np.max(np.abs(g[interior]))) if interior.any() else 0.0
     low_res = float(np.max(g[lower])) if lower.any() else 0.0
     up_res = float(np.min(g[upper])) if upper.any() else 0.0
-    return BoxMaxResult(field=TorusField(periods, x), value=val,
+    return BoxMaxResult(field=TorusField(system.periods, x), value=val,
                         interior_residual=interior_res,
                         lower_clipped_max_residual=low_res,
                         upper_clipped_min_residual=up_res,

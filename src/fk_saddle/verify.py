@@ -27,8 +27,7 @@ from .defaults import (BOX_INVARIANCE_TOL, CLIP_ENERGY_TOL, CROSS_CHECK_TOL,
 from .fields import FkSaddleError, TorusField
 from .model import SitePotential, central_differences, site_energies
 from .mpp import build_initial_path, minimize_c0p, mountain_pass
-from .periodic import (GapPair, PeriodicSystem, find_gap_pair,
-                       minimize_periodic, require_gap)
+from .periodic import GapPair, find_gap_pair, minimize_periodic, require_gap
 from .semiflow import FlowParams, flow, rk4_step
 
 ORACLE_CHUNK = 64              # grid rows per block of the energy pass and the fixed-point check
@@ -52,7 +51,7 @@ class OracleGrid2D:
         if potential.n != 2:
             raise FkSaddleError("the 2-variable oracle needs model dimension 2")
         gap = require_gap(gap)
-        system = PeriodicSystem(potential, (2, 1), gap.v0.extend((2, 1)))
+        system, _ = gap.order_box(potential, (2, 1))
         grid = np.linspace(0.0, 1.0, resolution)
         values = np.empty((resolution, resolution))
         for lo in range(0, resolution, ORACLE_CHUNK):
@@ -177,9 +176,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
             gap = None
         if gap is None:
             gap = _fallback_gap(potential, periods)
-    v0 = gap.v0.extend(periods)
-    box = gap.box_field(periods).values
-    system = PeriodicSystem(potential, periods, v0)
+    system, box = gap.order_box(potential, periods)
 
     def rng_for(idx):
         return np.random.default_rng(np.random.SeedSequence([seed, idx]))

@@ -158,8 +158,8 @@ def compute_bundle():
     het = minimize_hetero(pinned, (1,), gap_pin, params)
     het2 = minimize_hetero(pinned, (2,), gap_pin, params, window=het.window,
                            check_stability=False)
-    gap1 = find_gap_pair_hetero(pinned, (1,), gap_pin, seed=HETERO_SEED,
-                                params=params, minimized=het)
+    gap1 = find_gap_pair_hetero(pinned, het, gap_pin, seed=HETERO_SEED,
+                                params=params)
     mph = mountain_pass_hetero(pinned, gap1, params, N=65)
     hrows = bound_scan_hetero(pinned, 4, gap1, params, witness_grid=4001)
     T["c9"] = time.monotonic() - t0

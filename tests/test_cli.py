@@ -33,6 +33,9 @@ def test_parse_rejects_unknown_key():
     # the stencil radius belongs to the model, not to the job file
     with pytest.raises(ConfigError, match="model-params.r"):
         parse_config("[model-params]\nr = 2\n")
+    # the window always starts at WINDOW_START
+    with pytest.raises(ConfigError, match="window.start"):
+        parse_config("[window]\nstart = 20\n")
 
 
 @pytest.mark.parametrize("text, path", [

@@ -7,7 +7,7 @@ from fk_saddle import (StripField, asymptotics_report,
                        renormalized_energy, strip_norm)
 from fk_saddle.fields import WindowError
 from fk_saddle.hetero import StripSystem, _strip_system
-from fk_saddle.mpp import PathError
+from fk_saddle.mpp import PathError, box_path
 from fk_saddle.semiflow import flow
 
 # Heteroclinic ground levels at window half-width 40, frozen from an
@@ -26,8 +26,7 @@ def het(pinned, pinned_gap, params):
 
 @pytest.fixture(scope="module")
 def het_gap(pinned, pinned_gap, params, het):
-    g = find_gap_pair_hetero(pinned, (1,), pinned_gap, seed=5, params=params,
-                             minimized=het)
+    g = find_gap_pair_hetero(pinned, het, pinned_gap, seed=5, params=params)
     assert g is not None
     return g
 
@@ -188,10 +187,7 @@ def test_flow_converges_from_box_seed(pinned, pinned_gap, params, het_gap):
 
 
 def test_strip_flow_comparison_and_box_invariance(pinned, pinned_gap, params, het_gap):
-    from fk_saddle.hetero import _offset_system
-
-    system = _offset_system(pinned, het_gap)
-    width = het_gap.width_values
+    system, width = het_gap.order_box(pinned)
     rng = np.random.default_rng(4)
     u1 = rng.uniform(0.0, 0.4, size=(6,) + width.shape) * width
     u2 = u1 + rng.uniform(0.1, 0.5, size=(6,) + width.shape) * width
@@ -230,16 +226,13 @@ def test_hetero_gap_free_chain(params):
     # so no adjacent pair exists (the minimizer family is a continuum)
     fixed = minimize_hetero(free, (1,), gap0, params, window=20,
                             check_stability=False)
-    out = find_gap_pair_hetero(free, (1,), gap0, seed=0, params=params,
-                               minimized=fixed)
+    out = find_gap_pair_hetero(free, fixed, gap0, seed=0, params=params)
     assert out is None
 
 
 def test_hetero_gap_deterministic(pinned, pinned_gap, params, het):
-    a = find_gap_pair_hetero(pinned, (1,), pinned_gap, seed=9, params=params,
-                             minimized=het)
-    b = find_gap_pair_hetero(pinned, (1,), pinned_gap, seed=9, params=params,
-                             minimized=het)
+    a = find_gap_pair_hetero(pinned, het, pinned_gap, seed=9, params=params)
+    b = find_gap_pair_hetero(pinned, het, pinned_gap, seed=9, params=params)
     assert np.array_equal(a.v1.values, b.v1.values)
     assert a.evidence == b.evidence
 
@@ -258,10 +251,7 @@ def test_mph_barrier_positive(mph):
 
 
 def test_mph_endpoints_at_ground_level(pinned, het_gap, het, params):
-    from fk_saddle.hetero import _offset_system
-
-    system = _offset_system(pinned, het_gap)
-    width = het_gap.width_values
+    system, width = het_gap.order_box(pinned)
     assert float(system.energy(np.zeros_like(width))) == pytest.approx(het.c1q, abs=1e-9)
     assert float(system.energy(width)) == pytest.approx(het.c1q, abs=1e-9)
 
@@ -271,6 +261,30 @@ def test_mph_critical_strictly_between(mph, het_gap):
     active = width > 1e-9
     assert np.min(mph.critical[active]) > 0
     assert np.min((width - mph.critical)[active]) > 0
+
+
+def test_mph_rejects_chains_off_the_box(pinned, het_gap, params):
+    # the strip checks its chain like the torus: pinned to 0 and w1 - v1,
+    # nodes shaped like the window
+    width = het_gap.width_values
+    assert width.shape == (41, 1)
+    with pytest.raises(PathError, match="pinned"):
+        mountain_pass_hetero(pinned, het_gap, params,
+                             path_nodes=box_path(0.5 * width, 65))
+    with pytest.raises(PathError, match="at least 3 nodes"):
+        mountain_pass_hetero(pinned, het_gap, params,
+                             path_nodes=np.zeros((9, 30, 1)))
+
+
+def test_mph_heat_flow_certified(pinned, het_gap, params, mph):
+    heat = mountain_pass_hetero(pinned, het_gap, params, N=33, mode="heat-flow")
+    assert heat.success, heat.message
+    assert abs(heat.value - mph.value) <= 1e-6
+    width = het_gap.width_values
+    active = width > 1e-9
+    assert np.min(heat.critical[active]) > 0
+    assert np.min((width - heat.critical)[active]) > 0
+    assert heat.value > heat.c_ref
 
 
 def test_mph_rejects_unknown_mode(pinned, het_gap, params):

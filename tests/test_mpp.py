@@ -170,6 +170,34 @@ def test_heat_flow_agrees(classical, gap, params, mp21):
     heat = mountain_pass(classical, gap, path, params, mode="heat-flow")
     assert heat.success
     assert abs(heat.value - mp21.value) <= 1e-6
+    # certified like a node-flow saddle: strictly inside the box, above c0p
+    box = path[-1]
+    assert np.min(heat.critical) > 0 and np.min(box - heat.critical) > 0
+    assert heat.value > heat.c_ref
+
+
+def test_critical_gate_names_the_failed_check(classical, gap, mp21):
+    system, hi = gap.order_box(classical, (2, 1))
+    x, e, c = mp21.critical, mp21.value, mp21.c_ref
+    tol = 1e-10
+    assert mpp._validate_critical(system, x, hi, e, c, e, tol) is None
+    assert "floor" in mpp._validate_critical(system, 0.0 * x, hi, e, c, e, tol)
+    assert "corner" in mpp._validate_critical(system, hi.copy(), hi, e, c, e, tol)
+    assert "ground level" in mpp._validate_critical(system, x, hi, c, c, c, tol)
+
+
+def test_check_chain_guards():
+    hi = np.full((2, 1), 0.5)
+    nodes = box_path(hi, 5)
+    assert mpp.check_chain(nodes, hi) is not None
+    with pytest.raises(PathError, match="at least 3 nodes"):
+        mpp.check_chain(nodes[:2], hi)
+    with pytest.raises(PathError, match=r"shaped \(N, 2, 1\)"):
+        mpp.check_chain(np.zeros((5, 3, 1)), hi)
+    with pytest.raises(PathError, match="pinned"):
+        mpp.check_chain(box_path(0.5 * hi, 5), hi)
+    with pytest.raises(PathError, match="pinned"):
+        mpp.check_chain(nodes + 1e-9, hi)
 
 
 def test_barrier_strictly_positive(mp21, params):

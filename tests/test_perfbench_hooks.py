@@ -4,11 +4,16 @@
 ``perfbench/probes.run_probes`` builds ``PeriodicSystem`` and ``StripSystem``
 itself; a rename or a constructor change in the library would break
 ``perfbench/run.py --trace 1`` long after the suite passed.  These tests run
-both against the current package without editing anything under perfbench/.
+both against the current package without editing anything under perfbench/,
+and run every benchmark job once through ``cli.run`` against its own check
+(the only tier-1 run of the multiplicity, mph and verify --cross-check
+pipelines).
 """
 
 import sys
 from pathlib import Path
+
+from fk_saddle import RunConfig, cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,3 +48,19 @@ def test_kernel_probes_build_their_systems(monkeypatch):
         assert all(us > 0 for us in figures.values())
     finally:
         sys.modules.pop("probes", None)
+
+
+def test_benchmark_jobs_pass_their_checks(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.chdir(tmp_path)
+    import workloads
+
+    try:
+        for w in workloads.WORKLOADS.values():
+            for job in w.jobs:
+                man = cli.run(RunConfig(seed=w.default_seed,
+                                        **job.config).validate()).to_dict()
+                assert man["ok"], (job.label, man["errors"])
+                assert job.check(man) == [], job.label
+    finally:
+        sys.modules.pop("workloads", None)

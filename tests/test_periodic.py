@@ -275,6 +275,26 @@ def test_minimize_work_count(classical, params, monkeypatch):
     assert 0 < len(steps) <= 1374 // 10
 
 
+def test_minimize_polishes_each_distinct_limit_once(classical, params, monkeypatch):
+    # 20 seeds flow to a handful of limits; Newton runs once per distinct
+    # flowed limit, not once per seed
+    from fk_saddle import periodic
+    from fk_saddle.defaults import DEDUP_TOL
+
+    starts = []
+    refine = periodic.refine_critical
+    monkeypatch.setattr(periodic, "refine_critical",
+                        lambda s, x0, *a, **k: starts.append(x0) or refine(s, x0, *a, **k))
+    p = (1, 1)
+    seeds = periodic.default_minimize_seeds(np.random.default_rng(3), p)
+    assert len(seeds) == 20
+    res = minimize_periodic(classical, p, seeds, params)
+    assert len(res.limits) <= len(starts) < len(seeds)
+    for i in range(len(starts)):
+        for j in range(i):
+            assert np.max(np.abs(starts[i] - starts[j])) > DEDUP_TOL
+
+
 class _Quadratic:
     """One site with energy a x^2 / 2, a step bound of 3 / a, and the
     gradient and Hessian scaled by ``grad_sign`` and ``hess_sign``."""
