@@ -30,5 +30,5 @@ from .hetero import (HeteroGapPair, HeteroMinimizeResult,
                      strip_norm)
 from .verify import (CrossCheckReport, OracleGrid2D, PropertyReport,
                      bottleneck_minimax_2d, cross_check_mountain_pass,
-                     run_property_suite)
+                     run_property_suite, sample_landscape)
 from .config import ConfigError, RunConfig, format_config, parse_config

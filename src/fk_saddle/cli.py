@@ -38,8 +38,8 @@ from .mpp import best_mountain_pass, build_initial_path, multiplicity_scan
 from .periodic import (default_minimize_seeds, find_gap_pair, minimize_periodic,
                        require_gap)
 from .semiflow import FlowParams
-from .verify import (OracleGrid2D, cross_check_mountain_pass,
-                     run_property_suite)
+from .verify import (cross_check_mountain_pass, run_property_suite,
+                     sample_landscape)
 
 
 def _flow_params(cfg: RunConfig) -> FlowParams:
@@ -156,21 +156,20 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "landscape":
         gap = _gap_or_fail(pot, cfg, params)
-        grid = OracleGrid2D.build(pot, gap, max(cfg.grid, 101))
-        sub = np.linspace(0, grid.resolution - 1, cfg.grid).astype(int)
-        g = np.linspace(0.0, 1.0, grid.resolution)
+        resolution = max(cfg.grid, 101)
+        (ga, gb), values, vmax, at = sample_landscape(pot, gap, resolution)
+        sub = np.linspace(0, resolution - 1, cfg.grid).astype(int)
         path = cfg.fields_out or (
             cfg.out if cfg.out and cfg.out.endswith(".csv") else "landscape.csv")
         rows = ["a,b,I"]
         for ia in sub:
             for ib in sub:
-                rows.append("%s,%s,%s" % (CSV_FLOAT_FORMAT % g[ia],
-                                          CSV_FLOAT_FORMAT % g[ib],
-                                          CSV_FLOAT_FORMAT % grid.values[ia, ib]))
+                rows.append("%s,%s,%s" % (CSV_FLOAT_FORMAT % ga[ia],
+                                          CSV_FLOAT_FORMAT % gb[ib],
+                                          CSV_FLOAT_FORMAT % values[ia, ib]))
         with open(path, "w") as fh:
             fh.write("\n".join(rows) + "\n")
         man.add_file(path)
-        vmax, at = grid.grid_max()
         man.scalars["grid_max"] = vmax
         man.scalars["grid_max_at"] = list(at)
 

@@ -67,6 +67,8 @@ BOX_INVARIANCE_TOL = 1e-10
 SCALING_TOL = 1e-8            # |c0p - prod(p) c0| <= SCALING_TOL * prod(p)
 CROSS_CHECK_TOL = 1e-3        # node-flow vs heat-flow vs bottleneck oracle
 ORACLE_RESOLUTION = 2001
+ORACLE_BLOCK = 10             # oracle narrow band: cells per block side, bounded at the block centre
+ORACLE_BOUND_SLACK = 1e-9     # roundoff slack of a block's Taylor bounds, times 1 + |I(centre)|
 
 # --- CLI output -------------------------------------------------------------------
 CSV_FLOAT_FORMAT = "%.16e"    # 17 significant digits

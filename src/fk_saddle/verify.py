@@ -1,10 +1,15 @@
 """Independent oracles and the cross-cutting property suite.
 
 The minimax solvers are checked against a genuinely independent computation:
-on a two-site torus every field is a point (a, b) in the unit square, the
-energy is a closed two-variable landscape, and the minimax over paths is the
-bottleneck (widest-path) value over the 8-connected grid graph, read off the
-fixed point of Gauss-Seidel row sweeps of the minimax-distance field.
+on a two-site torus every field in the order box is a point (a, b) of
+[0, hi]^2, the energy is a closed two-variable landscape, and the minimax
+over paths is the bottleneck (widest-path) value over the 8-connected grid
+graph, read off the fixed point of Gauss-Seidel row sweeps of the
+minimax-distance field.  The oracle evaluates a certified narrow band only:
+Taylor bounds at block centres (with the model's Lipschitz bound) bracket the
+answer, blocks certainly below the bracket hold its low end and blocks
+certainly above it are walls, and the answer and every evaluated cell are
+checked against those bounds.  ``sample_landscape`` evaluates every cell.
 
 The property suite replays, at desk scale, every inequality the theory
 guarantees: submodularity of the local energies, order preservation and
@@ -21,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import (BOX_INVARIANCE_TOL, CLIP_ENERGY_TOL, CROSS_CHECK_TOL,
-                       ENERGY_INCREASE_TOL, FD_REL_TOL, ORACLE_RESOLUTION,
-                       PATH_NODES, SCALING_TOL, STRICT_ORDER_TOL,
-                       SUBMODULARITY_TOL)
+                       ENERGY_INCREASE_TOL, FD_REL_TOL, ORACLE_BLOCK,
+                       ORACLE_BOUND_SLACK, ORACLE_RESOLUTION, PATH_NODES,
+                       SCALING_TOL, STRICT_ORDER_TOL, SUBMODULARITY_TOL)
 from .fields import FkSaddleError, TorusField
 from .model import SitePotential, central_differences, site_energies
 from .mpp import build_initial_path, minimize_c0p, mountain_pass
@@ -39,35 +44,115 @@ ORACLE_CHUNK = 64              # grid rows per block of the energy pass and the 
 
 @dataclass
 class OracleGrid2D:
-    """Samples of the reduced two-variable landscape on [0, 1]^2."""
+    """The reduced two-variable landscape on a certified narrow band.
+
+    ``values[ia, ib]`` stands for I at the offsets (a, b) = (ia, ib) hi /
+    (R - 1) of the order box [0, hi]^2.  The grid is cut into blocks of
+    ``ORACLE_BLOCK``^2 cells, each bounded by its centre's Taylor expansion;
+    the bottlenecks of the block bounds give the ``bracket`` [Lb, U] of the
+    answer.  A block bounded above by less than Lb holds Lb; a block bounded
+    below by more than U is a wall holding the largest block upper bound,
+    finite and above every energy of the grid; every other cell holds its
+    exact energy (``evaluated`` of them).  Each cell stays on its side of
+    every level in [Lb, U], so the min-max, which lies there, is the dense
+    grid's bit for bit.  Walls above every level sweep like obstacles; walls
+    at U would form a plateau below their neighbours that the sweeps must
+    flood, which can cost a round.  A grid built by hand has no bracket and
+    ``evaluated`` None.
+    """
 
     resolution: int
-    values: np.ndarray         # (R, R), values[ia, ib] = I(u_{a,b})
+    values: np.ndarray
+    bracket: tuple = (-math.inf, math.inf)
+    evaluated: int | None = None
 
     @staticmethod
     def build(potential: SitePotential, gap: GapPair, resolution: int) -> "OracleGrid2D":
-        if resolution < 101:
-            raise FkSaddleError("oracle resolution must be >= 101")
-        if potential.n != 2:
-            raise FkSaddleError("the 2-variable oracle needs model dimension 2")
-        gap = require_gap(gap)
-        system, _ = gap.order_box(potential, (2, 1))
-        grid = np.linspace(0.0, 1.0, resolution)
+        """Evaluate only the cells that can affect the bottleneck.
+
+        Certificate: every evaluated cell lies inside its block's bounds, and
+        :func:`bottleneck_minimax_2d` checks the answer against the bracket;
+        either failure raises, naming the Lipschitz bound as the likely fault.
+        """
+        system, ga, gb = _order_box_axes(potential, gap, resolution)
+        L = potential.lipschitz_bound()
+        first = np.arange(0, resolution, ORACLE_BLOCK)
+        last = np.minimum(first + ORACLE_BLOCK, resolution) - 1
+        ca, cb = (ga[first] + ga[last]) / 2, (gb[first] + gb[last]) / 2
+        ra, rb = ((ga[last] - ga[first]) / 2)[:, None], (gb[last] - gb[first]) / 2
+        centres = _offset_fields(ca[:, None], cb)
+        energy = system.energy(centres)
+        grad = system.grad(centres)
+        spread = (np.abs(grad[..., 0, 0]) * ra + np.abs(grad[..., 1, 0]) * rb
+                  + L * (ra ** 2 + rb ** 2) / 2
+                  + ORACLE_BOUND_SLACK * (1.0 + np.abs(energy)))
+        lower, upper = energy - spread, energy + spread
+        blocks = len(first)
+        Lb = bottleneck_minimax_2d(OracleGrid2D(blocks, lower))
+        U = bottleneck_minimax_2d(OracleGrid2D(blocks, upper))
+        wall = lower > U
+        active = ~wall & (upper >= Lb)
+        fill = np.where(wall, upper.max(), Lb)
+        block = np.arange(resolution) // ORACLE_BLOCK
         values = np.empty((resolution, resolution))
+        evaluated = 0
         for lo in range(0, resolution, ORACLE_CHUNK):
             hi = min(lo + ORACLE_CHUNK, resolution)
-            a = grid[lo:hi][:, None]
-            b = grid[None, :]
-            fields = np.empty((hi - lo, resolution, 2, 1))
-            fields[..., 0, 0] = np.broadcast_to(a, (hi - lo, resolution))
-            fields[..., 1, 0] = np.broadcast_to(b, (hi - lo, resolution))
-            values[lo:hi] = system.energy(fields)
-        return OracleGrid2D(resolution=resolution, values=values)
+            rows = block[lo:hi]
+            values[lo:hi] = fill[rows][:, block]
+            ia, ib = np.nonzero(active[rows][:, block])
+            if not len(ia):
+                continue
+            e = system.energy(_offset_fields(ga[lo + ia], gb[ib]))
+            ba, bb = rows[ia], block[ib]
+            outside = (e < lower[ba, bb]) | (e > upper[ba, bb])
+            if np.any(outside):
+                k = int(np.argmax(outside))
+                raise FkSaddleError(
+                    "oracle block bound violated: I = %r at (a, b) = (%r, %r) "
+                    "outside [%r, %r]; the Lipschitz bound L = %r is likely "
+                    "too small" % (float(e[k]), float(ga[lo + ia[k]]),
+                                   float(gb[ib[k]]), float(lower[ba[k], bb[k]]),
+                                   float(upper[ba[k], bb[k]]), L))
+            values[lo + ia, ib] = e
+            evaluated += len(e)
+        return OracleGrid2D(resolution=resolution, values=values,
+                            bracket=(Lb, U), evaluated=evaluated)
 
-    def grid_max(self):
-        idx = np.unravel_index(np.argmax(self.values), self.values.shape)
-        g = np.linspace(0.0, 1.0, self.resolution)
-        return float(self.values[idx]), (float(g[idx[0]]), float(g[idx[1]]))
+
+def _order_box_axes(potential, gap, resolution):
+    """The system on offsets from v0 and the sample offsets of a and b,
+    ``resolution`` each, spanning the order box [0, hi]."""
+    if resolution < 101:
+        raise FkSaddleError("oracle resolution must be >= 101")
+    if potential.n != 2:
+        raise FkSaddleError("the 2-variable oracle needs model dimension 2")
+    system, hi = require_gap(gap).order_box(potential, (2, 1))
+    return (system, np.linspace(0.0, hi[0, 0], resolution),
+            np.linspace(0.0, hi[1, 0], resolution))
+
+
+def _offset_fields(a, b):
+    """States on the (2, 1) torus with site offsets a and b (broadcast)."""
+    x = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)) + (2, 1))
+    x[..., 0, 0] = a
+    x[..., 1, 0] = b
+    return x
+
+
+def sample_landscape(potential: SitePotential, gap: GapPair, resolution: int):
+    """Every cell of the reduced landscape on the order box [0, hi]^2.
+
+    Returns ``(a, b), values, vmax, (a_max, b_max)``: the sample offsets,
+    ``values[ia, ib] = I(a[ia], b[ib])``, the grid maximum and its offsets.
+    """
+    system, ga, gb = _order_box_axes(potential, gap, resolution)
+    values = np.empty((resolution, resolution))
+    for lo in range(0, resolution, ORACLE_CHUNK):
+        hi = min(lo + ORACLE_CHUNK, resolution)
+        values[lo:hi] = system.energy(_offset_fields(ga[lo:hi, None], gb))
+    ia, ib = np.unravel_index(np.argmax(values), values.shape)
+    return (ga, gb), values, float(values[ia, ib]), (float(ga[ia]), float(gb[ib]))
 
 
 def _sweep(D, values, rows, step):
@@ -107,7 +192,8 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
     of D = max(values, min of D over the 3x3 neighbourhood) with
     D(0, 0) = values(0, 0).  Sweeps from D = inf only lower D and never
     below the true field, so they stop on it exactly, and D(R-1, R-1) is
-    one of the grid's own samples.
+    one of the grid's own samples.  The answer must lie in the grid's
+    certified bracket.
     """
     values = grid.values
     if not np.all(np.isfinite(values)):
@@ -119,7 +205,14 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
             _sweep(d, v, range(1, len(d)), 1)
             _sweep(d, v, range(len(d) - 2, -1, -1), -1)
         if _settled(D, values):
-            return float(D[-1, -1])
+            break
+    value = float(D[-1, -1])
+    lo, hi = grid.bracket
+    if not lo <= value <= hi:
+        raise FkSaddleError("oracle bottleneck %r outside its certified bracket "
+                            "[%r, %r]; the Lipschitz bound behind the block "
+                            "bounds is likely too small" % (value, lo, hi))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +411,6 @@ class CrossCheckReport:
     node_flow: float
     heat_flow: float
     oracle: dict               # resolution -> bottleneck value
-    grid_max: float
-    grid_max_at: tuple
     tolerance: float
     deltas: dict = field(default_factory=dict)
     agree: bool = False
@@ -339,12 +430,8 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair | None = No
     path0 = build_initial_path("chi", PATH_NODES, None, gap, (2, 1))
     node = mountain_pass(potential, gap, path0, params, mode="node-flow")
     heat = mountain_pass(potential, gap, path0, params, mode="heat-flow")
-    oracle = {}
-    grid_max, grid_at = math.nan, (math.nan, math.nan)
-    for res in resolutions:
-        grid = OracleGrid2D.build(potential, gap, res)
-        oracle[res] = bottleneck_minimax_2d(grid)
-        grid_max, grid_at = grid.grid_max()
+    oracle = {res: bottleneck_minimax_2d(OracleGrid2D.build(potential, gap, res))
+              for res in resolutions}
     finest = oracle[max(oracle)]
     deltas = {
         "node-heat": abs(node.value - heat.value),
@@ -353,5 +440,5 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair | None = No
     }
     return CrossCheckReport(
         node_flow=node.value, heat_flow=heat.value, oracle=oracle,
-        grid_max=grid_max, grid_max_at=grid_at, tolerance=CROSS_CHECK_TOL,
-        deltas=deltas, agree=bool(max(deltas.values()) <= CROSS_CHECK_TOL))
+        tolerance=CROSS_CHECK_TOL, deltas=deltas,
+        agree=bool(max(deltas.values()) <= CROSS_CHECK_TOL))

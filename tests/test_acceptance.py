@@ -17,7 +17,7 @@ from fk_saddle import (FlowParams, OracleGrid2D,
                        bound_scan_hetero, build_initial_path, find_gap_pair,
                        find_gap_pair_hetero, make_potential, minimize_hetero,
                        minimize_periodic, mountain_pass, mountain_pass_hetero,
-                       multiplicity_scan, run_property_suite)
+                       multiplicity_scan, run_property_suite, sample_landscape)
 from fk_saddle.model import residual_field
 from fk_saddle.periodic import PeriodicSystem
 
@@ -84,8 +84,7 @@ def compute_bundle():
 
     # -- criterion 4: landscape reproduction ----------------------------------
     t0 = time.monotonic()
-    grid400 = OracleGrid2D.build(classical, gap, 400)
-    vmax, at = grid400.grid_max()
+    _, _, vmax, at = sample_landscape(classical, gap, 400)
     T["c4"] = time.monotonic() - t0
     S["landscape_max"] = vmax
     S["landscape_at_a"] = at[0]

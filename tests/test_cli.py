@@ -178,6 +178,20 @@ def test_landscape_csv(tmp_path):
     assert re.match(r"^-?\d\.\d{16}e[+-]\d{2},", lines[1])
 
 
+def test_landscape_spans_the_order_box(tmp_path):
+    # two-well-fk's adjacent minimizers are 1/2 apart: the columns and the
+    # grid maximum are offsets in [0, 1/2]^2, not in the unit square
+    out = tmp_path / "l.json"
+    csv = tmp_path / "landscape.csv"
+    assert main(["landscape", "--model", "two-well-fk", "--p", "2,1",
+                 "--grid", "3", "--out", str(out), "--fields-out", str(csv)]) == 0
+    cols = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert np.unique(cols[:, 0]) == pytest.approx([0.0, 0.25, 0.5])
+    assert np.unique(cols[:, 1]) == pytest.approx([0.0, 0.25, 0.5])
+    data = json.loads(out.read_text())
+    assert data["scalars"]["grid_max_at"] == pytest.approx([0.25, 0.25], abs=0.01)
+
+
 def test_gap_and_mpp_manifests(tmp_path):
     out = tmp_path / "gap.json"
     assert main(["gap", "--model", "classical-fk", "--p", "1,1",

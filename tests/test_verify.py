@@ -9,7 +9,7 @@ import pytest
 
 from fk_saddle import (FkSaddleError, OracleGrid2D, bottleneck_minimax_2d,
                        cross_check_mountain_pass, find_gap_pair,
-                       make_potential, run_property_suite)
+                       make_potential, run_property_suite, sample_landscape)
 from fk_saddle.model import ClassicalFKPotential
 from fk_saddle.verify import CrossCheckReport
 
@@ -83,7 +83,7 @@ def test_bottleneck_matches_widest_path_reference(seed):
 
 @pytest.mark.parametrize("model, resolution, expected", [
     ("classical", 401, 0.06250000000000011),
-    ("twowell", 801, 1.0156249999999998),
+    ("twowell", 801, 1.015625),
     ("pinned", 801, 0.0625),
 ])
 def test_bottleneck_exact_on_reduced_landscapes(request, params, model,
@@ -112,12 +112,11 @@ def test_bottleneck_on_reduced_landscape(classical, gap):
 
 
 def test_oracle_monotone_under_refinement(classical, gap):
-    coarse = OracleGrid2D.build(classical, gap, 101)
-    fine = OracleGrid2D.build(classical, gap, 201)
-    v_coarse = bottleneck_minimax_2d(coarse)
-    v_fine = bottleneck_minimax_2d(fine)
-    slack = max(np.max(np.abs(np.diff(coarse.values, axis=0))),
-                np.max(np.abs(np.diff(coarse.values, axis=1))))
+    v_coarse = bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 101))
+    v_fine = bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 201))
+    _, coarse, _, _ = sample_landscape(classical, gap, 101)
+    slack = max(np.max(np.abs(np.diff(coarse, axis=0))),
+                np.max(np.abs(np.diff(coarse, axis=1))))
     assert v_fine <= v_coarse + slack
 
 
@@ -127,10 +126,47 @@ def test_oracle_resolution_guard(classical, gap):
 
 
 def test_grid_max_location(classical, gap):
-    grid = OracleGrid2D.build(classical, gap, 401)
-    vmax, at = grid.grid_max()
+    _, _, vmax, at = sample_landscape(classical, gap, 401)
     assert vmax == pytest.approx(2.0, abs=1e-6)
     assert at == (0.5, 0.5)
+
+
+@pytest.mark.parametrize("model", ["classical", "pinned", "twowell"])
+def test_band_matches_dense_grid(request, params, model):
+    # every cell is its exact energy, the bracket's low end where its energy
+    # lies below it, or a wall no lower than its energy above the bracket;
+    # the bottleneck is the dense one
+    potential = request.getfixturevalue(model)
+    gap = find_gap_pair(potential, (1, 1), seed=3, params=params)
+    band = OracleGrid2D.build(potential, gap, 401)
+    _, dense, _, _ = sample_landscape(potential, gap, 401)
+    lo, hi = band.bracket
+    v = band.values
+    assert np.all((v == dense) | ((v == lo) & (dense < lo))
+                  | ((v >= dense) & (dense > hi)))
+    assert 0 < band.evaluated < 401 ** 2
+    value = bottleneck_minimax_2d(band)
+    assert value == bottleneck_minimax_2d(OracleGrid2D(401, dense))
+    assert lo <= value <= hi
+
+
+def test_band_rejects_a_too_small_lipschitz_bound(classical, gap, monkeypatch):
+    L = classical.lipschitz_bound()
+    monkeypatch.setattr(classical, "lipschitz_bound", lambda: L / 100)
+    with pytest.raises(FkSaddleError, match="Lipschitz bound"):
+        bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 401))
+
+
+def test_bottleneck_outside_its_bracket_raises():
+    grid = OracleGrid2D(resolution=101, values=np.full((101, 101), 0.7),
+                        bracket=(0.8, 1.0))
+    with pytest.raises(FkSaddleError, match="bracket"):
+        bottleneck_minimax_2d(grid)
+
+
+def test_band_evaluates_few_cells_at_2001(classical, gap):
+    band = OracleGrid2D.build(classical, gap, 2001)
+    assert band.evaluated <= 0.03 * 2001 ** 2
 
 
 @pytest.fixture(scope="module")
@@ -234,8 +270,6 @@ def test_cross_check_threefold(classical, gap, params):
     assert isinstance(cc, CrossCheckReport)
     assert cc.agree
     assert max(cc.deltas.values()) <= 1e-3
-    assert cc.grid_max == pytest.approx(2.0, abs=1e-6)
-    assert cc.grid_max_at == (0.5, 0.5)
 
 
 def test_energy_offset_invariance(classical, gap, params):
