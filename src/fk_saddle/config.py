@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields as dc_fields
 
 from .defaults import (FLOW_T_MAX, GAP_PROBES, MAX_FLOW_STEPS,
-                       ORACLE_RESOLUTION, STATIONARITY_TOL)
+                       ORACLE_RESOLUTION, STATIONARITY_TOL, WINDOW_CAP)
 from .fields import FkSaddleError
 
 COMMANDS = ("minimize", "gap", "mpp", "hetero", "mph", "multiplicity",
@@ -135,8 +135,9 @@ class RunConfig:
             raise ConfigError("path.k: must be >= 2 or auto")
         if self.restarts < 0:
             raise ConfigError("path.restarts: must be >= 0")
-        if self.window is not None and self.window < 1:
-            raise ConfigError("window.size: must be >= 1 or auto")
+        if self.window is not None and not 1 <= self.window <= WINDOW_CAP:
+            raise ConfigError("window.size: must be auto or from 1 to the cap %d "
+                              "(WINDOW_CAP)" % WINDOW_CAP)
         if self.kmax < 2:
             raise ConfigError("scan.kmax: must be >= 2")
         if self.probes < 1:

@@ -15,6 +15,8 @@ POLISH_MAX_ITER = 30          # ... and its iteration cap
 BOX_INTERIOR_TOL = 1e-9       # a site is free (moved and measured by Newton) this far inside (0, hi)
 BOX_POLISH_FACTOR = 1e-2      # box_maximize polishes free residuals to this times the flow tolerance
 BOX_POLISH_MAX_DROP = 1e-8    # largest energy drop the box polish may cost before it is discarded
+NEWTON_BLOCK_SITES = 24       # Newton's block LU groups whole strip layers into blocks of about this many sites
+NEWTON_SOLVE_RTOL = 1e-8      # a Newton step s is accepted only if |H s + g| <= this times |g| (l2)
 
 # --- field bookkeeping ------------------------------------------------------
 MAX_TORUS_CELLS = 65536       # largest prod(p) a torus may have

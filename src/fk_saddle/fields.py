@@ -19,8 +19,10 @@ torus, and on the strip the window values with ``2 r`` ghost layers on each
 side that hold the tail constants, so the strip's Dirichlet data are ordinary
 table entries.  Gathering the stencil configurations and scattering local
 gradients into equilibrium residuals are one ``np.take`` each over any
-leading batch axes (the lattice axes are always the trailing ones); the dense
-Hessian is assembled from the local Hessians through the same tables.
+leading batch axes (the lattice axes are always the trailing ones).  The
+Hessian is scattered from the local Hessians through the same tables into a
+block-tridiagonal :class:`BandedHessian` (layers grouped along axis 0), so
+its storage is O(sites * block); the dense matrix is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import MAX_TORUS_CELLS
+from .defaults import MAX_TORUS_CELLS, NEWTON_BLOCK_SITES
 
 
 class FkSaddleError(Exception):
@@ -320,28 +322,154 @@ class Stencil:
     def hessian(self, potential, values, left=0.0, right=0.0):
         """Dense Hessian at one state, rows/cols in C order of the state.
 
-        Each row offset ``a`` of the local Hessians is summed over the column
+        The test oracle of :meth:`banded_hessian`; no solver calls it.  Each
+        row offset ``a`` of the local Hessians is summed over the column
         offsets first, and the row offsets are added in ball order, as in
         the Hessian action ``sum_a sum_b``; entries on ghost sites are dropped.
         """
         h = potential.hessian(self.gather(values, left, right))
-        size = self.state_size ** 2
-        out = np.zeros(size)
-        for a, (index, keep) in enumerate(self._hessian_tables):
-            out += np.bincount(index, h[:, a].T.ravel()[keep], minlength=size)
+        out = self._scatter(h, self._dense_tables, self.state_size ** 2)
         return out.reshape(self.state_size, self.state_size)
 
+    def banded_hessian(self, potential, values, left=0.0, right=0.0):
+        """The Hessian at one state as a :class:`BandedHessian`.
+
+        Every entry is summed in the order :meth:`hessian` sums it, so a
+        one-block Hessian (every torus) holds the dense matrix bit for bit.
+        """
+        h = potential.hessian(self.gather(values, left, right))
+        n, count = self.block_layout
+        blocks = self._scatter(h, self._block_tables, count * 3 * n * n)
+        blocks[self._block_padding] = 1.0
+        return BandedHessian(blocks.reshape(count, 3, n, n), self.state_size)
+
     @functools.cached_property
-    def _hessian_tables(self):
-        # the state index of every stencil read, -1 on the ghost layers
+    def block_layout(self):
+        """``(block sites, block count)`` of the banded Hessian.
+
+        A block holds whole layers along axis 0: on the strip at least the
+        ``2 r`` layers a stencil spans, and whole layers up to about
+        ``NEWTON_BLOCK_SITES`` sites, so only neighbouring blocks couple; the
+        periodic axis 0 of the torus is one block.
+        """
+        layers = self.shape[0]
+        width = self.state_size // layers
+        per = layers
+        if self.ghosts:
+            per = min(layers, max(self.ghosts, -(-NEWTON_BLOCK_SITES // width)))
+        return per * width, -(-layers // per)
+
+    @functools.cached_property
+    def _block_padding(self):
+        # flat diagonal entries of the rows that pad the last block
+        n, count = self.block_layout
+        pad = np.arange(self.state_size, count * n)
+        return ((3 * (pad // n) + 1) * n + pad % n) * n + pad % n
+
+    @staticmethod
+    def _scatter(h, tables, size):
+        out = np.zeros(size)
+        for a, (index, keep) in enumerate(tables):
+            out += np.bincount(index, h[:, a].T.ravel()[keep], minlength=size)
+        return out
+
+    def _pair_tables(self, pair):
+        # the state index of every stencil read, -1 on the ghost layers; the
+        # tables point each (row read, column read) pair at ``pair(row, col)``
         sites = self.fwd.T - self.ghosts * math.prod(self.shape[1:])
         sites[(sites < 0) | (sites >= self.state_size)] = -1
         tables = []
         for row in sites:
-            pair = row * self.state_size + sites
             keep = ((row >= 0) & (sites >= 0)).ravel()
-            tables.append((pair.ravel()[keep], keep))
+            tables.append((pair(row, sites).ravel()[keep], keep))
         return tables
+
+    @functools.cached_property
+    def _dense_tables(self):
+        return self._pair_tables(lambda row, col: row * self.state_size + col)
+
+    @functools.cached_property
+    def _block_tables(self):
+        n = self.block_layout[0]
+
+        def pair(row, col):
+            rb, cb = row // n, col // n
+            return ((3 * rb + cb - rb + 1) * n + row % n) * n + col % n
+        return self._pair_tables(pair)
+
+
+class BandedHessian:
+    """A block-tridiagonal Hessian with square blocks of ``n`` sites.
+
+    ``blocks[i, 0]``, ``blocks[i, 1]`` and ``blocks[i, 2]`` are the blocks
+    ``H[i, i-1]``, ``H[i, i]`` and ``H[i, i+1]`` of block row ``i`` (zero
+    where that block column does not exist).  The first ``size`` rows are
+    the state in C order; the rows after them pad the last block and are
+    identity rows.  Storage is ``3 n`` numbers per row.
+    """
+
+    def __init__(self, blocks, size):
+        self.blocks = blocks
+        self.size = size
+
+    def _blocked(self, v):
+        count, _, n, _ = self.blocks.shape
+        out = np.zeros(count * n)
+        out[:self.size] = v
+        return out.reshape(count, n)
+
+    def matvec(self, v):
+        """``H v`` for a flat state vector ``v``."""
+        b, x = self.blocks, self._blocked(v)[..., None]
+        y = b[:, 1] @ x
+        y[1:] += b[1:, 0] @ x[:-1]
+        y[:-1] += b[:-1, 2] @ x[1:]
+        return y.ravel()[:self.size]
+
+    def solve(self, rhs):
+        """``H^{-1} rhs`` by block LU: one ``np.linalg.solve`` per block.
+
+        The forward pass eliminates the sub-diagonal blocks through the Schur
+        complements ``S_i = H[i, i] - H[i, i-1] S_{i-1}^{-1} H[i-1, i]``; the
+        backward pass substitutes.  Rows are pivoted inside a block only, so
+        the caller checks the residual; a singular ``S_i`` raises
+        ``np.linalg.LinAlgError``.  One block is ``np.linalg.solve(H, rhs)``.
+        """
+        b, y = self.blocks, self._blocked(rhs)
+        gains = []          # S_i^{-1} [H[i, i+1] | y_i]
+        schur = b[0, 1]
+        for i in range(len(b) - 1):
+            z = np.linalg.solve(schur, np.column_stack((b[i, 2], y[i])))
+            gains.append(z)
+            schur = b[i + 1, 1] - b[i + 1, 0] @ z[:, :-1]
+            y[i + 1] -= b[i + 1, 0] @ z[:, -1]
+        y[-1] = np.linalg.solve(schur, y[-1])
+        for i in range(len(b) - 2, -1, -1):
+            y[i] = gains[i][:, -1] - gains[i][:, :-1] @ y[i + 1]
+        return y.ravel()[:self.size]
+
+    def pin(self, fixed):
+        """The system that holds the sites of the flat mask ``fixed``: their
+        rows become identity rows and their columns zero."""
+        count, _, n, _ = self.blocks.shape
+        keep = np.ones((count + 2) * n)
+        keep[n:n + self.size] = ~np.asarray(fixed, dtype=bool)
+        keep = keep.reshape(count + 2, n)
+        cols = np.stack((keep[:-2], keep[1:-1], keep[2:]), axis=1)
+        blocks = self.blocks * keep[1:-1, None, :, None] * cols[:, :, None, :]
+        i, k = np.divmod(np.flatnonzero(fixed), n)
+        blocks[i, 1, k, k] = 1.0
+        return BandedHessian(blocks, self.size)
+
+    def dense(self):
+        """The full matrix, O(size^2) memory: for tests only."""
+        count, _, n, _ = self.blocks.shape
+        rows = np.arange(count)
+        out = np.zeros((count, n, count + 2, n))   # block columns -1 .. count
+        for c in range(3):
+            out[rows, :, rows + c] = self.blocks[:, c]
+        out = out[:, :, 1:-1].reshape(count * n, count * n)
+        return out[:self.size, :self.size]
 
 
 @functools.lru_cache(maxsize=64)

@@ -83,7 +83,8 @@ class StripSystem:
         return self.stencil.residual(self.potential, x + self.base, *self.tails)
 
     def hess_matrix(self, x):
-        return self.stencil.hessian(self.potential, x + self.base, *self.tails)
+        """Hessian of I at x, block-tridiagonal in groups of layers."""
+        return self.stencil.banded_hessian(self.potential, x + self.base, *self.tails)
 
     def field(self, x) -> StripField:
         """Wrap a state array as a StripField carrying the state tails."""
@@ -215,7 +216,8 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
     The window starts at WINDOW_START and doubles until the tail
     contribution bound drops below tolerance (capped at WINDOW_CAP); a fixed
     integer ``window`` skips the policy, ``None`` runs it.  The reported
-    stability is the change of c1q under one further window doubling.
+    stability is the change of c1q under one further window doubling: the
+    check relaxes the minimizer again at half-width 2W, twice the sites.
     """
     gap0 = require_gap(gap0)
     params = params or FlowParams()

@@ -66,8 +66,8 @@ class PeriodicSystem:
         return self.stencil.residual(self.potential, x + self.base)
 
     def hess_matrix(self, x):
-        """Dense Hessian of I at x, rows/cols in C order of the torus cell."""
-        return self.stencil.hessian(self.potential, x + self.base)
+        """Hessian of I at x: one dense block, rows in C order of the cell."""
+        return self.stencil.banded_hessian(self.potential, x + self.base)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,15 @@ step; if a step raises the energy of any batch member by more than
 ``MAX_DT_HALVINGS`` times), after which the run aborts.
 
 ``refine_critical`` is the one Newton solver of the package: ground-state
-polish, saddle refinement and the box maximizer's polish all call it.
+polish, saddle refinement and the box maximizer's polish all call it.  It
+needs ``hess_matrix(x)`` as well: a ``fields.BandedHessian``, block
+tridiagonal in groups of strip layers (one dense block on the torus), solved
+by block LU in O(sites * block) memory.  The solve pivots inside a block
+only, so every step carries a certificate: ``|H s + g| <= NEWTON_SOLVE_RTOL
+|g|``, checked through the block mat-vec, or the Newton stops unconverged.
+A saddle's Hessian is indefinite, but by Haynsworth's inertia additivity its
+negative eigenvalue sits in exactly one Schur complement; a singular one is
+non-generic and the certificate catches it.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .defaults import (BOX_INTERIOR_TOL, ENERGY_INCREASE_TOL, FLOW_T_MAX,
-                       MAX_DT_HALVINGS, MAX_FLOW_STEPS, STATIONARITY_TOL)
+                       MAX_DT_HALVINGS, MAX_FLOW_STEPS, NEWTON_SOLVE_RTOL,
+                       STATIONARITY_TOL)
 from .fields import FkSaddleError
 
 
@@ -155,47 +164,57 @@ def refine_critical(system, x0: np.ndarray, tol: float, max_iter: int = 100,
     """Damped Newton on the equilibrium residual from x0.
 
     Uses the squared residual norm as merit function; returns
-    (x, linf_residual, converged).  The system must expose ``hess_matrix``.
+    (x, linf_residual, converged).  The system must expose ``grad`` and
+    ``hess_matrix(x)``, which returns a Hessian with ``solve(rhs)`` (it may
+    raise ``np.linalg.LinAlgError``), ``matvec(v)`` and ``pin(fixed)`` on
+    flat state vectors; ``fields.BandedHessian`` is the one in use.
+
+    Each step s is certified: unless ``|H s + g| <= NEWTON_SOLVE_RTOL |g|``
+    (l2, through ``matvec``), or if a block of the solve is singular, the
+    Newton stops and returns the current point and residual with
+    ``converged=False``.  The block solve pivots inside a block only, so the
+    check is what stands behind a step.
 
     With a box ``hi``, only the free sites (more than ``BOX_INTERIOR_TOL``
-    inside ``(0, hi)``) move and count toward the residual: each step solves
-    the free block of the Hessian and every trial point is clipped to
-    ``[0, hi]``, so sites on a face stay there.
+    inside ``(0, hi)``) move and count toward the residual: the other sites
+    become identity rows with a zero right-hand side (``pin``), and every
+    trial point is clipped to ``[0, hi]``, so sites on a face stay there.
     """
     x = np.asarray(x0, dtype=float).copy()
 
     def residual(x):
-        g = system.grad(x)
+        g = system.grad(x).ravel()
         if hi is None:
             return g, None
-        free = np.flatnonzero((x > BOX_INTERIOR_TOL) & (x < hi - BOX_INTERIOR_TOL))
-        return g.ravel()[free], free
+        fixed = ~((x > BOX_INTERIOR_TOL) & (x < hi - BOX_INTERIOR_TOL)).ravel()
+        return np.where(fixed, 0.0, g), fixed
 
-    g, free = residual(x)
+    g, fixed = residual(x)
     merit = float(np.sum(g ** 2))
     for _ in range(max_iter):
         res = float(np.max(np.abs(g), initial=0.0))
         if res <= tol:
             return x, res, True
         H = system.hess_matrix(x)
-        if free is not None:
-            H = H[np.ix_(free, free)]
+        if fixed is not None:
+            H = H.pin(fixed)
         try:
-            step = np.linalg.solve(H, -g.ravel())
+            step = H.solve(-g)
         except np.linalg.LinAlgError:
             return x, res, False
+        miss = float(np.linalg.norm(H.matvec(step) + g))
+        if not miss <= NEWTON_SOLVE_RTOL * math.sqrt(merit):
+            return x, res, False
+        step = step.reshape(x.shape)
         alpha = 1.0
         while alpha >= 1e-6:
-            if free is None:
-                x_try = x + alpha * step.reshape(x.shape)
-            else:
-                x_try = x.flatten()
-                x_try[free] += alpha * step
-                x_try = np.clip(x_try.reshape(x.shape), 0.0, hi)
-            g_try, free_try = residual(x_try)
+            x_try = x + alpha * step
+            if hi is not None:
+                x_try = np.clip(x_try, 0.0, hi)
+            g_try, fixed_try = residual(x_try)
             m_try = float(np.sum(g_try ** 2))
             if m_try <= merit * (1.0 - 0.25 * alpha) + 1e-300:
-                x, g, free, merit = x_try, g_try, free_try, m_try
+                x, g, fixed, merit = x_try, g_try, fixed_try, m_try
                 break
             alpha *= 0.5
         else:

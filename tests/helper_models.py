@@ -1,9 +1,12 @@
-"""Constructed potentials used to check that the validators have teeth."""
+"""Constructed potentials used to check that the validators have teeth,
+and a radius-2 plug-in for the stencil and Newton checks."""
 
 import numpy as np
 
 from fk_saddle import PluginPotential
-from fk_saddle.model import ClassicalFKPotential
+from fk_saddle.model import ClassicalFKPotential, ball_offsets
+
+TWO_PI = 2 * np.pi
 
 
 class FlippedBondPotential(ClassicalFKPotential):
@@ -106,3 +109,30 @@ def shifted_classical(offset=0.37, n=2, **_):
         gradient_fn=base.gradient,
         hessian_fn=base.hessian,
         second_derivative_bound=base.second_derivative_bound)
+
+
+def radius_two_springs():
+    """sin on-site term plus springs to all 12 sites of the radius-2 ball."""
+    ball = ball_offsets(2, 2)
+    o = ball.index((0, 0))
+    w = np.array([0.0 if k == o else 1.0 / 16.0 / sum(map(abs, b)) ** 2
+                  for k, b in enumerate(ball)])
+
+    def energy(cfg):
+        d = cfg - cfg[..., o:o + 1]
+        return np.sin(TWO_PI * cfg[..., o]) + np.sum(w * d ** 2, axis=-1)
+
+    def gradient(cfg):
+        g = 2.0 * w * (cfg - cfg[..., o:o + 1])
+        g[..., o] = TWO_PI * np.cos(TWO_PI * cfg[..., o]) - g.sum(axis=-1)
+        return g
+
+    def hessian(cfg):
+        h = np.zeros(cfg.shape + (len(ball),))
+        h[..., range(len(ball)), range(len(ball))] = 2.0 * w
+        h[..., o, :] = h[..., :, o] = -2.0 * w
+        h[..., o, o] = -TWO_PI ** 2 * np.sin(TWO_PI * cfg[..., o]) + 2.0 * w.sum()
+        return h
+
+    return PluginPotential(energy, n=2, r=2, gradient_fn=gradient,
+                           hessian_fn=hessian)

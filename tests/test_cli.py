@@ -9,6 +9,7 @@ from fk_saddle.cli import (COMMAND_FLAGS, COMMON_FLAGS, FLAG_KEYS,
                            _config_from_args, build_parser, main, run,
                            schema_entry)
 from fk_saddle.config import SCHEMA, config_to_dict
+from fk_saddle.defaults import WINDOW_CAP
 
 
 def test_parse_minimal_defaults():
@@ -43,6 +44,8 @@ def test_parse_rejects_unknown_key():
     ("[path]\nk = 0\n", "path.k"),
     ("[path]\nrestarts = -1\n", "path.restarts"),
     ("[window]\nsize = 0\n", "window.size"),
+    ("[window]\nsize = 641\n", "window.size: .*cap 640"),
+    ("[window]\nsize = 100000\n", "window.size: .*cap 640"),
     ("[gap]\nprobes = 0\n", "gap.probes"),
     ("[scan]\nkmax = 1\n", "scan.kmax"),
     ("[verify]\nresolutions = 2001,100\n", "verify.resolutions"),
@@ -59,6 +62,11 @@ def test_parse_rejects_bad_values(text, path):
         parse_config(text)
 
 
+def test_window_cap_is_the_largest_fixed_window():
+    # the auto policy stops at WINDOW_CAP, and a fixed window may reach it
+    assert parse_config("[window]\nsize = %d\n" % WINDOW_CAP).window == WINDOW_CAP
+
+
 @pytest.mark.parametrize("flags", [
     ["mpp", "--nodes", "0"], ["mpp", "--k", "0"], ["mpp", "--restarts", "-1"],
     ["mph", "--window", "0"], ["gap", "--probes", "0"],
@@ -66,6 +74,7 @@ def test_parse_rejects_bad_values(text, path):
     ["mph", "--window", "foo"], ["gap", "--p", "a,1"],
     ["mpp", "--dt", "-1"], ["mpp", "--dt", "nan"], ["mpp", "--tol", "nan"],
     ["minimize", "--amplitude", "nan"], ["minimize", "--coupling", "inf"],
+    ["hetero", "--window", "100000"], ["mph", "--window", "641"],
 ])
 def test_bad_values_exit_before_any_stage(flags, tmp_path, capsys):
     out = tmp_path / "never.json"

@@ -19,18 +19,6 @@ BRUTE_FORCE_C1 = {
 }
 
 
-@pytest.fixture(scope="module")
-def het(pinned, pinned_gap, params):
-    return minimize_hetero(pinned, (1,), pinned_gap, params)
-
-
-@pytest.fixture(scope="module")
-def het_gap(pinned, pinned_gap, params, het):
-    g = find_gap_pair_hetero(pinned, het, pinned_gap, seed=5, params=params)
-    assert g is not None
-    return g
-
-
 # --- norms --------------------------------------------------------------------
 
 def test_strip_norm_zero_and_bump():
@@ -154,7 +142,7 @@ def test_strip_hessian_matches_gradient_differences(pinned, pinned_gap):
     system = _strip_system(pinned, (1,), 6, pinned_gap)
     rng = np.random.default_rng(12)
     x = rng.uniform(-0.25, 0.75, size=system.shape)
-    H = system.hess_matrix(x)
+    H = system.hess_matrix(x).dense()
     assert np.allclose(H, H.T, atol=1e-12)
     h = 1e-6
     for k in range(x.size):
@@ -238,11 +226,6 @@ def test_hetero_gap_deterministic(pinned, pinned_gap, params, het):
 
 
 # --- heteroclinic mountain pass ----------------------------------------------
-
-@pytest.fixture(scope="module")
-def mph(pinned, het_gap, params):
-    return mountain_pass_hetero(pinned, het_gap, params, N=65)
-
 
 def test_mph_barrier_positive(mph):
     assert mph.success

@@ -9,7 +9,7 @@ from fk_saddle import (PeriodicSystem, StripField, StripSystem, TorusField,
 from fk_saddle.model import (ClassicalFKPotential, ModelError, PluginPotential,
                              ball_offsets, residual_field, site_energies)
 
-from helper_models import FlippedBondPotential, onsite_only
+from helper_models import FlippedBondPotential, onsite_only, radius_two_springs
 
 TWO_PI = 2 * np.pi
 
@@ -81,33 +81,6 @@ def test_residual_translation_equivariance(axis, m, data):
         el_residual(pot, u, tuple(target)), abs=1e-10)
 
 
-def _radius_two_plugin():
-    """sin on-site term plus springs to all 12 sites of the radius-2 ball."""
-    ball = ball_offsets(2, 2)
-    o = ball.index((0, 0))
-    w = np.array([0.0 if k == o else 1.0 / 16.0 / sum(map(abs, b)) ** 2
-                  for k, b in enumerate(ball)])
-
-    def energy(cfg):
-        d = cfg - cfg[..., o:o + 1]
-        return np.sin(TWO_PI * cfg[..., o]) + np.sum(w * d ** 2, axis=-1)
-
-    def gradient(cfg):
-        g = 2.0 * w * (cfg - cfg[..., o:o + 1])
-        g[..., o] = TWO_PI * np.cos(TWO_PI * cfg[..., o]) - g.sum(axis=-1)
-        return g
-
-    def hessian(cfg):
-        h = np.zeros(cfg.shape + (len(ball),))
-        h[..., range(len(ball)), range(len(ball))] = 2.0 * w
-        h[..., o, :] = h[..., :, o] = -2.0 * w
-        h[..., o, o] = -TWO_PI ** 2 * np.sin(TWO_PI * cfg[..., o]) + 2.0 * w.sum()
-        return h
-
-    return PluginPotential(energy, n=2, r=2, gradient_fn=gradient,
-                           hessian_fn=hessian)
-
-
 def _torus_case(potential, periods, rng):
     base = rng.uniform(-1.0, 1.0, periods)
     system = PeriodicSystem(potential, periods, base)
@@ -149,12 +122,12 @@ def test_stencil_engine_matches_per_site_oracle(case):
         system, x, u, sites, energy = _strip_case(pinned, rng)
     else:
         periods = (1, 1) if case.endswith("1x1") else (2, 1)
-        system, x, u, sites, energy = _torus_case(_radius_two_plugin(), periods, rng)
+        system, x, u, sites, energy = _torus_case(radius_two_springs(), periods, rng)
     pot = system.potential
     oracle = np.array([el_residual(pot, u, i) for i in sites]).reshape(x.shape)
     assert np.allclose(system.grad(x), oracle, rtol=0.0, atol=1e-12)
     assert system.energy(x) == pytest.approx(energy, rel=0.0, abs=1e-12)
-    H = system.hess_matrix(x)
+    H = system.hess_matrix(x).dense()
     h = 1e-6
     for k in range(x.size):
         e = np.zeros_like(x)
@@ -270,7 +243,7 @@ def test_lipschitz_bound_covers_hessian_spectrum(name):
     for system, shape in systems:
         for _ in range(3):
             x = rng.uniform(-1.5, 1.5, size=shape)
-            rho = np.max(np.abs(np.linalg.eigvalsh(system.hess_matrix(x))))
+            rho = np.max(np.abs(np.linalg.eigvalsh(system.hess_matrix(x).dense())))
             # the free chain attains the bound (checkerboard mode on even
             # tori), so allow eigvalsh its rounding error
             assert rho <= pot.lipschitz_bound() * (1 + 1e-12)

@@ -5,7 +5,7 @@ from fk_saddle import (FlowParams, TorusField, box_maximize, find_gap_pair,
                        flow_field, gradient, is_birkhoff, local_energy,
                        make_potential, minimize_periodic, relative_energy,
                        torus_energy)
-from fk_saddle.fields import PeriodError
+from fk_saddle.fields import BandedHessian, PeriodError
 from fk_saddle.model import PluginPotential
 from fk_saddle.periodic import NoGapError, PeriodicSystem, require_gap
 from fk_saddle.semiflow import FlowError, flow, refine_critical
@@ -314,7 +314,8 @@ class _Quadratic:
         return self.grad_sign * self.a * x
 
     def hess_matrix(self, x):
-        return np.array([[self.hess_sign * self.a]])
+        # one 1x1 block: H[0, 0] in the middle, no neighbouring blocks
+        return BandedHessian(np.array([0.0, self.hess_sign * self.a, 0.0]).reshape(1, 3, 1, 1), 1)
 
 
 def test_flow_halves_once_and_keeps_the_step():
