@@ -12,22 +12,17 @@ from .fields import (FkSaddleError, PeriodError, StripField, TorusField,
                      WindowError, validate_periods)
 from .model import (BUILTIN_MODELS, ClassicalFKPotential, PluginPotential,
                     SitePotential, TwoWellFKPotential, ball_offsets,
-                    el_residual, local_energy, make_potential, shift,
-                    validate_assumptions)
+                    make_potential, shift, validate_assumptions)
 from .semiflow import FlowError, FlowParams, flow, flow_to_stationarity
-from .periodic import (BoxMaxResult, GapPair, MinimizeResult, NoGapError,
-                       PeriodicSystem, box_maximize, find_gap_pair, flow_field,
-                       gradient, is_birkhoff, minimize_periodic,
-                       relative_energy, torus_energy)
-from .mpp import (MinimaxResult, ThetaBounds, best_mountain_pass, box_path,
-                  build_initial_path, chi_path, clip_to_box, intersects,
-                  minimax_over_unconstrained_paths_check, mountain_pass,
-                  multiplicity_scan, phi_path, theta_bounds)
+from .periodic import (GapPair, MinimizeResult, NoGapError, PeriodicSystem,
+                       find_gap_pair, minimize_periodic)
+from .mpp import (MinimaxResult, best_mountain_pass, box_path,
+                  build_initial_path, chi_path, intersects, mountain_pass,
+                  multiplicity_scan, phi_path)
 from .hetero import (HeteroGapPair, HeteroMinimizeResult,
                      RenormalizationConstants, StripSystem, asymptotics_report,
-                     bound_scan_hetero, find_gap_pair_hetero, flow_hetero,
-                     minimize_hetero, mountain_pass_hetero, renormalized_energy,
-                     strip_norm)
+                     bound_scan_hetero, find_gap_pair_hetero, minimize_hetero,
+                     mountain_pass_hetero)
 from .verify import (CrossCheckReport, OracleGrid2D, PropertyReport,
                      bottleneck_minimax_2d, cross_check_mountain_pass,
                      run_property_suite, sample_landscape)

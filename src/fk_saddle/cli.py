@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .config import (SCHEMA, SEEDED, ConfigError, RunConfig, config_to_dict,
                      parse_config, set_key)
-from .defaults import CSV_FLOAT_FORMAT
+from .defaults import CSV_FLOAT_FORMAT, TAIL_BOUND_TOL
 from .fields import FkSaddleError
 from .hetero import (asymptotics_report, find_gap_pair_hetero,
                      minimize_hetero, mountain_pass_hetero)
@@ -104,6 +104,19 @@ def _gap_or_fail(pot, cfg, params):
     return require_gap(gap)
 
 
+def _minimize_kink(pot, cfg, gap0, params, man, **kw):
+    """The heteroclinic ground state on the job's window.  A fixed window
+    whose tail bound is not below TAIL_BOUND_TOL fails the run (the
+    doubling policy never stops short of it)."""
+    res = minimize_hetero(pot, cfg.q, gap0, params, window=cfg.window, **kw)
+    if not res.tail_bound < TAIL_BOUND_TOL:
+        man.errors.append("tail bound %g at window W=%d is not below "
+                          "TAIL_BOUND_TOL=%g: widen the window or leave it "
+                          "to the doubling policy"
+                          % (res.tail_bound, res.window, TAIL_BOUND_TOL))
+    return res
+
+
 def run(cfg: RunConfig) -> Manifest:
     """Dispatch one validated configuration; returns the filled manifest."""
     cfg.validate()
@@ -117,10 +130,10 @@ def run(cfg: RunConfig) -> Manifest:
         res = minimize_periodic(pot, cfg.p, seeds, params)
         man.scalars["c0p"] = res.c0p
         man.scalars["iterations"] = res.iterations
-        man.scalars["limits"] = [float(f.values.flat[0]) for f in res.limits]
         man.scalars["residuals"] = [
             float(np.max(np.abs(residual_field(pot, f.values))))
             for f in res.limits]
+        man.tables["limits"] = [f.values.tolist() for f in res.limits]
         man.tables["limit_energies"] = res.energies
         if cfg.fields_out:
             _write_field_csv(cfg.fields_out, res.best.values)
@@ -188,7 +201,7 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "hetero":
         gap0 = _gap_or_fail(pot, cfg, params)
-        res = minimize_hetero(pot, cfg.q, gap0, params, window=cfg.window)
+        res = _minimize_kink(pot, cfg, gap0, params, man)
         man.scalars["c1q"] = res.c1q
         man.scalars["c1"] = res.consts.c1
         man.scalars["c0"] = res.consts.c0
@@ -207,8 +220,7 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "mph":
         gap0 = _gap_or_fail(pot, cfg, params)
-        mres = minimize_hetero(pot, cfg.q, gap0, params, window=cfg.window,
-                               check_stability=False)
+        mres = _minimize_kink(pot, cfg, gap0, params, man, check_stability=False)
         gap1 = find_gap_pair_hetero(pot, mres, gap0, probes=cfg.probes,
                                     seed=cfg.seed or 0, params=params)
         if gap1 is None:

@@ -12,9 +12,6 @@ MAX_FLOW_STEPS = 400_000      # budget guard on integrator steps per flow (stops
 MAX_DT_HALVINGS = 20
 POLISH_TOL = 1e-13            # Newton finish of a flowed ground state (torus and strip): sup residual
 POLISH_MAX_ITER = 30          # ... and its iteration cap
-BOX_INTERIOR_TOL = 1e-9       # a site is free (moved and measured by Newton) this far inside (0, hi)
-BOX_POLISH_FACTOR = 1e-2      # box_maximize polishes free residuals to this times the flow tolerance
-BOX_POLISH_MAX_DROP = 1e-8    # largest energy drop the box polish may cost before it is discarded
 NEWTON_BLOCK_SITES = 24       # Newton's block LU groups whole strip layers into blocks of about this many sites
 NEWTON_SOLVE_RTOL = 1e-8      # a Newton step s is accepted only if |H s + g| <= this times |g| (l2)
 
@@ -51,7 +48,6 @@ PATH_NODES = 65               # nodes of the strip string and of the two-cell cr
 # --- seeds and gap detection ---------------------------------------------------
 MINIMIZE_GRID_SEEDS = 16      # constant minimize seeds j / 16, j = 0..15
 MINIMIZE_RANDOM_SEEDS = 4     # uniform random minimize seeds drawn after them
-BIRKHOFF_SCAN_RANGE = 3       # is_birkhoff checks shifts and offsets |j|, |l| <= this
 GAP_PROBES = 7                # interior convex combinations probed per candidate
 MINIMIZER_ENERGY_MARGIN = 1e-6  # above c0p, a stationary limit is not a minimizer
 

@@ -88,10 +88,6 @@ class TorusField:
     def n(self) -> int:
         return len(self.periods)
 
-    def site(self, i) -> float:
-        idx = tuple(int(i[k]) % self.periods[k] for k in range(self.n))
-        return float(self.values[idx])
-
     def with_values(self, values) -> "TorusField":
         return TorusField(self.periods, values)
 
@@ -183,16 +179,6 @@ class StripField:
     def layer_coords(self) -> np.ndarray:
         W = self.half_width
         return np.arange(-W, W + 1)
-
-    def site(self, i) -> float:
-        i1 = int(i[0])
-        W = self.half_width
-        if i1 < -W:
-            return self.left
-        if i1 > W:
-            return self.right
-        idx = (i1 + W,) + tuple(int(i[1 + k]) % self.q[k] for k in range(len(self.q)))
-        return float(self.values[idx])
 
     def with_values(self, values) -> "StripField":
         return StripField(self.half_width, self.q, values, self.left, self.right)
@@ -447,19 +433,6 @@ class BandedHessian:
         for i in range(len(b) - 2, -1, -1):
             y[i] = gains[i][:, -1] - gains[i][:, :-1] @ y[i + 1]
         return y.ravel()[:self.size]
-
-    def pin(self, fixed):
-        """The system that holds the sites of the flat mask ``fixed``: their
-        rows become identity rows and their columns zero."""
-        count, _, n, _ = self.blocks.shape
-        keep = np.ones((count + 2) * n)
-        keep[n:n + self.size] = ~np.asarray(fixed, dtype=bool)
-        keep = keep.reshape(count + 2, n)
-        cols = np.stack((keep[:-2], keep[1:-1], keep[2:]), axis=1)
-        blocks = self.blocks * keep[1:-1, None, :, None] * cols[:, :, None, :]
-        i, k = np.divmod(np.flatnonzero(fixed), n)
-        blocks[i, 1, k, k] = 1.0
-        return BandedHessian(blocks, self.size)
 
     def dense(self):
         """The full matrix, O(size^2) memory: for tests only."""

@@ -92,16 +92,8 @@ class StripSystem:
 
 
 # ---------------------------------------------------------------------------
-# norms and energies
+# renormalization
 # ---------------------------------------------------------------------------
-
-def strip_norm(u: StripField) -> float:
-    """l1 + l2 norm over the strip; infinite unless the tails vanish."""
-    if u.left != 0.0 or u.right != 0.0:
-        return math.inf
-    v = u.values
-    return float(np.sum(np.abs(v)) + np.sqrt(np.sum(v ** 2)))
-
 
 @dataclass
 class RenormalizationConstants:
@@ -123,29 +115,6 @@ def _strip_system(potential, q, W, gap0, base=None):
     v0s, w0s = _gap_scalars(gap0)
     c0 = float(potential.energy(np.full(potential.nball, v0s)))
     return StripSystem(potential, q, W, v0s, w0s, c0, base=base)
-
-
-def renormalized_energy(potential: SitePotential, u: StripField,
-                        gap0: GapPair, layers=None) -> float:
-    """Truncated renormalized energy of a total field over a layer range.
-
-    ``layers=(p, q)`` restricts the sum; the range must cover the stored
-    window plus the stencil margin ``[-W-r, W+r]`` (every layer whose local
-    energies read the window), else the truncation would drop energy and a
-    WindowError is raised.
-    """
-    system = _strip_system(potential, u.q, u.half_width, gap0)
-    per_layer = system.layer_energies(u.values)
-    W, r = u.half_width, potential.r
-    coords = np.arange(-W - r, W + r + 1)
-    if layers is None:
-        return float(per_layer.sum())
-    p, q = int(layers[0]), int(layers[1])
-    if p > -W - r or q < W + r:
-        raise WindowError("layer range [%d, %d] does not cover the window "
-                          "plus margin [%d, %d]" % (p, q, -W - r, W + r))
-    mask = (coords >= p) & (coords <= q)
-    return float(per_layer[mask].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +250,6 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
         v1=v1, c1q=es[best], limits=[system.field(f) for f in fields],
         energies=es, window=W, tail_bound=bound, stability=stability,
         consts=consts)
-
-
-def flow_hetero(potential: SitePotential, u0: StripField, gap0: GapPair,
-                params: FlowParams | None = None):
-    """Integrate the strip semiflow with pinned tails; returns (field, trace)."""
-    params = params or FlowParams()
-    system = _strip_system(potential, u0.q, u0.half_width, gap0)
-    x, trace, _ = flow(system, u0.values, params)
-    return system.field(x), trace
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A model is a site potential ``s`` acting on configurations over the radius-r
 index ball ``B = {k in Z^n : |k|_1 <= r}``.  The shifted local energies
 ``S_j(u) = s(u restricted to j + B)`` define the formal lattice energy; a
 field is stationary when the finite sum ``sum_{|j-i|_1 <= r} d_i S_j(u)``
-vanishes at every site, and that sum is what :func:`el_residual` returns.
+vanishes at every site, and that sum is what :func:`residual_field` returns
+(on the torus; the strip's is ``hetero.StripSystem.grad``).
 
 The standard assumptions on ``s`` are:
 
@@ -284,12 +285,6 @@ def make_potential(name: str, **params) -> SitePotential:
 # field-level operations
 # ---------------------------------------------------------------------------
 
-def _check_dim(potential: SitePotential, u) -> None:
-    if u.n != potential.n:
-        raise ModelError("field dimension %d does not match model dimension %d"
-                         % (u.n, potential.n))
-
-
 def shift(u, axis: int, offset: int):
     """The lattice translate: (shift(u))(i) = u(i + offset * e_axis)."""
     if isinstance(u, TorusField):
@@ -303,19 +298,6 @@ def shift(u, axis: int, offset: int):
     raise ModelError("unsupported field type %r" % type(u))
 
 
-def site_configuration(potential: SitePotential, u, j) -> np.ndarray:
-    """The configuration of u on j + ball, as a flat (nball,) array."""
-    _check_dim(potential, u)
-    j = tuple(int(c) for c in j)
-    return np.array([u.site(tuple(j[k] + b[k] for k in range(potential.n)))
-                     for b in potential.ball])
-
-
-def local_energy(potential: SitePotential, u, j) -> float:
-    """The shifted local energy S_j(u)."""
-    return float(potential.energy(site_configuration(potential, u, j)))
-
-
 def site_energies(potential: SitePotential, values: np.ndarray) -> np.ndarray:
     """S_j(u) for every torus site j; values has lattice axes trailing."""
     periods = np.shape(values)[-potential.n:]
@@ -326,20 +308,6 @@ def residual_field(potential: SitePotential, values: np.ndarray) -> np.ndarray:
     """Equilibrium residual sum_{|j-i|<=r} d_i S_j(u) at every torus site."""
     periods = np.shape(values)[-potential.n:]
     return stencil(potential.ball, periods).residual(potential, values)
-
-
-def el_residual(potential: SitePotential, u, i) -> float:
-    """The Euler-Lagrange residual of the field u at site i."""
-    _check_dim(potential, u)
-    i = tuple(int(c) for c in i)
-    total = 0.0
-    for b in potential.ball:
-        j = tuple(i[k] + b[k] for k in range(potential.n))
-        g = potential.gradient(site_configuration(potential, u, j))
-        # position of i within the ball around j is -b
-        k = potential.ball.index(tuple(-c for c in b))
-        total += float(g[k])
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,8 @@ solver is the default and the heat-flow solver doubles as a cross-check.
 
 This module also hosts the explicit staircase profiles (``chi_path`` /
 ``phi_path``) whose maxima bound d - c uniformly in the axis-1 period, the
-order-relation classifier ``intersects``, the monotone-path level tracking
-``theta_bounds`` (which checks the monotonicity on the nodes), and the
-multiplicity scan over elongated tori.
+order-relation classifier ``intersects``, and the multiplicity scan over
+elongated tori.
 """
 
 from __future__ import annotations
@@ -167,14 +166,6 @@ def check_chain(nodes, hi: np.ndarray) -> np.ndarray:
         raise PathError("chain endpoints must be pinned to 0 and the box corner "
                         "(off by %.3g and %.3g)" % off)
     return nodes
-
-
-def clip_to_box(u: TorusField, gap: GapPair, periods=None) -> TorusField:
-    """Sitewise max(min(u, w0 - v0), 0); idempotent."""
-    gap = require_gap(gap)
-    periods = periods or u.periods
-    box = gap.box_field(periods).values
-    return TorusField(periods, np.clip(u.values, 0.0, box))
 
 
 # ---------------------------------------------------------------------------
@@ -579,107 +570,6 @@ def best_mountain_pass(potential, gap, path0, params,
         nodes, hi, restarts)
 
 
-def minimax_over_unconstrained_paths_check(potential, gap: GapPair, periods,
-                                           params: FlowParams | None = None,
-                                           seed: int = 0, N: int | None = None,
-                                           base: MinimaxResult | None = None):
-    """Numerical witness that clipping free paths into the box preserves d.
-
-    Perturbs a converged path out of the box (scaling and additive bumps),
-    clips it back, re-runs the solver, and reports whether the minimax values
-    agree to 1e-6.  Disagreement is reported as a finding, not raised.
-    """
-    params = params or FlowParams()
-    path0 = build_initial_path("chi", N, None, gap, periods)
-    if base is None:
-        base = mountain_pass(potential, gap, path0, params)
-    rng = np.random.default_rng(seed)
-    hi = path0[-1]
-    findings = []
-    variants = {
-        "scaled-1.5": path0 * 1.5,
-        "bumped": path0 + 0.6 * rng.standard_normal(path0.shape),
-    }
-    for name, nodes in variants.items():
-        clipped = np.clip(nodes, 0.0, hi)
-        clipped[0] = 0.0
-        clipped[-1] = hi
-        res = mountain_pass(potential, gap, clipped, params)
-        findings.append({
-            "variant": name,
-            "d": res.value,
-            "d_base": base.value,
-            "delta": abs(res.value - base.value),
-            "agrees": bool(abs(res.value - base.value) <= 1e-6),
-        })
-    return {"base": base, "findings": findings,
-            "all_agree": all(f["agrees"] for f in findings)}
-
-
-# ---------------------------------------------------------------------------
-# monotone-path level tracking
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ThetaBounds:
-    times: np.ndarray
-    under: np.ndarray
-    over: np.ndarray
-
-
-def theta_bounds(potential: SitePotential, gap: GapPair, path,
-                 u0: TorusField, t, params: FlowParams | None = None) -> ThetaBounds:
-    """Track the largest flowed node below u0 and the smallest above it.
-
-    ``path`` is an (N, *p) node array, nondecreasing from node to node (to
-    ``COMPARE_TOL``; checked here, since the bracket means nothing on a
-    path that turns back).  ``u0`` is an offset field strictly inside the
-    box.  The sup/inf are evaluated on the node grid only; when the path
-    holds a plateau equal to u0, the bound lands on the plateau edge,
-    matching the continuum definition of the supremum.
-    """
-    gap = require_gap(gap)
-    nodes, periods = _torus_path(potential, path)
-    drop = float(np.min(np.diff(nodes, axis=0)))
-    if drop < -COMPARE_TOL:
-        raise PathError("theta tracking needs a monotone path; a node sits "
-                        "%g below its predecessor" % -drop)
-    params = params or FlowParams()
-    system, hi = gap.order_box(potential, periods)
-    u0v = u0.extend(periods).values if u0.periods != periods else u0.values
-    if np.min(u0v) <= 0.0 or np.min(hi - u0v) <= 0.0:
-        raise PathError("u0 must lie strictly inside the box")
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.diff(times) < 0):
-        raise PathError("times must be nondecreasing")
-    N = nodes.shape[0]
-    thetas = np.linspace(0.0, 1.0, N)
-    under = np.empty(len(times))
-    over = np.empty(len(times))
-    for ti, span in enumerate(np.diff(times, prepend=0.0)):
-        nodes, _, _ = flow(system, nodes, params.with_(t_max=span, run_to_t_max=True))
-        diff = nodes - u0v
-        flat = diff.reshape(N, -1)
-        equal = np.abs(flat).max(axis=1) <= COMPARE_TOL
-        below = (flat.max(axis=1) <= COMPARE_TOL) & ~equal
-        above = (flat.min(axis=1) >= -COMPARE_TOL) & ~equal
-        if below.any():
-            m = int(np.max(np.flatnonzero(below)))
-            if m + 1 < N and equal[m + 1]:
-                m += 1  # the supremum reaches the equality plateau
-            under[ti] = thetas[m]
-        else:
-            under[ti] = 0.0
-        if above.any():
-            m = int(np.min(np.flatnonzero(above)))
-            if m - 1 >= 0 and equal[m - 1]:
-                m -= 1
-            over[ti] = thetas[m]
-        else:
-            over[ti] = 1.0
-    return ThetaBounds(times=times, under=under, over=over)
-
-
 # ---------------------------------------------------------------------------
 # order-relation classifier
 # ---------------------------------------------------------------------------
@@ -760,15 +650,6 @@ class MultiplicityScan:
     criticals: dict                 # k -> offset values on the lcm window
     distances: np.ndarray           # pairwise shift-normalized l-inf
     versus_first: dict              # k -> intersects classification vs k=1
-
-    def distinct_pairs(self, tol: float = 1e-3):
-        ks = sorted(self.criticals)
-        out = []
-        for a in range(len(ks)):
-            for b in range(a + 1, len(ks)):
-                if self.distances[a, b] > tol:
-                    out.append((ks[a], ks[b], float(self.distances[a, b])))
-        return out
 
 
 def _shift_orbit_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,11 +1,12 @@
-"""Periodic lattice states: torus energies, the semiflow, minimizers, gaps.
+"""Periodic lattice states: the torus energy system, minimizers and gap pairs.
 
 The torus energy of a p-periodic field is the sum of the shifted local
 energies over one fundamental cell,
 
     J(u) = sum_{j in T_p} S_j(u),
 
-and the energy relative to a reference minimizer v0 is I(u) = J(u + v0).
+and the energy relative to a reference minimizer v0 is I(u) = J(u + v0);
+``PeriodicSystem`` evaluates I, its gradient and its Hessian on raw arrays.
 Minimizing J over the torus recovers the ground energy c0p = prod(p) * c0 and
 the ground states (``polish_limits`` Newton-finishes each distinct flowed
 limit once, on the torus and the strip alike); between two adjacent ground
@@ -20,15 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import (BIRKHOFF_SCAN_RANGE, BOX_INTERIOR_TOL, BOX_POLISH_FACTOR,
-                       BOX_POLISH_MAX_DROP, COMPARE_TOL, DEDUP_TOL, GAP_PROBES,
-                       MINIMIZE_GRID_SEEDS, MINIMIZE_RANDOM_SEEDS,
-                       MINIMIZER_ENERGY_MARGIN, POLISH_MAX_ITER, POLISH_TOL,
-                       STRICT_ORDER_TOL)
+from .defaults import (DEDUP_TOL, GAP_PROBES, MINIMIZE_GRID_SEEDS,
+                       MINIMIZE_RANDOM_SEEDS, MINIMIZER_ENERGY_MARGIN,
+                       POLISH_MAX_ITER, POLISH_TOL, STRICT_ORDER_TOL)
 from .fields import (FkSaddleError, PeriodError, TorusField, stencil,
                      validate_periods)
-from .model import SitePotential, residual_field, site_energies
-from .semiflow import FlowParams, flow, flow_to_stationarity, refine_critical
+from .model import SitePotential
+from .semiflow import FlowParams, flow_to_stationarity, refine_critical
 
 
 class NoGapError(FkSaddleError):
@@ -68,34 +67,6 @@ class PeriodicSystem:
     def hess_matrix(self, x):
         """Hessian of I at x: one dense block, rows in C order of the cell."""
         return self.stencil.banded_hessian(self.potential, x + self.base)
-
-
-# ---------------------------------------------------------------------------
-# energies
-# ---------------------------------------------------------------------------
-
-def torus_energy(potential: SitePotential, u: TorusField) -> float:
-    """J(u): the sum of S_j(u) over the fundamental torus cell."""
-    return float(site_energies(potential, u.values).sum())
-
-
-def relative_energy(potential: SitePotential, u: TorusField, v0: TorusField) -> float:
-    """I(u) = J(u + v0); v0 may live on any torus whose periods divide u's."""
-    return torus_energy(potential, u + v0.extend(u.periods))
-
-
-def gradient(potential: SitePotential, u: TorusField, v0: TorusField) -> TorusField:
-    """The formal gradient of I at u, folded onto the torus (eq. residual)."""
-    vals = residual_field(potential, (u + v0.extend(u.periods)).values)
-    return TorusField(u.periods, vals)
-
-
-def flow_field(potential: SitePotential, u0: TorusField, v0: TorusField,
-               params: FlowParams):
-    """Integrate the periodic semiflow from u0; returns (field, trace)."""
-    system = PeriodicSystem(potential, u0.periods, v0)
-    x, trace, _ = flow(system, u0.values, params)
-    return TorusField(u0.periods, x), trace
 
 
 # ---------------------------------------------------------------------------
@@ -276,97 +247,3 @@ def require_gap(gap) -> GapPair:
     if gap is None:
         raise NoGapError("no gap found: the minimizer set has no adjacent pair")
     return gap
-
-
-# ---------------------------------------------------------------------------
-# order diagnostics
-# ---------------------------------------------------------------------------
-
-def is_birkhoff(u: TorusField) -> bool:
-    """True iff all lattice translates plus integer offsets order uniformly.
-
-    Checks tau^k_j u + l against u for |j|, |l| <= BIRKHOFF_SCAN_RANGE, every
-    axis k; a sign change across sites beyond COMPARE_TOL reports a crossing.
-    """
-    span = range(-BIRKHOFF_SCAN_RANGE, BIRKHOFF_SCAN_RANGE + 1)
-    for axis in range(1, u.n + 1):
-        for j in span:
-            shifted = u.shift(axis, j)
-            for l in span:
-                d = shifted.values + l - u.values
-                has_pos = np.max(d) > COMPARE_TOL
-                has_neg = np.min(d) < -COMPARE_TOL
-                if has_pos and has_neg:
-                    return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# box maximizer
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BoxMaxResult:
-    field: TorusField          # offset from v0, inside [0, w0 - v0]
-    value: float
-    interior_residual: float   # worst |residual| over strictly interior sites
-    lower_clipped_max_residual: float  # must be <= tol (one-sided condition)
-    upper_clipped_min_residual: float
-    clipped_sites: int
-    iterations: int
-
-
-def box_maximize(potential: SitePotential, gap: GapPair, seeds=None,
-                 params: FlowParams | None = None, periods=None) -> BoxMaxResult:
-    """Ascend +gradient of I with sitewise clipping to the order box.
-
-    At convergence the maximizer must satisfy the equilibrium equation at
-    every site strictly inside the box; at lower-clipped sites the residual
-    can only be <= 0, at upper-clipped sites >= 0.
-    """
-    gap = require_gap(gap)
-    params = params or FlowParams()
-    system, hi = gap.order_box(potential, periods)
-    dt = params.resolve_dt(system)
-    if seeds is None:
-        rng = np.random.default_rng(0)
-        seeds = [0.5 * hi, 0.25 * hi, 0.75 * hi,
-                 np.clip(0.5 * hi + 0.2 * rng.standard_normal(hi.shape) * hi, 0.0, hi)]
-    else:
-        seeds = [s.values if isinstance(s, TorusField) else np.asarray(s, float)
-                 for s in seeds]
-    best = None
-    iterations = 0
-    for x0 in seeds:
-        x = np.clip(np.asarray(x0, dtype=float), 0.0, hi)
-        for _ in range(params.max_steps):
-            g = system.grad(x)
-            x_new = np.clip(x + dt * g, 0.0, hi)
-            move = np.max(np.abs(x_new - x)) / dt
-            x = x_new
-            iterations += 1
-            if move <= params.stationarity_tol:
-                break
-        # Newton polish on the free sites pushes interior residuals to tol;
-        # it must not fall off the maximum
-        x_pol, _, _ = refine_critical(
-            system, x, params.stationarity_tol * BOX_POLISH_FACTOR, max_iter=50, hi=hi)
-        if system.energy(x_pol) >= system.energy(x) - BOX_POLISH_MAX_DROP:
-            x = x_pol
-        val = float(system.energy(x))
-        if best is None or val > best[0]:
-            best = (val, x)
-    val, x = best
-    g = system.grad(x)
-    lower = x <= BOX_INTERIOR_TOL
-    upper = x >= hi - BOX_INTERIOR_TOL
-    interior = ~(lower | upper)
-    interior_res = float(np.max(np.abs(g[interior]))) if interior.any() else 0.0
-    low_res = float(np.max(g[lower])) if lower.any() else 0.0
-    up_res = float(np.min(g[upper])) if upper.any() else 0.0
-    return BoxMaxResult(field=TorusField(system.periods, x), value=val,
-                        interior_residual=interior_res,
-                        lower_clipped_max_residual=low_res,
-                        upper_clipped_min_residual=up_res,
-                        clipped_sites=int(lower.sum() + upper.sum()),
-                        iterations=iterations)

@@ -12,15 +12,15 @@ step; if a step raises the energy of any batch member by more than
 ``ENERGY_INCREASE_TOL`` the step size is halved and the step retried (at most
 ``MAX_DT_HALVINGS`` times), after which the run aborts.
 
-``refine_critical`` is the one Newton solver of the package: ground-state
-polish, saddle refinement and the box maximizer's polish all call it.  It
-needs ``hess_matrix(x)`` as well: a ``fields.BandedHessian``, block
-tridiagonal in groups of strip layers (one dense block on the torus), solved
-by block LU in O(sites * block) memory.  The solve pivots inside a block
-only, so every step carries a certificate: ``|H s + g| <= NEWTON_SOLVE_RTOL
-|g|``, checked through the block mat-vec, or the Newton stops unconverged.
-A saddle's Hessian is indefinite, but by Haynsworth's inertia additivity its
-negative eigenvalue sits in exactly one Schur complement; a singular one is
+``refine_critical`` is the one Newton solver of the package: the
+ground-state polish and the saddle refinement both call it.  It needs
+``hess_matrix(x)`` as well: a ``fields.BandedHessian``, block tridiagonal in
+groups of strip layers (one dense block on the torus), solved by block LU in
+O(sites * block) memory.  The solve pivots inside a block only, so every
+step carries a certificate: ``|H s + g| <= NEWTON_SOLVE_RTOL |g|``, checked
+through the block mat-vec, or the Newton stops unconverged.  A saddle's
+Hessian is indefinite, but by Haynsworth's inertia additivity its negative
+eigenvalue sits in exactly one Schur complement; a singular one is
 non-generic and the certificate catches it.
 """
 
@@ -31,9 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .defaults import (BOX_INTERIOR_TOL, ENERGY_INCREASE_TOL, FLOW_T_MAX,
-                       MAX_DT_HALVINGS, MAX_FLOW_STEPS, NEWTON_SOLVE_RTOL,
-                       STATIONARITY_TOL)
+from .defaults import (ENERGY_INCREASE_TOL, FLOW_T_MAX, MAX_DT_HALVINGS,
+                       MAX_FLOW_STEPS, NEWTON_SOLVE_RTOL, STATIONARITY_TOL)
 from .fields import FkSaddleError
 
 
@@ -159,45 +158,29 @@ def flow_to_stationarity(system, x0, params: FlowParams):
     return x, trace
 
 
-def refine_critical(system, x0: np.ndarray, tol: float, max_iter: int = 100,
-                    hi: np.ndarray | None = None):
+def refine_critical(system, x0: np.ndarray, tol: float, max_iter: int = 100):
     """Damped Newton on the equilibrium residual from x0.
 
     Uses the squared residual norm as merit function; returns
     (x, linf_residual, converged).  The system must expose ``grad`` and
     ``hess_matrix(x)``, which returns a Hessian with ``solve(rhs)`` (it may
-    raise ``np.linalg.LinAlgError``), ``matvec(v)`` and ``pin(fixed)`` on
-    flat state vectors; ``fields.BandedHessian`` is the one in use.
+    raise ``np.linalg.LinAlgError``) and ``matvec(v)`` on flat state vectors;
+    ``fields.BandedHessian`` is the one in use.
 
     Each step s is certified: unless ``|H s + g| <= NEWTON_SOLVE_RTOL |g|``
     (l2, through ``matvec``), or if a block of the solve is singular, the
     Newton stops and returns the current point and residual with
     ``converged=False``.  The block solve pivots inside a block only, so the
     check is what stands behind a step.
-
-    With a box ``hi``, only the free sites (more than ``BOX_INTERIOR_TOL``
-    inside ``(0, hi)``) move and count toward the residual: the other sites
-    become identity rows with a zero right-hand side (``pin``), and every
-    trial point is clipped to ``[0, hi]``, so sites on a face stay there.
     """
     x = np.asarray(x0, dtype=float).copy()
-
-    def residual(x):
-        g = system.grad(x).ravel()
-        if hi is None:
-            return g, None
-        fixed = ~((x > BOX_INTERIOR_TOL) & (x < hi - BOX_INTERIOR_TOL)).ravel()
-        return np.where(fixed, 0.0, g), fixed
-
-    g, fixed = residual(x)
+    g = system.grad(x).ravel()
     merit = float(np.sum(g ** 2))
     for _ in range(max_iter):
         res = float(np.max(np.abs(g), initial=0.0))
         if res <= tol:
             return x, res, True
         H = system.hess_matrix(x)
-        if fixed is not None:
-            H = H.pin(fixed)
         try:
             step = H.solve(-g)
         except np.linalg.LinAlgError:
@@ -209,12 +192,10 @@ def refine_critical(system, x0: np.ndarray, tol: float, max_iter: int = 100,
         alpha = 1.0
         while alpha >= 1e-6:
             x_try = x + alpha * step
-            if hi is not None:
-                x_try = np.clip(x_try, 0.0, hi)
-            g_try, fixed_try = residual(x_try)
+            g_try = system.grad(x_try).ravel()
             m_try = float(np.sum(g_try ** 2))
             if m_try <= merit * (1.0 - 0.25 * alpha) + 1e-300:
-                x, g, fixed, merit = x_try, g_try, fixed_try, m_try
+                x, g, merit = x_try, g_try, m_try
                 break
             alpha *= 0.5
         else:

@@ -1,12 +1,65 @@
 """Constructed potentials used to check that the validators have teeth,
-and a radius-2 plug-in for the stencil and Newton checks."""
+a radius-2 plug-in for the stencil and Newton checks, and the per-site
+oracles that the stencil engine is checked against."""
 
 import numpy as np
 
-from fk_saddle import PluginPotential
-from fk_saddle.model import ClassicalFKPotential, ball_offsets
+from fk_saddle import PluginPotential, TorusField
+from fk_saddle.model import ClassicalFKPotential, ModelError, ball_offsets
 
 TWO_PI = 2 * np.pi
+
+
+# --- per-site oracles: one site, one ball, plain loops ---------------------
+
+def _check_dim(potential, u) -> None:
+    if u.n != potential.n:
+        raise ModelError("field dimension %d does not match model dimension %d"
+                         % (u.n, potential.n))
+
+
+def site(u, i) -> float:
+    """u(i): modulo the periods on a TorusField; on a StripField the tail
+    constants outside the window and modulo q across it."""
+    if isinstance(u, TorusField):
+        return float(u.values[tuple(int(i[k]) % p for k, p in enumerate(u.periods))])
+    i1, W = int(i[0]), u.half_width
+    if i1 < -W:
+        return u.left
+    if i1 > W:
+        return u.right
+    idx = (i1 + W,) + tuple(int(i[1 + k]) % q for k, q in enumerate(u.q))
+    return float(u.values[idx])
+
+
+def site_configuration(potential, u, j) -> np.ndarray:
+    """The configuration of u on j + ball, as a flat (nball,) array."""
+    _check_dim(potential, u)
+    j = tuple(int(c) for c in j)
+    return np.array([site(u, tuple(j[k] + b[k] for k in range(potential.n)))
+                     for b in potential.ball])
+
+
+def local_energy(potential, u, j) -> float:
+    """The shifted local energy S_j(u)."""
+    return float(potential.energy(site_configuration(potential, u, j)))
+
+
+def el_residual(potential, u, i) -> float:
+    """The Euler-Lagrange residual sum_{|j-i|<=r} d_i S_j(u) at site i."""
+    _check_dim(potential, u)
+    i = tuple(int(c) for c in i)
+    total = 0.0
+    for b in potential.ball:
+        j = tuple(i[k] + b[k] for k in range(potential.n))
+        g = potential.gradient(site_configuration(potential, u, j))
+        # position of i within the ball around j is -b
+        k = potential.ball.index(tuple(-c for c in b))
+        total += float(g[k])
+    return total
+
+
+# --- constructed potentials ----------------------------------------------------
 
 
 class FlippedBondPotential(ClassicalFKPotential):

@@ -9,7 +9,7 @@ from fk_saddle.cli import (COMMAND_FLAGS, COMMON_FLAGS, FLAG_KEYS,
                            _config_from_args, build_parser, main, run,
                            schema_entry)
 from fk_saddle.config import SCHEMA, config_to_dict
-from fk_saddle.defaults import WINDOW_CAP
+from fk_saddle.defaults import TAIL_BOUND_TOL, WINDOW_CAP
 
 
 def test_parse_minimal_defaults():
@@ -167,6 +167,20 @@ def test_minimize_manifest(tmp_path):
     assert all(r <= 1e-10 for r in data["scalars"]["residuals"])
 
 
+def test_minimize_manifest_holds_each_whole_limit(tmp_path):
+    # on (3,2) some stationary limits are not constant fields: the manifest
+    # keeps every site of every limit, not its first value
+    out = tmp_path / "run.json"
+    assert main(["minimize", "--model", "classical-fk", "--p", "3,2",
+                 "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert "limits" not in data["scalars"]
+    limits = [np.array(v) for v in data["tables"]["limits"]]
+    assert len(limits) == len(data["tables"]["limit_energies"])
+    assert all(v.shape == (3, 2) for v in limits)
+    assert max(np.ptp(v) for v in limits) > 0.9
+
+
 def test_landscape_csv(tmp_path):
     out = tmp_path / "l.json"
     csv = tmp_path / "landscape.csv"
@@ -234,6 +248,29 @@ def test_strip_csv_starts_at_minus_w(tmp_path):
     assert lines[1].startswith("-20,0,")
     assert lines[-1].startswith("20,0,")
     assert len(lines) == 1 + 41
+
+
+@pytest.mark.parametrize("command", ["hetero", "mph"])
+def test_fixed_window_must_meet_the_tail_bound(command, tmp_path):
+    # at W = 1 the kink's tails still carry mass (bound 6.25), so its c1q is
+    # not the kink's; the run reports that and exits 1
+    out = tmp_path / "w1.json"
+    assert main([command, "--model", "pinned-fk", "--q", "1", "--window", "1",
+                 "--seed", "5", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert not data["ok"]
+    tail = [e for e in data["errors"] if "tail bound" in e]
+    assert len(tail) == 1
+    assert "W=1" in tail[0] and "TAIL_BOUND_TOL=%g" % TAIL_BOUND_TOL in tail[0]
+
+
+def test_fixed_window_meeting_the_tail_bound_passes(tmp_path):
+    out = tmp_path / "w20.json"
+    assert main(["hetero", "--model", "pinned-fk", "--q", "1", "--window", "20",
+                 "--seed", "5", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["ok"] and data["errors"] == []
+    assert data["scalars"]["tail_bound"] < TAIL_BOUND_TOL
 
 
 def test_heat_flow_mpp_honours_restarts(tmp_path, monkeypatch):

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from fk_saddle import (StripField, asymptotics_report,
-                       bound_scan_hetero, find_gap_pair_hetero, flow_hetero,
-                       make_potential, minimize_hetero, mountain_pass_hetero,
-                       renormalized_energy, strip_norm)
-from fk_saddle.fields import WindowError
-from fk_saddle.hetero import StripSystem, _strip_system
+                       bound_scan_hetero, find_gap_pair_hetero,
+                       make_potential, minimize_hetero, mountain_pass_hetero)
+from fk_saddle.hetero import _strip_system
 from fk_saddle.mpp import PathError, box_path
 from fk_saddle.semiflow import flow
 
@@ -17,29 +15,6 @@ BRUTE_FORCE_C1 = {
     "classical-fk": 0.123446117685522,
     "pinned-fk": 0.124215843651504,
 }
-
-
-# --- norms --------------------------------------------------------------------
-
-def test_strip_norm_zero_and_bump():
-    z = StripField(5, (1,), np.zeros((11, 1)), 0.0, 0.0)
-    assert strip_norm(z) == 0.0
-    vals = np.zeros((11, 1))
-    vals[5, 0] = 0.7
-    bump = StripField(5, (1,), vals, 0.0, 0.0)
-    assert strip_norm(bump) == pytest.approx(1.4)
-
-
-def test_strip_norm_infinite_with_tails(het_gap):
-    assert strip_norm(het_gap.v1) == np.inf
-
-
-def test_strip_norm_of_gap_width(het_gap):
-    width = het_gap.w1 - het_gap.v1
-    n = strip_norm(width)
-    l1 = float(np.sum(np.abs(width.values)))
-    assert np.isfinite(n)
-    assert n <= l1 + np.sqrt(l1) + 1e-12  # l2 <= sqrt(l1) when values <= 1
 
 
 # --- minimization ---------------------------------------------------------------
@@ -88,40 +63,22 @@ def test_renormalization_constants(het):
 
 # --- renormalized energy -----------------------------------------------------
 
+def _energy(potential, u, gap0):
+    """The renormalized energy of the total strip field u on its own window."""
+    return float(_strip_system(potential, u.q, u.half_width, gap0).energy(u.values))
+
+
 def test_energy_of_both_endpoints(pinned, pinned_gap, het, het_gap):
-    Iv = renormalized_energy(pinned, het_gap.v1, pinned_gap)
-    Iw = renormalized_energy(pinned, het_gap.w1, pinned_gap)
+    Iv = _energy(pinned, het_gap.v1, pinned_gap)
+    Iw = _energy(pinned, het_gap.w1, pinned_gap)
     assert Iv == pytest.approx(het.c1q, abs=1e-12)
     assert abs(Iw - Iv) <= 1e-9
 
 
 def test_energy_stable_under_window_doubling(pinned, pinned_gap, het):
-    small = renormalized_energy(pinned, het.v1, pinned_gap)
-    big = renormalized_energy(pinned, het.v1.embed(2 * het.window), pinned_gap)
+    small = _energy(pinned, het.v1, pinned_gap)
+    big = _energy(pinned, het.v1.embed(2 * het.window), pinned_gap)
     assert abs(big - small) <= 1e-9
-
-
-def test_energy_layer_range_guard(pinned, pinned_gap, het):
-    with pytest.raises(WindowError):
-        renormalized_energy(pinned, het.v1, pinned_gap, layers=(-5, 5))
-    W, r = het.window, pinned.r
-    full = renormalized_energy(pinned, het.v1, pinned_gap,
-                               layers=(-W - r, W + r))
-    assert full == pytest.approx(het.c1q, abs=1e-12)
-
-
-def test_energy_layer_range_must_cover_margin(pinned, pinned_gap):
-    # a tail-to-tail ramp still climbing at the window edges puts energy in
-    # the margin layers [-W-r, -W) and (W, W+r]; dropping it must not pass
-    # silently
-    W, r = 6, pinned.r
-    ramp = np.linspace(-0.25, 0.75, 2 * W + 3)[1:-1].reshape(-1, 1)
-    u = StripField(W, (1,), ramp, -0.25, 0.75)
-    full = renormalized_energy(pinned, u, pinned_gap)
-    assert renormalized_energy(pinned, u, pinned_gap,
-                               layers=(-W - r, W + r)) == full
-    with pytest.raises(WindowError):
-        renormalized_energy(pinned, u, pinned_gap, layers=(-W, W))
 
 
 def test_strip_gradient_matches_finite_differences(pinned, pinned_gap, het):
@@ -156,20 +113,18 @@ def test_strip_hessian_matches_gradient_differences(pinned, pinned_gap):
 
 def test_flow_fixed_points(pinned, pinned_gap, params, het, het_gap):
     fp = params.with_(t_max=0.5, run_to_t_max=True)
+    system = _strip_system(pinned, (1,), het_gap.v1.half_width, pinned_gap)
     for u in (het_gap.v1, het_gap.w1):
-        out, _ = flow_hetero(pinned, u, pinned_gap, fp)
-        assert np.max(np.abs(out.values - u.values)) < 1e-9
+        out, _, _ = flow(system, u.values, fp)
+        assert np.max(np.abs(out - u.values)) < 1e-9
 
 
 def test_flow_converges_from_box_seed(pinned, pinned_gap, params, het_gap):
     rng = np.random.default_rng(3)
     width = het_gap.width_values
-    system = StripSystem(pinned, (1,), het_gap.v1.half_width, 0.0, 0.0,
-                         c0=-2.0, base=None)
+    system = _strip_system(pinned, (1,), het_gap.v1.half_width, pinned_gap)
     u0 = het_gap.v1.values + rng.uniform(0, 1, size=width.shape) * width
-    start = StripField(het_gap.v1.half_width, (1,), u0,
-                       het_gap.v1.left, het_gap.v1.right)
-    out, trace = flow_hetero(pinned, start, pinned_gap, params)
+    _, trace, _ = flow(system, u0, params)
     assert trace.residuals[-1] <= params.stationarity_tol
     assert np.all(np.diff(np.array(trace.energies)) <= 1e-10)
 

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fk_saddle import (PeriodicSystem, StripField, StripSystem, TorusField,
-                       el_residual, local_energy, make_potential, shift,
-                       validate_assumptions)
+                       make_potential, shift, validate_assumptions)
 from fk_saddle.model import (ClassicalFKPotential, ModelError, PluginPotential,
                              ball_offsets, residual_field, site_energies)
 
-from helper_models import FlippedBondPotential, onsite_only, radius_two_springs
+from helper_models import (FlippedBondPotential, el_residual, local_energy,
+                           onsite_only, radius_two_springs)
 
 TWO_PI = 2 * np.pi
 

@@ -98,22 +98,6 @@ def test_one_block_step_is_the_dense_solve(classical, gap, pinned):
         assert np.array_equal(system.hess_matrix(x).solve(-g), dense)
 
 
-def test_box_mask_solves_the_free_block(classical, gap):
-    p = (3, 2)
-    system = PeriodicSystem(classical, p, gap.v0.extend(p))
-    x = np.random.default_rng(6).uniform(0.0, 1.0, p)
-    g = system.grad(x).ravel()
-    fixed = np.zeros(x.size, dtype=bool)
-    fixed[[0, 4]] = True
-    free = ~fixed
-    H = system.hess_matrix(x).pin(fixed)
-    step = H.solve(-np.where(fixed, 0.0, g))
-    assert np.all(step[fixed] == 0.0)
-    dense = system.hess_matrix(x).dense()[np.ix_(free, free)]
-    assert np.allclose(step[free], np.linalg.solve(dense, -g[free]),
-                       rtol=1e-12, atol=0.0)
-
-
 def test_newton_memory_stays_linear_in_the_sites(pinned):
     # W = 640 (WINDOW_CAP), q = (3,): 3,843 sites, whose dense Hessian alone
     # is 3843^2 * 8 B = 113 MB.  The banded one stores 3 n numbers per row in

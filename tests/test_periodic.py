@@ -1,85 +1,96 @@
 import numpy as np
 import pytest
 
-from fk_saddle import (FlowParams, TorusField, box_maximize, find_gap_pair,
-                       flow_field, gradient, is_birkhoff, local_energy,
-                       make_potential, minimize_periodic, relative_energy,
-                       torus_energy)
+from fk_saddle import (FlowParams, TorusField, find_gap_pair, make_potential,
+                       minimize_periodic)
 from fk_saddle.fields import BandedHessian, PeriodError
 from fk_saddle.model import PluginPotential
 from fk_saddle.periodic import NoGapError, PeriodicSystem, require_gap
 from fk_saddle.semiflow import FlowError, flow, refine_critical
 
+from helper_models import local_energy
+
 
 def test_torus_energy_values(classical):
-    assert torus_energy(classical, TorusField.constant((1, 1), -0.25)) == pytest.approx(-1.0, abs=1e-12)
-    assert torus_energy(classical, TorusField.constant((2, 1), -0.25)) == pytest.approx(-2.0, abs=1e-12)
+    for p, level in (((1, 1), -1.0), ((2, 1), -2.0)):
+        energy = PeriodicSystem(classical, p).energy(np.full(p, -0.25))
+        assert energy == pytest.approx(level, abs=1e-12)
     u = TorusField.constant((1, 1), 0.3)
-    assert torus_energy(classical, u) == pytest.approx(
+    assert PeriodicSystem(classical, (1, 1)).energy(u.values) == pytest.approx(
         local_energy(classical, u, (0, 0)), abs=1e-14)
 
 
 def test_relative_energy_values(classical, gap):
-    v0 = gap.v0
     p = (1, 1)
-    assert relative_energy(classical, TorusField.constant(p, 0.0), v0) == pytest.approx(-1.0, abs=1e-12)
+    system = PeriodicSystem(classical, p, gap.v0)
+    assert system.energy(np.zeros(p)) == pytest.approx(-1.0, abs=1e-12)
     w_minus_v = gap.w0 - gap.v0
-    assert relative_energy(classical, w_minus_v, v0) == pytest.approx(-1.0, abs=1e-12)
-    assert relative_energy(classical, TorusField.constant(p, 0.5), v0) == pytest.approx(1.0, abs=1e-12)
+    assert system.energy(w_minus_v.values) == pytest.approx(-1.0, abs=1e-12)
+    assert system.energy(np.full(p, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_relative_energy_period_mismatch(classical, gap):
-    u = TorusField.constant((3, 1), 0.0)
+    # a (2,1) reference does not extend to the (3,1) torus
     bad_v0 = TorusField.constant((2, 1), -0.25)
     with pytest.raises(PeriodError):
-        relative_energy(classical, u, bad_v0)
+        PeriodicSystem(classical, (3, 1), bad_v0)
 
 
 def test_gradient_examples(classical, gap, params):
     # single-site derivative of the on-site term at the origin
-    g = gradient(classical, TorusField.constant((1, 1), 0.25), gap.v0)
-    assert g.values.flat[0] == pytest.approx(2 * np.pi, abs=1e-12)
+    g = PeriodicSystem(classical, (1, 1), gap.v0).grad(np.full((1, 1), 0.25))
+    assert g.flat[0] == pytest.approx(2 * np.pi, abs=1e-12)
     # stationarity of a converged minimizer offset
-    res = minimize_periodic(classical, (2, 1), [0.3], params)
-    off = res.best - gap.v0.extend((2, 1))
-    assert np.linalg.norm(gradient(classical, off, gap.v0).values) <= params.stationarity_tol
+    p = (2, 1)
+    res = minimize_periodic(classical, p, [0.3], params)
+    off = res.best - gap.v0.extend(p)
+    g = PeriodicSystem(classical, p, gap.v0).grad(off.values)
+    assert np.linalg.norm(g) <= params.stationarity_tol
 
 
 def test_gradient_matches_finite_differences(classical, gap):
     rng = np.random.default_rng(5)
     p = (2, 2)
-    u = TorusField(p, rng.uniform(-1, 2, size=p))
-    g = gradient(classical, u, gap.v0)
+    system = PeriodicSystem(classical, p, gap.v0)
+    x = rng.uniform(-1, 2, size=p)
+    g = system.grad(x)
     h = 1e-6
     for idx in np.ndindex(p):
         e = np.zeros(p)
         e[idx] = h
-        fd = (relative_energy(classical, u + e, gap.v0)
-              - relative_energy(classical, u - e, gap.v0)) / (2 * h)
-        assert g.values[idx] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+        fd = (system.energy(x + e) - system.energy(x - e)) / (2 * h)
+        assert g[idx] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_flow_fixed_points(classical, gap, params):
     p = (2, 1)
-    zero = TorusField.constant(p, 0.0)
-    out, _ = flow_field(classical, zero, gap.v0,
-                        params.with_(t_max=1.0, run_to_t_max=True))
-    assert np.max(np.abs(out.values)) < 1e-9
-    top = gap.box_field(p)
-    out, _ = flow_field(classical, top, gap.v0,
-                        params.with_(t_max=1.0, run_to_t_max=True))
-    assert np.max(np.abs(out.values - top.values)) < 1e-9
+    system = PeriodicSystem(classical, p, gap.v0)
+    fp = params.with_(t_max=1.0, run_to_t_max=True)
+    out, _, _ = flow(system, np.zeros(p), fp)
+    assert np.max(np.abs(out)) < 1e-9
+    top = gap.box_field(p).values
+    out, _, _ = flow(system, top, fp)
+    assert np.max(np.abs(out - top)) < 1e-9
 
 
 def test_flow_converges_and_decreases_energy(classical, gap, params):
     rng = np.random.default_rng(11)
     p = (2, 1)
-    u0 = TorusField(p, rng.uniform(0, 1, size=p))
-    out, trace = flow_field(classical, u0, gap.v0, params)
+    system = PeriodicSystem(classical, p, gap.v0)
+    _, trace, _ = flow(system, rng.uniform(0, 1, size=p), params)
     assert trace.residuals[-1] <= params.stationarity_tol
     es = np.array(trace.energies)
     assert np.all(np.diff(es) <= 1e-10)
     assert es[-1] <= es[0]
+
+
+def test_flow_budget_short_of_t_max_raises(classical, gap, params):
+    # a step budget too small for the horizon is an error, not an early answer
+    p = (2, 1)
+    system = PeriodicSystem(classical, p, gap.v0)
+    with pytest.raises(FlowError, match="budget"):
+        flow(system, np.full(p, 0.5),
+             params.with_(t_max=1.0, run_to_t_max=True, max_steps=5))
 
 
 def test_minimize_single_cell(classical, params):
@@ -128,78 +139,6 @@ def test_gap_pair_two_well(twowell, params):
 def test_require_gap_raises():
     with pytest.raises(NoGapError):
         require_gap(None)
-
-
-def test_is_birkhoff(classical, params):
-    assert is_birkhoff(TorusField.constant((3, 2), 0.4))
-    res = minimize_periodic(classical, (2, 1), [0.3], params)
-    assert is_birkhoff(res.best)
-    bumped = TorusField((3, 1), np.array([[0.5], [0.1], [0.1]]))
-    assert not is_birkhoff(bumped)
-
-
-def test_box_maximize_single_cell(classical, gap, params):
-    res = box_maximize(classical, gap, params=params)
-    assert res.value == pytest.approx(1.0, abs=1e-9)
-    assert res.interior_residual <= params.stationarity_tol
-    assert res.field.values.flat[0] == pytest.approx(0.5, abs=1e-8)
-
-
-def test_box_maximize_two_cell(classical, gap, params):
-    res = box_maximize(classical, gap, params=params, periods=(2, 1))
-    assert res.value == pytest.approx(2.0, abs=1e-9)
-    assert res.interior_residual <= params.stationarity_tol
-    assert np.max(np.abs(res.field.values - 0.5)) < 1e-8
-    assert res.lower_clipped_max_residual <= 1e-9
-    assert res.upper_clipped_min_residual >= -1e-9
-
-
-def test_box_maximize_rejects_oversized_dt(classical, gap):
-    dt_safe = classical.dt_safe()
-    with pytest.raises(FlowError, match="Lipschitz-safe"):
-        box_maximize(classical, gap, params=FlowParams(dt=10 * dt_safe))
-
-
-def test_box_maximize_zero_steps(classical, gap):
-    # no ascent step at all: the seeds go straight to the Newton polish
-    res = box_maximize(classical, gap, params=FlowParams(max_steps=0))
-    assert res.iterations == 0
-    assert 0.0 <= res.field.values.flat[0] <= 1.0
-    assert res.interior_residual <= FlowParams().stationarity_tol
-
-
-class _RecordingSystem:
-    """A system that keeps every state its gradient is asked about."""
-
-    def __init__(self, system):
-        self.system = system
-        self.states = []
-
-    def grad(self, x):
-        self.states.append(np.array(x))
-        return self.system.grad(x)
-
-    def hess_matrix(self, x):
-        return self.system.hess_matrix(x)
-
-
-@pytest.mark.parametrize("x0", [(0.0, 0.45), (1.0, 0.6), (0.0, 0.3)])
-def test_refine_critical_in_box(classical, gap, x0):
-    # site 0 sits on a face of the (2,1) box; from (0, 0.3) the full Newton
-    # step overshoots and clipping puts site 1 on the upper face
-    p = (2, 1)
-    hi = gap.box_field(p).values
-    system = _RecordingSystem(PeriodicSystem(classical, p, gap.v0.extend(p)))
-    x0 = np.array(x0).reshape(p)
-    tol = 1e-12
-    x, res, ok = refine_critical(system, x0, tol, hi=hi)
-    assert ok and res <= tol
-    assert x[0, 0] == x0[0, 0]
-    for state in system.states:
-        assert np.all(state >= 0.0) and np.all(state <= hi)
-    free = (x > 1e-9) & (x < hi - 1e-9)
-    g = system.system.grad(x)
-    assert np.max(np.abs(g[free]), initial=0.0) <= tol
 
 
 def test_flow_comparison_order(classical, gap, params):
