@@ -12,7 +12,7 @@ from .fields import (FkSaddleError, PeriodError, StripField, TorusField,
                      WindowError, validate_periods)
 from .model import (BUILTIN_MODELS, ClassicalFKPotential, PluginPotential,
                     SitePotential, TwoWellFKPotential, ball_offsets,
-                    make_potential, shift, validate_assumptions)
+                    make_potential, validate_assumptions)
 from .semiflow import FlowError, FlowParams, flow, flow_to_stationarity
 from .periodic import (GapPair, MinimizeResult, NoGapError, PeriodicSystem,
                        find_gap_pair, minimize_periodic)
@@ -21,8 +21,7 @@ from .mpp import (MinimaxResult, best_mountain_pass, box_path,
                   multiplicity_scan, phi_path)
 from .hetero import (HeteroGapPair, HeteroMinimizeResult,
                      RenormalizationConstants, StripSystem, asymptotics_report,
-                     bound_scan_hetero, find_gap_pair_hetero, minimize_hetero,
-                     mountain_pass_hetero)
+                     find_gap_pair_hetero, minimize_hetero, mountain_pass_hetero)
 from .verify import (CrossCheckReport, OracleGrid2D, PropertyReport,
                      bottleneck_minimax_2d, cross_check_mountain_pass,
                      run_property_suite, sample_landscape)

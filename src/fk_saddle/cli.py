@@ -192,7 +192,8 @@ def run(cfg: RunConfig) -> Manifest:
                                  restarts=cfg.restarts)
         man.tables["rows"] = [
             {"k": r.k, "c0p": r.c, "d0p": r.d, "barrier": r.barrier,
-             "residual": r.residual, "ok": r.ok, "message": r.message}
+             "witness": r.witness, "residual": r.residual, "ok": r.ok,
+             "message": r.message}
             for r in scan.rows]
         man.tables["pairwise_linf"] = scan.distances.tolist()
         man.tables["intersects_versus_k1"] = scan.versus_first

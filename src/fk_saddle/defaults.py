@@ -44,6 +44,7 @@ MAX_BISECTIONS = 80           # heat-flow: bisections of the initial path per te
 CLASSIFY_CHECK_TIME = 0.01    # heat-flow: flow time between basin-membership checks
 NODE_CAP = 257                # ceiling for the default node-count rule
 PATH_NODES = 65               # nodes of the strip string and of the two-cell cross check
+WITNESS_NODES = 801           # nodes of a scan row's staircase witness
 
 # --- seeds and gap detection ---------------------------------------------------
 MINIMIZE_GRID_SEEDS = 16      # constant minimize seeds j / 16, j = 0..15

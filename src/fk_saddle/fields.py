@@ -60,6 +60,14 @@ def validate_periods(p) -> tuple:
     return p
 
 
+def _multiples(periods, small) -> tuple:
+    """``periods // small`` per axis; each period must be a multiple of the
+    small one (PeriodError)."""
+    if len(periods) != len(small) or any(big % s for big, s in zip(periods, small)):
+        raise PeriodError("periods %r do not extend %r" % (periods, small))
+    return tuple(big // s for big, s in zip(periods, small))
+
+
 def _frozen(values) -> np.ndarray:
     out = np.array(values, dtype=float, copy=True)
     out.setflags(write=False)
@@ -88,26 +96,10 @@ class TorusField:
     def n(self) -> int:
         return len(self.periods)
 
-    def with_values(self, values) -> "TorusField":
-        return TorusField(self.periods, values)
-
     def extend(self, periods) -> "TorusField":
         """Re-store on a larger torus whose periods are multiples of ours."""
         periods = validate_periods(periods)
-        if len(periods) != self.n:
-            raise PeriodError("dimension mismatch: %r vs %r" % (periods, self.periods))
-        reps = []
-        for big, small in zip(periods, self.periods):
-            if big % small != 0:
-                raise PeriodError("periods %r do not extend %r" % (periods, self.periods))
-            reps.append(big // small)
-        return TorusField(periods, np.tile(self.values, reps))
-
-    def shift(self, axis: int, offset: int) -> "TorusField":
-        """The translate tau^axis_{-offset}: (result)(i) = self(i + offset e_axis)."""
-        if not 1 <= axis <= self.n:
-            raise PeriodError("axis %d out of range 1..%d" % (axis, self.n))
-        return TorusField(self.periods, np.roll(self.values, -offset, axis=axis - 1))
+        return TorusField(periods, np.tile(self.values, _multiples(periods, self.periods)))
 
     def normalize_lift(self) -> tuple:
         """Subtract the integer that puts the value at site 0 into [0, 1)."""
@@ -180,8 +172,13 @@ class StripField:
         W = self.half_width
         return np.arange(-W, W + 1)
 
-    def with_values(self, values) -> "StripField":
-        return StripField(self.half_width, self.q, values, self.left, self.right)
+    def extend(self, q) -> "StripField":
+        """Re-store on transverse periods that are multiples of ours (the
+        strip's :meth:`TorusField.extend`)."""
+        q = validate_periods(q) if len(q) else ()
+        return StripField(self.half_width, q,
+                          np.tile(self.values, (1,) + _multiples(q, self.q)),
+                          self.left, self.right)
 
     def padded(self, margin: int) -> np.ndarray:
         return pad_layers(self.values, margin, self.left, self.right, self.n)

@@ -13,7 +13,11 @@ family (w1 is in practice the axis-1 translate of v1) spans a second order
 box [0, w1 - v1] (``HeteroGapPair.order_box``, as ``GapPair.order_box`` on
 the torus), and the same minimax engine and chain check run inside it give the
 heteroclinic mountain pass d1 > c1: the Peierls-Nabarro-type barrier between
-neighboring kink positions.
+neighboring kink positions.  ``order_box`` also tiles the pair across
+transverse periods that are multiples of q, so ``mpp.best_mountain_pass`` and
+``mpp.multiplicity_scan`` take the strip pair as they take the torus one; the
+scan gives the barrier column over q(k) = (k, 1, ..., 1) with its staircase
+witnesses.
 
 All fields are stored on finite windows with constant tails; every reported
 value must be stable under window doubling, and the window policy grows the
@@ -34,7 +38,7 @@ from .fields import (FkSaddleError, StripField, WindowError, pad_layers,
                      stencil, validate_periods)
 from .model import SitePotential
 from .mpp import (MinimaxResult, best_of_restarts, box_path, check_chain,
-                  minimax_engine, scan_rows)
+                  minimax_engine)
 from .periodic import GapPair, polish_limits, probe_adjacency, require_gap
 from .semiflow import FlowError, FlowParams, flow
 
@@ -264,15 +268,22 @@ class HeteroGapPair:
     evidence: dict = field(default_factory=dict)
 
     @property
+    def periods(self) -> tuple:
+        return self.v1.q
+
+    @property
     def width_values(self) -> np.ndarray:
         return self.w1.values - self.v1.values
 
-    def order_box(self, potential: SitePotential):
-        """The order box on v1's window: the strip system on offsets from
-        v1 and the box corner w1 - v1."""
-        v1 = self.v1
+    def order_box(self, potential: SitePotential, periods=None):
+        """The order box on v1's window with the transverse ``periods``
+        (default: the pair's), across which v1 and w1 are tiled: the strip
+        system on offsets from v1 and the box corner w1 - v1."""
+        v1, w1 = self.v1, self.w1
+        if periods is not None:
+            v1, w1 = v1.extend(periods), w1.extend(periods)
         system = _strip_system(potential, v1.q, v1.half_width, self.gap0, base=v1.values)
-        return system, self.width_values
+        return system, w1.values - v1.values
 
 
 def find_gap_pair_hetero(potential: SitePotential,
@@ -335,46 +346,6 @@ def mountain_pass_hetero(potential: SitePotential, gap1: HeteroGapPair,
     engine = minimax_engine(mode)
     return best_of_restarts(lambda n: engine(system, n, hi, params),
                             check_chain(path_nodes, hi), hi, restarts)
-
-
-def bound_scan_hetero(potential: SitePotential, k_max: int,
-                      gap1: HeteroGapPair, params: FlowParams | None = None,
-                      N: int | None = None, witness_grid: int = 801):
-    """Barrier column over the transverse periods q(k) = (k, 1, ..., 1).
-
-    Each scan row records c = c1q, d = d1q, and the maximum of the
-    transverse staircase path built from the same profile as the periodic
-    construction; the staircase maxima witness the uniform bound on d1q - c1q.
-    """
-    gap1 = require_hetero_gap(gap1)
-    params = params or FlowParams()
-    if len(gap1.v1.q) != 1:
-        raise FkSaddleError("the transverse scan needs one transverse axis "
-                            "(model dimension 2)")
-
-    def fill(row):
-        k = row.k
-        gk = HeteroGapPair(v1=_tile_transverse(gap1.v1, k),
-                           w1=_tile_transverse(gap1.w1, k), gap0=gap1.gap0,
-                           evidence=dict(gap1.evidence))
-        system, hi = gk.order_box(potential)
-        row.c = float(system.energy(np.zeros_like(hi)))
-        nodes = box_path(hi, witness_grid, k if k >= 2 else None, axis=1)
-        row.witness = float(np.max(system.energy(nodes)) - row.c)
-        sub = np.linspace(0, witness_grid - 1, N or PATH_NODES).astype(int)
-        row.record(mountain_pass_hetero(potential, gk, params,
-                                        path_nodes=nodes[sub], restarts=1))
-
-    return scan_rows(k_max, fill)
-
-
-def _tile_transverse(u: StripField, k: int) -> StripField:
-    if len(u.q) != 1:
-        raise FkSaddleError("transverse tiling needs exactly one transverse axis")
-    if u.q[0] != 1:
-        raise FkSaddleError("transverse tiling starts from q=(1,)")
-    return StripField(u.half_width, (k,), np.tile(u.values, (1, k)),
-                      u.left, u.right)
 
 
 # ---------------------------------------------------------------------------

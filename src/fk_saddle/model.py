@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import FD_STEP, FD_REL_TOL, SHIFT_PERIODICITY_TOL
-from .fields import FkSaddleError, StripField, TorusField, stencil
+from .fields import FkSaddleError, stencil
 
 TWO_PI = 2.0 * np.pi
 
@@ -284,19 +284,6 @@ def make_potential(name: str, **params) -> SitePotential:
 # ---------------------------------------------------------------------------
 # field-level operations
 # ---------------------------------------------------------------------------
-
-def shift(u, axis: int, offset: int):
-    """The lattice translate: (shift(u))(i) = u(i + offset * e_axis)."""
-    if isinstance(u, TorusField):
-        return u.shift(axis, offset)
-    if isinstance(u, StripField):
-        if axis == 1:
-            return u.shift1(offset)
-        if not 2 <= axis <= u.n:
-            raise ModelError("axis %d out of range 1..%d" % (axis, u.n))
-        return u.with_values(np.roll(u.values, -offset, axis=axis - 1))
-    raise ModelError("unsupported field type %r" % type(u))
-
 
 def site_energies(potential: SitePotential, values: np.ndarray) -> np.ndarray:
     """S_j(u) for every torus site j; values has lattice axes trailing."""

@@ -29,8 +29,11 @@ solver is the default and the heat-flow solver doubles as a cross-check.
 
 This module also hosts the explicit staircase profiles (``chi_path`` /
 ``phi_path``) whose maxima bound d - c uniformly in the axis-1 period, the
-order-relation classifier ``intersects``, and the multiplicity scan over
-elongated tori.
+order-relation classifier ``intersects``, and the multiplicity scan.  The
+drivers ``mountain_pass``, ``best_mountain_pass`` and ``multiplicity_scan``
+take a torus ``GapPair`` or a strip ``HeteroGapPair`` alike: each pair
+builds its order box on given periods, and the chain's trailing axes or the
+scan row fix those periods.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ from .defaults import (BASIN_MATCH_TOL, CLASSIFY_CHECK_TIME, COMPARE_TOL,
                        HEAT_CLASSIFY_TIME, HEAT_SETTLE_TIME, HEAT_SETTLE_TOL,
                        MAX_BISECTIONS, MAX_SWEEPS, PLATEAU_TIME, PLATEAU_TOL,
                        REFINE_TRIGGER, REPARAM_TIME, STRICT_ORDER_TOL,
-                       default_node_count)
+                       WITNESS_NODES, default_node_count)
 from .fields import FkSaddleError, TorusField, validate_periods
 from .model import SitePotential
-from .periodic import GapPair, minimize_periodic, require_gap
+from .periodic import GapPair, require_gap
 from .semiflow import FlowParams, flow, guarded_step, refine_critical, rk4_step
 
 
@@ -143,15 +146,6 @@ def build_initial_path(kind: str, N: int | None, k: int | None, gap: GapPair,
         raise PathError("chi path needs k >= 2")
     staircase = kind == "chi" and periods[0] > 1
     return box_path(gap.box_field(periods).values, N, k if staircase else None)
-
-
-def _torus_path(potential: SitePotential, nodes) -> tuple:
-    """The node array of a torus path and its periods ``nodes.shape[1:]``."""
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 + potential.n or nodes.shape[0] < 3:
-        raise PathError("a path is at least 3 nodes shaped (N, *p) with %d "
-                        "periods, got shape %r" % (potential.n, nodes.shape))
-    return nodes, validate_periods(nodes.shape[1:])
 
 
 def check_chain(nodes, hi: np.ndarray) -> np.ndarray:
@@ -541,30 +535,40 @@ def best_of_restarts(run, nodes: np.ndarray, hi: np.ndarray, restarts: int):
     return best
 
 
-def mountain_pass(potential: SitePotential, gap: GapPair, path0,
+def _chain_box(potential, gap, path0):
+    """The order box of ``gap`` on the periods of a chain's trailing axes,
+    and the chain checked against it (:func:`check_chain`)."""
+    nodes = np.asarray(path0, dtype=float)
+    lattice = nodes.ndim - len(require_gap(gap).periods)
+    if lattice < 1:
+        raise PathError("a chain is at least 3 nodes shaped (N, ..., *p) with "
+                        "%d periods, got shape %r" % (len(gap.periods), nodes.shape))
+    system, hi = gap.order_box(potential, nodes.shape[lattice:])
+    return system, check_chain(nodes, hi), hi
+
+
+def mountain_pass(potential: SitePotential, gap, path0,
                   params: FlowParams | None = None,
                   mode: str = "node-flow") -> MinimaxResult:
     """Compute the minimax level and a critical field inside the gap box.
 
-    ``path0`` is an (N, *p) node array; its shape fixes the torus p, and it
-    must be a chain of the order box on p (:func:`check_chain`).  On success
-    the result's critical field (an offset from v0) has sup-site equilibrium
+    ``gap`` is a torus ``GapPair`` or a strip ``HeteroGapPair``.  ``path0``
+    is an (N, *p) node array on the torus, (N, 2W+1, *q) on the strip; its
+    trailing axes fix the periods, and it must be a chain of the order box
+    on them (:func:`check_chain`).  On success the result's critical field
+    (an offset from the box's lower corner) has sup-site equilibrium
     residual below tolerance, sits strictly inside the box, and its level
-    exceeds c0p.
+    exceeds the corner level c_ref.
     """
-    gap = require_gap(gap)
-    params = params or FlowParams()
-    nodes, periods = _torus_path(potential, path0)
-    system, hi = gap.order_box(potential, periods)
-    return minimax_engine(mode)(system, check_chain(nodes, hi), hi, params)
+    system, nodes, hi = _chain_box(potential, gap, path0)
+    return minimax_engine(mode)(system, nodes, hi, params or FlowParams())
 
 
 def best_mountain_pass(potential, gap, path0, params,
                        restarts: int = 1, mode: str = "node-flow"):
     """mountain_pass on ``path0`` plus symmetry-broken restarts
     (:func:`best_of_restarts`)."""
-    nodes, periods = _torus_path(potential, path0)
-    hi = require_gap(gap).box_field(periods).values
+    _, nodes, hi = _chain_box(potential, gap, path0)
     return best_of_restarts(
         lambda n: mountain_pass(potential, gap, n, params, mode=mode),
         nodes, hi, restarts)
@@ -607,8 +611,8 @@ def intersects(u, v) -> str:
 
 @dataclass
 class ScanRow:
-    """One row of a barrier scan: ground level c, minimax level d, and (on
-    the strip) the staircase witness of the uniform bound on d - c."""
+    """One row of a barrier scan: ground level c, minimax level d, and the
+    staircase witness of the uniform bound on d - c."""
 
     k: int
     c: float = math.nan
@@ -623,6 +627,7 @@ class ScanRow:
         return self.d - self.c
 
     def record(self, res: MinimaxResult) -> None:
+        self.c = res.c_ref
         self.d = res.value
         self.residual = res.residual
         self.ok = res.success
@@ -630,86 +635,83 @@ class ScanRow:
             self.message = res.message
 
 
-def scan_rows(k_max: int, fill) -> list:
-    """Rows k = 1..k_max, each filled in place by ``fill(row)``; a row whose
-    solve fails carries the error as its message and the scan continues."""
-    rows = []
-    for k in range(1, k_max + 1):
-        row = ScanRow(k=k)
-        try:
-            fill(row)
-        except FkSaddleError as exc:
-            row.message = str(exc)
-        rows.append(row)
-    return rows
-
-
 @dataclass
 class MultiplicityScan:
     rows: list
-    criticals: dict                 # k -> offset values on the lcm window
+    criticals: dict                 # k -> offset values on the lcm period
     distances: np.ndarray           # pairwise shift-normalized l-inf
     versus_first: dict              # k -> intersects classification vs k=1
 
 
-def _shift_orbit_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min over axis-1 shifts of the l-inf distance between extended fields."""
+def _shift_orbit_distance(a: np.ndarray, b: np.ndarray, axis: int) -> float:
+    """min over shifts along ``axis`` of the l-inf distance between extended
+    fields."""
     best = np.inf
-    for s in range(a.shape[0]):
-        best = min(best, float(np.max(np.abs(np.roll(a, s, axis=0) - b))))
+    for s in range(a.shape[axis]):
+        best = min(best, float(np.max(np.abs(np.roll(a, s, axis=axis) - b))))
     return best
 
 
-def multiplicity_scan(potential: SitePotential, k_max: int, gap: GapPair,
+def multiplicity_scan(potential: SitePotential, k_max: int, gap,
                       params: FlowParams | None = None,
                       restarts: int = 1) -> MultiplicityScan:
-    """Mountain passes on the elongated tori p(k) = (k, 1, ..., 1), k = 1..k_max.
+    """Mountain passes over the periods (k, 1, ..., 1), k = 1..k_max.
 
-    Critical fields are extended to the common axis-1 period and compared
-    after shift-orbit normalization; each is also classified against the
-    k = 1 critical field.  Failed rows carry their error and the scan
-    continues.
+    On a torus ``GapPair`` these are the elongated tori p(k); on a strip
+    ``HeteroGapPair`` the transverse periods q(k) of the kink window.  The
+    staircase runs across the first periodic lattice axis of the order box
+    (axis 0 of a torus box, axis 1 of a strip box, after the layer axis).
+    Each row starts :func:`best_mountain_pass` from the staircase phi_k on
+    ``default_node_count`` nodes; c is the level of the box corners, and
+    the witness is the highest energy on the same staircase at
+    ``WITNESS_NODES`` nodes, minus c.  The witness bounds d - c uniformly
+    in k: phi_k is even in the column index, so it ramps the mirror columns
+    i and k - i together, and from k = 3 on its maximum sits near twice the
+    one-column barrier and then stays flat.  For k = 1..8 it reads 2.000,
+    2.063, 4.063, then 4.123 to 4.125 on classical-fk tori, and 3.938,
+    4.000, 7.938, then 7.997 to 8.000 on the pinned-fk strip (W = 20).
+
+    Critical fields are tiled along the staircase axis to the common
+    period and compared after shift-orbit normalization along it; each is
+    also classified against the k = 1 critical field.  Failed rows carry
+    their error and the scan continues.
     """
     if k_max < 2:
         raise PathError("k_max must be >= 2")
     gap = require_gap(gap)
     params = params or FlowParams()
-    n = gap.v0.n
-    criticals = {}
-
-    def fill(row):
-        k = row.k
-        p = (k,) + (1,) * (n - 1)
-        path0 = build_initial_path("chi", None, None, gap, p)
-        c0p = minimize_c0p(potential, gap, p, params)
-        res = best_mountain_pass(potential, gap, path0, params,
-                                 restarts=restarts)
-        row.c = c0p
-        row.record(res)
-        criticals[k] = res.critical
-
-    rows = scan_rows(k_max, fill)
+    rows, criticals = [], {}
+    for k in range(1, k_max + 1):
+        row = ScanRow(k=k)
+        try:
+            periods = (k,) + (1,) * (len(gap.periods) - 1)
+            system, hi = gap.order_box(potential, periods)
+            axis = hi.ndim - len(periods)
+            stair = k if k > 1 else None
+            res = best_mountain_pass(
+                potential, gap, box_path(hi, default_node_count(periods), stair, axis),
+                params, restarts=restarts)
+            row.record(res)
+            witness = box_path(hi, WITNESS_NODES, stair, axis)
+            row.witness = float(np.max(system.energy(witness))) - row.c
+            criticals[k] = res.critical
+        except FkSaddleError as exc:
+            row.message = str(exc)
+        rows.append(row)
     ks = sorted(criticals)
     L = math.lcm(*ks) if ks else 1
     extended = {}
     for k in ks:
-        reps = (L // k,) + (1,) * (n - 1)
-        extended[k] = np.tile(criticals[k], reps)
+        axis = criticals[k].ndim - len(gap.periods)
+        extended[k] = np.concatenate([criticals[k]] * (L // k), axis=axis)
     dmat = np.zeros((len(ks), len(ks)))
     for a in range(len(ks)):
         for b in range(a + 1, len(ks)):
             dmat[a, b] = dmat[b, a] = _shift_orbit_distance(
-                extended[ks[a]], extended[ks[b]])
+                extended[ks[a]], extended[ks[b]], axis)
     versus = {}
     if 1 in extended:
         for k in ks:
             versus[k] = intersects(extended[k], extended[1])
     return MultiplicityScan(rows=rows, criticals=extended, distances=dmat,
                             versus_first=versus)
-
-
-def minimize_c0p(potential, gap: GapPair, periods, params) -> float:
-    """Ground energy on the given torus, seeded from the gap endpoints."""
-    seeds = [TorusField.constant(periods, gap.v0.values.flat[0]),
-             TorusField.constant(periods, gap.w0.values.flat[0])]
-    return minimize_periodic(potential, periods, seeds, params).c0p

@@ -154,6 +154,10 @@ class GapPair:
     w0: TorusField
     evidence: dict = field(default_factory=dict)
 
+    @property
+    def periods(self) -> tuple:
+        return self.v0.periods
+
     def box_field(self, periods=None) -> TorusField:
         g = self.w0 - self.v0
         return g if periods is None else g.extend(periods)
@@ -161,7 +165,7 @@ class GapPair:
     def order_box(self, potential: SitePotential, periods=None):
         """The order box on the torus ``periods`` (default: the pair's):
         the system on offsets from v0 and the box corner w0 - v0."""
-        system = PeriodicSystem(potential, periods or self.v0.periods, self.v0)
+        system = PeriodicSystem(potential, periods or self.periods, self.v0)
         return system, self.box_field(system.periods).values
 
 

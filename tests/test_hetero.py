@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from fk_saddle import (StripField, asymptotics_report,
-                       bound_scan_hetero, find_gap_pair_hetero,
-                       make_potential, minimize_hetero, mountain_pass_hetero)
+from fk_saddle import (HeteroGapPair, StripField, asymptotics_report,
+                       best_mountain_pass, find_gap_pair_hetero,
+                       make_potential, minimize_hetero, mountain_pass_hetero,
+                       multiplicity_scan)
+from fk_saddle.fields import PeriodError
 from fk_saddle.hetero import _strip_system
 from fk_saddle.mpp import PathError, box_path
 from fk_saddle.semiflow import flow
@@ -238,15 +240,59 @@ def test_mph_stable_under_window_doubling(pinned, pinned_gap, params, het, het_g
     assert abs(mp_big.value - mph.value) <= 1e-8
 
 
-# --- the transverse bound scan ---------------------------------------------------
+# --- transverse periods and the strip scan ----------------------------------------
 
-def test_bound_scan(pinned, het_gap, params):
-    rows = bound_scan_hetero(pinned, 3, het_gap, params)
-    assert [r.k for r in rows] == [1, 2, 3]
-    for r in rows:
+def test_strip_field_extend_tiles_the_transverse_axes():
+    u = StripField(2, (2,), np.arange(10.0).reshape(5, 2), -0.25, 0.75)
+    big = u.extend((6,))
+    assert big.q == (6,) and big.half_width == 2
+    assert (big.left, big.right) == (u.left, u.right)
+    assert np.array_equal(big.values, np.tile(u.values, (1, 3)))
+    for bad in ((3,), (4, 1), ()):
+        with pytest.raises(PeriodError):
+            u.extend(bad)
+
+
+def test_order_box_tiles_the_pair(pinned, het_gap):
+    system, hi = het_gap.order_box(pinned, (2,))
+    tiled = HeteroGapPair(
+        v1=StripField(het_gap.v1.half_width, (2,), np.tile(het_gap.v1.values, (1, 2)),
+                      het_gap.v1.left, het_gap.v1.right),
+        w1=StripField(het_gap.w1.half_width, (2,), np.tile(het_gap.w1.values, (1, 2)),
+                      het_gap.w1.left, het_gap.w1.right),
+        gap0=het_gap.gap0)
+    old_system, old_hi = tiled.order_box(pinned)
+    assert np.array_equal(hi, old_hi)
+    assert np.array_equal(system.base, old_system.base)
+    assert system.q == old_system.q == (2,)
+    assert system.tails == old_system.tails and system.c0 == old_system.c0
+
+
+def test_best_mountain_pass_on_the_strip_is_mph(pinned, het_gap, params):
+    _, hi = het_gap.order_box(pinned)
+    nodes = box_path(hi, 17)
+    a = best_mountain_pass(pinned, het_gap, nodes, params, restarts=1)
+    b = mountain_pass_hetero(pinned, het_gap, params, path_nodes=nodes, restarts=1)
+    assert a.success and b.success
+    assert a.value == b.value and a.c_ref == b.c_ref and a.residual == b.residual
+    assert np.array_equal(a.critical, b.critical)
+    assert np.array_equal(a.final_nodes, b.final_nodes)
+
+
+def test_strip_scan(pinned, het_gap, params):
+    scan = multiplicity_scan(pinned, 3, het_gap, params)
+    assert [r.k for r in scan.rows] == [1, 2, 3]
+    for r in scan.rows:
         assert r.ok, r.message
-        assert 0 < r.barrier <= r.witness + 1e-9
-    assert abs(rows[1].c - 2 * rows[0].c) <= 1e-8
+        assert 0 < r.barrier <= r.witness + 1e-6
+    assert abs(scan.rows[1].c - 2 * scan.rows[0].c) <= 1e-8
+    for k, crit in scan.criticals.items():
+        assert crit.shape == (2 * het_gap.v1.half_width + 1, 6)
+    D = scan.distances
+    assert D.shape == (3, 3)
+    assert np.array_equal(D, D.T) and np.all(np.diag(D) == 0.0)
+    assert sorted(scan.versus_first) == [1, 2, 3]
+    assert scan.versus_first[1] == "equal"
 
 
 # --- asymptotics ---------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fk_saddle import (PeriodicSystem, StripField, StripSystem, TorusField,
-                       make_potential, shift, validate_assumptions)
+                       make_potential, validate_assumptions)
 from fk_saddle.model import (ClassicalFKPotential, ModelError, PluginPotential,
                              ball_offsets, residual_field, site_energies)
 
@@ -20,25 +20,6 @@ def test_ball_offsets():
     assert (0, 0) in ball
     assert all(abs(a) + abs(b) <= 1 for a, b in ball)
     assert len(ball_offsets(2, 2)) == 13
-
-
-def test_shift_identity_and_period(classical):
-    u = TorusField((2, 1), np.array([[0.1], [0.7]]))
-    assert np.array_equal(shift(u, 1, 0).values, u.values)
-    assert np.array_equal(shift(u, 1, 2).values, u.values)
-    v = shift(u, 1, 1)
-    assert v.values[0, 0] == u.values[1, 0]
-
-
-def test_shift_constant_minimizer(classical):
-    u = TorusField.constant((1, 1), -0.25)
-    assert np.array_equal(shift(u, 1, 5).values, u.values)
-
-
-def test_shift_axis_out_of_range():
-    u = TorusField.constant((2, 1), 0.0)
-    with pytest.raises(Exception):
-        shift(u, 3, 1)
 
 
 def test_local_energy_constants(classical):
@@ -73,7 +54,7 @@ def test_residual_translation_equivariance(axis, m, data):
     vals = np.array(data.draw(st.lists(
         st.floats(-2, 2, allow_nan=False), min_size=6, max_size=6))).reshape(3, 2)
     u = TorusField((3, 2), vals)
-    shifted = shift(u, axis, m)
+    shifted = TorusField((3, 2), np.roll(vals, -m, axis=axis - 1))
     i = (data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2)))
     target = list(i)
     target[axis - 1] += m

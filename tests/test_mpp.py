@@ -4,7 +4,8 @@ import pytest
 from fk_saddle import (TorusField, build_initial_path, chi_path, intersects,
                        mountain_pass, multiplicity_scan, phi_path)
 from fk_saddle import mpp
-from fk_saddle.mpp import PathError, _chain_top, box_path, minimize_c0p
+from fk_saddle.mpp import PathError, _chain_top, box_path
+from fk_saddle.verify import minimize_c0p
 from fk_saddle.periodic import PeriodicSystem
 
 # Exact saddle level on the two-cell torus for the textbook model: the
@@ -326,6 +327,18 @@ def test_scan_fields_distinct(scan6):
 def test_scan_crossings(scan6):
     assert scan6.versus_first[1] == "equal"
     assert all(scan6.versus_first[k] == "cross" for k in range(2, 7))
+
+
+def test_scan_c_is_the_lower_corner_level(classical, gap, scan6):
+    for row in scan6.rows:
+        system, hi = gap.order_box(classical, (row.k, 1))
+        assert row.c == float(system.energy(np.zeros_like(hi)))
+
+
+def test_scan_witness_bounds_the_barrier(scan6):
+    for row in scan6.rows:
+        assert row.barrier <= row.witness + 1e-9
+    assert max(row.witness for row in scan6.rows) == pytest.approx(4.125, abs=1e-9)
 
 
 def test_minimize_c0p_matches_scaling(classical, gap, params):

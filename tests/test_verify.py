@@ -245,6 +245,21 @@ def test_suite_falls_back_when_the_gap_search_fails(classical, params,
         assert r.passed, "%s failed: %s" % (r.name, r.detail)
 
 
+def test_endpoint_fixity_fails_off_the_ground_states(classical, gap, params):
+    # a box whose corners are not critical points pins its chains to points
+    # the flow would move
+    from fk_saddle import GapPair
+
+    off = GapPair(v0=gap.v0 + 0.1, w0=gap.w0 + 0.1)
+    reports = run_property_suite(classical, (2, 1), seed=7, trials=4,
+                                 params=params, gap=off)
+    fixity = next(r for r in reports if r.name == "endpoint-fixity")
+    assert not fixity.passed and fixity.worst_margin < -1.0
+    good = run_property_suite(classical, (2, 1), seed=7, trials=4,
+                              params=params, gap=gap)
+    assert next(r for r in good if r.name == "endpoint-fixity").passed
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 7])
 def test_suite_passes_on_two_well(twowell, params, seed):
     # the pair gap decays like exp(-H_ii t); integrated too far it sank below
