@@ -261,6 +261,7 @@ def run(cfg: RunConfig) -> Manifest:
             man.scalars["node_flow"] = cc.node_flow
             man.scalars["heat_flow"] = cc.heat_flow
             man.scalars["oracle"] = {str(k): v for k, v in cc.oracle.items()}
+            man.scalars["oracle_band"] = {str(k): v for k, v in cc.band.items()}
             man.scalars["cross_check_agree"] = cc.agree
             if not cc.agree:
                 man.errors.append("cross check disagreement %r" % cc.deltas)

@@ -431,16 +431,6 @@ class BandedHessian:
             y[i] = gains[i][:, -1] - gains[i][:, :-1] @ y[i + 1]
         return y.ravel()[:self.size]
 
-    def dense(self):
-        """The full matrix, O(size^2) memory: for tests only."""
-        count, _, n, _ = self.blocks.shape
-        rows = np.arange(count)
-        out = np.zeros((count, n, count + 2, n))   # block columns -1 .. count
-        for c in range(3):
-            out[rows, :, rows + c] = self.blocks[:, c]
-        out = out[:, :, 1:-1].reshape(count * n, count * n)
-        return out[:self.size, :self.size]
-
 
 @functools.lru_cache(maxsize=64)
 def stencil(ball, shape, margin=0) -> Stencil:

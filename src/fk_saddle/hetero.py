@@ -271,10 +271,6 @@ class HeteroGapPair:
     def periods(self) -> tuple:
         return self.v1.q
 
-    @property
-    def width_values(self) -> np.ndarray:
-        return self.w1.values - self.v1.values
-
     def order_box(self, potential: SitePotential, periods=None):
         """The order box on v1's window with the transverse ``periods``
         (default: the pair's), across which v1 and w1 are tiled: the strip

@@ -320,12 +320,6 @@ class ValidationReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks if not c.note.startswith("heuristic"))
 
-    def check(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def validate_assumptions(potential: SitePotential, sample_count: int = 200,
                          seed: int = 0) -> ValidationReport:

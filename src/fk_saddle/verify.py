@@ -4,12 +4,14 @@ The minimax solvers are checked against a genuinely independent computation:
 on a two-site torus every field in the order box is a point (a, b) of
 [0, hi]^2, the energy is a closed two-variable landscape, and the minimax
 over paths is the bottleneck (widest-path) value over the 8-connected grid
-graph, read off the fixed point of Gauss-Seidel row sweeps of the
+graph, read off the fixed point of Gauss-Seidel sweeps of the
 minimax-distance field.  The oracle evaluates a certified narrow band only:
 Taylor bounds at block centres (with the model's Lipschitz bound) bracket the
 answer, blocks certainly below the bracket hold its low end and blocks
 certainly above it are walls, and the answer and every evaluated cell are
-checked against those bounds.  ``sample_landscape`` evaluates every cell.
+checked against those bounds.  The sweep costs what the band costs: each
+block holding one value is a single node, and only the cells of the other
+blocks are swept.  ``sample_landscape`` evaluates every cell.
 
 The property suite replays, at desk scale, every inequality the theory
 guarantees: submodularity of the local energies, order preservation and
@@ -36,7 +38,7 @@ from .mpp import build_initial_path, mountain_pass
 from .periodic import GapPair, find_gap_pair, minimize_periodic, require_gap
 from .semiflow import FlowParams, flow, rk4_step
 
-ORACLE_CHUNK = 64              # grid rows per block of the energy pass and the fixed-point check
+ORACLE_CHUNK = 64              # grid rows per chunk of the energy pass
 
 
 # ---------------------------------------------------------------------------
@@ -56,16 +58,18 @@ class OracleGrid2D:
     finite and above every energy of the grid; every other cell holds its
     exact energy (``evaluated`` of them).  Each cell stays on its side of
     every level in [Lb, U], so the min-max, which lies there, is the dense
-    grid's bit for bit.  Walls above every level sweep like obstacles; walls
-    at U would form a plateau below their neighbours that the sweeps must
-    flood, which can cost a round.  A grid built by hand has no bracket and
-    ``evaluated`` None.
+    grid's bit for bit.  ``fill[i, j]`` is the value every cell of block
+    (i, j) holds, NaN for a block with evaluated cells; the sweep takes a
+    filled block as one node and visits the cells of the others only.  A
+    grid built by hand is one block of evaluated cells, with no bracket and
+    ``evaluated`` and ``fill`` None.
     """
 
     resolution: int
     values: np.ndarray
     bracket: tuple = (-math.inf, math.inf)
     evaluated: int | None = None
+    fill: np.ndarray | None = field(default=None, init=False)
 
     @staticmethod
     def build(potential: SitePotential, gap: GapPair, resolution: int) -> "OracleGrid2D":
@@ -117,8 +121,10 @@ class OracleGrid2D:
                                    float(upper[ba[k], bb[k]]), L))
             values[lo + ia, ib] = e
             evaluated += len(e)
-        return OracleGrid2D(resolution=resolution, values=values,
+        grid = OracleGrid2D(resolution=resolution, values=values,
                             bracket=(Lb, U), evaluated=evaluated)
+        grid.fill = np.where(active, np.nan, fill)
+        return grid
 
 
 def _order_box_axes(potential, gap, resolution):
@@ -156,34 +162,28 @@ def sample_landscape(potential: SitePotential, gap: GapPair, resolution: int):
     return (ga, gb), values, float(values[ia, ib]), (float(ga[ia]), float(gb[ib]))
 
 
-def _sweep(D, values, rows, step):
-    """One Gauss-Seidel pass over ``rows`` (ascending if step = 1): each row
-    takes max(values, min(itself, its 3 neighbours in the previous row))."""
-    prev = D[rows[0] - step].copy()
-    row = np.empty_like(prev)
-    for i in rows:
-        np.minimum(D[i], prev, out=row)
-        np.minimum(row[1:], prev[:-1], out=row[1:])
-        np.minimum(row[:-1], prev[1:], out=row[:-1])
-        np.maximum(values[i], row, out=row)
-        D[i] = row
-        prev, row = row, prev
+def _sweeper(D, V):
+    """A sweep of the haloed blocks ``D[k]``, all blocks at once: Gauss-Seidel
+    passes down, up, right and left over their interiors, each row (column)
+    taking max(V, min(itself, its 3 neighbours in the row before)).  Calling
+    it runs the four passes and returns whether D changed."""
+    steps = []
+    for d, v in ((D, V), (D.transpose(0, 2, 1), V.transpose(0, 2, 1))):
+        n, row = v.shape[1], np.empty(v.shape[::2])
+        for i, step in [(i, 1) for i in range(1, n + 1)] + [(i, -1) for i in range(n, 0, -1)]:
+            prev = d[:, i - step]
+            steps.append((d[:, i, 1:-1], prev[:, :-2], prev[:, 1:-1], prev[:, 2:],
+                          v[:, i - 1], row))
 
-
-def _settled(D, values):
-    """Whether D = max(values, min of D over each 3x3 neighbourhood)."""
-    R = len(D)
-    for lo in range(0, R, ORACLE_CHUNK):
-        hi = min(lo + ORACLE_CHUNK, R)
-        block = np.pad(D[max(lo - 1, 0):hi + 1], ((lo == 0, hi == R), (1, 1)),
-                       constant_values=np.inf)
-        least = block[1:-1, 1:-1].copy()
-        for a in range(3):
-            for b in range(3):
-                np.minimum(least, block[a:a + hi - lo, b:b + R], out=least)
-        if not np.array_equal(D[lo:hi], np.maximum(values[lo:hi], least)):
-            return False
-    return True
+    def sweep():
+        before = D.copy()
+        for cur, left, mid, right, v, row in steps:
+            np.minimum(cur, left, out=row)
+            np.minimum(row, mid, out=row)
+            np.minimum(row, right, out=row)
+            np.maximum(v, row, out=cur)
+        return not np.array_equal(before, D)
+    return sweep
 
 
 def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
@@ -191,23 +191,87 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
 
     D(x), the least path maximum from (0, 0) to x, is the unique fixed point
     of D = max(values, min of D over the 3x3 neighbourhood) with
-    D(0, 0) = values(0, 0).  Sweeps from D = inf only lower D and never
-    below the true field, so they stop on it exactly, and D(R-1, R-1) is
-    one of the grid's own samples.  The answer must lie in the grid's
-    certified bracket.
+    D(0, 0) = values(0, 0).  D is constant on a connected set of equal
+    values, so each filled block of the grid is one node; the other blocks
+    are packed with a one-cell halo.  A round fills the halos from the
+    neighbouring cells and nodes (+inf off the grid), sweeps every packed
+    block at once, lowers each node by its adjacent packed cells and sweeps
+    the grid of nodes, packed blocks acting as walls; that last sweep is
+    skipped when its previous run changed nothing and no node moved since.
+    Rounds from D = inf only lower D and never below the true field, so the
+    first round that changes nothing stops on it exactly, and the answer is
+    one of the grid's own samples.  It must lie in the grid's certified
+    bracket.
     """
     values = grid.values
-    if not np.all(np.isfinite(values)):
+    R, C = values.shape
+    if grid.fill is None:
+        (br, bc), fill = (R, C), np.full((1, 1), np.nan)
+    else:
+        (br, bc), fill = (ORACLE_BLOCK, ORACLE_BLOCK), grid.fill
+    nodes = ~np.isnan(fill)
+    I, J = np.nonzero(~nodes)
+    # a ragged last block repeats its edge cells, which opens no new path
+    ra, ca = I[:, None] * br + np.arange(br), J[:, None] * bc + np.arange(bc)
+    V = values[np.minimum(ra, R - 1)[:, :, None], np.minimum(ca, C - 1)[:, None]]
+    if not (np.all(np.isfinite(V)) and np.all(np.isfinite(fill[nodes]))):
         raise FkSaddleError("oracle grid has non-finite values")
-    D = np.full(values.shape, np.inf)
-    D[0, 0] = values[0, 0]
-    while True:
-        for d, v in ((D, values), (D.T, values.T)):
-            _sweep(d, v, range(1, len(d)), 1)
-            _sweep(d, v, range(len(d) - 2, -1, -1), -1)
-        if _settled(D, values):
-            break
-    value = float(D[-1, -1])
+    W = np.where(nodes, fill, np.inf)[None]
+
+    # one buffer: the packed blocks, then the haloed grid of nodes, whose
+    # corner E[size] is +inf for ever
+    S = (br + 2) * (bc + 2)
+    size = len(I) * S
+    E = np.full(size + (W.shape[1] + 2) * (W.shape[2] + 2), np.inf)
+    P = E[:size].reshape(len(I), br + 2, bc + 2)
+    Q = E[size:].reshape(1, W.shape[1] + 2, W.shape[2] + 2)
+    slot = np.empty(fill.shape, dtype=np.intp)
+    slot[~nodes] = np.arange(len(I)) * S
+    slot[nodes] = size + np.flatnonzero(np.pad(nodes, 1))
+
+    def at(a, b):
+        """The index into E of the state of cell (a, b)."""
+        ia, ib = a // br, b // bc
+        inner = (a - ia * br + 1) * (bc + 2) + b - ib * bc + 1
+        return slot[ia, ib] + np.where(nodes[ia, ib], 0, inner)
+
+    ri, rj = np.nonzero(np.pad(np.zeros((br, bc), bool), 1, constant_values=True))
+    a, b = I[:, None] * br + ri - 1, J[:, None] * bc + rj - 1
+    inside = (a >= 0) & (a < R) & (b >= 0) & (b < C)
+    a, b = np.clip(a, 0, R - 1), np.clip(b, 0, C - 1)
+    src = np.where(inside, at(a, b), size)
+    dst = np.arange(len(I))[:, None] * S + ri * (bc + 2) + rj
+    # each node against the packed cells next to the halo cells it fills
+    k, h = np.nonzero(inside & nodes[a // br, b // bc])
+    node = src[k, h]
+    near, cell = [], []
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            ni, nj = ri[h] + di, rj[h] + dj
+            ok = (ni >= 1) & (ni <= br) & (nj >= 1) & (nj <= bc)
+            near.append(node[ok])
+            cell.append(k[ok] * S + ni[ok] * (bc + 2) + nj[ok])
+    order = np.argsort(np.concatenate(near), kind="stable")
+    near, cell = np.concatenate(near)[order], np.concatenate(cell)[order]
+    starts = np.flatnonzero(np.diff(near, prepend=-1))
+    targets = near[starts]
+    level = np.pad(W[0], 1).ravel()[targets - size]
+
+    fine, coarse = _sweeper(P, V), _sweeper(Q, W)
+    E[at(0, 0)] = values[0, 0]
+    changed = nodes_moved = True
+    while changed:
+        E[dst] = E[src]
+        changed = fine()
+        low = np.maximum(level, np.minimum.reduceat(E[cell], starts))
+        lower = low < E[targets]
+        if lower.any():
+            E[targets[lower]] = low[lower]
+            changed = nodes_moved = True
+        if nodes_moved:
+            nodes_moved = coarse()
+            changed |= nodes_moved
+    value = float(E[at(R - 1, C - 1)])
     lo, hi = grid.bracket
     if not lo <= value <= hi:
         raise FkSaddleError("oracle bottleneck %r outside its certified bracket "
@@ -421,6 +485,7 @@ class CrossCheckReport:
     tolerance: float
     deltas: dict = field(default_factory=dict)
     agree: bool = False
+    band: dict = field(default_factory=dict)   # resolution -> the grid's band
 
 
 def cross_check_mountain_pass(potential: SitePotential, gap: GapPair | None = None,
@@ -437,8 +502,14 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair | None = No
     path0 = build_initial_path("chi", PATH_NODES, None, gap, (2, 1))
     node = mountain_pass(potential, gap, path0, params, mode="node-flow")
     heat = mountain_pass(potential, gap, path0, params, mode="heat-flow")
-    oracle = {res: bottleneck_minimax_2d(OracleGrid2D.build(potential, gap, res))
-              for res in resolutions}
+    oracle, band = {}, {}
+    for res in resolutions:
+        grid = OracleGrid2D.build(potential, gap, res)
+        oracle[res] = bottleneck_minimax_2d(grid)
+        constant = int(np.count_nonzero(~np.isnan(grid.fill)))
+        band[res] = {"bracket": list(grid.bracket), "evaluated": grid.evaluated,
+                     "constant_blocks": constant,
+                     "packed_blocks": grid.fill.size - constant}
     finest = oracle[max(oracle)]
     deltas = {
         "node-heat": abs(node.value - heat.value),
@@ -448,4 +519,4 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair | None = No
     return CrossCheckReport(
         node_flow=node.value, heat_flow=heat.value, oracle=oracle,
         tolerance=CROSS_CHECK_TOL, deltas=deltas,
-        agree=bool(max(deltas.values()) <= CROSS_CHECK_TOL))
+        agree=bool(max(deltas.values()) <= CROSS_CHECK_TOL), band=band)

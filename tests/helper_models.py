@@ -1,6 +1,7 @@
 """Constructed potentials used to check that the validators have teeth,
-a radius-2 plug-in for the stencil and Newton checks, and the per-site
-oracles that the stencil engine is checked against."""
+a radius-2 plug-in for the stencil and Newton checks, and the oracles that
+the stencil engine, the block Newton and the bottleneck sweep are checked
+against."""
 
 import numpy as np
 
@@ -57,6 +58,49 @@ def el_residual(potential, u, i) -> float:
         k = potential.ball.index(tuple(-c for c in b))
         total += float(g[k])
     return total
+
+
+def dense(banded):
+    """The full matrix of a ``BandedHessian``, O(size^2) memory."""
+    count, _, n, _ = banded.blocks.shape
+    rows = np.arange(count)
+    out = np.zeros((count, n, count + 2, n))   # block columns -1 .. count
+    for c in range(3):
+        out[rows, :, rows + c] = banded.blocks[:, c]
+    out = out[:, :, 1:-1].reshape(count * n, count * n)
+    return out[:banded.size, :banded.size]
+
+
+def _dense_pass(D, values, rows, step):
+    """One Gauss-Seidel pass over ``rows`` (ascending if step = 1): each row
+    takes max(values, min(itself, its 3 neighbours in the previous row))."""
+    prev = D[rows[0] - step].copy()
+    row = np.empty_like(prev)
+    for i in rows:
+        np.minimum(D[i], prev, out=row)
+        np.minimum(row[1:], prev[:-1], out=row[1:])
+        np.minimum(row[:-1], prev[1:], out=row[:-1])
+        np.maximum(values[i], row, out=row)
+        D[i] = row
+        prev, row = row, prev
+
+
+def dense_bottleneck(values) -> float:
+    """The least path maximum between opposite corners of a square grid by
+    Gauss-Seidel sweeps of the whole minimax-distance field D, repeated
+    until D = max(values, min of D over each 3x3 neighbourhood)."""
+    D = np.full(values.shape, np.inf)
+    D[0, 0] = values[0, 0]
+    while True:
+        for d, v in ((D, values), (D.T, values.T)):
+            _dense_pass(d, v, range(1, len(d)), 1)
+            _dense_pass(d, v, range(len(d) - 2, -1, -1), -1)
+        halo, least = np.pad(D, 1, constant_values=np.inf), D.copy()
+        for a in range(3):
+            for b in range(3):
+                np.minimum(least, halo[a:a + len(D), b:b + len(D)], out=least)
+        if np.array_equal(D, np.maximum(values, least)):
+            return float(D[-1, -1])
 
 
 # --- constructed potentials ----------------------------------------------------

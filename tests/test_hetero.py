@@ -10,6 +10,8 @@ from fk_saddle.hetero import _strip_system
 from fk_saddle.mpp import PathError, box_path
 from fk_saddle.semiflow import flow
 
+from helper_models import dense
+
 # Heteroclinic ground levels at window half-width 40, frozen from an
 # independent brute-force route (L-BFGS-B on the windowed renormalized
 # energy with analytic gradient).
@@ -101,7 +103,7 @@ def test_strip_hessian_matches_gradient_differences(pinned, pinned_gap):
     system = _strip_system(pinned, (1,), 6, pinned_gap)
     rng = np.random.default_rng(12)
     x = rng.uniform(-0.25, 0.75, size=system.shape)
-    H = system.hess_matrix(x).dense()
+    H = dense(system.hess_matrix(x))
     assert np.allclose(H, H.T, atol=1e-12)
     h = 1e-6
     for k in range(x.size):
@@ -123,7 +125,7 @@ def test_flow_fixed_points(pinned, pinned_gap, params, het, het_gap):
 
 def test_flow_converges_from_box_seed(pinned, pinned_gap, params, het_gap):
     rng = np.random.default_rng(3)
-    width = het_gap.width_values
+    _, width = het_gap.order_box(pinned)
     system = _strip_system(pinned, (1,), het_gap.v1.half_width, pinned_gap)
     u0 = het_gap.v1.values + rng.uniform(0, 1, size=width.shape) * width
     _, trace, _ = flow(system, u0, params)
@@ -147,9 +149,9 @@ def test_strip_flow_comparison_and_box_invariance(pinned, pinned_gap, params, he
 
 # --- gap pairs -----------------------------------------------------------------
 
-def test_hetero_gap_is_translate(het, het_gap):
+def test_hetero_gap_is_translate(pinned, het, het_gap):
     assert np.max(np.abs(het_gap.w1.values - het_gap.v1.shift1(1).values)) == 0.0
-    width = het_gap.width_values
+    _, width = het_gap.order_box(pinned)
     assert np.min(width) >= -1e-9
     assert np.max(width) > 0.5
     assert het_gap.evidence["distinct_interior_minimizers"] == 0
@@ -196,8 +198,8 @@ def test_mph_endpoints_at_ground_level(pinned, het_gap, het, params):
     assert float(system.energy(width)) == pytest.approx(het.c1q, abs=1e-9)
 
 
-def test_mph_critical_strictly_between(mph, het_gap):
-    width = het_gap.width_values
+def test_mph_critical_strictly_between(pinned, mph, het_gap):
+    _, width = het_gap.order_box(pinned)
     active = width > 1e-9
     assert np.min(mph.critical[active]) > 0
     assert np.min((width - mph.critical)[active]) > 0
@@ -206,7 +208,7 @@ def test_mph_critical_strictly_between(mph, het_gap):
 def test_mph_rejects_chains_off_the_box(pinned, het_gap, params):
     # the strip checks its chain like the torus: pinned to 0 and w1 - v1,
     # nodes shaped like the window
-    width = het_gap.width_values
+    _, width = het_gap.order_box(pinned)
     assert width.shape == (41, 1)
     with pytest.raises(PathError, match="pinned"):
         mountain_pass_hetero(pinned, het_gap, params,
@@ -220,7 +222,7 @@ def test_mph_heat_flow_certified(pinned, het_gap, params, mph):
     heat = mountain_pass_hetero(pinned, het_gap, params, N=33, mode="heat-flow")
     assert heat.success, heat.message
     assert abs(heat.value - mph.value) <= 1e-6
-    width = het_gap.width_values
+    _, width = het_gap.order_box(pinned)
     active = width > 1e-9
     assert np.min(heat.critical[active]) > 0
     assert np.min((width - heat.critical)[active]) > 0

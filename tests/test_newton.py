@@ -14,7 +14,7 @@ from fk_saddle.fields import BandedHessian, pad_layers
 from fk_saddle.hetero import _strip_system
 from fk_saddle.semiflow import refine_critical
 
-from helper_models import radius_two_springs
+from helper_models import dense, radius_two_springs
 
 # every kink and saddle below is embedded in this half-width, so the strip
 # Hessians have 7 to 21 blocks
@@ -30,11 +30,11 @@ def _dense_step(system, x, g):
 def _deviation(system, x):
     """Relative l-inf deviation of the block Newton step from the dense one."""
     g = system.grad(x).ravel()
-    H, dense = _dense_step(system, x, g)
+    H, exact = _dense_step(system, x, g)
     banded = system.hess_matrix(x)
-    assert np.array_equal(banded.dense(), H)
+    assert np.array_equal(dense(banded), H)
     step = banded.solve(-g)
-    return np.max(np.abs(step - dense)) / np.max(np.abs(dense)), np.linalg.eigvalsh(H)
+    return np.max(np.abs(step - exact)) / np.max(np.abs(exact)), np.linalg.eigvalsh(H)
 
 
 def _near(x, seed):
@@ -154,7 +154,7 @@ def test_certificate_refuses_a_failed_block_solve(d0):
     # unpivoted elimination loses x0 entirely)
     b = np.array([1.0, 0.5])
     system = _Linear(_two_blocks(d0, 1.0, 0.0), b)
-    assert np.allclose(np.linalg.solve(system.H.dense(), b), [0.5, 1.0 - 0.5 * d0])
+    assert np.allclose(np.linalg.solve(dense(system.H), b), [0.5, 1.0 - 0.5 * d0])
     x0 = np.zeros(2)
     x, res, ok = refine_critical(system, x0, 1e-12)
     assert not ok

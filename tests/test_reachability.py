@@ -1,10 +1,13 @@
-"""Every public top-level function and class of ``fk_saddle`` is used by the
-package itself, not only exported and tested.
+"""Every public top-level function and class of ``fk_saddle``, and every
+public method and property of its classes, is used by the package itself,
+not only exported and tested.
 
 A name counts as reached when some module other than ``__init__.py`` refers
 to it as a bare name or as an attribute of an imported module.  An attribute
 of anything else (``u.shift(...)`` on a local ``u``) is a method or a field
 of some object and does not reach a module-level name of the same spelling.
+A method or property ``Class.name`` counts as reached when some module
+refers to ``name`` as an attribute of anything, its own class included.
 The check reads the sources with ``ast``; it imports nothing.
 """
 
@@ -33,24 +36,34 @@ def _modules(tree: ast.Module, src: Path) -> set:
     return names
 
 
+def _public(body, kinds) -> list:
+    return [node for node in body
+            if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
 def unreached(src: Path) -> set:
     """Public top-level names defined in ``src`` that no module other than
-    ``__init__.py`` refers to."""
+    ``__init__.py`` refers to, and public methods and properties, as
+    ``Class.name``, whose name no such module uses as an attribute."""
     trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py"))
              if p.name != "__init__.py"}
-    defined = {node.name for tree in trees.values() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and not node.name.startswith("_")}
-    used = set()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = {node.name for tree in trees.values()
+               for node in _public(tree.body, functions + (ast.ClassDef,))}
+    members = {(cls.name, node.name) for tree in trees.values()
+               for cls in _public(tree.body, ast.ClassDef)
+               for node in _public(cls.body, functions)}
+    used, attributes = set(), set()
     for tree in trees.values():
         modules = _modules(tree, src)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in modules):
-                used.add(node.attr)
-    return defined - used
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    used.add(node.attr)
+    return (defined - used) | {"%s.%s" % m for m in members if m[1] not in attributes}
 
 
 def test_every_public_name_is_reached():
@@ -71,3 +84,17 @@ def test_an_attribute_of_an_object_does_not_reach_a_name(tmp_path):
         "def run(obj):\n    return a.solve(obj) + alias.extend(obj) + obj.shift(2)\n")
     # ``shift`` is reached only as ``u.shift`` and ``obj.shift``
     assert unreached(tmp_path) == {"shift", "run"}
+
+
+def test_a_method_reached_only_from_tests_is_flagged(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Box:\n"
+        "    @property\n    def width(self):\n        return 1\n\n"
+        "    def dense(self):\n        return 2\n\n"
+        "    def solve(self):\n        return self.width\n\n"
+        "    def _blocked(self):\n        return 3\n\n"
+        "def run(box):\n    return Box, box.solve()\n")
+    (tmp_path / "b.py").write_text("import a\n\nX = a.run\n")
+    # a test calling ``box.dense()`` does not count; ``width`` is reached
+    # from its own class, private names are not checked
+    assert unreached(tmp_path) == {"Box.dense"}

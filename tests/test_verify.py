@@ -9,11 +9,13 @@ import pytest
 
 from fk_saddle import (FkSaddleError, OracleGrid2D, bottleneck_minimax_2d,
                        cross_check_mountain_pass, find_gap_pair,
-                       make_potential, run_property_suite, sample_landscape)
+                       make_potential, run_property_suite, sample_landscape,
+                       verify)
+from fk_saddle.defaults import ORACLE_BLOCK as B
 from fk_saddle.model import ClassicalFKPotential
 from fk_saddle.verify import CrossCheckReport
 
-from helper_models import flipped, shifted_classical
+from helper_models import dense_bottleneck, flipped, shifted_classical
 
 REFERENCE_D21 = 0.0625
 
@@ -51,6 +53,32 @@ def walled_maze(rng, size):
     return values
 
 
+def blocked(values):
+    """A hand-built grid with the block classification that
+    ``OracleGrid2D.build`` hands the sweep: each ``ORACLE_BLOCK``^2 block
+    whose cells all hold one value is filled with it, the others NaN."""
+    grid = OracleGrid2D(resolution=len(values), values=values)
+    grid.fill = np.full([-(-n // B) for n in values.shape], np.nan)
+    for i, j in np.ndindex(grid.fill.shape):
+        cells = values[i * B:(i + 1) * B, j * B:(j + 1) * B]
+        if np.all(cells == cells.flat[0]):
+            grid.fill[i, j] = cells.flat[0]
+    return grid
+
+
+def terraces(rng, shape, noisy=0.3):
+    """Blocks on four levels, so constant blocks of different levels touch,
+    with uniform noise on a share ``noisy`` of the blocks."""
+    def cells(blocks):
+        return np.kron(blocks, np.ones((B, B), blocks.dtype))[:shape[0], :shape[1]]
+
+    blocks = [-(-n // B) for n in shape]
+    values = cells(rng.integers(0, 4, blocks).astype(float))
+    noise = cells(rng.random(blocks) < noisy)
+    values[noise] += rng.uniform(-0.5, 0.5, np.count_nonzero(noise))
+    return values
+
+
 def test_bottleneck_constant_landscape():
     grid = OracleGrid2D(resolution=101, values=np.full((101, 101), 0.7))
     assert bottleneck_minimax_2d(grid) == 0.7
@@ -66,9 +94,84 @@ def test_bottleneck_unavoidable_ridge():
 def test_bottleneck_rejects_non_finite_grid():
     values = np.zeros((101, 101))
     values[40, 60] = np.nan
-    grid = OracleGrid2D(resolution=101, values=values)
-    with pytest.raises(FkSaddleError, match="non-finite"):
-        bottleneck_minimax_2d(grid)
+    for grid in (OracleGrid2D(resolution=101, values=values), blocked(values)):
+        with pytest.raises(FkSaddleError, match="non-finite"):
+            bottleneck_minimax_2d(grid)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7), (7, 3)])
+def test_bottleneck_on_tiny_and_rectangular_grids(shape):
+    rng = np.random.default_rng(sum(shape))
+    for values in (rng.uniform(0.0, 1.0, shape), terraces(rng, shape)):
+        for grid in (OracleGrid2D(resolution=shape[0], values=values),
+                     blocked(values)):
+            assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bottleneck_on_random_rectangular_grids(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        shape = tuple(int(n) for n in rng.integers(1, 60, 2))
+        values = rng.uniform(0.0, 1.0, shape)
+        grid = OracleGrid2D(resolution=shape[0], values=values)
+        assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sweep_exact_on_terraces(seed):
+    # the best path crosses from block to block and from level to level;
+    # most sizes are not multiples of the block
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(15, 95, 2))
+    values = terraces(rng, shape)
+    grid = blocked(values)
+    assert np.any(np.isnan(grid.fill)) and not np.all(np.isnan(grid.fill))
+    assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (41, 57), (33, 21), (11, 11), (1, 23),
+                                   (23, 1)])
+def test_sweep_exact_with_corners_in_constant_and_packed_blocks(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    R, C = shape
+    corners = [(0, 0), (0, C - 1), (R - 1, 0), (R - 1, C - 1)]
+    for packed in np.ndindex(2, 2, 2, 2):
+        values = terraces(rng, shape, noisy=0.0)
+        for (a, b), noisy in zip(corners, packed):
+            cells = (slice(a // B * B, a // B * B + B), slice(b // B * B, b // B * B + B))
+            if noisy:
+                values[cells] += rng.uniform(-0.5, 0.5, values[cells].shape)
+        assert bottleneck_minimax_2d(blocked(values)) == widest_path_reference(values)
+
+
+def test_sweep_follows_a_block_scale_maze(monkeypatch):
+    # a corridor of noisy blocks winds between constant walls of two heights
+    # through gaps that are constant low blocks; each round carries the
+    # front one packed block further, so a sweep that stopped before a round
+    # that changes nothing would miss the far corner
+    n = 12
+    rng = np.random.default_rng(5)
+    blocks = np.ones((n, n))                      # 1: corridor
+    blocks[1::2] = np.where(np.arange(n) % 3, 7.0, 8.0)
+    for k, row in enumerate(range(1, n, 2)):
+        blocks[row, 0 if k % 2 else n - 1] = 0.25
+    values = np.kron(blocks, np.ones((B, B)))[:n * B - 3, :n * B - 3]
+    corridor = values == 1.0
+    values[corridor] = rng.uniform(0.0, 1.0, np.count_nonzero(corridor))
+    rounds = []
+    make = verify._sweeper
+
+    def counted(D, V):
+        sweep, count = make(D, V), []
+        rounds.append(count)
+        return lambda: count.append(1) or sweep()
+
+    monkeypatch.setattr(verify, "_sweeper", counted)
+    grid = blocked(values)
+    assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+    # the packed blocks' sweeps: n - 2 hops at least along each corridor
+    assert len(rounds[0]) >= (n // 2) * (n - 2)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -135,19 +238,25 @@ def test_grid_max_location(classical, gap):
 def test_band_matches_dense_grid(request, params, model):
     # every cell is its exact energy, the bracket's low end where its energy
     # lies below it, or a wall no lower than its energy above the bracket;
-    # the bottleneck is the dense one
+    # every filled block holds its fill; the bottleneck is the one of the
+    # dense grid, swept whole
     potential = request.getfixturevalue(model)
     gap = find_gap_pair(potential, (1, 1), seed=3, params=params)
-    band = OracleGrid2D.build(potential, gap, 401)
-    _, dense, _, _ = sample_landscape(potential, gap, 401)
-    lo, hi = band.bracket
-    v = band.values
-    assert np.all((v == dense) | ((v == lo) & (dense < lo))
-                  | ((v >= dense) & (dense > hi)))
-    assert 0 < band.evaluated < 401 ** 2
-    value = bottleneck_minimax_2d(band)
-    assert value == bottleneck_minimax_2d(OracleGrid2D(401, dense))
-    assert lo <= value <= hi
+    for resolution in (401, 801):
+        band = OracleGrid2D.build(potential, gap, resolution)
+        _, dense, _, _ = sample_landscape(potential, gap, resolution)
+        lo, hi = band.bracket
+        v = band.values
+        assert np.all((v == dense) | ((v == lo) & (dense < lo))
+                      | ((v >= dense) & (dense > hi)))
+        assert 0 < band.evaluated < resolution ** 2
+        fill = np.kron(band.fill, np.ones((B, B)))[:resolution, :resolution]
+        filled = ~np.isnan(fill)
+        assert np.all(v[filled] == fill[filled])
+        value = bottleneck_minimax_2d(band)
+        assert value == dense_bottleneck(dense)
+        assert value == bottleneck_minimax_2d(OracleGrid2D(resolution, dense))
+        assert lo <= value <= hi
 
 
 def test_band_rejects_a_too_small_lipschitz_bound(classical, gap, monkeypatch):
@@ -285,6 +394,12 @@ def test_cross_check_threefold(classical, gap, params):
     assert isinstance(cc, CrossCheckReport)
     assert cc.agree
     assert max(cc.deltas.values()) <= 1e-3
+    band = cc.band[401]
+    lo, hi = band["bracket"]
+    assert lo <= cc.oracle[401] <= hi
+    assert 0 < band["evaluated"] < 401 ** 2
+    assert band["packed_blocks"] > 0 and band["constant_blocks"] > 0
+    assert band["packed_blocks"] + band["constant_blocks"] == 41 ** 2
 
 
 def test_energy_offset_invariance(classical, gap, params):
