@@ -155,6 +155,8 @@ def run(cfg: RunConfig) -> Manifest:
         res = best_mountain_pass(pot, gap, path0, params,
                                  restarts=cfg.restarts, mode=cfg.mode)
         man.scalars["d0p"] = res.value
+        man.scalars["d_upper"] = res.d_upper
+        man.scalars["densified"] = res.densified
         man.scalars["c0p"] = res.c_ref
         man.scalars["barrier"] = res.barrier
         man.scalars["residual"] = res.residual
@@ -191,7 +193,8 @@ def run(cfg: RunConfig) -> Manifest:
         scan = multiplicity_scan(pot, cfg.kmax, gap, params,
                                  restarts=cfg.restarts)
         man.tables["rows"] = [
-            {"k": r.k, "c0p": r.c, "d0p": r.d, "barrier": r.barrier,
+            {"k": r.k, "c0p": r.c, "d0p": r.d, "d_upper": r.d_upper,
+             "densified": r.densified, "barrier": r.barrier,
              "witness": r.witness, "residual": r.residual, "ok": r.ok,
              "message": r.message}
             for r in scan.rows]
@@ -230,6 +233,8 @@ def run(cfg: RunConfig) -> Manifest:
             res = mountain_pass_hetero(pot, gap1, params, N=cfg.nodes,
                                        mode=cfg.mode, restarts=cfg.restarts)
             man.scalars["d1q"] = res.value
+            man.scalars["d_upper"] = res.d_upper
+            man.scalars["densified"] = res.densified
             man.scalars["c1q"] = res.c_ref
             man.scalars["barrier"] = res.barrier
             man.scalars["residual"] = res.residual

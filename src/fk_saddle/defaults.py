@@ -6,10 +6,9 @@ here so that the test suite and the library agree on a single source of truth.
 
 # --- stationarity / convergence -------------------------------------------
 STATIONARITY_TOL = 1e-10      # l2 residual at which a field counts as stationary
-ENERGY_INCREASE_TOL = 1e-10   # largest admissible energy increase per flow step
+ENERGY_INCREASE_TOL = 1e-10   # largest admissible energy increase per flow step (more is a FlowError)
 FLOW_T_MAX = 200.0            # flow horizon of a run (the RunConfig and FlowParams default)
 MAX_FLOW_STEPS = 400_000      # budget guard on integrator steps per flow (stops are set in flow time)
-MAX_DT_HALVINGS = 20
 POLISH_TOL = 1e-13            # Newton finish of a flowed ground state (torus and strip): sup residual
 POLISH_MAX_ITER = 30          # ... and its iteration cap
 NEWTON_BLOCK_SITES = 24       # Newton's block LU groups whole strip layers into blocks of about this many sites
@@ -34,7 +33,9 @@ FD_REL_TOL = 1e-6             # required agreement of analytic vs FD derivatives
 REPARAM_TIME = 5e-3           # flow time between arc-length reparametrizations
 PLATEAU_TIME = 0.025          # flow time the string max must stay flat before a stalled string stops
 PLATEAU_TOL = 1e-12           # flat: the string max moves less than this per REPARAM_TIME of flow
-REFINE_TRIGGER = 1e-8         # Newton refines the top node once the string max moves less per REPARAM_TIME
+REFINE_TRIGGER = 1e-8         # the string starts climbing, and later Newton polishes its top, once its max moves less per REPARAM_TIME
+CHAIN_CERT_TOL = 1e-6         # node-flow success: the certified chain maximum is at most d + this
+CHAIN_CERT_MAX_STATES = 100_000  # budget guard on the energy states one chain certificate densifies
 MAX_SWEEPS = 200_000          # budget guard on node sweeps per string and on steps per classify flow
 HEAT_SETTLE_TOL = 1e-8        # heat-flow: l2 residual at which the chain or a classify flow has settled
 HEAT_SETTLE_TIME = 10.0       # heat-flow: flow time allowed for the whole chain to settle

@@ -8,13 +8,16 @@ v0) evenly spaced in theta, on the torus here and on the strip window in
 admits a chain on both geometries (at least 3 nodes shaped like the box,
 pinned to 0 and to the box corner).  Two solvers compute the minimax:
 
-* ``node-flow``: a string-method relaxation.  The path is a chain of N
+* ``node-flow``: the climbing string method.  The path is a chain of N
   fields; interior nodes evolve under the gradient semiflow (the endpoints
   are flow fixed points), and after every REPARAM_TIME of flow the chain is
-  re-equidistributed by l2 arc length.  When the max-node energy plateaus, a
-  damped Newton solve on the equilibrium residual refines the argmax node to
-  the nearby critical point.  A chain with a segment midpoint far above all
-  its nodes is torn and never reports success.
+  re-equidistributed by l2 arc length.  Once the string max has flattened,
+  every local maximum of the node energies climbs along the chain tangent
+  and stays in place while the chain between them is equidistributed.  When
+  the max flattens again, a damped Newton solve on the equilibrium residual
+  polishes the top climbing node, and the result succeeds only if the chain
+  through the Newton point certifies it as its top: d <= d_upper <= d +
+  CHAIN_CERT_TOL.
 
 * ``heat-flow``: the whole path is flowed without reparametrization, tracking
   where the maximum persists.  On a finite node grid the flowed chain tears
@@ -43,15 +46,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import (BASIN_MATCH_TOL, CLASSIFY_CHECK_TIME, COMPARE_TOL,
-                       HEAT_CLASSIFY_TIME, HEAT_SETTLE_TIME, HEAT_SETTLE_TOL,
-                       MAX_BISECTIONS, MAX_SWEEPS, PLATEAU_TIME, PLATEAU_TOL,
-                       REFINE_TRIGGER, REPARAM_TIME, STRICT_ORDER_TOL,
-                       WITNESS_NODES, default_node_count)
+from .defaults import (BASIN_MATCH_TOL, CHAIN_CERT_MAX_STATES, CHAIN_CERT_TOL,
+                       CLASSIFY_CHECK_TIME, COMPARE_TOL, HEAT_CLASSIFY_TIME,
+                       HEAT_SETTLE_TIME, HEAT_SETTLE_TOL, MAX_BISECTIONS,
+                       MAX_SWEEPS, PLATEAU_TIME, PLATEAU_TOL, REFINE_TRIGGER,
+                       REPARAM_TIME, STRICT_ORDER_TOL, WITNESS_NODES,
+                       default_node_count)
 from .fields import FkSaddleError, TorusField, validate_periods
 from .model import SitePotential
 from .periodic import GapPair, require_gap
-from .semiflow import FlowParams, flow, guarded_step, refine_critical, rk4_step
+from .semiflow import FlowParams, flow, guarded_step, refine_critical
 
 
 class PathError(FkSaddleError):
@@ -173,34 +177,26 @@ class MinimaxResult:
     critical: np.ndarray           # offset values at the critical point
     residual: float                # sup-site |equilibrium residual|
     iterations: int
-    value_trace: np.ndarray
     success: bool
     mode: str
-    string_value: float            # max of the final chain (node-flow: nodes and segment midpoints)
     c_ref: float                   # energy of the path endpoints (= c0p)
     message: str = ""
     reparam_sweeps: list = field(default_factory=list)
     final_nodes: np.ndarray | None = None
-    # node-flow: the string max at the start of each sweep's flow step (after
-    # any reparametrization); value_trace[m] is its max after sweep m's step
-    flow_start_trace: np.ndarray | None = None
+    # node-flow: the chain certificate's upper bound on the chain maximum, and
+    # the energy states its densification evaluated (NaN and 0 without one)
+    d_upper: float = math.nan
+    densified: int = 0
 
     @property
     def barrier(self) -> float:
         return self.value - self.c_ref
 
 
-def _band(string_max, c_ref):
-    """How far a level may sit from the string top and still belong to it: a
-    discrete node chain undershoots the true path maximum by the
-    interpolation dip, so the band is a fraction of the barrier."""
-    return max(1e-6, 0.1 * (string_max - c_ref))
-
-
-def _validate_critical(system, x, hi, energy, c_ref, string_max, tol):
-    """Gate a Newton-refined point: strictly inside the box, above the ground
-    level, and within :func:`_band` of the string top.  Returns None when
-    the point passes, else a message naming the failed check."""
+def _validate_critical(system, x, hi, energy, c_ref, tol):
+    """Gate a Newton-refined point: strictly inside the box and above the
+    ground level.  Returns None when the point passes, else a message naming
+    the failed check."""
     active = hi > 1e-12
     if (~active).any() and np.max(np.abs(x[~active])) > 1e-7:
         return "critical point moved off the box's zero-width sites"
@@ -210,22 +206,57 @@ def _validate_critical(system, x, hi, energy, c_ref, string_max, tol):
         return "critical point touches the box corner"
     if energy - c_ref <= 10.0 * tol:
         return "critical level %.12g is not above the ground level" % energy
-    if abs(energy - string_max) > _band(string_max, c_ref):
-        return "critical level %.12g is off the string top" % energy
     return None
 
 
-def _chain_top(system, nodes, energies, c_ref):
-    """The string max over nodes and segment midpoints, and whether the chain
-    is torn.
+def _certify_chain(system, nodes, hi, j, x_ref, e_ref):
+    """An upper bound U on the maximum of the polygonal chain through
+    ``nodes`` (clipped to the box) with node j replaced by ``x_ref``, and the
+    number of energy states it took; returns (U, densified).
 
-    Neighbouring nodes that sit in different basins across a higher ridge
-    have a segment midpoint far above every node; a midpoint more than
-    :func:`_band` above the node max marks such a tear.
+    On a segment [a, b] the energy stays below max(E_a, E_b) + L |b - a|^2 / 8,
+    since the gradient is L-Lipschitz (L = 1 / dt_safe).  Segments whose bound
+    exceeds ``e_ref + CHAIN_CERT_TOL`` are bisected along the straight line,
+    with at most as many new states per energy call as the chain has nodes,
+    until every bound is below it.  The bisection stops early, with U above
+    that level, once a state is above it or ``CHAIN_CERT_MAX_STATES`` have
+    been evaluated.
     """
-    node_max = float(energies.max())
-    mid_max = float(system.energy(0.5 * (nodes[:-1] + nodes[1:])).max())
-    return max(node_max, mid_max), mid_max > node_max + _band(node_max, c_ref)
+    chain = np.clip(nodes, 0.0, hi)
+    chain[j] = x_ref
+    energies = system.energy(chain)
+    N = chain.shape[0]
+    ends = chain.reshape(N, -1)
+    steps = np.diff(ends, axis=0)
+    length2 = np.sum(steps ** 2, axis=1)
+    quad = 0.125 / system.dt_safe
+    target = e_ref + CHAIN_CERT_TOL
+    # open segments: chain segment i, from t0 to t1, energies e0 and e1 there
+    i = np.arange(N - 1)
+    t0, t1 = np.zeros(N - 1), np.ones(N - 1)
+    e0, e1 = energies[:-1], energies[1:]
+    top = -np.inf
+    densified = 0
+    while True:
+        bound = np.maximum(e0, e1) + quad * length2[i] * (t1 - t0) ** 2
+        done = bound <= target
+        top = max(top, float(np.max(bound[done], initial=-np.inf)))
+        if done.all():
+            return top, densified
+        i, t0, t1, e0, e1 = i[~done], t0[~done], t1[~done], e0[~done], e1[~done]
+        if (float(np.max(np.maximum(e0, e1))) > target
+                or densified + i.size > CHAIN_CERT_MAX_STATES):
+            return max(top, float(bound[~done].max())), densified
+        tm = 0.5 * (t0 + t1)
+        em = np.empty_like(tm)
+        for b in range(0, i.size, N):
+            sl = slice(b, b + N)
+            states = ends[i[sl]] + tm[sl, None] * steps[i[sl]]
+            em[sl] = system.energy(states.reshape((-1,) + chain.shape[1:]))
+        densified += i.size
+        i = np.concatenate([i, i])
+        t0, t1 = np.concatenate([t0, tm]), np.concatenate([tm, t1])
+        e0, e1 = np.concatenate([e0, em]), np.concatenate([em, e1])
 
 
 def _interpolate(nodes: np.ndarray, s: np.ndarray, targets) -> np.ndarray:
@@ -238,8 +269,8 @@ def _interpolate(nodes: np.ndarray, s: np.ndarray, targets) -> np.ndarray:
     return (1.0 - w) * nodes[k] + w * nodes[k + 1]
 
 
-def _reparametrize(nodes: np.ndarray) -> np.ndarray:
-    """Redistribute the chain uniformly in cumulative l2 arc length."""
+def _equidistribute(nodes: np.ndarray) -> np.ndarray:
+    """Redistribute a chain uniformly in cumulative l2 arc length."""
     N = nodes.shape[0]
     seg = np.linalg.norm(np.diff(nodes.reshape(N, -1), axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
@@ -252,34 +283,65 @@ def _reparametrize(nodes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reparametrize(nodes: np.ndarray, fixed) -> np.ndarray:
+    """Equidistribute the chain between consecutive climbing nodes
+    ``fixed``, which stay in place."""
+    cuts = [0, *fixed, len(nodes) - 1]
+    return np.concatenate([_equidistribute(nodes[a:b + 1])[:-1]
+                           for a, b in zip(cuts[:-1], cuts[1:])] + [nodes[-1:]])
+
+
 def _sweeps_per(time: float, dt: float) -> int:
     """The whole number of steps dt closest to a flow time (at least one)."""
     return max(1, round(time / dt))
 
 
-def _minimax_node_flow(system, nodes0, hi, params):
-    """The string method: flow the interior nodes, reparametrize every
-    ``REPARAM_TIME`` of flow, and refine the top node by Newton once the
-    string max has flattened.
+def _climbing_force(system, nodes, peaks):
+    """The node-flow force on the interior nodes: -grad, except at the
+    climbing nodes ``peaks``, each of which moves along -g + 2 (g . tau) tau,
+    tau the unit tangent of x_{m+1} - x_{m-1} (Henkelman, Uberuaga &
+    Jonsson, J. Chem. Phys. 113, 9901, 2000)."""
+    force = -system.grad(nodes[1:-1])
+    axes = tuple(range(1, nodes.ndim))
+    tau = nodes[peaks + 1] - nodes[peaks - 1]
+    tau /= np.sqrt(np.sum(tau ** 2, axis=axes, keepdims=True))
+    f = force[peaks - 1]
+    force[peaks - 1] = f - 2.0 * np.sum(f * tau, axis=axes, keepdims=True) * tau
+    return force
 
-    Every control is a flow time or a change of the string max per
-    ``REPARAM_TIME`` of flow, so the stops do not depend on the step dt
-    (E, Ren & Vanden-Eijnden, J. Chem. Phys. 126, 164103, 2007).
-    ``MAX_SWEEPS`` is a budget guard only.
+
+def _minimax_node_flow(system, nodes0, hi, params):
+    """The climbing string method (E, Ren & Vanden-Eijnden, J. Chem. Phys.
+    126, 164103, 2007): flow the interior nodes and reparametrize every
+    ``REPARAM_TIME`` of flow.  Once the string max has flattened, the local
+    maxima of the node energies climb (:func:`_climbing_force`) and stay in
+    place at each reparametrization; once it flattens again, Newton polishes
+    the top climbing node.
+
+    Climbing starts late because a climbing node on an unrelaxed chain can
+    ride up to the box faces.  Every local maximum climbs because a barrier
+    between two nodes can be higher than the top node's saddle.  The Newton
+    point succeeds only if :func:`_certify_chain` bounds the chain through
+    it by its level plus ``CHAIN_CERT_TOL``, so d <= d_upper <= d0p +
+    CHAIN_CERT_TOL; otherwise the string goes on.  Every control is a flow
+    time or a change of the string max per ``REPARAM_TIME`` of flow, so the
+    stops do not depend on the step dt.  ``MAX_SWEEPS`` is a budget guard
+    only.
     """
     nodes = np.asarray(nodes0, dtype=float).copy()
     dt = params.resolve_dt(system)
     energies = system.energy(nodes)
     c_ref = float(min(energies[0], energies[-1]))
-    trace = [float(energies.max())]
-    starts = []
     reparam_sweeps = []
     refine_tol = params.stationarity_tol
-    best_refined = None
+    found = None
+    message = "saddle not isolated at tolerance"
+    d_upper, densified = math.nan, 0
     sweep = 0
     prev_cycle_max = None
     flat_time = 0.0
-    while sweep < MAX_SWEEPS and best_refined is None:
+    climbing = False
+    while sweep < MAX_SWEEPS and found is None:
         # one cycle is about REPARAM_TIME of flow; the string drifts within a
         # cycle and is pulled back at its end, so stationarity is judged on
         # cycle boundaries, with the per-REPARAM_TIME budgets scaled to the
@@ -287,53 +349,53 @@ def _minimax_node_flow(system, nodes0, hi, params):
         cycle_time = 0.0
         for _ in range(_sweeps_per(REPARAM_TIME, dt)):
             sweep += 1
-            starts.append(float(energies.max()))
-            new_int, dt_used, e_int, halved = guarded_step(
-                system, nodes[1:-1], dt, energies[1:-1])
-            if halved:
-                dt = dt_used
-            cycle_time += dt_used
-            nodes[1:-1] = new_int
-            energies[1:-1] = e_int
-            trace.append(float(energies.max()))
+            e = energies
+            j = 1 + int(np.argmax(e[1:-1]))
+            peaks = (1 + np.flatnonzero((e[1:-1] > e[:-2]) & (e[1:-1] >= e[2:]))
+                     if climbing else np.array([], dtype=int))
+            ref = e[1:-1].copy()
+            ref[peaks - 1] = np.inf      # the climbing nodes may rise
+            nodes[1:-1], _, energies[1:-1], _ = guarded_step(
+                system, nodes[1:-1], dt, ref, k1=_climbing_force(system, nodes, peaks))
+            cycle_time += dt
         scale = cycle_time / REPARAM_TIME
         cycle_max = float(energies.max())
         delta = abs(cycle_max - prev_cycle_max) if prev_cycle_max is not None else np.inf
         prev_cycle_max = cycle_max
         flat_time = flat_time + cycle_time if delta < PLATEAU_TOL * scale else 0.0
-        if delta < REFINE_TRIGGER * scale:
-            arg = int(np.argmax(energies))
-            x_ref, res_inf, ok = refine_critical(system, nodes[arg], refine_tol)
+        if delta < REFINE_TRIGGER * scale and not climbing:
+            climbing = True
+        elif delta < REFINE_TRIGGER * scale:
+            # j is the top climbing node: the argmax is a local maximum
+            x_ref, res_inf, ok = refine_critical(system, nodes[j], refine_tol)
             if ok:
                 e_ref = float(system.energy(x_ref))
-                if _validate_critical(system, x_ref, hi, e_ref, c_ref,
-                                      cycle_max, refine_tol) is None:
-                    best_refined = (x_ref, res_inf, e_ref, arg)
-                    break
+                failed = _validate_critical(system, x_ref, hi, e_ref, c_ref, refine_tol)
+                if failed is None:
+                    d_upper, n = _certify_chain(system, nodes, hi, j, x_ref, e_ref)
+                    densified += n
+                    if d_upper <= e_ref + CHAIN_CERT_TOL:
+                        found = (x_ref, res_inf, e_ref)
+                        break
+                    failed = ("chain top not certified: the chain may reach %.6g "
+                              "above the critical level %.12g" % (d_upper - e_ref, e_ref))
+                message = failed
             if flat_time >= PLATEAU_TIME and flat_time > cycle_time:
                 break  # stalled for PLATEAU_TIME and two cycles, no saddle
-        nodes = _reparametrize(nodes)
+        nodes = _reparametrize(nodes, peaks)
         energies = system.energy(nodes)
         reparam_sweeps.append(sweep)
-    top, torn = _chain_top(system, nodes, energies, c_ref)
-    record = dict(iterations=sweep, value_trace=np.array(trace),
-                  flow_start_trace=np.array(starts), mode="node-flow",
-                  string_value=top, c_ref=c_ref, reparam_sweeps=reparam_sweeps,
-                  final_nodes=nodes)
-    if torn:
-        message = ("torn string: a segment midpoint sits %.6g above the top "
-                   "node" % (top - float(energies.max())))
-    elif best_refined is None:
-        message = "saddle not isolated at tolerance"
-    else:
-        x_ref, res_inf, e_ref, arg = best_refined
-        return MinimaxResult(value=e_ref, argmax_index=arg, critical=x_ref,
-                             residual=res_inf, success=True, **record)
-    arg = int(np.argmax(energies))
-    g = system.grad(nodes[arg])
-    return MinimaxResult(value=float(energies[arg]), argmax_index=arg,
-                         critical=nodes[arg], residual=float(np.max(np.abs(g))),
-                         success=False, message=message, **record)
+    record = dict(argmax_index=j, iterations=sweep, mode="node-flow", c_ref=c_ref,
+                  reparam_sweeps=reparam_sweeps, final_nodes=nodes,
+                  d_upper=d_upper, densified=densified)
+    if found is not None:
+        x_ref, res_inf, e_ref = found
+        return MinimaxResult(value=e_ref, critical=x_ref, residual=res_inf,
+                             success=True, **record)
+    g = system.grad(nodes[j])
+    return MinimaxResult(value=float(energies[j]), critical=nodes[j],
+                         residual=float(np.max(np.abs(g))), success=False,
+                         message=message, **record)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +416,7 @@ def _classify_flow(system, x, dt, reps):
     decay into the attractor does not count).
     """
     x = np.asarray(x, dtype=float).copy()
+    energy = system.energy(x)
     g = system.grad(x)
     rn = float(np.linalg.norm(g))
     cur_min = (rn, x.copy())
@@ -372,7 +435,7 @@ def _classify_flow(system, x, dt, reps):
                     break
             if label is not None:
                 break
-        x, _ = rk4_step(system, x, dt, k1=-g)
+        x, _, energy, _ = guarded_step(system, x, dt, energy, k1=-g)
         t += dt
         steps += 1
         g = system.grad(x)
@@ -482,18 +545,15 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
     else:
         res_best = float(np.max(np.abs(system.grad(x_best))))
         ok = res_best <= refine_tol
-    # certified like a node-flow saddle (the level is its own string top)
+    # gated like a node-flow saddle, with no chain certificate
     message = ("%d unresolved tears" % unresolved if unresolved else
                "edge refinement exceeded tolerance" if not ok else
-               _validate_critical(system, x_best, hi, val, c_ref, val, refine_tol) or "")
+               _validate_critical(system, x_best, hi, val, c_ref, refine_tol) or "")
     arg = int(np.argmin(np.abs(thetas - th_best))) if th_best >= 0 else int(np.argmax(energies))
     return MinimaxResult(
         value=val, argmax_index=arg, critical=x_best, residual=res_best,
-        iterations=len(settle.times) - 1,
-        value_trace=np.array([float(e.max()) for e in settle.energies]),
-        success=not message,
-        mode="heat-flow", string_value=float(energies.max()), c_ref=c_ref,
-        message=message, final_nodes=nodes)
+        iterations=len(settle.times) - 1, success=not message,
+        mode="heat-flow", c_ref=c_ref, message=message, final_nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +671,15 @@ def intersects(u, v) -> str:
 
 @dataclass
 class ScanRow:
-    """One row of a barrier scan: ground level c, minimax level d, and the
-    staircase witness of the uniform bound on d - c."""
+    """One row of a barrier scan: ground level c, minimax level d, the chain
+    certificate's bound d_upper and its densified states, and the staircase
+    witness of the uniform bound on d - c."""
 
     k: int
     c: float = math.nan
     d: float = math.nan
+    d_upper: float = math.nan
+    densified: int = 0
     witness: float = math.nan
     residual: float = math.nan
     ok: bool = False
@@ -629,6 +692,8 @@ class ScanRow:
     def record(self, res: MinimaxResult) -> None:
         self.c = res.c_ref
         self.d = res.value
+        self.d_upper = res.d_upper
+        self.densified = res.densified
         self.residual = res.residual
         self.ok = res.success
         if not res.success:

@@ -391,7 +391,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         # 1 - h H_ii >= 1/2 for h <= 1/(2 L), as the Gershgorin row sum L
         # bounds H_ii.  The scheme is monotone, and every step keeps at least
         # half of each site's gap: run to flow time 15 / L (30 steps).
-        dt = system.dt_safe if params.dt is None else min(system.dt_safe, params.dt)
+        dt = min(0.5 * system.dt_safe, params.dt or math.inf)
         steps = math.ceil(15.0 / (potential.lipschitz_bound() * dt) - 1e-9)
         for _ in range(steps):
             g1 = system.grad(u)

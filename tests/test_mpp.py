@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fk_saddle import (TorusField, build_initial_path, chi_path, intersects,
-                       mountain_pass, multiplicity_scan, phi_path)
+from fk_saddle import (TorusField, build_initial_path, chi_path, find_gap_pair,
+                       intersects, mountain_pass, multiplicity_scan, phi_path)
 from fk_saddle import mpp
-from fk_saddle.mpp import PathError, _chain_top, box_path
+from fk_saddle.mpp import PathError, box_path
+from fk_saddle.semiflow import refine_critical
 from fk_saddle.verify import minimize_c0p
 from fk_saddle.periodic import PeriodicSystem
 
@@ -14,6 +15,12 @@ from fk_saddle.periodic import PeriodicSystem
 # only the spring term (1/4)(1/2)^2 remains.  Pinned once against the
 # 2001-point bottleneck oracle.
 REFERENCE_D21 = 0.0625
+
+# The k = 3 scan rows, as the RK4 string gave them before the climbing string
+# replaced it (three-site bottleneck oracles gave -0.815616, -1.813216 and
+# 1.046696 on grids of spacing 1/160 and 1/120).
+K3_LEVELS = {"classical": -0.8159966449038074, "pinned": -1.8142644051002965,
+             "twowell": 1.046433898724926}
 
 
 # --- staircase profiles -----------------------------------------------------
@@ -135,8 +142,10 @@ def mp21(classical, gap, params):
 
 def test_mountain_pass_two_cell_value(mp21):
     assert mp21.success
-    assert mp21.value == pytest.approx(REFERENCE_D21, abs=1e-9)
+    assert mp21.value == pytest.approx(REFERENCE_D21, abs=1e-15)
     assert mp21.residual <= 1e-10
+    # the chain certificate: d <= d_upper <= d0p + CHAIN_CERT_TOL
+    assert REFERENCE_D21 <= mp21.d_upper <= mp21.value + 1e-6
 
 
 def test_mountain_pass_two_cell_critical_field(classical, gap, mp21):
@@ -168,10 +177,10 @@ def test_critical_gate_names_the_failed_check(classical, gap, mp21):
     system, hi = gap.order_box(classical, (2, 1))
     x, e, c = mp21.critical, mp21.value, mp21.c_ref
     tol = 1e-10
-    assert mpp._validate_critical(system, x, hi, e, c, e, tol) is None
-    assert "floor" in mpp._validate_critical(system, 0.0 * x, hi, e, c, e, tol)
-    assert "corner" in mpp._validate_critical(system, hi.copy(), hi, e, c, e, tol)
-    assert "ground level" in mpp._validate_critical(system, x, hi, c, c, c, tol)
+    assert mpp._validate_critical(system, x, hi, e, c, tol) is None
+    assert "floor" in mpp._validate_critical(system, 0.0 * x, hi, e, c, tol)
+    assert "corner" in mpp._validate_critical(system, hi.copy(), hi, e, c, tol)
+    assert "ground level" in mpp._validate_critical(system, x, hi, c, c, tol)
 
 
 def test_check_chain_guards():
@@ -192,15 +201,31 @@ def test_barrier_strictly_positive(mp21, params):
     assert mp21.value - mp21.c_ref > 10 * params.stationarity_tol
 
 
-def test_value_trace_nonincreasing_between_reparams(mp21):
-    # every flow step is checked against the string max it started from, which
-    # follows the reparametrization (interpolation can bump the discrete max)
-    trace = mp21.value_trace
-    starts = mp21.flow_start_trace
-    assert len(starts) == len(trace) - 1 == mp21.iterations
-    assert starts[0] == trace[0]
-    for m in range(1, len(trace)):
-        assert trace[m] <= starts[m - 1] + 1e-10
+def test_no_non_climbing_node_rises(classical, gap, params, monkeypatch):
+    # every sweep exempts only its climbing nodes, local maxima of the node
+    # energies, from the energy guard (reference energy +inf): every other
+    # interior node descends from its own energy
+    steps = []
+    step = mpp.guarded_step
+
+    def record(system, x, dt, energy, k1=None):
+        out = step(system, x, dt, energy, k1)
+        steps.append((system.energy(x), energy, out[2]))
+        return out
+
+    monkeypatch.setattr(mpp, "guarded_step", record)
+    path = build_initial_path("chi", 65, 2, gap, (2, 1))
+    res = mountain_pass(classical, gap, path, params)
+    assert res.success and len(steps) == res.iterations
+    climbed = 0
+    for e, ref, after in steps:
+        fixed = np.isfinite(ref)
+        assert np.allclose(ref[fixed], e[fixed], rtol=0.0, atol=1e-12)
+        assert np.all(after[fixed] <= e[fixed] + 1e-10)
+        for m in np.flatnonzero(~fixed):
+            assert e[m] >= e[max(m - 1, 0)] and e[m] >= e[min(m + 1, len(e) - 1)]
+        climbed += np.count_nonzero(~fixed)
+    assert climbed > 0
 
 
 def test_node_flow_does_not_depend_on_dt(classical, gap, params):
@@ -213,27 +238,40 @@ def test_node_flow_does_not_depend_on_dt(classical, gap, params):
         assert r.value == pytest.approx(REFERENCE_D21, abs=1e-10)
 
 
-def test_torn_chain_is_flagged(classical, gap, params, mp21, monkeypatch):
+def test_torn_chain_fails_the_certificate(classical, gap, params, mp21, monkeypatch):
     p = (2, 1)
-    system = PeriodicSystem(classical, p, gap.v0.extend(p))
-    hi = gap.box_field(p).values
-    c_ref = float(system.energy(np.zeros(p)))
-    assert not _chain_top(system, mp21.final_nodes,
-                          system.energy(mp21.final_nodes), c_ref)[1]
-    # one jump from the ground state straight to the saddle, across the
+    system, hi = gap.order_box(classical, p)
+    # I(hi - x) = I(x), so the saddles come in pairs; take the one near the
+    # far corner and jump from the ground state straight to it, across the
     # higher ridge, then on to the far corner
-    nodes = np.stack([np.zeros(p), mp21.critical, hi])
-    ridge = float(system.energy(0.5 * mp21.critical))
+    saddle = max(mp21.critical, hi - mp21.critical, key=np.sum)
+    nodes = np.stack([np.zeros(p), saddle, hi])
+    ridge = float(system.energy(0.5 * saddle))
     assert ridge > mp21.value + 0.5
-    top, torn = _chain_top(system, nodes, system.energy(nodes), c_ref)
-    assert torn and top >= ridge
     # without reparametrization the tear cannot heal, yet Newton still
-    # refines the top node to the saddle: the guard must refuse success
-    monkeypatch.setattr(mpp, "_reparametrize", lambda chain: chain)
+    # refines the climbing node to the saddle: the certificate must refuse
+    # success, and its bound still covers the chain
+    monkeypatch.setattr(mpp, "_reparametrize", lambda chain, fixed: chain)
     res = mpp._minimax_node_flow(system, nodes, hi, params)
     assert not res.success
-    assert "torn" in res.message
-    assert res.string_value >= ridge
+    assert "not certified" in res.message
+    assert res.d_upper >= ridge
+
+
+def test_a_lower_critical_point_fails_the_certificate(classical, gap, params, monkeypatch):
+    # on the (3, 1) torus one column half-way up and two near the ground is
+    # a critical point 0.12 below d.  The staircase run stalls at an index-2
+    # point 2.0 above d; the symmetry-broken restart's string top sits near
+    # d, so a Newton step that lands on the lower point is within 10% of the
+    # barrier from it, but the chain through the point rises above it
+    system, hi = gap.order_box(classical, (3, 1))
+    low, res, ok = refine_critical(system, np.array([[0.5], [0.01], [0.01]]), 1e-12)
+    assert ok and float(system.energy(low)) == pytest.approx(-0.937102, abs=1e-6)
+    monkeypatch.setattr(mpp, "refine_critical", lambda *a, **k: (low.copy(), res, True))
+    result = mpp.best_mountain_pass(classical, gap, box_path(hi, 49, 3), params)
+    assert not result.success
+    assert "not certified" in result.message
+    assert result.d_upper > K3_LEVELS["classical"]
 
 
 def test_monotone_path_preserved(classical, gap, params):
@@ -339,6 +377,17 @@ def test_scan_witness_bounds_the_barrier(scan6):
     for row in scan6.rows:
         assert row.barrier <= row.witness + 1e-9
     assert max(row.witness for row in scan6.rows) == pytest.approx(4.125, abs=1e-9)
+
+
+@pytest.mark.parametrize("model", sorted(K3_LEVELS))
+def test_k3_rows_keep_their_level(request, params, model):
+    pot = request.getfixturevalue(model)
+    gap = find_gap_pair(pot, (1, 1), seed=3, params=params)
+    row = multiplicity_scan(pot, 3, gap, params).rows[2]
+    assert row.ok
+    assert row.d == pytest.approx(K3_LEVELS[model], abs=1e-9)
+    assert row.d <= row.d_upper <= row.d + 1e-6
+    assert row.densified > 0
 
 
 def test_minimize_c0p_matches_scaling(classical, gap, params):

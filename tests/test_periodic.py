@@ -257,23 +257,28 @@ class _Quadratic:
         return BandedHessian(np.array([0.0, self.hess_sign * self.a, 0.0]).reshape(1, 3, 1, 1), 1)
 
 
-def test_flow_halves_once_and_keeps_the_step():
-    # RK4 multiplies x by R(-3) = 1.375 at dt = 3/a, which raises the energy:
-    # the guard halves once to R(-1.5) = 0.2734375 and the flow keeps 1.5/a,
-    # so only the first step is tried twice
+def test_an_understated_lipschitz_bound_is_a_flow_error():
+    # the step 3 / a claims L = a / 3 for the Hessian a: the Euler step maps
+    # x to -2 x and quadruples the energy, and the error names L and the rise
     system = _Quadratic(a=2.0)
-    x, trace, _ = flow(system, np.array([1.0]),
-                       FlowParams(t_max=3.0, run_to_t_max=True))
-    assert np.allclose(np.diff(trace.times), 0.75)
-    steps = len(trace.times) - 1
-    assert steps == 4
-    assert system.energy_calls == 1 + 2 + (steps - 1)
-    assert x[0] == pytest.approx(0.2734375 ** 4, rel=1e-12)
+    with pytest.raises(FlowError, match=r"rose by 3 .*L=0\.666667"):
+        flow(system, np.array([1.0]), FlowParams(t_max=3.0, run_to_t_max=True))
+    assert system.energy_calls == 2
+
+
+def test_heat_flow_classify_steps_are_guarded_too():
+    # a heat-flow classify flow takes the same guarded step as flow, so the
+    # understated L is caught there as well
+    from fk_saddle.mpp import _classify_flow
+
+    system = _Quadratic(a=2.0)
+    with pytest.raises(FlowError, match=r"L=0\.666667"):
+        _classify_flow(system, np.array([1.0]), system.dt_safe, [])
 
 
 def test_flow_raises_when_no_step_lowers_the_energy():
     system = _Quadratic(grad_sign=-1.0)
-    with pytest.raises(FlowError, match="halvings"):
+    with pytest.raises(FlowError, match="Lipschitz bound"):
         flow(system, np.array([1.0]), FlowParams(t_max=1.0))
 
 
