@@ -1,8 +1,8 @@
 """Stationary states of generalized Frenkel-Kontorova lattices.
 
 Periodic and heteroclinic minimizers, adjacent-pair gaps, and mountain-pass
-saddles via the gradient semiflow, string relaxation with Newton refinement,
-and explicit staircase paths; with an independent bottleneck oracle and a
+saddles via the gradient semiflow, string relaxation from a column ramp
+with Newton refinement, and explicit staircase witnesses; with an independent bottleneck oracle and a
 property suite covering every numerically checkable inequality of the theory.
 """
 
@@ -16,9 +16,8 @@ from .model import (BUILTIN_MODELS, ClassicalFKPotential, PluginPotential,
 from .semiflow import FlowError, FlowParams, flow, flow_to_stationarity
 from .periodic import (GapPair, MinimizeResult, NoGapError, PeriodicSystem,
                        find_gap_pair, minimize_periodic)
-from .mpp import (MinimaxResult, best_mountain_pass, box_path,
-                  build_initial_path, chi_path, intersects, mountain_pass,
-                  multiplicity_scan, phi_path)
+from .mpp import (MinimaxResult, best_mountain_pass, box_path, chi_path,
+                  intersects, mountain_pass, multiplicity_scan, phi_path)
 from .hetero import (HeteroGapPair, HeteroMinimizeResult,
                      RenormalizationConstants, StripSystem, asymptotics_report,
                      find_gap_pair_hetero, minimize_hetero, mountain_pass_hetero)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -34,7 +33,7 @@ from .fields import FkSaddleError
 from .hetero import (asymptotics_report, find_gap_pair_hetero,
                      minimize_hetero, mountain_pass_hetero)
 from .model import make_potential, residual_field, validate_assumptions
-from .mpp import best_mountain_pass, build_initial_path, multiplicity_scan
+from .mpp import best_mountain_pass, multiplicity_scan
 from .periodic import (default_minimize_seeds, find_gap_pair, minimize_periodic,
                        require_gap)
 from .semiflow import FlowParams
@@ -78,7 +77,6 @@ class Manifest:
         return {
             "config": config_to_dict(self.cfg),
             "version": __version__,
-            "threads": os.environ.get("FK_SADDLE_THREADS", ""),
             "wall_time_s": time.time() - self.t0,
             "scalars": self.scalars,
             "tables": self.tables,
@@ -151,9 +149,8 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "mpp":
         gap = _gap_or_fail(pot, cfg, params)
-        path0 = build_initial_path(cfg.kind, cfg.nodes, cfg.k, gap, cfg.p)
-        res = best_mountain_pass(pot, gap, path0, params,
-                                 restarts=cfg.restarts, mode=cfg.mode)
+        res = best_mountain_pass(pot, gap, cfg.p, params, mode=cfg.mode,
+                                 N=cfg.nodes)
         man.scalars["d0p"] = res.value
         man.scalars["d_upper"] = res.d_upper
         man.scalars["densified"] = res.densified
@@ -190,8 +187,7 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "multiplicity":
         gap = _gap_or_fail(pot, cfg, params)
-        scan = multiplicity_scan(pot, cfg.kmax, gap, params,
-                                 restarts=cfg.restarts)
+        scan = multiplicity_scan(pot, cfg.kmax, gap, params)
         man.tables["rows"] = [
             {"k": r.k, "c0p": r.c, "d0p": r.d, "d_upper": r.d_upper,
              "densified": r.densified, "barrier": r.barrier,
@@ -231,7 +227,7 @@ def run(cfg: RunConfig) -> Manifest:
             man.errors.append("no heteroclinic gap pair found")
         else:
             res = mountain_pass_hetero(pot, gap1, params, N=cfg.nodes,
-                                       mode=cfg.mode, restarts=cfg.restarts)
+                                       mode=cfg.mode)
             man.scalars["d1q"] = res.value
             man.scalars["d_upper"] = res.d_upper
             man.scalars["densified"] = res.densified
@@ -292,21 +288,21 @@ def run(cfg: RunConfig) -> Manifest:
 # ---------------------------------------------------------------------------
 
 # The job-file keys each subcommand exposes as flags.  A flag is its key's
-# name, parsed by its SCHEMA entry, except for the three in FLAG_KEYS.
+# name, parsed by its SCHEMA entry, except for the two in FLAG_KEYS.
 COMMON_FLAGS = ("model", "amplitude", "coupling", "p", "q", "tol", "dt", "seed",
                 "out", "fields-out")
 COMMAND_FLAGS = {
     "minimize": (),
     "gap": ("probes",),
-    "mpp": ("nodes", "path", "k", "mode", "restarts"),
+    "mpp": ("nodes", "mode"),
     "landscape": ("grid",),
-    "multiplicity": ("kmax", "restarts"),
+    "multiplicity": ("kmax",),
     "hetero": ("window",),
-    "mph": ("nodes", "window", "mode", "restarts"),
+    "mph": ("nodes", "window", "mode"),
     "verify": ("trials", "cross-check", "resolutions"),
     "validate": ("samples",),
 }
-FLAG_KEYS = {"path": "kind", "window": "size", "samples": "trials"}
+FLAG_KEYS = {"window": "size", "samples": "trials"}
 HELP = {
     "minimize": "periodic ground states on a torus",
     "gap": "adjacent minimizer pair detection",

@@ -79,10 +79,7 @@ class RunConfig:
     max_steps: int = MAX_FLOW_STEPS
     # path / minimax
     nodes: int | None = None
-    kind: str = "chi"
-    k: int | None = None
     mode: str = "node-flow"
-    restarts: int = 1
     # window policy
     window: int | None = None
     # scans and verification
@@ -117,8 +114,6 @@ class RunConfig:
             raise ConfigError("p: periods must be >= 1")
         if any(x < 1 for x in self.q):
             raise ConfigError("q: periods must be >= 1")
-        if self.kind not in ("linear", "chi"):
-            raise ConfigError("path.kind: must be 'linear' or 'chi'")
         if self.mode not in ("node-flow", "heat-flow"):
             raise ConfigError("path.mode: must be 'node-flow' or 'heat-flow'")
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -131,10 +126,6 @@ class RunConfig:
             raise ConfigError("flow.max-steps: must be >= 1")
         if self.nodes is not None and self.nodes < 3:
             raise ConfigError("path.nodes: must be >= 3 or auto")
-        if self.k is not None and self.k < 2:
-            raise ConfigError("path.k: must be >= 2 or auto")
-        if self.restarts < 0:
-            raise ConfigError("path.restarts: must be >= 0")
         if self.window is not None and not 1 <= self.window <= WINDOW_CAP:
             raise ConfigError("window.size: must be auto or from 1 to the cap %d "
                               "(WINDOW_CAP)" % WINDOW_CAP)
@@ -177,10 +168,7 @@ SCHEMA = {
     ("flow", "tol"): ("tol", float, repr),
     ("flow", "max-steps"): ("max_steps", int, str),
     ("path", "nodes"): ("nodes", _parse_int_or_auto, _fmt_int_or_auto),
-    ("path", "kind"): ("kind", str, str),
-    ("path", "k"): ("k", _parse_int_or_auto, _fmt_int_or_auto),
     ("path", "mode"): ("mode", str, str),
-    ("path", "restarts"): ("restarts", int, str),
     ("window", "size"): ("window", _parse_int_or_auto, _fmt_int_or_auto),
     ("scan", "kmax"): ("kmax", int, str),
     ("gap", "probes"): ("probes", int, str),

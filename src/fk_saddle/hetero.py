@@ -17,7 +17,8 @@ neighboring kink positions.  ``order_box`` also tiles the pair across
 transverse periods that are multiples of q, so ``mpp.best_mountain_pass`` and
 ``mpp.multiplicity_scan`` take the strip pair as they take the torus one; the
 scan gives the barrier column over q(k) = (k, 1, ..., 1) with its staircase
-witnesses.
+witnesses.  Every strip mountain pass starts, as on the torus, from the
+column ramp across the transverse axis; the staircase is the witness only.
 
 All fields are stored on finite windows with constant tails; every reported
 value must be stable under window doubling, and the window policy grows the
@@ -37,8 +38,7 @@ from .defaults import (DEDUP_TOL, GAP_PROBES, HETERO_SEED_SHIFTS,
 from .fields import (FkSaddleError, StripField, WindowError, pad_layers,
                      stencil, validate_periods)
 from .model import SitePotential
-from .mpp import (MinimaxResult, best_of_restarts, box_path, check_chain,
-                  minimax_engine)
+from .mpp import MinimaxResult, box_path, check_chain, minimax_engine
 from .periodic import GapPair, polish_limits, probe_adjacency, require_gap
 from .semiflow import FlowError, FlowParams, flow
 
@@ -314,34 +314,24 @@ def find_gap_pair_hetero(potential: SitePotential,
     return pair
 
 
-def require_hetero_gap(gap1) -> HeteroGapPair:
-    if gap1 is None:
-        raise FkSaddleError("no heteroclinic gap pair available")
-    return gap1
-
-
 # ---------------------------------------------------------------------------
 # heteroclinic mountain pass
 # ---------------------------------------------------------------------------
 
 def mountain_pass_hetero(potential: SitePotential, gap1: HeteroGapPair,
                          params: FlowParams | None = None,
-                         N: int | None = None, path_nodes=None,
-                         mode: str = "node-flow", restarts: int = 1) -> MinimaxResult:
-    """Minimax over strip paths from 0 to w1 - v1 inside the order box.
+                         N: int | None = None,
+                         mode: str = "node-flow") -> MinimaxResult:
+    """Minimax over strip paths from 0 to w1 - v1 inside the order box,
+    started from the column ramp across the transverse axis (``N`` nodes,
+    default ``PATH_NODES``; the linear homotopy when q = 1).
 
-    ``path_nodes`` (default: the linear chain) must pass ``check_chain``.
     The returned critical offset rides on v1; its level d1 exceeds c1 and
     its residual is below tolerance at every window site.
     """
-    gap1 = require_hetero_gap(gap1)
-    params = params or FlowParams()
-    system, hi = gap1.order_box(potential)
-    if path_nodes is None:
-        path_nodes = box_path(hi, N or PATH_NODES)
-    engine = minimax_engine(mode)
-    return best_of_restarts(lambda n: engine(system, n, hi, params),
-                            check_chain(path_nodes, hi), hi, restarts)
+    system, hi = require_gap(gap1).order_box(potential)
+    nodes = check_chain(box_path(hi, N or PATH_NODES, axis=1), hi)
+    return minimax_engine(mode)(system, nodes, hi, params or FlowParams())
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 The minimax value is ``d = inf over paths h from 0 to w0-v0 of max_theta
 I(h(theta))``.  A path is an ``(N, *p)`` array of N fields (offsets from
 v0) evenly spaced in theta, on the torus here and on the strip window in
-``hetero``; ``box_path`` builds the linear and staircase chains for both,
-``build_initial_path`` picks the default torus chain, and ``check_chain``
-admits a chain on both geometries (at least 3 nodes shaped like the box,
-pinned to 0 and to the box corner).  Two solvers compute the minimax:
+``hetero``.  ``box_path`` builds the one start chain of every mountain pass,
+the column ramp (column j of the box's first periodic axis, of w columns,
+moves over theta in [j/w, (j+1)/w]; the linear homotopy when w = 1), and
+the staircase witness phi_k.  ``check_chain`` admits a chain on both
+geometries (at least 3 nodes shaped like the box, pinned to 0 and to the box
+corner).  Two solvers compute the minimax:
 
 * ``node-flow``: the climbing string method.  The path is a chain of N
   fields; interior nodes evolve under the gradient semiflow (the endpoints
@@ -31,12 +33,12 @@ Both modes return the same value on the models shipped here; the node-flow
 solver is the default and the heat-flow solver doubles as a cross-check.
 
 This module also hosts the explicit staircase profiles (``chi_path`` /
-``phi_path``) whose maxima bound d - c uniformly in the axis-1 period, the
-order-relation classifier ``intersects``, and the multiplicity scan.  The
-drivers ``mountain_pass``, ``best_mountain_pass`` and ``multiplicity_scan``
-take a torus ``GapPair`` or a strip ``HeteroGapPair`` alike: each pair
-builds its order box on given periods, and the chain's trailing axes or the
-scan row fix those periods.
+``phi_path``), the scan's witness, whose maxima bound d - c uniformly in the
+axis-1 period; the order-relation classifier ``intersects``; and the
+multiplicity scan.  The drivers ``mountain_pass`` (from a given chain),
+``best_mountain_pass`` (from the ramp on given periods) and
+``multiplicity_scan`` take a torus ``GapPair`` or a strip ``HeteroGapPair``
+alike: each pair builds its order box on given periods.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .defaults import (BASIN_MATCH_TOL, CHAIN_CERT_MAX_STATES, CHAIN_CERT_TOL,
                        default_node_count)
 from .fields import FkSaddleError, TorusField, validate_periods
 from .model import SitePotential
-from .periodic import GapPair, require_gap
+from .periodic import require_gap
 from .semiflow import FlowParams, flow, guarded_step, refine_critical
 
 
@@ -112,44 +114,21 @@ def phi_path(k: int, theta, i):
 # ---------------------------------------------------------------------------
 
 def box_path(box, N: int, k: int | None = None, axis: int = 0) -> np.ndarray:
-    """N nodes from 0 to ``box``: the linear homotopy theta * box, or with
-    ``k`` the staircase phi_k(theta, i) * box across lattice axis ``axis``."""
+    """N nodes from 0 to ``box`` across lattice axis ``axis``, of w columns:
+    the column ramp, whose column j moves over theta in [j/w, (j+1)/w] (the
+    linear homotopy theta * box when w = 1), or with ``k`` the staircase
+    phi_k(theta, i) * box."""
     box = np.asarray(box, dtype=float)
-    thetas = np.linspace(0.0, 1.0, N)
-    if k is None:
-        prof = thetas.reshape((N,) + (1,) * box.ndim)
-    else:
-        width = box.shape[axis]
-        prof = phi_path(k, thetas[:, None], np.arange(width)).reshape(
-            (N,) + (1,) * axis + (width,) + (1,) * (box.ndim - axis - 1))
-    nodes = prof * box
+    thetas = np.linspace(0.0, 1.0, N)[:, None]
+    width = box.shape[axis]
+    columns = np.arange(width)
+    prof = (np.clip(width * thetas - columns, 0.0, 1.0) if k is None
+            else phi_path(k, thetas, columns))
+    nodes = prof.reshape((N,) + (1,) * axis + (width,)
+                         + (1,) * (box.ndim - axis - 1)) * box
     nodes[0] = 0.0
     nodes[-1] = box
     return nodes
-
-
-def build_initial_path(kind: str, N: int | None, k: int | None, gap: GapPair,
-                       periods=None) -> np.ndarray:
-    """The starting chain on the torus ``periods`` (default: the gap's), an
-    (N, *p) node array from 0 to w0 - v0.
-
-    ``kind`` is 'linear' (the homotopy) or 'chi' (the staircase phi_k across
-    axis 1; on a torus one column wide it has no columns to stagger and is
-    the linear path).  ``N=None`` takes ``default_node_count(p)`` and
-    ``k=None`` takes max(2, p1).
-    """
-    gap = require_gap(gap)
-    periods = validate_periods(periods) if periods is not None else gap.v0.periods
-    N = default_node_count(periods) if N is None else N
-    k = max(2, periods[0]) if k is None else k
-    if N < 3:
-        raise PathError("need N >= 3 nodes")
-    if kind not in ("linear", "chi"):
-        raise PathError("unknown path kind %r" % kind)
-    if kind == "chi" and k < 2:
-        raise PathError("chi path needs k >= 2")
-    staircase = kind == "chi" and periods[0] > 1
-    return box_path(gap.box_field(periods).values, N, k if staircase else None)
 
 
 def check_chain(nodes, hi: np.ndarray) -> np.ndarray:
@@ -196,13 +175,18 @@ class MinimaxResult:
 def _validate_critical(system, x, hi, energy, c_ref, tol):
     """Gate a Newton-refined point: strictly inside the box and above the
     ground level.  Returns None when the point passes, else a message naming
-    the failed check."""
+    the failed check.
+
+    Strict interior is judged relative to the box width on each active site:
+    x / hi and (hi - x) / hi against STRICT_ORDER_TOL.  The pinned kink's box
+    is as narrow as 1e-10 on some sites, and its saddle sits at 1e-15 there.
+    """
     active = hi > 1e-12
     if (~active).any() and np.max(np.abs(x[~active])) > 1e-7:
         return "critical point moved off the box's zero-width sites"
-    if np.min(x[active]) <= STRICT_ORDER_TOL:
+    if np.min(x[active] / hi[active]) <= STRICT_ORDER_TOL:
         return "critical point touches the box floor 0"
-    if np.min((hi - x)[active]) <= STRICT_ORDER_TOL:
+    if np.min((hi - x)[active] / hi[active]) <= STRICT_ORDER_TOL:
         return "critical point touches the box corner"
     if energy - c_ref <= 10.0 * tol:
         return "critical level %.12g is not above the ground level" % energy
@@ -402,6 +386,13 @@ def _minimax_node_flow(system, nodes0, hi, params):
 # heat-flow mode
 # ---------------------------------------------------------------------------
 
+def _basin_of(x, reps):
+    """The index of the first representative in ``reps`` within
+    BASIN_MATCH_TOL of ``x`` (l-inf), or None."""
+    return next((li for li, rep in enumerate(reps)
+                 if float(np.max(np.abs(x - rep))) <= BASIN_MATCH_TOL), None)
+
+
 def _classify_flow(system, x, dt, reps):
     """Flow one state toward an attractor, watching for saddle fly-bys.
 
@@ -429,10 +420,7 @@ def _classify_flow(system, x, dt, reps):
         if rn <= HEAT_SETTLE_TOL:
             break
         if steps % check_every == 0:
-            for li, rep in enumerate(reps):
-                if float(np.max(np.abs(x - rep))) <= BASIN_MATCH_TOL:
-                    label = li
-                    break
+            label = _basin_of(x, reps)
             if label is not None:
                 break
         x, _, energy, _ = guarded_step(system, x, dt, energy, k1=-g)
@@ -446,16 +434,12 @@ def _classify_flow(system, x, dt, reps):
             if best_dip is None or cur_min[0] < best_dip[0]:
                 best_dip = cur_min
             cur_min = (rn, x.copy())
-    is_new = False
     if label is None:
-        for li, rep in enumerate(reps):
-            if float(np.max(np.abs(x - rep))) <= BASIN_MATCH_TOL:
-                label = li
-                break
-    if label is None:
+        label = _basin_of(x, reps)
+    is_new = label is None
+    if is_new:
         reps.append(x.copy())
         label = len(reps) - 1
-        is_new = True
     dip = best_dip if best_dip is not None else cur_min
     return label, dip[1], dip[0], is_new
 
@@ -520,9 +504,8 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
                         break
                     # a stuck saddle can be a "basin" itself; the tear is then
                     # already represented by that rep
-                    if collapsed and (
-                            np.max(np.abs(x_ref - reps[lab_lo])) <= BASIN_MATCH_TOL
-                            or np.max(np.abs(x_ref - reps[lab_hi])) <= BASIN_MATCH_TOL):
+                    if collapsed and _basin_of(
+                            x_ref, (reps[lab_lo], reps[lab_hi])) is not None:
                         done = True
                         break
             if lab == lab_lo:
@@ -571,42 +554,6 @@ def minimax_engine(mode: str):
     return globals()["_minimax_" + mode.replace("-", "_")]
 
 
-def best_of_restarts(run, nodes: np.ndarray, hi: np.ndarray, restarts: int):
-    """``run(nodes)``, then ``run`` on ``restarts`` perturbed chains; keeps the
-    smallest validated minimax level (every admissible path gives an upper
-    bound).
-
-    Staircase paths carry the column symmetries of their construction, and
-    the string relaxation preserves symmetry, so a symmetric chain can stall
-    on a higher symmetric critical point.  Restart ``s`` adds 0.05 times
-    standard normal noise drawn from seed ``s``, clipped to the box
-    ``[0, hi]`` with the endpoints pinned, which breaks the symmetry.
-    """
-    best = run(nodes)
-    for s in range(restarts):
-        rng = np.random.default_rng(s)
-        trial_nodes = np.clip(nodes + 0.05 * rng.standard_normal(nodes.shape),
-                              0.0, hi)
-        trial_nodes[0] = 0.0
-        trial_nodes[-1] = hi
-        trial = run(trial_nodes)
-        if trial.success and (not best.success or trial.value < best.value - 1e-12):
-            best = trial
-    return best
-
-
-def _chain_box(potential, gap, path0):
-    """The order box of ``gap`` on the periods of a chain's trailing axes,
-    and the chain checked against it (:func:`check_chain`)."""
-    nodes = np.asarray(path0, dtype=float)
-    lattice = nodes.ndim - len(require_gap(gap).periods)
-    if lattice < 1:
-        raise PathError("a chain is at least 3 nodes shaped (N, ..., *p) with "
-                        "%d periods, got shape %r" % (len(gap.periods), nodes.shape))
-    system, hi = gap.order_box(potential, nodes.shape[lattice:])
-    return system, check_chain(nodes, hi), hi
-
-
 def mountain_pass(potential: SitePotential, gap, path0,
                   params: FlowParams | None = None,
                   mode: str = "node-flow") -> MinimaxResult:
@@ -620,18 +567,33 @@ def mountain_pass(potential: SitePotential, gap, path0,
     residual below tolerance, sits strictly inside the box, and its level
     exceeds the corner level c_ref.
     """
-    system, nodes, hi = _chain_box(potential, gap, path0)
-    return minimax_engine(mode)(system, nodes, hi, params or FlowParams())
+    nodes = np.asarray(path0, dtype=float)
+    lattice = nodes.ndim - len(require_gap(gap).periods)
+    if lattice < 1:
+        raise PathError("a chain is at least 3 nodes shaped (N, ..., *p) with "
+                        "%d periods, got shape %r" % (len(gap.periods), nodes.shape))
+    system, hi = gap.order_box(potential, nodes.shape[lattice:])
+    return minimax_engine(mode)(system, check_chain(nodes, hi), hi,
+                                params or FlowParams())
 
 
-def best_mountain_pass(potential, gap, path0, params,
-                       restarts: int = 1, mode: str = "node-flow"):
-    """mountain_pass on ``path0`` plus symmetry-broken restarts
-    (:func:`best_of_restarts`)."""
-    _, nodes, hi = _chain_box(potential, gap, path0)
-    return best_of_restarts(
-        lambda n: mountain_pass(potential, gap, n, params, mode=mode),
-        nodes, hi, restarts)
+def best_mountain_pass(potential: SitePotential, gap, periods=None,
+                       params: FlowParams | None = None,
+                       mode: str = "node-flow", N: int | None = None) -> MinimaxResult:
+    """:func:`mountain_pass` from the column ramp (:func:`box_path`) across
+    the first periodic axis of the order box on ``periods`` (default: the
+    gap's), on ``N`` nodes (default: ``default_node_count(periods)``).
+
+    The ramp moves one column after another, so the string starts on a path
+    through one nucleation at a time; the staircase phi_k, which ramps the
+    mirror columns together, can stall the string at an index-2 point.
+    """
+    gap = require_gap(gap)
+    periods = gap.periods if periods is None else validate_periods(periods)
+    _, hi = gap.order_box(potential, periods)
+    N = default_node_count(periods) if N is None else N
+    nodes = box_path(hi, N, axis=hi.ndim - len(periods))
+    return mountain_pass(potential, gap, nodes, params, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -709,37 +671,40 @@ class MultiplicityScan:
 
 
 def _shift_orbit_distance(a: np.ndarray, b: np.ndarray, axis: int) -> float:
-    """min over shifts along ``axis`` of the l-inf distance between extended
-    fields."""
-    best = np.inf
-    for s in range(a.shape[axis]):
-        best = min(best, float(np.max(np.abs(np.roll(a, s, axis=axis) - b))))
-    return best
+    """min over shifts along ``axis`` of the l-inf distance between the
+    periodic fields ``a`` and ``b`` (k and m columns there) tiled to a
+    common period.  Both are tiled to lcm(k, m) columns, and only gcd(k, m)
+    shifts give distinct column pairs."""
+    k, m = a.shape[axis], b.shape[axis]
+    L = math.lcm(k, m)
+    a = np.concatenate([a] * (L // k), axis=axis)
+    b = np.concatenate([b] * (L // m), axis=axis)
+    return min(float(np.max(np.abs(np.roll(a, s, axis=axis) - b)))
+               for s in range(math.gcd(k, m)))
 
 
 def multiplicity_scan(potential: SitePotential, k_max: int, gap,
-                      params: FlowParams | None = None,
-                      restarts: int = 1) -> MultiplicityScan:
+                      params: FlowParams | None = None) -> MultiplicityScan:
     """Mountain passes over the periods (k, 1, ..., 1), k = 1..k_max.
 
     On a torus ``GapPair`` these are the elongated tori p(k); on a strip
-    ``HeteroGapPair`` the transverse periods q(k) of the kink window.  The
-    staircase runs across the first periodic lattice axis of the order box
-    (axis 0 of a torus box, axis 1 of a strip box, after the layer axis).
-    Each row starts :func:`best_mountain_pass` from the staircase phi_k on
-    ``default_node_count`` nodes; c is the level of the box corners, and
-    the witness is the highest energy on the same staircase at
-    ``WITNESS_NODES`` nodes, minus c.  The witness bounds d - c uniformly
-    in k: phi_k is even in the column index, so it ramps the mirror columns
-    i and k - i together, and from k = 3 on its maximum sits near twice the
-    one-column barrier and then stays flat.  For k = 1..8 it reads 2.000,
-    2.063, 4.063, then 4.123 to 4.125 on classical-fk tori, and 3.938,
-    4.000, 7.938, then 7.997 to 8.000 on the pinned-fk strip (W = 20).
+    ``HeteroGapPair`` the transverse periods q(k) of the kink window.  Each
+    row runs :func:`best_mountain_pass`, which starts from the column ramp
+    across the first periodic lattice axis of the order box (axis 0 of a
+    torus box, axis 1 of a strip box, after the layer axis); c is the level
+    of the box corners.  The witness is the highest energy on the staircase
+    phi_k across the same axis at ``WITNESS_NODES`` nodes, minus c: the
+    paper's uniform bound on d - c.  phi_k is even in the column index, so it
+    ramps the mirror columns i and k - i together, and from k = 3 on its
+    maximum sits near twice the one-column barrier and then stays flat.  For
+    k = 1..8 it reads 2.000, 2.063, 4.063, then 4.123 to 4.125 on
+    classical-fk tori, and 3.938, 4.000, 7.938, then 7.997 to 8.000 on the
+    pinned-fk strip (W = 20).
 
-    Critical fields are tiled along the staircase axis to the common
-    period and compared after shift-orbit normalization along it; each is
-    also classified against the k = 1 critical field.  Failed rows carry
-    their error and the scan continues.
+    Critical fields are tiled along that axis to the common period and
+    compared after shift-orbit normalization along it; each is also
+    classified against the k = 1 critical field.  Failed rows carry their
+    error and the scan continues.
     """
     if k_max < 2:
         raise PathError("k_max must be >= 2")
@@ -751,29 +716,24 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap,
         try:
             periods = (k,) + (1,) * (len(gap.periods) - 1)
             system, hi = gap.order_box(potential, periods)
-            axis = hi.ndim - len(periods)
-            stair = k if k > 1 else None
-            res = best_mountain_pass(
-                potential, gap, box_path(hi, default_node_count(periods), stair, axis),
-                params, restarts=restarts)
+            res = best_mountain_pass(potential, gap, periods, params)
             row.record(res)
-            witness = box_path(hi, WITNESS_NODES, stair, axis)
+            witness = box_path(hi, WITNESS_NODES, k if k > 1 else None,
+                               hi.ndim - len(periods))
             row.witness = float(np.max(system.energy(witness))) - row.c
             criticals[k] = res.critical
         except FkSaddleError as exc:
             row.message = str(exc)
         rows.append(row)
     ks = sorted(criticals)
-    L = math.lcm(*ks) if ks else 1
-    extended = {}
-    for k in ks:
-        axis = criticals[k].ndim - len(gap.periods)
-        extended[k] = np.concatenate([criticals[k]] * (L // k), axis=axis)
+    axis = -len(gap.periods)
     dmat = np.zeros((len(ks), len(ks)))
     for a in range(len(ks)):
         for b in range(a + 1, len(ks)):
             dmat[a, b] = dmat[b, a] = _shift_orbit_distance(
-                extended[ks[a]], extended[ks[b]], axis)
+                criticals[ks[a]], criticals[ks[b]], axis)
+    L = math.lcm(*ks) if ks else 1
+    extended = {k: np.concatenate([criticals[k]] * (L // k), axis=axis) for k in ks}
     versus = {}
     if 1 in extended:
         for k in ks:

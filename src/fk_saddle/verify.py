@@ -34,7 +34,7 @@ from .defaults import (BOX_INVARIANCE_TOL, CLIP_ENERGY_TOL, CROSS_CHECK_TOL,
                        SCALING_TOL, STRICT_ORDER_TOL, SUBMODULARITY_TOL)
 from .fields import FkSaddleError, TorusField
 from .model import SitePotential, central_differences, site_energies
-from .mpp import build_initial_path, mountain_pass
+from .mpp import best_mountain_pass
 from .periodic import GapPair, find_gap_pair, minimize_periodic, require_gap
 from .semiflow import FlowParams, flow, rk4_step
 
@@ -499,9 +499,10 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair | None = No
     if gap is None:
         gap = find_gap_pair(potential, (1, 1), seed=seed, params=params)
     gap = require_gap(gap)
-    path0 = build_initial_path("chi", PATH_NODES, None, gap, (2, 1))
-    node = mountain_pass(potential, gap, path0, params, mode="node-flow")
-    heat = mountain_pass(potential, gap, path0, params, mode="heat-flow")
+    node = best_mountain_pass(potential, gap, (2, 1), params, mode="node-flow",
+                              N=PATH_NODES)
+    heat = best_mountain_pass(potential, gap, (2, 1), params, mode="heat-flow",
+                              N=PATH_NODES)
     oracle, band = {}, {}
     for res in resolutions:
         grid = OracleGrid2D.build(potential, gap, res)

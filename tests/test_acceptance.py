@@ -14,9 +14,8 @@ import pytest
 
 from fk_saddle import (FlowParams, OracleGrid2D,
                        best_mountain_pass, bottleneck_minimax_2d,
-                       build_initial_path, find_gap_pair,
-                       find_gap_pair_hetero, make_potential, minimize_hetero,
-                       minimize_periodic, mountain_pass, mountain_pass_hetero,
+                       find_gap_pair, find_gap_pair_hetero, make_potential,
+                       minimize_hetero, minimize_periodic, mountain_pass_hetero,
                        multiplicity_scan, run_property_suite, sample_landscape)
 from fk_saddle.model import residual_field
 
@@ -60,9 +59,8 @@ def compute_bundle():
 
     # -- criterion 3: three-way agreement on the two-cell torus ---------------
     t0 = time.monotonic()
-    path21 = build_initial_path("chi", 65, 2, gap, (2, 1))
-    node = mountain_pass(classical, gap, path21, params, mode="node-flow")
-    heat = mountain_pass(classical, gap, path21, params, mode="heat-flow")
+    node = best_mountain_pass(classical, gap, (2, 1), params, mode="node-flow", N=65)
+    heat = best_mountain_pass(classical, gap, (2, 1), params, mode="heat-flow", N=65)
     grid2001 = OracleGrid2D.build(classical, gap, 2001)
     oracle = bottleneck_minimax_2d(grid2001)
     T["c3"] = time.monotonic() - t0
@@ -91,8 +89,7 @@ def compute_bundle():
 
     # -- criterion 5: strict barrier across the test matrix -------------------
     t0 = time.monotonic()
-    path11 = build_initial_path("linear", 33, None, gap, (1, 1))
-    mp11 = mountain_pass(classical, gap, path11, params)
+    mp11 = best_mountain_pass(classical, gap, (1, 1), params, N=33)
     S["d11"] = mp11.value
     S["c11"] = mp11.c_ref
     matrix = {}
@@ -105,10 +102,7 @@ def compute_bundle():
              ("two-well", twowell, gap_tw, (2, 1)),
              ("pinned", pinned, gap_pin, (1, 1))]
     for name, pot, g, p in cases:
-        kind = "chi" if p[0] > 1 else "linear"
-        pth = build_initial_path(kind, 33 if p[0] == 1 else 16 * p[0] + 1,
-                                 max(2, p[0]), g, p)
-        r = best_mountain_pass(pot, g, pth, params, restarts=1)
+        r = best_mountain_pass(pot, g, p, params)
         matrix["%s_%d_%d" % (name, p[0], p[1])] = (r.value, r.c_ref, r.success)
         S["barrier_%s_%d_%d" % (name, p[0], p[1])] = r.value - r.c_ref
     T["c5"] = time.monotonic() - t0

@@ -18,7 +18,7 @@ def test_parse_minimal_defaults():
     assert cfg.p == (1, 1)
     assert cfg.command == "minimize"
     assert cfg.tol == 1e-10
-    assert cfg.kind == "chi"
+    assert cfg.mode == "node-flow"
 
 
 def test_parse_rejects_bad_periods():
@@ -37,6 +37,19 @@ def test_parse_rejects_unknown_key():
     # the window always starts at WINDOW_START
     with pytest.raises(ConfigError, match="window.start"):
         parse_config("[window]\nstart = 20\n")
+    # every mountain pass starts from the column ramp, once
+    for key in ("kind = chi", "k = 4", "restarts = 1"):
+        with pytest.raises(ConfigError, match="unknown key 'path.%s'" % key.split()[0]):
+            parse_config("[path]\n%s\n" % key)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("mpp", "--path"), ("mpp", "--k"), ("mpp", "--restarts"),
+    ("multiplicity", "--restarts"), ("mph", "--restarts")])
+def test_start_chain_flags_are_gone(command, flag, capsys):
+    with pytest.raises(SystemExit):
+        main([command, flag, "1", "--seed", "1"])
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, path", [
@@ -68,7 +81,7 @@ def test_window_cap_is_the_largest_fixed_window():
 
 
 @pytest.mark.parametrize("flags", [
-    ["mpp", "--nodes", "0"], ["mpp", "--k", "0"], ["mpp", "--restarts", "-1"],
+    ["mpp", "--nodes", "0"], ["mph", "--nodes", "2"], ["mpp", "--mode", "warp"],
     ["mph", "--window", "0"], ["gap", "--probes", "0"],
     ["multiplicity", "--kmax", "1"], ["verify", "--resolutions", "51"],
     ["mph", "--window", "foo"], ["gap", "--p", "a,1"],
@@ -87,13 +100,10 @@ def test_bad_values_exit_before_any_stage(flags, tmp_path, capsys):
 SAME_JOB = {
     "minimize": ([], ""),
     "gap": (["--probes", "3"], "[gap]\nprobes = 3\n"),
-    "mpp": (["--nodes", "33", "--path", "linear", "--k", "3", "--mode",
-             "heat-flow", "--restarts", "2"],
-            "[path]\nnodes = 33\nkind = linear\nk = 3\nmode = heat-flow\n"
-            "restarts = 2\n"),
+    "mpp": (["--nodes", "33", "--mode", "heat-flow"],
+            "[path]\nnodes = 33\nmode = heat-flow\n"),
     "landscape": (["--grid", "5"], "[verify]\ngrid = 5\n"),
-    "multiplicity": (["--kmax", "3", "--restarts", "0"],
-                     "[scan]\nkmax = 3\n[path]\nrestarts = 0\n"),
+    "multiplicity": (["--kmax", "3"], "[scan]\nkmax = 3\n"),
     "hetero": (["--window", "40", "--q", "2"], "q = 2\n[window]\nsize = 40\n"),
     "mph": (["--nodes", "auto", "--window", "auto", "--mode", "heat-flow"],
             "[path]\nnodes = auto\nmode = heat-flow\n[window]\nsize = auto\n"),
@@ -143,7 +153,7 @@ def test_parse_error_carries_line_number():
 
 def test_roundtrip():
     cfg = RunConfig(command="mpp", model="pinned-fk", p=(3, 1), seed=9,
-                    nodes=65, kind="chi", k=4, dt=None, tol=1e-9,
+                    nodes=65, mode="heat-flow", dt=None, tol=1e-9,
                     resolutions=(401, 2001), amplitude=1.5)
     again = parse_config(format_config(cfg))
     assert config_to_dict(again) == config_to_dict(cfg)
@@ -164,6 +174,7 @@ def test_minimize_manifest(tmp_path):
     assert data["ok"]
     assert data["scalars"]["c0p"] == pytest.approx(-2.0, abs=1e-9)
     assert data["version"]
+    assert "threads" not in data
     assert all(r <= 1e-10 for r in data["scalars"]["residuals"])
 
 
@@ -226,8 +237,7 @@ def test_gap_and_mpp_manifests(tmp_path):
     out2 = tmp_path / "mpp.json"
     csv = tmp_path / "crit.csv"
     assert main(["mpp", "--model", "classical-fk", "--p", "2,1",
-                 "--nodes", "65", "--path", "chi", "--k", "2",
-                 "--mode", "node-flow", "--seed", "1",
+                 "--nodes", "65", "--mode", "node-flow", "--seed", "1",
                  "--out", str(out2), "--fields-out", str(csv)]) == 0
     data = json.loads(out2.read_text())
     assert data["scalars"]["d0p"] == pytest.approx(0.0625, abs=1e-9)
@@ -273,7 +283,7 @@ def test_fixed_window_meeting_the_tail_bound_passes(tmp_path):
     assert data["scalars"]["tail_bound"] < TAIL_BOUND_TOL
 
 
-def test_heat_flow_mpp_honours_restarts(tmp_path, monkeypatch):
+def test_heat_flow_mpp_runs_once_in_heat_flow(tmp_path, monkeypatch):
     from fk_saddle import mpp
 
     modes = []
@@ -286,10 +296,10 @@ def test_heat_flow_mpp_honours_restarts(tmp_path, monkeypatch):
     monkeypatch.setattr(mpp, "mountain_pass", counted)
     out = tmp_path / "heat.json"
     assert main(["mpp", "--model", "classical-fk", "--p", "1,1",
-                 "--nodes", "9", "--mode", "heat-flow", "--restarts", "1",
+                 "--nodes", "9", "--mode", "heat-flow",
                  "--seed", "3", "--out", str(out)]) == 0
-    # the base run plus one perturbed restart, both in heat-flow mode
-    assert modes == ["heat-flow", "heat-flow"]
+    # one run from the ramp, in heat-flow mode
+    assert modes == ["heat-flow"]
     assert json.loads(out.read_text())["scalars"]["barrier"] == pytest.approx(
         2.0, abs=1e-8)
 
@@ -340,8 +350,7 @@ def test_manifest_determinism(tmp_path):
     for tag in ("a", "b"):
         out = tmp_path / ("det-%s.json" % tag)
         assert main(["mpp", "--model", "classical-fk", "--p", "2,1",
-                     "--nodes", "33", "--path", "chi", "--k", "2",
-                     "--seed", "5", "--out", str(out)]) == 0
+                     "--nodes", "33", "--seed", "5", "--out", str(out)]) == 0
         outs.append(json.loads(out.read_text())["scalars"])
     assert outs[0] == outs[1]
 

@@ -3,8 +3,8 @@ import pytest
 
 from fk_saddle import (HeteroGapPair, StripField, asymptotics_report,
                        best_mountain_pass, find_gap_pair_hetero,
-                       make_potential, minimize_hetero, mountain_pass_hetero,
-                       multiplicity_scan)
+                       make_potential, minimize_hetero, mountain_pass,
+                       mountain_pass_hetero, multiplicity_scan)
 from fk_saddle.fields import PeriodError
 from fk_saddle.hetero import _strip_system
 from fk_saddle.mpp import PathError, box_path
@@ -209,15 +209,15 @@ def test_mph_critical_strictly_between(pinned, mph, het_gap):
 
 def test_mph_rejects_chains_off_the_box(pinned, het_gap, params):
     # the strip checks its chain like the torus: pinned to 0 and w1 - v1,
-    # nodes shaped like the window
+    # nodes shaped like the window, and at least 3 of them
     _, width = het_gap.order_box(pinned)
     assert width.shape == (41, 1)
     with pytest.raises(PathError, match="pinned"):
-        mountain_pass_hetero(pinned, het_gap, params,
-                             path_nodes=box_path(0.5 * width, 65))
+        mountain_pass(pinned, het_gap, box_path(0.5 * width, 65), params)
     with pytest.raises(PathError, match="at least 3 nodes"):
-        mountain_pass_hetero(pinned, het_gap, params,
-                             path_nodes=np.zeros((9, 30, 1)))
+        mountain_pass(pinned, het_gap, np.zeros((9, 30, 1)), params)
+    with pytest.raises(PathError, match="at least 3 nodes"):
+        mountain_pass_hetero(pinned, het_gap, params, N=2)
 
 
 def test_mph_heat_flow_certified(pinned, het_gap, params, mph):
@@ -273,10 +273,8 @@ def test_order_box_tiles_the_pair(pinned, het_gap):
 
 
 def test_best_mountain_pass_on_the_strip_is_mph(pinned, het_gap, params):
-    _, hi = het_gap.order_box(pinned)
-    nodes = box_path(hi, 17)
-    a = best_mountain_pass(pinned, het_gap, nodes, params, restarts=1)
-    b = mountain_pass_hetero(pinned, het_gap, params, path_nodes=nodes, restarts=1)
+    a = best_mountain_pass(pinned, het_gap, params=params, N=17)
+    b = mountain_pass_hetero(pinned, het_gap, params, N=17)
     assert a.success and b.success
     assert a.value == b.value and a.c_ref == b.c_ref and a.residual == b.residual
     assert np.array_equal(a.critical, b.critical)
@@ -297,6 +295,18 @@ def test_strip_scan(pinned, het_gap, params):
     assert np.array_equal(D, D.T) and np.all(np.diag(D) == 0.0)
     assert sorted(scan.versus_first) == [1, 2, 3]
     assert scan.versus_first[1] == "equal"
+
+
+def test_strip_column_from_the_ramp(pinned, het_gap, params):
+    # the staircase ramps mirror columns together and stalls at index-2
+    # points near 8.0 from k = 4 on, which touch the box floor on sites
+    # 1e-10 wide; the ramp reaches the column's index-1 saddles near 4.12
+    scan = multiplicity_scan(pinned, 5, het_gap, params)
+    for r in scan.rows:
+        assert r.ok, (r.k, r.message)
+        assert 0 < r.barrier <= r.witness + 1e-6
+    assert scan.rows[3].barrier == pytest.approx(4.121897, abs=1e-6)
+    assert scan.rows[4].barrier == pytest.approx(4.122281, abs=1e-6)
 
 
 # --- asymptotics ---------------------------------------------------------------

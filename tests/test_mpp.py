@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fk_saddle import (TorusField, build_initial_path, chi_path, find_gap_pair,
+from fk_saddle import (TorusField, best_mountain_pass, chi_path, find_gap_pair,
                        intersects, mountain_pass, multiplicity_scan, phi_path)
 from fk_saddle import mpp
 from fk_saddle.mpp import PathError, box_path
@@ -62,16 +62,41 @@ def test_phi_monotone_symmetric_periodic():
 # --- paths on the box ---------------------------------------------------------
 
 def test_linear_path_midpoint(gap):
-    path = build_initial_path("linear", 3, None, gap, (2, 1))
-    box = gap.box_field((2, 1)).values
+    # the ramp on a torus one column wide is the linear homotopy
+    box = gap.box_field((1, 1)).values
+    path = box_path(box, 3)
     assert np.allclose(path[1], box / 2)
     assert np.all(np.diff(path, axis=0) >= 0)
 
 
 def test_chi_path_endpoints(gap):
-    path = build_initial_path("chi", 9, 4, gap, (4, 1))
+    path = box_path(gap.box_field((4, 1)).values, 9, 4)
     assert np.all(path[0] == 0.0)
     assert np.allclose(path[-1], gap.box_field((4, 1)).values)
+
+
+def test_ramp_moves_one_column_at_a_time():
+    rng = np.random.default_rng(11)
+    thetas = np.linspace(0.0, 1.0, 49)
+    # one column: the linear homotopy, bit for bit, on a torus and a strip box
+    for box, axis in ((rng.uniform(0.5, 1.0, (1, 1)), 0),
+                      (rng.uniform(0.5, 1.0, (9, 1)), 1)):
+        assert np.array_equal(box_path(box, 49, axis=axis),
+                              thetas.reshape(-1, 1, 1) * box)
+    for box, axis in ((rng.uniform(0.5, 1.0, (4, 1)), 0),
+                      (rng.uniform(0.5, 1.0, (3, 2)), 0),
+                      (rng.uniform(0.5, 1.0, (9, 3)), 1)):
+        w = box.shape[axis]
+        nodes = box_path(box, 49, axis=axis)
+        assert np.all(np.diff(nodes, axis=0) >= 0)
+        for j in range(w):
+            col = np.take(nodes, j, axis=1 + axis)
+            ref = np.take(box, j, axis=axis)
+            # column j is 0 before theta = j/w and at the corner after (j+1)/w
+            assert np.all(col[thetas <= j / w] == 0.0)
+            assert np.all(col[thetas >= (j + 1) / w] == ref)
+            inside = (thetas > j / w) & (thetas < (j + 1) / w)
+            assert np.all((col[inside] > 0.0) & (col[inside] < ref))
 
 
 def test_box_path_matches_the_per_theta_staircase():
@@ -86,16 +111,15 @@ def test_box_path_matches_the_per_theta_staircase():
                          for th in thetas])
         ref = np.expand_dims(prof, 2 - axis) * box
         assert np.array_equal(box_path(box, 41, k, axis), ref)
-    assert np.array_equal(box_path(box, 41), thetas[:, None, None] * box)
+    assert np.array_equal(box_path(box[:, :1], 41, axis=1),
+                          thetas[:, None, None] * box[:, :1])
 
 
-def test_path_guards(gap):
+def test_path_guards(classical, gap, params):
+    with pytest.raises(PathError, match="at least 3 nodes"):
+        best_mountain_pass(classical, gap, (1, 1), params, N=2)
     with pytest.raises(PathError):
-        build_initial_path("linear", 2, None, gap)
-    with pytest.raises(PathError):
-        build_initial_path("chi", 5, 1, gap)
-    with pytest.raises(PathError):
-        build_initial_path("spline", 5, None, gap)
+        box_path(gap.box_field((2, 1)).values, 5, 1)
 
 
 def test_chi_witness_uniform_bound(classical, gap, params):
@@ -105,7 +129,7 @@ def test_chi_witness_uniform_bound(classical, gap, params):
     for k in range(2, 9):
         p = (k, 1)
         system = PeriodicSystem(classical, p, gap.v0.extend(p))
-        path = build_initial_path("chi", 201, k, gap, p)
+        path = box_path(gap.box_field(p).values, 201, k)
         c0p = -float(k)
         witnesses.append(float(np.max(system.energy(path))) - c0p)
     m0 = max(witnesses)
@@ -126,8 +150,7 @@ def test_clip_decreases_energy(classical, gap, params):
 # --- the minimax engines ---------------------------------------------------
 
 def test_mountain_pass_single_cell(classical, gap, params):
-    path = build_initial_path("linear", 33, None, gap, (1, 1))
-    res = mountain_pass(classical, gap, path, params)
+    res = best_mountain_pass(classical, gap, (1, 1), params, N=33)
     assert res.success
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.critical.flat[0] == pytest.approx(0.5, abs=1e-9)
@@ -136,8 +159,7 @@ def test_mountain_pass_single_cell(classical, gap, params):
 
 @pytest.fixture(scope="module")
 def mp21(classical, gap, params):
-    path = build_initial_path("chi", 65, 2, gap, (2, 1))
-    return mountain_pass(classical, gap, path, params)
+    return best_mountain_pass(classical, gap, (2, 1), params, N=65)
 
 
 def test_mountain_pass_two_cell_value(mp21):
@@ -163,12 +185,11 @@ def test_mountain_pass_two_cell_critical_field(classical, gap, mp21):
 
 
 def test_heat_flow_agrees(classical, gap, params, mp21):
-    path = build_initial_path("chi", 65, 2, gap, (2, 1))
-    heat = mountain_pass(classical, gap, path, params, mode="heat-flow")
+    heat = best_mountain_pass(classical, gap, (2, 1), params, mode="heat-flow", N=65)
     assert heat.success
     assert abs(heat.value - mp21.value) <= 1e-6
     # certified like a node-flow saddle: strictly inside the box, above c0p
-    box = path[-1]
+    box = gap.box_field((2, 1)).values
     assert np.min(heat.critical) > 0 and np.min(box - heat.critical) > 0
     assert heat.value > heat.c_ref
 
@@ -181,6 +202,17 @@ def test_critical_gate_names_the_failed_check(classical, gap, mp21):
     assert "floor" in mpp._validate_critical(system, 0.0 * x, hi, e, c, tol)
     assert "corner" in mpp._validate_critical(system, hi.copy(), hi, e, c, tol)
     assert "ground level" in mpp._validate_critical(system, x, hi, c, c, tol)
+
+
+def test_critical_gate_is_relative_to_the_box_width(classical, gap):
+    # a site of width 1e-10 (as on the pinned kink's box) holds a saddle at
+    # 1e-15 strictly inside; only x = 0 touches the floor
+    system, _ = gap.order_box(classical, (2, 1))
+    hi = np.array([[1e-10], [0.5]])
+    x = np.array([[1e-15], [0.25]])
+    assert mpp._validate_critical(system, x, hi, 1.0, 0.0, 1e-10) is None
+    x[0, 0] = 0.0
+    assert "floor" in mpp._validate_critical(system, x, hi, 1.0, 0.0, 1e-10)
 
 
 def test_check_chain_guards():
@@ -214,8 +246,7 @@ def test_no_non_climbing_node_rises(classical, gap, params, monkeypatch):
         return out
 
     monkeypatch.setattr(mpp, "guarded_step", record)
-    path = build_initial_path("chi", 65, 2, gap, (2, 1))
-    res = mountain_pass(classical, gap, path, params)
+    res = best_mountain_pass(classical, gap, (2, 1), params, N=65)
     assert res.success and len(steps) == res.iterations
     climbed = 0
     for e, ref, after in steps:
@@ -229,9 +260,8 @@ def test_no_non_climbing_node_rises(classical, gap, params, monkeypatch):
 
 
 def test_node_flow_does_not_depend_on_dt(classical, gap, params):
-    path = build_initial_path("chi", 65, 2, gap, (2, 1))
     dt = PeriodicSystem(classical, (2, 1)).dt_safe
-    runs = [mountain_pass(classical, gap, path, params.with_(dt=h))
+    runs = [best_mountain_pass(classical, gap, (2, 1), params.with_(dt=h), N=65)
             for h in (dt, dt / 8)]
     assert all(r.success for r in runs)
     for r in runs:
@@ -260,15 +290,15 @@ def test_torn_chain_fails_the_certificate(classical, gap, params, mp21, monkeypa
 
 def test_a_lower_critical_point_fails_the_certificate(classical, gap, params, monkeypatch):
     # on the (3, 1) torus one column half-way up and two near the ground is
-    # a critical point 0.12 below d.  The staircase run stalls at an index-2
-    # point 2.0 above d; the symmetry-broken restart's string top sits near
-    # d, so a Newton step that lands on the lower point is within 10% of the
-    # barrier from it, but the chain through the point rises above it
-    system, hi = gap.order_box(classical, (3, 1))
+    # a critical point 0.12 below d.  The string from the column ramp has
+    # its top near d, so a Newton step that lands on the lower point is
+    # within 10% of the barrier from it, but the chain through the point
+    # rises above it
+    system, _ = gap.order_box(classical, (3, 1))
     low, res, ok = refine_critical(system, np.array([[0.5], [0.01], [0.01]]), 1e-12)
     assert ok and float(system.energy(low)) == pytest.approx(-0.937102, abs=1e-6)
     monkeypatch.setattr(mpp, "refine_critical", lambda *a, **k: (low.copy(), res, True))
-    result = mpp.best_mountain_pass(classical, gap, box_path(hi, 49, 3), params)
+    result = mpp.best_mountain_pass(classical, gap, (3, 1), params, N=49)
     assert not result.success
     assert "not certified" in result.message
     assert result.d_upper > K3_LEVELS["classical"]
@@ -279,8 +309,7 @@ def test_monotone_path_preserved(classical, gap, params):
 
     p = (2, 1)
     system = PeriodicSystem(classical, p, gap.v0.extend(p))
-    path = build_initial_path("chi", 33, 2, gap, p)
-    nodes = path.copy()
+    nodes = box_path(gap.box_field(p).values, 33)
     for _ in range(200):
         nodes[1:-1], _ = rk4_step(system, nodes[1:-1], system.dt_safe)
     assert np.min(np.diff(nodes, axis=0)) >= -1e-12
@@ -292,7 +321,7 @@ def test_endpoints_never_move(mp21, gap):
 
 
 def test_mountain_pass_guards(classical, gap, params):
-    path = build_initial_path("linear", 9, None, gap, (1, 1))
+    path = box_path(gap.box_field((1, 1)).values, 9)
     with pytest.raises(PathError):
         mountain_pass(classical, gap, path, params, mode="quench")
     bad = path + 0.25
@@ -303,7 +332,7 @@ def test_mountain_pass_guards(classical, gap, params):
 def test_mountain_pass_reads_the_torus_from_the_nodes(classical, gap, params):
     # a path is its node array: too few nodes or the wrong rank is a PathError,
     # and a (3, 1) chain is checked against the (3, 1) box, not another torus
-    path = build_initial_path("linear", 9, None, gap, (2, 1))
+    path = box_path(gap.box_field((2, 1)).values, 9)
     for bad in (path[:2], path[..., 0], path[..., None]):
         with pytest.raises(PathError, match="at least 3 nodes"):
             mountain_pass(classical, gap, bad, params)
@@ -377,6 +406,23 @@ def test_scan_witness_bounds_the_barrier(scan6):
     for row in scan6.rows:
         assert row.barrier <= row.witness + 1e-9
     assert max(row.witness for row in scan6.rows) == pytest.approx(4.125, abs=1e-9)
+
+
+def test_shift_orbit_distance_matches_every_shift_of_the_common_period():
+    # the old loop tiled both fields to lcm(1..k_max) columns and rolled
+    # through every shift; gcd(k, m) shifts over lcm(k, m) columns give the
+    # same number bit for bit, on a torus axis and on a strip axis
+    rng = np.random.default_rng(4)
+    L = 24
+    for axis, shape in ((-2, lambda k: (k, 1)), (-1, lambda k: (5, k))):
+        fields = {k: rng.standard_normal(shape(k)) for k in (3, 4, 6, 8)}
+        for k, a in fields.items():
+            for m, b in fields.items():
+                ea = np.concatenate([a] * (L // k), axis=axis)
+                eb = np.concatenate([b] * (L // m), axis=axis)
+                ref = min(float(np.max(np.abs(np.roll(ea, s, axis=axis) - eb)))
+                          for s in range(L))
+                assert mpp._shift_orbit_distance(a, b, axis) == ref
 
 
 @pytest.mark.parametrize("model", sorted(K3_LEVELS))

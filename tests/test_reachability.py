@@ -9,6 +9,10 @@ of some object and does not reach a module-level name of the same spelling.
 A method or property ``Class.name`` counts as reached when some module
 refers to ``name`` as an attribute of anything, its own class included.
 The check reads the sources with ``ast``; it imports nothing.
+
+Every ``RunConfig`` field, which is a job-file key, is read by some module
+other than ``config.py``, so a solver option that loses its reader cannot
+leave a dead key behind.
 """
 
 import ast
@@ -98,3 +102,55 @@ def test_a_method_reached_only_from_tests_is_flagged(tmp_path):
     # a test calling ``box.dense()`` does not count; ``width`` is reached
     # from its own class, private names are not checked
     assert unreached(tmp_path) == {"Box.dense"}
+
+
+def _is_cfg(node) -> bool:
+    """``cfg`` or ``<anything>.cfg``: the package's one name for a RunConfig."""
+    return ((isinstance(node, ast.Name) and node.id == "cfg")
+            or (isinstance(node, ast.Attribute) and node.attr == "cfg"))
+
+
+def unread_config_fields(src: Path) -> set:
+    """``RunConfig`` fields that no module other than ``config.py`` reads.
+
+    A field is read as an attribute of ``cfg`` (a name, or an attribute of
+    that name), or as ``self.field`` inside a ``RunConfig`` method other
+    than ``validate`` that such a module reads off a ``cfg``.
+    """
+    config = ast.parse((src / "config.py").read_text())
+    cls = next(node for node in config.body
+               if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    fields = {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
+    methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("config.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and _is_cfg(node.value):
+                read.add(node.attr)
+            if isinstance(node, ast.arg) and getattr(node.annotation, "id", None) == "RunConfig":
+                assert node.arg == "cfg", "%s: a RunConfig is called cfg" % path.name
+    for name in (read & set(methods)) - {"validate"}:
+        read |= {node.attr for node in ast.walk(methods[name])
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return fields - read
+
+
+def test_every_job_file_key_is_read():
+    assert unread_config_fields(SRC) == set(), \
+        "RunConfig fields no pipeline reads (delete the key with its solver path)"
+
+
+def test_a_config_field_read_only_by_validate_is_flagged(tmp_path):
+    (tmp_path / "config.py").write_text(
+        "class RunConfig:\n"
+        "    model: str = 'a'\n    n: int = 2\n    kind: str = 'chi'\n"
+        "    restarts: int = 1\n\n"
+        "    def model_params(self):\n        return {'n': self.n}\n\n"
+        "    def validate(self):\n        return self.kind, self.restarts\n")
+    (tmp_path / "cli.py").write_text(
+        "def run(cfg):\n    return cfg.model, cfg.model_params(), row.restarts\n")
+    # ``n`` is read through ``model_params``; ``restarts`` only off a row
+    assert unread_config_fields(tmp_path) == {"kind", "restarts"}

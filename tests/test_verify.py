@@ -405,16 +405,14 @@ def test_cross_check_threefold(classical, gap, params):
 def test_energy_offset_invariance(classical, gap, params):
     # adding a constant to the site energy shifts every level by
     # prod(p) * constant and leaves the barrier unchanged
-    from fk_saddle import build_initial_path, mountain_pass
+    from fk_saddle import best_mountain_pass
     from fk_saddle.periodic import find_gap_pair
 
     offset = 0.37
     pot2 = shifted_classical(offset=offset)
     gap2 = find_gap_pair(pot2, (1, 1), seed=3, params=params)
-    path = build_initial_path("chi", 65, 2, gap, (2, 1))
-    base = mountain_pass(classical, gap, path, params)
-    path2 = build_initial_path("chi", 65, 2, gap2, (2, 1))
-    res2 = mountain_pass(pot2, gap2, path2, params)
+    base = best_mountain_pass(classical, gap, (2, 1), params, N=65)
+    res2 = best_mountain_pass(pot2, gap2, (2, 1), params, N=65)
     assert res2.value == pytest.approx(base.value + 2 * offset, abs=1e-9)
     assert res2.c_ref == pytest.approx(base.c_ref + 2 * offset, abs=1e-9)
     assert res2.barrier == pytest.approx(base.barrier, abs=1e-9)
