@@ -324,12 +324,12 @@ def schema_entry(flag):
 
 def build_parser():
     ap = argparse.ArgumentParser(
-        prog="fk-saddle",
+        prog="fk-saddle", allow_abbrev=False,
         description="Stationary states of generalized Frenkel-Kontorova "
                     "lattices: minimizers, gap pairs, and mountain-pass saddles.")
     sub = ap.add_subparsers(dest="command", required=True)
     for command, flags in COMMAND_FLAGS.items():
-        sp = sub.add_parser(command, help=HELP[command])
+        sp = sub.add_parser(command, help=HELP[command], allow_abbrev=False)
         for flag in COMMON_FLAGS + flags:
             key = ".".join(part for part in schema_entry(flag) if part)
             kw = {"dest": flag, "help": "job-file key " + key}
@@ -338,7 +338,8 @@ def build_parser():
             if flag == "seed":
                 kw["required"] = command in SEEDED
             sp.add_argument("--" + flag, **kw)
-    sp = sub.add_parser("run", help="run from a configuration file")
+    sp = sub.add_parser("run", help="run from a configuration file",
+                        allow_abbrev=False)
     sp.add_argument("config", help="path to a key=value configuration file")
     return ap
 

@@ -9,9 +9,10 @@ minimax-distance field.  The oracle evaluates a certified narrow band only:
 Taylor bounds at block centres (with the model's Lipschitz bound) bracket the
 answer, blocks certainly below the bracket hold its low end and blocks
 certainly above it are walls, and the answer and every evaluated cell are
-checked against those bounds.  The sweep costs what the band costs: each
-block holding one value is a single node, and only the cells of the other
-blocks are swept.  ``sample_landscape`` evaluates every cell.
+checked against those bounds.  Only the band is stored, and the sweep costs
+what the band costs: each block holding one value is a single node, and
+the cells of the other blocks are evaluated straight into a packed array of
+blocks, the only cells swept.  ``sample_landscape`` evaluates every cell.
 
 The property suite replays, at desk scale, every inequality the theory
 guarantees: submodularity of the local energies, order preservation and
@@ -38,7 +39,8 @@ from .mpp import best_mountain_pass
 from .periodic import GapPair, find_gap_pair, minimize_periodic, require_gap
 from .semiflow import FlowParams, flow, rk4_step
 
-ORACLE_CHUNK = 64              # grid rows per chunk of the energy pass
+ORACLE_CHUNK = 64              # grid rows per chunk of the dense energy pass
+ORACLE_BATCH = 2048            # states per energy call of the band build; larger batches fall out of cache
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +51,8 @@ ORACLE_CHUNK = 64              # grid rows per chunk of the energy pass
 class OracleGrid2D:
     """The reduced two-variable landscape on a certified narrow band.
 
-    ``values[ia, ib]`` stands for I at the offsets (a, b) = (ia, ib) hi /
-    (R - 1) of the order box [0, hi]^2.  The grid is cut into blocks of
+    Cell (ia, ib) of the grid stands for I at the offsets (a, b) = (ia, ib)
+    hi / (R - 1) of the order box [0, hi]^2.  The grid is cut into blocks of
     ``ORACLE_BLOCK``^2 cells, each bounded by its centre's Taylor expansion;
     the bottlenecks of the block bounds give the ``bracket`` [Lb, U] of the
     answer.  A block bounded above by less than Lb holds Lb; a block bounded
@@ -58,18 +60,22 @@ class OracleGrid2D:
     finite and above every energy of the grid; every other cell holds its
     exact energy (``evaluated`` of them).  Each cell stays on its side of
     every level in [Lb, U], so the min-max, which lies there, is the dense
-    grid's bit for bit.  ``fill[i, j]`` is the value every cell of block
-    (i, j) holds, NaN for a block with evaluated cells; the sweep takes a
-    filled block as one node and visits the cells of the others only.  A
-    grid built by hand is one block of evaluated cells, with no bracket and
-    ``evaluated`` and ``fill`` None.
+    grid's bit for bit.  Only the band is stored: ``fill[i, j]`` is the
+    value every cell of block (i, j) holds, NaN for a block with evaluated
+    cells, and ``packed[k]`` holds the ``ORACLE_BLOCK``^2 cells of the k-th
+    NaN block of ``fill`` in row-major order (a ragged last block repeats
+    its edge cells); the sweep takes a filled block as one node and visits
+    the cells of the others only.  A grid built by hand holds ``values``, a
+    dense array of any shape, and is one block of evaluated cells, with no
+    bracket and ``evaluated``, ``fill`` and ``packed`` None.
     """
 
     resolution: int
-    values: np.ndarray
+    values: np.ndarray | None = None
     bracket: tuple = (-math.inf, math.inf)
     evaluated: int | None = None
     fill: np.ndarray | None = field(default=None, init=False)
+    packed: np.ndarray | None = field(default=None, init=False)
 
     @staticmethod
     def build(potential: SitePotential, gap: GapPair, resolution: int) -> "OracleGrid2D":
@@ -85,46 +91,53 @@ class OracleGrid2D:
         last = np.minimum(first + ORACLE_BLOCK, resolution) - 1
         ca, cb = (ga[first] + ga[last]) / 2, (gb[first] + gb[last]) / 2
         ra, rb = ((ga[last] - ga[first]) / 2)[:, None], (gb[last] - gb[first]) / 2
-        centres = _offset_fields(ca[:, None], cb)
-        energy = system.energy(centres)
-        grad = system.grad(centres)
-        spread = (np.abs(grad[..., 0, 0]) * ra + np.abs(grad[..., 1, 0]) * rb
-                  + L * (ra ** 2 + rb ** 2) / 2
-                  + ORACLE_BOUND_SLACK * (1.0 + np.abs(energy)))
-        lower, upper = energy - spread, energy + spread
         blocks = len(first)
+        lower, upper = np.empty((blocks, blocks)), np.empty((blocks, blocks))
+        step = max(1, ORACLE_BATCH // blocks)
+        for lo in range(0, blocks, step):
+            rows = slice(lo, lo + step)
+            centres = _offset_fields(ca[rows, None], cb)
+            energy, grad = system.energy(centres), system.grad(centres)
+            spread = (np.abs(grad[..., 0, 0]) * ra[rows] + np.abs(grad[..., 1, 0]) * rb
+                      + L * (ra[rows] ** 2 + rb ** 2) / 2
+                      + ORACLE_BOUND_SLACK * (1.0 + np.abs(energy)))
+            lower[rows], upper[rows] = energy - spread, energy + spread
         Lb = bottleneck_minimax_2d(OracleGrid2D(blocks, lower))
         U = bottleneck_minimax_2d(OracleGrid2D(blocks, upper))
         wall = lower > U
         active = ~wall & (upper >= Lb)
-        fill = np.where(wall, upper.max(), Lb)
-        block = np.arange(resolution) // ORACLE_BLOCK
-        values = np.empty((resolution, resolution))
-        evaluated = 0
-        for lo in range(0, resolution, ORACLE_CHUNK):
-            hi = min(lo + ORACLE_CHUNK, resolution)
-            rows = block[lo:hi]
-            values[lo:hi] = fill[rows][:, block]
-            ia, ib = np.nonzero(active[rows][:, block])
-            if not len(ia):
-                continue
-            e = system.energy(_offset_fields(ga[lo + ia], gb[ib]))
-            ba, bb = rows[ia], block[ib]
-            outside = (e < lower[ba, bb]) | (e > upper[ba, bb])
+        I, J = np.nonzero(active)
+        a, b = _block_cells(I, resolution), _block_cells(J, resolution)
+        packed = np.empty((len(I), ORACLE_BLOCK, ORACLE_BLOCK))
+        per = max(1, ORACLE_BATCH // ORACLE_BLOCK ** 2)
+        for lo in range(0, len(I), per):
+            k = slice(lo, lo + per)
+            e = system.energy(_offset_fields(ga[a[k], None], gb[b[k]][:, None]))
+            low = lower[I[k], J[k]][:, None, None]
+            high = upper[I[k], J[k]][:, None, None]
+            outside = (e < low) | (e > high)
             if np.any(outside):
-                k = int(np.argmax(outside))
+                n, i, j = np.unravel_index(np.argmax(outside), e.shape)
                 raise FkSaddleError(
                     "oracle block bound violated: I = %r at (a, b) = (%r, %r) "
                     "outside [%r, %r]; the Lipschitz bound L = %r is likely "
-                    "too small" % (float(e[k]), float(ga[lo + ia[k]]),
-                                   float(gb[ib[k]]), float(lower[ba[k], bb[k]]),
-                                   float(upper[ba[k], bb[k]]), L))
-            values[lo + ia, ib] = e
-            evaluated += len(e)
-        grid = OracleGrid2D(resolution=resolution, values=values,
-                            bracket=(Lb, U), evaluated=evaluated)
-        grid.fill = np.where(active, np.nan, fill)
+                    "too small" % (float(e[n, i, j]), float(ga[a[lo + n, i]]),
+                                   float(gb[b[lo + n, j]]), float(low[n, 0, 0]),
+                                   float(high[n, 0, 0]), L))
+            packed[k] = e
+        size = last - first + 1
+        grid = OracleGrid2D(resolution=resolution, bracket=(Lb, U),
+                            evaluated=int(np.sum(size[I] * size[J])))
+        grid.fill = np.where(active, np.nan, np.where(wall, upper.max(), Lb))
+        grid.packed = packed
         return grid
+
+
+def _block_cells(blocks, n, size=ORACLE_BLOCK):
+    """The indices along one axis of ``n`` cells of the ``size`` cells of
+    each of ``blocks``; a ragged last block repeats its edge cell, which
+    opens no new path."""
+    return np.minimum(blocks[:, None] * size + np.arange(size), n - 1)
 
 
 def _order_box_axes(potential, gap, resolution):
@@ -204,16 +217,17 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
     bracket.
     """
     values = grid.values
-    R, C = values.shape
-    if grid.fill is None:
-        (br, bc), fill = (R, C), np.full((1, 1), np.nan)
-    else:
+    if values is None:
+        R = C = grid.resolution
         (br, bc), fill = (ORACLE_BLOCK, ORACLE_BLOCK), grid.fill
+    elif grid.fill is None:
+        (R, C), (br, bc), fill = values.shape, values.shape, np.full((1, 1), np.nan)
+    else:
+        (R, C), (br, bc), fill = values.shape, (ORACLE_BLOCK, ORACLE_BLOCK), grid.fill
     nodes = ~np.isnan(fill)
     I, J = np.nonzero(~nodes)
-    # a ragged last block repeats its edge cells, which opens no new path
-    ra, ca = I[:, None] * br + np.arange(br), J[:, None] * bc + np.arange(bc)
-    V = values[np.minimum(ra, R - 1)[:, :, None], np.minimum(ca, C - 1)[:, None]]
+    V = grid.packed if values is None else values[
+        _block_cells(I, R, br)[:, :, None], _block_cells(J, C, bc)[:, None]]
     if not (np.all(np.isfinite(V)) and np.all(np.isfinite(fill[nodes]))):
         raise FkSaddleError("oracle grid has non-finite values")
     W = np.where(nodes, fill, np.inf)[None]
@@ -258,7 +272,7 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
     level = np.pad(W[0], 1).ravel()[targets - size]
 
     fine, coarse = _sweeper(P, V), _sweeper(Q, W)
-    E[at(0, 0)] = values[0, 0]
+    E[at(0, 0)] = fill[0, 0] if nodes[0, 0] else V[0, 0, 0]
     changed = nodes_moved = True
     while changed:
         E[dst] = E[src]

@@ -52,6 +52,16 @@ def test_start_chain_flags_are_gone(command, flag, capsys):
     assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("multiplicity", "--k"), ("mpp", "--no")])
+def test_abbreviated_flags_are_rejected(command, flag, tmp_path, capsys):
+    # with abbreviations, --k would set --kmax and --no would set --nodes
+    out = tmp_path / "never.json"
+    with pytest.raises(SystemExit):
+        main([command, flag, "9", "--seed", "1", "--out", str(out)])
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, path", [
     ("[path]\nnodes = 0\n", "path.nodes"),
     ("[path]\nk = 0\n", "path.k"),

@@ -2,6 +2,7 @@ import heapq
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,23 +237,29 @@ def test_grid_max_location(classical, gap):
 
 @pytest.mark.parametrize("model", ["classical", "pinned", "twowell"])
 def test_band_matches_dense_grid(request, params, model):
-    # every cell is its exact energy, the bracket's low end where its energy
-    # lies below it, or a wall no lower than its energy above the bracket;
-    # every filled block holds its fill; the bottleneck is the one of the
-    # dense grid, swept whole
+    # every packed cell and every cell of a filled block is its exact
+    # energy, the bracket's low end where its energy lies below it, or a
+    # wall no lower than its energy above the bracket; packed cells are
+    # evaluated, so exact; the bottleneck is the one of the dense grid,
+    # swept whole
     potential = request.getfixturevalue(model)
     gap = find_gap_pair(potential, (1, 1), seed=3, params=params)
     for resolution in (401, 801):
         band = OracleGrid2D.build(potential, gap, resolution)
         _, dense, _, _ = sample_landscape(potential, gap, resolution)
         lo, hi = band.bracket
-        v = band.values
-        assert np.all((v == dense) | ((v == lo) & (dense < lo))
-                      | ((v >= dense) & (dense > hi)))
-        assert 0 < band.evaluated < resolution ** 2
+        I, J = np.nonzero(np.isnan(band.fill))
+        a = np.minimum(I[:, None] * B + np.arange(B), resolution - 1)[:, :, None]
+        b = np.minimum(J[:, None] * B + np.arange(B), resolution - 1)[:, None]
+        assert band.values is None and band.packed.shape == (len(I), B, B)
+        assert np.array_equal(band.packed, dense[a, b])
         fill = np.kron(band.fill, np.ones((B, B)))[:resolution, :resolution]
         filled = ~np.isnan(fill)
-        assert np.all(v[filled] == fill[filled])
+        f, d = fill[filled], dense[filled]
+        assert np.all((f == d) | ((f == lo) & (d < lo)) | ((f >= d) & (d > hi)))
+        # distinct cells: a ragged last block's repeated edge cells count once
+        assert band.evaluated == np.unique(a * resolution + b).size
+        assert 0 < band.evaluated < resolution ** 2
         value = bottleneck_minimax_2d(band)
         assert value == dense_bottleneck(dense)
         assert value == bottleneck_minimax_2d(OracleGrid2D(resolution, dense))
@@ -276,6 +283,18 @@ def test_bottleneck_outside_its_bracket_raises():
 def test_band_evaluates_few_cells_at_2001(classical, gap):
     band = OracleGrid2D.build(classical, gap, 2001)
     assert band.evaluated <= 0.03 * 2001 ** 2
+
+
+def test_oracle_memory_stays_below_a_dense_grid(classical, gap):
+    # the band and the chunked energy passes, never the 2001^2 grid, whose
+    # floats alone take 30.5 MiB
+    tracemalloc.start()
+    try:
+        bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 2001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +419,17 @@ def test_cross_check_threefold(classical, gap, params):
     assert 0 < band["evaluated"] < 401 ** 2
     assert band["packed_blocks"] > 0 and band["constant_blocks"] > 0
     assert band["packed_blocks"] + band["constant_blocks"] == 41 ** 2
+
+
+def test_cross_check_band_report_at_2001(classical, gap, params):
+    # the band the verify manifest reports as oracle_band, and the oracle's
+    # own sample, bit for bit
+    cc = cross_check_mountain_pass(classical, gap, resolutions=(2001,),
+                                   params=params)
+    assert cc.oracle == {2001: 0.06249999999999989}
+    assert cc.band == {2001: {
+        "bracket": [0.06212747647350642, 0.06296125132116089],
+        "evaluated": 63060, "constant_blocks": 39765, "packed_blocks": 636}}
 
 
 def test_energy_offset_invariance(classical, gap, params):
