@@ -115,6 +115,17 @@ def _minimize_kink(pot, cfg, gap0, params, man, **kw):
     return res
 
 
+def _record_saddle(man, res, level, ground):
+    """The scalars of a mountain pass ``res`` under the keys ``level`` (its
+    value) and ``ground`` (its corner level), and its failure message."""
+    man.scalars.update({level: res.value, ground: res.c_ref,
+                        "d_upper": res.d_upper, "densified": res.densified,
+                        "barrier": res.barrier, "residual": res.residual,
+                        "success": res.success})
+    if not res.success:
+        man.errors.append(res.message)
+
+
 def run(cfg: RunConfig) -> Manifest:
     """Dispatch one validated configuration; returns the filled manifest."""
     cfg.validate()
@@ -151,17 +162,9 @@ def run(cfg: RunConfig) -> Manifest:
         gap = _gap_or_fail(pot, cfg, params)
         res = best_mountain_pass(pot, gap, cfg.p, params, mode=cfg.mode,
                                  N=cfg.nodes)
-        man.scalars["d0p"] = res.value
-        man.scalars["d_upper"] = res.d_upper
-        man.scalars["densified"] = res.densified
-        man.scalars["c0p"] = res.c_ref
-        man.scalars["barrier"] = res.barrier
-        man.scalars["residual"] = res.residual
+        _record_saddle(man, res, "d0p", "c0p")
         man.scalars["argmax_index"] = res.argmax_index
         man.scalars["iterations"] = res.iterations
-        man.scalars["success"] = res.success
-        if not res.success:
-            man.errors.append(res.message)
         if cfg.fields_out:
             _write_field_csv(cfg.fields_out, res.critical)
             man.add_file(cfg.fields_out)
@@ -228,17 +231,9 @@ def run(cfg: RunConfig) -> Manifest:
         else:
             res = mountain_pass_hetero(pot, gap1, params, N=cfg.nodes,
                                        mode=cfg.mode)
-            man.scalars["d1q"] = res.value
-            man.scalars["d_upper"] = res.d_upper
-            man.scalars["densified"] = res.densified
-            man.scalars["c1q"] = res.c_ref
-            man.scalars["barrier"] = res.barrier
-            man.scalars["residual"] = res.residual
-            man.scalars["success"] = res.success
+            _record_saddle(man, res, "d1q", "c1q")
             man.scalars["tails"] = [gap1.v1.left, gap1.v1.right]
             man.scalars["window"] = gap1.v1.half_width
-            if not res.success:
-                man.errors.append(res.message)
             if cfg.fields_out:
                 _write_field_csv(cfg.fields_out, gap1.v1.values + res.critical,
                                  -gap1.v1.half_width)
@@ -258,7 +253,7 @@ def run(cfg: RunConfig) -> Manifest:
             man.errors.append("failed properties: %s" % ", ".join(failed))
         if cfg.cross_check:
             cc = cross_check_mountain_pass(pot, gap, resolutions=cfg.resolutions,
-                                           params=params, seed=cfg.seed or 0)
+                                           params=params)
             man.scalars["node_flow"] = cc.node_flow
             man.scalars["heat_flow"] = cc.heat_flow
             man.scalars["oracle"] = {str(k): v for k, v in cc.oracle.items()}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dc_fields
 
-from .defaults import (FLOW_T_MAX, GAP_PROBES, MAX_FLOW_STEPS,
+from .defaults import (FLOW_T_MAX, GAP_PROBES, MAX_FLOW_STEPS, MAX_TORUS_CELLS,
                        ORACLE_RESOLUTION, STATIONARITY_TOL, WINDOW_CAP)
 from .fields import FkSaddleError
 
@@ -110,10 +110,20 @@ class RunConfig:
                 raise ConfigError("model-params.%s: must be finite" % name)
         if self.n < 1:
             raise ConfigError("model-params.n: must be >= 1")
-        if any(x < 1 for x in self.p):
-            raise ConfigError("p: periods must be >= 1")
-        if any(x < 1 for x in self.q):
-            raise ConfigError("q: periods must be >= 1")
+        # p is a torus of the model's dimension, q the strip's transverse torus
+        for key, periods, dim, readers in (
+                ("p", self.p, self.n, ("minimize", "gap", "mpp", "verify")),
+                ("q", self.q, self.n - 1, ("hetero", "mph"))):
+            if any(x < 1 for x in periods):
+                raise ConfigError("%s: periods must be >= 1" % key)
+            if self.command not in readers:
+                continue
+            if len(periods) != dim:
+                raise ConfigError("%s: %s needs %d periods for model dimension %d, "
+                                  "got %d" % (key, self.command, dim, self.n, len(periods)))
+            if math.prod(periods) > MAX_TORUS_CELLS:
+                raise ConfigError("%s: %d cells exceed MAX_TORUS_CELLS=%d"
+                                  % (key, math.prod(periods), MAX_TORUS_CELLS))
         if self.mode not in ("node-flow", "heat-flow"):
             raise ConfigError("path.mode: must be 'node-flow' or 'heat-flow'")
         if not (self.tol > 0 and math.isfinite(self.tol)):

@@ -117,21 +117,8 @@ class TorusField:
     def __add__(self, other):
         return TorusField(self.periods, self.values + self._coerce(other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return TorusField(self.periods, self.values - self._coerce(other))
-
-    def __rsub__(self, other):
-        return TorusField(self.periods, self._coerce(other) - self.values)
-
-    def __mul__(self, c):
-        return TorusField(self.periods, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return TorusField(self.periods, -self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,44 +170,12 @@ class StripField:
     def padded(self, margin: int) -> np.ndarray:
         return pad_layers(self.values, margin, self.left, self.right, self.n)
 
-    def embed(self, half_width: int) -> "StripField":
-        """Re-store on a wider window, filling the new layers with the tails."""
-        if half_width < self.half_width:
-            raise WindowError("cannot shrink a strip window")
-        extra = half_width - self.half_width
-        return StripField(half_width, self.q, self.padded(extra), self.left, self.right)
-
     def shift1(self, offset: int) -> "StripField":
         """Axis-1 translate: (result)(i) = self(i + offset e_1), same window."""
         W = self.half_width
         ext = self.padded(abs(offset))
         lo = abs(offset) + offset
         return StripField(W, self.q, ext[lo:lo + 2 * W + 1], self.left, self.right)
-
-    def _coerce(self, other):
-        if isinstance(other, StripField):
-            if other.q != self.q or other.half_width != self.half_width:
-                raise WindowError("strip geometry mismatch")
-            return other.values, other.left, other.right
-        c = float(other)
-        return c, c, c
-
-    def __sub__(self, other):
-        ov, ol, orr = self._coerce(other)
-        return StripField(self.half_width, self.q, self.values - ov,
-                          self.left - ol, self.right - orr)
-
-    def __add__(self, other):
-        ov, ol, orr = self._coerce(other)
-        return StripField(self.half_width, self.q, self.values + ov,
-                          self.left + ol, self.right + orr)
-
-    def __mul__(self, c):
-        c = float(c)
-        return StripField(self.half_width, self.q, self.values * c,
-                          self.left * c, self.right * c)
-
-    __rmul__ = __mul__
 
 
 def pad_layers(values: np.ndarray, margin: int, left: float, right: float, n: int) -> np.ndarray:

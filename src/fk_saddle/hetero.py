@@ -159,14 +159,9 @@ def _tail_bound(system: StripSystem, x) -> float:
     return L_const * system.potential.nball * float(dev_left + dev_right)
 
 
-def _minimize_on_window(potential, q, W, gap0, params, seeds, seed_arrays=None):
+def _minimize_on_window(potential, q, W, gap0, params, carried=()):
     system = _strip_system(potential, q, W, gap0)
-    arrays = list(seed_arrays or [])
-    if seeds is None:
-        arrays.extend(default_hetero_seeds(system))
-    else:
-        for s in seeds:
-            arrays.append(s.values if isinstance(s, StripField) else np.asarray(s, float))
+    arrays = list(carried) + default_hetero_seeds(system)
     # flow first, then Newton: the flow finds the basin, Newton finishes the
     # job (weakly pinned models have diffusive modes far slower than any
     # reasonable flow budget, and the flow tolerance would anyway leave junk
@@ -181,7 +176,7 @@ def _minimize_on_window(potential, q, W, gap0, params, seeds, seed_arrays=None):
 
 
 def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
-                    params: FlowParams | None = None, seeds=None,
+                    params: FlowParams | None = None,
                     window: int | None = None,
                     check_stability: bool = True) -> HeteroMinimizeResult:
     """Relax step profiles to the heteroclinic ground state.
@@ -196,11 +191,11 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
     params = params or FlowParams()
     q = validate_periods(q) if len(tuple(q)) else ()
     W = int(window) if window is not None else WINDOW_START
-    carried = None
+    carried = ()
     prev_bound = math.inf
     while True:
         system, fields, es, best = _minimize_on_window(
-            potential, q, W, gap0, params, seeds, carried)
+            potential, q, W, gap0, params, carried)
         bound = _tail_bound(system, fields[best])
         if window is not None or bound < TAIL_BOUND_TOL:
             break
@@ -217,14 +212,12 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
         carried = [pad_layers(f, W, system.left, system.right, system.lattice_ndim)
                    for f in fields]
         W *= 2
-        seeds = None
     stability = math.nan
     if check_stability:
         big = 2 * W
         carried = [pad_layers(fields[best], big - W, system.left, system.right,
                               system.lattice_ndim)]
-        _, bf, be, bb = _minimize_on_window(potential, q, big, gap0, params,
-                                            None, carried)
+        _, _, be, bb = _minimize_on_window(potential, q, big, gap0, params, carried)
         stability = abs(es[best] - be[bb])
     v1 = system.field(fields[best])
     # empirical lower-bound constant: worst dip of windowed partial sums
@@ -239,8 +232,7 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
         # the one-column reference level; varying the transverse periods must
         # reproduce it exactly per cell
         ones = (1,) * len(q)
-        _, f1, e1, b1 = _minimize_on_window(potential, ones, W, gap0, params,
-                                            None, None)
+        _, _, e1, b1 = _minimize_on_window(potential, ones, W, gap0, params)
         c1 = e1[b1]
         if abs(es[best] - prods * c1) > 1e-8 * prods:
             raise FkSaddleError(

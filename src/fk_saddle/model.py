@@ -274,6 +274,9 @@ BUILTIN_MODELS = {
 
 def make_potential(name: str, **params) -> SitePotential:
     """Construct a built-in potential, or import ``module:factory`` plug-ins."""
+    if name == "free-chain" and params.get("amplitude", 0.0) != 0.0:
+        raise ModelError("free-chain has no on-site potential: amplitude must be "
+                         "0 or unset, got %r" % params["amplitude"])
     if name in BUILTIN_MODELS:
         return BUILTIN_MODELS[name](params)
     if ":" in name:

@@ -54,7 +54,7 @@ from .defaults import (BASIN_MATCH_TOL, CHAIN_CERT_MAX_STATES, CHAIN_CERT_TOL,
                        MAX_SWEEPS, PLATEAU_TIME, PLATEAU_TOL, REFINE_TRIGGER,
                        REPARAM_TIME, STRICT_ORDER_TOL, WITNESS_NODES,
                        default_node_count)
-from .fields import FkSaddleError, TorusField, validate_periods
+from .fields import FkSaddleError, validate_periods
 from .model import SitePotential
 from .periodic import require_gap
 from .semiflow import FlowParams, flow, guarded_step, refine_critical
@@ -448,10 +448,9 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
     path0 = np.asarray(path0, dtype=float)
     N = path0.shape[0]
     # settle phase: flow the whole chain (endpoints are fixed points)
-    nodes, settle, _ = flow(system, path0, params.with_(
+    nodes, settle_steps, _ = flow(system, path0, params.with_(
         t_max=HEAT_SETTLE_TIME, stationarity_tol=HEAT_SETTLE_TOL))
-    energies = settle.energies[-1]
-    c_ref = float(min(settle.energies[0][0], settle.energies[0][-1]))
+    c_ref = float(np.min(system.energy(path0[[0, -1]])))
     dt = params.resolve_dt(system)
     # classify node limits; reps collects the attractor representatives
     reps = []
@@ -532,10 +531,11 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
     message = ("%d unresolved tears" % unresolved if unresolved else
                "edge refinement exceeded tolerance" if not ok else
                _validate_critical(system, x_best, hi, val, c_ref, refine_tol) or "")
-    arg = int(np.argmin(np.abs(thetas - th_best))) if th_best >= 0 else int(np.argmax(energies))
+    arg = (int(np.argmin(np.abs(thetas - th_best))) if th_best >= 0
+           else int(np.argmax(system.energy(nodes))))
     return MinimaxResult(
         value=val, argmax_index=arg, critical=x_best, residual=res_best,
-        iterations=len(settle.times) - 1, success=not message,
+        iterations=settle_steps, success=not message,
         mode="heat-flow", c_ref=c_ref, message=message, final_nodes=nodes)
 
 
@@ -604,17 +604,9 @@ def intersects(u, v) -> str:
     """Classify the sitewise order relation between two fields.
 
     Returns one of 'equal', 'below', 'above', 'touch-below', 'touch-above',
-    'cross'.  Torus fields are compared on the common refinement of their
-    periods; strip fields on the common window.
+    'cross'.  Both are value arrays of one shape (or broadcast to one).
     """
-    if isinstance(u, TorusField) and isinstance(v, TorusField):
-        periods = tuple(np.lcm(a, b) for a, b in zip(u.periods, v.periods))
-        d = u.extend(periods).values - v.extend(periods).values
-    elif hasattr(u, "half_width") and hasattr(v, "half_width"):
-        W = max(u.half_width, v.half_width)
-        d = u.embed(W).values - v.embed(W).values
-    else:
-        d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
+    d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
     has_pos = bool(np.max(d) > COMPARE_TOL)
     has_neg = bool(np.min(d) < -COMPARE_TOL)
     has_zero = bool(np.min(np.abs(d)) <= COMPARE_TOL)

@@ -134,7 +134,7 @@ def minimize_periodic(potential: SitePotential, periods, seeds,
         raise FkSaddleError("minimize_periodic needs at least one seed")
     seeds = [_as_field(s, periods) for s in seeds]
     system = PeriodicSystem(potential, periods)
-    x, trace = flow_to_stationarity(
+    x, steps = flow_to_stationarity(
         system, np.stack([s.values for s in seeds]), params)
     # every flowed state is stationary, so polishing drops none of them
     limits = [TorusField(periods, xi) for xi in polish_limits(system, x, params)]
@@ -143,7 +143,7 @@ def minimize_periodic(potential: SitePotential, periods, seeds,
     best_i = int(np.argmin(es))
     return MinimizeResult(best=fields[best_i], c0p=float(es[best_i]),
                           limits=fields, energies=es,
-                          iterations=len(trace.times) - 1)
+                          iterations=steps)
 
 
 @dataclass

@@ -16,6 +16,10 @@ follow from the scheme.  A step that raises the energy of any batch member
 by more than ``ENERGY_INCREASE_TOL`` can only mean the system's L is wrong,
 and it is a ``FlowError`` that names L and the rise.
 
+``flow`` returns the final state, its step count and its worst l2 residual;
+it stops at stationarity, at flow time ``t_max`` or when the step budget
+runs out.  ``stationarity_tol=0.0`` runs it to ``t_max``.
+
 ``refine_critical`` is the one Newton solver of the package: the
 ground-state polish and the saddle refinement both call it.  It needs
 ``hess_matrix(x)`` as well: a ``fields.BandedHessian``, block tridiagonal in
@@ -31,7 +35,7 @@ non-generic and the certificate catches it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,16 +53,16 @@ class FlowParams:
     """Integration controls for the gradient semiflow.
 
     ``dt=None`` selects the Lipschitz-safe step of the system.  ``t_max``
-    bounds the flow horizon; stationarity (l2 residual below
-    ``stationarity_tol``) stops the flow earlier unless ``run_to_t_max``.
-    ``max_steps`` is a budget guard only: the stops are set in flow time.
+    bounds the flow horizon; stationarity (l2 residual at most
+    ``stationarity_tol``) stops the flow earlier, so 0.0 runs it to
+    ``t_max``.  ``max_steps`` is a budget guard only: the stops are set in
+    flow time.
     """
 
     dt: float | None = None
     t_max: float = FLOW_T_MAX
     stationarity_tol: float = STATIONARITY_TOL
     max_steps: int = MAX_FLOW_STEPS
-    run_to_t_max: bool = False
 
     def resolve_dt(self, system) -> float:
         dt = self.dt if self.dt is not None else system.dt_safe
@@ -71,18 +75,6 @@ class FlowParams:
 
     def with_(self, **kw) -> "FlowParams":
         return replace(self, **kw)
-
-
-@dataclass
-class FlowTrace:
-    times: list = field(default_factory=list)
-    energies: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
-
-    def record(self, t, energy, residual):
-        self.times.append(t)
-        self.energies.append(energy)
-        self.residuals.append(residual)
 
 
 def _l2(values: np.ndarray, lat_axes: int) -> np.ndarray:
@@ -117,46 +109,39 @@ def guarded_step(system, x, dt, energy, k1=None):
 
 
 def flow(system, x0: np.ndarray, params: FlowParams):
-    """Integrate the semiflow from x0; returns (x, trace, converged).
+    """Integrate the semiflow from x0; returns (x, steps, residual).
 
-    Works on batched states; the stopping residual is the worst l2 residual
-    over the batch.  NaN anywhere aborts, and so does a ``run_to_t_max`` flow
-    whose step budget runs out before ``t_max``.
+    Works on batched states; ``residual`` is the worst l2 residual over the
+    batch, and the flow stops once it is at most ``stationarity_tol``, at
+    flow time ``t_max``, or after ``max_steps`` steps.  NaN anywhere aborts.
     """
     x = np.asarray(x0, dtype=float).copy()
     dt = params.resolve_dt(system)
     nlat = system.lattice_ndim
-    trace = FlowTrace()
     energy = system.energy(x)
     g = system.grad(x)
     res = float(np.max(_l2(g, nlat)))
-    trace.record(0.0, energy, res)
     t = 0.0
-    for _ in range(params.max_steps):
-        if not params.run_to_t_max and res <= params.stationarity_tol:
-            return x, trace, True
-        if t >= params.t_max - 1e-15:
-            return x, trace, res <= params.stationarity_tol
+    for steps in range(params.max_steps):
+        if res <= params.stationarity_tol or t >= params.t_max - 1e-15:
+            return x, steps, res
         step = min(dt, params.t_max - t)
         x, _, energy, _ = guarded_step(system, x, step, energy, k1=-g)
         t += step
         g = system.grad(x)
         res = float(np.max(_l2(g, nlat)))
-        trace.record(t, energy, res)
-    if params.run_to_t_max and t < params.t_max - 1e-15:
-        raise FlowError("flow stopped at t=%g short of t_max=%g: the %d-step budget "
-                        "ran out" % (t, params.t_max, params.max_steps))
-    return x, trace, res <= params.stationarity_tol
+    return x, params.max_steps, res
 
 
 def flow_to_stationarity(system, x0, params: FlowParams):
-    """Flow until the residual tolerance is met; raise if the budget runs out."""
-    x, trace, ok = flow(system, x0, params)
-    if not ok:
+    """Flow until the residual tolerance is met; returns (x, steps) and
+    raises if ``t_max`` or the step budget comes first."""
+    x, steps, res = flow(system, x0, params)
+    if not res <= params.stationarity_tol:
         raise FlowError("flow did not reach residual %g within t_max=%g / %d steps "
                         "(last residual %g)" % (params.stationarity_tol, params.t_max,
-                                                params.max_steps, trace.residuals[-1]))
-    return x, trace
+                                                params.max_steps, res))
+    return x, steps
 
 
 def refine_critical(system, x0: np.ndarray, tol: float, max_iter: int = 100):

@@ -98,6 +98,7 @@ def test_window_cap_is_the_largest_fixed_window():
     ["mpp", "--dt", "-1"], ["mpp", "--dt", "nan"], ["mpp", "--tol", "nan"],
     ["minimize", "--amplitude", "nan"], ["minimize", "--coupling", "inf"],
     ["hetero", "--window", "100000"], ["mph", "--window", "641"],
+    ["gap", "--p", "2"], ["hetero", "--q", "1,1"], ["minimize", "--p", "300,300"],
 ])
 def test_bad_values_exit_before_any_stage(flags, tmp_path, capsys):
     out = tmp_path / "never.json"

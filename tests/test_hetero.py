@@ -53,12 +53,6 @@ def test_transverse_scaling(pinned, pinned_gap, params, het):
     assert abs(res2.c1q - 2 * het.consts.c1) <= 1e-8
 
 
-def test_minimize_fixed_point_seed(pinned, pinned_gap, params, het):
-    res = minimize_hetero(pinned, (1,), pinned_gap, params, seeds=[het.v1],
-                          window=het.window, check_stability=False)
-    assert np.max(np.abs(res.v1.values - het.v1.values)) < 1e-9
-
-
 def test_renormalization_constants(het):
     assert het.consts.c0 == pytest.approx(-2.0, abs=1e-12)
     assert het.consts.c1 == het.c1q
@@ -81,7 +75,9 @@ def test_energy_of_both_endpoints(pinned, pinned_gap, het, het_gap):
 
 def test_energy_stable_under_window_doubling(pinned, pinned_gap, het):
     small = _energy(pinned, het.v1, pinned_gap)
-    big = _energy(pinned, het.v1.embed(2 * het.window), pinned_gap)
+    u, W = het.v1, 2 * het.window
+    wide = StripField(W, u.q, u.padded(W - u.half_width), u.left, u.right)
+    big = _energy(pinned, wide, pinned_gap)
     assert abs(big - small) <= 1e-9
 
 
@@ -116,7 +112,7 @@ def test_strip_hessian_matches_gradient_differences(pinned, pinned_gap):
 # --- the strip flow ----------------------------------------------------------
 
 def test_flow_fixed_points(pinned, pinned_gap, params, het, het_gap):
-    fp = params.with_(t_max=0.5, run_to_t_max=True)
+    fp = params.with_(t_max=0.5, stationarity_tol=0.0)
     system = _strip_system(pinned, (1,), het_gap.v1.half_width, pinned_gap)
     for u in (het_gap.v1, het_gap.w1):
         out, _, _ = flow(system, u.values, fp)
@@ -128,9 +124,9 @@ def test_flow_converges_from_box_seed(pinned, pinned_gap, params, het_gap):
     _, width = het_gap.order_box(pinned)
     system = _strip_system(pinned, (1,), het_gap.v1.half_width, pinned_gap)
     u0 = het_gap.v1.values + rng.uniform(0, 1, size=width.shape) * width
-    _, trace, _ = flow(system, u0, params)
-    assert trace.residuals[-1] <= params.stationarity_tol
-    assert np.all(np.diff(np.array(trace.energies)) <= 1e-10)
+    out, steps, res = flow(system, u0, params)
+    assert steps > 0 and res <= params.stationarity_tol
+    assert system.energy(out) <= system.energy(u0)
 
 
 def test_strip_flow_comparison_and_box_invariance(pinned, pinned_gap, params, het_gap):
@@ -138,7 +134,7 @@ def test_strip_flow_comparison_and_box_invariance(pinned, pinned_gap, params, he
     rng = np.random.default_rng(4)
     u1 = rng.uniform(0.0, 0.4, size=(6,) + width.shape) * width
     u2 = u1 + rng.uniform(0.1, 0.5, size=(6,) + width.shape) * width
-    fp = params.with_(t_max=0.2, run_to_t_max=True)
+    fp = params.with_(t_max=0.2, stationarity_tol=0.0)
     # strict order needs 1 - h H_ii >= 1/2, the step 1 / (2 L) of the
     # flow-comparison property; at 1 / L the scheme is only monotone
     both, _, _ = flow(system, np.concatenate([u1, u2]), fp.with_(dt=0.5 * system.dt_safe))
@@ -237,7 +233,8 @@ def test_mph_rejects_unknown_mode(pinned, het_gap, params):
 
 
 def test_mph_stable_under_window_doubling(pinned, pinned_gap, params, het, het_gap, mph):
-    big = het_gap.v1.embed(2 * het.window)
+    u, W = het_gap.v1, 2 * het.window
+    big = StripField(W, u.q, u.padded(W - u.half_width), u.left, u.right)
     gap_big = type(het_gap)(v1=big, w1=big.shift1(1), gap0=pinned_gap,
                             evidence=dict(het_gap.evidence))
     mp_big = mountain_pass_hetero(pinned, gap_big, params, N=65)

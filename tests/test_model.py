@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fk_saddle import (PeriodicSystem, StripField, StripSystem, TorusField,
                        find_gap_pair, make_potential, validate_assumptions)
+from fk_saddle.cli import main
 from fk_saddle.model import (ClassicalFKPotential, ModelError, PluginPotential,
                              ball_offsets, residual_field, site_energies)
 from fk_saddle.semiflow import rk4_step
@@ -207,6 +208,19 @@ def test_make_potential_registry():
     assert make_potential("free-chain").amplitude == 0.0
     with pytest.raises(ModelError):
         make_potential("no-such-model")
+
+
+def test_free_chain_refuses_an_amplitude(tmp_path, capsys):
+    # the free chain has no on-site term: an amplitude would be echoed in the
+    # manifest but never used, so it is refused before any stage runs
+    assert make_potential("free-chain", amplitude=0.0).amplitude == 0.0
+    with pytest.raises(ModelError, match="amplitude"):
+        make_potential("free-chain", amplitude=2.0)
+    out = tmp_path / "never.json"
+    assert main(["minimize", "--model", "free-chain", "--amplitude", "2",
+                 "--out", str(out)]) == 1
+    assert "amplitude" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_make_potential_plugin_path():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fk_saddle import (TorusField, best_mountain_pass, chi_path, find_gap_pair,
+from fk_saddle import (best_mountain_pass, chi_path, find_gap_pair,
                        intersects, mountain_pass, multiplicity_scan, phi_path)
 from fk_saddle import mpp
 from fk_saddle.mpp import PathError, box_path
@@ -343,22 +343,15 @@ def test_mountain_pass_reads_the_torus_from_the_nodes(classical, gap, params):
 # --- order classification ------------------------------------------------------
 
 def test_intersects_classification():
-    p = (2, 1)
-    v = TorusField(p, np.array([[0.3], [0.6]]))
+    v = np.array([[0.3], [0.6]])
     assert intersects(v, v) == "equal"
     assert intersects(v - 1.0, v) == "below"
     assert intersects(v + 1.0, v) == "above"
-    crossing = TorusField(p, np.array([[0.4], [0.5]]))
+    crossing = np.array([[0.4], [0.5]])
     assert intersects(crossing, v) == "cross"
-    touch = TorusField(p, np.array([[0.3], [0.5]]))
+    touch = np.array([[0.3], [0.5]])
     assert intersects(touch, v) == "touch-below"
     assert intersects(v, touch) == "touch-above"
-
-
-def test_intersects_different_periods():
-    a = TorusField.constant((1, 1), 0.2)
-    b = TorusField((2, 1), np.array([[0.1], [0.3]]))
-    assert intersects(a, b) == "cross"
 
 
 # --- multiplicity ------------------------------------------------------------

@@ -6,7 +6,8 @@ from fk_saddle import (FlowParams, TorusField, find_gap_pair, make_potential,
 from fk_saddle.fields import BandedHessian, PeriodError
 from fk_saddle.model import PluginPotential
 from fk_saddle.periodic import NoGapError, PeriodicSystem, require_gap
-from fk_saddle.semiflow import FlowError, flow, refine_critical
+from fk_saddle.semiflow import (FlowError, flow, flow_to_stationarity,
+                                refine_critical)
 
 from helper_models import local_energy
 
@@ -65,7 +66,7 @@ def test_gradient_matches_finite_differences(classical, gap):
 def test_flow_fixed_points(classical, gap, params):
     p = (2, 1)
     system = PeriodicSystem(classical, p, gap.v0)
-    fp = params.with_(t_max=1.0, run_to_t_max=True)
+    fp = params.with_(t_max=1.0, stationarity_tol=0.0)
     out, _, _ = flow(system, np.zeros(p), fp)
     assert np.max(np.abs(out)) < 1e-9
     top = gap.box_field(p).values
@@ -77,20 +78,21 @@ def test_flow_converges_and_decreases_energy(classical, gap, params):
     rng = np.random.default_rng(11)
     p = (2, 1)
     system = PeriodicSystem(classical, p, gap.v0)
-    _, trace, _ = flow(system, rng.uniform(0, 1, size=p), params)
-    assert trace.residuals[-1] <= params.stationarity_tol
-    es = np.array(trace.energies)
-    assert np.all(np.diff(es) <= 1e-10)
-    assert es[-1] <= es[0]
+    x0 = rng.uniform(0, 1, size=p)
+    out, steps, res = flow(system, x0, params)
+    assert steps > 0 and res <= params.stationarity_tol
+    assert res == pytest.approx(np.linalg.norm(system.grad(out)), rel=1e-12)
+    assert system.energy(out) <= system.energy(x0)
 
 
 def test_flow_budget_short_of_t_max_raises(classical, gap, params):
-    # a step budget too small for the horizon is an error, not an early answer
+    # a step budget too small to reach stationarity is an error, not an
+    # early answer (the offset 0.5 from v0 is the stationary top of the box)
     p = (2, 1)
     system = PeriodicSystem(classical, p, gap.v0)
-    with pytest.raises(FlowError, match="budget"):
-        flow(system, np.full(p, 0.5),
-             params.with_(t_max=1.0, run_to_t_max=True, max_steps=5))
+    with pytest.raises(FlowError, match="5 steps"):
+        flow_to_stationarity(system, np.array([[0.4], [0.2]]),
+                             params.with_(max_steps=5))
 
 
 def test_minimize_single_cell(classical, params):
@@ -148,7 +150,7 @@ def test_flow_comparison_order(classical, gap, params):
     system = PeriodicSystem(classical, p, gap.v0.extend(p))
     u1 = rng.uniform(0.0, 0.45, size=(10,) + p)
     u2 = u1 + rng.uniform(0.05, 0.5, size=(10,) + p)
-    fp = params.with_(t_max=0.25, run_to_t_max=True)
+    fp = params.with_(t_max=0.25, stationarity_tol=0.0)
     both, _, _ = flow(system, np.concatenate([u1, u2]), fp)
     assert np.all(both[10:] - both[:10] > 0)
 
@@ -173,7 +175,7 @@ def test_box_invariance(classical, gap, params):
     system = PeriodicSystem(classical, p, gap.v0.extend(p))
     box = gap.box_field(p).values
     seeds = rng.uniform(0, 1, size=(20,) + p) * box
-    fp = params.with_(t_max=1.0, run_to_t_max=True)
+    fp = params.with_(t_max=1.0, stationarity_tol=0.0)
     out, _, _ = flow(system, seeds, fp)
     assert np.min(out) >= -1e-10
     assert np.max(out - box) <= 1e-10
@@ -262,7 +264,7 @@ def test_an_understated_lipschitz_bound_is_a_flow_error():
     # x to -2 x and quadruples the energy, and the error names L and the rise
     system = _Quadratic(a=2.0)
     with pytest.raises(FlowError, match=r"rose by 3 .*L=0\.666667"):
-        flow(system, np.array([1.0]), FlowParams(t_max=3.0, run_to_t_max=True))
+        flow(system, np.array([1.0]), FlowParams(t_max=3.0, stationarity_tol=0.0))
     assert system.energy_calls == 2
 
 

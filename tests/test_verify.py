@@ -273,6 +273,17 @@ def test_band_rejects_a_too_small_lipschitz_bound(classical, gap, monkeypatch):
         bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 401))
 
 
+def test_energy_decrease_measures_the_rise_of_a_too_large_step(classical, gap, monkeypatch):
+    # at 100 / L the Euler steps raise the energy: the property reports the
+    # rise as a failed row instead of the flow guard's error
+    L = classical.lipschitz_bound()
+    monkeypatch.setattr(classical, "lipschitz_bound", lambda: L / 100)
+    reports = run_property_suite(classical, (2, 1), seed=0, trials=20, gap=gap)
+    row = next(r for r in reports if r.name == "energy-decrease")
+    assert not row.passed and row.worst_margin < 0
+    assert row.detail.startswith("max step increase ")
+
+
 def test_bottleneck_outside_its_bracket_raises():
     grid = OracleGrid2D(resolution=101, values=np.full((101, 101), 0.7),
                         bracket=(0.8, 1.0))
