@@ -140,12 +140,11 @@ def run(cfg: RunConfig) -> Manifest:
         man.scalars["c0p"] = res.c0p
         man.scalars["iterations"] = res.iterations
         man.scalars["residuals"] = [
-            float(np.max(np.abs(residual_field(pot, f.values))))
-            for f in res.limits]
-        man.tables["limits"] = [f.values.tolist() for f in res.limits]
+            float(np.max(np.abs(residual_field(pot, f)))) for f in res.limits]
+        man.tables["limits"] = [f.tolist() for f in res.limits]
         man.tables["limit_energies"] = res.energies
         if cfg.fields_out:
-            _write_field_csv(cfg.fields_out, res.best.values)
+            _write_field_csv(cfg.fields_out, res.best)
             man.add_file(cfg.fields_out)
 
     elif cmd == "gap":
@@ -154,8 +153,8 @@ def run(cfg: RunConfig) -> Manifest:
         if gap is None:
             man.errors.append("no gap found")
         else:
-            man.scalars["v0"] = float(gap.v0.values.flat[0])
-            man.scalars["w0"] = float(gap.w0.values.flat[0])
+            man.scalars["v0"] = float(gap.v0.flat[0])
+            man.scalars["w0"] = float(gap.w0.flat[0])
             man.tables["evidence"] = gap.evidence
 
     elif cmd == "mpp":
@@ -206,19 +205,19 @@ def run(cfg: RunConfig) -> Manifest:
         gap0 = _gap_or_fail(pot, cfg, params)
         res = _minimize_kink(pot, cfg, gap0, params, man)
         man.scalars["c1q"] = res.c1q
-        man.scalars["c1"] = res.consts.c1
-        man.scalars["c0"] = res.consts.c0
+        man.scalars["c1"] = res.c1
+        man.scalars["c0"] = res.c0
         man.scalars["window"] = res.window
-        man.scalars["tails"] = [res.v1.left, res.v1.right]
+        man.scalars["tails"] = list(res.tails)
         man.scalars["tail_bound"] = res.tail_bound
         man.scalars["stability"] = res.stability
-        man.scalars["k1_empirical"] = res.consts.k1_empirical
+        man.scalars["k1_empirical"] = res.k1_empirical
         rep = asymptotics_report(res.v1, gap0)
         man.tables["asymptotics"] = {"left": rep.left_tag, "right": rep.right_tag,
                                      "left_decay": rep.left_decay,
                                      "right_decay": rep.right_decay}
         if cfg.fields_out:
-            _write_field_csv(cfg.fields_out, res.v1.values, -res.v1.half_width)
+            _write_field_csv(cfg.fields_out, res.v1, -res.window)
             man.add_file(cfg.fields_out)
 
     elif cmd == "mph":
@@ -232,11 +231,10 @@ def run(cfg: RunConfig) -> Manifest:
             res = mountain_pass_hetero(pot, gap1, params, N=cfg.nodes,
                                        mode=cfg.mode)
             _record_saddle(man, res, "d1q", "c1q")
-            man.scalars["tails"] = [gap1.v1.left, gap1.v1.right]
-            man.scalars["window"] = gap1.v1.half_width
+            man.scalars["tails"] = list(mres.tails)
+            man.scalars["window"] = mres.window
             if cfg.fields_out:
-                _write_field_csv(cfg.fields_out, gap1.v1.values + res.critical,
-                                 -gap1.v1.half_width)
+                _write_field_csv(cfg.fields_out, gap1.v1 + res.critical, -mres.window)
                 man.add_file(cfg.fields_out)
 
     elif cmd == "verify":

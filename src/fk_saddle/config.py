@@ -39,24 +39,12 @@ def _fmt_int_tuple(value):
     return ",".join(str(int(x)) for x in value)
 
 
-def _parse_float_or_auto(text):
-    if str(text).strip() == "auto":
-        return None
-    return float(text)
-
-
-def _fmt_float_or_auto(value):
-    return "auto" if value is None else repr(float(value))
-
-
-def _parse_int_or_auto(text):
-    if str(text).strip() == "auto":
-        return None
-    return int(text)
-
-
-def _fmt_int_or_auto(value):
-    return "auto" if value is None else str(int(value))
+def _or_auto(kind):
+    """The (parser, formatter) of a ``kind`` value that ``auto`` (None) may
+    replace; floats are formatted by ``repr``, so they round-trip."""
+    fmt = repr if kind is float else str
+    return (lambda text: None if str(text).strip() == "auto" else kind(text),
+            lambda value: "auto" if value is None else fmt(kind(value)))
 
 
 @dataclass
@@ -167,19 +155,19 @@ SCHEMA = {
     ("", "model"): ("model", str, str),
     ("", "p"): ("p", _parse_int_tuple, _fmt_int_tuple),
     ("", "q"): ("q", _parse_int_tuple, _fmt_int_tuple),
-    ("", "seed"): ("seed", _parse_int_or_auto, _fmt_int_or_auto),
+    ("", "seed"): ("seed", *_or_auto(int)),
     ("", "out"): ("out", str, str),
     ("", "fields-out"): ("fields_out", str, str),
     ("model-params", "amplitude"): ("amplitude", float, lambda v: repr(v)),
     ("model-params", "coupling"): ("coupling", float, lambda v: repr(v)),
     ("model-params", "n"): ("n", int, str),
-    ("flow", "dt"): ("dt", _parse_float_or_auto, _fmt_float_or_auto),
+    ("flow", "dt"): ("dt", *_or_auto(float)),
     ("flow", "t-max"): ("t_max", float, repr),
     ("flow", "tol"): ("tol", float, repr),
     ("flow", "max-steps"): ("max_steps", int, str),
-    ("path", "nodes"): ("nodes", _parse_int_or_auto, _fmt_int_or_auto),
+    ("path", "nodes"): ("nodes", *_or_auto(int)),
     ("path", "mode"): ("mode", str, str),
-    ("window", "size"): ("window", _parse_int_or_auto, _fmt_int_or_auto),
+    ("window", "size"): ("window", *_or_auto(int)),
     ("scan", "kmax"): ("kmax", int, str),
     ("gap", "probes"): ("probes", int, str),
     ("verify", "trials"): ("trials", int, str),

@@ -1,16 +1,14 @@
-"""Lattice field containers and the stencil engine shared by all solvers.
+"""Lattice states and the stencil engine shared by all solvers.
 
-Two storage schemes cover everything the solvers need:
-
-* ``TorusField`` - a function on Z^n that is p-periodic, stored on the
-  fundamental cell ``{0..p_1-1} x ... x {0..p_n-1}``.  All site reads resolve
-  modulo the periods.
-* ``StripField`` - a function on Z x (Z^{n-1}/qZ^{n-1}) stored on the layers
-  ``i_1 in [-W, W]`` with constant tails pinned on both ends.  Reads outside
-  the window resolve to the tail constants.
-
-Values arrays are treated as immutable; every constructor copies and freezes
-its input so fields can be shared freely across threads.
+A state is a float array whose lattice axes are the trailing axes, on both
+geometries: a p-periodic function on Z^n is its values on the fundamental
+cell ``{0..p_1-1} x ... x {0..p_n-1}``, and a function on the strip
+Z x (Z^{n-1}/qZ^{n-1}) is its values on the layers ``i_1 in [-W, W]``, shape
+``(2 W + 1, *q)``.  The geometry belongs to the systems
+(``periodic.PeriodicSystem``, ``hetero.StripSystem``): they hold the
+periods, the window, the constant tails outside it and the base state.
+:func:`tile` re-stores a state on periods that are multiples of its own, and
+:func:`pad_layers` widens a strip window by its tails.
 
 :class:`Stencil` at the bottom evaluates the local energies on either
 geometry from index tables built once per lattice shape.  The lattice the
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,122 +57,15 @@ def validate_periods(p) -> tuple:
     return p
 
 
-def _multiples(periods, small) -> tuple:
-    """``periods // small`` per axis; each period must be a multiple of the
-    small one (PeriodError)."""
-    if len(periods) != len(small) or any(big % s for big, s in zip(periods, small)):
-        raise PeriodError("periods %r do not extend %r" % (periods, small))
-    return tuple(big // s for big, s in zip(periods, small))
-
-
-def _frozen(values) -> np.ndarray:
-    out = np.array(values, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class TorusField:
-    """A p-periodic real lattice function, stored on the fundamental torus."""
-
-    periods: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        p = validate_periods(self.periods)
-        object.__setattr__(self, "periods", p)
-        v = _frozen(np.broadcast_to(np.asarray(self.values, dtype=float), p))
-        object.__setattr__(self, "values", v)
-
-    @staticmethod
-    def constant(periods, c: float) -> "TorusField":
-        periods = validate_periods(periods)
-        return TorusField(periods, np.full(periods, float(c)))
-
-    @property
-    def n(self) -> int:
-        return len(self.periods)
-
-    def extend(self, periods) -> "TorusField":
-        """Re-store on a larger torus whose periods are multiples of ours."""
-        periods = validate_periods(periods)
-        return TorusField(periods, np.tile(self.values, _multiples(periods, self.periods)))
-
-    def normalize_lift(self) -> tuple:
-        """Subtract the integer that puts the value at site 0 into [0, 1)."""
-        k = math.floor(self.values.flat[0])
-        return self - k, k
-
-    # fields behave as immutable values; arithmetic returns new fields
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, TorusField):
-            if other.periods != self.periods:
-                raise PeriodError("period mismatch: %r vs %r" % (self.periods, other.periods))
-            return other.values
-        return np.asarray(other, dtype=float)
-
-    def __add__(self, other):
-        return TorusField(self.periods, self.values + self._coerce(other))
-
-    def __sub__(self, other):
-        return TorusField(self.periods, self.values - self._coerce(other))
-
-
-@dataclass(frozen=True, eq=False)
-class StripField:
-    """A function on Z x (Z^{n-1}/qZ^{n-1}) with constant tails.
-
-    ``values`` has shape ``(2 W + 1, *q)``; layer index 0 corresponds to
-    lattice coordinate ``i_1 = -W``.  Reads left of the window give ``left``,
-    reads right of it give ``right``.
-    """
-
-    half_width: int
-    q: tuple
-    values: np.ndarray
-    left: float
-    right: float
-
-    def __post_init__(self):
-        q = validate_periods(self.q) if len(self.q) else ()
-        object.__setattr__(self, "q", q)
-        W = int(self.half_width)
-        if W < 1:
-            raise WindowError("window half-width must be >= 1")
-        object.__setattr__(self, "half_width", W)
-        shape = (2 * W + 1,) + q
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != shape:
-            raise WindowError("values shape %r does not match window %r" % (v.shape, shape))
-        object.__setattr__(self, "values", _frozen(v))
-        object.__setattr__(self, "left", float(self.left))
-        object.__setattr__(self, "right", float(self.right))
-
-    @property
-    def n(self) -> int:
-        return 1 + len(self.q)
-
-    def layer_coords(self) -> np.ndarray:
-        W = self.half_width
-        return np.arange(-W, W + 1)
-
-    def extend(self, q) -> "StripField":
-        """Re-store on transverse periods that are multiples of ours (the
-        strip's :meth:`TorusField.extend`)."""
-        q = validate_periods(q) if len(q) else ()
-        return StripField(self.half_width, q,
-                          np.tile(self.values, (1,) + _multiples(q, self.q)),
-                          self.left, self.right)
-
-    def padded(self, margin: int) -> np.ndarray:
-        return pad_layers(self.values, margin, self.left, self.right, self.n)
-
-    def shift1(self, offset: int) -> "StripField":
-        """Axis-1 translate: (result)(i) = self(i + offset e_1), same window."""
-        W = self.half_width
-        ext = self.padded(abs(offset))
-        lo = abs(offset) + offset
-        return StripField(W, self.q, ext[lo:lo + 2 * W + 1], self.left, self.right)
+def tile(values, shape) -> np.ndarray:
+    """``values`` repeated along every axis to ``shape``, which must be a
+    multiple of its shape axis by axis (PeriodError): a torus state on a
+    larger torus, or a strip state on larger transverse periods."""
+    values = np.asarray(values, dtype=float)
+    shape = tuple(shape)
+    if len(shape) != values.ndim or any(big % s for big, s in zip(shape, values.shape)):
+        raise PeriodError("periods %r do not extend %r" % (shape, values.shape))
+    return np.tile(values, tuple(big // s for big, s in zip(shape, values.shape)))
 
 
 def pad_layers(values: np.ndarray, margin: int, left: float, right: float, n: int) -> np.ndarray:

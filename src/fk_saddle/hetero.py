@@ -20,9 +20,12 @@ scan gives the barrier column over q(k) = (k, 1, ..., 1) with its staircase
 witnesses.  Every strip mountain pass starts, as on the torus, from the
 column ramp across the transverse axis; the staircase is the witness only.
 
-All fields are stored on finite windows with constant tails; every reported
-value must be stable under window doubling, and the window policy grows the
-window until the tail contribution bound falls below tolerance.
+A strip state is a float array of shape ``(2 W + 1, *q)``, the layers
+i_1 = -W..W of a finite window; the window, the constant tails outside it
+and the base state belong to ``StripSystem``, and ``minimize_hetero``
+reports the window and tails its kink ``v1`` was computed on.  Every
+reported value must be stable under window doubling, and the window policy
+grows the window until the tail contribution bound falls below tolerance.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ import numpy as np
 from .defaults import (DEDUP_TOL, GAP_PROBES, HETERO_SEED_SHIFTS,
                        HETERO_SEED_WIDTH, PATH_NODES, TAIL_BOUND_TOL, WINDOW_CAP,
                        WINDOW_START)
-from .fields import (FkSaddleError, StripField, WindowError, pad_layers,
-                     stencil, validate_periods)
+from .fields import (FkSaddleError, WindowError, pad_layers, stencil, tile,
+                     validate_periods)
 from .model import SitePotential
 from .mpp import MinimaxResult, box_path, check_chain, minimax_engine
 from .periodic import GapPair, polish_limits, probe_adjacency, require_gap
@@ -90,25 +93,13 @@ class StripSystem:
         """Hessian of I at x, block-tridiagonal in groups of layers."""
         return self.stencil.banded_hessian(self.potential, x + self.base, *self.tails)
 
-    def field(self, x) -> StripField:
-        """Wrap a state array as a StripField carrying the state tails."""
-        return StripField(self.half_width, self.q, x, self.left, self.right)
-
 
 # ---------------------------------------------------------------------------
 # renormalization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RenormalizationConstants:
-    c0: float
-    c1: float
-    k1_empirical: float       # largest observed dip of windowed partial sums
-
-
 def _gap_scalars(gap0: GapPair):
-    v = gap0.v0.values
-    w = gap0.w0.values
+    v, w = gap0.v0, gap0.w0
     if np.ptp(v) > 1e-9 or np.ptp(w) > 1e-9:
         raise FkSaddleError("heteroclinic machinery needs constant ground states "
                             "(rotation vector zero)")
@@ -127,14 +118,15 @@ def _strip_system(potential, q, W, gap0, base=None):
 
 @dataclass
 class HeteroMinimizeResult:
-    v1: StripField
+    v1: np.ndarray             # the kink on the window, shape (2 window + 1, *q)
     c1q: float
-    limits: list
-    energies: list
     window: int
+    tails: tuple               # (left, right): the ground states v0 and w0
     tail_bound: float
     stability: float           # |c1q(W) - c1q(2W)| when computed
-    consts: RenormalizationConstants
+    c0: float
+    c1: float
+    k1_empirical: float        # largest observed dip of windowed partial sums
 
 
 def default_hetero_seeds(system: StripSystem):
@@ -219,7 +211,6 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
                               system.lattice_ndim)]
         _, _, be, bb = _minimize_on_window(potential, q, big, gap0, params, carried)
         stability = abs(es[best] - be[bb])
-    v1 = system.field(fields[best])
     # empirical lower-bound constant: worst dip of windowed partial sums
     layer = system.layer_energies(fields[best])
     run_min = 0.0
@@ -240,12 +231,10 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
                 % (es[best], prods, prods * c1))
     else:
         c1 = es[best]
-    consts = RenormalizationConstants(c0=system.c0, c1=c1,
-                                      k1_empirical=max(0.0, -run_min))
     return HeteroMinimizeResult(
-        v1=v1, c1q=es[best], limits=[system.field(f) for f in fields],
-        energies=es, window=W, tail_bound=bound, stability=stability,
-        consts=consts)
+        v1=fields[best], c1q=es[best], window=W, tails=system.tails,
+        tail_bound=bound, stability=stability, c0=system.c0, c1=c1,
+        k1_empirical=max(0.0, -run_min))
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +243,14 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
 
 @dataclass
 class HeteroGapPair:
-    v1: StripField
-    w1: StripField
+    v1: np.ndarray             # window states, shape (2 W + 1, *q)
+    w1: np.ndarray
     gap0: GapPair
     evidence: dict = field(default_factory=dict)
 
     @property
     def periods(self) -> tuple:
-        return self.v1.q
+        return self.v1.shape[1:]
 
     def order_box(self, potential: SitePotential, periods=None):
         """The order box on v1's window with the transverse ``periods``
@@ -269,9 +258,10 @@ class HeteroGapPair:
         system on offsets from v1 and the box corner w1 - v1."""
         v1, w1 = self.v1, self.w1
         if periods is not None:
-            v1, w1 = v1.extend(periods), w1.extend(periods)
-        system = _strip_system(potential, v1.q, v1.half_width, self.gap0, base=v1.values)
-        return system, w1.values - v1.values
+            shape = v1.shape[:1] + tuple(periods)
+            v1, w1 = tile(v1, shape), tile(w1, shape)
+        system = _strip_system(potential, v1.shape[1:], v1.shape[0] // 2, self.gap0, base=v1)
+        return system, w1 - v1
 
 
 def find_gap_pair_hetero(potential: SitePotential,
@@ -287,7 +277,10 @@ def find_gap_pair_hetero(potential: SitePotential,
     """
     gap0 = require_gap(gap0)
     params = params or FlowParams()
-    pair = HeteroGapPair(v1=minimized.v1, w1=minimized.v1.shift1(1), gap0=gap0)
+    # w1(i) = v1(i + e_1): the window one layer on, the right tail entering
+    v1 = minimized.v1
+    pair = HeteroGapPair(v1=v1, w1=pad_layers(v1, 1, *minimized.tails, potential.n)[2:],
+                         gap0=gap0)
     system, width = pair.order_box(potential)
     if np.max(np.abs(width)) <= DEDUP_TOL:
         return None  # translate indistinguishable: no discrete kink lattice
@@ -341,13 +334,14 @@ class AsymptoticsReport:
     right_decay: float
 
 
-def asymptotics_report(u: StripField, gap0: GapPair) -> AsymptoticsReport:
-    """Tag each strip end with its nearest ground state and its decay rate."""
+def asymptotics_report(u: np.ndarray, gap0: GapPair) -> AsymptoticsReport:
+    """Tag each end of the window state ``u`` (shape ``(2 W + 1, *q)``) with
+    its nearest ground state and its decay rate."""
     v0s, w0s = _gap_scalars(gap0)
-    flat = u.values.reshape(u.values.shape[0], -1)
+    flat = u.reshape(u.shape[0], -1)
     dv = np.abs(flat - v0s).sum(axis=1)
     dw = np.abs(flat - w0s).sum(axis=1)
-    W = u.half_width
+    W = u.shape[0] // 2
     m = max(2, W // 4)
     left_tag = "v0" if dv[:m].sum() <= dw[:m].sum() else "w0"
     right_tag = "v0" if dv[-m:].sum() <= dw[-m:].sum() else "w0"
@@ -360,6 +354,6 @@ def asymptotics_report(u: StripField, gap0: GapPair) -> AsymptoticsReport:
     left_series = dv[:m] if left_tag == "v0" else dw[:m]
     right_series = (dv[-m:] if right_tag == "v0" else dw[-m:])[::-1]
     return AsymptoticsReport(
-        layers=u.layer_coords(), dist_to_v0=dv, dist_to_w0=dw,
+        layers=np.arange(-W, W + 1), dist_to_v0=dv, dist_to_w0=dw,
         left_tag=left_tag, right_tag=right_tag,
         left_decay=decay(left_series), right_decay=decay(right_series))

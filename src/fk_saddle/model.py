@@ -273,7 +273,11 @@ BUILTIN_MODELS = {
 
 
 def make_potential(name: str, **params) -> SitePotential:
-    """Construct a built-in potential, or import ``module:factory`` plug-ins."""
+    """Construct a built-in potential, or import ``module:factory`` plug-ins.
+
+    A plug-in that fails to import, lacks the factory or fails in it raises
+    ``ModelError`` naming the model string.
+    """
     if name == "free-chain" and params.get("amplitude", 0.0) != 0.0:
         raise ModelError("free-chain has no on-site potential: amplitude must be "
                          "0 or unset, got %r" % params["amplitude"])
@@ -283,8 +287,11 @@ def make_potential(name: str, **params) -> SitePotential:
         import importlib
 
         mod_name, attr = name.split(":", 1)
-        factory = getattr(importlib.import_module(mod_name), attr)
-        return factory(**params)
+        try:
+            return getattr(importlib.import_module(mod_name), attr)(**params)
+        except Exception as exc:
+            raise ModelError("plug-in model %r failed: %s: %s"
+                             % (name, type(exc).__name__, exc)) from exc
     raise ModelError("unknown model %r (built-ins: %s)"
                      % (name, ", ".join(sorted(BUILTIN_MODELS))))
 

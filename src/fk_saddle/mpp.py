@@ -657,7 +657,7 @@ class ScanRow:
 @dataclass
 class MultiplicityScan:
     rows: list
-    criticals: dict                 # k -> offset values on the lcm period
+    criticals: dict                 # k -> critical offset on its own period
     distances: np.ndarray           # pairwise shift-normalized l-inf
     versus_first: dict              # k -> intersects classification vs k=1
 
@@ -693,10 +693,11 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap,
     classical-fk tori, and 3.938, 4.000, 7.938, then 7.997 to 8.000 on the
     pinned-fk strip (W = 20).
 
-    Critical fields are tiled along that axis to the common period and
-    compared after shift-orbit normalization along it; each is also
-    classified against the k = 1 critical field.  Failed rows carry their
-    error and the scan continues.
+    Critical fields stay on their own periods.  Each pair is compared after
+    shift-orbit normalization along that axis, over a common period, and
+    each is classified against the k = 1 critical field, which is one column
+    wide and broadcasts.  Failed rows carry their error and the scan
+    continues.
     """
     if k_max < 2:
         raise PathError("k_max must be >= 2")
@@ -724,11 +725,8 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap,
         for b in range(a + 1, len(ks)):
             dmat[a, b] = dmat[b, a] = _shift_orbit_distance(
                 criticals[ks[a]], criticals[ks[b]], axis)
-    L = math.lcm(*ks) if ks else 1
-    extended = {k: np.concatenate([criticals[k]] * (L // k), axis=axis) for k in ks}
-    versus = {}
-    if 1 in extended:
-        for k in ks:
-            versus[k] = intersects(extended[k], extended[1])
-    return MultiplicityScan(rows=rows, criticals=extended, distances=dmat,
+    # the k = 1 critical is one column wide, so it broadcasts against each k
+    versus = ({k: intersects(criticals[k], criticals[1]) for k in ks}
+              if 1 in criticals else {})
+    return MultiplicityScan(rows=rows, criticals=criticals, distances=dmat,
                             versus_first=versus)

@@ -17,6 +17,7 @@ heteroclinics) lives inside the order box [0, w0 - v0] around v0, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,7 @@ import numpy as np
 from .defaults import (DEDUP_TOL, GAP_PROBES, MINIMIZE_GRID_SEEDS,
                        MINIMIZE_RANDOM_SEEDS, MINIMIZER_ENERGY_MARGIN,
                        POLISH_MAX_ITER, POLISH_TOL, STRICT_ORDER_TOL)
-from .fields import (FkSaddleError, PeriodError, TorusField, stencil,
-                     validate_periods)
+from .fields import FkSaddleError, PeriodError, stencil, tile, validate_periods
 from .model import SitePotential
 from .semiflow import FlowParams, flow_to_stationarity, refine_critical
 
@@ -38,7 +38,7 @@ class PeriodicSystem:
     """Energy/gradient system for I(u) = J(u + v0) on a fixed torus.
 
     States are raw value arrays of shape (..., *p); the reference ``base`` is
-    the broadcast values of v0 (zero when absent).
+    v0 tiled to the periods p (zero when absent).
     """
 
     def __init__(self, potential: SitePotential, periods, base=None):
@@ -47,12 +47,7 @@ class PeriodicSystem:
         if len(self.periods) != potential.n:
             raise PeriodError("periods %r do not match model dimension %d"
                               % (self.periods, potential.n))
-        if base is None:
-            self.base = np.zeros(self.periods)
-        elif isinstance(base, TorusField):
-            self.base = base.extend(self.periods).values
-        else:
-            self.base = np.broadcast_to(np.asarray(base, dtype=float), self.periods)
+        self.base = np.zeros(self.periods) if base is None else tile(base, self.periods)
         self.lattice_ndim = len(self.periods)
         self.dt_safe = potential.dt_safe()
         self.stencil = stencil(potential.ball, self.periods)
@@ -75,30 +70,23 @@ class PeriodicSystem:
 
 @dataclass
 class MinimizeResult:
-    best: TorusField
+    best: np.ndarray
     c0p: float
     limits: list           # deduplicated stationary limits, lift-normalized
     energies: list         # energies of the deduplicated limits
     iterations: int
 
 
-def _as_field(seed, periods) -> TorusField:
-    if isinstance(seed, TorusField):
-        if seed.periods != tuple(periods):
-            raise PeriodError("seed periods %r != %r" % (seed.periods, periods))
-        return seed
-    return TorusField.constant(periods, float(seed))
-
-
 def _dedup(fields, energies):
-    """Lift-normalize, then merge fields within l-inf distance DEDUP_TOL."""
+    """Lift-normalize (subtract the integer that puts the value at site 0
+    into [0, 1)), then merge fields within l-inf distance DEDUP_TOL."""
     out, out_e = [], []
     for f, e in zip(fields, energies):
-        nf, _ = f.normalize_lift()
-        if not any(np.max(np.abs(nf.values - g.values)) <= DEDUP_TOL for g in out):
+        nf = f - math.floor(f.flat[0])
+        if not any(np.max(np.abs(nf - g)) <= DEDUP_TOL for g in out):
             out.append(nf)
             out_e.append(e)
-    order = np.argsort([g.values.flat[0] for g in out], kind="stable")
+    order = np.argsort([g.flat[0] for g in out], kind="stable")
     return [out[i] for i in order], [out_e[i] for i in order]
 
 
@@ -124,21 +112,25 @@ def minimize_periodic(potential: SitePotential, periods, seeds,
                       params: FlowParams | None = None) -> MinimizeResult:
     """Flow every seed to stationarity and keep the lowest-energy limit.
 
-    Seeds may be TorusFields or plain floats (constant fields).  The distinct
-    flowed limits are Newton-polished once each (:func:`polish_limits`), then
-    lift-normalized and deduplicated by l-inf distance.
+    Seeds are floats (constant fields) or arrays of shape ``periods``.  The
+    distinct flowed limits are Newton-polished once each
+    (:func:`polish_limits`), then lift-normalized and deduplicated by l-inf
+    distance.
     """
     periods = validate_periods(periods)
     params = params or FlowParams()
     if not seeds:
         raise FkSaddleError("minimize_periodic needs at least one seed")
-    seeds = [_as_field(s, periods) for s in seeds]
+    try:
+        x0 = np.stack([np.broadcast_to(np.asarray(s, dtype=float), periods)
+                       for s in seeds])
+    except ValueError:
+        raise PeriodError("seeds must be floats or arrays of shape %r" % (periods,))
     system = PeriodicSystem(potential, periods)
-    x, steps = flow_to_stationarity(
-        system, np.stack([s.values for s in seeds]), params)
+    x, steps = flow_to_stationarity(system, x0, params)
     # every flowed state is stationary, so polishing drops none of them
-    limits = [TorusField(periods, xi) for xi in polish_limits(system, x, params)]
-    energies = [float(system.energy(f.values)) for f in limits]
+    limits = polish_limits(system, x, params)
+    energies = [float(system.energy(f)) for f in limits]
     fields, es = _dedup(limits, energies)
     best_i = int(np.argmin(es))
     return MinimizeResult(best=fields[best_i], c0p=float(es[best_i]),
@@ -150,32 +142,31 @@ def minimize_periodic(potential: SitePotential, periods, seeds,
 class GapPair:
     """Two adjacent ordered minimizers and the probe evidence for adjacency."""
 
-    v0: TorusField
-    w0: TorusField
+    v0: np.ndarray
+    w0: np.ndarray
     evidence: dict = field(default_factory=dict)
 
     @property
     def periods(self) -> tuple:
-        return self.v0.periods
+        return self.v0.shape
 
-    def box_field(self, periods=None) -> TorusField:
-        g = self.w0 - self.v0
-        return g if periods is None else g.extend(periods)
+    def box_field(self, periods=None) -> np.ndarray:
+        """The box corner w0 - v0, tiled to ``periods`` (default: the pair's)."""
+        return tile(self.w0 - self.v0, periods or self.periods)
 
     def order_box(self, potential: SitePotential, periods=None):
         """The order box on the torus ``periods`` (default: the pair's):
         the system on offsets from v0 and the box corner w0 - v0."""
         system = PeriodicSystem(potential, periods or self.periods, self.v0)
-        return system, self.box_field(system.periods).values
+        return system, self.box_field(system.periods)
 
 
 def default_minimize_seeds(rng, periods):
     """The minimize seeds of the CLI and of ``find_gap_pair``: the constants
     j / 16, then 4 uniform random fields drawn from ``rng``."""
-    seeds = [TorusField.constant(periods, j / MINIMIZE_GRID_SEEDS)
-             for j in range(MINIMIZE_GRID_SEEDS)]
+    seeds = [j / MINIMIZE_GRID_SEEDS for j in range(MINIMIZE_GRID_SEEDS)]
     for _ in range(MINIMIZE_RANDOM_SEEDS):
-        seeds.append(TorusField(periods, rng.uniform(0.0, 1.0, size=periods)))
+        seeds.append(rng.uniform(0.0, 1.0, size=periods))
     return seeds
 
 
@@ -207,10 +198,10 @@ def find_gap_pair(potential: SitePotential, periods, probes: int = GAP_PROBES,
     candidates.append((fields[-1] - 1.0, fields[0]))
     system = PeriodicSystem(potential, periods)
     for v, w in candidates:
-        if np.min(w.values - v.values) <= STRICT_ORDER_TOL:
+        if np.min(w - v) <= STRICT_ORDER_TOL:
             continue  # not strictly ordered
         evidence = probe_adjacency(
-            system, v.values, w.values, res.c0p, params, probes,
+            system, v, w, res.c0p, params, probes,
             lambda: rng.uniform(0.05, 0.95, size=periods))
         evidence["minimizer_orbits"] = len(fields)
         if not evidence["distinct_interior_minimizers"]:

@@ -33,7 +33,7 @@ from .defaults import (BOX_INVARIANCE_TOL, CLIP_ENERGY_TOL, CROSS_CHECK_TOL,
                        ENERGY_INCREASE_TOL, FD_REL_TOL, ORACLE_BLOCK,
                        ORACLE_BOUND_SLACK, ORACLE_RESOLUTION, PATH_NODES,
                        SCALING_TOL, STRICT_ORDER_TOL, SUBMODULARITY_TOL)
-from .fields import FkSaddleError, TorusField
+from .fields import FkSaddleError
 from .model import SitePotential, central_differences, site_energies
 from .mpp import best_mountain_pass
 from .periodic import GapPair, find_gap_pair, minimize_periodic, require_gap
@@ -316,8 +316,7 @@ def _smooth_box_fields(system, rng, count, box):
 
 def minimize_c0p(potential, gap: GapPair, periods, params) -> float:
     """Ground energy on the given torus, seeded from the gap endpoints."""
-    seeds = [TorusField.constant(periods, gap.v0.values.flat[0]),
-             TorusField.constant(periods, gap.w0.values.flat[0])]
+    seeds = [gap.v0.flat[0], gap.w0.flat[0]]
     return minimize_periodic(potential, periods, seeds, params).c0p
 
 
@@ -328,7 +327,7 @@ def _fallback_gap(potential: SitePotential, periods) -> GapPair:
     cfg = np.repeat(cs[:, None], potential.nball, axis=1)
     es = potential.energy(cfg)
     c = float(cs[int(np.argmin(es))])
-    v0 = TorusField.constant(ones, c)
+    v0 = np.full(ones, c)
     return GapPair(v0=v0, w0=v0 + 1.0, evidence={"fallback": "constant scan"})
 
 
@@ -472,7 +471,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         if len(periods) != 2:
             return 0.0, "scaling list defined for dimension 2 only"
         c0 = minimize_periodic(potential, (1, 1),
-                               [gap.v0.values.flat[0]], params).c0p
+                               [gap.v0.flat[0]], params).c0p
         worst = 0.0
         for p in [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]:
             c0p = minimize_c0p(potential, gap, p, params)

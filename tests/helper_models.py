@@ -5,7 +5,7 @@ against."""
 
 import numpy as np
 
-from fk_saddle import PluginPotential, TorusField
+from fk_saddle import PluginPotential
 from fk_saddle.model import ClassicalFKPotential, ModelError, ball_offsets
 
 TWO_PI = 2 * np.pi
@@ -13,47 +13,50 @@ TWO_PI = 2 * np.pi
 
 # --- per-site oracles: one site, one ball, plain loops ---------------------
 
+# A state is an array with one axis per lattice axis: on a torus its shape is
+# the periods; on a strip, given its ``tails`` (left, right), it is the
+# window (2 W + 1, *q) of layers -W..W.
+
 def _check_dim(potential, u) -> None:
-    if u.n != potential.n:
+    if np.ndim(u) != potential.n:
         raise ModelError("field dimension %d does not match model dimension %d"
-                         % (u.n, potential.n))
+                         % (np.ndim(u), potential.n))
 
 
-def site(u, i) -> float:
-    """u(i): modulo the periods on a TorusField; on a StripField the tail
-    constants outside the window and modulo q across it."""
-    if isinstance(u, TorusField):
-        return float(u.values[tuple(int(i[k]) % p for k, p in enumerate(u.periods))])
-    i1, W = int(i[0]), u.half_width
+def site(u, i, tails=None) -> float:
+    """u(i): modulo the shape on a torus; on a strip the tail constants
+    outside the window and modulo q across it."""
+    if tails is None:
+        return float(u[tuple(int(c) % p for c, p in zip(i, u.shape))])
+    i1, W = int(i[0]), u.shape[0] // 2
     if i1 < -W:
-        return u.left
+        return tails[0]
     if i1 > W:
-        return u.right
-    idx = (i1 + W,) + tuple(int(i[1 + k]) % q for k, q in enumerate(u.q))
-    return float(u.values[idx])
+        return tails[1]
+    return float(u[(i1 + W,) + tuple(int(c) % q for c, q in zip(i[1:], u.shape[1:]))])
 
 
-def site_configuration(potential, u, j) -> np.ndarray:
+def site_configuration(potential, u, j, tails=None) -> np.ndarray:
     """The configuration of u on j + ball, as a flat (nball,) array."""
     _check_dim(potential, u)
     j = tuple(int(c) for c in j)
-    return np.array([site(u, tuple(j[k] + b[k] for k in range(potential.n)))
+    return np.array([site(u, tuple(j[k] + b[k] for k in range(potential.n)), tails)
                      for b in potential.ball])
 
 
-def local_energy(potential, u, j) -> float:
+def local_energy(potential, u, j, tails=None) -> float:
     """The shifted local energy S_j(u)."""
-    return float(potential.energy(site_configuration(potential, u, j)))
+    return float(potential.energy(site_configuration(potential, u, j, tails)))
 
 
-def el_residual(potential, u, i) -> float:
+def el_residual(potential, u, i, tails=None) -> float:
     """The Euler-Lagrange residual sum_{|j-i|<=r} d_i S_j(u) at site i."""
     _check_dim(potential, u)
     i = tuple(int(c) for c in i)
     total = 0.0
     for b in potential.ball:
         j = tuple(i[k] + b[k] for k in range(potential.n))
-        g = potential.gradient(site_configuration(potential, u, j))
+        g = potential.gradient(site_configuration(potential, u, j, tails))
         # position of i within the ball around j is -b
         k = potential.ball.index(tuple(-c for c in b))
         total += float(g[k])

@@ -43,11 +43,10 @@ def compute_bundle():
     res11 = minimize_periodic(classical, (1, 1), [0.0, 0.3, 0.6], params)
     gap = find_gap_pair(classical, (1, 1), seed=GAP_SEED, params=params)
     T["c1"] = time.monotonic() - t0
-    norm_min, _ = res11.best.normalize_lift()
     S["c0"] = res11.c0p
-    S["minimizer_mod1"] = float(norm_min.values.flat[0])
-    S["v0"] = float(gap.v0.values.flat[0])
-    S["w0"] = float(gap.w0.values.flat[0])
+    S["minimizer_mod1"] = float(res11.best.flat[0] % 1.0)
+    S["v0"] = float(gap.v0.flat[0])
+    S["w0"] = float(gap.w0.flat[0])
     bundle["gap"] = gap
 
     # -- criterion 2: ground-energy scaling law -------------------------------
@@ -69,12 +68,12 @@ def compute_bundle():
     S["d21_oracle"] = oracle
     S["d21_residual"] = node.residual
     crit = node.critical
-    box = gap.box_field((2, 1)).values
+    box = gap.box_field((2, 1))
     S["d21_crit_min"] = float(np.min(crit))
     S["d21_crit_gap_to_top"] = float(np.min(box - crit))
     S["d21_crit_span"] = float(np.ptp(crit))
     translate = np.roll(crit, 1, axis=0)
-    full = translate + gap.v0.extend((2, 1)).values
+    full = translate + gap.v0
     S["d21_translate_residual"] = float(np.max(np.abs(residual_field(classical, full))))
     S["d21_translate_distance"] = float(np.max(np.abs(translate - crit)))
     bundle["node21"] = node
@@ -147,7 +146,7 @@ def compute_bundle():
     mph = mountain_pass_hetero(pinned, gap1, params, N=65)
     hrows = multiplicity_scan(pinned, 4, gap1, params).rows
     T["c9"] = time.monotonic() - t0
-    S["c1"] = het.consts.c1
+    S["c1"] = het.c1
     S["c1_stability"] = het.stability
     S["c1q2"] = het2.c1q
     S["d1"] = mph.value

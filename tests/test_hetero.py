@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from fk_saddle import (HeteroGapPair, StripField, asymptotics_report,
-                       best_mountain_pass, find_gap_pair_hetero,
-                       make_potential, minimize_hetero, mountain_pass,
-                       mountain_pass_hetero, multiplicity_scan)
-from fk_saddle.fields import PeriodError
+from fk_saddle import (HeteroGapPair, asymptotics_report, best_mountain_pass,
+                       find_gap_pair_hetero, make_potential, minimize_hetero,
+                       mountain_pass, mountain_pass_hetero, multiplicity_scan)
+from fk_saddle.fields import PeriodError, pad_layers
 from fk_saddle.hetero import _strip_system
 from fk_saddle.mpp import PathError, box_path
 from fk_saddle.semiflow import flow
@@ -25,11 +24,12 @@ BRUTE_FORCE_C1 = {
 
 def test_minimize_profile_and_level(pinned, het):
     assert het.c1q > 0
-    prof = het.v1.values[:, 0]
+    prof = het.v1[:, 0]
+    assert het.v1.shape == (2 * het.window + 1, 1)
     assert np.all(np.diff(prof) >= -1e-12)   # monotone kink
     assert het.tail_bound < 1e-10
-    assert het.v1.left == pytest.approx(-0.25, abs=1e-12)
-    assert het.v1.right == pytest.approx(0.75, abs=1e-12)
+    assert het.tails[0] == pytest.approx(-0.25, abs=1e-12)
+    assert het.tails[1] == pytest.approx(0.75, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(BRUTE_FORCE_C1))
@@ -50,20 +50,20 @@ def test_window_doubling_stability(het):
 def test_transverse_scaling(pinned, pinned_gap, params, het):
     res2 = minimize_hetero(pinned, (2,), pinned_gap, params,
                            window=het.window, check_stability=False)
-    assert abs(res2.c1q - 2 * het.consts.c1) <= 1e-8
+    assert abs(res2.c1q - 2 * het.c1) <= 1e-8
 
 
 def test_renormalization_constants(het):
-    assert het.consts.c0 == pytest.approx(-2.0, abs=1e-12)
-    assert het.consts.c1 == het.c1q
-    assert het.consts.k1_empirical >= 0.0
+    assert het.c0 == pytest.approx(-2.0, abs=1e-12)
+    assert het.c1 == het.c1q
+    assert het.k1_empirical >= 0.0
 
 
 # --- renormalized energy -----------------------------------------------------
 
 def _energy(potential, u, gap0):
-    """The renormalized energy of the total strip field u on its own window."""
-    return float(_strip_system(potential, u.q, u.half_width, gap0).energy(u.values))
+    """The renormalized energy of the total strip state u on its own window."""
+    return float(_strip_system(potential, u.shape[1:], u.shape[0] // 2, gap0).energy(u))
 
 
 def test_energy_of_both_endpoints(pinned, pinned_gap, het, het_gap):
@@ -75,8 +75,7 @@ def test_energy_of_both_endpoints(pinned, pinned_gap, het, het_gap):
 
 def test_energy_stable_under_window_doubling(pinned, pinned_gap, het):
     small = _energy(pinned, het.v1, pinned_gap)
-    u, W = het.v1, 2 * het.window
-    wide = StripField(W, u.q, u.padded(W - u.half_width), u.left, u.right)
+    wide = pad_layers(het.v1, het.window, *het.tails, pinned.n)   # window 2W
     big = _energy(pinned, wide, pinned_gap)
     assert abs(big - small) <= 1e-9
 
@@ -84,7 +83,7 @@ def test_energy_stable_under_window_doubling(pinned, pinned_gap, het):
 def test_strip_gradient_matches_finite_differences(pinned, pinned_gap, het):
     system = _strip_system(pinned, (1,), 10, pinned_gap)
     rng = np.random.default_rng(8)
-    x = np.clip(het.v1.values[het.window - 10:het.window + 11]
+    x = np.clip(het.v1[het.window - 10:het.window + 11]
                 + 0.05 * rng.standard_normal((21, 1)), -0.25, 0.75)
     g = system.grad(x)
     h = 1e-6
@@ -113,17 +112,17 @@ def test_strip_hessian_matches_gradient_differences(pinned, pinned_gap):
 
 def test_flow_fixed_points(pinned, pinned_gap, params, het, het_gap):
     fp = params.with_(t_max=0.5, stationarity_tol=0.0)
-    system = _strip_system(pinned, (1,), het_gap.v1.half_width, pinned_gap)
+    system = _strip_system(pinned, (1,), het.window, pinned_gap)
     for u in (het_gap.v1, het_gap.w1):
-        out, _, _ = flow(system, u.values, fp)
-        assert np.max(np.abs(out - u.values)) < 1e-9
+        out, _, _ = flow(system, u, fp)
+        assert np.max(np.abs(out - u)) < 1e-9
 
 
-def test_flow_converges_from_box_seed(pinned, pinned_gap, params, het_gap):
+def test_flow_converges_from_box_seed(pinned, pinned_gap, params, het, het_gap):
     rng = np.random.default_rng(3)
     _, width = het_gap.order_box(pinned)
-    system = _strip_system(pinned, (1,), het_gap.v1.half_width, pinned_gap)
-    u0 = het_gap.v1.values + rng.uniform(0, 1, size=width.shape) * width
+    system = _strip_system(pinned, (1,), het.window, pinned_gap)
+    u0 = het_gap.v1 + rng.uniform(0, 1, size=width.shape) * width
     out, steps, res = flow(system, u0, params)
     assert steps > 0 and res <= params.stationarity_tol
     assert system.energy(out) <= system.energy(u0)
@@ -148,7 +147,9 @@ def test_strip_flow_comparison_and_box_invariance(pinned, pinned_gap, params, he
 # --- gap pairs -----------------------------------------------------------------
 
 def test_hetero_gap_is_translate(pinned, het, het_gap):
-    assert np.max(np.abs(het_gap.w1.values - het_gap.v1.shift1(1).values)) == 0.0
+    # w1(i) = v1(i + e_1): one layer to the left, the right tail entering
+    assert np.array_equal(het_gap.w1[:-1], het_gap.v1[1:])
+    assert np.all(het_gap.w1[-1] == het.tails[1])
     _, width = het_gap.order_box(pinned)
     assert np.min(width) >= -1e-9
     assert np.max(width) > 0.5
@@ -159,11 +160,9 @@ def test_hetero_gap_free_chain(params):
     free = make_potential("free-chain")
     from fk_saddle.fields import WindowError
     from fk_saddle.periodic import GapPair
-    from fk_saddle import TorusField
 
     # the free chain has no periodic gap either; hand it the unit box
-    gap0 = GapPair(v0=TorusField.constant((1, 1), 0.0),
-                   w0=TorusField.constant((1, 1), 1.0))
+    gap0 = GapPair(v0=np.full((1, 1), 0.0), w0=np.full((1, 1), 1.0))
     # its transition ramp never localizes: the window policy must diverge
     with pytest.raises(WindowError):
         minimize_hetero(free, (1,), gap0, params)
@@ -178,7 +177,7 @@ def test_hetero_gap_free_chain(params):
 def test_hetero_gap_deterministic(pinned, pinned_gap, params, het):
     a = find_gap_pair_hetero(pinned, het, pinned_gap, seed=9, params=params)
     b = find_gap_pair_hetero(pinned, het, pinned_gap, seed=9, params=params)
-    assert np.array_equal(a.v1.values, b.v1.values)
+    assert np.array_equal(a.v1, b.v1)
     assert a.evidence == b.evidence
 
 
@@ -233,35 +232,35 @@ def test_mph_rejects_unknown_mode(pinned, het_gap, params):
 
 
 def test_mph_stable_under_window_doubling(pinned, pinned_gap, params, het, het_gap, mph):
-    u, W = het_gap.v1, 2 * het.window
-    big = StripField(W, u.q, u.padded(W - u.half_width), u.left, u.right)
-    gap_big = type(het_gap)(v1=big, w1=big.shift1(1), gap0=pinned_gap,
-                            evidence=dict(het_gap.evidence))
+    big = pad_layers(het_gap.v1, het.window, *het.tails, pinned.n)   # window 2W
+    gap_big = type(het_gap)(v1=big, w1=pad_layers(big, 1, *het.tails, pinned.n)[2:],
+                            gap0=pinned_gap, evidence=dict(het_gap.evidence))
     mp_big = mountain_pass_hetero(pinned, gap_big, params, N=65)
     assert abs(mp_big.value - mph.value) <= 1e-8
 
 
 # --- transverse periods and the strip scan ----------------------------------------
 
-def test_strip_field_extend_tiles_the_transverse_axes():
-    u = StripField(2, (2,), np.arange(10.0).reshape(5, 2), -0.25, 0.75)
-    big = u.extend((6,))
-    assert big.q == (6,) and big.half_width == 2
-    assert (big.left, big.right) == (u.left, u.right)
-    assert np.array_equal(big.values, np.tile(u.values, (1, 3)))
+def _tiled(gap1, m):
+    """The strip pair tiled m times across its transverse axis."""
+    return HeteroGapPair(v1=np.tile(gap1.v1, (1, m)), w1=np.tile(gap1.w1, (1, m)),
+                         gap0=gap1.gap0)
+
+
+def test_order_box_tiles_only_to_multiples_of_q(pinned, het_gap):
+    pair = _tiled(het_gap, 2)
+    assert pair.periods == (2,)
+    system, hi = pair.order_box(pinned, periods=(6,))
+    assert system.q == (6,) and system.half_width == het_gap.v1.shape[0] // 2
+    assert np.array_equal(hi, np.tile(pair.w1 - pair.v1, (1, 3)))
     for bad in ((3,), (4, 1), ()):
         with pytest.raises(PeriodError):
-            u.extend(bad)
+            pair.order_box(pinned, periods=bad)
 
 
 def test_order_box_tiles_the_pair(pinned, het_gap):
     system, hi = het_gap.order_box(pinned, (2,))
-    tiled = HeteroGapPair(
-        v1=StripField(het_gap.v1.half_width, (2,), np.tile(het_gap.v1.values, (1, 2)),
-                      het_gap.v1.left, het_gap.v1.right),
-        w1=StripField(het_gap.w1.half_width, (2,), np.tile(het_gap.w1.values, (1, 2)),
-                      het_gap.w1.left, het_gap.w1.right),
-        gap0=het_gap.gap0)
+    tiled = _tiled(het_gap, 2)
     old_system, old_hi = tiled.order_box(pinned)
     assert np.array_equal(hi, old_hi)
     assert np.array_equal(system.base, old_system.base)
@@ -286,7 +285,7 @@ def test_strip_scan(pinned, het_gap, params):
         assert 0 < r.barrier <= r.witness + 1e-6
     assert abs(scan.rows[1].c - 2 * scan.rows[0].c) <= 1e-8
     for k, crit in scan.criticals.items():
-        assert crit.shape == (2 * het_gap.v1.half_width + 1, 6)
+        assert crit.shape == (het_gap.v1.shape[0], k)   # each on its own period
     D = scan.distances
     assert D.shape == (3, 3)
     assert np.array_equal(D, D.T) and np.all(np.diag(D) == 0.0)
@@ -316,8 +315,6 @@ def test_asymptotics_tags(pinned, pinned_gap, het):
 
 
 def test_asymptotics_reversed_profile(pinned, pinned_gap, het):
-    rev = StripField(het.window, (1,), het.v1.values[::-1],
-                     het.v1.right, het.v1.left)
-    rep = asymptotics_report(rev, pinned_gap)
+    rep = asymptotics_report(het.v1[::-1], pinned_gap)
     assert rep.left_tag == "w0"
     assert rep.right_tag == "v0"

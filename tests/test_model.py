@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fk_saddle import (PeriodicSystem, StripField, StripSystem, TorusField,
-                       find_gap_pair, make_potential, validate_assumptions)
+from fk_saddle import (PeriodicSystem, StripSystem, find_gap_pair,
+                       make_potential, validate_assumptions)
 from fk_saddle.cli import main
 from fk_saddle.model import (ClassicalFKPotential, ModelError, PluginPotential,
                              ball_offsets, residual_field, site_energies)
@@ -25,19 +25,19 @@ def test_ball_offsets():
 
 
 def test_local_energy_constants(classical):
-    assert local_energy(classical, TorusField.constant((1, 1), -0.25), (0, 0)) == pytest.approx(-1.0, abs=1e-12)
-    assert local_energy(classical, TorusField.constant((1, 1), 0.25), (3, -2)) == pytest.approx(1.0, abs=1e-12)
+    assert local_energy(classical, np.full((1, 1), -0.25), (0, 0)) == pytest.approx(-1.0, abs=1e-12)
+    assert local_energy(classical, np.full((1, 1), 0.25), (3, -2)) == pytest.approx(1.0, abs=1e-12)
     for c in [0.1, 0.37, -0.6]:
         # coupling terms vanish for constants
-        assert local_energy(classical, TorusField.constant((2, 2), c), (0, 0)) == \
+        assert local_energy(classical, np.full((2, 2), c), (0, 0)) == \
             pytest.approx(np.sin(TWO_PI * c), abs=1e-12)
 
 
 def test_el_residual_values(classical):
-    u = TorusField.constant((1, 1), -0.25)
+    u = np.full((1, 1), -0.25)
     for i in [(0, 0), (5, -1)]:
         assert abs(el_residual(classical, u, i)) < 1e-12
-    u0 = TorusField.constant((1, 1), 0.0)
+    u0 = np.full((1, 1), 0.0)
     assert el_residual(classical, u0, (0, 0)) == pytest.approx(TWO_PI, abs=1e-12)
 
 
@@ -45,7 +45,7 @@ def test_el_residual_of_converged_minimizer(classical, params):
     from fk_saddle import minimize_periodic
 
     res = minimize_periodic(classical, (2, 1), [0.1, 0.6], params)
-    r = residual_field(classical, res.best.values)
+    r = residual_field(classical, res.best)
     assert np.max(np.abs(r)) <= params.stationarity_tol
 
 
@@ -55,8 +55,8 @@ def test_residual_translation_equivariance(axis, m, data):
     pot = ClassicalFKPotential()
     vals = np.array(data.draw(st.lists(
         st.floats(-2, 2, allow_nan=False), min_size=6, max_size=6))).reshape(3, 2)
-    u = TorusField((3, 2), vals)
-    shifted = TorusField((3, 2), np.roll(vals, -m, axis=axis - 1))
+    u = vals
+    shifted = np.roll(vals, -m, axis=axis - 1)
     i = (data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2)))
     target = list(i)
     target[axis - 1] += m
@@ -68,10 +68,10 @@ def _torus_case(potential, periods, rng):
     base = rng.uniform(-1.0, 1.0, periods)
     system = PeriodicSystem(potential, periods, base)
     x = rng.uniform(-1.0, 1.0, periods)
-    u = TorusField(periods, x + base)
+    u = x + base
     sites = list(np.ndindex(*periods))
     energy = sum(local_energy(potential, u, j) for j in sites)
-    return system, x, u, sites, energy
+    return system, x, u, None, sites, energy
 
 
 def _strip_case(potential, rng):
@@ -80,11 +80,11 @@ def _strip_case(potential, rng):
     base = rng.uniform(-0.25, 0.75, (2 * W + 1,) + q)
     system = StripSystem(potential, q, W, -0.3, 0.8, c0, base=base)
     x = rng.uniform(-0.5, 0.5, system.shape)
-    u = StripField(W, q, x + base, -0.3, 0.8)
+    u, tails = x + base, (-0.3, 0.8)
     sites = [(i - W, k) for i, k in np.ndindex(*system.shape)]
-    energy = sum(local_energy(potential, u, (i, k)) - c0
+    energy = sum(local_energy(potential, u, (i, k), tails) - c0
                  for i in range(-W - r, W + r + 1) for k in range(q[0]))
-    return system, x, u, sites, energy
+    return system, x, u, tails, sites, energy
 
 
 @pytest.mark.parametrize("case", ["torus-3x2", "strip-q2", "plugin-r2-1x1",
@@ -100,14 +100,14 @@ def test_stencil_engine_matches_per_site_oracle(case):
     rng = np.random.default_rng(11)
     pinned = make_potential("pinned-fk")
     if case == "torus-3x2":
-        system, x, u, sites, energy = _torus_case(pinned, (3, 2), rng)
+        system, x, u, tails, sites, energy = _torus_case(pinned, (3, 2), rng)
     elif case == "strip-q2":
-        system, x, u, sites, energy = _strip_case(pinned, rng)
+        system, x, u, tails, sites, energy = _strip_case(pinned, rng)
     else:
         periods = (1, 1) if case.endswith("1x1") else (2, 1)
-        system, x, u, sites, energy = _torus_case(radius_two_springs(), periods, rng)
+        system, x, u, tails, sites, energy = _torus_case(radius_two_springs(), periods, rng)
     pot = system.potential
-    oracle = np.array([el_residual(pot, u, i) for i in sites]).reshape(x.shape)
+    oracle = np.array([el_residual(pot, u, i, tails) for i in sites]).reshape(x.shape)
     assert np.allclose(system.grad(x), oracle, rtol=0.0, atol=1e-12)
     assert system.energy(x) == pytest.approx(energy, rel=0.0, abs=1e-12)
     H = dense(system.hess_matrix(x))
@@ -223,6 +223,19 @@ def test_free_chain_refuses_an_amplitude(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, cause", [
+    ("helper_models:radius_two_springs", "TypeError"),   # the factory takes no n
+    ("helper_models:nope", "AttributeError"),
+    ("nosuchmod:f", "ModuleNotFoundError"),
+], ids=["factory-fails", "no-factory", "no-module"])
+def test_failing_plugin_is_a_model_error(tmp_path, capsys, model, cause):
+    out = tmp_path / "never.json"
+    assert main(["minimize", "--model", model, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: plug-in model %r failed: %s" % (model, cause))
+    assert not out.exists()
+
+
 def test_make_potential_plugin_path():
     pot = make_potential("helper_models:flipped")
     rep = validate_assumptions(pot, 50, seed=0)
@@ -257,7 +270,7 @@ def test_euler_step_at_one_over_l_is_monotone_and_descends(name, params):
     # on a torus and on a strip with the ground states as tails
     pot = make_potential(name)
     gap = find_gap_pair(pot, (1, 1), seed=3, params=params)
-    v0, w0 = gap.v0.values.flat[0], gap.w0.values.flat[0]
+    v0, w0 = gap.v0.flat[0], gap.w0.flat[0]
     rng = np.random.default_rng(11)
     # torus states are offsets from v0, strip states are the field itself
     for system, shape, base in ((PeriodicSystem(pot, (3, 2), gap.v0), (3, 2), 0.0),

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fk_saddle import PeriodicSystem, StripField, StripSystem
+from fk_saddle import PeriodicSystem, StripSystem
 from fk_saddle.fields import BandedHessian, pad_layers
 from fk_saddle.hetero import _strip_system
 from fk_saddle.semiflow import refine_critical
@@ -42,9 +42,9 @@ def _near(x, seed):
     return x + 1e-3 * np.random.default_rng(seed).standard_normal(x.shape)
 
 
-def _embed(u):
-    """The strip field u on the window WINDOW, its new layers on the tails."""
-    return StripField(WINDOW, u.q, u.padded(WINDOW - u.half_width), u.left, u.right)
+def _embed(u, tails):
+    """The strip state u on the window WINDOW, its new layers on the tails."""
+    return pad_layers(u, WINDOW - u.shape[0] // 2, *tails, u.ndim)
 
 
 def _widen(values, m):
@@ -52,22 +52,23 @@ def _widen(values, m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_block_step_matches_dense_at_the_kink_minimizer(pinned, pinned_gap, het_gap, m):
+def test_block_step_matches_dense_at_the_kink_minimizer(pinned, pinned_gap, het, het_gap, m):
     # no base: the state is the total field and carries the ground-state tails
-    v1 = _embed(het_gap.v1)
+    v1 = _embed(het_gap.v1, het.tails)
     system = _strip_system(pinned, (m,), WINDOW, pinned_gap)
     assert system.stencil.block_layout[1] >= 7
-    dev, eig = _deviation(system, _near(_widen(v1.values, m), m))
+    dev, eig = _deviation(system, _near(_widen(v1, m), m))
     assert eig[0] > 0
     assert dev <= 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_block_step_matches_dense_at_the_strip_saddle(pinned, pinned_gap, het_gap, mph, m):
+def test_block_step_matches_dense_at_the_strip_saddle(pinned, pinned_gap, het, het_gap,
+                                                      mph, m):
     # with a base: the state is the offset from v1, the strip mountain pass
     v1 = het_gap.v1
-    margin = WINDOW - v1.half_width
-    base = _widen(_embed(v1).values, m)
+    margin = WINDOW - v1.shape[0] // 2
+    base = _widen(_embed(v1, het.tails), m)
     crit = _widen(pad_layers(mph.critical, margin, 0.0, 0.0, pinned.n), m)
     system = _strip_system(pinned, (m,), WINDOW, pinned_gap, base=base)
     dev, eig = _deviation(system, _near(crit, 10 + m))
@@ -91,7 +92,7 @@ def test_block_step_matches_dense_on_the_radius_two_plugin():
 
 def test_one_block_step_is_the_dense_solve(classical, gap, pinned):
     rng = np.random.default_rng(2)
-    systems = [PeriodicSystem(classical, p, gap.v0.extend(p))
+    systems = [PeriodicSystem(classical, p, gap.v0)
                for p in ((1, 1), (2, 1), (3, 2), (8, 8))]
     systems.append(PeriodicSystem(radius_two_springs(), (2, 1)))
     systems.append(StripSystem(pinned, (2,), 3, -0.25, 0.75, c0=0.0))
@@ -167,9 +168,9 @@ def test_certificate_refuses_a_failed_block_solve(d0):
     assert np.array_equal(x, x0)
 
 
-def test_certificate_refuses_a_wrong_step(pinned, pinned_gap, het_gap, monkeypatch):
+def test_certificate_refuses_a_wrong_step(pinned, pinned_gap, het, het_gap, monkeypatch):
     system = _strip_system(pinned, (1,), WINDOW, pinned_gap)
-    x0 = _near(_embed(het_gap.v1).values, 0)
+    x0 = _near(_embed(het_gap.v1, het.tails), 0)
     _, res_ok, ok = refine_critical(system, x0, 1e-12)
     assert ok and res_ok <= 1e-12
     true_solve = BandedHessian.solve

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from fk_saddle import (FlowParams, TorusField, find_gap_pair, make_potential,
-                       minimize_periodic)
+from fk_saddle import FlowParams, find_gap_pair, make_potential, minimize_periodic
 from fk_saddle.fields import BandedHessian, PeriodError
 from fk_saddle.model import PluginPotential
-from fk_saddle.periodic import NoGapError, PeriodicSystem, require_gap
+from fk_saddle.periodic import GapPair, NoGapError, PeriodicSystem, require_gap
 from fk_saddle.semiflow import (FlowError, flow, flow_to_stationarity,
                                 refine_critical)
 
@@ -16,8 +15,8 @@ def test_torus_energy_values(classical):
     for p, level in (((1, 1), -1.0), ((2, 1), -2.0)):
         energy = PeriodicSystem(classical, p).energy(np.full(p, -0.25))
         assert energy == pytest.approx(level, abs=1e-12)
-    u = TorusField.constant((1, 1), 0.3)
-    assert PeriodicSystem(classical, (1, 1)).energy(u.values) == pytest.approx(
+    u = np.full((1, 1), 0.3)
+    assert PeriodicSystem(classical, (1, 1)).energy(u) == pytest.approx(
         local_energy(classical, u, (0, 0)), abs=1e-14)
 
 
@@ -26,15 +25,23 @@ def test_relative_energy_values(classical, gap):
     system = PeriodicSystem(classical, p, gap.v0)
     assert system.energy(np.zeros(p)) == pytest.approx(-1.0, abs=1e-12)
     w_minus_v = gap.w0 - gap.v0
-    assert system.energy(w_minus_v.values) == pytest.approx(-1.0, abs=1e-12)
+    assert system.energy(w_minus_v) == pytest.approx(-1.0, abs=1e-12)
     assert system.energy(np.full(p, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_relative_energy_period_mismatch(classical, gap):
     # a (2,1) reference does not extend to the (3,1) torus
-    bad_v0 = TorusField.constant((2, 1), -0.25)
+    bad_v0 = np.full((2, 1), -0.25)
     with pytest.raises(PeriodError):
         PeriodicSystem(classical, (3, 1), bad_v0)
+
+
+def test_box_field_tiles_to_multiples_only():
+    # the box corner of a (2,1) pair tiles to (4,2) but not to (3,1)
+    pair = GapPair(v0=np.full((2, 1), -0.25), w0=np.full((2, 1), 0.75))
+    assert np.array_equal(pair.box_field((4, 2)), np.ones((4, 2)))
+    with pytest.raises(PeriodError):
+        pair.box_field((3, 1))
 
 
 def test_gradient_examples(classical, gap, params):
@@ -44,8 +51,8 @@ def test_gradient_examples(classical, gap, params):
     # stationarity of a converged minimizer offset
     p = (2, 1)
     res = minimize_periodic(classical, p, [0.3], params)
-    off = res.best - gap.v0.extend(p)
-    g = PeriodicSystem(classical, p, gap.v0).grad(off.values)
+    off = res.best - gap.v0
+    g = PeriodicSystem(classical, p, gap.v0).grad(off)
     assert np.linalg.norm(g) <= params.stationarity_tol
 
 
@@ -69,7 +76,7 @@ def test_flow_fixed_points(classical, gap, params):
     fp = params.with_(t_max=1.0, stationarity_tol=0.0)
     out, _, _ = flow(system, np.zeros(p), fp)
     assert np.max(np.abs(out)) < 1e-9
-    top = gap.box_field(p).values
+    top = gap.box_field(p)
     out, _, _ = flow(system, top, fp)
     assert np.max(np.abs(out - top)) < 1e-9
 
@@ -98,14 +105,14 @@ def test_flow_budget_short_of_t_max_raises(classical, gap, params):
 def test_minimize_single_cell(classical, params):
     res = minimize_periodic(classical, (1, 1), [0.0, 0.3, 0.6], params)
     assert res.c0p == pytest.approx(-1.0, abs=1e-10)
-    assert res.best.values.flat[0] == pytest.approx(0.75, abs=1e-8)
+    assert res.best.flat[0] == pytest.approx(0.75, abs=1e-8)
 
 
 def test_minimize_extension(classical, params):
     res = minimize_periodic(classical, (2, 1), [0.1, 0.6], params)
     assert res.c0p == pytest.approx(-2.0, abs=1e-10)
     # the minimizer is the single-cell minimizer extended
-    assert np.max(np.abs(res.best.values - 0.75)) < 1e-8
+    assert np.max(np.abs(res.best - 0.75)) < 1e-8
 
 
 @pytest.mark.parametrize("p", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
@@ -118,11 +125,14 @@ def test_scaling_law(classical, params, p):
 def test_minimize_requires_seed(classical, params):
     with pytest.raises(Exception):
         minimize_periodic(classical, (1, 1), [], params)
+    # a seed is a float or an array of the periods' shape
+    with pytest.raises(PeriodError):
+        minimize_periodic(classical, (2, 1), [0.3, np.zeros((3, 1))], params)
 
 
 def test_gap_pair_classical(gap):
-    assert gap.v0.values.flat[0] == pytest.approx(-0.25, abs=1e-8)
-    assert gap.w0.values.flat[0] == pytest.approx(0.75, abs=1e-8)
+    assert gap.v0.flat[0] == pytest.approx(-0.25, abs=1e-8)
+    assert gap.w0.flat[0] == pytest.approx(0.75, abs=1e-8)
     assert gap.evidence["distinct_interior_minimizers"] == 0
 
 
@@ -134,7 +144,7 @@ def test_gap_pair_free_chain(params):
 def test_gap_pair_two_well(twowell, params):
     g = find_gap_pair(twowell, (1, 1), seed=1, params=params)
     assert g is not None
-    width = g.w0.values - g.v0.values
+    width = g.w0 - g.v0
     assert np.max(np.abs(width - 0.5)) < 1e-8
 
 
@@ -147,7 +157,7 @@ def test_flow_comparison_order(classical, gap, params):
     # ordered initial data stays strictly ordered under the semiflow
     rng = np.random.default_rng(21)
     p = (2, 1)
-    system = PeriodicSystem(classical, p, gap.v0.extend(p))
+    system = PeriodicSystem(classical, p, gap.v0)
     u1 = rng.uniform(0.0, 0.45, size=(10,) + p)
     u2 = u1 + rng.uniform(0.05, 0.5, size=(10,) + p)
     fp = params.with_(t_max=0.25, stationarity_tol=0.0)
@@ -159,9 +169,8 @@ def test_strong_comparison_of_stationary_fields(classical, gap, params):
     p = (2, 1)
     res = minimize_periodic(
         classical, p,
-        [TorusField((p), np.array([[0.1], [0.9]])),
-         TorusField((p), np.array([[0.02], [0.6]])), 0.2, 0.9], params)
-    flats = [f.values.ravel() for f in res.limits]
+        [np.array([[0.1], [0.9]]), np.array([[0.02], [0.6]]), 0.2, 0.9], params)
+    flats = [f.ravel() for f in res.limits]
     for i in range(len(flats)):
         for j in range(len(flats)):
             d = flats[j] - flats[i]
@@ -172,8 +181,8 @@ def test_strong_comparison_of_stationary_fields(classical, gap, params):
 def test_box_invariance(classical, gap, params):
     rng = np.random.default_rng(9)
     p = (2, 1)
-    system = PeriodicSystem(classical, p, gap.v0.extend(p))
-    box = gap.box_field(p).values
+    system = PeriodicSystem(classical, p, gap.v0)
+    box = gap.box_field(p)
     seeds = rng.uniform(0, 1, size=(20,) + p) * box
     fp = params.with_(t_max=1.0, stationarity_tol=0.0)
     out, _, _ = flow(system, seeds, fp)
@@ -197,7 +206,7 @@ def test_resolve_dt_rejects_nan_bound():
     with pytest.raises(FlowError, match="finite and positive"):
         FlowParams().resolve_dt(PeriodicSystem(plug, p))
     with pytest.raises(FlowError, match="finite and positive"):
-        minimize_periodic(plug, p, [TorusField.constant(p, 0.3)], FlowParams())
+        minimize_periodic(plug, p, [np.full(p, 0.3)], FlowParams())
 
 
 def test_minimize_work_count(classical, params, monkeypatch):
@@ -210,7 +219,7 @@ def test_minimize_work_count(classical, params, monkeypatch):
                         lambda *a, **k: steps.append(1) or step(*a, **k))
     p = (3, 2)
     res = minimize_periodic(classical, p,
-                            [TorusField.constant(p, j / 8.0) for j in range(8)],
+                            [np.full(p, j / 8.0) for j in range(8)],
                             params)
     assert res.c0p == pytest.approx(-6.0, abs=1e-9)
     assert 0 < len(steps) <= 1374 // 10
