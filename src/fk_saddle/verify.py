@@ -10,9 +10,9 @@ Taylor bounds at block centres (with the model's Lipschitz bound) bracket the
 answer, blocks certainly below the bracket hold its low end and blocks
 certainly above it are walls, and the answer and every evaluated cell are
 checked against those bounds.  Only the band is stored, and the sweep costs
-what the band costs: each block holding one value is a single node, and
-the cells of the other blocks are evaluated straight into a packed array of
-blocks, the only cells swept.  ``sample_landscape`` evaluates every cell.
+what the band costs: blocks not holding one value are packed side by side,
+the only cells swept, and each connected set of blocks holding one value is
+one node.  ``sample_landscape`` evaluates every cell.
 
 The property suite replays, at desk scale, every inequality the theory
 guarantees: submodularity of the local energies, order preservation and
@@ -63,10 +63,10 @@ class OracleGrid2D:
     value every cell of block (i, j) holds, NaN for a block with evaluated
     cells, and ``packed[k]`` holds the ``ORACLE_BLOCK``^2 cells of the k-th
     NaN block of ``fill`` in row-major order (a ragged last block repeats
-    its edge cells); the sweep takes a filled block as one node and visits
-    the cells of the others only.  A grid built by hand holds ``values``, a
-    dense array of any shape, and is one block of evaluated cells, with no
-    bracket and ``evaluated``, ``fill`` and ``packed`` None.
+    its edge cells); the sweep takes a connected set of equal filled blocks
+    as one node and visits the others' cells only.  A hand-built grid holds
+    ``values``, a dense array of any shape, and is one block of evaluated
+    cells, with no bracket and ``evaluated``, ``fill`` and ``packed`` None.
     """
 
     resolution: int
@@ -188,14 +188,45 @@ def _sweeper(D, V):
                           v[:, i - 1], row))
 
     def sweep():
-        before = D.copy()
+        changed = False
         for cur, left, mid, right, v, row in steps:
-            np.minimum(cur, left, out=row)
-            np.minimum(row, mid, out=row)
+            # max(V, min(cur, x)) = min(cur, max(V, x)), as V <= cur
+            np.minimum(left, mid, out=row)
             np.minimum(row, right, out=row)
-            np.maximum(v, row, out=cur)
-        return not np.array_equal(before, D)
+            np.maximum(v, row, out=row)
+            if changed or (row < cur).any():
+                np.minimum(cur, row, out=cur)
+                changed = True
+        return changed
     return sweep
+
+
+def _components(fill):
+    """Label the 8-connected sets of equal nodes (not NaN) of ``fill`` by
+    union-find over the runs of equal nodes along its rows.  Returns each
+    entry's component (-1 off the nodes), the components' values and the
+    pairs (u, w) of touching components of different values, both ways."""
+    f = np.pad(fill, ((0, 0), (0, 1)), constant_values=np.nan).ravel()
+    node, K = ~np.isnan(f), fill.shape[1] + 1
+    head = node & np.r_[True, f[1:] != f[:-1]]
+    s, e = np.flatnonzero(head), np.flatnonzero(node & np.r_[f[:-1] != f[1:], True])
+    # the runs of the next row touching [s, e] end at s - 1 or later and start at e + 1 or sooner
+    lo = np.searchsorted(e, s + K - 1)
+    n = np.searchsorted(s, e + K + 1, "right") - lo
+    a = np.repeat(np.arange(len(s)), n)
+    b = np.arange(len(a)) + np.repeat(lo + n - np.cumsum(n), n)
+    same = f[s[a]] == f[s[b]]
+    root, ja, jb = np.arange(len(s)), a[same], b[same]
+    while np.any(root[ja] != root[jb]):
+        np.minimum.at(root, np.maximum(root[ja], root[jb]), np.minimum(root[ja], root[jb]))
+        while np.any(root[root] != root):
+            root = root[root]
+    top, run = np.unique(root, return_inverse=True)
+    comp = np.full(len(f), -1, np.int32)
+    comp[node] = run[np.cumsum(head)[node] - 1]
+    side = np.flatnonzero(s[1:] == e[:-1] + 1)
+    u, w = np.r_[a[~same], side], np.r_[b[~same], side + 1]
+    return comp.reshape(-1, K)[:, :-1], f[s[top]], (run[np.r_[u, w]], run[np.r_[w, u]])
 
 
 def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
@@ -204,16 +235,14 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
     D(x), the least path maximum from (0, 0) to x, is the unique fixed point
     of D = max(values, min of D over the 3x3 neighbourhood) with
     D(0, 0) = values(0, 0).  D is constant on a connected set of equal
-    values, so each filled block of the grid is one node; the other blocks
-    are packed with a one-cell halo.  A round fills the halos from the
+    values, so each component of equal filled blocks is one node; the other
+    blocks are packed with a one-cell halo.  A round fills the halos from the
     neighbouring cells and nodes (+inf off the grid), sweeps every packed
-    block at once, lowers each node by its adjacent packed cells and sweeps
-    the grid of nodes, packed blocks acting as walls; that last sweep is
-    skipped when its previous run changed nothing and no node moved since.
-    Rounds from D = inf only lower D and never below the true field, so the
-    first round that changes nothing stops on it exactly, and the answer is
-    one of the grid's own samples.  It must lie in the grid's certified
-    bracket.
+    block at once, lowers each node by its adjacent packed cells and then
+    by the touching nodes of other values until none moves.  Rounds from
+    D = inf only lower D and never below the true field, so the first round
+    that changes nothing stops on it exactly, and the answer is one of the
+    grid's own samples.  It must lie in the grid's certified bracket.
     """
     values = grid.values
     if values is None:
@@ -224,23 +253,20 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
     else:
         (R, C), (br, bc), fill = values.shape, (ORACLE_BLOCK, ORACLE_BLOCK), grid.fill
     nodes = ~np.isnan(fill)
-    I, J = np.nonzero(~nodes)
+    I, J = (i.astype(np.int32) for i in np.nonzero(~nodes))
     V = grid.packed if values is None else values[
         _block_cells(I, R, br)[:, :, None], _block_cells(J, C, bc)[:, None]]
     if not (np.all(np.isfinite(V)) and np.all(np.isfinite(fill[nodes]))):
         raise FkSaddleError("oracle grid has non-finite values")
-    W = np.where(nodes, fill, np.inf)[None]
+    slot, level, (u, w) = _components(fill)
 
-    # one buffer: the packed blocks, then the haloed grid of nodes, whose
-    # corner E[size] is +inf for ever
+    # one buffer, int32-indexed: the packed blocks, one slot per node, +inf
     S = (br + 2) * (bc + 2)
     size = len(I) * S
-    E = np.full(size + (W.shape[1] + 2) * (W.shape[2] + 2), np.inf)
-    P = E[:size].reshape(len(I), br + 2, bc + 2)
-    Q = E[size:].reshape(1, W.shape[1] + 2, W.shape[2] + 2)
-    slot = np.empty(fill.shape, dtype=np.intp)
+    E = np.full(size + len(level) + 1, np.inf)
+    P, N = E[:size].reshape(len(I), br + 2, bc + 2), E[size:-1]
+    slot += np.int32(size)
     slot[~nodes] = np.arange(len(I)) * S
-    slot[nodes] = size + np.flatnonzero(np.pad(nodes, 1))
 
     def at(a, b):
         """The index into E of the state of cell (a, b)."""
@@ -248,43 +274,47 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
         inner = (a - ia * br + 1) * (bc + 2) + b - ib * bc + 1
         return slot[ia, ib] + np.where(nodes[ia, ib], 0, inner)
 
-    ri, rj = np.nonzero(np.pad(np.zeros((br, bc), bool), 1, constant_values=True))
+    ri, rj = (i.astype(np.int32) for i in
+              np.nonzero(np.pad(np.zeros((br, bc), bool), 1, constant_values=True)))
     a, b = I[:, None] * br + ri - 1, J[:, None] * bc + rj - 1
     inside = (a >= 0) & (a < R) & (b >= 0) & (b < C)
     a, b = np.clip(a, 0, R - 1), np.clip(b, 0, C - 1)
-    src = np.where(inside, at(a, b), size)
-    dst = np.arange(len(I))[:, None] * S + ri * (bc + 2) + rj
+    src = np.where(inside, at(a, b), len(E) - 1)
+    start, end = at(0, 0), at(R - 1, C - 1)
+    dst = np.arange(len(I), dtype=np.int32)[:, None] * S + ri * (bc + 2) + rj
     # each node against the packed cells next to the halo cells it fills
     k, h = np.nonzero(inside & nodes[a // br, b // bc])
-    node = src[k, h]
+    del a, b, inside, slot
     near, cell = [], []
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             ni, nj = ri[h] + di, rj[h] + dj
             ok = (ni >= 1) & (ni <= br) & (nj >= 1) & (nj <= bc)
-            near.append(node[ok])
-            cell.append(k[ok] * S + ni[ok] * (bc + 2) + nj[ok])
-    order = np.argsort(np.concatenate(near), kind="stable")
-    near, cell = np.concatenate(near)[order], np.concatenate(cell)[order]
-    starts = np.flatnonzero(np.diff(near, prepend=-1))
-    targets = near[starts]
-    level = np.pad(W[0], 1).ravel()[targets - size]
+            near.append(src[k[ok], h[ok]] - size)
+            cell.append(k[ok].astype(np.int32) * S + ni[ok] * (bc + 2) + nj[ok])
+    del k, h, ni, nj, ok
+    near, cell = np.concatenate(near), np.concatenate(cell)
+    cell = cell[np.argsort(near)]
+    count = np.bincount(near, minlength=len(level))
+    targets = np.flatnonzero(count)
+    starts = (np.cumsum(count) - count)[targets]
 
-    fine, coarse = _sweeper(P, V), _sweeper(Q, W)
-    E[at(0, 0)] = fill[0, 0] if nodes[0, 0] else V[0, 0, 0]
-    changed = nodes_moved = True
+    fine = _sweeper(P, V)
+    E[start] = fill[0, 0] if nodes[0, 0] else V[0, 0, 0]
+    changed = True
     while changed:
         E[dst] = E[src]
         changed = fine()
-        low = np.maximum(level, np.minimum.reduceat(E[cell], starts))
-        lower = low < E[targets]
-        if lower.any():
-            E[targets[lower]] = low[lower]
-            changed = nodes_moved = True
-        if nodes_moved:
-            nodes_moved = coarse()
-            changed |= nodes_moved
-    value = float(E[at(R - 1, C - 1)])
+        low = np.maximum(level[targets], np.minimum.reduceat(E[cell], starts))
+        changed |= (low < N[targets]).any()
+        N[targets] = np.minimum(N[targets], low)
+        moved = True
+        while moved:
+            low = np.maximum(level[u], N[w])
+            moved = (low < N[u]).any()
+            np.minimum.at(N, u, low)
+            changed |= moved
+    value = float(E[end])
     lo, hi = grid.bracket
     if not lo <= value <= hi:
         raise FkSaddleError("oracle bottleneck %r outside its certified bracket "

@@ -185,19 +185,147 @@ def test_bottleneck_matches_widest_path_reference(seed):
         assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
 
 
-@pytest.mark.parametrize("model, resolution, expected", [
-    ("classical", 401, 0.06250000000000011),
-    ("twowell", 801, 1.015625),
-    ("pinned", 801, 0.0625),
-])
-def test_bottleneck_exact_on_reduced_landscapes(request, params, model,
-                                                resolution, expected):
+# the twelve oracle cases at gap seed 3: value, bracket, evaluated cells,
+# constant and packed blocks
+ORACLE_CASES = [
+    ("classical", 401, 0.06250000000000011, (0.05289073180285422, 0.07210926819714601),
+     18460, 1491, 190),
+    ("classical", 801, 0.06250000000000011, (0.060947636526256566, 0.06412718057476738),
+     27660, 6279, 282),
+    ("classical", 1201, 0.0625, (0.061398591728357974, 0.06384806354823769), 42280, 14211, 430),
+    ("classical", 2001, 0.06249999999999989, (0.06212747647350642, 0.06296125132116089),
+     63060, 39765, 636),
+    ("pinned", 401, 0.0625, (0.03790958966820843, 0.08709041033179202), 20280, 1471, 210),
+    ("pinned", 801, 0.0625, (0.05775552698398327, 0.06724447301601628), 28860, 6267, 294),
+    ("pinned", 1201, 0.0625, (0.06101608791873024, 0.06398391208126976), 40060, 14235, 406),
+    ("pinned", 2001, 0.0625, (0.06194219717637716, 0.06323543371320003), 59860, 39797, 604),
+    ("twowell", 401, 1.0156249999999998, (1.0094773956670517, 1.0217726043329478),
+     20280, 1471, 210),
+    ("twowell", 801, 1.015625, (1.014438879995996, 1.0168111200040044), 28860, 6267, 294),
+    ("twowell", 1201, 1.015625, (1.0152540202296825, 1.0159959797703175), 40060, 14235, 406),
+    ("twowell", 2001, 1.0156250000000002, (1.0154855475440943, 1.0158088601783),
+     59860, 39797, 604),
+]
+
+
+@pytest.fixture(scope="module")
+def seed3_gaps(gap, pinned_gap, twowell, params):
+    return {"classical": gap, "pinned": pinned_gap,
+            "twowell": find_gap_pair(twowell, (1, 1), seed=3, params=params)}
+
+
+@pytest.mark.parametrize("model, resolution, expected, band", [
+    (model, resolution, expected, band) for model, resolution, expected, *band in ORACLE_CASES
+], ids=["%s-%d-%s" % case[:3] for case in ORACLE_CASES])
+def test_bottleneck_exact_on_reduced_landscapes(request, seed3_gaps, model,
+                                                resolution, expected, band):
     # the oracle returns one of the grid's own samples, so the recorded
-    # values hold bit for bit, not to a tolerance
-    potential = request.getfixturevalue(model)
-    gap = find_gap_pair(potential, (1, 1), seed=3, params=params)
-    grid = OracleGrid2D.build(potential, gap, resolution)
+    # values hold bit for bit, not to a tolerance, and so do the bands
+    grid = OracleGrid2D.build(request.getfixturevalue(model), seed3_gaps[model], resolution)
     assert bottleneck_minimax_2d(grid) == expected
+    constant = int(np.count_nonzero(~np.isnan(grid.fill)))
+    assert [grid.bracket, grid.evaluated, constant, grid.fill.size - constant] == band
+
+
+def flood_components(fill):
+    """Breadth-first flood fill of the 8-connected sets of equal entries of
+    ``fill`` that are not NaN: the labels (-1 on NaN) and the set of label
+    pairs of touching entries of different values."""
+    labels = np.full(fill.shape, -1)
+    touching = set()
+    for start in zip(*np.nonzero(~np.isnan(fill))):
+        if labels[start] >= 0:
+            continue
+        labels[start] = label = labels.max() + 1
+        queue = [start]
+        while queue:
+            i, j = queue.pop()
+            for a in range(max(i - 1, 0), min(i + 2, fill.shape[0])):
+                for b in range(max(j - 1, 0), min(j + 2, fill.shape[1])):
+                    if fill[a, b] == fill[i, j] and labels[a, b] < 0:
+                        labels[a, b] = label
+                        queue.append((a, b))
+    for i, j in zip(*np.nonzero(labels >= 0)):
+        for a in range(max(i - 1, 0), min(i + 2, fill.shape[0])):
+            for b in range(max(j - 1, 0), min(j + 2, fill.shape[1])):
+                if labels[a, b] >= 0 and fill[a, b] != fill[i, j]:
+                    touching.add((labels[i, j], labels[a, b]))
+    return labels, touching
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_components_match_a_flood_fill(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        shape = tuple(int(n) for n in rng.integers(15, 250, 2))
+        fill = blocked(terraces(rng, shape)).fill
+        slot, level, (u, w) = verify._components(fill)
+        labels, touching = flood_components(fill)
+        nodes = labels >= 0
+        assert np.all(slot[~nodes] == -1) and np.all(level[slot[nodes]] == fill[nodes])
+        # the same partition under a one-to-one map of the labels
+        same = {(int(a), int(b)) for a, b in zip(labels[nodes], slot[nodes])}
+        assert len(same) == len(level) == labels.max() + 1
+        assert len({b for _, b in same}) == len(same)
+        to_slot = dict(same)
+        assert set(zip(u.tolist(), w.tolist())) == {(to_slot[a], to_slot[b])
+                                                    for a, b in touching}
+
+
+def block_grid(blocks, noisy, rng):
+    """Cells of ``blocks`` (``B``^2 each, the last row and column ragged at
+    ``B`` - 3), uniform noise on the blocks where ``noisy`` holds."""
+    cells = (blocks.shape[0] * B - 3, blocks.shape[1] * B - 3)
+    values = np.kron(blocks, np.ones((B, B)))[:cells[0], :cells[1]]
+    mask = np.kron(noisy, np.ones((B, B), bool))[:cells[0], :cells[1]]
+    values[mask] = rng.uniform(0.0, 1.0, np.count_nonzero(mask))
+    return values
+
+
+def test_sweep_crosses_a_constant_u_around_a_wall():
+    # one component at 0.5 wraps a wall of 9 in a U whose arms join only in
+    # its bottom row; the start corner is at the top of its left arm, and
+    # the far corner is reached through noise from the top of its right arm
+    blocks = np.full((6, 6), 9.0)
+    blocks[:, 0] = blocks[5, :4] = blocks[:, 3] = 0.5
+    noisy = np.zeros((6, 6), bool)
+    noisy[0, 4:] = noisy[:, 5] = True
+    values = block_grid(blocks, noisy, np.random.default_rng(11))
+    grid = blocked(values)
+    slot, level, _ = verify._components(grid.fill)
+    assert len(np.unique(slot[grid.fill == 0.5])) == 1
+    assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+
+
+@pytest.mark.parametrize("first, second", [(0.3, 0.7), (0.7, 0.3)])
+def test_sweep_crosses_two_touching_components(first, second):
+    # the start corner's component touches one of another value, and only
+    # that one leads, through noise, to the far corner
+    blocks = np.full((4, 4), 9.0)
+    blocks[0, :2] = blocks[1, 1] = first
+    blocks[1:, 2] = second
+    noisy = np.zeros((4, 4), bool)
+    noisy[3, 3] = True
+    values = block_grid(blocks, noisy, np.random.default_rng(13))
+    grid = blocked(values)
+    slot, level, (u, w) = verify._components(grid.fill)
+    assert (slot[0, 0], slot[3, 2]) in set(zip(u.tolist(), w.tolist()))
+    assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+
+
+def test_built_band_sweeps_only_its_packed_blocks(classical, gap, monkeypatch):
+    grid = OracleGrid2D.build(classical, gap, 401)
+    shapes = []
+    make = verify._sweeper
+
+    def recorded(D, V):
+        shapes.append((D.shape, V.shape))
+        return make(D, V)
+
+    monkeypatch.setattr(verify, "_sweeper", recorded)
+    assert bottleneck_minimax_2d(grid) == 0.06250000000000011
+    m = len(grid.packed)
+    assert shapes == [((m, B + 2, B + 2), (m, B, B))]
 
 
 def test_import_loads_no_scipy():
@@ -298,14 +426,14 @@ def test_band_evaluates_few_cells_at_2001(classical, gap):
 
 def test_oracle_memory_stays_below_a_dense_grid(classical, gap):
     # the band and the chunked energy passes, never the 2001^2 grid, whose
-    # floats alone take 30.5 MiB
+    # floats alone take 30.5 MiB, nor a grid of its 201^2 blocks
     tracemalloc.start()
     try:
         bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 2001))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.fixture(scope="module")
