@@ -29,6 +29,9 @@ class ConfigError(FkSaddleError):
 
 
 def _parse_int_tuple(text):
+    """Comma-separated integers; an empty value is ``()`` (no periods)."""
+    if not str(text).strip():
+        return ()
     try:
         return tuple(int(x) for x in str(text).split(","))
     except ValueError:

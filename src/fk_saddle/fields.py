@@ -6,21 +6,22 @@ cell ``{0..p_1-1} x ... x {0..p_n-1}``, and a function on the strip
 Z x (Z^{n-1}/qZ^{n-1}) is its values on the layers ``i_1 in [-W, W]``, shape
 ``(2 W + 1, *q)``.  The geometry belongs to the systems
 (``periodic.PeriodicSystem``, ``hetero.StripSystem``): they hold the
-periods, the window, the constant tails outside it and the base state.
-:func:`tile` re-stores a state on periods that are multiples of its own, and
-:func:`pad_layers` widens a strip window by its tails.
+periods, the window, the constant tails outside it and the base state, and
+each builds the *total* field the energy reads with its ``total`` method.
+:func:`tile` re-stores a state on periods that are multiples of its own.
 
 :class:`Stencil` at the bottom evaluates the local energies on either
-geometry from index tables built once per lattice shape.  The lattice the
-energy reads is stored as one flat *total* vector: the state values on the
-torus, and on the strip the window values with ``2 r`` ghost layers on each
-side that hold the tail constants, so the strip's Dirichlet data are ordinary
-table entries.  Gathering the stencil configurations and scattering local
-gradients into equilibrium residuals are one ``np.take`` each over any
-leading batch axes (the lattice axes are always the trailing ones).  The
-Hessian is scattered from the local Hessians through the same tables into a
-block-tridiagonal :class:`BandedHessian` (layers grouped along axis 0), so
-its storage is O(sites * block); the dense matrix is kept as a test oracle.
+geometry from index tables built once per lattice shape.  It reads the total
+field: ``base + state`` on the torus, and on the strip ``base + state`` on
+the window with ``2 r`` ghost layers on each side that hold the tail
+constants (written by ``StripSystem.total`` alone), so the strip's Dirichlet
+data are ordinary table entries.  Gathering the stencil configurations and
+scattering local gradients into equilibrium residuals are one ``np.take``
+each over any leading batch axes (the lattice axes are always the trailing
+ones).  The Hessian is scattered from the local Hessians through the same
+tables into a block-tridiagonal :class:`BandedHessian` (layers grouped along
+axis 0), so its storage is O(sites * block); the dense matrix is kept as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -68,18 +69,6 @@ def tile(values, shape) -> np.ndarray:
     return np.tile(values, tuple(big // s for big, s in zip(shape, values.shape)))
 
 
-def pad_layers(values: np.ndarray, margin: int, left: float, right: float, n: int) -> np.ndarray:
-    """Extend the layer axis (first lattice axis) by constant tails."""
-    if margin == 0:
-        return values
-    layer_ax = values.ndim - n
-    widths = [(0, 0)] * values.ndim
-    widths[layer_ax] = (margin, margin)
-    cvals = [(0.0, 0.0)] * values.ndim
-    cvals[layer_ax] = (left, right)
-    return np.pad(values, widths, mode="constant", constant_values=cvals)
-
-
 # ---------------------------------------------------------------------------
 # the stencil engine (operates on raw arrays, lattice axes trailing)
 # ---------------------------------------------------------------------------
@@ -89,9 +78,10 @@ class Stencil:
 
     ``shape`` is the state shape: ``p`` on the torus (``margin = 0``) or
     ``(2 W + 1, *q)`` on the strip (``margin = r``).  The energy sites are
-    the state sites plus ``margin`` layers on each side; the total vector
-    adds ``2 margin`` ghost layers on each side, holding the tails.  All
-    other axes (and, on the torus, the first one too) are periodic.
+    the state sites plus ``margin`` layers on each side; the total field
+    every method takes adds ``2 margin`` ghost layers on each side, which
+    hold the tails.  All other axes (and, on the torus, the first one too)
+    are periodic.
 
     * ``fwd[j, b]`` is the total index of site ``j + ball[b]`` for every
       energy site ``j``: configurations are ``total[..., fwd]``.
@@ -121,33 +111,25 @@ class Stencil:
         for table in (self.fwd, self.bwd):
             table.setflags(write=False)
 
-    def gather(self, values, left=0.0, right=0.0):
-        """Configurations ``(..., energy sites, nball)`` of a state batch."""
-        values = np.asarray(values, dtype=float)
-        batch = values.shape[:values.ndim - len(self.shape)]
-        ghosts = self.ghosts
-        if ghosts:
-            tail = (slice(None),) * (len(self.shape) - 1)
-            total = np.empty(batch + (self.shape[0] + 2 * ghosts,) + self.shape[1:])
-            total[(Ellipsis, slice(None, ghosts)) + tail] = left
-            total[(Ellipsis, slice(ghosts, -ghosts)) + tail] = values
-            total[(Ellipsis, slice(-ghosts, None)) + tail] = right
-            values = total
-        return np.take(values.reshape(batch + (-1,)), self.fwd, axis=-1)
+    def gather(self, total):
+        """Configurations ``(..., energy sites, nball)`` of a total-field batch."""
+        total = np.asarray(total, dtype=float)
+        batch = total.shape[:total.ndim - len(self.shape)]
+        return np.take(total.reshape(batch + (-1,)), self.fwd, axis=-1)
 
-    def energies(self, potential, values, left=0.0, right=0.0):
+    def energies(self, potential, total):
         """Local energies ``S_j`` at every energy site, in the lattice shape."""
-        e = potential.energy(self.gather(values, left, right))
+        e = potential.energy(self.gather(total))
         return e.reshape(e.shape[:-1] + self.energy_shape)
 
-    def residual(self, potential, values, left=0.0, right=0.0):
+    def residual(self, potential, total):
         """Equilibrium residual ``sum_b d_i S_{i - ball[b]}`` at every state site."""
-        g = potential.gradient(self.gather(values, left, right))
+        g = potential.gradient(self.gather(total))
         batch = g.shape[:-2]
         flat = np.take(g.reshape(batch + (-1,)), self.bwd, axis=-1)
         return flat.sum(-2).reshape(batch + self.shape)
 
-    def hessian(self, potential, values, left=0.0, right=0.0):
+    def hessian(self, potential, total):
         """Dense Hessian at one state, rows/cols in C order of the state.
 
         The test oracle of :meth:`banded_hessian`; no solver calls it.  Each
@@ -155,17 +137,17 @@ class Stencil:
         offsets first, and the row offsets are added in ball order, as in
         the Hessian action ``sum_a sum_b``; entries on ghost sites are dropped.
         """
-        h = potential.hessian(self.gather(values, left, right))
+        h = potential.hessian(self.gather(total))
         out = self._scatter(h, self._dense_tables, self.state_size ** 2)
         return out.reshape(self.state_size, self.state_size)
 
-    def banded_hessian(self, potential, values, left=0.0, right=0.0):
+    def banded_hessian(self, potential, total):
         """The Hessian at one state as a :class:`BandedHessian`.
 
         Every entry is summed in the order :meth:`hessian` sums it, so a
         one-block Hessian (every torus) holds the dense matrix bit for bit.
         """
-        h = potential.hessian(self.gather(values, left, right))
+        h = potential.hessian(self.gather(total))
         n, count = self.block_layout
         blocks = self._scatter(h, self._block_tables, count * 3 * n * n)
         blocks[self._block_padding] = 1.0

@@ -22,10 +22,12 @@ column ramp across the transverse axis; the staircase is the witness only.
 
 A strip state is a float array of shape ``(2 W + 1, *q)``, the layers
 i_1 = -W..W of a finite window; the window, the constant tails outside it
-and the base state belong to ``StripSystem``, and ``minimize_hetero``
-reports the window and tails its kink ``v1`` was computed on.  Every
-reported value must be stable under window doubling, and the window policy
-grows the window until the tail contribution bound falls below tolerance.
+and the base state belong to ``StripSystem``, whose ``total`` alone writes
+the tails into an array (the stencil's ghost layers, the window doubling and
+the kink's translate), and ``minimize_hetero`` reports the window and tails
+its kink ``v1`` was computed on.  Every reported value must be stable under
+window doubling, and the window policy grows the window until the tail
+contribution bound falls below tolerance.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ import numpy as np
 from .defaults import (DEDUP_TOL, GAP_PROBES, HETERO_SEED_SHIFTS,
                        HETERO_SEED_WIDTH, PATH_NODES, TAIL_BOUND_TOL, WINDOW_CAP,
                        WINDOW_START)
-from .fields import (FkSaddleError, WindowError, pad_layers, stencil, tile,
-                     validate_periods)
+from .fields import FkSaddleError, WindowError, stencil, tile, validate_periods
 from .model import SitePotential
 from .mpp import MinimaxResult, box_path, check_chain, minimax_engine
 from .periodic import GapPair, polish_limits, probe_adjacency, require_gap
@@ -50,9 +51,9 @@ class StripSystem:
     """Renormalized energy system on a fixed strip window.
 
     States are window value arrays of shape ``(..., 2W+1, *q)``.  The total
-    lattice field is ``base + state`` inside the window and the constant
-    ``tails`` outside; the tails are Dirichlet data and do not evolve.
-    ``left``/``right`` are the state's own tails: 0 when a base is given.
+    lattice field (:meth:`total`) is ``base + state`` inside the window and
+    the constant ``tails`` (v0, w0) outside; the tails are Dirichlet data and
+    do not evolve.
     """
 
     def __init__(self, potential: SitePotential, q, half_width: int,
@@ -63,23 +64,33 @@ class StripSystem:
             raise WindowError("transverse periods %r do not match dimension %d"
                               % (self.q, potential.n))
         self.half_width = int(half_width)
+        if self.half_width < 0:
+            raise WindowError("window half-width must be >= 0, got %d" % self.half_width)
         self.L = 2 * self.half_width + 1
         self.tails = (float(left), float(right))
         self.c0 = float(c0)
         self.shape = (self.L,) + self.q
-        if base is None:
-            self.base = np.zeros(self.shape)
-            self.left, self.right = self.tails
-        else:
-            self.base = np.broadcast_to(np.asarray(base, dtype=float), self.shape)
-            self.left = self.right = 0.0
+        self.base = (np.zeros(self.shape) if base is None else
+                     np.broadcast_to(np.asarray(base, dtype=float), self.shape))
         self.lattice_ndim = potential.n
         self.dt_safe = potential.dt_safe()
         self.stencil = stencil(potential.ball, self.shape, potential.r)
 
+    def total(self, x, margin=None):
+        """The field ``base + x`` with ``margin`` layers of each tail on its
+        side (default: the stencil's ``2 r`` ghost layers), over any leading
+        batch axes of ``x``."""
+        m = self.stencil.ghosts if margin is None else margin
+        out = np.empty(x.shape[:x.ndim - len(self.shape)] + (self.L + 2 * m,) + self.q)
+        rest = (slice(None),) * len(self.q)
+        out[(Ellipsis, slice(None, m)) + rest] = self.tails[0]
+        np.add(x, self.base, out=out[(Ellipsis, slice(m, m + self.L)) + rest])
+        out[(Ellipsis, slice(m + self.L, None)) + rest] = self.tails[1]
+        return out
+
     def layer_energies(self, x):
         """Renormalized per-layer sums over layers [-W-r, W+r]."""
-        e = self.stencil.energies(self.potential, x + self.base, *self.tails) - self.c0
+        e = self.stencil.energies(self.potential, self.total(x)) - self.c0
         taxes = tuple(range(e.ndim - len(self.q), e.ndim))
         return e.sum(axis=taxes) if taxes else e
 
@@ -87,11 +98,11 @@ class StripSystem:
         return self.layer_energies(x).sum(axis=-1)
 
     def grad(self, x):
-        return self.stencil.residual(self.potential, x + self.base, *self.tails)
+        return self.stencil.residual(self.potential, self.total(x))
 
     def hess_matrix(self, x):
         """Hessian of I at x, block-tridiagonal in groups of layers."""
-        return self.stencil.banded_hessian(self.potential, x + self.base, *self.tails)
+        return self.stencil.banded_hessian(self.potential, self.total(x))
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +144,10 @@ def default_hetero_seeds(system: StripSystem):
     """Smooth-step layer profiles from the left tail to the right one."""
     W = system.half_width
     i = np.arange(-W, W + 1, dtype=float)
-    gap = system.right - system.left
+    left, right = system.tails
     seeds = []
     for sh in HETERO_SEED_SHIFTS:
-        prof = system.left + gap * 0.5 * (1.0 + np.tanh((i - sh) / HETERO_SEED_WIDTH))
+        prof = left + (right - left) * 0.5 * (1.0 + np.tanh((i - sh) / HETERO_SEED_WIDTH))
         seeds.append(np.broadcast_to(prof.reshape((system.L,) + (1,) * len(system.q)),
                                      system.shape).copy())
     return seeds
@@ -145,8 +156,8 @@ def default_hetero_seeds(system: StripSystem):
 def _tail_bound(system: StripSystem, x) -> float:
     """L * C(r) * (tail l1 mass) with the stencil-counted constants."""
     r = system.potential.r
-    dev_left = np.abs(x[:r] - system.left).sum()
-    dev_right = np.abs(x[-r:] - system.right).sum()
+    dev_left = np.abs(x[:r] - system.tails[0]).sum()
+    dev_right = np.abs(x[-r:] - system.tails[1]).sum()
     L_const = system.potential.second_derivative_bound * system.potential.nball
     return L_const * system.potential.nball * float(dev_left + dev_right)
 
@@ -201,15 +212,12 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
             raise WindowError("window %d exceeds the cap %d with tail bound %g"
                               % (2 * W, WINDOW_CAP, bound))
         prev_bound = bound
-        carried = [pad_layers(f, W, system.left, system.right, system.lattice_ndim)
-                   for f in fields]
+        carried = [system.total(f, W) for f in fields]
         W *= 2
     stability = math.nan
     if check_stability:
-        big = 2 * W
-        carried = [pad_layers(fields[best], big - W, system.left, system.right,
-                              system.lattice_ndim)]
-        _, _, be, bb = _minimize_on_window(potential, q, big, gap0, params, carried)
+        carried = [system.total(fields[best], W)]
+        _, _, be, bb = _minimize_on_window(potential, q, 2 * W, gap0, params, carried)
         stability = abs(es[best] - be[bb])
     # empirical lower-bound constant: worst dip of windowed partial sums
     layer = system.layer_energies(fields[best])
@@ -279,8 +287,8 @@ def find_gap_pair_hetero(potential: SitePotential,
     params = params or FlowParams()
     # w1(i) = v1(i + e_1): the window one layer on, the right tail entering
     v1 = minimized.v1
-    pair = HeteroGapPair(v1=v1, w1=pad_layers(v1, 1, *minimized.tails, potential.n)[2:],
-                         gap0=gap0)
+    kink = _strip_system(potential, v1.shape[1:], v1.shape[0] // 2, gap0)
+    pair = HeteroGapPair(v1=v1, w1=kink.total(v1, 1)[2:], gap0=gap0)
     system, width = pair.order_box(potential)
     if np.max(np.abs(width)) <= DEDUP_TOL:
         return None  # translate indistinguishable: no discrete kink lattice
@@ -309,7 +317,7 @@ def mountain_pass_hetero(potential: SitePotential, gap1: HeteroGapPair,
                          mode: str = "node-flow") -> MinimaxResult:
     """Minimax over strip paths from 0 to w1 - v1 inside the order box,
     started from the column ramp across the transverse axis (``N`` nodes,
-    default ``PATH_NODES``; the linear homotopy when q = 1).
+    default ``PATH_NODES``; the linear homotopy when q = 1 or q = ()).
 
     The returned critical offset rides on v1; its level d1 exceeds c1 and
     its residual is below tolerance at every window site.

@@ -117,8 +117,11 @@ def box_path(box, N: int, k: int | None = None, axis: int = 0) -> np.ndarray:
     """N nodes from 0 to ``box`` across lattice axis ``axis``, of w columns:
     the column ramp, whose column j moves over theta in [j/w, (j+1)/w] (the
     linear homotopy theta * box when w = 1), or with ``k`` the staircase
-    phi_k(theta, i) * box."""
+    phi_k(theta, i) * box.  A box without the axis (the strip with q = ()) is
+    one column."""
     box = np.asarray(box, dtype=float)
+    if axis == box.ndim:
+        return box_path(box[..., None], N, k, axis)[..., 0]
     thetas = np.linspace(0.0, 1.0, N)[:, None]
     width = box.shape[axis]
     columns = np.arange(width)

@@ -38,7 +38,8 @@ class PeriodicSystem:
     """Energy/gradient system for I(u) = J(u + v0) on a fixed torus.
 
     States are raw value arrays of shape (..., *p); the reference ``base`` is
-    v0 tiled to the periods p (zero when absent).
+    v0 tiled to the periods p (zero when absent), and the stencil reads
+    ``total(x) = x + base``.
     """
 
     def __init__(self, potential: SitePotential, periods, base=None):
@@ -52,16 +53,19 @@ class PeriodicSystem:
         self.dt_safe = potential.dt_safe()
         self.stencil = stencil(potential.ball, self.periods)
 
+    def total(self, x):
+        return x + self.base
+
     def energy(self, x):
-        e = self.stencil.energies(self.potential, x + self.base)
+        e = self.stencil.energies(self.potential, self.total(x))
         return e.sum(axis=tuple(range(e.ndim - self.lattice_ndim, e.ndim)))
 
     def grad(self, x):
-        return self.stencil.residual(self.potential, x + self.base)
+        return self.stencil.residual(self.potential, self.total(x))
 
     def hess_matrix(self, x):
         """Hessian of I at x: one dense block, rows in C order of the cell."""
-        return self.stencil.banded_hessian(self.potential, x + self.base)
+        return self.stencil.banded_hessian(self.potential, self.total(x))
 
 
 # ---------------------------------------------------------------------------

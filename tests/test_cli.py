@@ -79,10 +79,27 @@ def test_abbreviated_flags_are_rejected(command, flag, tmp_path, capsys):
     ("[flow]\ntol = nan\n", "flow.tol"),
     ("[model-params]\namplitude = nan\n", "model-params.amplitude"),
     ("[model-params]\nn = 0\n", "model-params.n"),
+    ("p =\n", "p: minimize needs 2 periods .* got 0"),
+    ("[verify]\nresolutions =\n", "verify.resolutions"),
 ])
 def test_parse_rejects_bad_values(text, path):
     with pytest.raises(ConfigError, match=path):
         parse_config(text)
+
+
+def test_chain_job_runs_the_kink_mountain_pass(tmp_path):
+    # the 1-D chain's strip has no transverse periods: an empty q is ()
+    out = tmp_path / "chain.json"
+    text = "command = mph\nseed = 5\nq =\nout = %s\n\n[model-params]\nn = 1\n" % out
+    cfg = parse_config(text)
+    assert cfg.q == () and cfg.n == 1
+    assert parse_config(format_config(cfg)) == cfg
+    cfgfile = tmp_path / "chain.cfg"
+    cfgfile.write_text(text)
+    assert main(["run", str(cfgfile)]) == 0
+    data = json.loads(out.read_text())
+    assert data["ok"] and data["scalars"]["success"]
+    assert data["config"]["q"] == []
 
 
 def test_window_cap_is_the_largest_fixed_window():
@@ -357,13 +374,15 @@ def test_run_config_error_exit_code(tmp_path):
 
 
 def test_manifest_determinism(tmp_path):
-    outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / ("det-%s.json" % tag)
-        assert main(["mpp", "--model", "classical-fk", "--p", "2,1",
-                     "--nodes", "33", "--seed", "5", "--out", str(out)]) == 0
-        outs.append(json.loads(out.read_text())["scalars"])
-    assert outs[0] == outs[1]
+    # a torus and a strip mountain pass each rerun bit for bit
+    for job in (["mpp", "--model", "classical-fk", "--p", "2,1"],
+                ["mph", "--model", "pinned-fk", "--q", "1"]):
+        outs = []
+        for tag in ("a", "b"):
+            out = tmp_path / ("det-%s-%s.json" % (job[0], tag))
+            assert main(job + ["--nodes", "33", "--seed", "5", "--out", str(out)]) == 0
+            outs.append(json.loads(out.read_text())["scalars"])
+        assert outs[0] == outs[1]
 
 
 def test_validate_command(tmp_path):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from fk_saddle import (HeteroGapPair, asymptotics_report, best_mountain_pass,
-                       find_gap_pair_hetero, make_potential, minimize_hetero,
-                       mountain_pass, mountain_pass_hetero, multiplicity_scan)
-from fk_saddle.fields import PeriodError, pad_layers
+                       find_gap_pair, find_gap_pair_hetero, make_potential,
+                       minimize_hetero, mountain_pass, mountain_pass_hetero,
+                       multiplicity_scan)
+from fk_saddle.fields import PeriodError, WindowError
 from fk_saddle.hetero import _strip_system
 from fk_saddle.mpp import PathError, box_path
 from fk_saddle.semiflow import flow
@@ -35,8 +36,6 @@ def test_minimize_profile_and_level(pinned, het):
 @pytest.mark.parametrize("name", sorted(BRUTE_FORCE_C1))
 def test_c1_matches_brute_force_oracle(name, params):
     pot = make_potential(name)
-    from fk_saddle import find_gap_pair
-
     gap0 = find_gap_pair(pot, (1, 1), seed=3, params=params)
     res = minimize_hetero(pot, (1,), gap0, params, window=40,
                           check_stability=False)
@@ -45,6 +44,11 @@ def test_c1_matches_brute_force_oracle(name, params):
 
 def test_window_doubling_stability(het):
     assert het.stability <= 1e-9
+
+
+def test_negative_window_is_a_window_error(pinned, pinned_gap, params):
+    with pytest.raises(WindowError, match="half-width must be >= 0, got -1"):
+        minimize_hetero(pinned, (1,), pinned_gap, params, window=-1)
 
 
 def test_transverse_scaling(pinned, pinned_gap, params, het):
@@ -61,9 +65,14 @@ def test_renormalization_constants(het):
 
 # --- renormalized energy -----------------------------------------------------
 
+def _kink_system(potential, u, gap0):
+    """The base-free strip system on the window of the strip state u."""
+    return _strip_system(potential, u.shape[1:], u.shape[0] // 2, gap0)
+
+
 def _energy(potential, u, gap0):
     """The renormalized energy of the total strip state u on its own window."""
-    return float(_strip_system(potential, u.shape[1:], u.shape[0] // 2, gap0).energy(u))
+    return float(_kink_system(potential, u, gap0).energy(u))
 
 
 def test_energy_of_both_endpoints(pinned, pinned_gap, het, het_gap):
@@ -75,7 +84,7 @@ def test_energy_of_both_endpoints(pinned, pinned_gap, het, het_gap):
 
 def test_energy_stable_under_window_doubling(pinned, pinned_gap, het):
     small = _energy(pinned, het.v1, pinned_gap)
-    wide = pad_layers(het.v1, het.window, *het.tails, pinned.n)   # window 2W
+    wide = _kink_system(pinned, het.v1, pinned_gap).total(het.v1, het.window)   # window 2W
     big = _energy(pinned, wide, pinned_gap)
     assert abs(big - small) <= 1e-9
 
@@ -158,7 +167,6 @@ def test_hetero_gap_is_translate(pinned, het, het_gap):
 
 def test_hetero_gap_free_chain(params):
     free = make_potential("free-chain")
-    from fk_saddle.fields import WindowError
     from fk_saddle.periodic import GapPair
 
     # the free chain has no periodic gap either; hand it the unit box
@@ -232,11 +240,28 @@ def test_mph_rejects_unknown_mode(pinned, het_gap, params):
 
 
 def test_mph_stable_under_window_doubling(pinned, pinned_gap, params, het, het_gap, mph):
-    big = pad_layers(het_gap.v1, het.window, *het.tails, pinned.n)   # window 2W
-    gap_big = type(het_gap)(v1=big, w1=pad_layers(big, 1, *het.tails, pinned.n)[2:],
-                            gap0=pinned_gap, evidence=dict(het_gap.evidence))
+    # the pair on the window 2W: the kink, and its translate
+    big = _kink_system(pinned, het_gap.v1, pinned_gap).total(het_gap.v1, het.window)
+    w1 = _kink_system(pinned, big, pinned_gap).total(big, 1)[2:]
+    gap_big = type(het_gap)(v1=big, w1=w1, gap0=pinned_gap, evidence=dict(het_gap.evidence))
     mp_big = mountain_pass_hetero(pinned, gap_big, params, N=65)
     assert abs(mp_big.value - mph.value) <= 1e-8
+
+
+def test_chain_kink_mountain_pass_is_the_strip_one(params, mph):
+    # the 1-D chain's strip has no transverse axis (q = ()): its column ramp
+    # is the linear homotopy, and its kink barrier is the q = 1 strip's
+    chain = make_potential("pinned-fk", n=1)
+    gap0 = find_gap_pair(chain, (1,), seed=3, params=params)
+    het1 = minimize_hetero(chain, (), gap0, params)
+    gap1 = find_gap_pair_hetero(chain, het1, gap0, seed=5, params=params)
+    assert gap1.periods == ()
+    _, hi = gap1.order_box(chain)
+    assert np.allclose(box_path(hi, 5, axis=1), np.linspace(0.0, 1.0, 5)[:, None] * hi)
+    for res in (mountain_pass_hetero(chain, gap1, params, N=65),
+                best_mountain_pass(chain, gap1, params=params)):
+        assert res.success, res.message
+        assert abs(res.barrier - mph.barrier) <= 1e-9
 
 
 # --- transverse periods and the strip scan ----------------------------------------

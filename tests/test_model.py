@@ -119,6 +119,44 @@ def test_stencil_engine_matches_per_site_oracle(case):
         assert np.allclose(H[:, k], fd, rtol=0.0, atol=1e-6)
 
 
+# (potential, transverse periods q): a strip with no transverse axis, one
+# with two columns, and the radius-2 plug-in's 4 ghost layers
+TOTAL_CASES = {
+    "chain-q()": (lambda: make_potential("pinned-fk", n=1), ()),
+    "pinned-q2": (lambda: make_potential("pinned-fk"), (2,)),
+    "plugin-r2-q1": (radius_two_springs, (1,)),
+}
+
+
+@pytest.mark.parametrize("with_base", [False, True])
+@pytest.mark.parametrize("case", sorted(TOTAL_CASES))
+def test_total_field_on_both_geometries(case, with_base):
+    """The torus total is ``x + base``; the strip total is ``base + x``
+    between ``m`` layers of each tail, ``m = 2 r`` by default."""
+    make, q = TOTAL_CASES[case]
+    pot = make()
+    rng = np.random.default_rng(12)
+    W = 3
+    shape = (2 * W + 1,) + q
+    base = rng.uniform(-0.25, 0.75, shape) if with_base else None
+    strip = StripSystem(pot, q, W, -0.3, 0.8, 0.0, base=base)
+    x = rng.uniform(-0.5, 0.5, (2,) + shape)     # a batch of two states
+    inside = x if base is None else x + base
+    for margin in (None, 0, 1, 5):
+        m = 2 * pot.r if margin is None else margin
+        total = strip.total(x, margin)
+        assert total.shape == (2, 2 * W + 1 + 2 * m) + q
+        assert np.all(total[:, :m] == -0.3)
+        assert np.all(total[:, 2 * W + 1 + m:] == 0.8)
+        assert np.array_equal(total[:, m:2 * W + 1 + m], inside)
+    periods = (3,) + q
+    torus = PeriodicSystem(pot, periods, rng.uniform(-0.5, 0.5, periods) if with_base else None)
+    y = rng.uniform(-0.5, 0.5, (2,) + periods)
+    assert np.array_equal(torus.total(y), y + torus.base)
+    if not with_base:
+        assert np.array_equal(torus.total(y), y)
+
+
 def test_s1_periodicity_bulk(classical):
     rng = np.random.default_rng(0)
     cfg = rng.uniform(-3, 3, size=(1000, classical.nball))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fk_saddle import PeriodicSystem, StripSystem
-from fk_saddle.fields import BandedHessian, pad_layers
+from fk_saddle.fields import BandedHessian
 from fk_saddle.hetero import _strip_system
 from fk_saddle.semiflow import refine_critical
 
@@ -22,8 +22,7 @@ WINDOW = 80
 
 
 def _dense_step(system, x, g):
-    tails = getattr(system, "tails", ())      # the torus has none
-    H = system.stencil.hessian(system.potential, x + system.base, *tails)
+    H = system.stencil.hessian(system.potential, system.total(x))
     return H, np.linalg.solve(H, -g)
 
 
@@ -42,9 +41,10 @@ def _near(x, seed):
     return x + 1e-3 * np.random.default_rng(seed).standard_normal(x.shape)
 
 
-def _embed(u, tails):
+def _embed(potential, u, tails):
     """The strip state u on the window WINDOW, its new layers on the tails."""
-    return pad_layers(u, WINDOW - u.shape[0] // 2, *tails, u.ndim)
+    system = StripSystem(potential, u.shape[1:], u.shape[0] // 2, *tails, c0=0.0)
+    return system.total(u, WINDOW - system.half_width)
 
 
 def _widen(values, m):
@@ -54,7 +54,7 @@ def _widen(values, m):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_block_step_matches_dense_at_the_kink_minimizer(pinned, pinned_gap, het, het_gap, m):
     # no base: the state is the total field and carries the ground-state tails
-    v1 = _embed(het_gap.v1, het.tails)
+    v1 = _embed(pinned, het_gap.v1, het.tails)
     system = _strip_system(pinned, (m,), WINDOW, pinned_gap)
     assert system.stencil.block_layout[1] >= 7
     dev, eig = _deviation(system, _near(_widen(v1, m), m))
@@ -66,10 +66,8 @@ def test_block_step_matches_dense_at_the_kink_minimizer(pinned, pinned_gap, het,
 def test_block_step_matches_dense_at_the_strip_saddle(pinned, pinned_gap, het, het_gap,
                                                       mph, m):
     # with a base: the state is the offset from v1, the strip mountain pass
-    v1 = het_gap.v1
-    margin = WINDOW - v1.shape[0] // 2
-    base = _widen(_embed(v1, het.tails), m)
-    crit = _widen(pad_layers(mph.critical, margin, 0.0, 0.0, pinned.n), m)
+    base = _widen(_embed(pinned, het_gap.v1, het.tails), m)
+    crit = _widen(_embed(pinned, mph.critical, (0.0, 0.0)), m)
     system = _strip_system(pinned, (m,), WINDOW, pinned_gap, base=base)
     dev, eig = _deviation(system, _near(crit, 10 + m))
     assert eig[0] < 0 < eig[-1]
@@ -170,7 +168,7 @@ def test_certificate_refuses_a_failed_block_solve(d0):
 
 def test_certificate_refuses_a_wrong_step(pinned, pinned_gap, het, het_gap, monkeypatch):
     system = _strip_system(pinned, (1,), WINDOW, pinned_gap)
-    x0 = _near(_embed(het_gap.v1, het.tails), 0)
+    x0 = _near(_embed(pinned, het_gap.v1, het.tails), 0)
     _, res_ok, ok = refine_critical(system, x0, 1e-12)
     assert ok and res_ok <= 1e-12
     true_solve = BandedHessian.solve
