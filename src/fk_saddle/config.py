@@ -20,7 +20,8 @@ from .fields import FkSaddleError
 
 COMMANDS = ("minimize", "gap", "mpp", "hetero", "mph", "multiplicity",
             "verify", "landscape", "validate")
-# commands with a stochastic stage: they need an explicit seed
+# commands that need an explicit seed; minimize (random seed fields) and
+# landscape (gap probes) are stochastic too but run at seed 0 without one
 SEEDED = ("gap", "mpp", "multiplicity", "hetero", "mph", "verify", "validate")
 
 

@@ -44,7 +44,6 @@ BASIN_MATCH_TOL = 1e-4        # heat-flow: l-inf distance at which a state joins
 MAX_BISECTIONS = 80           # heat-flow: bisections of the initial path per tear
 CLASSIFY_CHECK_TIME = 0.01    # heat-flow: flow time between basin-membership checks
 NODE_CAP = 257                # ceiling for the default node-count rule
-PATH_NODES = 65               # nodes of the strip string and of the two-cell cross check
 WITNESS_NODES = 801           # nodes of a scan row's staircase witness
 
 # --- seeds and gap detection ---------------------------------------------------

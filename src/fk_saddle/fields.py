@@ -60,11 +60,12 @@ def validate_periods(p) -> tuple:
 
 def tile(values, shape) -> np.ndarray:
     """``values`` repeated along every axis to ``shape``, which must be a
-    multiple of its shape axis by axis (PeriodError): a torus state on a
-    larger torus, or a strip state on larger transverse periods."""
+    positive multiple of its shape axis by axis (PeriodError): a torus state
+    on a larger torus, or a strip state on larger transverse periods."""
     values = np.asarray(values, dtype=float)
     shape = tuple(shape)
-    if len(shape) != values.ndim or any(big % s for big, s in zip(shape, values.shape)):
+    if len(shape) != values.ndim or any(big % s or big < s
+                                        for big, s in zip(shape, values.shape)):
         raise PeriodError("periods %r do not extend %r" % (shape, values.shape))
     return np.tile(values, tuple(big // s for big, s in zip(shape, values.shape)))
 

@@ -11,14 +11,16 @@ profile v1; the transverse-period scaling c1^q = prod(q) * c1 mirrors the
 periodic case.  An adjacent pair v1 < w1 inside the heteroclinic minimizer
 family (w1 is in practice the axis-1 translate of v1) spans a second order
 box [0, w1 - v1] (``HeteroGapPair.order_box``, as ``GapPair.order_box`` on
-the torus), and the same minimax engine and chain check run inside it give the
+the torus), and ``mpp.best_mountain_pass`` run inside it gives the
 heteroclinic mountain pass d1 > c1: the Peierls-Nabarro-type barrier between
 neighboring kink positions.  ``order_box`` also tiles the pair across
 transverse periods that are multiples of q, so ``mpp.best_mountain_pass`` and
 ``mpp.multiplicity_scan`` take the strip pair as they take the torus one; the
 scan gives the barrier column over q(k) = (k, 1, ..., 1) with its staircase
-witnesses.  Every strip mountain pass starts, as on the torus, from the
-column ramp across the transverse axis; the staircase is the witness only.
+witnesses.  ``mountain_pass_hetero`` is ``best_mountain_pass`` on the pair's
+own periods, so every strip mountain pass starts as on the torus: from the
+column ramp across the transverse axis, on ``default_node_count(q)`` nodes
+unless given a count; the staircase is the witness only.
 
 A strip state is a float array of shape ``(2 W + 1, *q)``, the layers
 i_1 = -W..W of a finite window; the window, the constant tails outside it
@@ -38,11 +40,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import (DEDUP_TOL, GAP_PROBES, HETERO_SEED_SHIFTS,
-                       HETERO_SEED_WIDTH, PATH_NODES, TAIL_BOUND_TOL, WINDOW_CAP,
-                       WINDOW_START)
+                       HETERO_SEED_WIDTH, TAIL_BOUND_TOL, WINDOW_CAP, WINDOW_START)
 from .fields import FkSaddleError, WindowError, stencil, tile, validate_periods
 from .model import SitePotential
-from .mpp import MinimaxResult, box_path, check_chain, minimax_engine
+from .mpp import MinimaxResult, best_mountain_pass
 from .periodic import GapPair, polish_limits, probe_adjacency, require_gap
 from .semiflow import FlowError, FlowParams, flow
 
@@ -315,16 +316,15 @@ def mountain_pass_hetero(potential: SitePotential, gap1: HeteroGapPair,
                          params: FlowParams | None = None,
                          N: int | None = None,
                          mode: str = "node-flow") -> MinimaxResult:
-    """Minimax over strip paths from 0 to w1 - v1 inside the order box,
-    started from the column ramp across the transverse axis (``N`` nodes,
-    default ``PATH_NODES``; the linear homotopy when q = 1 or q = ()).
+    """Minimax over strip paths from 0 to w1 - v1 inside the order box:
+    :func:`mpp.best_mountain_pass` on the pair's own transverse periods, from
+    the column ramp across the transverse axis (``N`` nodes, default
+    ``default_node_count(q)``; the linear homotopy when q = 1 or q = ()).
 
     The returned critical offset rides on v1; its level d1 exceeds c1 and
     its residual is below tolerance at every window site.
     """
-    system, hi = require_gap(gap1).order_box(potential)
-    nodes = check_chain(box_path(hi, N or PATH_NODES, axis=1), hi)
-    return minimax_engine(mode)(system, nodes, hi, params or FlowParams())
+    return best_mountain_pass(potential, gap1, None, params, mode, N)
 
 
 # ---------------------------------------------------------------------------

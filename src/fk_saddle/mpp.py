@@ -54,7 +54,7 @@ from .defaults import (BASIN_MATCH_TOL, CHAIN_CERT_MAX_STATES, CHAIN_CERT_TOL,
                        MAX_SWEEPS, PLATEAU_TIME, PLATEAU_TOL, REFINE_TRIGGER,
                        REPARAM_TIME, STRICT_ORDER_TOL, WITNESS_NODES,
                        default_node_count)
-from .fields import FkSaddleError, validate_periods
+from .fields import FkSaddleError
 from .model import SitePotential
 from .periodic import require_gap
 from .semiflow import FlowParams, flow, guarded_step, refine_critical
@@ -546,17 +546,6 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
 # public drivers
 # ---------------------------------------------------------------------------
 
-def minimax_engine(mode: str):
-    """The minimax engine of a mode.
-
-    The engine is looked up by its module-global name on every call, so a
-    wrapper bound to that name (the benchmark's tracer) reaches every caller.
-    """
-    if mode not in ("node-flow", "heat-flow"):
-        raise PathError("unknown mode %r" % mode)
-    return globals()["_minimax_" + mode.replace("-", "_")]
-
-
 def mountain_pass(potential: SitePotential, gap, path0,
                   params: FlowParams | None = None,
                   mode: str = "node-flow") -> MinimaxResult:
@@ -576,8 +565,12 @@ def mountain_pass(potential: SitePotential, gap, path0,
         raise PathError("a chain is at least 3 nodes shaped (N, ..., *p) with "
                         "%d periods, got shape %r" % (len(gap.periods), nodes.shape))
     system, hi = gap.order_box(potential, nodes.shape[lattice:])
-    return minimax_engine(mode)(system, check_chain(nodes, hi), hi,
-                                params or FlowParams())
+    if mode not in ("node-flow", "heat-flow"):
+        raise PathError("unknown mode %r" % mode)
+    # the engine is looked up by its module-global name on every call, so a
+    # wrapper bound to that name (the benchmark's tracer) sees every run
+    engine = globals()["_minimax_" + mode.replace("-", "_")]
+    return engine(system, check_chain(nodes, hi), hi, params or FlowParams())
 
 
 def best_mountain_pass(potential: SitePotential, gap, periods=None,
@@ -585,18 +578,20 @@ def best_mountain_pass(potential: SitePotential, gap, periods=None,
                        mode: str = "node-flow", N: int | None = None) -> MinimaxResult:
     """:func:`mountain_pass` from the column ramp (:func:`box_path`) across
     the first periodic axis of the order box on ``periods`` (default: the
-    gap's), on ``N`` nodes (default: ``default_node_count(periods)``).
+    gap's; the gap's ``order_box`` accepts or refuses them), on ``N`` nodes
+    (default: ``default_node_count(periods)``).  Every mountain pass of the
+    torus, the strip, the scan and the cross check starts here.
 
     The ramp moves one column after another, so the string starts on a path
     through one nucleation at a time; the staircase phi_k, which ramps the
     mirror columns together, can stall the string at an index-2 point.
     """
     gap = require_gap(gap)
-    periods = gap.periods if periods is None else validate_periods(periods)
-    _, hi = gap.order_box(potential, periods)
-    N = default_node_count(periods) if N is None else N
-    nodes = box_path(hi, N, axis=hi.ndim - len(periods))
-    return mountain_pass(potential, gap, nodes, params, mode=mode)
+    hi = gap.order_box(potential, periods)[1]
+    lattice = hi.ndim - len(gap.periods)
+    N = default_node_count(hi.shape[lattice:]) if N is None else N
+    return mountain_pass(potential, gap, box_path(hi, N, axis=lattice), params,
+                         mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -700,11 +695,14 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap,
     shift-orbit normalization along that axis, over a common period, and
     each is classified against the k = 1 critical field, which is one column
     wide and broadcasts.  Failed rows carry their error and the scan
-    continues.
+    continues.  A pair without a periodic axis (the 1-D chain's strip,
+    q = ()) has no column to scan and raises PathError.
     """
     if k_max < 2:
         raise PathError("k_max must be >= 2")
     gap = require_gap(gap)
+    if not gap.periods:
+        raise PathError("the pair has no periodic axis to scan")
     params = params or FlowParams()
     rows, criticals = [], {}
     for k in range(1, k_max + 1):

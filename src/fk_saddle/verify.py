@@ -31,8 +31,8 @@ import numpy as np
 
 from .defaults import (BOX_INVARIANCE_TOL, CLIP_ENERGY_TOL, CROSS_CHECK_TOL,
                        ENERGY_INCREASE_TOL, FD_REL_TOL, ORACLE_BLOCK,
-                       ORACLE_BOUND_SLACK, ORACLE_RESOLUTION, PATH_NODES,
-                       SCALING_TOL, STRICT_ORDER_TOL, SUBMODULARITY_TOL)
+                       ORACLE_BOUND_SLACK, ORACLE_RESOLUTION, SCALING_TOL,
+                       STRICT_ORDER_TOL, SUBMODULARITY_TOL)
 from .fields import FkSaddleError
 from .model import SitePotential, central_differences, site_energies
 from .mpp import best_mountain_pass
@@ -545,10 +545,8 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair,
         raise FkSaddleError("cross check is defined for model dimension 2")
     params = params or FlowParams()
     gap = require_gap(gap)
-    node = best_mountain_pass(potential, gap, (2, 1), params, mode="node-flow",
-                              N=PATH_NODES)
-    heat = best_mountain_pass(potential, gap, (2, 1), params, mode="heat-flow",
-                              N=PATH_NODES)
+    node = best_mountain_pass(potential, gap, (2, 1), params, mode="node-flow")
+    heat = best_mountain_pass(potential, gap, (2, 1), params, mode="heat-flow")
     oracle, band = {}, {}
     for res in resolutions:
         grid = OracleGrid2D.build(potential, gap, res)

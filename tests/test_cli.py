@@ -1,10 +1,11 @@
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from fk_saddle import ConfigError, RunConfig, format_config, parse_config
+from fk_saddle import ConfigError, RunConfig, cli, format_config, parse_config
 from fk_saddle.cli import (COMMAND_FLAGS, COMMON_FLAGS, FLAG_KEYS,
                            _config_from_args, build_parser, main, run,
                            schema_entry)
@@ -286,6 +287,56 @@ def test_strip_csv_starts_at_minus_w(tmp_path):
     assert lines[1].startswith("-20,0,")
     assert lines[-1].startswith("20,0,")
     assert len(lines) == 1 + 41
+
+
+def _spy(monkeypatch, name):
+    """The (args, result) of every call the CLI makes to ``cli.<name>``."""
+    calls, real = [], getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def _fields_csv(man, csv):
+    """The CSV's coordinate columns and values, after checking that the
+    manifest's inventory entry matches the file's bytes."""
+    blob = csv.read_bytes()
+    assert man["files"] == [{"path": str(csv), "bytes": len(blob),
+                             "sha256": hashlib.sha256(blob).hexdigest()}]
+    assert blob.splitlines()[0].decode().endswith(",value")
+    table = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+    return table[:, :-1].astype(int), table[:, -1]
+
+
+def test_mph_fields_out_is_the_saddle_on_the_window(tmp_path, monkeypatch):
+    # the CSV holds v1 + critical, the saddle itself, at layers -W..W
+    calls = _spy(monkeypatch, "mountain_pass_hetero")
+    out, csv = tmp_path / "mph.json", tmp_path / "saddle.csv"
+    assert main(["mph", "--model", "pinned-fk", "--q", "2", "--window", "20",
+                 "--seed", "5", "--out", str(out), "--fields-out", str(csv)]) == 0
+    man = json.loads(out.read_text())
+    coords, values = _fields_csv(man, csv)
+    W = man["scalars"]["window"]
+    assert W == 20 and len(values) == (2 * W + 1) * 2
+    assert coords[0].tolist() == [-W, 0] and coords[-1].tolist() == [W, 1]
+    assert sorted(set(coords[:, 0])) == list(range(-W, W + 1))
+    (args, res), = calls
+    assert np.array_equal(values, (args[1].v1 + res.critical).ravel())
+
+
+def test_minimize_fields_out_is_the_best_limit(tmp_path, monkeypatch):
+    calls = _spy(monkeypatch, "minimize_periodic")
+    out, csv = tmp_path / "min.json", tmp_path / "best.csv"
+    assert main(["minimize", "--model", "classical-fk", "--p", "3,2",
+                 "--out", str(out), "--fields-out", str(csv)]) == 0
+    coords, values = _fields_csv(json.loads(out.read_text()), csv)
+    assert coords.tolist() == [list(i) for i in np.ndindex(3, 2)]
+    (_, res), = calls
+    assert np.array_equal(values, res.best.ravel())
 
 
 @pytest.mark.parametrize("command", ["hetero", "mph"])

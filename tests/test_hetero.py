@@ -5,6 +5,7 @@ from fk_saddle import (HeteroGapPair, asymptotics_report, best_mountain_pass,
                        find_gap_pair, find_gap_pair_hetero, make_potential,
                        minimize_hetero, mountain_pass, mountain_pass_hetero,
                        multiplicity_scan)
+from fk_saddle.defaults import default_node_count
 from fk_saddle.fields import PeriodError, WindowError
 from fk_saddle.hetero import _strip_system
 from fk_saddle.mpp import PathError, box_path
@@ -248,13 +249,19 @@ def test_mph_stable_under_window_doubling(pinned, pinned_gap, params, het, het_g
     assert abs(mp_big.value - mph.value) <= 1e-8
 
 
-def test_chain_kink_mountain_pass_is_the_strip_one(params, mph):
-    # the 1-D chain's strip has no transverse axis (q = ()): its column ramp
-    # is the linear homotopy, and its kink barrier is the q = 1 strip's
+@pytest.fixture(scope="module")
+def chain_gap(params):
+    """The 1-D chain's kink pair: a strip without transverse axes, q = ()."""
     chain = make_potential("pinned-fk", n=1)
     gap0 = find_gap_pair(chain, (1,), seed=3, params=params)
     het1 = minimize_hetero(chain, (), gap0, params)
-    gap1 = find_gap_pair_hetero(chain, het1, gap0, seed=5, params=params)
+    return chain, find_gap_pair_hetero(chain, het1, gap0, seed=5, params=params)
+
+
+def test_chain_kink_mountain_pass_is_the_strip_one(params, mph, chain_gap):
+    # the 1-D chain's strip has no transverse axis (q = ()): its column ramp
+    # is the linear homotopy, and its kink barrier is the q = 1 strip's
+    chain, gap1 = chain_gap
     assert gap1.periods == ()
     _, hi = gap1.order_box(chain)
     assert np.allclose(box_path(hi, 5, axis=1), np.linspace(0.0, 1.0, 5)[:, None] * hi)
@@ -262,6 +269,23 @@ def test_chain_kink_mountain_pass_is_the_strip_one(params, mph):
                 best_mountain_pass(chain, gap1, params=params)):
         assert res.success, res.message
         assert abs(res.barrier - mph.barrier) <= 1e-9
+
+
+def test_chain_empty_periods_are_the_pairs_own(params, chain_gap):
+    # the pair's order box, not a period check of its own, accepts q = ()
+    chain, gap1 = chain_gap
+    a = best_mountain_pass(chain, gap1, periods=(), params=params)
+    b = best_mountain_pass(chain, gap1, periods=None, params=params)
+    assert a.success and b.success
+    assert a.value == b.value and a.residual == b.residual
+    assert np.array_equal(a.critical, b.critical)
+    assert np.array_equal(a.final_nodes, b.final_nodes)
+
+
+def test_chain_scan_has_no_axis_to_scan(params, chain_gap):
+    chain, gap1 = chain_gap
+    with pytest.raises(PathError, match="no periodic axis"):
+        multiplicity_scan(chain, 3, gap1, params)
 
 
 # --- transverse periods and the strip scan ----------------------------------------
@@ -278,7 +302,7 @@ def test_order_box_tiles_only_to_multiples_of_q(pinned, het_gap):
     system, hi = pair.order_box(pinned, periods=(6,))
     assert system.q == (6,) and system.half_width == het_gap.v1.shape[0] // 2
     assert np.array_equal(hi, np.tile(pair.w1 - pair.v1, (1, 3)))
-    for bad in ((3,), (4, 1), ()):
+    for bad in ((3,), (4, 1), (), (0,), (-2,)):
         with pytest.raises(PeriodError):
             pair.order_box(pinned, periods=bad)
 
@@ -294,10 +318,13 @@ def test_order_box_tiles_the_pair(pinned, het_gap):
 
 
 def test_best_mountain_pass_on_the_strip_is_mph(pinned, het_gap, params):
-    a = best_mountain_pass(pinned, het_gap, params=params, N=17)
-    b = mountain_pass_hetero(pinned, het_gap, params, N=17)
+    # one start and one node rule: mph is best_mountain_pass on the pair's q
+    a = best_mountain_pass(pinned, het_gap, params=params)
+    b = mountain_pass_hetero(pinned, het_gap, params)
     assert a.success and b.success
+    assert len(b.final_nodes) == default_node_count(het_gap.periods) == 17
     assert a.value == b.value and a.c_ref == b.c_ref and a.residual == b.residual
+    assert a.d_upper == b.d_upper and a.densified == b.densified
     assert np.array_equal(a.critical, b.critical)
     assert np.array_equal(a.final_nodes, b.final_nodes)
 

@@ -1,9 +1,13 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from fk_saddle import (best_mountain_pass, chi_path, find_gap_pair,
                        intersects, mountain_pass, multiplicity_scan, phi_path)
 from fk_saddle import mpp
+from fk_saddle.cli import main
 from fk_saddle.mpp import PathError, box_path
 from fk_saddle.semiflow import refine_critical
 from fk_saddle.verify import minimize_c0p
@@ -416,6 +420,37 @@ def test_shift_orbit_distance_matches_every_shift_of_the_common_period():
                 ref = min(float(np.max(np.abs(np.roll(ea, s, axis=axis) - eb)))
                           for s in range(L))
                 assert mpp._shift_orbit_distance(a, b, axis) == ref
+
+
+@pytest.mark.parametrize("how", ["raises", "unsuccessful"])
+def test_a_failed_scan_row_is_reported_and_the_scan_goes_on(
+        classical, gap, params, monkeypatch, tmp_path, how):
+    # row 2's mountain pass raises, or returns a result that failed its gate
+    real = mpp.best_mountain_pass
+
+    def failing(potential, gap, periods=None, *args, **kwargs):
+        if periods[0] != 2:
+            return real(potential, gap, periods, *args, **kwargs)
+        if how == "raises":
+            raise PathError("row two broke")
+        res = real(potential, gap, periods, *args, **kwargs)
+        return dataclasses.replace(res, success=False, message="row two broke")
+
+    monkeypatch.setattr(mpp, "best_mountain_pass", failing)
+    rows = multiplicity_scan(classical, 3, gap, params).rows
+    assert [r.k for r in rows] == [1, 2, 3]
+    assert not rows[1].ok and rows[1].message == "row two broke"
+    for r in (rows[0], rows[2]):
+        assert r.ok and r.message == ""
+        assert np.isfinite([r.c, r.d, r.d_upper, r.witness, r.residual]).all()
+
+    out = tmp_path / "scan.json"
+    assert main(["multiplicity", "--model", "classical-fk", "--kmax", "3",
+                 "--seed", "3", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["errors"] == ["one or more scan rows failed"]
+    assert [r["ok"] for r in data["tables"]["rows"]] == [True, False, True]
+    assert data["tables"]["rows"][1]["message"] == "row two broke"
 
 
 @pytest.mark.parametrize("model", sorted(K3_LEVELS))
