@@ -42,8 +42,7 @@ from .verify import (cross_check_mountain_pass, run_property_suite,
 
 
 def _flow_params(cfg: RunConfig) -> FlowParams:
-    return FlowParams(dt=cfg.dt, t_max=cfg.t_max, stationarity_tol=cfg.tol,
-                      max_steps=cfg.max_steps)
+    return FlowParams(t_max=cfg.t_max, stationarity_tol=cfg.tol)
 
 
 def _write_field_csv(path, values, first=0):
@@ -170,14 +169,12 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "landscape":
         gap = _gap_or_fail(pot, cfg, params)
-        resolution = max(cfg.grid, 101)
-        (ga, gb), values, vmax, at = sample_landscape(pot, gap, resolution)
-        sub = np.linspace(0, resolution - 1, cfg.grid).astype(int)
+        (ga, gb), values, vmax, at = sample_landscape(pot, gap, cfg.grid)
         path = cfg.fields_out or (
             cfg.out if cfg.out and cfg.out.endswith(".csv") else "landscape.csv")
         rows = ["a,b,I"]
-        for ia in sub:
-            for ib in sub:
+        for ia in range(cfg.grid):
+            for ib in range(cfg.grid):
                 rows.append("%s,%s,%s" % (CSV_FLOAT_FORMAT % ga[ia],
                                           CSV_FLOAT_FORMAT % gb[ib],
                                           CSV_FLOAT_FORMAT % values[ia, ib]))
@@ -282,8 +279,8 @@ def run(cfg: RunConfig) -> Manifest:
 
 # The job-file keys each subcommand exposes as flags.  A flag is its key's
 # name, parsed by its SCHEMA entry, except for the two in FLAG_KEYS.
-COMMON_FLAGS = ("model", "amplitude", "coupling", "p", "q", "tol", "dt", "seed",
-                "out", "fields-out")
+COMMON_FLAGS = ("model", "amplitude", "coupling", "p", "q", "tol", "seed", "out",
+                "fields-out")
 COMMAND_FLAGS = {
     "minimize": (),
     "gap": ("probes",),

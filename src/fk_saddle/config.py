@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dc_fields
 
-from .defaults import (FLOW_T_MAX, GAP_PROBES, MAX_FLOW_STEPS, MAX_TORUS_CELLS,
-                       ORACLE_RESOLUTION, STATIONARITY_TOL, WINDOW_CAP)
+from .defaults import (FLOW_T_MAX, GAP_PROBES, MAX_TORUS_CELLS, ORACLE_RESOLUTION,
+                       STATIONARITY_TOL, WINDOW_CAP)
 from .fields import FkSaddleError
 
 COMMANDS = ("minimize", "gap", "mpp", "hetero", "mph", "multiplicity",
@@ -43,12 +43,9 @@ def _fmt_int_tuple(value):
     return ",".join(str(int(x)) for x in value)
 
 
-def _or_auto(kind):
-    """The (parser, formatter) of a ``kind`` value that ``auto`` (None) may
-    replace; floats are formatted by ``repr``, so they round-trip."""
-    fmt = repr if kind is float else str
-    return (lambda text: None if str(text).strip() == "auto" else kind(text),
-            lambda value: "auto" if value is None else fmt(kind(value)))
+# the (parser, formatter) of an integer that ``auto`` (None) may replace
+_INT_OR_AUTO = (lambda text: None if str(text).strip() == "auto" else int(text),
+                lambda value: "auto" if value is None else str(int(value)))
 
 
 @dataclass
@@ -65,10 +62,8 @@ class RunConfig:
     coupling: float | None = None
     n: int = 2
     # flow
-    dt: float | None = None
     t_max: float = FLOW_T_MAX
     tol: float = STATIONARITY_TOL
-    max_steps: int = MAX_FLOW_STEPS
     # path / minimax
     nodes: int | None = None
     mode: str = "node-flow"
@@ -120,12 +115,8 @@ class RunConfig:
             raise ConfigError("path.mode: must be 'node-flow' or 'heat-flow'")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigError("flow.tol: must be finite and positive")
-        if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ConfigError("flow.dt: must be auto or finite and positive")
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
             raise ConfigError("flow.t-max: must be finite and positive")
-        if self.max_steps < 1:
-            raise ConfigError("flow.max-steps: must be >= 1")
         if self.nodes is not None and self.nodes < 3:
             raise ConfigError("path.nodes: must be >= 3 or auto")
         if self.window is not None and not 1 <= self.window <= WINDOW_CAP:
@@ -159,19 +150,17 @@ SCHEMA = {
     ("", "model"): ("model", str, str),
     ("", "p"): ("p", _parse_int_tuple, _fmt_int_tuple),
     ("", "q"): ("q", _parse_int_tuple, _fmt_int_tuple),
-    ("", "seed"): ("seed", *_or_auto(int)),
+    ("", "seed"): ("seed", *_INT_OR_AUTO),
     ("", "out"): ("out", str, str),
     ("", "fields-out"): ("fields_out", str, str),
     ("model-params", "amplitude"): ("amplitude", float, lambda v: repr(v)),
     ("model-params", "coupling"): ("coupling", float, lambda v: repr(v)),
     ("model-params", "n"): ("n", int, str),
-    ("flow", "dt"): ("dt", *_or_auto(float)),
     ("flow", "t-max"): ("t_max", float, repr),
     ("flow", "tol"): ("tol", float, repr),
-    ("flow", "max-steps"): ("max_steps", int, str),
-    ("path", "nodes"): ("nodes", *_or_auto(int)),
+    ("path", "nodes"): ("nodes", *_INT_OR_AUTO),
     ("path", "mode"): ("mode", str, str),
-    ("window", "size"): ("window", *_or_auto(int)),
+    ("window", "size"): ("window", *_INT_OR_AUTO),
     ("scan", "kmax"): ("kmax", int, str),
     ("gap", "probes"): ("probes", int, str),
     ("verify", "trials"): ("trials", int, str),

@@ -8,7 +8,6 @@ here so that the test suite and the library agree on a single source of truth.
 STATIONARITY_TOL = 1e-10      # l2 residual at which a field counts as stationary
 ENERGY_INCREASE_TOL = 1e-10   # largest admissible energy increase per flow step (more is a FlowError)
 FLOW_T_MAX = 200.0            # flow horizon of a run (the RunConfig and FlowParams default)
-MAX_FLOW_STEPS = 400_000      # budget guard on integrator steps per flow (stops are set in flow time)
 POLISH_TOL = 1e-13            # Newton finish of a flowed ground state (torus and strip): sup residual
 POLISH_MAX_ITER = 30          # ... and its iteration cap
 NEWTON_BLOCK_SITES = 24       # Newton's block LU groups whole strip layers into blocks of about this many sites
@@ -36,7 +35,7 @@ PLATEAU_TOL = 1e-12           # flat: the string max moves less than this per RE
 REFINE_TRIGGER = 1e-8         # the string starts climbing, and later Newton polishes its top, once its max moves less per REPARAM_TIME
 CHAIN_CERT_TOL = 1e-6         # node-flow success: the certified chain maximum is at most d + this
 CHAIN_CERT_MAX_STATES = 100_000  # budget guard on the energy states one chain certificate densifies
-MAX_SWEEPS = 200_000          # budget guard on node sweeps per string and on steps per classify flow
+MAX_SWEEPS = 200_000          # budget guard on node sweeps per string
 HEAT_SETTLE_TOL = 1e-8        # heat-flow: l2 residual at which the chain or a classify flow has settled
 HEAT_SETTLE_TIME = 10.0       # heat-flow: flow time allowed for the whole chain to settle
 HEAT_CLASSIFY_TIME = 80.0     # heat-flow: flow time allowed for one state to reach its basin

@@ -22,6 +22,7 @@ certified by finitely many samples and is only reported as a growth trend.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,9 +126,14 @@ class SitePotential:
         An explicit Euler step x - h grad(x) with h <= 1 / L lowers the
         energy by at least h |grad|^2 / 2 (the descent lemma), and under (S3)
         it is monotone, because 1 - h H has nonnegative entries, so it keeps
-        the order box and the order of states.
+        the order box and the order of states.  A bound that is not finite
+        and positive gives no step: it is a ``ModelError``.
         """
-        return 1.0 / self.lipschitz_bound()
+        L = self.lipschitz_bound()
+        if not (L > 0 and math.isfinite(L)):
+            raise ModelError("the Lipschitz bound L=%r must be finite and positive"
+                             % L)
+        return 1.0 / L
 
 
 class ClassicalFKPotential(SitePotential):

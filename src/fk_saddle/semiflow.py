@@ -8,7 +8,8 @@ A *system* is any object with
 
 where ``x`` stacks field values with the lattice axes trailing and arbitrary
 leading batch axes.  The flow integrates ``dx/dt = -grad(x)`` by the Euler
-map ``x - h grad(x)`` with a fixed step ``h <= 1 / L``.  Every flow only has
+map ``x - h grad(x)`` at the step ``h = dt_safe`` (the last step of a
+flow is cut short to land on ``t_max``).  Every flow only has
 to reach stationarity or a flow-time stop, so no step needs trajectory
 accuracy: at ``h <= 1 / L`` each step lowers the energy (the descent lemma),
 and under (S3) it is monotone, so box invariance and order preservation
@@ -17,8 +18,9 @@ by more than ``ENERGY_INCREASE_TOL`` can only mean the system's L is wrong,
 and it is a ``FlowError`` that names L and the rise.
 
 ``flow`` returns the final state, its step count and its worst l2 residual;
-it stops at stationarity, at flow time ``t_max`` or when the step budget
-runs out.  ``stationarity_tol=0.0`` runs it to ``t_max``.
+it steps at the system's ``dt_safe`` and stops at stationarity or at flow
+time ``t_max``, its only horizon.  ``stationarity_tol=0.0`` runs it to
+``t_max``.
 
 ``refine_critical`` is the one Newton solver of the package: the
 ground-state polish and the saddle refinement both call it.  It needs
@@ -39,8 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .defaults import (ENERGY_INCREASE_TOL, FLOW_T_MAX, MAX_FLOW_STEPS,
-                       NEWTON_SOLVE_RTOL, STATIONARITY_TOL)
+from .defaults import (ENERGY_INCREASE_TOL, FLOW_T_MAX, NEWTON_SOLVE_RTOL,
+                       STATIONARITY_TOL)
 from .fields import FkSaddleError
 
 
@@ -52,26 +54,13 @@ class FlowError(FkSaddleError):
 class FlowParams:
     """Integration controls for the gradient semiflow.
 
-    ``dt=None`` selects the Lipschitz-safe step of the system.  ``t_max``
-    bounds the flow horizon; stationarity (l2 residual at most
-    ``stationarity_tol``) stops the flow earlier, so 0.0 runs it to
-    ``t_max``.  ``max_steps`` is a budget guard only: the stops are set in
-    flow time.
+    Every flow steps at the system's ``dt_safe``.  ``t_max`` is the flow
+    horizon; stationarity (l2 residual at most ``stationarity_tol``) stops
+    the flow earlier, so 0.0 runs it to ``t_max``.
     """
 
-    dt: float | None = None
     t_max: float = FLOW_T_MAX
     stationarity_tol: float = STATIONARITY_TOL
-    max_steps: int = MAX_FLOW_STEPS
-
-    def resolve_dt(self, system) -> float:
-        dt = self.dt if self.dt is not None else system.dt_safe
-        if not (dt > 0 and math.isfinite(dt)):
-            raise FlowError("dt must be finite and positive, got %r" % dt)
-        if dt > system.dt_safe * (1 + 1e-12):
-            raise FlowError("dt=%g exceeds the Lipschitz-safe bound %g"
-                            % (dt, system.dt_safe))
-        return dt
 
     def with_(self, **kw) -> "FlowParams":
         return replace(self, **kw)
@@ -112,35 +101,35 @@ def flow(system, x0: np.ndarray, params: FlowParams):
     """Integrate the semiflow from x0; returns (x, steps, residual).
 
     Works on batched states; ``residual`` is the worst l2 residual over the
-    batch, and the flow stops once it is at most ``stationarity_tol``, at
-    flow time ``t_max``, or after ``max_steps`` steps.  NaN anywhere aborts.
+    batch, and the flow stops once it is at most ``stationarity_tol`` or at
+    flow time ``t_max``.  NaN anywhere aborts: a NaN residual takes the next
+    step, whose energy check raises.
     """
     x = np.asarray(x0, dtype=float).copy()
-    dt = params.resolve_dt(system)
+    dt = system.dt_safe
     nlat = system.lattice_ndim
     energy = system.energy(x)
     g = system.grad(x)
     res = float(np.max(_l2(g, nlat)))
-    t = 0.0
-    for steps in range(params.max_steps):
-        if res <= params.stationarity_tol or t >= params.t_max - 1e-15:
-            return x, steps, res
+    t, steps = 0.0, 0
+    while not res <= params.stationarity_tol and t < params.t_max - 1e-15:
         step = min(dt, params.t_max - t)
         x, _, energy, _ = guarded_step(system, x, step, energy, k1=-g)
         t += step
+        steps += 1
         g = system.grad(x)
         res = float(np.max(_l2(g, nlat)))
-    return x, params.max_steps, res
+    return x, steps, res
 
 
 def flow_to_stationarity(system, x0, params: FlowParams):
     """Flow until the residual tolerance is met; returns (x, steps) and
-    raises if ``t_max`` or the step budget comes first."""
+    raises if ``t_max`` comes first."""
     x, steps, res = flow(system, x0, params)
     if not res <= params.stationarity_tol:
-        raise FlowError("flow did not reach residual %g within t_max=%g / %d steps "
-                        "(last residual %g)" % (params.stationarity_tol, params.t_max,
-                                                params.max_steps, res))
+        raise FlowError("flow did not reach residual %g within t_max=%g (%d steps, "
+                        "last residual %g)" % (params.stationarity_tol, params.t_max,
+                                               steps, res))
     return x, steps
 
 

@@ -84,6 +84,8 @@ class OracleGrid2D:
         :func:`bottleneck_minimax_2d` checks the answer against the bracket;
         either failure raises, naming the Lipschitz bound as the likely fault.
         """
+        if resolution < 101:
+            raise FkSaddleError("oracle resolution must be >= 101")
         system, ga, gb = _order_box_axes(potential, gap, resolution)
         L = potential.lipschitz_bound()
         first = np.arange(0, resolution, ORACLE_BLOCK)
@@ -142,8 +144,6 @@ def _block_cells(blocks, n, size=ORACLE_BLOCK):
 def _order_box_axes(potential, gap, resolution):
     """The system on offsets from v0 and the sample offsets of a and b,
     ``resolution`` each, spanning the order box [0, hi]."""
-    if resolution < 101:
-        raise FkSaddleError("oracle resolution must be >= 101")
     if potential.n != 2:
         raise FkSaddleError("the 2-variable oracle needs model dimension 2")
     system, hi = require_gap(gap).order_box(potential, (2, 1))
@@ -433,8 +433,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         # 1 - h H_ii >= 1/2 for h <= 1/(2 L), as the Gershgorin row sum L
         # bounds H_ii.  The scheme is monotone, and every step keeps at least
         # half of each site's gap: run to flow time 15 / L (30 steps).
-        dt = min(0.5 * system.dt_safe, params.dt or math.inf)
-        steps = math.ceil(15.0 / (potential.lipschitz_bound() * dt) - 1e-9)
+        dt, steps = 0.5 * system.dt_safe, 30
         for _ in range(steps):
             g1 = system.grad(u)
             u, v = u - dt * g1, v - dt * (system.grad(u + v) - g1)
@@ -465,11 +464,9 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         # the flow's own Euler steps to t = 2, unguarded, so that a rise is
         # measured rather than raised
         x = _smooth_box_fields(system, rng, min(trials, 20), box)
-        dt, t, worst = params.resolve_dt(system), 0.0, -math.inf
+        dt, t, worst = system.dt_safe, 0.0, -math.inf
         energy = system.energy(x)
-        for _ in range(params.max_steps):
-            if t >= 2.0 - 1e-15:
-                break
+        while t < 2.0 - 1e-15:
             step = min(dt, 2.0 - t)
             x, _ = rk4_step(system, x, step)
             e_new = system.energy(x)

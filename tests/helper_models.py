@@ -109,6 +109,18 @@ def dense_bottleneck(values) -> float:
 # --- constructed potentials ----------------------------------------------------
 
 
+class SmallStepFK(ClassicalFKPotential):
+    """Classical FK that states ``factor`` times its Lipschitz bound, so
+    every flow steps at 1 / (factor L); the energy is unchanged."""
+
+    def __init__(self, factor, **kw):
+        super().__init__(**kw)
+        self.factor = factor
+
+    def lipschitz_bound(self):
+        return self.factor * super().lipschitz_bound()
+
+
 class FlippedBondPotential(ClassicalFKPotential):
     """Classical FK with the sign of one bond's coupling flipped.
 

@@ -42,11 +42,16 @@ def test_parse_rejects_unknown_key():
     for key in ("kind = chi", "k = 4", "restarts = 1"):
         with pytest.raises(ConfigError, match="unknown key 'path.%s'" % key.split()[0]):
             parse_config("[path]\n%s\n" % key)
+    # every flow steps at the model's 1 / L and stops only at t_max
+    for key in ("dt = auto", "max-steps = 10"):
+        with pytest.raises(ConfigError, match="unknown key 'flow.%s'" % key.split()[0]):
+            parse_config("[flow]\n%s\n" % key)
 
 
 @pytest.mark.parametrize("command, flag", [
     ("mpp", "--path"), ("mpp", "--k"), ("mpp", "--restarts"),
-    ("multiplicity", "--restarts"), ("mph", "--restarts")])
+    ("multiplicity", "--restarts"), ("mph", "--restarts"), ("mpp", "--dt"),
+    ("verify", "--dt")])
 def test_start_chain_flags_are_gone(command, flag, capsys):
     with pytest.raises(SystemExit):
         main([command, flag, "1", "--seed", "1"])
@@ -113,7 +118,7 @@ def test_window_cap_is_the_largest_fixed_window():
     ["mph", "--window", "0"], ["gap", "--probes", "0"],
     ["multiplicity", "--kmax", "1"], ["verify", "--resolutions", "51"],
     ["mph", "--window", "foo"], ["gap", "--p", "a,1"],
-    ["mpp", "--dt", "-1"], ["mpp", "--dt", "nan"], ["mpp", "--tol", "nan"],
+    ["mpp", "--tol", "0"], ["verify", "--trials", "-1"], ["mpp", "--tol", "nan"],
     ["minimize", "--amplitude", "nan"], ["minimize", "--coupling", "inf"],
     ["hetero", "--window", "100000"], ["mph", "--window", "641"],
     ["gap", "--p", "2"], ["hetero", "--q", "1,1"], ["minimize", "--p", "300,300"],
@@ -147,13 +152,13 @@ SAME_JOB = {
 def test_cli_and_job_file_agree(command):
     flags, text = SAME_JOB[command]
     common = ["--model", "pinned-fk", "--p", "2,1", "--seed", "4",
-              "--amplitude", "1.5", "--dt", "auto", "--tol", "1e-9",
+              "--amplitude", "1.5", "--tol", "1e-9",
               "--out", "x.json"]
     from_flags = _config_from_args(build_parser().parse_args(
         [command] + common + flags))
     from_file = parse_config(
         "command = %s\nmodel = pinned-fk\np = 2,1\nseed = 4\nout = x.json\n%s"
-        "[model-params]\namplitude = 1.5\n[flow]\ndt = auto\ntol = 1e-9\n"
+        "[model-params]\namplitude = 1.5\n[flow]\ntol = 1e-9\n"
         % (command, text))
     assert config_to_dict(from_flags) == config_to_dict(from_file)
 
@@ -182,7 +187,7 @@ def test_parse_error_carries_line_number():
 
 def test_roundtrip():
     cfg = RunConfig(command="mpp", model="pinned-fk", p=(3, 1), seed=9,
-                    nodes=65, mode="heat-flow", dt=None, tol=1e-9,
+                    nodes=65, mode="heat-flow", tol=1e-9,
                     resolutions=(401, 2001), amplitude=1.5)
     again = parse_config(format_config(cfg))
     assert config_to_dict(again) == config_to_dict(cfg)
@@ -253,6 +258,24 @@ def test_landscape_spans_the_order_box(tmp_path):
     assert np.unique(cols[:, 1]) == pytest.approx([0.0, 0.25, 0.5])
     data = json.loads(out.read_text())
     assert data["scalars"]["grid_max_at"] == pytest.approx([0.25, 0.25], abs=0.01)
+
+
+def test_landscape_grid_is_even_and_holds_its_max(tmp_path):
+    # --grid G samples G x G evenly spaced cells, and the reported maximum
+    # is one of them
+    out = tmp_path / "l.json"
+    csv = tmp_path / "landscape.csv"
+    assert main(["landscape", "--model", "classical-fk", "--p", "2,1",
+                 "--grid", "50", "--out", str(out), "--fields-out", str(csv)]) == 0
+    cols = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert len(cols) == 50 * 50
+    for axis in (0, 1):
+        spacing = np.diff(np.unique(cols[:, axis]))
+        assert len(spacing) == 49 and np.ptp(spacing) < 1e-12
+    top = cols[np.argmax(cols[:, 2])]
+    data = json.loads(out.read_text())
+    assert data["scalars"]["grid_max"] == top[2]
+    assert data["scalars"]["grid_max_at"] == [top[0], top[1]]
 
 
 def test_gap_and_mpp_manifests(tmp_path):

@@ -5,13 +5,14 @@ from fk_saddle import (HeteroGapPair, asymptotics_report, best_mountain_pass,
                        find_gap_pair, find_gap_pair_hetero, make_potential,
                        minimize_hetero, mountain_pass, mountain_pass_hetero,
                        multiplicity_scan)
+from fk_saddle import hetero
 from fk_saddle.defaults import default_node_count
 from fk_saddle.fields import PeriodError, WindowError
 from fk_saddle.hetero import _strip_system
 from fk_saddle.mpp import PathError, box_path
 from fk_saddle.semiflow import flow
 
-from helper_models import dense
+from helper_models import SmallStepFK, dense
 
 # Heteroclinic ground levels at window half-width 40, frozen from an
 # independent brute-force route (L-BFGS-B on the windowed renormalized
@@ -50,6 +51,24 @@ def test_window_doubling_stability(het):
 def test_negative_window_is_a_window_error(pinned, pinned_gap, params):
     with pytest.raises(WindowError, match="half-width must be >= 0, got -1"):
         minimize_hetero(pinned, (1,), pinned_gap, params, window=-1)
+
+
+def test_window_policy_stops_at_the_cap(pinned, pinned_gap, params, monkeypatch):
+    # a tail bound that never meets its tolerance doubles the window until
+    # the next one would pass the cap
+    monkeypatch.setattr(hetero, "TAIL_BOUND_TOL", 0.0)
+    monkeypatch.setattr(hetero, "WINDOW_CAP", 20)
+    with pytest.raises(WindowError, match="window 40 exceeds the cap 20"):
+        minimize_hetero(pinned, (1,), pinned_gap, params)
+
+
+def test_window_policy_refuses_a_tail_that_does_not_localize(
+        pinned, pinned_gap, params, monkeypatch):
+    # a kink sheds tail mass by orders of magnitude per doubling; a bound
+    # that stays put is a delocalized ramp
+    monkeypatch.setattr(hetero, "_tail_bound", lambda system, x: 1.0)
+    with pytest.raises(WindowError, match="tail mass is not localizing"):
+        minimize_hetero(pinned, (1,), pinned_gap, params)
 
 
 def test_transverse_scaling(pinned, pinned_gap, params, het):
@@ -145,8 +164,11 @@ def test_strip_flow_comparison_and_box_invariance(pinned, pinned_gap, params, he
     u2 = u1 + rng.uniform(0.1, 0.5, size=(6,) + width.shape) * width
     fp = params.with_(t_max=0.2, stationarity_tol=0.0)
     # strict order needs 1 - h H_ii >= 1/2, the step 1 / (2 L) of the
-    # flow-comparison property; at 1 / L the scheme is only monotone
-    both, _, _ = flow(system, np.concatenate([u1, u2]), fp.with_(dt=0.5 * system.dt_safe))
+    # flow-comparison property, so flow the same energy stating 2 L; at
+    # 1 / L the scheme is only monotone
+    halved, _ = het_gap.order_box(SmallStepFK(2.0, amplitude=2.0))
+    assert halved.dt_safe == pytest.approx(0.5 * system.dt_safe, rel=1e-12)
+    both, _, _ = flow(halved, np.concatenate([u1, u2]), fp)
     active = width > 1e-9
     assert np.all((both[6:] - both[:6])[:, active] > 0)
     seeds = rng.uniform(0, 1, size=(6,) + width.shape) * width
@@ -355,6 +377,14 @@ def test_strip_column_from_the_ramp(pinned, het_gap, params):
         assert 0 < r.barrier <= r.witness + 1e-6
     assert scan.rows[3].barrier == pytest.approx(4.121897, abs=1e-6)
     assert scan.rows[4].barrier == pytest.approx(4.122281, abs=1e-6)
+
+
+def test_long_strip_column_passes_the_gate(pinned, het_gap, params):
+    # at q = 16 the saddle's offsets fall below rounding away from its wall,
+    # reading 0 on some sites; the closed-box gate accepts it at its level
+    res = best_mountain_pass(pinned, het_gap, (16,), params)
+    assert res.success, res.message
+    assert res.barrier == pytest.approx(4.12228314, abs=1e-8)
 
 
 # --- asymptotics ---------------------------------------------------------------

@@ -8,10 +8,13 @@ from fk_saddle import (best_mountain_pass, chi_path, find_gap_pair,
                        intersects, mountain_pass, multiplicity_scan, phi_path)
 from fk_saddle import mpp
 from fk_saddle.cli import main
+from fk_saddle.defaults import COMPARE_TOL
 from fk_saddle.mpp import PathError, box_path
 from fk_saddle.semiflow import refine_critical
 from fk_saddle.verify import minimize_c0p
 from fk_saddle.periodic import PeriodicSystem
+
+from helper_models import SmallStepFK
 
 # Exact saddle level on the two-cell torus for the textbook model: the
 # bottleneck configurations have one column at its half-way point and the
@@ -199,24 +202,46 @@ def test_heat_flow_agrees(classical, gap, params, mp21):
 
 
 def test_critical_gate_names_the_failed_check(classical, gap, mp21):
-    system, hi = gap.order_box(classical, (2, 1))
+    _, hi = gap.order_box(classical, (2, 1))
     x, e, c = mp21.critical, mp21.value, mp21.c_ref
     tol = 1e-10
-    assert mpp._validate_critical(system, x, hi, e, c, tol) is None
-    assert "floor" in mpp._validate_critical(system, 0.0 * x, hi, e, c, tol)
-    assert "corner" in mpp._validate_critical(system, hi.copy(), hi, e, c, tol)
-    assert "ground level" in mpp._validate_critical(system, x, hi, c, c, tol)
+    assert mpp._validate_critical(x, hi, e, c, tol) is None
+    assert "ground level" in mpp._validate_critical(x, hi, c, c, tol)
+    # pushed past the floor or the corner by more than COMPARE_TOL, a point
+    # is refused, and the message says by how much
+    for site, value, over in ((0, -3e-9, "3e-09"), (1, hi.flat[1] + 2e-6, "2e-06")):
+        pushed = x.copy()
+        pushed.flat[site] = value
+        assert "lies %s outside the box" % over in mpp._validate_critical(
+            pushed, hi, e, c, tol)
 
 
-def test_critical_gate_is_relative_to_the_box_width(classical, gap):
-    # a site of width 1e-10 (as on the pinned kink's box) holds a saddle at
-    # 1e-15 strictly inside; only x = 0 touches the floor
-    system, _ = gap.order_box(classical, (2, 1))
+def test_critical_gate_is_the_closed_box():
+    # a site of width 1e-10 (as on the pinned kink's box) may hold the point
+    # anywhere within COMPARE_TOL of [0, hi], floor and corner included: the
+    # level, not the sites, tells a saddle from a corner, and strong
+    # comparison puts the exact critical point strictly inside
     hi = np.array([[1e-10], [0.5]])
     x = np.array([[1e-15], [0.25]])
-    assert mpp._validate_critical(system, x, hi, 1.0, 0.0, 1e-10) is None
-    x[0, 0] = 0.0
-    assert "floor" in mpp._validate_critical(system, x, hi, 1.0, 0.0, 1e-10)
+    for value in (1e-15, 0.0, -0.5 * COMPARE_TOL, 1e-10 + 0.5 * COMPARE_TOL):
+        x[0, 0] = value
+        assert mpp._validate_critical(x, hi, 1.0, 0.0, 1e-10) is None
+
+
+# Long periods: the saddle is a domain of flipped columns whose offsets fall
+# below rounding a few columns from its wall; its barrier is saturated
+LONG_BARRIERS = {"classical": 2.185555254, "twowell": 1.046629798,
+                 "pinned": 4.186519192}
+
+
+@pytest.mark.parametrize("model", sorted(LONG_BARRIERS))
+def test_long_period_rows_pass_the_gate(request, params, model):
+    pot = request.getfixturevalue(model)
+    gap = find_gap_pair(pot, (1, 1), seed=3, params=params)
+    for k in (20, 24, 64):
+        res = best_mountain_pass(pot, gap, (k, 1), params)
+        assert res.success, (k, res.message)
+        assert res.barrier == pytest.approx(LONG_BARRIERS[model], abs=1e-9)
 
 
 def test_check_chain_guards():
@@ -264,9 +289,12 @@ def test_no_non_climbing_node_rises(classical, gap, params, monkeypatch):
 
 
 def test_node_flow_does_not_depend_on_dt(classical, gap, params):
-    dt = PeriodicSystem(classical, (2, 1)).dt_safe
-    runs = [best_mountain_pass(classical, gap, (2, 1), params.with_(dt=h), N=65)
-            for h in (dt, dt / 8)]
+    # the same energy stating 8 L flows at dt / 8
+    small = SmallStepFK(8.0)
+    assert PeriodicSystem(small, (2, 1)).dt_safe == pytest.approx(
+        PeriodicSystem(classical, (2, 1)).dt_safe / 8, rel=1e-12)
+    runs = [best_mountain_pass(pot, gap, (2, 1), params, N=65)
+            for pot in (classical, small)]
     assert all(r.success for r in runs)
     for r in runs:
         assert r.value == pytest.approx(REFERENCE_D21, abs=1e-10)

@@ -3,10 +3,11 @@ import pytest
 
 from fk_saddle import FlowParams, find_gap_pair, make_potential, minimize_periodic
 from fk_saddle.fields import BandedHessian, PeriodError
-from fk_saddle.model import PluginPotential
+from fk_saddle.model import ModelError, PluginPotential
 from fk_saddle.periodic import GapPair, NoGapError, PeriodicSystem, require_gap
 from fk_saddle.semiflow import (FlowError, flow, flow_to_stationarity,
                                 refine_critical)
+from fk_saddle.verify import run_property_suite
 
 from helper_models import local_energy
 
@@ -92,14 +93,25 @@ def test_flow_converges_and_decreases_energy(classical, gap, params):
     assert system.energy(out) <= system.energy(x0)
 
 
-def test_flow_budget_short_of_t_max_raises(classical, gap, params):
-    # a step budget too small to reach stationarity is an error, not an
-    # early answer (the offset 0.5 from v0 is the stationary top of the box)
+def test_flow_horizon_short_of_stationarity_raises(classical, gap, params):
+    # a horizon too short to reach stationarity is an error, not an early
+    # answer (the offset 0.5 from v0 is the stationary top of the box)
     p = (2, 1)
     system = PeriodicSystem(classical, p, gap.v0)
     with pytest.raises(FlowError, match="5 steps"):
         flow_to_stationarity(system, np.array([[0.4], [0.2]]),
-                             params.with_(max_steps=5))
+                             params.with_(t_max=5 * system.dt_safe))
+
+
+def test_flow_steps_at_dt_safe_up_to_t_max(classical, gap):
+    # t_max is the only horizon: whole steps of dt_safe, the last one cut
+    # short to land on it
+    p = (2, 1)
+    system = PeriodicSystem(classical, p, gap.v0)
+    for horizon, count in ((5.0, 5), (2.5, 3)):
+        fp = FlowParams(t_max=horizon * system.dt_safe, stationarity_tol=0.0)
+        _, steps, _ = flow(system, np.array([[0.4], [0.2]]), fp)
+        assert steps == count
 
 
 def test_minimize_single_cell(classical, params):
@@ -190,23 +202,18 @@ def test_box_invariance(classical, gap, params):
     assert np.max(out - box) <= 1e-10
 
 
-def test_flow_rejects_oversized_dt(classical, gap):
-    p = (1, 1)
-    system = PeriodicSystem(classical, p, gap.v0)
-    with pytest.raises(FlowError):
-        flow(system, np.zeros(p), FlowParams(dt=1.0))
-
-
-def test_resolve_dt_rejects_nan_bound():
-    # a NaN second-derivative bound makes dt_safe NaN: refuse it up front
-    # instead of halving a NaN step until the energy guard gives up
+def test_nan_lipschitz_bound_is_refused():
+    # a NaN second-derivative bound gives no flow step: the step's one
+    # derivation refuses it, for every caller
     plug = PluginPotential(lambda cfg: np.sum(cfg ** 2, axis=-1), n=2, r=1,
                            second_derivative_bound=float("nan"))
     p = (1, 1)
-    with pytest.raises(FlowError, match="finite and positive"):
-        FlowParams().resolve_dt(PeriodicSystem(plug, p))
-    with pytest.raises(FlowError, match="finite and positive"):
+    with pytest.raises(ModelError, match="finite and positive"):
+        PeriodicSystem(plug, p)
+    with pytest.raises(ModelError, match="finite and positive"):
         minimize_periodic(plug, p, [np.full(p, 0.3)], FlowParams())
+    with pytest.raises(ModelError, match="finite and positive"):
+        run_property_suite(plug, p, seed=0, trials=5)
 
 
 def test_minimize_work_count(classical, params, monkeypatch):
@@ -284,7 +291,7 @@ def test_heat_flow_classify_steps_are_guarded_too():
 
     system = _Quadratic(a=2.0)
     with pytest.raises(FlowError, match=r"L=0\.666667"):
-        _classify_flow(system, np.array([1.0]), system.dt_safe, [])
+        _classify_flow(system, np.array([1.0]), [])
 
 
 def test_flow_raises_when_no_step_lowers_the_energy():
