@@ -6,10 +6,11 @@ sha256) of every file produced, so a run can be reproduced and compared
 bit-for-bit.  Fields and grids go to CSV (header ``i1,...,in,value``,
 scientific notation with 17 significant digits); scalars go to JSON.
 
-Each subcommand's flags are job-file keys (``COMMAND_FLAGS``): a flag given
-on the command line is parsed by the key's ``config.SCHEMA`` entry, a flag
-left out keeps the ``RunConfig`` default, and ``RunConfig.validate`` checks
-the result, exactly as for ``fk-saddle run job.cfg``.
+Each subcommand's flags are the job-file keys it reads
+(``config.COMMAND_FLAGS``): a flag given on the command line is parsed by the
+key's ``config.SCHEMA`` entry, a flag left out keeps the ``RunConfig``
+default, and ``RunConfig.validate`` checks the result, exactly as for
+``fk-saddle run job.cfg``.
 
 Exit status: 0 on success, 1 when any stage fails (for ``verify``: when any
 property fails), 2 on configuration errors.
@@ -26,8 +27,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import (SCHEMA, SEEDED, ConfigError, RunConfig, config_to_dict,
-                     parse_config, set_key)
+from .config import (COMMAND_FLAGS, COMMON_FLAGS, SCHEMA, SEEDED, ConfigError,
+                     RunConfig, config_to_dict, parse_config, set_key)
 from .defaults import CSV_FLOAT_FORMAT, TAIL_BOUND_TOL
 from .fields import FkSaddleError
 from .hetero import (asymptotics_report, find_gap_pair_hetero,
@@ -158,8 +159,7 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "mpp":
         gap = _gap_or_fail(pot, cfg, params)
-        res = best_mountain_pass(pot, gap, cfg.p, params, mode=cfg.mode,
-                                 N=cfg.nodes)
+        res = best_mountain_pass(pot, gap, cfg.p, params, N=cfg.nodes)
         _record_saddle(man, res, "d0p", "c0p")
         man.scalars["argmax_index"] = res.argmax_index
         man.scalars["iterations"] = res.iterations
@@ -225,8 +225,7 @@ def run(cfg: RunConfig) -> Manifest:
         if gap1 is None:
             man.errors.append("no heteroclinic gap pair found")
         else:
-            res = mountain_pass_hetero(pot, gap1, params, N=cfg.nodes,
-                                       mode=cfg.mode)
+            res = mountain_pass_hetero(pot, gap1, params, N=cfg.nodes)
             _record_saddle(man, res, "d1q", "c1q")
             man.scalars["tails"] = list(mres.tails)
             man.scalars["window"] = mres.window
@@ -254,7 +253,9 @@ def run(cfg: RunConfig) -> Manifest:
             man.scalars["oracle"] = {str(k): v for k, v in cc.oracle.items()}
             man.scalars["oracle_band"] = {str(k): v for k, v in cc.band.items()}
             man.scalars["cross_check_agree"] = cc.agree
-            if not cc.agree:
+            man.errors.extend("cross check: %s failed: %s" % item
+                              for item in cc.failed.items())
+            if not (cc.agree or cc.failed):
                 man.errors.append("cross check disagreement %r" % cc.deltas)
 
     elif cmd == "validate":
@@ -277,21 +278,7 @@ def run(cfg: RunConfig) -> Manifest:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# The job-file keys each subcommand exposes as flags.  A flag is its key's
-# name, parsed by its SCHEMA entry, except for the two in FLAG_KEYS.
-COMMON_FLAGS = ("model", "amplitude", "coupling", "p", "q", "tol", "seed", "out",
-                "fields-out")
-COMMAND_FLAGS = {
-    "minimize": (),
-    "gap": ("probes",),
-    "mpp": ("nodes", "mode"),
-    "landscape": ("grid",),
-    "multiplicity": ("kmax",),
-    "hetero": ("window",),
-    "mph": ("nodes", "window", "mode"),
-    "verify": ("trials", "cross-check", "resolutions"),
-    "validate": ("samples",),
-}
+# the flags (config.COMMAND_FLAGS) whose job-file key has another name
 FLAG_KEYS = {"window": "size", "samples": "trials"}
 HELP = {
     "minimize": "periodic ground states on a torus",

@@ -18,8 +18,21 @@ from .defaults import (FLOW_T_MAX, GAP_PROBES, MAX_TORUS_CELLS, ORACLE_RESOLUTIO
                        STATIONARITY_TOL, WINDOW_CAP)
 from .fields import FkSaddleError
 
-COMMANDS = ("minimize", "gap", "mpp", "hetero", "mph", "multiplicity",
-            "verify", "landscape", "validate")
+# The job-file keys each command reads that are also its flags: a flag is its
+# key's name, parsed by its SCHEMA entry (``cli.FLAG_KEYS`` renames two).  A
+# command takes no flag it does not read; its job file may set any key.
+COMMON_FLAGS = ("model", "amplitude", "coupling", "seed", "out")
+COMMAND_FLAGS = {
+    "minimize": ("p", "tol", "fields-out"),
+    "gap": ("p", "tol", "probes"),
+    "mpp": ("p", "tol", "fields-out", "nodes"),
+    "landscape": ("tol", "fields-out", "grid"),
+    "multiplicity": ("tol", "kmax"),
+    "hetero": ("q", "tol", "fields-out", "window"),
+    "mph": ("q", "tol", "fields-out", "nodes", "window"),
+    "verify": ("p", "tol", "trials", "cross-check", "resolutions"),
+    "validate": ("samples",),
+}
 # commands that need an explicit seed; minimize (random seed fields) and
 # landscape (gap probes) are stochastic too but run at seed 0 without one
 SEEDED = ("gap", "mpp", "multiplicity", "hetero", "mph", "verify", "validate")
@@ -66,7 +79,6 @@ class RunConfig:
     tol: float = STATIONARITY_TOL
     # path / minimax
     nodes: int | None = None
-    mode: str = "node-flow"
     # window policy
     window: int | None = None
     # scans and verification
@@ -86,9 +98,9 @@ class RunConfig:
         return out
 
     def validate(self) -> "RunConfig":
-        if self.command not in COMMANDS:
+        if self.command not in COMMAND_FLAGS:
             raise ConfigError("command: unknown command %r (choose from %s)"
-                              % (self.command, ", ".join(COMMANDS)))
+                              % (self.command, ", ".join(COMMAND_FLAGS)))
         if self.seed is None and self.command in SEEDED:
             raise ConfigError("seed: required by %s" % self.command)
         for name in ("amplitude", "coupling"):
@@ -98,12 +110,10 @@ class RunConfig:
         if self.n < 1:
             raise ConfigError("model-params.n: must be >= 1")
         # p is a torus of the model's dimension, q the strip's transverse torus
-        for key, periods, dim, readers in (
-                ("p", self.p, self.n, ("minimize", "gap", "mpp", "verify")),
-                ("q", self.q, self.n - 1, ("hetero", "mph"))):
+        for key, periods, dim in (("p", self.p, self.n), ("q", self.q, self.n - 1)):
             if any(x < 1 for x in periods):
                 raise ConfigError("%s: periods must be >= 1" % key)
-            if self.command not in readers:
+            if key not in COMMAND_FLAGS[self.command]:
                 continue
             if len(periods) != dim:
                 raise ConfigError("%s: %s needs %d periods for model dimension %d, "
@@ -111,8 +121,6 @@ class RunConfig:
             if math.prod(periods) > MAX_TORUS_CELLS:
                 raise ConfigError("%s: %d cells exceed MAX_TORUS_CELLS=%d"
                                   % (key, math.prod(periods), MAX_TORUS_CELLS))
-        if self.mode not in ("node-flow", "heat-flow"):
-            raise ConfigError("path.mode: must be 'node-flow' or 'heat-flow'")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigError("flow.tol: must be finite and positive")
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
@@ -159,7 +167,6 @@ SCHEMA = {
     ("flow", "t-max"): ("t_max", float, repr),
     ("flow", "tol"): ("tol", float, repr),
     ("path", "nodes"): ("nodes", *_INT_OR_AUTO),
-    ("path", "mode"): ("mode", str, str),
     ("window", "size"): ("window", *_INT_OR_AUTO),
     ("scan", "kmax"): ("kmax", int, str),
     ("gap", "probes"): ("probes", int, str),

@@ -314,8 +314,7 @@ def find_gap_pair_hetero(potential: SitePotential,
 
 def mountain_pass_hetero(potential: SitePotential, gap1: HeteroGapPair,
                          params: FlowParams | None = None,
-                         N: int | None = None,
-                         mode: str = "node-flow") -> MinimaxResult:
+                         N: int | None = None) -> MinimaxResult:
     """Minimax over strip paths from 0 to w1 - v1 inside the order box:
     :func:`mpp.best_mountain_pass` on the pair's own transverse periods, from
     the column ramp across the transverse axis (``N`` nodes, default
@@ -324,7 +323,7 @@ def mountain_pass_hetero(potential: SitePotential, gap1: HeteroGapPair,
     The returned critical offset rides on v1; its level d1 exceeds c1 and
     its residual is below tolerance at every window site.
     """
-    return best_mountain_pass(potential, gap1, None, params, mode, N)
+    return best_mountain_pass(potential, gap1, None, params, N=N)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,9 @@ corner).  Two solvers compute the minimax:
   Newton refinement.  The reported value is the largest persistent level over
   settled nodes and tear edges, certified like a node-flow saddle.
 
-Both modes return the same value on the models shipped here; the node-flow
-solver is the default and the heat-flow solver doubles as a cross-check.
+Both solvers return the same value on the models shipped here.  Node-flow
+is the default ``mode`` and the one the commands run; heat-flow runs only as
+the second engine of ``verify.cross_check_mountain_pass``.
 
 This module also hosts the explicit staircase profiles (``chi_path`` /
 ``phi_path``), the scan's witness, whose maxima bound d - c uniformly in the
@@ -159,7 +160,6 @@ class MinimaxResult:
     residual: float                # sup-site |equilibrium residual|
     iterations: int
     success: bool
-    mode: str
     c_ref: float                   # energy of the path endpoints (= c0p)
     message: str = ""
     reparam_sweeps: list = field(default_factory=list)
@@ -374,7 +374,7 @@ def _minimax_node_flow(system, nodes0, hi, params):
         nodes = _reparametrize(nodes, peaks)
         energies = system.energy(nodes)
         reparam_sweeps.append(sweep)
-    record = dict(argmax_index=j, iterations=sweep, mode="node-flow", c_ref=c_ref,
+    record = dict(argmax_index=j, iterations=sweep, c_ref=c_ref,
                   reparam_sweeps=reparam_sweeps, final_nodes=nodes,
                   d_upper=d_upper, densified=densified)
     if found is not None:
@@ -388,7 +388,7 @@ def _minimax_node_flow(system, nodes0, hi, params):
 
 
 # ---------------------------------------------------------------------------
-# heat-flow mode
+# heat-flow
 # ---------------------------------------------------------------------------
 
 def _basin_of(x, reps):
@@ -540,8 +540,8 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
            else int(np.argmax(system.energy(nodes))))
     return MinimaxResult(
         value=val, argmax_index=arg, critical=x_best, residual=res_best,
-        iterations=settle_steps, success=not message,
-        mode="heat-flow", c_ref=c_ref, message=message, final_nodes=nodes)
+        iterations=settle_steps, success=not message, c_ref=c_ref,
+        message=message, final_nodes=nodes)
 
 
 # ---------------------------------------------------------------------------

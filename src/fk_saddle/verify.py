@@ -532,12 +532,18 @@ class CrossCheckReport:
     deltas: dict = field(default_factory=dict)
     agree: bool = False
     band: dict = field(default_factory=dict)   # resolution -> the grid's band
+    failed: dict = field(default_factory=dict)  # engine -> message of a failed run
 
 
 def cross_check_mountain_pass(potential: SitePotential, gap: GapPair,
                               resolutions=(ORACLE_RESOLUTION,),
                               params: FlowParams | None = None) -> CrossCheckReport:
-    """Compare node-flow, heat-flow, and the bottleneck oracle on p = (2, 1)."""
+    """Compare node-flow, heat-flow, and the bottleneck oracle on p = (2, 1).
+
+    The three agree when both engines succeed and every pair of values lies
+    within CROSS_CHECK_TOL; ``failed`` holds the message of each engine whose
+    run did not succeed (its value is then only its best candidate).
+    """
     if potential.n != 2:
         raise FkSaddleError("cross check is defined for model dimension 2")
     params = params or FlowParams()
@@ -558,7 +564,10 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair,
         "node-oracle": abs(node.value - finest),
         "heat-oracle": abs(heat.value - finest),
     }
+    failed = {name: res.message for name, res in
+              (("node-flow", node), ("heat-flow", heat)) if not res.success}
     return CrossCheckReport(
         node_flow=node.value, heat_flow=heat.value, oracle=oracle,
         tolerance=CROSS_CHECK_TOL, deltas=deltas,
-        agree=bool(max(deltas.values()) <= CROSS_CHECK_TOL), band=band)
+        agree=not failed and bool(max(deltas.values()) <= CROSS_CHECK_TOL),
+        band=band, failed=failed)

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from fk_saddle import ConfigError, RunConfig, cli, format_config, parse_config
-from fk_saddle.cli import (COMMAND_FLAGS, COMMON_FLAGS, FLAG_KEYS,
-                           _config_from_args, build_parser, main, run,
+from fk_saddle.cli import (FLAG_KEYS, _config_from_args, build_parser, main,
                            schema_entry)
-from fk_saddle.config import SCHEMA, config_to_dict
+from fk_saddle.config import COMMAND_FLAGS, COMMON_FLAGS, SCHEMA, config_to_dict
 from fk_saddle.defaults import TAIL_BOUND_TOL, WINDOW_CAP
 
 
@@ -19,7 +18,6 @@ def test_parse_minimal_defaults():
     assert cfg.p == (1, 1)
     assert cfg.command == "minimize"
     assert cfg.tol == 1e-10
-    assert cfg.mode == "node-flow"
 
 
 def test_parse_rejects_bad_periods():
@@ -56,6 +54,30 @@ def test_start_chain_flags_are_gone(command, flag, capsys):
     with pytest.raises(SystemExit):
         main([command, flag, "1", "--seed", "1"])
     assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mpp", "--mode", "heat-flow"], ["gap", "--fields-out", "x.csv"],
+    ["hetero", "--p", "2,1"], ["multiplicity", "--q", "2"],
+    ["validate", "--tol", "1e-9"]])
+def test_a_command_takes_no_flag_it_does_not_read(argv, tmp_path, capsys):
+    # mpp and mph always run node-flow; p, q, tol and fields-out are flags
+    # only of the commands that read them
+    out = tmp_path / "never.json"
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--seed", "1", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(argv[1:]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_job_file_mode_is_an_unknown_key(tmp_path, capsys):
+    cfgfile = tmp_path / "mode.cfg"
+    cfgfile.write_text("command = mpp\nseed = 1\nout = %s\n[path]\nmode = heat-flow\n"
+                       % (tmp_path / "m.json"))
+    assert main(["run", str(cfgfile)]) == 2
+    assert "unknown key 'path.mode'" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("command, flag", [("multiplicity", "--k"), ("mpp", "--no")])
@@ -114,7 +136,7 @@ def test_window_cap_is_the_largest_fixed_window():
 
 
 @pytest.mark.parametrize("flags", [
-    ["mpp", "--nodes", "0"], ["mph", "--nodes", "2"], ["mpp", "--mode", "warp"],
+    ["mpp", "--nodes", "0"], ["mph", "--nodes", "2"], ["mph", "--q", "0"],
     ["mph", "--window", "0"], ["gap", "--probes", "0"],
     ["multiplicity", "--kmax", "1"], ["verify", "--resolutions", "51"],
     ["mph", "--window", "foo"], ["gap", "--p", "a,1"],
@@ -134,13 +156,12 @@ def test_bad_values_exit_before_any_stage(flags, tmp_path, capsys):
 SAME_JOB = {
     "minimize": ([], ""),
     "gap": (["--probes", "3"], "[gap]\nprobes = 3\n"),
-    "mpp": (["--nodes", "33", "--mode", "heat-flow"],
-            "[path]\nnodes = 33\nmode = heat-flow\n"),
+    "mpp": (["--nodes", "33"], "[path]\nnodes = 33\n"),
     "landscape": (["--grid", "5"], "[verify]\ngrid = 5\n"),
     "multiplicity": (["--kmax", "3"], "[scan]\nkmax = 3\n"),
     "hetero": (["--window", "40", "--q", "2"], "q = 2\n[window]\nsize = 40\n"),
-    "mph": (["--nodes", "auto", "--window", "auto", "--mode", "heat-flow"],
-            "[path]\nnodes = auto\nmode = heat-flow\n[window]\nsize = auto\n"),
+    "mph": (["--nodes", "auto", "--window", "auto"],
+            "[path]\nnodes = auto\n[window]\nsize = auto\n"),
     "verify": (["--trials", "7", "--cross-check", "--resolutions", "401,2001"],
                "[verify]\ntrials = 7\ncross-check = true\n"
                "resolutions = 401,2001\n"),
@@ -151,15 +172,20 @@ SAME_JOB = {
 @pytest.mark.parametrize("command", sorted(SAME_JOB))
 def test_cli_and_job_file_agree(command):
     flags, text = SAME_JOB[command]
-    common = ["--model", "pinned-fk", "--p", "2,1", "--seed", "4",
-              "--amplitude", "1.5", "--tol", "1e-9",
+    common = ["--model", "pinned-fk", "--seed", "4", "--amplitude", "1.5",
               "--out", "x.json"]
+    head = "command = %s\nmodel = pinned-fk\nseed = 4\nout = x.json\n" % command
+    tail = "[model-params]\namplitude = 1.5\n"
+    # --p and --tol only where the command takes them
+    if "p" in COMMAND_FLAGS[command]:
+        common += ["--p", "2,1"]
+        head += "p = 2,1\n"
+    if "tol" in COMMAND_FLAGS[command]:
+        common += ["--tol", "1e-9"]
+        tail += "[flow]\ntol = 1e-9\n"
     from_flags = _config_from_args(build_parser().parse_args(
         [command] + common + flags))
-    from_file = parse_config(
-        "command = %s\nmodel = pinned-fk\np = 2,1\nseed = 4\nout = x.json\n%s"
-        "[model-params]\namplitude = 1.5\n[flow]\ntol = 1e-9\n"
-        % (command, text))
+    from_file = parse_config(head + text + tail)
     assert config_to_dict(from_flags) == config_to_dict(from_file)
 
 
@@ -187,16 +213,10 @@ def test_parse_error_carries_line_number():
 
 def test_roundtrip():
     cfg = RunConfig(command="mpp", model="pinned-fk", p=(3, 1), seed=9,
-                    nodes=65, mode="heat-flow", tol=1e-9,
+                    nodes=65, tol=1e-9,
                     resolutions=(401, 2001), amplitude=1.5)
     again = parse_config(format_config(cfg))
     assert config_to_dict(again) == config_to_dict(cfg)
-
-
-def test_validation_catches_bad_mode():
-    cfg = RunConfig(mode="warp")
-    with pytest.raises(ConfigError, match="mode"):
-        cfg.validate()
 
 
 def test_minimize_manifest(tmp_path):
@@ -229,7 +249,7 @@ def test_minimize_manifest_holds_each_whole_limit(tmp_path):
 def test_landscape_csv(tmp_path):
     out = tmp_path / "l.json"
     csv = tmp_path / "landscape.csv"
-    rc = main(["landscape", "--model", "classical-fk", "--p", "2,1",
+    rc = main(["landscape", "--model", "classical-fk",
                "--grid", "3", "--out", str(out), "--fields-out", str(csv)])
     assert rc == 0
     lines = csv.read_text().strip().splitlines()
@@ -251,7 +271,7 @@ def test_landscape_spans_the_order_box(tmp_path):
     # grid maximum are offsets in [0, 1/2]^2, not in the unit square
     out = tmp_path / "l.json"
     csv = tmp_path / "landscape.csv"
-    assert main(["landscape", "--model", "two-well-fk", "--p", "2,1",
+    assert main(["landscape", "--model", "two-well-fk",
                  "--grid", "3", "--out", str(out), "--fields-out", str(csv)]) == 0
     cols = np.loadtxt(csv, delimiter=",", skiprows=1)
     assert np.unique(cols[:, 0]) == pytest.approx([0.0, 0.25, 0.5])
@@ -265,7 +285,7 @@ def test_landscape_grid_is_even_and_holds_its_max(tmp_path):
     # is one of them
     out = tmp_path / "l.json"
     csv = tmp_path / "landscape.csv"
-    assert main(["landscape", "--model", "classical-fk", "--p", "2,1",
+    assert main(["landscape", "--model", "classical-fk",
                  "--grid", "50", "--out", str(out), "--fields-out", str(csv)]) == 0
     cols = np.loadtxt(csv, delimiter=",", skiprows=1)
     assert len(cols) == 50 * 50
@@ -289,7 +309,7 @@ def test_gap_and_mpp_manifests(tmp_path):
     out2 = tmp_path / "mpp.json"
     csv = tmp_path / "crit.csv"
     assert main(["mpp", "--model", "classical-fk", "--p", "2,1",
-                 "--nodes", "65", "--mode", "node-flow", "--seed", "1",
+                 "--nodes", "65", "--seed", "1",
                  "--out", str(out2), "--fields-out", str(csv)]) == 0
     data = json.loads(out2.read_text())
     assert data["scalars"]["d0p"] == pytest.approx(0.0625, abs=1e-9)
@@ -385,7 +405,7 @@ def test_fixed_window_meeting_the_tail_bound_passes(tmp_path):
     assert data["scalars"]["tail_bound"] < TAIL_BOUND_TOL
 
 
-def test_heat_flow_mpp_runs_once_in_heat_flow(tmp_path, monkeypatch):
+def test_heat_flow_mpp_runs_once_in_heat_flow(classical, gap, params, monkeypatch):
     from fk_saddle import mpp
 
     modes = []
@@ -396,14 +416,10 @@ def test_heat_flow_mpp_runs_once_in_heat_flow(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(mpp, "mountain_pass", counted)
-    out = tmp_path / "heat.json"
-    assert main(["mpp", "--model", "classical-fk", "--p", "1,1",
-                 "--nodes", "9", "--mode", "heat-flow",
-                 "--seed", "3", "--out", str(out)]) == 0
+    res = mpp.best_mountain_pass(classical, gap, (1, 1), params, mode="heat-flow", N=9)
     # one run from the ramp, in heat-flow mode
     assert modes == ["heat-flow"]
-    assert json.loads(out.read_text())["scalars"]["barrier"] == pytest.approx(
-        2.0, abs=1e-8)
+    assert res.success and res.barrier == pytest.approx(2.0, abs=1e-8)
 
 
 def test_verify_exit_codes(tmp_path):
@@ -418,6 +434,54 @@ def test_verify_exit_codes(tmp_path):
     data = json.loads(bad.read_text())
     assert not data["ok"]
     assert any("flow-comparison" in e for e in data["errors"])
+
+
+def test_cross_check_fails_when_an_engine_fails(tmp_path, monkeypatch):
+    # a failed heat-flow run is no agreement, however close its value
+    from fk_saddle import mpp
+
+    real = mpp._minimax_heat_flow
+
+    def failing(*args):
+        res = real(*args)
+        res.success, res.message = False, "1 unresolved tears"
+        return res
+
+    monkeypatch.setattr(mpp, "_minimax_heat_flow", failing)
+    out = tmp_path / "cc.json"
+    assert main(["verify", "--model", "classical-fk", "--p", "2,1", "--trials", "2",
+                 "--cross-check", "--resolutions", "401", "--seed", "7",
+                 "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["scalars"]["cross_check_agree"] is False
+    assert data["scalars"]["heat_flow"] == pytest.approx(0.0625, abs=1e-8)
+    assert data["errors"] == ["cross check: heat-flow failed: 1 unresolved tears"]
+
+
+def test_gap_exits_1_when_there_is_no_gap(tmp_path):
+    # the free chain's minimizers form a continuum: no adjacent pair
+    out = tmp_path / "gap.json"
+    assert main(["gap", "--model", "free-chain", "--p", "1,1", "--seed", "3",
+                 "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert not data["ok"] and data["errors"] == ["no gap found"]
+
+
+def test_mpp_exits_1_when_the_mountain_pass_fails(tmp_path, monkeypatch):
+    real = cli.best_mountain_pass
+
+    def failing(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.success, res.message = False, "chain top not certified"
+        return res
+
+    monkeypatch.setattr(cli, "best_mountain_pass", failing)
+    out = tmp_path / "mpp.json"
+    assert main(["mpp", "--model", "classical-fk", "--p", "2,1", "--seed", "1",
+                 "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["scalars"]["success"] is False
+    assert data["errors"] == ["chain top not certified"]
 
 
 def test_gap_requires_seed(capsys):

@@ -247,7 +247,7 @@ def test_mph_rejects_chains_off_the_box(pinned, het_gap, params):
 
 
 def test_mph_heat_flow_certified(pinned, het_gap, params, mph):
-    heat = mountain_pass_hetero(pinned, het_gap, params, N=33, mode="heat-flow")
+    heat = best_mountain_pass(pinned, het_gap, None, params, mode="heat-flow", N=33)
     assert heat.success, heat.message
     assert abs(heat.value - mph.value) <= 1e-6
     _, width = het_gap.order_box(pinned)
@@ -255,11 +255,6 @@ def test_mph_heat_flow_certified(pinned, het_gap, params, mph):
     assert np.min(heat.critical[active]) > 0
     assert np.min((width - heat.critical)[active]) > 0
     assert heat.value > heat.c_ref
-
-
-def test_mph_rejects_unknown_mode(pinned, het_gap, params):
-    with pytest.raises(PathError, match="unknown mode 'warp'"):
-        mountain_pass_hetero(pinned, het_gap, params, N=9, mode="warp")
 
 
 def test_mph_stable_under_window_doubling(pinned, pinned_gap, params, het, het_gap, mph):

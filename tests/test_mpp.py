@@ -9,6 +9,7 @@ from fk_saddle import (best_mountain_pass, chi_path, find_gap_pair,
 from fk_saddle import mpp
 from fk_saddle.cli import main
 from fk_saddle.defaults import COMPARE_TOL
+from fk_saddle.fields import BandedHessian
 from fk_saddle.mpp import PathError, box_path
 from fk_saddle.semiflow import refine_critical
 from fk_saddle.verify import minimize_c0p
@@ -199,6 +200,46 @@ def test_heat_flow_agrees(classical, gap, params, mp21):
     box = gap.box_field((2, 1))
     assert np.min(heat.critical) > 0 and np.min(box - heat.critical) > 0
     assert heat.value > heat.c_ref
+
+
+class _Cosine:
+    """One site with energy -cos(8 pi x) and its exact step bound 1 / (8 pi)^2.
+    On the box [0, 1] its minima sit at 0, 1/4, ..., 1 and its maxima, the
+    edges between them, at 1/8, 3/8, 5/8 and 7/8, all at level 1."""
+
+    lattice_ndim = 1
+    K = 8 * np.pi
+    dt_safe = 1.0 / K ** 2
+
+    def energy(self, x):
+        return np.sum(-np.cos(self.K * x), axis=-1)
+
+    def grad(self, x):
+        return self.K * np.sin(self.K * x)
+
+    def hess_matrix(self, x):
+        block = self.K ** 2 * np.cos(self.K * x[0])
+        return BandedHessian(np.array([0.0, block, 0.0]).reshape(1, 3, 1, 1), 1)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_heat_flow_bisection_finds_basins_between_nodes(N, params, monkeypatch):
+    # too few nodes to sample every basin: a tear's bisection lands in a basin
+    # that no node reached, and the tear is split across it
+    new = []
+    classify = mpp._classify_flow
+
+    def spy(system, x, reps):
+        out = classify(system, x, reps)
+        new.append(out[3])
+        return out
+
+    monkeypatch.setattr(mpp, "_classify_flow", spy)
+    res = mpp._minimax_heat_flow(_Cosine(), np.linspace(0.0, 1.0, N)[:, None],
+                                 np.ones(1), params)
+    assert any(new[N:])
+    assert res.success, res.message
+    assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_critical_gate_names_the_failed_check(classical, gap, mp21):

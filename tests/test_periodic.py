@@ -103,6 +103,14 @@ def test_flow_horizon_short_of_stationarity_raises(classical, gap, params):
                              params.with_(t_max=5 * system.dt_safe))
 
 
+def test_a_nan_state_is_a_flow_error(classical, gap, params):
+    # a NaN residual never counts as stationary: the flow steps, and the
+    # step's energy check raises
+    system = PeriodicSystem(classical, (2, 1), gap.v0)
+    with pytest.raises(FlowError, match="NaN"):
+        flow(system, np.full((2, 1), np.nan), params)
+
+
 def test_flow_steps_at_dt_safe_up_to_t_max(classical, gap):
     # t_max is the only horizon: whole steps of dt_safe, the last one cut
     # short to land on it
