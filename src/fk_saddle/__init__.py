@@ -17,9 +17,8 @@ from .periodic import (GapPair, MinimizeResult, NoGapError, PeriodicSystem,
                        find_gap_pair, minimize_periodic)
 from .mpp import (MinimaxResult, best_mountain_pass, box_path, chi_path,
                   intersects, mountain_pass, multiplicity_scan, phi_path)
-from .hetero import (HeteroGapPair, HeteroMinimizeResult, StripSystem,
-                     asymptotics_report, find_gap_pair_hetero, minimize_hetero,
-                     mountain_pass_hetero)
+from .hetero import (HeteroMinimizeResult, StripSystem, asymptotics_report,
+                     find_gap_pair_hetero, minimize_hetero, mountain_pass_hetero)
 from .verify import (CrossCheckReport, OracleGrid2D, PropertyReport,
                      bottleneck_minimax_2d, cross_check_mountain_pass,
                      run_property_suite, sample_landscape)

@@ -153,8 +153,8 @@ def run(cfg: RunConfig) -> Manifest:
         if gap is None:
             man.errors.append("no gap found")
         else:
-            man.scalars["v0"] = float(gap.v0.flat[0])
-            man.scalars["w0"] = float(gap.w0.flat[0])
+            man.scalars["v0"] = float(gap.lo.flat[0])
+            man.scalars["w0"] = float(gap.hi.flat[0])
             man.tables["evidence"] = gap.evidence
 
     elif cmd == "mpp":
@@ -205,7 +205,7 @@ def run(cfg: RunConfig) -> Manifest:
         man.scalars["c1"] = res.c1
         man.scalars["c0"] = res.c0
         man.scalars["window"] = res.window
-        man.scalars["tails"] = list(res.tails)
+        man.scalars["tails"] = [gap0.lo.item(), gap0.hi.item()]
         man.scalars["tail_bound"] = res.tail_bound
         man.scalars["stability"] = res.stability
         man.scalars["k1_empirical"] = res.k1_empirical
@@ -227,10 +227,10 @@ def run(cfg: RunConfig) -> Manifest:
         else:
             res = mountain_pass_hetero(pot, gap1, params, N=cfg.nodes)
             _record_saddle(man, res, "d1q", "c1q")
-            man.scalars["tails"] = list(mres.tails)
+            man.scalars["tails"] = [gap0.lo.item(), gap0.hi.item()]
             man.scalars["window"] = mres.window
             if cfg.fields_out:
-                _write_field_csv(cfg.fields_out, gap1.v1 + res.critical, -mres.window)
+                _write_field_csv(cfg.fields_out, gap1.lo + res.critical, -mres.window)
                 man.add_file(cfg.fields_out)
 
     elif cmd == "verify":

@@ -5,23 +5,22 @@ geometries: a p-periodic function on Z^n is its values on the fundamental
 cell ``{0..p_1-1} x ... x {0..p_n-1}``, and a function on the strip
 Z x (Z^{n-1}/qZ^{n-1}) is its values on the layers ``i_1 in [-W, W]``, shape
 ``(2 W + 1, *q)``.  The geometry belongs to the systems
-(``periodic.PeriodicSystem``, ``hetero.StripSystem``): they hold the
-periods, the window, the constant tails outside it and the base state, and
-each builds the *total* field the energy reads with its ``total`` method.
+(``periodic.PeriodicSystem``, ``periodic.StripSystem``): they hold the
+periods, the window, the tails outside it and the base state, and one
+``total`` method builds the *total* field the energy reads on both.
 :func:`tile` re-stores a state on periods that are multiples of its own.
 
 :class:`Stencil` at the bottom evaluates the local energies on either
 geometry from index tables built once per lattice shape.  It reads the total
 field: ``base + state`` on the torus, and on the strip ``base + state`` on
-the window with ``2 r`` ghost layers on each side that hold the tail
-constants (written by ``StripSystem.total`` alone), so the strip's Dirichlet
-data are ordinary table entries.  Gathering the stencil configurations and
-scattering local gradients into equilibrium residuals are one ``np.take``
-each over any leading batch axes (the lattice axes are always the trailing
-ones).  The Hessian is scattered from the local Hessians through the same
-tables into a block-tridiagonal :class:`BandedHessian` (layers grouped along
-axis 0), so its storage is O(sites * block); the dense matrix is kept as a
-test oracle.
+the window with ``2 r`` ghost layers on each side that hold the tails
+(written by ``total`` alone), so the strip's Dirichlet data are ordinary
+table entries.  Gathering the stencil configurations and scattering local
+gradients into equilibrium residuals are one ``np.take`` each over any
+leading batch axes (the lattice axes are always the trailing ones).  The
+Hessian is scattered from the local Hessians through the same tables into a
+block-tridiagonal :class:`BandedHessian` (layers grouped along axis 0), so
+its storage is O(sites * block); the dense matrix is kept as a test oracle.
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ which is finite exactly on fields with pinned tails (v0 far left, w0 far
 right).  Minimizing I gives the heteroclinic ground level c1 and a kink
 profile v1; the transverse-period scaling c1^q = prod(q) * c1 mirrors the
 periodic case.  An adjacent pair v1 < w1 inside the heteroclinic minimizer
-family (w1 is in practice the axis-1 translate of v1) spans a second order
-box [0, w1 - v1] (``HeteroGapPair.order_box``, as ``GapPair.order_box`` on
-the torus), and ``mpp.best_mountain_pass`` run inside it gives the
-heteroclinic mountain pass d1 > c1: the Peierls-Nabarro-type barrier between
-neighboring kink positions.  ``order_box`` also tiles the pair across
+family (w1 is in practice the axis-1 translate of v1) is a ``GapPair`` whose
+``ground`` is the pair v0 < w0, and its ``order_box`` spans the second box
+[0, w1 - v1], as on the torus; ``mpp.best_mountain_pass`` run inside it gives
+the heteroclinic mountain pass d1 > c1: the Peierls-Nabarro-type barrier
+between neighboring kink positions.  ``order_box`` also tiles the pair across
 transverse periods that are multiples of q, so ``mpp.best_mountain_pass`` and
 ``mpp.multiplicity_scan`` take the strip pair as they take the torus one; the
 scan gives the barrier column over q(k) = (k, 1, ..., 1) with its staircase
@@ -23,10 +23,11 @@ column ramp across the transverse axis, on ``default_node_count(q)`` nodes
 unless given a count; the staircase is the witness only.
 
 A strip state is a float array of shape ``(2 W + 1, *q)``, the layers
-i_1 = -W..W of a finite window; the window, the constant tails outside it
-and the base state belong to ``StripSystem``, whose ``total`` alone writes
+i_1 = -W..W of a finite window; the window, the tails outside it and the
+base state belong to ``periodic.StripSystem``, whose ``total`` alone writes
 the tails into an array (the stencil's ghost layers, the window doubling and
-the kink's translate), and ``minimize_hetero`` reports the window and tails
+the kink's translate).  The tails are the ground pair's states tiled across
+q (``GapPair.frame``), and ``minimize_hetero`` reports the window and tails
 its kink ``v1`` was computed on.  Every reported value must be stable under
 window doubling, and the window policy grows the window until the tail
 contribution bound falls below tolerance.
@@ -35,93 +36,18 @@ contribution bound falls below tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .defaults import (DEDUP_TOL, GAP_PROBES, HETERO_SEED_SHIFTS,
                        HETERO_SEED_WIDTH, TAIL_BOUND_TOL, WINDOW_CAP, WINDOW_START)
-from .fields import FkSaddleError, WindowError, stencil, tile, validate_periods
+from .fields import FkSaddleError, WindowError, tile, validate_periods
 from .model import SitePotential
 from .mpp import MinimaxResult, best_mountain_pass
-from .periodic import GapPair, polish_limits, probe_adjacency, require_gap
+from .periodic import (GapPair, StripSystem, polish_limits, probe_adjacency,
+                       require_gap)
 from .semiflow import FlowError, FlowParams, flow
-
-
-class StripSystem:
-    """Renormalized energy system on a fixed strip window.
-
-    States are window value arrays of shape ``(..., 2W+1, *q)``.  The total
-    lattice field (:meth:`total`) is ``base + state`` inside the window and
-    the constant ``tails`` (v0, w0) outside; the tails are Dirichlet data and
-    do not evolve.
-    """
-
-    def __init__(self, potential: SitePotential, q, half_width: int,
-                 left: float, right: float, c0: float, base=None):
-        self.potential = potential
-        self.q = validate_periods(q) if len(tuple(q)) else ()
-        if potential.n != 1 + len(self.q):
-            raise WindowError("transverse periods %r do not match dimension %d"
-                              % (self.q, potential.n))
-        self.half_width = int(half_width)
-        if self.half_width < 0:
-            raise WindowError("window half-width must be >= 0, got %d" % self.half_width)
-        self.L = 2 * self.half_width + 1
-        self.tails = (float(left), float(right))
-        self.c0 = float(c0)
-        self.shape = (self.L,) + self.q
-        self.base = (np.zeros(self.shape) if base is None else
-                     np.broadcast_to(np.asarray(base, dtype=float), self.shape))
-        self.lattice_ndim = potential.n
-        self.dt_safe = potential.dt_safe()
-        self.stencil = stencil(potential.ball, self.shape, potential.r)
-
-    def total(self, x, margin=None):
-        """The field ``base + x`` with ``margin`` layers of each tail on its
-        side (default: the stencil's ``2 r`` ghost layers), over any leading
-        batch axes of ``x``."""
-        m = self.stencil.ghosts if margin is None else margin
-        out = np.empty(x.shape[:x.ndim - len(self.shape)] + (self.L + 2 * m,) + self.q)
-        rest = (slice(None),) * len(self.q)
-        out[(Ellipsis, slice(None, m)) + rest] = self.tails[0]
-        np.add(x, self.base, out=out[(Ellipsis, slice(m, m + self.L)) + rest])
-        out[(Ellipsis, slice(m + self.L, None)) + rest] = self.tails[1]
-        return out
-
-    def layer_energies(self, x):
-        """Renormalized per-layer sums over layers [-W-r, W+r]."""
-        e = self.stencil.energies(self.potential, self.total(x)) - self.c0
-        taxes = tuple(range(e.ndim - len(self.q), e.ndim))
-        return e.sum(axis=taxes) if taxes else e
-
-    def energy(self, x):
-        return self.layer_energies(x).sum(axis=-1)
-
-    def grad(self, x):
-        return self.stencil.residual(self.potential, self.total(x))
-
-    def hess_matrix(self, x):
-        """Hessian of I at x, block-tridiagonal in groups of layers."""
-        return self.stencil.banded_hessian(self.potential, self.total(x))
-
-
-# ---------------------------------------------------------------------------
-# renormalization
-# ---------------------------------------------------------------------------
-
-def _gap_scalars(gap0: GapPair):
-    v, w = gap0.v0, gap0.w0
-    if np.ptp(v) > 1e-9 or np.ptp(w) > 1e-9:
-        raise FkSaddleError("heteroclinic machinery needs constant ground states "
-                            "(rotation vector zero)")
-    return float(v.flat[0]), float(w.flat[0])
-
-
-def _strip_system(potential, q, W, gap0, base=None):
-    v0s, w0s = _gap_scalars(gap0)
-    c0 = float(potential.energy(np.full(potential.nball, v0s)))
-    return StripSystem(potential, q, W, v0s, w0s, c0, base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +59,7 @@ class HeteroMinimizeResult:
     v1: np.ndarray             # the kink on the window, shape (2 window + 1, *q)
     c1q: float
     window: int
-    tails: tuple               # (left, right): the ground states v0 and w0
+    tails: tuple               # (left, right): the ground pair's states, one layer each
     tail_bound: float
     stability: float           # |c1q(W) - c1q(2W)| when computed
     c0: float
@@ -144,13 +70,12 @@ class HeteroMinimizeResult:
 def default_hetero_seeds(system: StripSystem):
     """Smooth-step layer profiles from the left tail to the right one."""
     W = system.half_width
-    i = np.arange(-W, W + 1, dtype=float)
+    i = np.arange(-W, W + 1, dtype=float).reshape((system.L,) + (1,) * len(system.q))
     left, right = system.tails
     seeds = []
     for sh in HETERO_SEED_SHIFTS:
         prof = left + (right - left) * 0.5 * (1.0 + np.tanh((i - sh) / HETERO_SEED_WIDTH))
-        seeds.append(np.broadcast_to(prof.reshape((system.L,) + (1,) * len(system.q)),
-                                     system.shape).copy())
+        seeds.append(np.broadcast_to(prof, system.shape).copy())
     return seeds
 
 
@@ -164,7 +89,7 @@ def _tail_bound(system: StripSystem, x) -> float:
 
 
 def _minimize_on_window(potential, q, W, gap0, params, carried=()):
-    system = _strip_system(potential, q, W, gap0)
+    system = StripSystem(potential, q, W, *gap0.frame(potential, q))
     arrays = list(carried) + default_hetero_seeds(system)
     # flow first, then Newton: the flow finds the basin, Newton finishes the
     # job (weakly pinned models have diffusive modes far slower than any
@@ -250,29 +175,6 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
 # gap pairs in the heteroclinic family
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HeteroGapPair:
-    v1: np.ndarray             # window states, shape (2 W + 1, *q)
-    w1: np.ndarray
-    gap0: GapPair
-    evidence: dict = field(default_factory=dict)
-
-    @property
-    def periods(self) -> tuple:
-        return self.v1.shape[1:]
-
-    def order_box(self, potential: SitePotential, periods=None):
-        """The order box on v1's window with the transverse ``periods``
-        (default: the pair's), across which v1 and w1 are tiled: the strip
-        system on offsets from v1 and the box corner w1 - v1."""
-        v1, w1 = self.v1, self.w1
-        if periods is not None:
-            shape = v1.shape[:1] + tuple(periods)
-            v1, w1 = tile(v1, shape), tile(w1, shape)
-        system = _strip_system(potential, v1.shape[1:], v1.shape[0] // 2, self.gap0, base=v1)
-        return system, w1 - v1
-
-
 def find_gap_pair_hetero(potential: SitePotential,
                          minimized: HeteroMinimizeResult, gap0: GapPair,
                          probes: int = GAP_PROBES, seed: int = 0,
@@ -287,9 +189,9 @@ def find_gap_pair_hetero(potential: SitePotential,
     gap0 = require_gap(gap0)
     params = params or FlowParams()
     # w1(i) = v1(i + e_1): the window one layer on, the right tail entering
-    v1 = minimized.v1
-    kink = _strip_system(potential, v1.shape[1:], v1.shape[0] // 2, gap0)
-    pair = HeteroGapPair(v1=v1, w1=kink.total(v1, 1)[2:], gap0=gap0)
+    v1, q = minimized.v1, minimized.v1.shape[1:]
+    kink = StripSystem(potential, q, v1.shape[0] // 2, *gap0.frame(potential, q))
+    pair = GapPair(v1, kink.total(v1, 1)[2:], ground=gap0)
     system, width = pair.order_box(potential)
     if np.max(np.abs(width)) <= DEDUP_TOL:
         return None  # translate indistinguishable: no discrete kink lattice
@@ -312,7 +214,7 @@ def find_gap_pair_hetero(potential: SitePotential,
 # heteroclinic mountain pass
 # ---------------------------------------------------------------------------
 
-def mountain_pass_hetero(potential: SitePotential, gap1: HeteroGapPair,
+def mountain_pass_hetero(potential: SitePotential, gap1: GapPair,
                          params: FlowParams | None = None,
                          N: int | None = None) -> MinimaxResult:
     """Minimax over strip paths from 0 to w1 - v1 inside the order box:
@@ -344,10 +246,9 @@ class AsymptoticsReport:
 def asymptotics_report(u: np.ndarray, gap0: GapPair) -> AsymptoticsReport:
     """Tag each end of the window state ``u`` (shape ``(2 W + 1, *q)``) with
     its nearest ground state and its decay rate."""
-    v0s, w0s = _gap_scalars(gap0)
-    flat = u.reshape(u.shape[0], -1)
-    dv = np.abs(flat - v0s).sum(axis=1)
-    dw = np.abs(flat - w0s).sum(axis=1)
+    layer = (1,) + u.shape[1:]
+    dv, dw = (np.abs(u - tile(s, layer)).reshape(u.shape[0], -1).sum(axis=1)
+              for s in (gap0.lo, gap0.hi))
     W = u.shape[0] // 2
     m = max(2, W // 4)
     left_tag = "v0" if dv[:m].sum() <= dw[:m].sum() else "w0"

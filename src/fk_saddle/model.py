@@ -5,7 +5,7 @@ index ball ``B = {k in Z^n : |k|_1 <= r}``.  The shifted local energies
 ``S_j(u) = s(u restricted to j + B)`` define the formal lattice energy; a
 field is stationary when the finite sum ``sum_{|j-i|_1 <= r} d_i S_j(u)``
 vanishes at every site, and that sum is what :func:`residual_field` returns
-(on the torus; the strip's is ``hetero.StripSystem.grad``).
+(on the torus; the strip's is ``periodic.StripSystem.grad``).
 
 The standard assumptions on ``s`` are:
 

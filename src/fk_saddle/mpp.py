@@ -1,12 +1,12 @@
 """Mountain-pass search over paths in the order box.
 
-The minimax value is ``d = inf over paths h from 0 to w0-v0 of max_theta
-I(h(theta))``.  A path is an ``(N, *p)`` array of N fields (offsets from
-v0) evenly spaced in theta, on the torus here and on the strip window in
-``hetero``.  ``box_path`` builds the one start chain of every mountain pass,
-the column ramp (column j of the box's first periodic axis, of w columns,
-moves over theta in [j/w, (j+1)/w]; the linear homotopy when w = 1), and
-the staircase witness phi_k.  ``check_chain`` admits a chain on both
+The minimax value is ``d = inf over paths h from 0 to hi - lo of max_theta
+I(h(theta))`` for a gap pair lo < hi.  A path is an ``(N, *p)`` array of N
+fields (offsets from lo) evenly spaced in theta, on the torus and on the
+strip window alike.  ``box_path`` builds the one start chain of every
+mountain pass, the column ramp (column j of the box's first periodic axis,
+of w columns, moves over theta in [j/w, (j+1)/w]; the linear homotopy when
+w = 1), and the staircase witness phi_k.  ``check_chain`` admits a chain on both
 geometries (at least 3 nodes shaped like the box, pinned to 0 and to the box
 corner).  Two solvers compute the minimax:
 
@@ -38,8 +38,9 @@ This module also hosts the explicit staircase profiles (``chi_path`` /
 axis-1 period; the order-relation classifier ``intersects``; and the
 multiplicity scan.  The drivers ``mountain_pass`` (from a given chain),
 ``best_mountain_pass`` (from the ramp on given periods) and
-``multiplicity_scan`` take a torus ``GapPair`` or a strip ``HeteroGapPair``
-alike: each pair builds its order box on given periods.
+``multiplicity_scan`` take any ``GapPair``, of ground states on the torus or
+of kinks on a strip (one with a ``ground`` pair): ``GapPair.order_box``
+builds the box on given periods for both.
 """
 
 from __future__ import annotations
@@ -553,7 +554,7 @@ def mountain_pass(potential: SitePotential, gap, path0,
                   mode: str = "node-flow") -> MinimaxResult:
     """Compute the minimax level and a critical field inside the gap box.
 
-    ``gap`` is a torus ``GapPair`` or a strip ``HeteroGapPair``.  ``path0``
+    ``gap`` is a ``GapPair`` on the torus or on a strip.  ``path0``
     is an (N, *p) node array on the torus, (N, 2W+1, *q) on the strip; its
     trailing axes fix the periods, and it must be a chain of the order box
     on them (:func:`check_chain`).  On success the result's critical field
@@ -681,7 +682,7 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap,
     """Mountain passes over the periods (k, 1, ..., 1), k = 1..k_max.
 
     On a torus ``GapPair`` these are the elongated tori p(k); on a strip
-    ``HeteroGapPair`` the transverse periods q(k) of the kink window.  Each
+    pair the transverse periods q(k) of the kink window.  Each
     row runs :func:`best_mountain_pass`, which starts from the column ramp
     across the first periodic lattice axis of the order box (axis 0 of a
     torus box, axis 1 of a strip box, after the layer axis); c is the level

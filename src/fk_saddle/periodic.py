@@ -1,4 +1,4 @@
-"""Periodic lattice states: the torus energy system, minimizers and gap pairs.
+"""Lattice systems, periodic minimizers and gap pairs.
 
 The torus energy of a p-periodic field is the sum of the shifted local
 energies over one fundamental cell,
@@ -6,13 +6,15 @@ energies over one fundamental cell,
     J(u) = sum_{j in T_p} S_j(u),
 
 and the energy relative to a reference minimizer v0 is I(u) = J(u + v0);
-``PeriodicSystem`` evaluates I, its gradient and its Hessian on raw arrays.
+``PeriodicSystem`` evaluates I, its gradient and its Hessian on raw arrays,
+as ``StripSystem`` does for ``hetero``'s renormalized energy on a strip
+window; the torus is the frame-less case of the one ``LatticeSystem``.
 Minimizing J over the torus recovers the ground energy c0p = prod(p) * c0 and
 the ground states (``polish_limits`` Newton-finishes each distinct flowed
 limit once, on the torus and the strip alike); between two adjacent ground
-states v0 < w0 there is a gap, and everything downstream (mountain passes,
-heteroclinics) lives inside the order box [0, w0 - v0] around v0, which
-``GapPair.order_box`` builds for every solver.
+states lo < hi there is a gap, and everything downstream (mountain passes,
+heteroclinics) lives inside the order box [0, hi - lo] around lo, which
+``GapPair.order_box`` builds for every solver on both geometries.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import numpy as np
 from .defaults import (DEDUP_TOL, GAP_PROBES, MINIMIZE_GRID_SEEDS,
                        MINIMIZE_RANDOM_SEEDS, MINIMIZER_ENERGY_MARGIN,
                        POLISH_MAX_ITER, POLISH_TOL, STRICT_ORDER_TOL)
-from .fields import FkSaddleError, PeriodError, stencil, tile, validate_periods
-from .model import SitePotential
+from .fields import (FkSaddleError, PeriodError, WindowError, stencil, tile,
+                     validate_periods)
+from .model import SitePotential, site_energies
 from .semiflow import FlowParams, flow_to_stationarity, refine_critical
 
 
@@ -34,38 +37,91 @@ class NoGapError(FkSaddleError):
     """Raised by gap-dependent operations when no gap pair is available."""
 
 
-class PeriodicSystem:
-    """Energy/gradient system for I(u) = J(u + v0) on a fixed torus.
+class LatticeSystem:
+    """``grad`` and ``hess_matrix`` of the total field on a state ``shape``:
+    the torus, or with ``tails`` the strip; subclasses sum the energy."""
 
-    States are raw value arrays of shape (..., *p); the reference ``base`` is
-    v0 tiled to the periods p (zero when absent), and the stencil reads
-    ``total(x) = x + base``.
-    """
-
-    def __init__(self, potential: SitePotential, periods, base=None):
+    def __init__(self, potential, shape, base, margin=0, tails=None):
         self.potential = potential
-        self.periods = validate_periods(periods)
-        if len(self.periods) != potential.n:
-            raise PeriodError("periods %r do not match model dimension %d"
-                              % (self.periods, potential.n))
-        self.base = np.zeros(self.periods) if base is None else tile(base, self.periods)
-        self.lattice_ndim = len(self.periods)
+        self.shape = shape
+        self.base = np.zeros(shape) if base is None else tile(base, shape)
+        self.tails = tails
+        self.lattice_ndim = potential.n
         self.dt_safe = potential.dt_safe()
-        self.stencil = stencil(potential.ball, self.periods)
+        self.stencil = stencil(potential.ball, shape, margin)
 
-    def total(self, x):
-        return x + self.base
-
-    def energy(self, x):
-        e = self.stencil.energies(self.potential, self.total(x))
-        return e.sum(axis=tuple(range(e.ndim - self.lattice_ndim, e.ndim)))
+    def total(self, x, margin=None):
+        """The field ``base + x``, on the strip with ``margin`` layers of each
+        tail on its side (default: the stencil's ``2 r`` ghost layers)."""
+        if self.tails is None:
+            return x + self.base
+        m = self.stencil.ghosts if margin is None else margin
+        L, rest = self.shape[0], self.shape[1:]
+        out = np.empty(x.shape[:x.ndim - len(self.shape)] + (L + 2 * m,) + rest)
+        layers = (slice(None),) * len(rest)
+        out[(Ellipsis, slice(None, m)) + layers] = self.tails[0]
+        np.add(x, self.base, out=out[(Ellipsis, slice(m, m + L)) + layers])
+        out[(Ellipsis, slice(m + L, None)) + layers] = self.tails[1]
+        return out
 
     def grad(self, x):
         return self.stencil.residual(self.potential, self.total(x))
 
     def hess_matrix(self, x):
-        """Hessian of I at x: one dense block, rows in C order of the cell."""
+        """Hessian at x, block-tridiagonal in groups of layers (one dense
+        block on the torus, rows in C order of the cell)."""
         return self.stencil.banded_hessian(self.potential, self.total(x))
+
+
+class PeriodicSystem(LatticeSystem):
+    """I(u) = J(u + v0) on the torus ``periods``, ``base`` v0 tiled to them
+    (zero when absent): the lattice without a frame."""
+
+    def __init__(self, potential: SitePotential, periods, base=None):
+        periods = validate_periods(periods)
+        if len(periods) != potential.n:
+            raise PeriodError("periods %r do not match model dimension %d"
+                              % (periods, potential.n))
+        super().__init__(potential, periods, base)
+
+    def energy(self, x):
+        e = self.stencil.energies(self.potential, self.total(x))
+        return e.sum(axis=tuple(range(e.ndim - self.lattice_ndim, e.ndim)))
+
+    grad = LatticeSystem.grad
+    hess_matrix = LatticeSystem.hess_matrix
+
+
+class StripSystem(LatticeSystem):
+    """The renormalized energy on the strip window of ``2W+1`` layers with
+    transverse periods ``q``, between the Dirichlet tails ``left`` and
+    ``right``: constants, or one layer each (:meth:`GapPair.frame`)."""
+
+    def __init__(self, potential: SitePotential, q, half_width: int,
+                 left, right, c0: float, base=None):
+        self.q = validate_periods(q) if len(tuple(q)) else ()
+        if potential.n != 1 + len(self.q):
+            raise WindowError("transverse periods %r do not match dimension %d"
+                              % (self.q, potential.n))
+        self.half_width = int(half_width)
+        if self.half_width < 0:
+            raise WindowError("window half-width must be >= 0, got %d" % self.half_width)
+        self.L = 2 * self.half_width + 1
+        self.c0 = float(c0)
+        super().__init__(potential, (self.L,) + self.q, base, potential.r,
+                         (np.asarray(left, dtype=float), np.asarray(right, dtype=float)))
+
+    def layer_energies(self, x):
+        """Renormalized per-layer sums over layers [-W-r, W+r]."""
+        e = self.stencil.energies(self.potential, self.total(x)) - self.c0
+        taxes = tuple(range(e.ndim - len(self.q), e.ndim))
+        return e.sum(axis=taxes) if taxes else e
+
+    def energy(self, x):
+        return self.layer_energies(x).sum(axis=-1)
+
+    grad = LatticeSystem.grad
+    hess_matrix = LatticeSystem.hess_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -144,25 +200,46 @@ def minimize_periodic(potential: SitePotential, periods, seeds,
 
 @dataclass
 class GapPair:
-    """Two adjacent ordered minimizers and the probe evidence for adjacency."""
+    """Two adjacent ordered states lo < hi and the probe evidence for
+    adjacency: ground states on the torus, or kinks on a strip window whose
+    tails are the ``ground`` pair's states."""
 
-    v0: np.ndarray
-    w0: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     evidence: dict = field(default_factory=dict)
+    ground: GapPair | None = None
 
     @property
     def periods(self) -> tuple:
-        return self.v0.shape
+        return self.lo.shape if self.ground is None else self.lo.shape[1:]
 
-    def box_field(self, periods=None) -> np.ndarray:
-        """The box corner w0 - v0, tiled to ``periods`` (default: the pair's)."""
-        return tile(self.w0 - self.v0, periods or self.periods)
+    def frame(self, potential: SitePotential, q):
+        """The tails and ``c0`` of a strip over this ground pair: lo and hi
+        tiled across the transverse periods ``q`` into one layer each, and
+        the mean site energy of lo.  A pair of axis-0 period other than 1
+        fills no single layer (PeriodError)."""
+        if self.periods[0] != 1:
+            raise PeriodError("a ground pair of axis-0 period %d does not fill "
+                              "the strip's one-layer tails" % self.periods[0])
+        layer = (1,) + tuple(q)
+        c0 = float(np.mean(site_energies(potential, self.lo)))
+        return tile(self.lo, layer), tile(self.hi, layer), c0
 
     def order_box(self, potential: SitePotential, periods=None):
-        """The order box on the torus ``periods`` (default: the pair's):
-        the system on offsets from v0 and the box corner w0 - v0."""
-        system = PeriodicSystem(potential, periods or self.periods, self.v0)
-        return system, self.box_field(system.periods)
+        """The order box on ``periods`` (default: the pair's), across which
+        lo and hi are tiled: the system on offsets from lo and the box corner
+        hi - lo.  ``periods`` are the torus's, or on a strip pair the
+        transverse ones of the window."""
+        lo, hi = self.lo, self.hi
+        if periods is not None:
+            periods = validate_periods(periods) if len(tuple(periods)) else ()
+            shape = lo.shape[:lo.ndim - len(self.periods)] + periods
+            lo, hi = tile(lo, shape), tile(hi, shape)
+        if self.ground is None:
+            return PeriodicSystem(potential, lo.shape, lo), hi - lo
+        q = lo.shape[1:]
+        return StripSystem(potential, q, lo.shape[0] // 2,
+                           *self.ground.frame(potential, q), base=lo), hi - lo
 
 
 def default_minimize_seeds(rng, periods):
@@ -209,7 +286,7 @@ def find_gap_pair(potential: SitePotential, periods, probes: int = GAP_PROBES,
             lambda: rng.uniform(0.05, 0.95, size=periods))
         evidence["minimizer_orbits"] = len(fields)
         if not evidence["distinct_interior_minimizers"]:
-            return GapPair(v0=v, w0=w, evidence=evidence)
+            return GapPair(v, w, evidence)
     return None
 
 

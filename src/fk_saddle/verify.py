@@ -142,7 +142,7 @@ def _block_cells(blocks, n, size=ORACLE_BLOCK):
 
 
 def _order_box_axes(potential, gap, resolution):
-    """The system on offsets from v0 and the sample offsets of a and b,
+    """The system on offsets from lo and the sample offsets of a and b,
     ``resolution`` each, spanning the order box [0, hi]."""
     if potential.n != 2:
         raise FkSaddleError("the 2-variable oracle needs model dimension 2")
@@ -337,7 +337,7 @@ class PropertyReport:
     detail: str = ""
 
 
-def _smooth_box_fields(system, rng, count, box):
+def _smooth_box_samples(system, rng, count, box):
     """Uniform box samples with one smoothing flow step applied."""
     raw = rng.uniform(0.0, 1.0, size=(count,) + box.shape) * box
     x, _ = rk4_step(system, raw, system.dt_safe)
@@ -346,7 +346,7 @@ def _smooth_box_fields(system, rng, count, box):
 
 def minimize_c0p(potential, gap: GapPair, periods, params) -> float:
     """Ground energy on the given torus, seeded from the gap endpoints."""
-    seeds = [gap.v0.flat[0], gap.w0.flat[0]]
+    seeds = [gap.lo.flat[0], gap.hi.flat[0]]
     return minimize_periodic(potential, periods, seeds, params).c0p
 
 
@@ -357,8 +357,8 @@ def _fallback_gap(potential: SitePotential, periods) -> GapPair:
     cfg = np.repeat(cs[:, None], potential.nball, axis=1)
     es = potential.energy(cfg)
     c = float(cs[int(np.argmin(es))])
-    v0 = np.full(ones, c)
-    return GapPair(v0=v0, w0=v0 + 1.0, evidence={"fallback": "constant scan"})
+    lo = np.full(ones, c)
+    return GapPair(lo, lo + 1.0, {"fallback": "constant scan"})
 
 
 def run_property_suite(potential: SitePotential, periods, seed: int,
@@ -421,8 +421,8 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         return FD_REL_TOL - worst, "max rel err %g" % worst
 
     def flow_comparison(rng):
-        a = _smooth_box_fields(system, rng, trials, box)
-        b = _smooth_box_fields(system, rng, trials, box)
+        a = _smooth_box_samples(system, rng, trials, box)
+        b = _smooth_box_samples(system, rng, trials, box)
         u = np.minimum(a, b)
         v = np.maximum(a, b) - u + 0.01 * box  # strictly ordered pair gap
         # track the pair difference as its own variable: the contraction rate
@@ -443,7 +443,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
                        % (worst, dt, steps))
 
     def strong_comparison(rng):
-        seeds = _smooth_box_fields(system, rng, max(4, trials // 10), box)
+        seeds = _smooth_box_samples(system, rng, max(4, trials // 10), box)
         x, _, res = flow(system, seeds, params)
         if not res <= params.stationarity_tol:
             raise FkSaddleError("probe flows did not converge")
@@ -463,7 +463,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
     def energy_decrease(rng):
         # the flow's own Euler steps to t = 2, unguarded, so that a rise is
         # measured rather than raised
-        x = _smooth_box_fields(system, rng, min(trials, 20), box)
+        x = _smooth_box_samples(system, rng, min(trials, 20), box)
         dt, t, worst = system.dt_safe, 0.0, -math.inf
         energy = system.energy(x)
         while t < 2.0 - 1e-15:
@@ -475,7 +475,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         return ENERGY_INCREASE_TOL - worst, "max step increase %g" % worst
 
     def box_invariance(rng):
-        seeds = _smooth_box_fields(system, rng, min(trials, 20), box)
+        seeds = _smooth_box_samples(system, rng, min(trials, 20), box)
         x, _, _ = flow(system, seeds, params.with_(t_max=1.0, stationarity_tol=0.0))
         excursion = max(float(np.max(-x)), float(np.max(x - box)))
         return BOX_INVARIANCE_TOL - excursion, "max excursion %g" % excursion
@@ -487,7 +487,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         return CLIP_ENERGY_TOL - rise, "max energy rise under clip %g" % rise
 
     def endpoint_fixity(rng):
-        # every chain is pinned to the box corners 0 and w0 - v0, so both
+        # every chain is pinned to the box corners 0 and hi - lo, so both
         # must be flow fixed points: critical points of I
         g = system.grad(np.stack([np.zeros_like(box), box]))
         worst = float(np.max(np.linalg.norm(g.reshape(2, -1), axis=1)))
@@ -498,7 +498,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         if len(periods) != 2:
             return 0.0, "scaling list defined for dimension 2 only"
         c0 = minimize_periodic(potential, (1, 1),
-                               [gap.v0.flat[0]], params).c0p
+                               [gap.lo.flat[0]], params).c0p
         worst = 0.0
         for p in [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]:
             c0p = minimize_c0p(potential, gap, p, params)

@@ -45,8 +45,8 @@ def compute_bundle():
     T["c1"] = time.monotonic() - t0
     S["c0"] = res11.c0p
     S["minimizer_mod1"] = float(res11.best.flat[0] % 1.0)
-    S["v0"] = float(gap.v0.flat[0])
-    S["w0"] = float(gap.w0.flat[0])
+    S["v0"] = float(gap.lo.flat[0])
+    S["w0"] = float(gap.hi.flat[0])
     bundle["gap"] = gap
 
     # -- criterion 2: ground-energy scaling law -------------------------------
@@ -68,12 +68,12 @@ def compute_bundle():
     S["d21_oracle"] = oracle
     S["d21_residual"] = node.residual
     crit = node.critical
-    box = gap.box_field((2, 1))
+    box = gap.order_box(classical, (2, 1))[1]
     S["d21_crit_min"] = float(np.min(crit))
     S["d21_crit_gap_to_top"] = float(np.min(box - crit))
     S["d21_crit_span"] = float(np.ptp(crit))
     translate = np.roll(crit, 1, axis=0)
-    full = translate + gap.v0
+    full = translate + gap.lo
     S["d21_translate_residual"] = float(np.max(np.abs(residual_field(classical, full))))
     S["d21_translate_distance"] = float(np.max(np.abs(translate - crit)))
     bundle["node21"] = node

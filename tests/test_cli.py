@@ -368,7 +368,7 @@ def test_mph_fields_out_is_the_saddle_on_the_window(tmp_path, monkeypatch):
     assert coords[0].tolist() == [-W, 0] and coords[-1].tolist() == [W, 1]
     assert sorted(set(coords[:, 0])) == list(range(-W, W + 1))
     (args, res), = calls
-    assert np.array_equal(values, (args[1].v1 + res.critical).ravel())
+    assert np.array_equal(values, (args[1].lo + res.critical).ravel())
 
 
 def test_minimize_fields_out_is_the_best_limit(tmp_path, monkeypatch):

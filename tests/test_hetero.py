@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from fk_saddle import (HeteroGapPair, asymptotics_report, best_mountain_pass,
-                       find_gap_pair, find_gap_pair_hetero, make_potential,
-                       minimize_hetero, mountain_pass, mountain_pass_hetero,
-                       multiplicity_scan)
+from fk_saddle import (GapPair, StripSystem, asymptotics_report,
+                       best_mountain_pass, find_gap_pair, find_gap_pair_hetero,
+                       make_potential, minimize_hetero, mountain_pass,
+                       mountain_pass_hetero, multiplicity_scan)
 from fk_saddle import hetero
 from fk_saddle.defaults import default_node_count
 from fk_saddle.fields import PeriodError, WindowError
-from fk_saddle.hetero import _strip_system
 from fk_saddle.mpp import PathError, box_path
 from fk_saddle.semiflow import flow
 
@@ -85,9 +84,14 @@ def test_renormalization_constants(het):
 
 # --- renormalized energy -----------------------------------------------------
 
+def _strip(potential, gap0, q, W, base=None):
+    """The strip window W with transverse periods q over the ground pair gap0."""
+    return StripSystem(potential, q, W, *gap0.frame(potential, q), base=base)
+
+
 def _kink_system(potential, u, gap0):
     """The base-free strip system on the window of the strip state u."""
-    return _strip_system(potential, u.shape[1:], u.shape[0] // 2, gap0)
+    return _strip(potential, gap0, u.shape[1:], u.shape[0] // 2)
 
 
 def _energy(potential, u, gap0):
@@ -96,8 +100,8 @@ def _energy(potential, u, gap0):
 
 
 def test_energy_of_both_endpoints(pinned, pinned_gap, het, het_gap):
-    Iv = _energy(pinned, het_gap.v1, pinned_gap)
-    Iw = _energy(pinned, het_gap.w1, pinned_gap)
+    Iv = _energy(pinned, het_gap.lo, pinned_gap)
+    Iw = _energy(pinned, het_gap.hi, pinned_gap)
     assert Iv == pytest.approx(het.c1q, abs=1e-12)
     assert abs(Iw - Iv) <= 1e-9
 
@@ -110,7 +114,7 @@ def test_energy_stable_under_window_doubling(pinned, pinned_gap, het):
 
 
 def test_strip_gradient_matches_finite_differences(pinned, pinned_gap, het):
-    system = _strip_system(pinned, (1,), 10, pinned_gap)
+    system = _strip(pinned, pinned_gap, (1,), 10)
     rng = np.random.default_rng(8)
     x = np.clip(het.v1[het.window - 10:het.window + 11]
                 + 0.05 * rng.standard_normal((21, 1)), -0.25, 0.75)
@@ -124,7 +128,7 @@ def test_strip_gradient_matches_finite_differences(pinned, pinned_gap, het):
 
 
 def test_strip_hessian_matches_gradient_differences(pinned, pinned_gap):
-    system = _strip_system(pinned, (1,), 6, pinned_gap)
+    system = _strip(pinned, pinned_gap, (1,), 6)
     rng = np.random.default_rng(12)
     x = rng.uniform(-0.25, 0.75, size=system.shape)
     H = dense(system.hess_matrix(x))
@@ -141,8 +145,8 @@ def test_strip_hessian_matches_gradient_differences(pinned, pinned_gap):
 
 def test_flow_fixed_points(pinned, pinned_gap, params, het, het_gap):
     fp = params.with_(t_max=0.5, stationarity_tol=0.0)
-    system = _strip_system(pinned, (1,), het.window, pinned_gap)
-    for u in (het_gap.v1, het_gap.w1):
+    system = _strip(pinned, pinned_gap, (1,), het.window)
+    for u in (het_gap.lo, het_gap.hi):
         out, _, _ = flow(system, u, fp)
         assert np.max(np.abs(out - u)) < 1e-9
 
@@ -150,8 +154,8 @@ def test_flow_fixed_points(pinned, pinned_gap, params, het, het_gap):
 def test_flow_converges_from_box_seed(pinned, pinned_gap, params, het, het_gap):
     rng = np.random.default_rng(3)
     _, width = het_gap.order_box(pinned)
-    system = _strip_system(pinned, (1,), het.window, pinned_gap)
-    u0 = het_gap.v1 + rng.uniform(0, 1, size=width.shape) * width
+    system = _strip(pinned, pinned_gap, (1,), het.window)
+    u0 = het_gap.lo + rng.uniform(0, 1, size=width.shape) * width
     out, steps, res = flow(system, u0, params)
     assert steps > 0 and res <= params.stationarity_tol
     assert system.energy(out) <= system.energy(u0)
@@ -180,8 +184,8 @@ def test_strip_flow_comparison_and_box_invariance(pinned, pinned_gap, params, he
 
 def test_hetero_gap_is_translate(pinned, het, het_gap):
     # w1(i) = v1(i + e_1): one layer to the left, the right tail entering
-    assert np.array_equal(het_gap.w1[:-1], het_gap.v1[1:])
-    assert np.all(het_gap.w1[-1] == het.tails[1])
+    assert np.array_equal(het_gap.hi[:-1], het_gap.lo[1:])
+    assert np.all(het_gap.hi[-1] == het.tails[1])
     _, width = het_gap.order_box(pinned)
     assert np.min(width) >= -1e-9
     assert np.max(width) > 0.5
@@ -190,10 +194,8 @@ def test_hetero_gap_is_translate(pinned, het, het_gap):
 
 def test_hetero_gap_free_chain(params):
     free = make_potential("free-chain")
-    from fk_saddle.periodic import GapPair
-
     # the free chain has no periodic gap either; hand it the unit box
-    gap0 = GapPair(v0=np.full((1, 1), 0.0), w0=np.full((1, 1), 1.0))
+    gap0 = GapPair(np.full((1, 1), 0.0), np.full((1, 1), 1.0))
     # its transition ramp never localizes: the window policy must diverge
     with pytest.raises(WindowError):
         minimize_hetero(free, (1,), gap0, params)
@@ -208,7 +210,7 @@ def test_hetero_gap_free_chain(params):
 def test_hetero_gap_deterministic(pinned, pinned_gap, params, het):
     a = find_gap_pair_hetero(pinned, het, pinned_gap, seed=9, params=params)
     b = find_gap_pair_hetero(pinned, het, pinned_gap, seed=9, params=params)
-    assert np.array_equal(a.v1, b.v1)
+    assert np.array_equal(a.lo, b.lo)
     assert a.evidence == b.evidence
 
 
@@ -259,9 +261,9 @@ def test_mph_heat_flow_certified(pinned, het_gap, params, mph):
 
 def test_mph_stable_under_window_doubling(pinned, pinned_gap, params, het, het_gap, mph):
     # the pair on the window 2W: the kink, and its translate
-    big = _kink_system(pinned, het_gap.v1, pinned_gap).total(het_gap.v1, het.window)
+    big = _kink_system(pinned, het_gap.lo, pinned_gap).total(het_gap.lo, het.window)
     w1 = _kink_system(pinned, big, pinned_gap).total(big, 1)[2:]
-    gap_big = type(het_gap)(v1=big, w1=w1, gap0=pinned_gap, evidence=dict(het_gap.evidence))
+    gap_big = GapPair(big, w1, dict(het_gap.evidence), ground=pinned_gap)
     mp_big = mountain_pass_hetero(pinned, gap_big, params, N=65)
     assert abs(mp_big.value - mph.value) <= 1e-8
 
@@ -309,19 +311,31 @@ def test_chain_scan_has_no_axis_to_scan(params, chain_gap):
 
 def _tiled(gap1, m):
     """The strip pair tiled m times across its transverse axis."""
-    return HeteroGapPair(v1=np.tile(gap1.v1, (1, m)), w1=np.tile(gap1.w1, (1, m)),
-                         gap0=gap1.gap0)
+    return GapPair(np.tile(gap1.lo, (1, m)), np.tile(gap1.hi, (1, m)), ground=gap1.ground)
 
 
-def test_order_box_tiles_only_to_multiples_of_q(pinned, het_gap):
-    pair = _tiled(het_gap, 2)
-    assert pair.periods == (2,)
-    system, hi = pair.order_box(pinned, periods=(6,))
-    assert system.q == (6,) and system.half_width == het_gap.v1.shape[0] // 2
-    assert np.array_equal(hi, np.tile(pair.w1 - pair.v1, (1, 3)))
-    for bad in ((3,), (4, 1), (), (0,), (-2,)):
+@pytest.mark.parametrize("geometry", ["torus", "strip"])
+def test_order_box_tiles_only_to_multiples_of_q(request, geometry):
+    # a (2, 1) torus pair and a q = (2,) strip pair tile to multiples of their
+    # periods only, and () is a period like any other, not the default
+    if geometry == "torus":
+        potential = request.getfixturevalue("classical")
+        pair = GapPair(np.full((2, 1), -0.25), np.full((2, 1), 0.75))
+        own, periods, reps = (2, 1), (4, 2), (2, 2)
+        bad = ((3, 1), (4,), (), (0, 1), (-2, 1))
+    else:
+        potential = request.getfixturevalue("pinned")
+        pair = _tiled(request.getfixturevalue("het_gap"), 2)
+        own, periods, reps = (2,), (6,), (1, 3)
+        bad = ((3,), (4, 1), (), (0,), (-2,))
+    assert pair.periods == own
+    system, hi = pair.order_box(potential, periods)
+    assert system.shape == hi.shape == np.tile(pair.lo, reps).shape
+    assert np.array_equal(hi, np.tile(pair.hi - pair.lo, reps))
+    assert np.array_equal(system.base, np.tile(pair.lo, reps))
+    for b in bad:
         with pytest.raises(PeriodError):
-            pair.order_box(pinned, periods=bad)
+            pair.order_box(potential, periods=b)
 
 
 def test_order_box_tiles_the_pair(pinned, het_gap):
@@ -331,7 +345,41 @@ def test_order_box_tiles_the_pair(pinned, het_gap):
     assert np.array_equal(hi, old_hi)
     assert np.array_equal(system.base, old_system.base)
     assert system.q == old_system.q == (2,)
-    assert system.tails == old_system.tails and system.c0 == old_system.c0
+    assert all(np.array_equal(a, b) for a, b in zip(system.tails, old_system.tails))
+    assert system.c0 == old_system.c0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_framed_strip_is_the_scalar_tail_strip(pinned, het_gap, m):
+    # the pair's strip, whose tails are the ground pair's arrays, against the
+    # one the kernel probes build from scalar tails: equal bit for bit
+    system, hi = het_gap.order_box(pinned, (m,))
+    c0 = float(pinned.energy(np.full(pinned.nball, -0.25)))
+    scalar = StripSystem(pinned, (m,), het_gap.lo.shape[0] // 2, -0.25, 0.75, c0,
+                         base=np.tile(het_gap.lo, (1, m)))
+    x = np.random.default_rng(m).uniform(0.0, 1.0, (4,) + hi.shape) * hi
+    assert system.c0 == c0
+    assert np.array_equal(system.energy(x), scalar.energy(x))
+    assert np.array_equal(system.grad(x), scalar.grad(x))
+    assert np.array_equal(system.hess_matrix(x[0]).blocks, scalar.hess_matrix(x[0]).blocks)
+
+
+def test_frame_lays_the_ground_states_into_the_tails(pinned):
+    # a ground pair of periods (1, 2) fills every tail layer with its own two
+    # columns, tiled across q; one of axis-0 period 2 fills no single layer
+    lo = np.array([[-0.3, -0.2]])
+    ground = GapPair(lo, lo + 1.0)
+    system = StripSystem(pinned, (4,), 3, *ground.frame(pinned, (4,)))
+    m = system.stencil.ghosts
+    total = system.total(np.zeros((2,) + system.shape))
+    assert np.array_equal(total[:, :m], np.broadcast_to(np.tile(lo, (1, 2)), (2, m, 4)))
+    assert np.array_equal(total[:, -m:], np.broadcast_to(np.tile(lo + 1.0, (1, 2)), (2, m, 4)))
+    # c0 renormalizes the non-constant ground state to zero energy per layer
+    left, _, c0 = ground.frame(pinned, (4,))
+    flat = StripSystem(pinned, (4,), 3, left, left, c0)
+    assert abs(flat.energy(np.broadcast_to(left, flat.shape))) <= 1e-12
+    with pytest.raises(PeriodError, match="period 2"):
+        GapPair(np.zeros((2, 1)), np.ones((2, 1))).frame(pinned, (1,))
 
 
 def test_best_mountain_pass_on_the_strip_is_mph(pinned, het_gap, params):
@@ -354,7 +402,7 @@ def test_strip_scan(pinned, het_gap, params):
         assert 0 < r.barrier <= r.witness + 1e-6
     assert abs(scan.rows[1].c - 2 * scan.rows[0].c) <= 1e-8
     for k, crit in scan.criticals.items():
-        assert crit.shape == (het_gap.v1.shape[0], k)   # each on its own period
+        assert crit.shape == (het_gap.lo.shape[0], k)   # each on its own period
     D = scan.distances
     assert D.shape == (3, 3)
     assert np.array_equal(D, D.T) and np.all(np.diag(D) == 0.0)

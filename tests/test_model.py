@@ -308,10 +308,10 @@ def test_euler_step_at_one_over_l_is_monotone_and_descends(name, params):
     # on a torus and on a strip with the ground states as tails
     pot = make_potential(name)
     gap = find_gap_pair(pot, (1, 1), seed=3, params=params)
-    v0, w0 = gap.v0.flat[0], gap.w0.flat[0]
+    v0, w0 = gap.lo.flat[0], gap.hi.flat[0]
     rng = np.random.default_rng(11)
     # torus states are offsets from v0, strip states are the field itself
-    for system, shape, base in ((PeriodicSystem(pot, (3, 2), gap.v0), (3, 2), 0.0),
+    for system, shape, base in ((PeriodicSystem(pot, (3, 2), gap.lo), (3, 2), 0.0),
                                 (StripSystem(pot, (2,), 6, v0, w0, c0=0.0), (13, 2), v0)):
         u = base + rng.uniform(0.0, 0.7, size=(40,) + shape) * (w0 - v0)
         v = u + rng.uniform(0.01, 0.3, size=u.shape) * (w0 - v0)

@@ -69,18 +69,19 @@ def test_phi_monotone_symmetric_periodic():
 
 # --- paths on the box ---------------------------------------------------------
 
-def test_linear_path_midpoint(gap):
+def test_linear_path_midpoint(classical, gap):
     # the ramp on a torus one column wide is the linear homotopy
-    box = gap.box_field((1, 1))
+    box = gap.order_box(classical, (1, 1))[1]
     path = box_path(box, 3)
     assert np.allclose(path[1], box / 2)
     assert np.all(np.diff(path, axis=0) >= 0)
 
 
-def test_chi_path_endpoints(gap):
-    path = box_path(gap.box_field((4, 1)), 9, 4)
+def test_chi_path_endpoints(classical, gap):
+    box = gap.order_box(classical, (4, 1))[1]
+    path = box_path(box, 9, 4)
     assert np.all(path[0] == 0.0)
-    assert np.allclose(path[-1], gap.box_field((4, 1)))
+    assert np.allclose(path[-1], box)
 
 
 def test_ramp_moves_one_column_at_a_time():
@@ -127,7 +128,7 @@ def test_path_guards(classical, gap, params):
     with pytest.raises(PathError, match="at least 3 nodes"):
         best_mountain_pass(classical, gap, (1, 1), params, N=2)
     with pytest.raises(PathError):
-        box_path(gap.box_field((2, 1)), 5, 1)
+        box_path(gap.order_box(classical, (2, 1))[1], 5, 1)
 
 
 def test_chi_witness_uniform_bound(classical, gap, params):
@@ -136,8 +137,8 @@ def test_chi_witness_uniform_bound(classical, gap, params):
     witnesses = []
     for k in range(2, 9):
         p = (k, 1)
-        system = PeriodicSystem(classical, p, gap.v0)
-        path = box_path(gap.box_field(p), 201, k)
+        system, box = gap.order_box(classical, p)
+        path = box_path(box, 201, k)
         c0p = -float(k)
         witnesses.append(float(np.max(system.energy(path))) - c0p)
     m0 = max(witnesses)
@@ -148,8 +149,7 @@ def test_chi_witness_uniform_bound(classical, gap, params):
 def test_clip_decreases_energy(classical, gap, params):
     rng = np.random.default_rng(17)
     p = (2, 1)
-    system = PeriodicSystem(classical, p, gap.v0)
-    box = gap.box_field(p)
+    system, box = gap.order_box(classical, p)
     u = rng.uniform(-0.75, 1.75, size=(200,) + p) * box
     clipped = np.clip(u, 0, box)
     assert np.max(system.energy(clipped) - system.energy(u)) <= 1e-10
@@ -183,11 +183,11 @@ def test_mountain_pass_two_cell_critical_field(classical, gap, mp21):
 
     crit = mp21.critical
     assert np.ptp(crit) > 1e-3          # non-constant
-    box = gap.box_field((2, 1))
+    box = gap.order_box(classical, (2, 1))[1]
     assert np.min(crit) > 0 and np.min(box - crit) > 0
     # the axis-1 translate is a second critical point
     translate = np.roll(crit, 1, axis=0)
-    full = translate + gap.v0
+    full = translate + gap.lo
     assert np.max(np.abs(residual_field(classical, full))) <= 1e-10
     assert np.max(np.abs(translate - crit)) > 1e-3
 
@@ -197,7 +197,7 @@ def test_heat_flow_agrees(classical, gap, params, mp21):
     assert heat.success
     assert abs(heat.value - mp21.value) <= 1e-6
     # certified like a node-flow saddle: strictly inside the box, above c0p
-    box = gap.box_field((2, 1))
+    box = gap.order_box(classical, (2, 1))[1]
     assert np.min(heat.critical) > 0 and np.min(box - heat.critical) > 0
     assert heat.value > heat.c_ref
 
@@ -381,20 +381,20 @@ def test_monotone_path_preserved(classical, gap, params):
     from fk_saddle.semiflow import rk4_step
 
     p = (2, 1)
-    system = PeriodicSystem(classical, p, gap.v0)
-    nodes = box_path(gap.box_field(p), 33)
+    system, box = gap.order_box(classical, p)
+    nodes = box_path(box, 33)
     for _ in range(200):
         nodes[1:-1], _ = rk4_step(system, nodes[1:-1], system.dt_safe)
     assert np.min(np.diff(nodes, axis=0)) >= -1e-12
 
 
-def test_endpoints_never_move(mp21, gap):
+def test_endpoints_never_move(classical, mp21, gap):
     assert np.all(mp21.final_nodes[0] == 0.0)
-    assert np.array_equal(mp21.final_nodes[-1], gap.box_field((2, 1)))
+    assert np.array_equal(mp21.final_nodes[-1], gap.order_box(classical, (2, 1))[1])
 
 
 def test_mountain_pass_guards(classical, gap, params):
-    path = box_path(gap.box_field((1, 1)), 9)
+    path = box_path(gap.order_box(classical, (1, 1))[1], 9)
     with pytest.raises(PathError):
         mountain_pass(classical, gap, path, params, mode="quench")
     bad = path + 0.25
@@ -405,7 +405,7 @@ def test_mountain_pass_guards(classical, gap, params):
 def test_mountain_pass_reads_the_torus_from_the_nodes(classical, gap, params):
     # a path is its node array: too few nodes or the wrong rank is a PathError,
     # and a (3, 1) chain is checked against the (3, 1) box, not another torus
-    path = box_path(gap.box_field((2, 1)), 9)
+    path = box_path(gap.order_box(classical, (2, 1))[1], 9)
     for bad in (path[:2], path[..., 0], path[..., None]):
         with pytest.raises(PathError, match="at least 3 nodes"):
             mountain_pass(classical, gap, bad, params)

@@ -11,7 +11,6 @@ import pytest
 
 from fk_saddle import PeriodicSystem, StripSystem
 from fk_saddle.fields import BandedHessian
-from fk_saddle.hetero import _strip_system
 from fk_saddle.semiflow import refine_critical
 
 from helper_models import dense, radius_two_springs
@@ -54,8 +53,8 @@ def _widen(values, m):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_block_step_matches_dense_at_the_kink_minimizer(pinned, pinned_gap, het, het_gap, m):
     # no base: the state is the total field and carries the ground-state tails
-    v1 = _embed(pinned, het_gap.v1, het.tails)
-    system = _strip_system(pinned, (m,), WINDOW, pinned_gap)
+    v1 = _embed(pinned, het_gap.lo, het.tails)
+    system = StripSystem(pinned, (m,), WINDOW, *pinned_gap.frame(pinned, (m,)))
     assert system.stencil.block_layout[1] >= 7
     dev, eig = _deviation(system, _near(_widen(v1, m), m))
     assert eig[0] > 0
@@ -66,9 +65,9 @@ def test_block_step_matches_dense_at_the_kink_minimizer(pinned, pinned_gap, het,
 def test_block_step_matches_dense_at_the_strip_saddle(pinned, pinned_gap, het, het_gap,
                                                       mph, m):
     # with a base: the state is the offset from v1, the strip mountain pass
-    base = _widen(_embed(pinned, het_gap.v1, het.tails), m)
+    base = _widen(_embed(pinned, het_gap.lo, het.tails), m)
     crit = _widen(_embed(pinned, mph.critical, (0.0, 0.0)), m)
-    system = _strip_system(pinned, (m,), WINDOW, pinned_gap, base=base)
+    system = StripSystem(pinned, (m,), WINDOW, *pinned_gap.frame(pinned, (m,)), base=base)
     dev, eig = _deviation(system, _near(crit, 10 + m))
     assert eig[0] < 0 < eig[-1]
     if m == 1:
@@ -90,7 +89,7 @@ def test_block_step_matches_dense_on_the_radius_two_plugin():
 
 def test_one_block_step_is_the_dense_solve(classical, gap, pinned):
     rng = np.random.default_rng(2)
-    systems = [PeriodicSystem(classical, p, gap.v0)
+    systems = [PeriodicSystem(classical, p, gap.lo)
                for p in ((1, 1), (2, 1), (3, 2), (8, 8))]
     systems.append(PeriodicSystem(radius_two_springs(), (2, 1)))
     systems.append(StripSystem(pinned, (2,), 3, -0.25, 0.75, c0=0.0))
@@ -167,8 +166,8 @@ def test_certificate_refuses_a_failed_block_solve(d0):
 
 
 def test_certificate_refuses_a_wrong_step(pinned, pinned_gap, het, het_gap, monkeypatch):
-    system = _strip_system(pinned, (1,), WINDOW, pinned_gap)
-    x0 = _near(_embed(pinned, het_gap.v1, het.tails), 0)
+    system = StripSystem(pinned, (1,), WINDOW, *pinned_gap.frame(pinned, (1,)))
+    x0 = _near(_embed(pinned, het_gap.lo, het.tails), 0)
     _, res_ok, ok = refine_critical(system, x0, 1e-12)
     assert ok and res_ok <= 1e-12
     true_solve = BandedHessian.solve

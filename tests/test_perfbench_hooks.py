@@ -13,7 +13,7 @@ pipelines).
 import sys
 from pathlib import Path
 
-from fk_saddle import RunConfig, cli
+from fk_saddle import RunConfig, cli, hetero, periodic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -34,6 +34,17 @@ def test_tracer_installs_and_restores_cleanly(monkeypatch):
     finally:
         for name in ("layers", "tracer"):
             sys.modules.pop(name, None)
+
+
+def test_order_box_systems_are_the_traced_classes(classical, gap, pinned, het_gap):
+    # the tracer wraps grad, energy and hess_matrix in each class's own body,
+    # so a system of the shared base class would drop out of the kernel counts
+    assert hetero.StripSystem is periodic.StripSystem
+    for pair, potential, cls in ((gap, classical, periodic.PeriodicSystem),
+                                 (het_gap, pinned, periodic.StripSystem)):
+        system, _ = pair.order_box(potential)
+        assert type(system) is cls
+        assert {"grad", "energy", "hess_matrix"} <= set(vars(cls))
 
 
 def test_kernel_probes_build_their_systems(monkeypatch):

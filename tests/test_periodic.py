@@ -4,7 +4,7 @@ import pytest
 from fk_saddle import FlowParams, find_gap_pair, make_potential, minimize_periodic
 from fk_saddle.fields import BandedHessian, PeriodError
 from fk_saddle.model import ModelError, PluginPotential
-from fk_saddle.periodic import GapPair, NoGapError, PeriodicSystem, require_gap
+from fk_saddle.periodic import NoGapError, PeriodicSystem, require_gap
 from fk_saddle.semiflow import (FlowError, flow, flow_to_stationarity,
                                 refine_critical)
 from fk_saddle.verify import run_property_suite
@@ -23,9 +23,9 @@ def test_torus_energy_values(classical):
 
 def test_relative_energy_values(classical, gap):
     p = (1, 1)
-    system = PeriodicSystem(classical, p, gap.v0)
+    system = PeriodicSystem(classical, p, gap.lo)
     assert system.energy(np.zeros(p)) == pytest.approx(-1.0, abs=1e-12)
-    w_minus_v = gap.w0 - gap.v0
+    w_minus_v = gap.hi - gap.lo
     assert system.energy(w_minus_v) == pytest.approx(-1.0, abs=1e-12)
     assert system.energy(np.full(p, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
@@ -37,30 +37,22 @@ def test_relative_energy_period_mismatch(classical, gap):
         PeriodicSystem(classical, (3, 1), bad_v0)
 
 
-def test_box_field_tiles_to_multiples_only():
-    # the box corner of a (2,1) pair tiles to (4,2) but not to (3,1)
-    pair = GapPair(v0=np.full((2, 1), -0.25), w0=np.full((2, 1), 0.75))
-    assert np.array_equal(pair.box_field((4, 2)), np.ones((4, 2)))
-    with pytest.raises(PeriodError):
-        pair.box_field((3, 1))
-
-
 def test_gradient_examples(classical, gap, params):
     # single-site derivative of the on-site term at the origin
-    g = PeriodicSystem(classical, (1, 1), gap.v0).grad(np.full((1, 1), 0.25))
+    g = PeriodicSystem(classical, (1, 1), gap.lo).grad(np.full((1, 1), 0.25))
     assert g.flat[0] == pytest.approx(2 * np.pi, abs=1e-12)
     # stationarity of a converged minimizer offset
     p = (2, 1)
     res = minimize_periodic(classical, p, [0.3], params)
-    off = res.best - gap.v0
-    g = PeriodicSystem(classical, p, gap.v0).grad(off)
+    off = res.best - gap.lo
+    g = PeriodicSystem(classical, p, gap.lo).grad(off)
     assert np.linalg.norm(g) <= params.stationarity_tol
 
 
 def test_gradient_matches_finite_differences(classical, gap):
     rng = np.random.default_rng(5)
     p = (2, 2)
-    system = PeriodicSystem(classical, p, gap.v0)
+    system = PeriodicSystem(classical, p, gap.lo)
     x = rng.uniform(-1, 2, size=p)
     g = system.grad(x)
     h = 1e-6
@@ -73,11 +65,10 @@ def test_gradient_matches_finite_differences(classical, gap):
 
 def test_flow_fixed_points(classical, gap, params):
     p = (2, 1)
-    system = PeriodicSystem(classical, p, gap.v0)
+    system, top = gap.order_box(classical, p)
     fp = params.with_(t_max=1.0, stationarity_tol=0.0)
     out, _, _ = flow(system, np.zeros(p), fp)
     assert np.max(np.abs(out)) < 1e-9
-    top = gap.box_field(p)
     out, _, _ = flow(system, top, fp)
     assert np.max(np.abs(out - top)) < 1e-9
 
@@ -85,7 +76,7 @@ def test_flow_fixed_points(classical, gap, params):
 def test_flow_converges_and_decreases_energy(classical, gap, params):
     rng = np.random.default_rng(11)
     p = (2, 1)
-    system = PeriodicSystem(classical, p, gap.v0)
+    system = PeriodicSystem(classical, p, gap.lo)
     x0 = rng.uniform(0, 1, size=p)
     out, steps, res = flow(system, x0, params)
     assert steps > 0 and res <= params.stationarity_tol
@@ -97,7 +88,7 @@ def test_flow_horizon_short_of_stationarity_raises(classical, gap, params):
     # a horizon too short to reach stationarity is an error, not an early
     # answer (the offset 0.5 from v0 is the stationary top of the box)
     p = (2, 1)
-    system = PeriodicSystem(classical, p, gap.v0)
+    system = PeriodicSystem(classical, p, gap.lo)
     with pytest.raises(FlowError, match="5 steps"):
         flow_to_stationarity(system, np.array([[0.4], [0.2]]),
                              params.with_(t_max=5 * system.dt_safe))
@@ -106,7 +97,7 @@ def test_flow_horizon_short_of_stationarity_raises(classical, gap, params):
 def test_a_nan_state_is_a_flow_error(classical, gap, params):
     # a NaN residual never counts as stationary: the flow steps, and the
     # step's energy check raises
-    system = PeriodicSystem(classical, (2, 1), gap.v0)
+    system = PeriodicSystem(classical, (2, 1), gap.lo)
     with pytest.raises(FlowError, match="NaN"):
         flow(system, np.full((2, 1), np.nan), params)
 
@@ -115,7 +106,7 @@ def test_flow_steps_at_dt_safe_up_to_t_max(classical, gap):
     # t_max is the only horizon: whole steps of dt_safe, the last one cut
     # short to land on it
     p = (2, 1)
-    system = PeriodicSystem(classical, p, gap.v0)
+    system = PeriodicSystem(classical, p, gap.lo)
     for horizon, count in ((5.0, 5), (2.5, 3)):
         fp = FlowParams(t_max=horizon * system.dt_safe, stationarity_tol=0.0)
         _, steps, _ = flow(system, np.array([[0.4], [0.2]]), fp)
@@ -151,8 +142,8 @@ def test_minimize_requires_seed(classical, params):
 
 
 def test_gap_pair_classical(gap):
-    assert gap.v0.flat[0] == pytest.approx(-0.25, abs=1e-8)
-    assert gap.w0.flat[0] == pytest.approx(0.75, abs=1e-8)
+    assert gap.lo.flat[0] == pytest.approx(-0.25, abs=1e-8)
+    assert gap.hi.flat[0] == pytest.approx(0.75, abs=1e-8)
     assert gap.evidence["distinct_interior_minimizers"] == 0
 
 
@@ -164,7 +155,7 @@ def test_gap_pair_free_chain(params):
 def test_gap_pair_two_well(twowell, params):
     g = find_gap_pair(twowell, (1, 1), seed=1, params=params)
     assert g is not None
-    width = g.w0 - g.v0
+    width = g.hi - g.lo
     assert np.max(np.abs(width - 0.5)) < 1e-8
 
 
@@ -177,7 +168,7 @@ def test_flow_comparison_order(classical, gap, params):
     # ordered initial data stays strictly ordered under the semiflow
     rng = np.random.default_rng(21)
     p = (2, 1)
-    system = PeriodicSystem(classical, p, gap.v0)
+    system = PeriodicSystem(classical, p, gap.lo)
     u1 = rng.uniform(0.0, 0.45, size=(10,) + p)
     u2 = u1 + rng.uniform(0.05, 0.5, size=(10,) + p)
     fp = params.with_(t_max=0.25, stationarity_tol=0.0)
@@ -201,8 +192,7 @@ def test_strong_comparison_of_stationary_fields(classical, gap, params):
 def test_box_invariance(classical, gap, params):
     rng = np.random.default_rng(9)
     p = (2, 1)
-    system = PeriodicSystem(classical, p, gap.v0)
-    box = gap.box_field(p)
+    system, box = gap.order_box(classical, p)
     seeds = rng.uniform(0, 1, size=(20,) + p) * box
     fp = params.with_(t_max=1.0, stationarity_tol=0.0)
     out, _, _ = flow(system, seeds, fp)

@@ -517,7 +517,7 @@ def test_endpoint_fixity_fails_off_the_ground_states(classical, gap, params):
     # the flow would move
     from fk_saddle import GapPair
 
-    off = GapPair(v0=gap.v0 + 0.1, w0=gap.w0 + 0.1)
+    off = GapPair(gap.lo + 0.1, gap.hi + 0.1)
     reports = run_property_suite(classical, (2, 1), seed=7, trials=4,
                                  params=params, gap=off)
     fixity = next(r for r in reports if r.name == "endpoint-fixity")
