@@ -25,12 +25,12 @@ COMMON_FLAGS = ("model", "amplitude", "coupling", "seed", "out")
 COMMAND_FLAGS = {
     "minimize": ("p", "tol", "fields-out"),
     "gap": ("p", "tol", "probes"),
-    "mpp": ("p", "tol", "fields-out", "nodes"),
-    "landscape": ("tol", "fields-out", "grid"),
-    "multiplicity": ("tol", "kmax"),
-    "hetero": ("q", "tol", "fields-out", "window"),
-    "mph": ("q", "tol", "fields-out", "nodes", "window"),
-    "verify": ("p", "tol", "trials", "cross-check", "resolutions"),
+    "mpp": ("p", "tol", "probes", "fields-out", "nodes"),
+    "landscape": ("tol", "probes", "fields-out", "grid"),
+    "multiplicity": ("tol", "probes", "kmax"),
+    "hetero": ("q", "tol", "probes", "fields-out", "window"),
+    "mph": ("q", "tol", "probes", "fields-out", "nodes", "window"),
+    "verify": ("p", "tol", "probes", "trials", "cross-check", "resolutions"),
     "validate": ("samples",),
 }
 # commands that need an explicit seed; minimize (random seed fields) and

@@ -95,7 +95,8 @@ class PeriodicSystem(LatticeSystem):
 class StripSystem(LatticeSystem):
     """The renormalized energy on the strip window of ``2W+1`` layers with
     transverse periods ``q``, between the Dirichlet tails ``left`` and
-    ``right``: constants, or one layer each (:meth:`GapPair.frame`)."""
+    ``right``: constants, or one layer ``(1,) + q`` each
+    (:meth:`GapPair.frame`); any other shape is a ``WindowError``."""
 
     def __init__(self, potential: SitePotential, q, half_width: int,
                  left, right, c0: float, base=None):
@@ -108,8 +109,12 @@ class StripSystem(LatticeSystem):
             raise WindowError("window half-width must be >= 0, got %d" % self.half_width)
         self.L = 2 * self.half_width + 1
         self.c0 = float(c0)
-        super().__init__(potential, (self.L,) + self.q, base, potential.r,
-                         (np.asarray(left, dtype=float), np.asarray(right, dtype=float)))
+        tails = tuple(np.asarray(t, dtype=float) for t in (left, right))
+        for t in tails:
+            if t.ndim and t.shape != (1,) + self.q:
+                raise WindowError("a strip tail is a scalar or one layer of shape %r, "
+                                  "not an array of shape %r" % ((1,) + self.q, t.shape))
+        super().__init__(potential, (self.L,) + self.q, base, potential.r, tails)
 
     def layer_energies(self, x):
         """Renormalized per-layer sums over layers [-W-r, W+r]."""

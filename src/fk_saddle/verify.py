@@ -5,14 +5,14 @@ on a two-site torus every field in the order box is a point (a, b) of
 [0, hi]^2, the energy is a closed two-variable landscape, and the minimax
 over paths is the bottleneck (widest-path) value over the 8-connected grid
 graph, read off the fixed point of Gauss-Seidel sweeps of the
-minimax-distance field.  The oracle evaluates a certified narrow band only:
-Taylor bounds at block centres (with the model's Lipschitz bound) bracket the
-answer, blocks certainly below the bracket hold its low end and blocks
-certainly above it are walls, and the answer and every evaluated cell are
-checked against those bounds.  Only the band is stored, and the sweep costs
-what the band costs: blocks not holding one value are packed side by side,
-the only cells swept, and each connected set of blocks holding one value is
-one node.  ``sample_landscape`` evaluates every cell.
+minimax-distance field.  The oracle evaluates a narrow band only, certified
+for a window of levels: Taylor bounds at block centres, coarse to fine, send
+blocks certainly below the window to its low end and blocks certainly above
+it to walls, and the answer and every evaluated cell are checked against the
+window and the bounds.  Only the band is stored and swept: blocks not
+holding one value are packed side by side and swept while their halo falls,
+and each connected set of blocks holding one value is one node.
+``sample_landscape`` evaluates every cell.
 
 The property suite replays, at desk scale, every inequality the theory
 guarantees: submodularity of the local energies, order preservation and
@@ -40,6 +40,7 @@ from .periodic import GapPair, find_gap_pair, minimize_periodic, require_gap
 from .semiflow import FlowParams, flow, rk4_step
 
 ORACLE_BATCH = 2048            # states per energy call of the oracle; larger batches fall out of cache
+SWEEP_BLOCKS = 256             # blocks per sweep call, so no round copies the band
 
 
 # ---------------------------------------------------------------------------
@@ -48,89 +49,100 @@ ORACLE_BATCH = 2048            # states per energy call of the oracle; larger ba
 
 @dataclass
 class OracleGrid2D:
-    """The reduced two-variable landscape on a certified narrow band.
+    """The reduced two-variable landscape on a narrow band certified for a
+    ``window`` (lo, hi] of levels.
 
     Cell (ia, ib) of the grid stands for I at the offsets (a, b) = (ia, ib)
     hi / (R - 1) of the order box [0, hi]^2.  The grid is cut into blocks of
-    ``ORACLE_BLOCK``^2 cells, each bounded by its centre's Taylor expansion;
-    the bottlenecks of the block bounds give the ``bracket`` [Lb, U] of the
-    answer.  A block bounded above by less than Lb holds Lb; a block bounded
-    below by more than U is a wall holding the largest block upper bound,
-    finite and above every energy of the grid; every other cell holds its
-    exact energy (``evaluated`` of them).  Each cell stays on its side of
-    every level in [Lb, U], so the min-max, which lies there, is the dense
-    grid's bit for bit.  Only the band is stored: ``fill[i, j]`` is the
-    value every cell of block (i, j) holds, NaN for a block with evaluated
-    cells, and ``packed[k]`` holds the ``ORACLE_BLOCK``^2 cells of the k-th
-    NaN block of ``fill`` in row-major order (a ragged last block repeats
-    its edge cells); the sweep takes a connected set of equal filled blocks
-    as one node and visits the others' cells only.  A hand-built grid holds
-    ``values``, a dense array of any shape, and is one block of evaluated
-    cells, with no bracket and ``evaluated``, ``fill`` and ``packed`` None.
+    ``ORACLE_BLOCK``^2 cells, bounded by Taylor expansions at their centres
+    and at their parents' (of twice the side).  A block bounded above by
+    less than lo holds lo, one bounded below by more than hi is a wall
+    holding the largest parent upper bound, and every other cell its exact
+    energy (``evaluated`` of them).  Each cell stays on its side of every
+    level in [lo, hi], so a min-max in (lo, hi] is the dense grid's bit for
+    bit.  ``fill[i, j]`` is the value of block (i, j), NaN for a block of
+    evaluated cells, and ``packed[k]`` holds the cells of the k-th NaN
+    block in row-major order (a ragged last block repeats its edge cells).
+    A hand-built grid holds ``values``, a dense array of any shape, as one
+    block.
     """
 
     resolution: int
     values: np.ndarray | None = None
-    bracket: tuple = (-math.inf, math.inf)
+    window: tuple = (-math.inf, math.inf)
     evaluated: int | None = None
     fill: np.ndarray | None = field(default=None, init=False)
     packed: np.ndarray | None = field(default=None, init=False)
 
     @staticmethod
-    def build(potential: SitePotential, gap: GapPair, resolution: int) -> "OracleGrid2D":
-        """Evaluate only the cells that can affect the bottleneck.
-
-        Certificate: every evaluated cell lies inside its block's bounds, and
-        :func:`bottleneck_minimax_2d` checks the answer against the bracket;
-        either failure raises, naming the Lipschitz bound as the likely fault.
-        """
+    def build(potential: SitePotential, gap: GapPair, resolution: int,
+              window) -> "OracleGrid2D":
+        """Evaluate only the cells that can decide a bottleneck in
+        ``window``, and children's centres only in parents meeting it; an
+        evaluated cell outside its block's bounds raises."""
         if resolution < 101:
             raise FkSaddleError("oracle resolution must be >= 101")
+        lo, hi = map(float, window)
+        if not -math.inf < lo < hi < math.inf:
+            raise FkSaddleError("oracle window %r is empty or infinite" % (window,))
         system, ga, gb = _order_box_axes(potential, gap, resolution)
         L = potential.lipschitz_bound()
-        first = np.arange(0, resolution, ORACLE_BLOCK)
-        last = np.minimum(first + ORACLE_BLOCK, resolution) - 1
-        ca, cb = (ga[first] + ga[last]) / 2, (gb[first] + gb[last]) / 2
-        ra, rb = ((ga[last] - ga[first]) / 2)[:, None], (gb[last] - gb[first]) / 2
-        blocks = len(first)
-        lower, upper = np.empty((blocks, blocks)), np.empty((blocks, blocks))
-        step = max(1, ORACLE_BATCH // blocks)
-        for lo in range(0, blocks, step):
-            rows = slice(lo, lo + step)
-            centres = _offset_fields(ca[rows, None], cb)
-            energy, grad = system.energy(centres), system.grad(centres)
-            spread = (np.abs(grad[..., 0, 0]) * ra[rows] + np.abs(grad[..., 1, 0]) * rb
-                      + L * (ra[rows] ** 2 + rb ** 2) / 2
-                      + ORACLE_BOUND_SLACK * (1.0 + np.abs(energy)))
-            lower[rows], upper[rows] = energy - spread, energy + spread
-        Lb = bottleneck_minimax_2d(OracleGrid2D(blocks, lower))
-        U = bottleneck_minimax_2d(OracleGrid2D(blocks, upper))
-        wall = lower > U
-        active = ~wall & (upper >= Lb)
-        I, J = np.nonzero(active)
+
+        def bounds(size, I, J):
+            out = np.empty((2, len(I)))
+            for k in range(0, len(I), ORACLE_BATCH):
+                i, j = (K[k:k + ORACLE_BATCH] * size for K in (I, J))
+                fa, la = ga[i], ga[np.minimum(i + size, resolution) - 1]
+                fb, lb = gb[j], gb[np.minimum(j + size, resolution) - 1]
+                ra, rb = (la - fa) / 2, (lb - fb) / 2
+                centres = _offset_fields((fa + la) / 2, (fb + lb) / 2)
+                energy, grad = system.energy(centres), system.grad(centres)
+                spread = (np.abs(grad[:, 0, 0]) * ra + np.abs(grad[:, 1, 0]) * rb
+                          + L * (ra ** 2 + rb ** 2) / 2
+                          + ORACLE_BOUND_SLACK * (1.0 + np.abs(energy)))
+                out[:, k:k + ORACLE_BATCH] = energy - spread, energy + spread
+            return out
+
+        def classify(lower, upper):
+            return np.where(upper < lo, lo, np.where(lower > hi, wall, np.nan))
+
+        n, m = -(-resolution // ORACLE_BLOCK), -(-resolution // (2 * ORACLE_BLOCK))
+        I, J = np.divmod(np.arange(m * m), m)
+        parent = bounds(2 * ORACLE_BLOCK, I, J)
+        wall = parent[1].max()
+        fill = classify(*parent)
+        meet = np.flatnonzero(np.isnan(fill))
+        fill = fill.reshape(m, m).repeat(2, 0).repeat(2, 1)[:n, :n]
+        I, J = (2 * I[meet, None] + (0, 0, 1, 1)).ravel(), (2 * J[meet, None] + (0, 1, 0, 1)).ravel()
+        child = (I < n) & (J < n)
+        I, J, parent = I[child], J[child], parent[:, np.repeat(meet, 4)[child]]
+        lower, upper = bounds(ORACLE_BLOCK, I, J)
+        lower, upper = np.maximum(lower, parent[0]), np.minimum(upper, parent[1])
+        fill[I, J] = classify(lower, upper)
+        k = np.flatnonzero(np.isnan(fill[I, J]))
+        k = k[np.argsort(I[k] * n + J[k])]
+        I, J, lower, upper = I[k], J[k], lower[k], upper[k]
         a, b = _block_cells(I, resolution), _block_cells(J, resolution)
         packed = np.empty((len(I), ORACLE_BLOCK, ORACLE_BLOCK))
         per = max(1, ORACLE_BATCH // ORACLE_BLOCK ** 2)
-        for lo in range(0, len(I), per):
-            k = slice(lo, lo + per)
+        for c in range(0, len(I), per):
+            k = slice(c, c + per)
             e = system.energy(_offset_fields(ga[a[k], None], gb[b[k]][:, None]))
-            low = lower[I[k], J[k]][:, None, None]
-            high = upper[I[k], J[k]][:, None, None]
+            low, high = lower[k, None, None], upper[k, None, None]
             outside = (e < low) | (e > high)
             if np.any(outside):
-                n, i, j = np.unravel_index(np.argmax(outside), e.shape)
+                q, i, j = np.unravel_index(np.argmax(outside), e.shape)
                 raise FkSaddleError(
                     "oracle block bound violated: I = %r at (a, b) = (%r, %r) "
                     "outside [%r, %r]; the Lipschitz bound L = %r is likely "
-                    "too small" % (float(e[n, i, j]), float(ga[a[lo + n, i]]),
-                                   float(gb[b[lo + n, j]]), float(low[n, 0, 0]),
-                                   float(high[n, 0, 0]), L))
+                    "too small" % (float(e[q, i, j]), float(ga[a[c + q, i]]),
+                                   float(gb[b[c + q, j]]), float(low[q, 0, 0]),
+                                   float(high[q, 0, 0]), L))
             packed[k] = e
-        size = last - first + 1
-        grid = OracleGrid2D(resolution=resolution, bracket=(Lb, U),
+        size = np.diff(np.minimum(np.arange(n + 1) * ORACLE_BLOCK, resolution))
+        grid = OracleGrid2D(resolution=resolution, window=(lo, hi),
                             evaluated=int(np.sum(size[I] * size[J])))
-        grid.fill = np.where(active, np.nan, np.where(wall, upper.max(), Lb))
-        grid.packed = packed
+        grid.fill, grid.packed = fill, packed
         return grid
 
 
@@ -174,31 +186,26 @@ def sample_landscape(potential: SitePotential, gap: GapPair, resolution: int):
     return (ga, gb), values, float(values[ia, ib]), (float(ga[ia]), float(gb[ib]))
 
 
-def _sweeper(D, V):
-    """A sweep of the haloed blocks ``D[k]``, all blocks at once: Gauss-Seidel
-    passes down, up, right and left over their interiors, each row (column)
-    taking max(V, min(itself, its 3 neighbours in the row before)).  Calling
-    it runs the four passes and returns whether D changed."""
-    steps = []
-    for d, v in ((D, V), (D.transpose(0, 2, 1), V.transpose(0, 2, 1))):
-        n, row = v.shape[1], np.empty(v.shape[::2])
+def _sweep(P, V, k):
+    """Sweep the haloed blocks ``P[k]``, all at once: Gauss-Seidel passes
+    down, up, right and left over their interiors, each row (column) taking
+    max(V, min(itself, its 3 neighbours in the row before)).  Returns which
+    blocks changed."""
+    # blocks last, so that each row operation runs along all of them
+    D, W = (A[k].transpose(1, 2, 0).copy() for A in (P, V))
+    for d, v in ((D, W), (D.transpose(1, 0, 2), W.transpose(1, 0, 2))):
+        n, row = v.shape[0], np.empty(v.shape[1:])
         for i, step in [(i, 1) for i in range(1, n + 1)] + [(i, -1) for i in range(n, 0, -1)]:
-            prev = d[:, i - step]
-            steps.append((d[:, i, 1:-1], prev[:, :-2], prev[:, 1:-1], prev[:, 2:],
-                          v[:, i - 1], row))
-
-    def sweep():
-        changed = False
-        for cur, left, mid, right, v, row in steps:
+            prev, cur = d[i - step], d[i, 1:-1]
             # max(V, min(cur, x)) = min(cur, max(V, x)), as V <= cur
-            np.minimum(left, mid, out=row)
-            np.minimum(row, right, out=row)
-            np.maximum(v, row, out=row)
-            if changed or (row < cur).any():
-                np.minimum(cur, row, out=cur)
-                changed = True
-        return changed
-    return sweep
+            np.minimum(prev[:-2], prev[1:-1], out=row)
+            np.minimum(row, prev[2:], out=row)
+            np.maximum(v[i - 1], row, out=row)
+            np.minimum(cur, row, out=cur)
+    D = D.transpose(2, 0, 1)
+    changed = (D < P[k]).any(axis=(1, 2))
+    P[k] = D
+    return changed
 
 
 def _components(fill):
@@ -237,12 +244,13 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
     D(0, 0) = values(0, 0).  D is constant on a connected set of equal
     values, so each component of equal filled blocks is one node; the other
     blocks are packed with a one-cell halo.  A round fills the halos from the
-    neighbouring cells and nodes (+inf off the grid), sweeps every packed
-    block at once, lowers each node by its adjacent packed cells and then
-    by the touching nodes of other values until none moves.  Rounds from
-    D = inf only lower D and never below the true field, so the first round
-    that changes nothing stops on it exactly, and the answer is one of the
-    grid's own samples.  It must lie in the grid's certified bracket.
+    neighbouring cells and nodes (+inf off the grid), sweeps the packed
+    blocks whose halo fell or which changed in their last sweep (the others
+    are at their fixed point), lowers each node by its adjacent packed
+    cells and then by the touching nodes of other values until none moves.
+    Rounds from D = inf only lower D and never below the true field, so the
+    first round that changes nothing stops on it exactly, and the answer is
+    one of the grid's own samples.  It must lie in the grid's window.
     """
     values = grid.values
     if values is None:
@@ -281,10 +289,10 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
     a, b = np.clip(a, 0, R - 1), np.clip(b, 0, C - 1)
     src = np.where(inside, at(a, b), len(E) - 1)
     start, end = at(0, 0), at(R - 1, C - 1)
-    dst = np.arange(len(I), dtype=np.int32)[:, None] * S + ri * (bc + 2) + rj
-    # each node against the packed cells next to the halo cells it fills
-    k, h = np.nonzero(inside & nodes[a // br, b // bc])
+    halo = ri * (bc + 2) + rj
     del a, b, inside, slot
+    # each node against the packed cells next to the halo cells it fills
+    k, h = np.nonzero((src >= size) & (src < len(E) - 1))
     near, cell = [], []
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
@@ -299,14 +307,22 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
     targets = np.flatnonzero(count)
     starts = (np.cumsum(count) - count)[targets]
 
-    fine = _sweeper(P, V)
     E[start] = fill[0, 0] if nodes[0, 0] else V[0, 0, 0]
+    todo = np.zeros(len(I), bool)
+    todo[:1] = not nodes[0, 0]
+    flat = P.reshape(len(I), S)
     changed = True
     while changed:
-        E[dst] = E[src]
-        changed = fine()
+        fresh = E[src]
+        todo |= (fresh < flat[:, halo]).any(axis=1)
+        flat[:, halo] = fresh
+        del fresh
+        work = np.flatnonzero(todo)
+        for c in range(0, len(work), SWEEP_BLOCKS):
+            k = work[c:c + SWEEP_BLOCKS]
+            todo[k] = _sweep(P, V, k)
         low = np.maximum(level[targets], np.minimum.reduceat(E[cell], starts))
-        changed |= (low < N[targets]).any()
+        changed = len(work) > 0 or (low < N[targets]).any()
         N[targets] = np.minimum(N[targets], low)
         moved = True
         while moved:
@@ -315,11 +331,11 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
             np.minimum.at(N, u, low)
             changed |= moved
     value = float(E[end])
-    lo, hi = grid.bracket
-    if not lo <= value <= hi:
-        raise FkSaddleError("oracle bottleneck %r outside its certified bracket "
-                            "[%r, %r]; the Lipschitz bound behind the block "
-                            "bounds is likely too small" % (value, lo, hi))
+    lo, hi = grid.window
+    if not lo < value <= hi:
+        raise FkSaddleError("oracle bottleneck %r outside its certified window "
+                            "(%r, %r]: the window or the Lipschitz bound is "
+                            "wrong" % (value, lo, hi))
     return value
 
 
@@ -540,9 +556,11 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair,
                               params: FlowParams | None = None) -> CrossCheckReport:
     """Compare node-flow, heat-flow, and the bottleneck oracle on p = (2, 1).
 
-    The three agree when both engines succeed and every pair of values lies
-    within CROSS_CHECK_TOL; ``failed`` holds the message of each engine whose
-    run did not succeed (its value is then only its best candidate).
+    The oracle is certified for node-flow's level +- CROSS_CHECK_TOL.  The
+    three agree when all succeed and every pair of values lies within
+    CROSS_CHECK_TOL; ``failed`` holds the message of each route that did not
+    succeed (an engine's value is then only its best candidate; a failed
+    oracle's deltas are NaN).
     """
     if potential.n != 2:
         raise FkSaddleError("cross check is defined for model dimension 2")
@@ -550,22 +568,26 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair,
     gap = require_gap(gap)
     node = best_mountain_pass(potential, gap, (2, 1), params, mode="node-flow")
     heat = best_mountain_pass(potential, gap, (2, 1), params, mode="heat-flow")
+    failed = {name: res.message for name, res in
+              (("node-flow", node), ("heat-flow", heat)) if not res.success}
+    window = (node.value - CROSS_CHECK_TOL, node.value + CROSS_CHECK_TOL)
     oracle, band = {}, {}
     for res in resolutions:
-        grid = OracleGrid2D.build(potential, gap, res)
-        oracle[res] = bottleneck_minimax_2d(grid)
-        constant = int(np.count_nonzero(~np.isnan(grid.fill)))
-        band[res] = {"bracket": list(grid.bracket), "evaluated": grid.evaluated,
-                     "constant_blocks": constant,
-                     "packed_blocks": grid.fill.size - constant}
-    finest = oracle[max(oracle)]
+        try:
+            grid = OracleGrid2D.build(potential, gap, res, window)
+            constant = int(np.count_nonzero(~np.isnan(grid.fill)))
+            band[res] = {"window": list(grid.window), "evaluated": grid.evaluated,
+                         "constant_blocks": constant,
+                         "packed_blocks": grid.fill.size - constant}
+            oracle[res] = bottleneck_minimax_2d(grid)
+        except FkSaddleError as exc:
+            failed["oracle"] = "resolution %d: %s" % (res, exc)
+    finest = oracle[max(oracle)] if oracle else math.nan
     deltas = {
         "node-heat": abs(node.value - heat.value),
         "node-oracle": abs(node.value - finest),
         "heat-oracle": abs(heat.value - finest),
     }
-    failed = {name: res.message for name, res in
-              (("node-flow", node), ("heat-flow", heat)) if not res.success}
     return CrossCheckReport(
         node_flow=node.value, heat_flow=heat.value, oracle=oracle,
         tolerance=CROSS_CHECK_TOL, deltas=deltas,

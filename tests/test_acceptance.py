@@ -17,6 +17,7 @@ from fk_saddle import (FlowParams, OracleGrid2D,
                        find_gap_pair, find_gap_pair_hetero, make_potential,
                        minimize_hetero, minimize_periodic, mountain_pass_hetero,
                        multiplicity_scan, run_property_suite, sample_landscape)
+from fk_saddle.defaults import CROSS_CHECK_TOL
 from fk_saddle.model import residual_field
 
 GAP_SEED = 3
@@ -60,7 +61,8 @@ def compute_bundle():
     t0 = time.monotonic()
     node = best_mountain_pass(classical, gap, (2, 1), params, mode="node-flow", N=65)
     heat = best_mountain_pass(classical, gap, (2, 1), params, mode="heat-flow", N=65)
-    grid2001 = OracleGrid2D.build(classical, gap, 2001)
+    window = (node.value - CROSS_CHECK_TOL, node.value + CROSS_CHECK_TOL)
+    grid2001 = OracleGrid2D.build(classical, gap, 2001, window)
     oracle = bottleneck_minimax_2d(grid2001)
     T["c3"] = time.monotonic() - t0
     S["d21_node"] = node.value

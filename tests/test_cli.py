@@ -59,10 +59,11 @@ def test_start_chain_flags_are_gone(command, flag, capsys):
 @pytest.mark.parametrize("argv", [
     ["mpp", "--mode", "heat-flow"], ["gap", "--fields-out", "x.csv"],
     ["hetero", "--p", "2,1"], ["multiplicity", "--q", "2"],
-    ["validate", "--tol", "1e-9"]])
+    ["validate", "--tol", "1e-9"], ["minimize", "--probes", "3"],
+    ["validate", "--probes", "3"]])
 def test_a_command_takes_no_flag_it_does_not_read(argv, tmp_path, capsys):
-    # mpp and mph always run node-flow; p, q, tol and fields-out are flags
-    # only of the commands that read them
+    # mpp and mph always run node-flow; p, q, tol, probes and fields-out are
+    # flags only of the commands that read them
     out = tmp_path / "never.json"
     with pytest.raises(SystemExit) as exit_:
         main(argv + ["--seed", "1", "--out", str(out)])
@@ -137,7 +138,9 @@ def test_window_cap_is_the_largest_fixed_window():
 
 @pytest.mark.parametrize("flags", [
     ["mpp", "--nodes", "0"], ["mph", "--nodes", "2"], ["mph", "--q", "0"],
-    ["mph", "--window", "0"], ["gap", "--probes", "0"],
+    ["mph", "--window", "0"], ["gap", "--probes", "0"], ["mpp", "--probes", "0"],
+    ["landscape", "--probes", "-1"], ["multiplicity", "--probes", "0"],
+    ["hetero", "--probes", "0"], ["mph", "--probes", "x"], ["verify", "--probes", "0"],
     ["multiplicity", "--kmax", "1"], ["verify", "--resolutions", "51"],
     ["mph", "--window", "foo"], ["gap", "--p", "a,1"],
     ["mpp", "--tol", "0"], ["verify", "--trials", "-1"], ["mpp", "--tol", "nan"],
@@ -156,15 +159,17 @@ def test_bad_values_exit_before_any_stage(flags, tmp_path, capsys):
 SAME_JOB = {
     "minimize": ([], ""),
     "gap": (["--probes", "3"], "[gap]\nprobes = 3\n"),
-    "mpp": (["--nodes", "33"], "[path]\nnodes = 33\n"),
-    "landscape": (["--grid", "5"], "[verify]\ngrid = 5\n"),
-    "multiplicity": (["--kmax", "3"], "[scan]\nkmax = 3\n"),
-    "hetero": (["--window", "40", "--q", "2"], "q = 2\n[window]\nsize = 40\n"),
-    "mph": (["--nodes", "auto", "--window", "auto"],
-            "[path]\nnodes = auto\n[window]\nsize = auto\n"),
-    "verify": (["--trials", "7", "--cross-check", "--resolutions", "401,2001"],
+    "mpp": (["--nodes", "33", "--probes", "5"], "[path]\nnodes = 33\n[gap]\nprobes = 5\n"),
+    "landscape": (["--grid", "5", "--probes", "2"], "[verify]\ngrid = 5\n[gap]\nprobes = 2\n"),
+    "multiplicity": (["--kmax", "3", "--probes", "4"], "[scan]\nkmax = 3\n[gap]\nprobes = 4\n"),
+    "hetero": (["--window", "40", "--q", "2", "--probes", "6"],
+               "q = 2\n[window]\nsize = 40\n[gap]\nprobes = 6\n"),
+    "mph": (["--nodes", "auto", "--window", "auto", "--probes", "9"],
+            "[path]\nnodes = auto\n[window]\nsize = auto\n[gap]\nprobes = 9\n"),
+    "verify": (["--trials", "7", "--cross-check", "--resolutions", "401,2001",
+                "--probes", "1"],
                "[verify]\ntrials = 7\ncross-check = true\n"
-               "resolutions = 401,2001\n"),
+               "resolutions = 401,2001\n[gap]\nprobes = 1\n"),
     "validate": ([], ""),
 }
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -380,6 +382,18 @@ def test_frame_lays_the_ground_states_into_the_tails(pinned):
     assert abs(flat.energy(np.broadcast_to(left, flat.shape))) <= 1e-12
     with pytest.raises(PeriodError, match="period 2"):
         GapPair(np.zeros((2, 1)), np.ones((2, 1))).frame(pinned, (1,))
+
+
+def test_strip_refuses_tails_of_more_than_one_layer(pinned):
+    # a tail is a scalar or one layer (1,) + q; two layers used to broadcast
+    # into the ghost layers and give a gradient in the wrong phase
+    ok = StripSystem(pinned, (1,), 3, [[0.0]], 1.0, 0.0)
+    assert ok.grad(np.zeros((1,) + ok.shape)).shape == (1, 7, 1)
+    for left, right, shape in (([[0.0], [0.1]], [[1.0], [1.1]], (2, 1)),
+                               ([0.0], 1.0, (1,)), (0.0, [[1.0, 1.0]], (1, 2))):
+        with pytest.raises(WindowError, match=r"shape \(1, 1\), not an array of "
+                                              r"shape %s" % re.escape(repr(shape))):
+            StripSystem(pinned, (1,), 3, left, right, 0.0)
 
 
 def test_best_mountain_pass_on_the_strip_is_mph(pinned, het_gap, params):

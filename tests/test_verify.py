@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import os
 import subprocess
@@ -12,13 +13,19 @@ from fk_saddle import (FkSaddleError, OracleGrid2D, bottleneck_minimax_2d,
                        cross_check_mountain_pass, find_gap_pair,
                        make_potential, run_property_suite, sample_landscape,
                        verify)
-from fk_saddle.defaults import ORACLE_BLOCK as B
+from fk_saddle.defaults import CROSS_CHECK_TOL, ORACLE_BLOCK as B
 from fk_saddle.model import ClassicalFKPotential
 from fk_saddle.verify import CrossCheckReport
 
 from helper_models import dense_bottleneck, flipped, shifted_classical
 
 REFERENCE_D21 = 0.0625
+LEVELS = {"classical": REFERENCE_D21, "pinned": REFERENCE_D21, "twowell": 1.015625}
+
+
+def window(level=REFERENCE_D21):
+    """The oracle window the cross check aims at a node-flow level."""
+    return (level - CROSS_CHECK_TOL, level + CROSS_CHECK_TOL)
 
 
 def widest_path_reference(values):
@@ -161,18 +168,14 @@ def test_sweep_follows_a_block_scale_maze(monkeypatch):
     corridor = values == 1.0
     values[corridor] = rng.uniform(0.0, 1.0, np.count_nonzero(corridor))
     rounds = []
-    make = verify._sweeper
-
-    def counted(D, V):
-        sweep, count = make(D, V), []
-        rounds.append(count)
-        return lambda: count.append(1) or sweep()
-
-    monkeypatch.setattr(verify, "_sweeper", counted)
+    sweep = verify._sweep
+    monkeypatch.setattr(verify, "_sweep", lambda P, V, k: rounds.append(1) or sweep(P, V, k))
     grid = blocked(values)
+    assert np.count_nonzero(np.isnan(grid.fill)) <= verify.SWEEP_BLOCKS
     assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
-    # the packed blocks' sweeps: n - 2 hops at least along each corridor
-    assert len(rounds[0]) >= (n // 2) * (n - 2)
+    # the packed blocks' sweeps, one call a round: n - 2 hops at least
+    # along each corridor
+    assert len(rounds) >= (n // 2) * (n - 2)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -185,26 +188,21 @@ def test_bottleneck_matches_widest_path_reference(seed):
         assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
 
 
-# the twelve oracle cases at gap seed 3: value, bracket, evaluated cells,
-# constant and packed blocks
+# the twelve oracle cases at gap seed 3, each built for the window around
+# its model's level: value, evaluated cells, constant and packed blocks
 ORACLE_CASES = [
-    ("classical", 401, 0.06250000000000011, (0.05289073180285422, 0.07210926819714601),
-     18460, 1491, 190),
-    ("classical", 801, 0.06250000000000011, (0.060947636526256566, 0.06412718057476738),
-     27660, 6279, 282),
-    ("classical", 1201, 0.0625, (0.061398591728357974, 0.06384806354823769), 42280, 14211, 430),
-    ("classical", 2001, 0.06249999999999989, (0.06212747647350642, 0.06296125132116089),
-     63060, 39765, 636),
-    ("pinned", 401, 0.0625, (0.03790958966820843, 0.08709041033179202), 20280, 1471, 210),
-    ("pinned", 801, 0.0625, (0.05775552698398327, 0.06724447301601628), 28860, 6267, 294),
-    ("pinned", 1201, 0.0625, (0.06101608791873024, 0.06398391208126976), 40060, 14235, 406),
-    ("pinned", 2001, 0.0625, (0.06194219717637716, 0.06323543371320003), 59860, 39797, 604),
-    ("twowell", 401, 1.0156249999999998, (1.0094773956670517, 1.0217726043329478),
-     20280, 1471, 210),
-    ("twowell", 801, 1.015625, (1.014438879995996, 1.0168111200040044), 28860, 6267, 294),
-    ("twowell", 1201, 1.015625, (1.0152540202296825, 1.0159959797703175), 40060, 14235, 406),
-    ("twowell", 2001, 1.0156250000000002, (1.0154855475440943, 1.0158088601783),
-     59860, 39797, 604),
+    ("classical", 401, 0.06250000000000011, 13440, 1543, 138),
+    ("classical", 801, 0.06250000000000011, 26460, 6291, 270),
+    ("classical", 1201, 0.0625, 41060, 14225, 416),
+    ("classical", 2001, 0.06249999999999989, 70300, 39689, 712),
+    ("pinned", 401, 0.0625, 13440, 1543, 138),
+    ("pinned", 801, 0.0625, 26240, 6295, 266),
+    ("pinned", 1201, 0.0625, 39260, 14243, 398),
+    ("pinned", 2001, 0.0625, 62060, 39775, 626),
+    ("twowell", 401, 1.0156249999999998, 14440, 1533, 148),
+    ("twowell", 801, 1.015625, 28060, 6275, 286),
+    ("twowell", 1201, 1.015625, 44680, 14187, 454),
+    ("twowell", 2001, 1.0156250000000002, 87100, 39521, 880),
 ]
 
 
@@ -221,10 +219,12 @@ def test_bottleneck_exact_on_reduced_landscapes(request, seed3_gaps, model,
                                                 resolution, expected, band):
     # the oracle returns one of the grid's own samples, so the recorded
     # values hold bit for bit, not to a tolerance, and so do the bands
-    grid = OracleGrid2D.build(request.getfixturevalue(model), seed3_gaps[model], resolution)
+    grid = OracleGrid2D.build(request.getfixturevalue(model), seed3_gaps[model],
+                              resolution, window(LEVELS[model]))
     assert bottleneck_minimax_2d(grid) == expected
     constant = int(np.count_nonzero(~np.isnan(grid.fill)))
-    assert [grid.bracket, grid.evaluated, constant, grid.fill.size - constant] == band
+    assert grid.window == window(LEVELS[model])
+    assert [grid.evaluated, constant, grid.fill.size - constant] == band
 
 
 def flood_components(fill):
@@ -314,18 +314,26 @@ def test_sweep_crosses_two_touching_components(first, second):
 
 
 def test_built_band_sweeps_only_its_packed_blocks(classical, gap, monkeypatch):
-    grid = OracleGrid2D.build(classical, gap, 401)
-    shapes = []
-    make = verify._sweeper
+    # every sweep covers packed blocks only, at most SWEEP_BLOCKS of them;
+    # the rounds sweep only the blocks whose halo fell or which changed,
+    # fewer block sweeps than five rounds of every packed block would take
+    sweep = verify._sweep
+    for resolution, expected in ((401, 0.06250000000000011), (2001, 0.06249999999999989)):
+        grid = OracleGrid2D.build(classical, gap, resolution, window())
+        m, calls = len(grid.packed), []
 
-    def recorded(D, V):
-        shapes.append((D.shape, V.shape))
-        return make(D, V)
+        def recorded(P, V, k):
+            assert V is grid.packed and P.shape == (m, B + 2, B + 2)
+            assert 0 < len(k) <= verify.SWEEP_BLOCKS and np.all(np.diff(k) > 0)
+            assert 0 <= k[0] and k[-1] < m
+            calls.append(k)
+            return sweep(P, V, k)
 
-    monkeypatch.setattr(verify, "_sweeper", recorded)
-    assert bottleneck_minimax_2d(grid) == 0.06250000000000011
-    m = len(grid.packed)
-    assert shapes == [((m, B + 2, B + 2), (m, B, B))]
+        monkeypatch.setattr(verify, "_sweep", recorded)
+        assert bottleneck_minimax_2d(grid) == expected
+        swept = np.concatenate(calls)
+        assert np.array_equal(np.unique(swept), np.arange(m))
+        assert len(swept) < 5 * m
 
 
 def test_import_loads_no_scipy():
@@ -339,13 +347,13 @@ def test_import_loads_no_scipy():
 
 
 def test_bottleneck_on_reduced_landscape(classical, gap):
-    grid = OracleGrid2D.build(classical, gap, 401)
+    grid = OracleGrid2D.build(classical, gap, 401, window())
     assert bottleneck_minimax_2d(grid) == pytest.approx(REFERENCE_D21, abs=1e-4)
 
 
 def test_oracle_monotone_under_refinement(classical, gap):
-    v_coarse = bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 101))
-    v_fine = bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 201))
+    v_coarse = bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 101, window()))
+    v_fine = bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 201, window()))
     _, coarse, _, _ = sample_landscape(classical, gap, 101)
     slack = max(np.max(np.abs(np.diff(coarse, axis=0))),
                 np.max(np.abs(np.diff(coarse, axis=1))))
@@ -354,7 +362,7 @@ def test_oracle_monotone_under_refinement(classical, gap):
 
 def test_oracle_resolution_guard(classical, gap):
     with pytest.raises(Exception):
-        OracleGrid2D.build(classical, gap, 50)
+        OracleGrid2D.build(classical, gap, 50, window())
 
 
 def test_grid_max_location(classical, gap):
@@ -366,16 +374,16 @@ def test_grid_max_location(classical, gap):
 @pytest.mark.parametrize("model", ["classical", "pinned", "twowell"])
 def test_band_matches_dense_grid(request, params, model):
     # every packed cell and every cell of a filled block is its exact
-    # energy, the bracket's low end where its energy lies below it, or a
-    # wall no lower than its energy above the bracket; packed cells are
+    # energy, the window's low end where its energy lies below it, or a
+    # wall no lower than its energy above the window; packed cells are
     # evaluated, so exact; the bottleneck is the one of the dense grid,
     # swept whole
     potential = request.getfixturevalue(model)
     gap = find_gap_pair(potential, (1, 1), seed=3, params=params)
     for resolution in (401, 801):
-        band = OracleGrid2D.build(potential, gap, resolution)
+        band = OracleGrid2D.build(potential, gap, resolution, window(LEVELS[model]))
         _, dense, _, _ = sample_landscape(potential, gap, resolution)
-        lo, hi = band.bracket
+        lo, hi = band.window
         I, J = np.nonzero(np.isnan(band.fill))
         a = np.minimum(I[:, None] * B + np.arange(B), resolution - 1)[:, :, None]
         b = np.minimum(J[:, None] * B + np.arange(B), resolution - 1)[:, None]
@@ -391,14 +399,14 @@ def test_band_matches_dense_grid(request, params, model):
         value = bottleneck_minimax_2d(band)
         assert value == dense_bottleneck(dense)
         assert value == bottleneck_minimax_2d(OracleGrid2D(resolution, dense))
-        assert lo <= value <= hi
+        assert lo < value <= hi
 
 
 def test_band_rejects_a_too_small_lipschitz_bound(classical, gap, monkeypatch):
     L = classical.lipschitz_bound()
     monkeypatch.setattr(classical, "lipschitz_bound", lambda: L / 100)
     with pytest.raises(FkSaddleError, match="Lipschitz bound"):
-        bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 401))
+        bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 401, window()))
 
 
 def test_energy_decrease_measures_the_rise_of_a_too_large_step(classical, gap, monkeypatch):
@@ -412,15 +420,38 @@ def test_energy_decrease_measures_the_rise_of_a_too_large_step(classical, gap, m
     assert row.detail.startswith("max step increase ")
 
 
-def test_bottleneck_outside_its_bracket_raises():
-    grid = OracleGrid2D(resolution=101, values=np.full((101, 101), 0.7),
-                        bracket=(0.8, 1.0))
-    with pytest.raises(FkSaddleError, match="bracket"):
+def test_bottleneck_outside_its_window_raises():
+    # the ridge's 3.5 is certified in (lo, hi] only: a window below it,
+    # above it or with 3.5 as its open low edge fails, naming the window
+    values = np.zeros((101, 101))
+    values[50, :] = 3.5
+    assert bottleneck_minimax_2d(OracleGrid2D(101, values, window=(3.0, 3.5))) == 3.5
+    for lo, hi in ((2.0, 3.0), (4.0, 5.0), (3.5, 4.0)):
+        grid = OracleGrid2D(resolution=101, values=values, window=(lo, hi))
+        with pytest.raises(FkSaddleError, match=r"window \(%r, %r\]" % (lo, hi)):
+            bottleneck_minimax_2d(grid)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.05, 0.06), (0.065, 0.07),
+                                    (0.06250000000000011, 0.06450000000000011)])
+def test_built_band_outside_its_window_raises(classical, gap, lo, hi):
+    # a band built for a window below the answer, above it, or with the
+    # answer (0.06250000000000011 at R = 401) as its open low edge yields
+    # a value outside the window, which fails instead of being returned
+    grid = OracleGrid2D.build(classical, gap, 401, (lo, hi))
+    with pytest.raises(FkSaddleError, match=r"outside its certified window \(%r, %r\]"
+                       % (lo, hi)):
         bottleneck_minimax_2d(grid)
 
 
+def test_oracle_window_must_be_a_finite_interval(classical, gap):
+    for bad in ((0.07, 0.06), (0.06, 0.06), (-np.inf, 0.07), (0.06, np.nan)):
+        with pytest.raises(FkSaddleError, match="window"):
+            OracleGrid2D.build(classical, gap, 401, bad)
+
+
 def test_band_evaluates_few_cells_at_2001(classical, gap):
-    band = OracleGrid2D.build(classical, gap, 2001)
+    band = OracleGrid2D.build(classical, gap, 2001, window())
     assert band.evaluated <= 0.03 * 2001 ** 2
 
 
@@ -429,7 +460,7 @@ def test_oracle_memory_stays_below_a_dense_grid(classical, gap):
     # floats alone take 30.5 MiB, nor a grid of its 201^2 blocks
     tracemalloc.start()
     try:
-        bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 2001))
+        bottleneck_minimax_2d(OracleGrid2D.build(classical, gap, 2001, window()))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -553,8 +584,9 @@ def test_cross_check_threefold(classical, gap, params):
     assert cc.agree
     assert max(cc.deltas.values()) <= 1e-3
     band = cc.band[401]
-    lo, hi = band["bracket"]
-    assert lo <= cc.oracle[401] <= hi
+    lo, hi = band["window"]
+    assert (lo, hi) == window(cc.node_flow)
+    assert lo < cc.oracle[401] <= hi
     assert 0 < band["evaluated"] < 401 ** 2
     assert band["packed_blocks"] > 0 and band["constant_blocks"] > 0
     assert band["packed_blocks"] + band["constant_blocks"] == 41 ** 2
@@ -566,9 +598,33 @@ def test_cross_check_band_report_at_2001(classical, gap, params):
     cc = cross_check_mountain_pass(classical, gap, resolutions=(2001,),
                                    params=params)
     assert cc.oracle == {2001: 0.06249999999999989}
+    assert cc.node_flow == REFERENCE_D21
     assert cc.band == {2001: {
-        "bracket": [0.06212747647350642, 0.06296125132116089],
-        "evaluated": 63060, "constant_blocks": 39765, "packed_blocks": 636}}
+        "window": [0.0615, 0.0635],
+        "evaluated": 70300, "constant_blocks": 39689, "packed_blocks": 712}}
+
+
+def test_cross_check_records_an_oracle_outside_its_window(classical, gap, params,
+                                                          monkeypatch):
+    # a node-flow level off by more than the tolerance aims the oracle's
+    # window past the answer: the oracle fails with a message naming the
+    # window, reports no number and the cross check does not agree
+    solve = verify.best_mountain_pass
+
+    def off(*args, mode, **kwargs):
+        res = solve(*args, mode=mode, **kwargs)
+        if mode == "node-flow":
+            res = dataclasses.replace(res, value=res.value + 0.01)
+        return res
+
+    monkeypatch.setattr(verify, "best_mountain_pass", off)
+    cc = cross_check_mountain_pass(classical, gap, resolutions=(401,), params=params)
+    assert cc.oracle == {} and not cc.agree
+    assert set(cc.failed) == {"oracle"}
+    assert cc.failed["oracle"].startswith("resolution 401: oracle bottleneck ")
+    assert "outside its certified window (%r, %r]" % tuple(cc.band[401]["window"]) \
+        in cc.failed["oracle"]
+    assert np.isnan(cc.deltas["node-oracle"]) and np.isnan(cc.deltas["heat-oracle"])
 
 
 def test_energy_offset_invariance(classical, gap, params):
