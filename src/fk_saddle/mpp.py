@@ -571,9 +571,9 @@ def mountain_pass(potential: SitePotential, gap, path0,
     system, hi = gap.order_box(potential, nodes.shape[lattice:])
     if mode not in ("node-flow", "heat-flow"):
         raise PathError("unknown mode %r" % mode)
-    # the engine is looked up by its module-global name on every call, so a
-    # wrapper bound to that name (the benchmark's tracer) sees every run
-    engine = globals()["_minimax_" + mode.replace("-", "_")]
+    # bare names are read from the module globals on every call, so a
+    # wrapper bound to either name (the benchmark's tracer) sees every run
+    engine = _minimax_node_flow if mode == "node-flow" else _minimax_heat_flow
     return engine(system, check_chain(nodes, hi), hi, params or FlowParams())
 
 

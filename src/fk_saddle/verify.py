@@ -9,9 +9,9 @@ minimax-distance field.  The oracle evaluates a narrow band only, certified
 for a window of levels: Taylor bounds at block centres, coarse to fine, send
 blocks certainly below the window to its low end and blocks certainly above
 it to walls, and the answer and every evaluated cell are checked against the
-window and the bounds.  Only the band is stored and swept: blocks not
-holding one value are packed side by side and swept while their halo falls,
-and each connected set of blocks holding one value is one node.
+window and the bounds.  Only the band is stored and swept: walls are off the
+grid, each connected set of low blocks is one node, and the other blocks are
+packed side by side and swept while their halo falls.
 ``sample_landscape`` evaluates every cell.
 
 The property suite replays, at desk scale, every inequality the theory
@@ -52,27 +52,24 @@ class OracleGrid2D:
     """The reduced two-variable landscape on a narrow band certified for a
     ``window`` (lo, hi] of levels.
 
-    Cell (ia, ib) of the grid stands for I at the offsets (a, b) = (ia, ib)
-    hi / (R - 1) of the order box [0, hi]^2.  The grid is cut into blocks of
-    ``ORACLE_BLOCK``^2 cells, bounded by Taylor expansions at their centres
-    and at their parents' (of twice the side).  A block bounded above by
-    less than lo holds lo, one bounded below by more than hi is a wall
-    holding the largest parent upper bound, and every other cell its exact
-    energy (``evaluated`` of them).  Each cell stays on its side of every
+    Cell (ia, ib) of the ``resolution``^2 grid stands for I at the offsets
+    (a, b) = (ia, ib) hi / (R - 1) of the order box [0, hi]^2.  The grid is
+    cut into blocks of ``ORACLE_BLOCK``^2 cells, bounded by Taylor
+    expansions at their centres and at their parents' (of twice the side).
+    ``fill[i, j]`` is lo for a block bounded above by less than lo, +inf for
+    a wall, bounded below by more than hi, and NaN for a block whose cells
+    hold their exact energies (``evaluated`` cells in all); ``packed[k]``
+    holds the cells of the k-th NaN block in row-major order (a ragged last
+    block repeats its edge cells).  Each cell stays on its side of every
     level in [lo, hi], so a min-max in (lo, hi] is the dense grid's bit for
-    bit.  ``fill[i, j]`` is the value of block (i, j), NaN for a block of
-    evaluated cells, and ``packed[k]`` holds the cells of the k-th NaN
-    block in row-major order (a ragged last block repeats its edge cells).
-    A hand-built grid holds ``values``, a dense array of any shape, as one
-    block.
+    bit.
     """
 
     resolution: int
-    values: np.ndarray | None = None
-    window: tuple = (-math.inf, math.inf)
-    evaluated: int | None = None
-    fill: np.ndarray | None = field(default=None, init=False)
-    packed: np.ndarray | None = field(default=None, init=False)
+    window: tuple
+    fill: np.ndarray
+    packed: np.ndarray
+    evaluated: int
 
     @staticmethod
     def build(potential: SitePotential, gap: GapPair, resolution: int,
@@ -104,12 +101,11 @@ class OracleGrid2D:
             return out
 
         def classify(lower, upper):
-            return np.where(upper < lo, lo, np.where(lower > hi, wall, np.nan))
+            return np.where(upper < lo, lo, np.where(lower > hi, np.inf, np.nan))
 
         n, m = -(-resolution // ORACLE_BLOCK), -(-resolution // (2 * ORACLE_BLOCK))
         I, J = np.divmod(np.arange(m * m), m)
         parent = bounds(2 * ORACLE_BLOCK, I, J)
-        wall = parent[1].max()
         fill = classify(*parent)
         meet = np.flatnonzero(np.isnan(fill))
         fill = fill.reshape(m, m).repeat(2, 0).repeat(2, 1)[:n, :n]
@@ -140,17 +136,15 @@ class OracleGrid2D:
                                    float(high[q, 0, 0]), L))
             packed[k] = e
         size = np.diff(np.minimum(np.arange(n + 1) * ORACLE_BLOCK, resolution))
-        grid = OracleGrid2D(resolution=resolution, window=(lo, hi),
-                            evaluated=int(np.sum(size[I] * size[J])))
-        grid.fill, grid.packed = fill, packed
-        return grid
+        return OracleGrid2D(resolution, (lo, hi), fill, packed,
+                            int(np.sum(size[I] * size[J])))
 
 
-def _block_cells(blocks, n, size=ORACLE_BLOCK):
-    """The indices along one axis of ``n`` cells of the ``size`` cells of
-    each of ``blocks``; a ragged last block repeats its edge cell, which
-    opens no new path."""
-    return np.minimum(blocks[:, None] * size + np.arange(size), n - 1)
+def _block_cells(blocks, n):
+    """The indices along one axis of ``n`` cells of the ``ORACLE_BLOCK``
+    cells of each of ``blocks``; a ragged last block repeats its edge cell,
+    which opens no new path."""
+    return np.minimum(blocks[:, None] * ORACLE_BLOCK + np.arange(ORACLE_BLOCK), n - 1)
 
 
 def _order_box_axes(potential, gap, resolution):
@@ -208,32 +202,28 @@ def _sweep(P, V, k):
     return changed
 
 
-def _components(fill):
-    """Label the 8-connected sets of equal nodes (not NaN) of ``fill`` by
-    union-find over the runs of equal nodes along its rows.  Returns each
-    entry's component (-1 off the nodes), the components' values and the
-    pairs (u, w) of touching components of different values, both ways."""
-    f = np.pad(fill, ((0, 0), (0, 1)), constant_values=np.nan).ravel()
-    node, K = ~np.isnan(f), fill.shape[1] + 1
-    head = node & np.r_[True, f[1:] != f[:-1]]
-    s, e = np.flatnonzero(head), np.flatnonzero(node & np.r_[f[:-1] != f[1:], True])
+def _components(mask):
+    """Label the 8-connected sets of ``mask`` by union-find over its runs
+    along the rows.  Returns each entry's label (-1 off the mask) and the
+    number of labels."""
+    f = np.pad(mask, ((0, 0), (0, 1))).ravel()
+    K = mask.shape[1] + 1
+    head = f & ~np.r_[False, f[:-1]]
+    s, e = np.flatnonzero(head), np.flatnonzero(f & ~np.r_[f[1:], False])
     # the runs of the next row touching [s, e] end at s - 1 or later and start at e + 1 or sooner
     lo = np.searchsorted(e, s + K - 1)
     n = np.searchsorted(s, e + K + 1, "right") - lo
     a = np.repeat(np.arange(len(s)), n)
     b = np.arange(len(a)) + np.repeat(lo + n - np.cumsum(n), n)
-    same = f[s[a]] == f[s[b]]
-    root, ja, jb = np.arange(len(s)), a[same], b[same]
-    while np.any(root[ja] != root[jb]):
-        np.minimum.at(root, np.maximum(root[ja], root[jb]), np.minimum(root[ja], root[jb]))
+    root = np.arange(len(s))
+    while np.any(root[a] != root[b]):
+        np.minimum.at(root, np.maximum(root[a], root[b]), np.minimum(root[a], root[b]))
         while np.any(root[root] != root):
             root = root[root]
     top, run = np.unique(root, return_inverse=True)
-    comp = np.full(len(f), -1, np.int32)
-    comp[node] = run[np.cumsum(head)[node] - 1]
-    side = np.flatnonzero(s[1:] == e[:-1] + 1)
-    u, w = np.r_[a[~same], side], np.r_[b[~same], side + 1]
-    return comp.reshape(-1, K)[:, :-1], f[s[top]], (run[np.r_[u, w]], run[np.r_[w, u]])
+    label = np.full(len(f), -1, np.int32)
+    label[f] = run[np.cumsum(head)[f] - 1]
+    return label.reshape(-1, K)[:, :-1], len(top)
 
 
 def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
@@ -241,55 +231,56 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
 
     D(x), the least path maximum from (0, 0) to x, is the unique fixed point
     of D = max(values, min of D over the 3x3 neighbourhood) with
-    D(0, 0) = values(0, 0).  D is constant on a connected set of equal
-    values, so each component of equal filled blocks is one node; the other
-    blocks are packed with a one-cell halo.  A round fills the halos from the
-    neighbouring cells and nodes (+inf off the grid), sweeps the packed
-    blocks whose halo fell or which changed in their last sweep (the others
-    are at their fixed point), lowers each node by its adjacent packed
-    cells and then by the touching nodes of other values until none moves.
-    Rounds from D = inf only lower D and never below the true field, so the
-    first round that changes nothing stops on it exactly, and the answer is
-    one of the grid's own samples.  It must lie in the grid's window.
+    D(0, 0) = values(0, 0).  Walls are off the grid: their cells read +inf,
+    as cells past the edge do.  D is one value, no lower than lo, on a
+    connected set of low blocks, so each is one node; the packed blocks get
+    a one-cell halo.  A round fills the halos from the neighbouring cells and nodes,
+    sweeps the packed blocks whose halo fell or which changed in their last
+    sweep (the others are at their fixed point) and lowers each node by its
+    adjacent packed cells.  Rounds from D = inf only lower D and never below
+    the true field, so the first round that changes nothing stops on it
+    exactly, and the answer is one of the grid's own samples.  It must lie in
+    the grid's window, where no path enters a wall; a band holding any other
+    layout than ``OracleGrid2D.build``'s raises.
     """
-    values = grid.values
-    if values is None:
-        R = C = grid.resolution
-        (br, bc), fill = (ORACLE_BLOCK, ORACLE_BLOCK), grid.fill
-    elif grid.fill is None:
-        (R, C), (br, bc), fill = values.shape, values.shape, np.full((1, 1), np.nan)
-    else:
-        (R, C), (br, bc), fill = values.shape, (ORACLE_BLOCK, ORACLE_BLOCK), grid.fill
-    nodes = ~np.isnan(fill)
-    I, J = (i.astype(np.int32) for i in np.nonzero(~nodes))
-    V = grid.packed if values is None else values[
-        _block_cells(I, R, br)[:, :, None], _block_cells(J, C, bc)[:, None]]
-    if not (np.all(np.isfinite(V)) and np.all(np.isfinite(fill[nodes]))):
+    (lo, hi), fill, V, R = grid.window, grid.fill, grid.packed, grid.resolution
+    B, n = ORACLE_BLOCK, -(-R // ORACLE_BLOCK)
+    packed, low = np.isnan(fill), fill == lo
+    bad = ~(packed | low | (fill == np.inf))
+    if np.any(bad):
+        raise FkSaddleError("oracle band holds a block of %r: a block holds lo = %r, "
+                            "+inf or NaN" % (float(fill[bad][0]), lo))
+    I, J = (i.astype(np.int32) for i in np.nonzero(packed))
+    if fill.shape != (n, n) or V.shape != (len(I), B, B):
+        raise FkSaddleError("oracle band at resolution %d needs fill %r and packed "
+                            "%r, got %r and %r" % (R, (n, n), (len(I), B, B),
+                                                   fill.shape, V.shape))
+    if not np.all(np.isfinite(V)):
         raise FkSaddleError("oracle grid has non-finite values")
-    slot, level, (u, w) = _components(fill)
+    slot, nodes = _components(low)
 
     # one buffer, int32-indexed: the packed blocks, one slot per node, +inf
-    S = (br + 2) * (bc + 2)
+    S = (B + 2) ** 2
     size = len(I) * S
-    E = np.full(size + len(level) + 1, np.inf)
-    P, N = E[:size].reshape(len(I), br + 2, bc + 2), E[size:-1]
-    slot += np.int32(size)
-    slot[~nodes] = np.arange(len(I)) * S
+    E = np.full(size + nodes + 1, np.inf)
+    P, N = E[:size].reshape(len(I), B + 2, B + 2), E[size:-1]
+    slot = np.where(low, slot + np.int32(size), np.int32(len(E) - 1))
+    slot[packed] = np.arange(len(I)) * S
 
     def at(a, b):
         """The index into E of the state of cell (a, b)."""
-        ia, ib = a // br, b // bc
-        inner = (a - ia * br + 1) * (bc + 2) + b - ib * bc + 1
-        return slot[ia, ib] + np.where(nodes[ia, ib], 0, inner)
+        ia, ib = a // B, b // B
+        inner = (a - ia * B + 1) * (B + 2) + b - ib * B + 1
+        return slot[ia, ib] + np.where(packed[ia, ib], inner, 0)
 
     ri, rj = (i.astype(np.int32) for i in
-              np.nonzero(np.pad(np.zeros((br, bc), bool), 1, constant_values=True)))
-    a, b = I[:, None] * br + ri - 1, J[:, None] * bc + rj - 1
-    inside = (a >= 0) & (a < R) & (b >= 0) & (b < C)
-    a, b = np.clip(a, 0, R - 1), np.clip(b, 0, C - 1)
+              np.nonzero(np.pad(np.zeros((B, B), bool), 1, constant_values=True)))
+    a, b = I[:, None] * B + ri - 1, J[:, None] * B + rj - 1
+    inside = (a >= 0) & (a < R) & (b >= 0) & (b < R)
+    a, b = np.clip(a, 0, R - 1), np.clip(b, 0, R - 1)
     src = np.where(inside, at(a, b), len(E) - 1)
-    start, end = at(0, 0), at(R - 1, C - 1)
-    halo = ri * (bc + 2) + rj
+    start, end = at(0, 0), at(R - 1, R - 1)
+    halo = ri * (B + 2) + rj
     del a, b, inside, slot
     # each node against the packed cells next to the halo cells it fills
     k, h = np.nonzero((src >= size) & (src < len(E) - 1))
@@ -297,19 +288,20 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             ni, nj = ri[h] + di, rj[h] + dj
-            ok = (ni >= 1) & (ni <= br) & (nj >= 1) & (nj <= bc)
+            ok = (ni >= 1) & (ni <= B) & (nj >= 1) & (nj <= B)
             near.append(src[k[ok], h[ok]] - size)
-            cell.append(k[ok].astype(np.int32) * S + ni[ok] * (bc + 2) + nj[ok])
+            cell.append(k[ok].astype(np.int32) * S + ni[ok] * (B + 2) + nj[ok])
     del k, h, ni, nj, ok
     near, cell = np.concatenate(near), np.concatenate(cell)
     cell = cell[np.argsort(near)]
-    count = np.bincount(near, minlength=len(level))
+    count = np.bincount(near, minlength=nodes)
     targets = np.flatnonzero(count)
     starts = (np.cumsum(count) - count)[targets]
 
-    E[start] = fill[0, 0] if nodes[0, 0] else V[0, 0, 0]
+    # a wall start writes +inf to the off-grid slot, which it holds anyway
+    E[start] = V[0, 0, 0] if packed[0, 0] else fill[0, 0]
     todo = np.zeros(len(I), bool)
-    todo[:1] = not nodes[0, 0]
+    todo[:1] = packed[0, 0]
     flat = P.reshape(len(I), S)
     changed = True
     while changed:
@@ -321,17 +313,10 @@ def bottleneck_minimax_2d(grid: OracleGrid2D) -> float:
         for c in range(0, len(work), SWEEP_BLOCKS):
             k = work[c:c + SWEEP_BLOCKS]
             todo[k] = _sweep(P, V, k)
-        low = np.maximum(level[targets], np.minimum.reduceat(E[cell], starts))
-        changed = len(work) > 0 or (low < N[targets]).any()
-        N[targets] = np.minimum(N[targets], low)
-        moved = True
-        while moved:
-            low = np.maximum(level[u], N[w])
-            moved = (low < N[u]).any()
-            np.minimum.at(N, u, low)
-            changed |= moved
+        down = np.maximum(lo, np.minimum.reduceat(E[cell], starts))
+        changed = len(work) > 0 or (down < N[targets]).any()
+        N[targets] = np.minimum(N[targets], down)
     value = float(E[end])
-    lo, hi = grid.window
     if not lo < value <= hi:
         raise FkSaddleError("oracle bottleneck %r outside its certified window "
                             "(%r, %r]: the window or the Lipschitz bound is "
@@ -559,8 +544,9 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair,
     The oracle is certified for node-flow's level +- CROSS_CHECK_TOL.  The
     three agree when all succeed and every pair of values lies within
     CROSS_CHECK_TOL; ``failed`` holds the message of each route that did not
-    succeed (an engine's value is then only its best candidate; a failed
-    oracle's deltas are NaN).
+    succeed (an engine's value is then only its best candidate; the oracle's
+    names every resolution that failed, and its deltas are NaN when none
+    succeeded).
     """
     if potential.n != 2:
         raise FkSaddleError("cross check is defined for model dimension 2")
@@ -571,7 +557,7 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair,
     failed = {name: res.message for name, res in
               (("node-flow", node), ("heat-flow", heat)) if not res.success}
     window = (node.value - CROSS_CHECK_TOL, node.value + CROSS_CHECK_TOL)
-    oracle, band = {}, {}
+    oracle, band, errors = {}, {}, []
     for res in resolutions:
         try:
             grid = OracleGrid2D.build(potential, gap, res, window)
@@ -581,7 +567,9 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair,
                          "packed_blocks": grid.fill.size - constant}
             oracle[res] = bottleneck_minimax_2d(grid)
         except FkSaddleError as exc:
-            failed["oracle"] = "resolution %d: %s" % (res, exc)
+            errors.append("resolution %d: %s" % (res, exc))
+    if errors:
+        failed["oracle"] = "; ".join(errors)
     finest = oracle[max(oracle)] if oracle else math.nan
     deltas = {
         "node-heat": abs(node.value - heat.value),

@@ -463,6 +463,32 @@ def test_cross_check_fails_when_an_engine_fails(tmp_path, monkeypatch):
     assert data["errors"] == ["cross check: heat-flow failed: 1 unresolved tears"]
 
 
+def test_cross_check_names_every_failed_oracle_resolution(tmp_path, monkeypatch):
+    # the oracle's Lipschitz bound understated a hundredfold fails its block
+    # bounds at both resolutions, and the manifest names both failures
+    from fk_saddle import verify
+
+    build = verify.OracleGrid2D.build
+
+    def understated(potential, *args):
+        L = potential.lipschitz_bound()
+        with monkeypatch.context() as m:
+            m.setattr(potential, "lipschitz_bound", lambda: L / 100)
+            return build(potential, *args)
+
+    monkeypatch.setattr(verify.OracleGrid2D, "build", staticmethod(understated))
+    out = tmp_path / "cc.json"
+    assert main(["verify", "--model", "classical-fk", "--p", "2,1", "--trials", "2",
+                 "--cross-check", "--resolutions", "401,2001", "--seed", "7",
+                 "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["scalars"]["oracle"] == {} and data["scalars"]["cross_check_agree"] is False
+    [error] = data["errors"]
+    assert re.fullmatch(r"cross check: oracle failed: resolution 401: oracle block bound "
+                        r"violated: .*; resolution 2001: oracle block bound violated: "
+                        r".*the Lipschitz bound L = .* is likely too small", error)
+
+
 def test_gap_exits_1_when_there_is_no_gap(tmp_path):
     # the free chain's minimizers form a continuum: no adjacent pair
     out = tmp_path / "gap.json"

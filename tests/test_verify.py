@@ -1,6 +1,7 @@
 import dataclasses
 import heapq
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -61,26 +62,76 @@ def walled_maze(rng, size):
     return values
 
 
-def blocked(values):
-    """A hand-built grid with the block classification that
-    ``OracleGrid2D.build`` hands the sweep: each ``ORACLE_BLOCK``^2 block
-    whose cells all hold one value is filled with it, the others NaN."""
-    grid = OracleGrid2D(resolution=len(values), values=values)
-    grid.fill = np.full([-(-n // B) for n in values.shape], np.nan)
-    for i, j in np.ndindex(grid.fill.shape):
+def banded(values, window):
+    """The band that ``OracleGrid2D.build`` hands the sweep for the square
+    grid ``values`` and the window (lo, hi], each ``ORACLE_BLOCK``^2 block
+    bounded by its own cells: a block below lo holds lo, a block above hi is
+    a wall (+inf), and the others are packed, a ragged last block repeating
+    its edge cells."""
+    R, (lo, hi) = len(values), window
+    n = -(-R // B)
+    fill = np.full((n, n), np.nan)
+    for i, j in np.ndindex(n, n):
         cells = values[i * B:(i + 1) * B, j * B:(j + 1) * B]
-        if np.all(cells == cells.flat[0]):
-            grid.fill[i, j] = cells.flat[0]
-    return grid
+        if cells.max() < lo:
+            fill[i, j] = lo
+        elif cells.min() > hi:
+            fill[i, j] = np.inf
+    I, J = np.nonzero(np.isnan(fill))
+    a = np.minimum(I[:, None] * B + np.arange(B), R - 1)[:, :, None]
+    b = np.minimum(J[:, None] * B + np.arange(B), R - 1)[:, None]
+    return OracleGrid2D(R, (lo, hi), fill, values[a, b], np.unique(a * R + b).size)
 
 
-def terraces(rng, shape, noisy=0.3):
-    """Blocks on four levels, so constant blocks of different levels touch,
-    with uniform noise on a share ``noisy`` of the blocks."""
+def certified(values, half):
+    """Check that the band of ``values`` for the window of half-width
+    ``half`` around the widest-path reference yields the reference, and
+    that the bands for windows below it, with it as their open low edge and
+    above it raise, naming the window.  Returns the first band."""
+    expected = widest_path_reference(values)
+    band = banded(values, (expected - half, expected + half))
+    assert bottleneck_minimax_2d(band) == expected
+    for window in ((expected - 3 * half, expected - half), (expected, expected + 2 * half),
+                   (expected + half, expected + 3 * half)):
+        with pytest.raises(FkSaddleError, match=re.escape("window (%r, %r]" % window)):
+            bottleneck_minimax_2d(banded(values, window))
+    return band
+
+
+def low_and_walls(band):
+    """Whether a band holds both low blocks and walls."""
+    return np.any(band.fill == band.window[0]) and np.any(band.fill == np.inf)
+
+
+def plateaus(rng, values, share=0.1):
+    """``values`` with a ``share`` of its blocks set to one value below all
+    of its cells and as many to one above, the corner blocks kept."""
+    n = -(-len(values) // B)
+    kind = rng.choice(3, (n, n), p=(share, share, 1 - 2 * share))
+    kind[0, 0] = kind[-1, -1] = 2
+    kind = np.kron(kind, np.ones((B, B), int))[:len(values), :len(values)]
+    out = values.copy()
+    out[kind == 0], out[kind == 1] = values.min() - 1.0, values.max() + 1.0
+    return out
+
+
+def ridge():
+    """Zeros crossed by a ridge of 3.5 at a = 1/2 on a 101 x 101 grid, with a
+    plateau of 9 off the paths over it."""
+    values = np.zeros((101, 101))
+    values[50, :] = 3.5
+    values[70:90, 20:40] = 9.0
+    return values
+
+
+def terraces(rng, size, noisy=0.3):
+    """Blocks on four levels on a ``size``^2 grid, so constant blocks of
+    different levels touch, with uniform noise on a share ``noisy`` of the
+    blocks."""
     def cells(blocks):
-        return np.kron(blocks, np.ones((B, B), blocks.dtype))[:shape[0], :shape[1]]
+        return np.kron(blocks, np.ones((B, B), blocks.dtype))[:size, :size]
 
-    blocks = [-(-n // B) for n in shape]
+    blocks = (-(-size // B),) * 2
     values = cells(rng.integers(0, 4, blocks).astype(float))
     noise = cells(rng.random(blocks) < noisy)
     values[noise] += rng.uniform(-0.5, 0.5, np.count_nonzero(noise))
@@ -88,77 +139,99 @@ def terraces(rng, shape, noisy=0.3):
 
 
 def test_bottleneck_constant_landscape():
-    grid = OracleGrid2D(resolution=101, values=np.full((101, 101), 0.7))
-    assert bottleneck_minimax_2d(grid) == 0.7
+    # one value: every block is packed in a window around it
+    assert np.all(np.isnan(certified(np.full((101, 101), 0.7), 0.1).fill))
 
 
 def test_bottleneck_unavoidable_ridge():
-    values = np.zeros((101, 101))
-    values[50, :] = 3.5  # a ridge at a = 1/2 crossing the whole square
-    grid = OracleGrid2D(resolution=101, values=values)
-    assert bottleneck_minimax_2d(grid) == 3.5
+    assert low_and_walls(certified(ridge(), 0.5))
 
 
 def test_bottleneck_rejects_non_finite_grid():
-    values = np.zeros((101, 101))
-    values[40, 60] = np.nan
-    for grid in (OracleGrid2D(resolution=101, values=values), blocked(values)):
+    for bad in (np.nan, np.inf):
+        values = ridge()
+        values[40, 60] = bad
         with pytest.raises(FkSaddleError, match="non-finite"):
-            bottleneck_minimax_2d(grid)
+            bottleneck_minimax_2d(banded(values, (3.0, 4.0)))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7), (7, 3)])
+@pytest.mark.parametrize("bad", [0.0, 3.5, 4.0, 9.0, -np.inf])
+def test_bottleneck_rejects_a_block_of_another_value(bad):
+    # a block holds lo, +inf or NaN; any other value, a finite wall among
+    # them, is refused rather than read as a wall
+    band = banded(ridge(), (3.0, 4.0))
+    assert band.fill[8, 3] == np.inf
+    band.fill[8, 3] = bad
+    with pytest.raises(FkSaddleError, match=re.escape("block of %r" % bad)):
+        bottleneck_minimax_2d(band)
+
+
+def test_bottleneck_rejects_a_misshapen_band():
+    # packed holds one B x B block for each NaN block of a fill of the
+    # resolution's blocks
+    band = banded(ridge(), (3.0, 4.0))
+    for fill, packed in ((band.fill, band.packed[1:]), (band.fill, band.packed[:, :9]),
+                         (band.fill[:-1, :-1], band.packed),
+                         (band.fill, band.packed.reshape(len(band.packed), B * B))):
+        with pytest.raises(FkSaddleError, match=re.escape("got %r and %r" % (
+                fill.shape, packed.shape))):
+            bottleneck_minimax_2d(dataclasses.replace(band, fill=fill, packed=packed))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (5, 5), (7, 7), (11, 11)])
 def test_bottleneck_on_tiny_and_rectangular_grids(shape):
+    # up to 7 cells a side the grid is one block, which cannot be both low
+    # and a wall; the 11 x 11 grid has four, the last three ragged
     rng = np.random.default_rng(sum(shape))
-    for values in (rng.uniform(0.0, 1.0, shape), terraces(rng, shape)):
-        for grid in (OracleGrid2D(resolution=shape[0], values=values),
-                     blocked(values)):
-            assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+    for values in (rng.uniform(0.0, 1.0, shape), terraces(rng, shape[0])):
+        certified(values, 0.05)
+    if shape[0] > B:
+        values = rng.uniform(0.0, 1.0, shape)
+        values[:B, :B], values[:B, B:] = -1.0, 9.0
+        assert low_and_walls(certified(values, 0.05))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_bottleneck_on_random_rectangular_grids(seed):
     rng = np.random.default_rng(seed)
     for _ in range(5):
-        shape = tuple(int(n) for n in rng.integers(1, 60, 2))
-        values = rng.uniform(0.0, 1.0, shape)
-        grid = OracleGrid2D(resolution=shape[0], values=values)
-        assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+        size = int(rng.integers(101, 161))
+        values = plateaus(rng, rng.uniform(0.0, 1.0, (size, size)))
+        assert low_and_walls(certified(values, 0.05))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_sweep_exact_on_terraces(seed):
     # the best path crosses from block to block and from level to level;
-    # most sizes are not multiples of the block
+    # the sizes are odd, so never multiples of the block
     rng = np.random.default_rng(seed)
-    shape = tuple(int(n) for n in rng.integers(15, 95, 2))
-    values = terraces(rng, shape)
-    grid = blocked(values)
-    assert np.any(np.isnan(grid.fill)) and not np.all(np.isnan(grid.fill))
-    assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+    band = certified(plateaus(rng, terraces(rng, 2 * int(rng.integers(8, 48)) + 1)), 0.25)
+    assert np.any(np.isnan(band.fill)) and low_and_walls(band)
 
 
-@pytest.mark.parametrize("shape", [(40, 40), (41, 57), (33, 21), (11, 11), (1, 23),
-                                   (23, 1)])
+@pytest.mark.parametrize("shape", [(41, 41), (57, 57), (23, 23), (11, 11), (7, 7),
+                                   (1, 1)])
 def test_sweep_exact_with_corners_in_constant_and_packed_blocks(shape):
     rng = np.random.default_rng(shape[0] * shape[1])
     R, C = shape
     corners = [(0, 0), (0, C - 1), (R - 1, 0), (R - 1, C - 1)]
+    both = []
     for packed in np.ndindex(2, 2, 2, 2):
-        values = terraces(rng, shape, noisy=0.0)
+        values = terraces(rng, R, noisy=0.0)
         for (a, b), noisy in zip(corners, packed):
             cells = (slice(a // B * B, a // B * B + B), slice(b // B * B, b // B * B + B))
             if noisy:
                 values[cells] += rng.uniform(-0.5, 0.5, values[cells].shape)
-        assert bottleneck_minimax_2d(blocked(values)) == widest_path_reference(values)
+        both.append(low_and_walls(certified(values, 0.25)))
+    assert any(both) == (R > B)
 
 
 def test_sweep_follows_a_block_scale_maze(monkeypatch):
-    # a corridor of noisy blocks winds between constant walls of two heights
-    # through gaps that are constant low blocks; each round carries the
-    # front one packed block further, so a sweep that stopped before a round
-    # that changes nothing would miss the far corner
-    n = 12
+    # a corridor of noisy blocks winds between walls through gaps that are
+    # low blocks to the far corner, in the last corridor; each round carries
+    # the front one packed block further, so a sweep that stopped before a
+    # round that changes nothing would miss the far corner
+    n = 13
     rng = np.random.default_rng(5)
     blocks = np.ones((n, n))                      # 1: corridor
     blocks[1::2] = np.where(np.arange(n) % 3, 7.0, 8.0)
@@ -167,12 +240,13 @@ def test_sweep_follows_a_block_scale_maze(monkeypatch):
     values = np.kron(blocks, np.ones((B, B)))[:n * B - 3, :n * B - 3]
     corridor = values == 1.0
     values[corridor] = rng.uniform(0.0, 1.0, np.count_nonzero(corridor))
+    band = certified(values, 0.05)
+    assert low_and_walls(band)
+    assert np.count_nonzero(np.isnan(band.fill)) <= verify.SWEEP_BLOCKS
     rounds = []
     sweep = verify._sweep
     monkeypatch.setattr(verify, "_sweep", lambda P, V, k: rounds.append(1) or sweep(P, V, k))
-    grid = blocked(values)
-    assert np.count_nonzero(np.isnan(grid.fill)) <= verify.SWEEP_BLOCKS
-    assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+    bottleneck_minimax_2d(band)
     # the packed blocks' sweeps, one call a round: n - 2 hops at least
     # along each corridor
     assert len(rounds) >= (n // 2) * (n - 2)
@@ -182,10 +256,10 @@ def test_sweep_follows_a_block_scale_maze(monkeypatch):
 def test_bottleneck_matches_widest_path_reference(seed):
     rng = np.random.default_rng(seed)
     size = int(rng.integers(101, 161))
-    for values in (rng.uniform(0.0, 1.0, (size, size)), walled_maze(rng, size),
-                   walled_maze(rng, size).T.copy()):
-        grid = OracleGrid2D(resolution=size, values=values)
-        assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+    uniform = plateaus(rng, rng.uniform(0.0, 1.0, (size, size)))
+    assert low_and_walls(certified(uniform, 0.05))
+    for values in (walled_maze(rng, size), walled_maze(rng, size).T.copy()):
+        certified(values, 0.05)
 
 
 # the twelve oracle cases at gap seed 3, each built for the window around
@@ -224,33 +298,27 @@ def test_bottleneck_exact_on_reduced_landscapes(request, seed3_gaps, model,
     assert bottleneck_minimax_2d(grid) == expected
     constant = int(np.count_nonzero(~np.isnan(grid.fill)))
     assert grid.window == window(LEVELS[model])
+    assert np.all(np.isin(grid.fill[~np.isnan(grid.fill)], (grid.window[0], np.inf)))
     assert [grid.evaluated, constant, grid.fill.size - constant] == band
 
 
-def flood_components(fill):
-    """Breadth-first flood fill of the 8-connected sets of equal entries of
-    ``fill`` that are not NaN: the labels (-1 on NaN) and the set of label
-    pairs of touching entries of different values."""
-    labels = np.full(fill.shape, -1)
-    touching = set()
-    for start in zip(*np.nonzero(~np.isnan(fill))):
+def flood_labels(mask):
+    """Breadth-first flood fill of the 8-connected sets of ``mask``: the
+    labels, -1 off the mask."""
+    labels = np.full(mask.shape, -1)
+    for start in zip(*np.nonzero(mask)):
         if labels[start] >= 0:
             continue
         labels[start] = label = labels.max() + 1
         queue = [start]
         while queue:
             i, j = queue.pop()
-            for a in range(max(i - 1, 0), min(i + 2, fill.shape[0])):
-                for b in range(max(j - 1, 0), min(j + 2, fill.shape[1])):
-                    if fill[a, b] == fill[i, j] and labels[a, b] < 0:
+            for a in range(max(i - 1, 0), min(i + 2, mask.shape[0])):
+                for b in range(max(j - 1, 0), min(j + 2, mask.shape[1])):
+                    if mask[a, b] and labels[a, b] < 0:
                         labels[a, b] = label
                         queue.append((a, b))
-    for i, j in zip(*np.nonzero(labels >= 0)):
-        for a in range(max(i - 1, 0), min(i + 2, fill.shape[0])):
-            for b in range(max(j - 1, 0), min(j + 2, fill.shape[1])):
-                if labels[a, b] >= 0 and fill[a, b] != fill[i, j]:
-                    touching.add((labels[i, j], labels[a, b]))
-    return labels, touching
+    return labels
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -258,18 +326,14 @@ def test_components_match_a_flood_fill(seed):
     rng = np.random.default_rng(seed)
     for _ in range(5):
         shape = tuple(int(n) for n in rng.integers(15, 250, 2))
-        fill = blocked(terraces(rng, shape)).fill
-        slot, level, (u, w) = verify._components(fill)
-        labels, touching = flood_components(fill)
-        nodes = labels >= 0
-        assert np.all(slot[~nodes] == -1) and np.all(level[slot[nodes]] == fill[nodes])
+        mask = rng.random(shape) < rng.uniform(0.3, 0.7)
+        slot, count = verify._components(mask)
+        labels = flood_labels(mask)
+        assert np.array_equal(slot >= 0, mask) and np.all(slot[~mask] == -1)
         # the same partition under a one-to-one map of the labels
-        same = {(int(a), int(b)) for a, b in zip(labels[nodes], slot[nodes])}
-        assert len(same) == len(level) == labels.max() + 1
+        same = {(int(a), int(b)) for a, b in zip(labels[mask], slot[mask])}
+        assert len(same) == count == labels.max() + 1
         assert len({b for _, b in same}) == len(same)
-        to_slot = dict(same)
-        assert set(zip(u.tolist(), w.tolist())) == {(to_slot[a], to_slot[b])
-                                                    for a, b in touching}
 
 
 def block_grid(blocks, noisy, rng):
@@ -283,40 +347,42 @@ def block_grid(blocks, noisy, rng):
 
 
 def test_sweep_crosses_a_constant_u_around_a_wall():
-    # one component at 0.5 wraps a wall of 9 in a U whose arms join only in
-    # its bottom row; the start corner is at the top of its left arm, and
-    # the far corner is reached through noise from the top of its right arm
+    # a U of 0.5 wraps a wall of 9, its arms joined only in its bottom row;
+    # the start corner is at the top of its left arm, and the far corner is
+    # reached through noise from the top of its right arm.  Below the
+    # window the U is low blocks, one node
     blocks = np.full((6, 6), 9.0)
     blocks[:, 0] = blocks[5, :4] = blocks[:, 3] = 0.5
     noisy = np.zeros((6, 6), bool)
     noisy[0, 4:] = noisy[:, 5] = True
     values = block_grid(blocks, noisy, np.random.default_rng(11))
-    grid = blocked(values)
-    slot, level, _ = verify._components(grid.fill)
-    assert len(np.unique(slot[grid.fill == 0.5])) == 1
-    assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+    band = certified(values, 0.05)
+    low = band.fill == band.window[0]
+    assert np.array_equal(low, blocks == 0.5) and low_and_walls(band)
+    assert verify._components(low)[1] == 1
 
 
 @pytest.mark.parametrize("first, second", [(0.3, 0.7), (0.7, 0.3)])
 def test_sweep_crosses_two_touching_components(first, second):
-    # the start corner's component touches one of another value, and only
-    # that one leads, through noise, to the far corner
+    # the start corner's blocks of one value touch blocks of another, and
+    # only those lead, through noise, to the far corner; in the window the
+    # blocks of 0.3 are low and those of 0.7 packed
     blocks = np.full((4, 4), 9.0)
     blocks[0, :2] = blocks[1, 1] = first
     blocks[1:, 2] = second
     noisy = np.zeros((4, 4), bool)
     noisy[3, 3] = True
     values = block_grid(blocks, noisy, np.random.default_rng(13))
-    grid = blocked(values)
-    slot, level, (u, w) = verify._components(grid.fill)
-    assert (slot[0, 0], slot[3, 2]) in set(zip(u.tolist(), w.tolist()))
-    assert bottleneck_minimax_2d(grid) == widest_path_reference(values)
+    band = certified(values, 0.15)
+    assert low_and_walls(band)
+    assert np.array_equal(band.fill == band.window[0], blocks == 0.3)
+    assert np.all(np.isnan(band.fill[blocks == 0.7]))
 
 
 def test_built_band_sweeps_only_its_packed_blocks(classical, gap, monkeypatch):
     # every sweep covers packed blocks only, at most SWEEP_BLOCKS of them;
     # the rounds sweep only the blocks whose halo fell or which changed,
-    # fewer block sweeps than five rounds of every packed block would take
+    # fewer block sweeps than three rounds of every packed block would take
     sweep = verify._sweep
     for resolution, expected in ((401, 0.06250000000000011), (2001, 0.06249999999999989)):
         grid = OracleGrid2D.build(classical, gap, resolution, window())
@@ -333,7 +399,7 @@ def test_built_band_sweeps_only_its_packed_blocks(classical, gap, monkeypatch):
         assert bottleneck_minimax_2d(grid) == expected
         swept = np.concatenate(calls)
         assert np.array_equal(np.unique(swept), np.arange(m))
-        assert len(swept) < 5 * m
+        assert len(swept) < 3 * m
 
 
 def test_import_loads_no_scipy():
@@ -387,7 +453,7 @@ def test_band_matches_dense_grid(request, params, model):
         I, J = np.nonzero(np.isnan(band.fill))
         a = np.minimum(I[:, None] * B + np.arange(B), resolution - 1)[:, :, None]
         b = np.minimum(J[:, None] * B + np.arange(B), resolution - 1)[:, None]
-        assert band.values is None and band.packed.shape == (len(I), B, B)
+        assert band.packed.shape == (len(I), B, B)
         assert np.array_equal(band.packed, dense[a, b])
         fill = np.kron(band.fill, np.ones((B, B)))[:resolution, :resolution]
         filled = ~np.isnan(fill)
@@ -398,7 +464,6 @@ def test_band_matches_dense_grid(request, params, model):
         assert 0 < band.evaluated < resolution ** 2
         value = bottleneck_minimax_2d(band)
         assert value == dense_bottleneck(dense)
-        assert value == bottleneck_minimax_2d(OracleGrid2D(resolution, dense))
         assert lo < value <= hi
 
 
@@ -423,13 +488,10 @@ def test_energy_decrease_measures_the_rise_of_a_too_large_step(classical, gap, m
 def test_bottleneck_outside_its_window_raises():
     # the ridge's 3.5 is certified in (lo, hi] only: a window below it,
     # above it or with 3.5 as its open low edge fails, naming the window
-    values = np.zeros((101, 101))
-    values[50, :] = 3.5
-    assert bottleneck_minimax_2d(OracleGrid2D(101, values, window=(3.0, 3.5))) == 3.5
+    assert bottleneck_minimax_2d(banded(ridge(), (3.0, 3.5))) == 3.5
     for lo, hi in ((2.0, 3.0), (4.0, 5.0), (3.5, 4.0)):
-        grid = OracleGrid2D(resolution=101, values=values, window=(lo, hi))
         with pytest.raises(FkSaddleError, match=r"window \(%r, %r\]" % (lo, hi)):
-            bottleneck_minimax_2d(grid)
+            bottleneck_minimax_2d(banded(ridge(), (lo, hi)))
 
 
 @pytest.mark.parametrize("lo, hi", [(0.05, 0.06), (0.065, 0.07),
