@@ -115,15 +115,14 @@ def _minimize_kink(pot, cfg, gap0, params, man, **kw):
     return res
 
 
-def _record_saddle(man, res, level, ground):
-    """The scalars of a mountain pass ``res`` under the keys ``level`` (its
-    value) and ``ground`` (its corner level), and its failure message."""
-    man.scalars.update({level: res.value, ground: res.c_ref,
-                        "d_upper": res.d_upper, "densified": res.densified,
-                        "barrier": res.barrier, "residual": res.residual,
-                        "success": res.success})
-    if not res.success:
-        man.errors.append(res.message)
+def _saddle(res, level, ground):
+    """The manifest entries of a mountain pass ``res``: its level and its
+    corner level under the keys ``level`` and ``ground``, its chain
+    certificate (``d_upper``, ``densified``), its barrier and its residual.
+    The saddles of mpp and mph and every multiplicity row are written here."""
+    return {level: res.value, ground: res.c_ref, "d_upper": res.d_upper,
+            "densified": res.densified, "barrier": res.barrier,
+            "residual": res.residual}
 
 
 def run(cfg: RunConfig) -> Manifest:
@@ -160,9 +159,11 @@ def run(cfg: RunConfig) -> Manifest:
     elif cmd == "mpp":
         gap = _gap_or_fail(pot, cfg, params)
         res = best_mountain_pass(pot, gap, cfg.p, params, N=cfg.nodes)
-        _record_saddle(man, res, "d0p", "c0p")
-        man.scalars["argmax_index"] = res.argmax_index
-        man.scalars["iterations"] = res.iterations
+        man.scalars.update(_saddle(res, "d0p", "c0p"), success=res.success,
+                           argmax_index=res.argmax_index,
+                           iterations=res.iterations)
+        if not res.success:
+            man.errors.append(res.message)
         if cfg.fields_out:
             _write_field_csv(cfg.fields_out, res.critical)
             man.add_file(cfg.fields_out)
@@ -188,14 +189,12 @@ def run(cfg: RunConfig) -> Manifest:
         gap = _gap_or_fail(pot, cfg, params)
         scan = multiplicity_scan(pot, cfg.kmax, gap, params)
         man.tables["rows"] = [
-            {"k": r.k, "c0p": r.c, "d0p": r.d, "d_upper": r.d_upper,
-             "densified": r.densified, "barrier": r.barrier,
-             "witness": r.witness, "residual": r.residual, "ok": r.ok,
-             "message": r.message}
+            dict(_saddle(r.result, "d0p", "c0p"), k=r.k, witness=r.witness,
+                 ok=r.result.success, message=r.result.message)
             for r in scan.rows]
         man.tables["pairwise_linf"] = scan.distances.tolist()
         man.tables["intersects_versus_k1"] = scan.versus_first
-        if not all(r.ok for r in scan.rows):
+        if not all(r.result.success for r in scan.rows):
             man.errors.append("one or more scan rows failed")
 
     elif cmd == "hetero":
@@ -226,9 +225,11 @@ def run(cfg: RunConfig) -> Manifest:
             man.errors.append("no heteroclinic gap pair found")
         else:
             res = mountain_pass_hetero(pot, gap1, params, N=cfg.nodes)
-            _record_saddle(man, res, "d1q", "c1q")
-            man.scalars["tails"] = [gap0.lo.item(), gap0.hi.item()]
-            man.scalars["window"] = mres.window
+            man.scalars.update(_saddle(res, "d1q", "c1q"), success=res.success,
+                               tails=[gap0.lo.item(), gap0.hi.item()],
+                               window=mres.window)
+            if not res.success:
+                man.errors.append(res.message)
             if cfg.fields_out:
                 _write_field_csv(cfg.fields_out, gap1.lo + res.critical, -mres.window)
                 man.add_file(cfg.fields_out)
@@ -237,7 +238,8 @@ def run(cfg: RunConfig) -> Manifest:
         # the suite and the cross check share one gap pair on the unit torus
         gap = _gap_or_fail(pot, cfg, params) if cfg.cross_check else None
         reports = run_property_suite(pot, cfg.p, seed=cfg.seed or 0,
-                                     trials=cfg.trials, params=params, gap=gap)
+                                     trials=cfg.trials, params=params, gap=gap,
+                                     probes=cfg.probes)
         man.tables["properties"] = [
             {"name": r.name, "trials": r.trials, "worst_margin": r.worst_margin,
              "passed": r.passed, "seed": r.seed, "detail": r.detail}

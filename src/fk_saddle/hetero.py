@@ -234,9 +234,6 @@ def mountain_pass_hetero(potential: SitePotential, gap1: GapPair,
 
 @dataclass
 class AsymptoticsReport:
-    layers: np.ndarray
-    dist_to_v0: np.ndarray     # per-layer l1 distance to the lower ground state
-    dist_to_w0: np.ndarray
     left_tag: str
     right_tag: str
     left_decay: float          # mean log-slope of the approach, per layer
@@ -262,6 +259,5 @@ def asymptotics_report(u: np.ndarray, gap0: GapPair) -> AsymptoticsReport:
     left_series = dv[:m] if left_tag == "v0" else dw[:m]
     right_series = (dv[-m:] if right_tag == "v0" else dw[-m:])[::-1]
     return AsymptoticsReport(
-        layers=np.arange(-W, W + 1), dist_to_v0=dv, dist_to_w0=dw,
         left_tag=left_tag, right_tag=right_tag,
         left_decay=decay(left_series), right_decay=decay(right_series))

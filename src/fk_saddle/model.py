@@ -334,8 +334,6 @@ class AssumptionCheck:
 @dataclass
 class ValidationReport:
     checks: list = field(default_factory=list)
-    sample_count: int = 0
-    seed: int = 0
 
     @property
     def all_passed(self) -> bool:
@@ -354,7 +352,7 @@ def validate_assumptions(potential: SitePotential, sample_count: int = 200,
     if sample_count < 1:
         raise ModelError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
-    report = ValidationReport(sample_count=sample_count, seed=seed)
+    report = ValidationReport()
     cfg = rng.uniform(-3.0, 3.0, size=(sample_count, potential.nball))
     offsets = rng.integers(-2, 3, size=(sample_count, 1)).astype(float)
 

@@ -155,13 +155,17 @@ def check_chain(nodes, hi: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MinimaxResult:
-    value: float                   # d
-    argmax_index: int
-    critical: np.ndarray           # offset values at the critical point
-    residual: float                # sup-site |equilibrium residual|
-    iterations: int
-    success: bool
-    c_ref: float                   # energy of the path endpoints (= c0p)
+    """The one record of a saddle, from either engine.  Left at its defaults
+    it is a mountain pass that raised: NaN levels, no critical field, and
+    the error as its message."""
+
+    value: float = math.nan        # d
+    argmax_index: int = -1
+    critical: np.ndarray | None = None   # offset values at the critical point
+    residual: float = math.nan     # sup-site |equilibrium residual|
+    iterations: int = 0
+    success: bool = False
+    c_ref: float = math.nan        # energy of the path endpoints (= c0p)
     message: str = ""
     reparam_sweeps: list = field(default_factory=list)
     final_nodes: np.ndarray | None = None
@@ -467,7 +471,7 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
         lab, _, _, _ = _classify_flow(system, nodes[m], reps)
         labels[m] = lab
         rep_theta.setdefault(lab, float(thetas[m]))
-    candidates = [(float(system.energy(rep)), rep, rep_theta.get(li, -1.0))
+    candidates = [(float(system.energy(rep)), rep, rep_theta[li])
                   for li, rep in enumerate(reps)]
     rep_energy = [c[0] for c in candidates]
 
@@ -537,10 +541,9 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
     message = ("%d unresolved tears" % unresolved if unresolved else
                "edge refinement exceeded tolerance" if not ok else
                _validate_critical(x_best, hi, val, c_ref, refine_tol) or "")
-    arg = (int(np.argmin(np.abs(thetas - th_best))) if th_best >= 0
-           else int(np.argmax(system.energy(nodes))))
     return MinimaxResult(
-        value=val, argmax_index=arg, critical=x_best, residual=res_best,
+        value=val, argmax_index=int(np.argmin(np.abs(thetas - th_best))),
+        critical=x_best, residual=res_best,
         iterations=settle_steps, success=not message, c_ref=c_ref,
         message=message, final_nodes=nodes)
 
@@ -627,39 +630,20 @@ def intersects(u, v) -> str:
 
 @dataclass
 class ScanRow:
-    """One row of a barrier scan: ground level c, minimax level d, the chain
-    certificate's bound d_upper and its densified states, and the staircase
-    witness of the uniform bound on d - c."""
+    """One row of a barrier scan: the period k, the row's mountain pass
+    (ground level c = ``c_ref``, minimax level d = ``value``, its chain
+    certificate and its critical field on its own period; a failed result
+    whose message is the error when the mountain pass raised), and the
+    staircase witness of the uniform bound on d - c."""
 
     k: int
-    c: float = math.nan
-    d: float = math.nan
-    d_upper: float = math.nan
-    densified: int = 0
+    result: MinimaxResult
     witness: float = math.nan
-    residual: float = math.nan
-    ok: bool = False
-    message: str = ""
-
-    @property
-    def barrier(self) -> float:
-        return self.d - self.c
-
-    def record(self, res: MinimaxResult) -> None:
-        self.c = res.c_ref
-        self.d = res.value
-        self.d_upper = res.d_upper
-        self.densified = res.densified
-        self.residual = res.residual
-        self.ok = res.success
-        if not res.success:
-            self.message = res.message
 
 
 @dataclass
 class MultiplicityScan:
     rows: list
-    criticals: dict                 # k -> critical offset on its own period
     distances: np.ndarray           # pairwise shift-normalized l-inf
     versus_first: dict              # k -> intersects classification vs k=1
 
@@ -698,9 +682,11 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap,
     Critical fields stay on their own periods.  Each pair is compared after
     shift-orbit normalization along that axis, over a common period, and
     each is classified against the k = 1 critical field, which is one column
-    wide and broadcasts.  Failed rows carry their error and the scan
-    continues.  A pair without a periodic axis (the 1-D chain's strip,
-    q = ()) has no column to scan and raises PathError.
+    wide and broadcasts.  Each row keeps its ``MinimaxResult``; a row whose
+    mountain pass raised holds a failed one (NaN levels, no critical field)
+    whose message is the error, and the scan continues.  A pair without a
+    periodic axis (the 1-D chain's strip, q = ()) has no column to scan and
+    raises PathError.
     """
     if k_max < 2:
         raise PathError("k_max must be >= 2")
@@ -708,21 +694,19 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap,
     if not gap.periods:
         raise PathError("the pair has no periodic axis to scan")
     params = params or FlowParams()
-    rows, criticals = [], {}
+    rows = []
     for k in range(1, k_max + 1):
-        row = ScanRow(k=k)
+        periods = (k,) + (1,) * (len(gap.periods) - 1)
         try:
-            periods = (k,) + (1,) * (len(gap.periods) - 1)
             system, hi = gap.order_box(potential, periods)
             res = best_mountain_pass(potential, gap, periods, params)
-            row.record(res)
             witness = box_path(hi, WITNESS_NODES, k if k > 1 else None,
                                hi.ndim - len(periods))
-            row.witness = float(np.max(system.energy(witness))) - row.c
-            criticals[k] = res.critical
+            top = float(np.max(system.energy(witness)))
+            rows.append(ScanRow(k, res, top - res.c_ref))
         except FkSaddleError as exc:
-            row.message = str(exc)
-        rows.append(row)
+            rows.append(ScanRow(k, MinimaxResult(message=str(exc))))
+    criticals = {r.k: r.result.critical for r in rows if r.result.critical is not None}
     ks = sorted(criticals)
     axis = -len(gap.periods)
     dmat = np.zeros((len(ks), len(ks)))
@@ -733,5 +717,4 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap,
     # the k = 1 critical is one column wide, so it broadcasts against each k
     versus = ({k: intersects(criticals[k], criticals[1]) for k in ks}
               if 1 in criticals else {})
-    return MultiplicityScan(rows=rows, criticals=criticals, distances=dmat,
-                            versus_first=versus)
+    return MultiplicityScan(rows=rows, distances=dmat, versus_first=versus)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import (BOX_INVARIANCE_TOL, CLIP_ENERGY_TOL, CROSS_CHECK_TOL,
-                       ENERGY_INCREASE_TOL, FD_REL_TOL, ORACLE_BLOCK,
+                       ENERGY_INCREASE_TOL, FD_REL_TOL, GAP_PROBES, ORACLE_BLOCK,
                        ORACLE_BOUND_SLACK, ORACLE_RESOLUTION, SCALING_TOL,
                        STRICT_ORDER_TOL, SUBMODULARITY_TOL)
 from .fields import FkSaddleError
@@ -364,12 +364,14 @@ def _fallback_gap(potential: SitePotential, periods) -> GapPair:
 
 def run_property_suite(potential: SitePotential, periods, seed: int,
                        trials: int, params: FlowParams | None = None,
-                       gap: GapPair | None = None):
+                       gap: GapPair | None = None, probes: int = GAP_PROBES):
     """Execute every numerically checkable inequality; returns reports.
 
-    Failures are report rows, not exceptions; a property whose setup blows
-    up (for instance on a model violating the standing assumptions) is
-    reported failed with the error in the detail field.
+    Without a ``gap`` the suite searches the unit torus for one with
+    ``probes`` adjacency probes (``find_gap_pair``'s keyword).  Failures are
+    report rows, not exceptions; a property whose setup blows up (for
+    instance on a model violating the standing assumptions) is reported
+    failed with the error in the detail field.
     """
     params = params or FlowParams()
     periods = tuple(int(x) for x in periods)
@@ -378,8 +380,8 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         return reports
     if gap is None:
         try:
-            gap = find_gap_pair(potential, (1,) * len(periods), seed=seed,
-                                params=params)
+            gap = find_gap_pair(potential, (1,) * len(periods), probes=probes,
+                                seed=seed, params=params)
         except FkSaddleError:
             gap = None
         if gap is None:
@@ -529,7 +531,6 @@ class CrossCheckReport:
     node_flow: float
     heat_flow: float
     oracle: dict               # resolution -> bottleneck value
-    tolerance: float
     deltas: dict = field(default_factory=dict)
     agree: bool = False
     band: dict = field(default_factory=dict)   # resolution -> the grid's band
@@ -577,7 +578,6 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair,
         "heat-oracle": abs(heat.value - finest),
     }
     return CrossCheckReport(
-        node_flow=node.value, heat_flow=heat.value, oracle=oracle,
-        tolerance=CROSS_CHECK_TOL, deltas=deltas,
+        node_flow=node.value, heat_flow=heat.value, oracle=oracle, deltas=deltas,
         agree=not failed and bool(max(deltas.values()) <= CROSS_CHECK_TOL),
         band=band, failed=failed)

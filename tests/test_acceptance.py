@@ -118,13 +118,13 @@ def compute_bundle():
     witness = {}
     barrier = {}
     for row in scan.rows:
-        S["scan_d_%d" % row.k] = row.d
-        S["scan_c_%d" % row.k] = row.c
+        S["scan_d_%d" % row.k] = row.result.value
+        S["scan_c_%d" % row.k] = row.result.c_ref
         if row.k >= 2:
             witness[row.k] = row.witness
-            barrier[row.k] = row.barrier
+            barrier[row.k] = row.result.barrier
             S["witness_%d" % row.k] = row.witness
-            S["barrier_%d" % row.k] = row.barrier
+            S["barrier_%d" % row.k] = row.result.barrier
     bundle["witness"] = witness
     bundle["barrier"] = barrier
     bundle["scan"] = scan
@@ -155,7 +155,7 @@ def compute_bundle():
     S["d1_residual"] = mph.residual
     S["d1_c_ref"] = mph.c_ref
     for r in hrows:
-        S["h_barrier_%d" % r.k] = r.barrier
+        S["h_barrier_%d" % r.k] = r.result.barrier
         S["h_witness_%d" % r.k] = r.witness
     bundle["het"] = het
     bundle["mph"] = mph
@@ -248,7 +248,7 @@ def test_criterion_07_multiplicity(bundle):
     scan = bundle["scan"]
     pairs = int(np.count_nonzero(np.triu(scan.distances[:6, :6] > 1e-3, k=1)))
     ok = (pairs >= 1
-          and all(row.ok for row in scan.rows[:6])
+          and all(row.result.success for row in scan.rows[:6])
           and all(scan.versus_first[k] == "cross" for k in range(2, 7)))
     _check(7, "%d critical-field pairs differ by > 1e-3 after shift "
               "normalization (k = 1..6)" % pairs, ok)
@@ -271,7 +271,7 @@ def test_criterion_09_heteroclinic_pipeline(bundle):
           and S["d1_residual"] <= 1e-8
           and T["c9"] < 600.0)
     for r in bundle["hrows"]:
-        ok = ok and r.ok and r.barrier <= r.witness + 1e-6
+        ok = ok and r.result.success and r.result.barrier <= r.witness + 1e-6
     _check(9, "window-stable c1, exact transverse scaling, d1 - c1 = %.4f > 0, "
               "barrier column below its witness (k = 1..4) [%.1fs]"
               % (S["d1"] - S["d1_c_ref"], T["c9"]), ok)

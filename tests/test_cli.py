@@ -463,6 +463,57 @@ def test_cross_check_fails_when_an_engine_fails(tmp_path, monkeypatch):
     assert data["errors"] == ["cross check: heat-flow failed: 1 unresolved tears"]
 
 
+def test_cross_check_reports_a_disagreement(tmp_path, monkeypatch):
+    # both engines succeed, but heat-flow's level moved by 0.01 is more than
+    # CROSS_CHECK_TOL from node-flow's and the oracle's
+    from fk_saddle import mpp
+
+    real = mpp._minimax_heat_flow
+
+    def moved(*args):
+        res = real(*args)
+        res.value += 0.01
+        return res
+
+    monkeypatch.setattr(mpp, "_minimax_heat_flow", moved)
+    out = tmp_path / "cc.json"
+    assert main(["verify", "--model", "classical-fk", "--p", "2,1", "--trials", "2",
+                 "--cross-check", "--resolutions", "401", "--seed", "7",
+                 "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    s = data["scalars"]
+    assert s["cross_check_agree"] is False and list(s["oracle"]) == ["401"]
+    assert s["heat_flow"] - s["node_flow"] == pytest.approx(0.01, abs=1e-8)
+    [error] = data["errors"]
+    assert re.fullmatch(r"cross check disagreement \{'node-heat': .*, "
+                        r"'node-oracle': .*, 'heat-oracle': .*\}", error)
+
+
+def test_verify_searches_the_gap_with_its_probes(tmp_path, monkeypatch):
+    # without --cross-check the property suite searches the gap pair itself,
+    # with it the command searches once and hands the pair to the suite;
+    # either way the one search takes the command's --probes
+    from fk_saddle import verify
+    from fk_saddle.defaults import GAP_PROBES
+
+    seen = []
+
+    def spying(real):
+        def spy(*args, probes=GAP_PROBES, **kwargs):
+            seen.append(probes)
+            return real(*args, probes=probes, **kwargs)
+        return spy
+
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "find_gap_pair", spying(module.find_gap_pair))
+    for flags in ([], ["--cross-check", "--resolutions", "401"]):
+        seen.clear()
+        assert main(["verify", "--model", "classical-fk", "--p", "2,1", "--trials", "2",
+                     "--probes", "3", "--seed", "7", "--out", str(tmp_path / "v.json")]
+                    + flags) == 0
+        assert seen == [3], flags
+
+
 def test_cross_check_names_every_failed_oracle_resolution(tmp_path, monkeypatch):
     # the oracle's Lipschitz bound understated a hundredfold fails its block
     # bounds at both resolutions, and the manifest names both failures

@@ -412,11 +412,11 @@ def test_strip_scan(pinned, het_gap, params):
     scan = multiplicity_scan(pinned, 3, het_gap, params)
     assert [r.k for r in scan.rows] == [1, 2, 3]
     for r in scan.rows:
-        assert r.ok, r.message
-        assert 0 < r.barrier <= r.witness + 1e-6
-    assert abs(scan.rows[1].c - 2 * scan.rows[0].c) <= 1e-8
-    for k, crit in scan.criticals.items():
-        assert crit.shape == (het_gap.lo.shape[0], k)   # each on its own period
+        assert r.result.success, r.result.message
+        assert 0 < r.result.barrier <= r.witness + 1e-6
+        # each critical field on its own period
+        assert r.result.critical.shape == (het_gap.lo.shape[0], r.k)
+    assert abs(scan.rows[1].result.c_ref - 2 * scan.rows[0].result.c_ref) <= 1e-8
     D = scan.distances
     assert D.shape == (3, 3)
     assert np.array_equal(D, D.T) and np.all(np.diag(D) == 0.0)
@@ -430,10 +430,10 @@ def test_strip_column_from_the_ramp(pinned, het_gap, params):
     # 1e-10 wide; the ramp reaches the column's index-1 saddles near 4.12
     scan = multiplicity_scan(pinned, 5, het_gap, params)
     for r in scan.rows:
-        assert r.ok, (r.k, r.message)
-        assert 0 < r.barrier <= r.witness + 1e-6
-    assert scan.rows[3].barrier == pytest.approx(4.121897, abs=1e-6)
-    assert scan.rows[4].barrier == pytest.approx(4.122281, abs=1e-6)
+        assert r.result.success, (r.k, r.result.message)
+        assert 0 < r.result.barrier <= r.witness + 1e-6
+    assert scan.rows[3].result.barrier == pytest.approx(4.121897, abs=1e-6)
+    assert scan.rows[4].result.barrier == pytest.approx(4.122281, abs=1e-6)
 
 
 def test_long_strip_column_passes_the_gate(pinned, het_gap, params):
@@ -450,7 +450,7 @@ def test_asymptotics_tags(pinned, pinned_gap, het):
     rep = asymptotics_report(het.v1, pinned_gap)
     assert rep.left_tag == "v0"
     assert rep.right_tag == "w0"
-    assert rep.left_decay < 0 or np.all(rep.dist_to_v0[:3] == 0.0)
+    assert rep.left_decay < 0 or np.all(het.v1[:3] == pinned_gap.lo)
 
 
 def test_asymptotics_reversed_profile(pinned, pinned_gap, het):

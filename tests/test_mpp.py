@@ -435,12 +435,12 @@ def scan6(classical, gap, params):
 
 
 def test_scan_rows_converged(scan6):
-    assert all(row.ok for row in scan6.rows)
-    assert all(row.residual <= 1e-10 for row in scan6.rows)
+    assert all(row.result.success for row in scan6.rows)
+    assert all(row.result.residual <= 1e-10 for row in scan6.rows)
 
 
 def test_scan_barrier_bounded(scan6):
-    barriers = [row.barrier for row in scan6.rows]
+    barriers = [row.result.barrier for row in scan6.rows]
     assert all(b > 1e-6 for b in barriers)
     assert max(barriers) <= 4.5  # one desk-scale constant for the whole column
 
@@ -448,7 +448,7 @@ def test_scan_barrier_bounded(scan6):
 def test_scan_k1_barrier_is_two(scan6):
     row = scan6.rows[0]
     assert row.k == 1
-    assert row.barrier == pytest.approx(2.0, abs=1e-8)
+    assert row.result.barrier == pytest.approx(2.0, abs=1e-8)
 
 
 def test_scan_fields_distinct(scan6):
@@ -465,12 +465,12 @@ def test_scan_crossings(scan6):
 def test_scan_c_is_the_lower_corner_level(classical, gap, scan6):
     for row in scan6.rows:
         system, hi = gap.order_box(classical, (row.k, 1))
-        assert row.c == float(system.energy(np.zeros_like(hi)))
+        assert row.result.c_ref == float(system.energy(np.zeros_like(hi)))
 
 
 def test_scan_witness_bounds_the_barrier(scan6):
     for row in scan6.rows:
-        assert row.barrier <= row.witness + 1e-9
+        assert row.result.barrier <= row.witness + 1e-9
     assert max(row.witness for row in scan6.rows) == pytest.approx(4.125, abs=1e-9)
 
 
@@ -508,10 +508,14 @@ def test_a_failed_scan_row_is_reported_and_the_scan_goes_on(
     monkeypatch.setattr(mpp, "best_mountain_pass", failing)
     rows = multiplicity_scan(classical, 3, gap, params).rows
     assert [r.k for r in rows] == [1, 2, 3]
-    assert not rows[1].ok and rows[1].message == "row two broke"
+    assert not rows[1].result.success and rows[1].result.message == "row two broke"
+    # a row whose mountain pass raised has NaN levels and no critical field
+    assert (rows[1].result.critical is None) == (how == "raises")
+    assert np.isnan([rows[1].result.value, rows[1].witness]).all() == (how == "raises")
     for r in (rows[0], rows[2]):
-        assert r.ok and r.message == ""
-        assert np.isfinite([r.c, r.d, r.d_upper, r.witness, r.residual]).all()
+        assert r.result.success and r.result.message == ""
+        assert np.isfinite([r.result.c_ref, r.result.value, r.result.d_upper,
+                            r.witness, r.result.residual]).all()
 
     out = tmp_path / "scan.json"
     assert main(["multiplicity", "--model", "classical-fk", "--kmax", "3",
@@ -519,18 +523,21 @@ def test_a_failed_scan_row_is_reported_and_the_scan_goes_on(
     data = json.loads(out.read_text())
     assert data["errors"] == ["one or more scan rows failed"]
     assert [r["ok"] for r in data["tables"]["rows"]] == [True, False, True]
-    assert data["tables"]["rows"][1]["message"] == "row two broke"
+    broke = data["tables"]["rows"][1]
+    assert broke["message"] == "row two broke"
+    levels = [broke[key] for key in ("c0p", "d0p", "barrier", "witness")]
+    assert np.isnan(levels).all() == (how == "raises")
 
 
 @pytest.mark.parametrize("model", sorted(K3_LEVELS))
 def test_k3_rows_keep_their_level(request, params, model):
     pot = request.getfixturevalue(model)
     gap = find_gap_pair(pot, (1, 1), seed=3, params=params)
-    row = multiplicity_scan(pot, 3, gap, params).rows[2]
-    assert row.ok
-    assert row.d == pytest.approx(K3_LEVELS[model], abs=1e-9)
-    assert row.d <= row.d_upper <= row.d + 1e-6
-    assert row.densified > 0
+    res = multiplicity_scan(pot, 3, gap, params).rows[2].result
+    assert res.success
+    assert res.value == pytest.approx(K3_LEVELS[model], abs=1e-9)
+    assert res.value <= res.d_upper <= res.value + 1e-6
+    assert res.densified > 0
 
 
 def test_minimize_c0p_matches_scaling(classical, gap, params):

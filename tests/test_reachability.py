@@ -13,6 +13,10 @@ The check reads the sources with ``ast``; it imports nothing.
 Every ``RunConfig`` field, which is a job-file key, is read by some module
 other than ``config.py``, so a solver option that loses its reader cannot
 leave a dead key behind.
+
+Every field of a dataclass is read, as an attribute of anything, by some
+module other than ``__init__.py``: a record field that is only written,
+echoed or read by tests goes.  Like the method check this goes by name.
 """
 
 import ast
@@ -25,6 +29,20 @@ ALLOWED = {
     "PluginPotential": "the base class that plug-in models subclass",
     "format_config": "the canonical job-file writer, the inverse of parse_config",
 }
+
+
+# dataclass fields no module reads, each kept on purpose
+FIELDS_ALLOWED = {
+    "MinimaxResult.reparam_sweeps": "the benchmark's tracer counts a node-flow "
+                                    "run's reparametrizations from it",
+    "MinimaxResult.final_nodes": "tests check the chain an engine ends on: "
+                                 "pinned ends and bit-for-bit reruns",
+}
+
+
+def _trees(src: Path) -> dict:
+    return {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py"))
+            if p.name != "__init__.py"}
 
 
 def _modules(tree: ast.Module, src: Path) -> set:
@@ -49,8 +67,7 @@ def unreached(src: Path) -> set:
     """Public top-level names defined in ``src`` that no module other than
     ``__init__.py`` refers to, and public methods and properties, as
     ``Class.name``, whose name no such module uses as an attribute."""
-    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py"))
-             if p.name != "__init__.py"}
+    trees = _trees(src)
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined = {node.name for tree in trees.values()
                for node in _public(tree.body, functions + (ast.ClassDef,))}
@@ -102,6 +119,45 @@ def test_a_method_reached_only_from_tests_is_flagged(tmp_path):
     # a test calling ``box.dense()`` does not count; ``width`` is reached
     # from its own class, private names are not checked
     assert unreached(tmp_path) == {"Box.dense"}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in cls.decorator_list)
+
+
+def unread_fields(src: Path) -> set:
+    """``Class.field`` for each field of a dataclass defined in ``src`` whose
+    name no module other than ``__init__.py`` loads as an attribute."""
+    trees = _trees(src).values()
+    fields = {(cls.name, node.target.id) for tree in trees for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for node in cls.body if isinstance(node, ast.AnnAssign)}
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {"%s.%s" % f for f in fields if f[1] not in read}
+
+
+def test_every_dataclass_field_is_read():
+    names = unread_fields(SRC)
+    assert names - set(FIELDS_ALLOWED) == set(), \
+        "record fields no module reads (delete them or read them in a pipeline)"
+    assert set(FIELDS_ALLOWED) <= names
+
+
+def test_a_field_only_written_or_passed_is_flagged(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass, field\n\n"
+        "@dataclass\nclass Report:\n"
+        "    value: float\n    echo: int = 0\n    rows: list = field(default_factory=list)\n"
+        "    note: str = ''\n\n"
+        "@dataclass(frozen=True)\nclass Pair:\n    lo: float\n    hi: float\n\n"
+        "class Plain:\n    width: int = 0\n\n"
+        "def run(n):\n    rep = Report(value=1.0, echo=n)\n    rep.note = 'set'\n"
+        "    rep.rows.append(Pair(0.0, 1.0).hi)\n    return rep.value\n")
+    # ``echo`` is only passed, ``note`` only stored and ``lo`` only built;
+    # ``rows`` is read to append to it, and a plain class is not a record
+    assert unread_fields(tmp_path) == {"Report.echo", "Report.note", "Pair.lo"}
 
 
 def _is_cfg(node) -> bool:
