@@ -38,9 +38,10 @@ CHAIN_CERT_MAX_STATES = 100_000  # budget guard on the energy states one chain c
 MAX_SWEEPS = 200_000          # budget guard on node sweeps per string
 HEAT_SETTLE_TOL = 1e-8        # heat-flow: l2 residual at which the chain or a classify flow has settled
 HEAT_SETTLE_TIME = 10.0       # heat-flow: flow time allowed for the whole chain to settle
-HEAT_CLASSIFY_TIME = 80.0     # heat-flow: flow time allowed for one state to reach its basin
+HEAT_CLASSIFY_TIME = 80.0     # heat-flow: flow time allowed for one classified state to reach its basin
 BASIN_MATCH_TOL = 1e-4        # heat-flow: l-inf distance at which a state joins a basin representative
-MAX_BISECTIONS = 80           # heat-flow: bisections of the initial path per tear
+MAX_BISECTIONS = 80           # heat-flow: halvings of the initial path allowed per tear
+MULTISECTION_POINTS = 3       # heat-flow: m interior points per open tear and round, classified as one batch; m + 1 a power of two (log2(m + 1) halvings a round)
 CLASSIFY_CHECK_TIME = 0.01    # heat-flow: flow time between basin-membership checks
 NODE_CAP = 257                # ceiling for the default node-count rule
 WITNESS_NODES = 801           # nodes of a scan row's staircase witness

@@ -20,7 +20,7 @@ gradients into equilibrium residuals are one ``np.take`` each over any
 leading batch axes (the lattice axes are always the trailing ones).  The
 Hessian is scattered from the local Hessians through the same tables into a
 block-tridiagonal :class:`BandedHessian` (layers grouped along axis 0), so
-its storage is O(sites * block); the dense matrix is kept as a test oracle.
+its storage is O(sites * block).
 """
 
 from __future__ import annotations
@@ -129,23 +129,13 @@ class Stencil:
         flat = np.take(g.reshape(batch + (-1,)), self.bwd, axis=-1)
         return flat.sum(-2).reshape(batch + self.shape)
 
-    def hessian(self, potential, total):
-        """Dense Hessian at one state, rows/cols in C order of the state.
-
-        The test oracle of :meth:`banded_hessian`; no solver calls it.  Each
-        row offset ``a`` of the local Hessians is summed over the column
-        offsets first, and the row offsets are added in ball order, as in
-        the Hessian action ``sum_a sum_b``; entries on ghost sites are dropped.
-        """
-        h = potential.hessian(self.gather(total))
-        out = self._scatter(h, self._dense_tables, self.state_size ** 2)
-        return out.reshape(self.state_size, self.state_size)
-
     def banded_hessian(self, potential, total):
         """The Hessian at one state as a :class:`BandedHessian`.
 
-        Every entry is summed in the order :meth:`hessian` sums it, so a
-        one-block Hessian (every torus) holds the dense matrix bit for bit.
+        Each row offset ``a`` of the local Hessians is summed over the
+        column offsets first, and the row offsets are added in ball order,
+        as in the Hessian action ``sum_a sum_b``; entries on ghost sites are
+        dropped.  A one-block Hessian (every torus) is the dense matrix.
         """
         h = potential.hessian(self.gather(total))
         n, count = self.block_layout
@@ -193,10 +183,6 @@ class Stencil:
             keep = ((row >= 0) & (sites >= 0)).ravel()
             tables.append((pair(row, sites).ravel()[keep], keep))
         return tables
-
-    @functools.cached_property
-    def _dense_tables(self):
-        return self._pair_tables(lambda row, col: row * self.state_size + col)
 
     @functools.cached_property
     def _block_tables(self):

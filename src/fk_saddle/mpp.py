@@ -23,10 +23,11 @@ corner).  Two solvers compute the minimax:
 
 * ``heat-flow``: the whole path is flowed without reparametrization, tracking
   where the maximum persists.  On a finite node grid the flowed chain tears
-  across basin boundaries, so each tear is resolved by bisection on the
-  initial path: the bisected trajectories shadow the boundary, and their
-  closest approach to a critical point (smallest residual) seeds the same
-  Newton refinement.  The reported value is the largest persistent level over
+  across basin boundaries, so each tear is resolved by multisection on the
+  initial path, the points of all open tears classified as one batch of
+  flows per round: the trajectories shadow the boundary, and their closest
+  approach to a critical point (smallest residual) seeds the same Newton
+  refinement.  The reported value is the largest persistent level over
   settled nodes and tear edges, certified like a node-flow saddle.
 
 Both solvers return the same value on the models shipped here.  Node-flow
@@ -53,12 +54,13 @@ import numpy as np
 from .defaults import (BASIN_MATCH_TOL, CHAIN_CERT_MAX_STATES, CHAIN_CERT_TOL,
                        CLASSIFY_CHECK_TIME, COMPARE_TOL, HEAT_CLASSIFY_TIME,
                        HEAT_SETTLE_TIME, HEAT_SETTLE_TOL, MAX_BISECTIONS,
-                       MAX_SWEEPS, PLATEAU_TIME, PLATEAU_TOL, REFINE_TRIGGER,
-                       REPARAM_TIME, WITNESS_NODES, default_node_count)
+                       MAX_SWEEPS, MULTISECTION_POINTS, PLATEAU_TIME,
+                       PLATEAU_TOL, REFINE_TRIGGER, REPARAM_TIME,
+                       WITNESS_NODES, default_node_count)
 from .fields import FkSaddleError
 from .model import SitePotential
 from .periodic import require_gap
-from .semiflow import FlowParams, flow, guarded_step, refine_critical
+from .semiflow import FlowParams, _l2, flow, guarded_step, refine_critical
 
 
 class PathError(FkSaddleError):
@@ -396,66 +398,144 @@ def _minimax_node_flow(system, nodes0, hi, params):
 # heat-flow
 # ---------------------------------------------------------------------------
 
-def _basin_of(x, reps):
-    """The index of the first representative in ``reps`` within
-    BASIN_MATCH_TOL of ``x`` (l-inf), or None."""
-    return next((li for li, rep in enumerate(reps)
-                 if float(np.max(np.abs(x - rep))) <= BASIN_MATCH_TOL), None)
+def _basins_of(X, reps):
+    """For each state of the batch ``X``, the index of the first
+    representative in ``reps`` within BASIN_MATCH_TOL of it (l-inf), or -1."""
+    if not len(reps):
+        return np.full(len(X), -1)
+    dist = np.abs(X.reshape(len(X), 1, -1) - np.reshape(reps, (1, len(reps), -1)))
+    near = dist.max(axis=2) <= BASIN_MATCH_TOL
+    return np.where(near.any(axis=1), near.argmax(axis=1), -1)
 
 
-def _classify_flow(system, x, reps):
-    """Flow one state toward an attractor, watching for saddle fly-bys.
+def _classify_flow(system, X, reps, energy=None):
+    """Flow a batch of states toward their attractors, watching for saddle
+    fly-bys.
 
-    The state steps at ``system.dt_safe`` for at most ``HEAT_CLASSIFY_TIME``
-    of flow and is compared with ``reps`` every ``CLASSIFY_CHECK_TIME``.
+    Each member of ``X`` (shape ``(B, *shape)``; ``energy`` holds the start
+    energies when the caller has them) steps at ``system.dt_safe`` for at
+    most ``HEAT_CLASSIFY_TIME`` of flow.  It stops once it settles (l2
+    residual at most ``HEAT_SETTLE_TOL``) or, at a check every
+    ``CLASSIFY_CHECK_TIME``, lies in the basin of one of ``reps``.  Each
+    step moves the members still flowing through one guarded step.
 
-    Returns ``(label, dip_state, dip_residual, is_new)``.  ``label`` indexes
-    ``reps``; when the trajectory settles somewhere new, its end state is
-    appended to ``reps`` and ``is_new`` is true.  The dip is the smallest
-    residual later confirmed by a threefold rise: the closest approach to a
-    critical point the trajectory passed but did not stop at (the terminal
-    decay into the attractor does not count).
+    Returns one ``(label, dip_state, dip_residual, is_new)`` per member.
+    ``label`` indexes ``reps``, which stay fixed while the batch flows.
+    After it, the members that settled somewhere new are matched in member
+    order; one that matches no representative appends its end state to
+    ``reps`` and is new.  The dip is the smallest residual later confirmed
+    by a threefold rise: the closest approach to a critical point the
+    trajectory passed but did not stop at (the terminal decay into the
+    attractor does not count).
     """
-    x = np.asarray(x, dtype=float).copy()
+    X = np.array(X, dtype=float)
     dt = system.dt_safe
-    energy = system.energy(x)
+    frozen = np.array(reps)
+    labels = np.full(len(X), -1)
+    dip_r, dip_x = np.empty(len(X)), np.empty_like(X)
+    # the members still flowing, by index into X, and their running states
+    idx = np.arange(len(X))
+    x = X
+    e = system.energy(x) if energy is None else np.array(energy, dtype=float)
     g = system.grad(x)
-    rn = float(np.linalg.norm(g))
-    cur_min = (rn, x.copy())
-    best_dip = None
+    rn = _l2(g, system.lattice_ndim)
+    cur_r, cur_x = rn.copy(), x.copy()     # the lowest residual since the last rise
+    best_r, best_x = np.full(len(X), np.inf), x.copy()   # the smallest confirmed dip
     t = 0.0
     steps = 0
-    label = None
     check_every = _sweeps_per(CLASSIFY_CHECK_TIME, dt)
-    while t < HEAT_CLASSIFY_TIME:
-        if rn <= HEAT_SETTLE_TOL:
-            break
+    while True:
+        stop = rn <= HEAT_SETTLE_TOL
         if steps % check_every == 0:
-            label = _basin_of(x, reps)
-            if label is not None:
+            labels[idx] = _basins_of(x, frozen)
+            stop |= labels[idx] >= 0
+        if t >= HEAT_CLASSIFY_TIME:
+            stop[:] = True
+        if stop.any():
+            done = idx[stop]
+            X[done] = x[stop]
+            none = stop & (best_r == np.inf)
+            best_r[none], best_x[none] = cur_r[none], cur_x[none]
+            dip_r[done], dip_x[done] = best_r[stop], best_x[stop]
+            idx, x, e, g, rn, cur_r, cur_x, best_r, best_x = (
+                v[~stop] for v in (idx, x, e, g, rn, cur_r, cur_x, best_r, best_x))
+            if not idx.size:
                 break
-        x, _, energy, _ = guarded_step(system, x, dt, energy, k1=-g)
+        x, _, e, _ = guarded_step(system, x, dt, e, k1=-g)
         t += dt
         steps += 1
         g = system.grad(x)
-        rn = float(np.linalg.norm(g))
-        if rn < cur_min[0]:
-            cur_min = (rn, x.copy())
-        elif rn > 3.0 * cur_min[0]:
-            if best_dip is None or cur_min[0] < best_dip[0]:
-                best_dip = cur_min
-            cur_min = (rn, x.copy())
-    if label is None:
-        label = _basin_of(x, reps)
-    is_new = label is None
-    if is_new:
-        reps.append(x.copy())
-        label = len(reps) - 1
-    dip = best_dip if best_dip is not None else cur_min
-    return label, dip[1], dip[0], is_new
+        rn = _l2(g, system.lattice_ndim)
+        lower = rn < cur_r
+        rose = ~lower & (rn > 3.0 * cur_r)
+        dipped = rose & (cur_r < best_r)
+        best_r[dipped], best_x[dipped] = cur_r[dipped], cur_x[dipped]
+        moved = lower | rose
+        cur_r[moved], cur_x[moved] = rn[moved], x[moved]
+    out = []
+    for b in range(len(X)):
+        label, is_new = int(labels[b]), False
+        if label < 0:
+            label = int(_basins_of(X[b:b + 1], reps)[0])
+            is_new = label < 0
+            if is_new:
+                reps.append(X[b].copy())
+                label = len(reps) - 1
+        out.append((label, dip_x[b], float(dip_r[b]), is_new))
+    return out
+
+
+@dataclass
+class _Tear:
+    """A tear of the flowed chain: the initial path at ``lo`` flows into
+    basin ``lab_lo`` and at ``hi`` into ``lab_hi``.  It keeps its halvings,
+    its smallest dip ``(residual, state)``, the largest start energy sampled
+    in it, the candidates it found, and the tears split off it, in the order
+    a bisection would have pushed them."""
+
+    lo: float
+    hi: float
+    lab_lo: int
+    lab_hi: int
+    halvings: int = 0
+    best: tuple = (math.inf, None)
+    cap: float = -math.inf
+    found: list = field(default_factory=list)
+    children: list = field(default_factory=list)
+    open: bool = True
+
+
+def _stack_order(tears):
+    """Tears in the order a last-in first-out stack resolves them: the last
+    pushed first, each before the tears split off it."""
+    for tear in reversed(tears):
+        yield tear
+        yield from _stack_order(tear.children)
 
 
 def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
+    """Heat-flow edge tracking (Skufca, Yorke & Eckhardt, Phys. Rev. Lett.
+    96, 174101, 2006).
+
+    The chain flows for ``HEAT_SETTLE_TIME`` and its nodes are classified as
+    one batch (:func:`_classify_flow`).  Neighbours in different basins make
+    a tear, resolved by multisection on the initial path: each round
+    classifies m = ``MULTISECTION_POINTS`` interior points of every open
+    tear, the nested midpoints of a bisection, as one batch, so a round cuts
+    every tear into m + 1 parts (log2(m + 1) halvings).  The leftmost part
+    whose ends lie in different basins carries the tear on; every other such
+    part opens a new tear.  After each 6 halvings, and on every round of a
+    tear narrower than 1e-13 (collapsed), Newton refines the tear's smallest
+    dip.  The refined point is the tear's edge if its level lies above both
+    basin levels and at most the largest start energy sampled in the tear;
+    a collapsed tear whose refined point is one of its two representatives
+    (a stuck saddle) is resolved by it.  A tear that spends
+    ``MAX_BISECTIONS`` halvings or narrows below 1e-14 is unresolved.
+
+    The value is the largest level over the representatives and the edges,
+    the first of equal levels in the order a last-in first-out stack of
+    tears meets them.
+    """
     path0 = np.asarray(path0, dtype=float)
     N = path0.shape[0]
     # settle phase: flow the whole chain (endpoints are fixed points)
@@ -464,70 +544,72 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
     c_ref = float(np.min(system.energy(path0[[0, -1]])))
     # classify node limits; reps collects the attractor representatives
     reps = []
-    labels = np.empty(N, dtype=int)
+    labels = [out[0] for out in _classify_flow(system, nodes, reps)]
     thetas = np.linspace(0.0, 1.0, N)
-    rep_theta = {}
-    for m in range(N):
-        lab, _, _, _ = _classify_flow(system, nodes[m], reps)
-        labels[m] = lab
-        rep_theta.setdefault(lab, float(thetas[m]))
-    candidates = [(float(system.energy(rep)), rep, rep_theta[li])
+    candidates = [(float(system.energy(rep)), rep, float(thetas[labels.index(li)]))
                   for li, rep in enumerate(reps)]
     rep_energy = [c[0] for c in candidates]
 
-    # resolve every tear in the flowed chain by bisection on the initial path;
-    # a tear's persistent level is its edge state between the two basins
-    work = [[thetas[m], thetas[m + 1], labels[m], labels[m + 1]]
-            for m in range(N - 1) if labels[m] != labels[m + 1]]
+    # resolve every tear in the flowed chain by multisection on the initial
+    # path; a tear's persistent level is its edge state between the two basins
+    tears = [_Tear(thetas[m], thetas[m + 1], labels[m], labels[m + 1])
+             for m in range(N - 1) if labels[m] != labels[m + 1]]
+    m = MULTISECTION_POINTS
+    per_round = (m + 1).bit_length() - 1    # halvings
     refine_tol = params.stationarity_tol
     unresolved = 0
-    while work:
-        lo, hi_th, lab_lo, lab_hi = work.pop()
-        best_edge = None
-        crossing_cap = -np.inf
-        done = False
-        for it in range(MAX_BISECTIONS):
-            mid = 0.5 * (lo + hi_th)
-            start = _interpolate(path0, thetas, mid)
-            crossing_cap = max(crossing_cap, float(system.energy(start)))
-            lab, dip_x, dip_r, is_new = _classify_flow(system, start, reps)
-            if is_new:
-                e_new = float(system.energy(reps[lab]))
-                candidates.append((e_new, reps[lab], mid))
-                rep_energy.append(e_new)
-            if best_edge is None or dip_r < best_edge[0]:
-                best_edge = (dip_r, dip_x)
-            collapsed = hi_th - lo < 1e-13
-            if (it + 1) % 6 == 0 or collapsed:
-                x_ref, res_inf, ok = refine_critical(system, best_edge[1],
-                                                     refine_tol)
+    while batch := [tear for tear in _stack_order(tears) if tear.open]:
+        grid = np.array([[tear.lo, tear.hi] for tear in batch])
+        for _ in range(per_round):
+            grid = np.insert(grid, np.arange(1, grid.shape[1]),
+                             0.5 * (grid[:, :-1] + grid[:, 1:]), axis=1)
+        starts = _interpolate(path0, thetas, grid[:, 1:-1].ravel())
+        caps = system.energy(starts)
+        results = _classify_flow(system, starts, reps, caps)
+        for i, tear in enumerate(batch):
+            row = results[i * m:(i + 1) * m]
+            for (lab, dip_x, dip_r, is_new), theta in zip(row, grid[i, 1:-1]):
+                if is_new:
+                    e_new = float(system.energy(reps[lab]))
+                    tear.found.append((e_new, reps[lab], float(theta)))
+                    rep_energy.append(e_new)
+                if dip_r < tear.best[0]:
+                    tear.best = (dip_r, dip_x)
+            tear.cap = max(tear.cap, float(np.max(caps[i * m:(i + 1) * m])))
+            tear.halvings += per_round
+            collapsed = tear.hi - tear.lo < 1e-13
+            # Newton after each 6 halvings of the tear, or on collapse
+            if tear.halvings % 6 < per_round or collapsed:
+                x_ref, _, ok = refine_critical(system, tear.best[1], refine_tol)
                 if ok:
                     e_ref = float(system.energy(x_ref))
-                    floor = max(rep_energy[lab_lo], rep_energy[lab_hi])
+                    floor = max(rep_energy[tear.lab_lo], rep_energy[tear.lab_hi])
                     # a genuine edge sits strictly above both basin levels and
-                    # below the energy the bisected trajectories started from
-                    # (the flow only descends on its way across)
-                    if floor + 1e-12 < e_ref <= crossing_cap + 1e-9:
-                        candidates.append((e_ref, x_ref, mid))
-                        done = True
-                        break
+                    # below the energy the trajectories started from (the
+                    # flow only descends on its way across)
+                    if floor + 1e-12 < e_ref <= tear.cap + 1e-9:
+                        tear.found.append((e_ref, x_ref, float(grid[i, 1 + m // 2])))
+                        tear.open = False
+                        continue
                     # a stuck saddle can be a "basin" itself; the tear is then
                     # already represented by that rep
-                    if collapsed and _basin_of(
-                            x_ref, (reps[lab_lo], reps[lab_hi])) is not None:
-                        done = True
-                        break
-            if lab == lab_lo:
-                lo = mid
-            elif lab == lab_hi:
-                hi_th = mid
-            else:
-                work.append([mid, hi_th, lab, lab_hi])
-                hi_th, lab_hi = mid, lab
-            if hi_th - lo < 1e-14:
-                break
-        if not done:
-            unresolved += 1
+                    if collapsed and _basins_of(
+                            x_ref[None], [reps[tear.lab_lo], reps[tear.lab_hi]])[0] >= 0:
+                        tear.open = False
+                        continue
+            labs = [tear.lab_lo] + [r[0] for r in row] + [tear.lab_hi]
+            cuts = [j for j in range(m + 1) if labs[j] != labs[j + 1]]
+            # pushed right to left, as a bisection splits them off
+            tear.children += [_Tear(grid[i, j], grid[i, j + 1], labs[j], labs[j + 1])
+                              for j in reversed(cuts[1:])]
+            j = cuts[0]
+            tear.lo, tear.hi = grid[i, j], grid[i, j + 1]
+            tear.lab_lo, tear.lab_hi = labs[j], labs[j + 1]
+            if tear.halvings >= MAX_BISECTIONS or tear.hi - tear.lo < 1e-14:
+                tear.open = False
+                unresolved += 1
+    for tear in _stack_order(tears):
+        candidates += tear.found
     # the persistent level is the largest candidate
     val, x_best, th_best = max(candidates, key=lambda c: c[0])
     x_ref, res_best, ok = refine_critical(system, x_best, refine_tol)

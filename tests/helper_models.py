@@ -63,6 +63,19 @@ def el_residual(potential, u, i, tails=None) -> float:
     return total
 
 
+def dense_hessian(system, x):
+    """The dense Hessian of ``system`` at the state ``x``, rows and columns
+    in C order of the state, O(size^2) memory: the oracle of the banded one.
+
+    It is scattered through the stencil's own tables in the banded order
+    (``Stencil.banded_hessian``), so a one-block Hessian equals it bit for
+    bit."""
+    st = system.stencil
+    h = system.potential.hessian(st.gather(system.total(x)))
+    tables = st._pair_tables(lambda row, col: row * st.state_size + col)
+    return st._scatter(h, tables, st.state_size ** 2).reshape(st.state_size, st.state_size)
+
+
 def dense(banded):
     """The full matrix of a ``BandedHessian``, O(size^2) memory."""
     count, _, n, _ = banded.blocks.shape

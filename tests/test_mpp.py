@@ -1,11 +1,13 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fk_saddle import (best_mountain_pass, chi_path, find_gap_pair,
-                       intersects, mountain_pass, multiplicity_scan, phi_path)
+                       intersects, make_potential, mountain_pass,
+                       multiplicity_scan, phi_path)
 from fk_saddle import mpp
 from fk_saddle.cli import main
 from fk_saddle.defaults import COMPARE_TOL
@@ -224,14 +226,15 @@ class _Cosine:
 
 @pytest.mark.parametrize("N", [3, 4, 5])
 def test_heat_flow_bisection_finds_basins_between_nodes(N, params, monkeypatch):
-    # too few nodes to sample every basin: a tear's bisection lands in a basin
-    # that no node reached, and the tear is split across it
+    # too few nodes to sample every basin: a tear's multisection lands in a
+    # basin that no node reached, and the tear is split across it (the first
+    # N members classified are the nodes)
     new = []
     classify = mpp._classify_flow
 
-    def spy(system, x, reps):
-        out = classify(system, x, reps)
-        new.append(out[3])
+    def spy(system, X, reps, energy=None):
+        out = classify(system, X, reps, energy)
+        new.extend(member[3] for member in out)
         return out
 
     monkeypatch.setattr(mpp, "_classify_flow", spy)
@@ -240,6 +243,75 @@ def test_heat_flow_bisection_finds_basins_between_nodes(N, params, monkeypatch):
     assert any(new[N:])
     assert res.success, res.message
     assert res.value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_classify_batch_equals_one_flow_at_a_time(monkeypatch):
+    # the members stop at different steps: 1e-6 starts inside the basin of 0
+    # and takes no step, 0.2 founds the basin of 1/4, and the rest flow into
+    # the basin of 1/2, two of them from next to the edge at 3/8
+    system = _Cosine()
+    X = np.array([[1e-6], [0.2], [0.45], [0.38], [0.3751], [0.6]])
+    sizes = []
+    step = mpp.guarded_step
+
+    def spy(system, x, *args, **kwargs):
+        sizes.append(len(x))
+        return step(system, x, *args, **kwargs)
+
+    monkeypatch.setattr(mpp, "guarded_step", spy)
+    reps = [np.zeros(1), np.full(1, 0.5)]
+    batch = mpp._classify_flow(system, X, reps)
+    assert sizes[0] == len(X) - 1 and len(set(sizes)) >= 3
+    assert [m[0] for m in batch] == [0, 2, 1, 1, 1, 1]
+    assert [m[3] for m in batch] == [False, True, False, False, False, False]
+    single_reps = [np.zeros(1), np.full(1, 0.5)]
+    for member, x in zip(batch, X):
+        (label, dip_x, dip_r, is_new), = mpp._classify_flow(system, x[None], single_reps)
+        assert (member[0], member[2], member[3]) == (label, dip_r, is_new)
+        assert np.array_equal(member[1], dip_x)
+    assert all(np.array_equal(a, b) for a, b in zip(reps, single_reps))
+    assert len(reps) == len(single_reps) == 3
+
+
+# Heat-flow values and critical fields of the one-at-a-time bisection engine
+# that the batched classify flows replaced, recorded at full precision.
+with open(Path(__file__).with_name("heat_flow_levels.json")) as fh:
+    HEAT_FLOW_LEVELS = json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(HEAT_FLOW_LEVELS))
+def test_heat_flow_keeps_its_levels(request, params, name):
+    # the torus cases take the gap pair of ``seed``; the strip cases the
+    # pinned-fk kink's gap pair at q = 1, on ``nodes`` nodes
+    case = HEAT_FLOW_LEVELS[name]
+    if case["periods"] is None:
+        potential, gap = (request.getfixturevalue(f) for f in ("pinned", "het_gap"))
+    else:
+        potential = make_potential(case["model"])
+        gap = find_gap_pair(potential, (1, 1), seed=case["seed"], params=params)
+    res = best_mountain_pass(potential, gap, case["periods"], params,
+                             mode="heat-flow", N=case["nodes"])
+    assert res.success, res.message
+    assert abs(res.value - case["value"]) <= 1e-12
+    assert np.max(np.abs(res.critical.ravel() - case["critical"])) <= 1e-10
+
+
+def test_heat_flow_classifies_in_batches(classical, params, monkeypatch):
+    # the 33 settled nodes are one batch, and each multisection round one
+    # more: on the (2,1) torus both tears resolve in three rounds
+    calls = []
+    classify = mpp._classify_flow
+
+    def spy(system, X, *args):
+        calls.append(len(X))
+        return classify(system, X, *args)
+
+    monkeypatch.setattr(mpp, "_classify_flow", spy)
+    gap = find_gap_pair(classical, (1, 1), seed=7, params=params)
+    res = best_mountain_pass(classical, gap, (2, 1), params, mode="heat-flow", N=33)
+    assert res.success, res.message
+    assert len(calls) <= 4
+    assert calls[0] == 33
 
 
 def test_critical_gate_names_the_failed_check(classical, gap, mp21):

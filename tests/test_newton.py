@@ -1,7 +1,8 @@
 """The block-banded Newton: its step against the dense solve, its memory, and
 the certificate that stands behind each step.
 
-``Stencil.hessian`` (the dense matrix) is the oracle here; no solver calls it.
+``helper_models.dense_hessian`` (the dense matrix) is the oracle here; no
+solver builds it.
 """
 
 import tracemalloc
@@ -13,7 +14,7 @@ from fk_saddle import PeriodicSystem, StripSystem
 from fk_saddle.fields import BandedHessian
 from fk_saddle.semiflow import refine_critical
 
-from helper_models import dense, radius_two_springs
+from helper_models import dense, dense_hessian, radius_two_springs
 
 # every kink and saddle below is embedded in this half-width, so the strip
 # Hessians have 7 to 21 blocks
@@ -21,7 +22,7 @@ WINDOW = 80
 
 
 def _dense_step(system, x, g):
-    H = system.stencil.hessian(system.potential, system.total(x))
+    H = dense_hessian(system, x)
     return H, np.linalg.solve(H, -g)
 
 

@@ -289,7 +289,7 @@ def test_heat_flow_classify_steps_are_guarded_too():
 
     system = _Quadratic(a=2.0)
     with pytest.raises(FlowError, match=r"L=0\.666667"):
-        _classify_flow(system, np.array([1.0]), [])
+        _classify_flow(system, np.array([[1.0]]), [])
 
 
 def test_flow_raises_when_no_step_lowers_the_energy():
