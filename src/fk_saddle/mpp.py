@@ -566,6 +566,7 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
         starts = _interpolate(path0, thetas, grid[:, 1:-1].ravel())
         caps = system.energy(starts)
         results = _classify_flow(system, starts, reps, caps)
+        caps = caps.reshape(len(batch), m)
         for i, tear in enumerate(batch):
             row = results[i * m:(i + 1) * m]
             for (lab, dip_x, dip_r, is_new), theta in zip(row, grid[i, 1:-1]):
@@ -575,7 +576,7 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
                     rep_energy.append(e_new)
                 if dip_r < tear.best[0]:
                     tear.best = (dip_r, dip_x)
-            tear.cap = max(tear.cap, float(np.max(caps[i * m:(i + 1) * m])))
+            tear.cap = max(tear.cap, float(caps[i].max()))
             tear.halvings += per_round
             collapsed = tear.hi - tear.lo < 1e-13
             # Newton after each 6 halvings of the tear, or on collapse
