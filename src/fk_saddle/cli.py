@@ -42,10 +42,6 @@ from .verify import (cross_check_mountain_pass, run_property_suite,
                      sample_landscape)
 
 
-def _flow_params(cfg: RunConfig) -> FlowParams:
-    return FlowParams(t_max=cfg.t_max, stationarity_tol=cfg.tol)
-
-
 def _write_field_csv(path, values, first=0):
     """One row per site: its lattice coordinates and value.  ``first`` is the
     coordinate of the first index on axis 1 (``-W`` on a strip window)."""
@@ -129,7 +125,7 @@ def run(cfg: RunConfig) -> Manifest:
     """Dispatch one validated configuration; returns the filled manifest."""
     cfg.validate()
     pot = make_potential(cfg.model, **cfg.model_params())
-    params = _flow_params(cfg)
+    params = FlowParams(stationarity_tol=cfg.tol)
     man = Manifest(cfg)
     cmd = cfg.command
 

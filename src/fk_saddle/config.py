@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dc_fields
 
-from .defaults import (FLOW_T_MAX, GAP_PROBES, MAX_TORUS_CELLS, ORACLE_RESOLUTION,
+from .defaults import (GAP_PROBES, MAX_TORUS_CELLS, ORACLE_RESOLUTION,
                        STATIONARITY_TOL, WINDOW_CAP)
 from .fields import FkSaddleError
 
@@ -75,7 +75,6 @@ class RunConfig:
     coupling: float | None = None
     n: int = 2
     # flow
-    t_max: float = FLOW_T_MAX
     tol: float = STATIONARITY_TOL
     # path / minimax
     nodes: int | None = None
@@ -123,8 +122,6 @@ class RunConfig:
                                   % (key, math.prod(periods), MAX_TORUS_CELLS))
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigError("flow.tol: must be finite and positive")
-        if not (self.t_max > 0 and math.isfinite(self.t_max)):
-            raise ConfigError("flow.t-max: must be finite and positive")
         if self.nodes is not None and self.nodes < 3:
             raise ConfigError("path.nodes: must be >= 3 or auto")
         if self.window is not None and not 1 <= self.window <= WINDOW_CAP:
@@ -164,7 +161,6 @@ SCHEMA = {
     ("model-params", "amplitude"): ("amplitude", float, lambda v: repr(v)),
     ("model-params", "coupling"): ("coupling", float, lambda v: repr(v)),
     ("model-params", "n"): ("n", int, str),
-    ("flow", "t-max"): ("t_max", float, repr),
     ("flow", "tol"): ("tol", float, repr),
     ("path", "nodes"): ("nodes", *_INT_OR_AUTO),
     ("window", "size"): ("window", *_INT_OR_AUTO),

@@ -7,7 +7,7 @@ here so that the test suite and the library agree on a single source of truth.
 # --- stationarity / convergence -------------------------------------------
 STATIONARITY_TOL = 1e-10      # l2 residual at which a field counts as stationary
 ENERGY_INCREASE_TOL = 1e-10   # largest admissible energy increase per flow step (more is a FlowError)
-FLOW_T_MAX = 200.0            # flow horizon of a run (the RunConfig and FlowParams default)
+FLOW_T_MAX = 200.0            # flow horizon of a run (the FlowParams default)
 POLISH_TOL = 1e-13            # Newton finish of a flowed ground state (torus and strip): sup residual
 POLISH_MAX_ITER = 30          # ... and its iteration cap
 NEWTON_BLOCK_SITES = 24       # Newton's block LU groups whole strip layers into blocks of about this many sites
@@ -36,12 +36,12 @@ REFINE_TRIGGER = 1e-8         # the string starts climbing, and later Newton pol
 CHAIN_CERT_TOL = 1e-6         # node-flow success: the certified chain maximum is at most d + this
 CHAIN_CERT_MAX_STATES = 100_000  # budget guard on the energy states one chain certificate densifies
 MAX_SWEEPS = 200_000          # budget guard on node sweeps per string
+# Heat-flow quarters each open tear a round and ends one that never resolves at
+# width 1e-14, which it reaches within 23 rounds: its rounds need no budget.
 HEAT_SETTLE_TOL = 1e-8        # heat-flow: l2 residual at which the chain or a classify flow has settled
 HEAT_SETTLE_TIME = 10.0       # heat-flow: flow time allowed for the whole chain to settle
 HEAT_CLASSIFY_TIME = 80.0     # heat-flow: flow time allowed for one classified state to reach its basin
 BASIN_MATCH_TOL = 1e-4        # heat-flow: l-inf distance at which a state joins a basin representative
-MAX_BISECTIONS = 80           # heat-flow: halvings of the initial path allowed per tear
-MULTISECTION_POINTS = 3       # heat-flow: m interior points per open tear and round, classified as one batch; m + 1 a power of two (log2(m + 1) halvings a round)
 CLASSIFY_CHECK_TIME = 0.01    # heat-flow: flow time between basin-membership checks
 NODE_CAP = 257                # ceiling for the default node-count rule
 WITNESS_NODES = 801           # nodes of a scan row's staircase witness

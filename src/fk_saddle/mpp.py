@@ -53,10 +53,9 @@ import numpy as np
 
 from .defaults import (BASIN_MATCH_TOL, CHAIN_CERT_MAX_STATES, CHAIN_CERT_TOL,
                        CLASSIFY_CHECK_TIME, COMPARE_TOL, HEAT_CLASSIFY_TIME,
-                       HEAT_SETTLE_TIME, HEAT_SETTLE_TOL, MAX_BISECTIONS,
-                       MAX_SWEEPS, MULTISECTION_POINTS, PLATEAU_TIME,
-                       PLATEAU_TOL, REFINE_TRIGGER, REPARAM_TIME,
-                       WITNESS_NODES, default_node_count)
+                       HEAT_SETTLE_TIME, HEAT_SETTLE_TOL, MAX_SWEEPS,
+                       PLATEAU_TIME, PLATEAU_TOL, REFINE_TRIGGER,
+                       REPARAM_TIME, WITNESS_NODES, default_node_count)
 from .fields import FkSaddleError
 from .model import SitePotential
 from .periodic import require_gap
@@ -485,32 +484,22 @@ def _classify_flow(system, X, reps, energy=None):
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class _Tear:
     """A tear of the flowed chain: the initial path at ``lo`` flows into
-    basin ``lab_lo`` and at ``hi`` into ``lab_hi``.  It keeps its halvings,
-    its smallest dip ``(residual, state)``, the largest start energy sampled
-    in it, the candidates it found, and the tears split off it, in the order
-    a bisection would have pushed them."""
+    basin ``lab_lo`` and at ``hi`` into ``lab_hi``.  It keeps its rounds of
+    multisection, its smallest dip ``(residual, state)``, the largest start
+    energy sampled in it and the candidates it found."""
 
     lo: float
     hi: float
     lab_lo: int
     lab_hi: int
-    halvings: int = 0
+    rounds: int = 0
     best: tuple = (math.inf, None)
     cap: float = -math.inf
     found: list = field(default_factory=list)
-    children: list = field(default_factory=list)
     open: bool = True
-
-
-def _stack_order(tears):
-    """Tears in the order a last-in first-out stack resolves them: the last
-    pushed first, each before the tears split off it."""
-    for tear in reversed(tears):
-        yield tear
-        yield from _stack_order(tear.children)
 
 
 def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
@@ -520,21 +509,23 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
     The chain flows for ``HEAT_SETTLE_TIME`` and its nodes are classified as
     one batch (:func:`_classify_flow`).  Neighbours in different basins make
     a tear, resolved by multisection on the initial path: each round
-    classifies m = ``MULTISECTION_POINTS`` interior points of every open
-    tear, the nested midpoints of a bisection, as one batch, so a round cuts
-    every tear into m + 1 parts (log2(m + 1) halvings).  The leftmost part
-    whose ends lie in different basins carries the tear on; every other such
-    part opens a new tear.  After each 6 halvings, and on every round of a
-    tear narrower than 1e-13 (collapsed), Newton refines the tear's smallest
-    dip.  The refined point is the tear's edge if its level lies above both
-    basin levels and at most the largest start energy sampled in the tear;
-    a collapsed tear whose refined point is one of its two representatives
-    (a stuck saddle) is resolved by it.  A tear that spends
-    ``MAX_BISECTIONS`` halvings or narrows below 1e-14 is unresolved.
+    classifies the 3 interior quarter points of every open tear as one
+    batch, which cuts every tear into quarters (two halvings).  The leftmost
+    quarter whose ends lie in different basins carries the tear on; every
+    other such quarter opens a new tear.  After every 3rd round of a tear,
+    and on every round of a tear narrower than 1e-13 (collapsed), Newton
+    refines the tear's smallest dip.  The refined point is the tear's edge
+    if its level lies above both basin levels and at most the largest start
+    energy sampled in the tear; a collapsed tear whose refined point is one
+    of its two representatives (a stuck saddle) is resolved by it.  A tear
+    that narrows below 1e-14 is unresolved; as a tear starts at most 1/2
+    wide, that ends every tear within 23 rounds.
 
-    The value is the largest level over the representatives and the edges,
-    the first of equal levels in the order a last-in first-out stack of
-    tears meets them.
+    The tears sit in one list in the order a last-in first-out stack of
+    bisections resolves them: the chain's tears last to first, each followed
+    by the tears split off it, the latest round's first, left to right.  The
+    value is the largest level over the representatives and the edges, the
+    first of equal levels in that order.
     """
     path0 = np.asarray(path0, dtype=float)
     N = path0.shape[0]
@@ -553,22 +544,20 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
     # resolve every tear in the flowed chain by multisection on the initial
     # path; a tear's persistent level is its edge state between the two basins
     tears = [_Tear(thetas[m], thetas[m + 1], labels[m], labels[m + 1])
-             for m in range(N - 1) if labels[m] != labels[m + 1]]
-    m = MULTISECTION_POINTS
-    per_round = (m + 1).bit_length() - 1    # halvings
+             for m in reversed(range(N - 1)) if labels[m] != labels[m + 1]]
     refine_tol = params.stationarity_tol
     unresolved = 0
-    while batch := [tear for tear in _stack_order(tears) if tear.open]:
-        grid = np.array([[tear.lo, tear.hi] for tear in batch])
-        for _ in range(per_round):
-            grid = np.insert(grid, np.arange(1, grid.shape[1]),
-                             0.5 * (grid[:, :-1] + grid[:, 1:]), axis=1)
+    while batch := [tear for tear in tears if tear.open]:
+        lo, up = np.array([[tear.lo, tear.hi] for tear in batch]).T
+        mid = 0.5 * (lo + up)
+        grid = np.stack([lo, 0.5 * (lo + mid), mid, 0.5 * (mid + up), up], axis=1)
         starts = _interpolate(path0, thetas, grid[:, 1:-1].ravel())
         caps = system.energy(starts)
         results = _classify_flow(system, starts, reps, caps)
-        caps = caps.reshape(len(batch), m)
+        caps = caps.reshape(len(batch), 3)
+        splits = {}
         for i, tear in enumerate(batch):
-            row = results[i * m:(i + 1) * m]
+            row = results[3 * i:3 * i + 3]
             for (lab, dip_x, dip_r, is_new), theta in zip(row, grid[i, 1:-1]):
                 if is_new:
                     e_new = float(system.energy(reps[lab]))
@@ -577,10 +566,10 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
                 if dip_r < tear.best[0]:
                     tear.best = (dip_r, dip_x)
             tear.cap = max(tear.cap, float(caps[i].max()))
-            tear.halvings += per_round
+            tear.rounds += 1
             collapsed = tear.hi - tear.lo < 1e-13
-            # Newton after each 6 halvings of the tear, or on collapse
-            if tear.halvings % 6 < per_round or collapsed:
+            # Newton after every 3rd round of the tear, or on collapse
+            if tear.rounds % 3 == 0 or collapsed:
                 x_ref, _, ok = refine_critical(system, tear.best[1], refine_tol)
                 if ok:
                     e_ref = float(system.energy(x_ref))
@@ -589,7 +578,7 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
                     # below the energy the trajectories started from (the
                     # flow only descends on its way across)
                     if floor + 1e-12 < e_ref <= tear.cap + 1e-9:
-                        tear.found.append((e_ref, x_ref, float(grid[i, 1 + m // 2])))
+                        tear.found.append((e_ref, x_ref, float(grid[i, 2])))
                         tear.open = False
                         continue
                     # a stuck saddle can be a "basin" itself; the tear is then
@@ -599,17 +588,18 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
                         tear.open = False
                         continue
             labs = [tear.lab_lo] + [r[0] for r in row] + [tear.lab_hi]
-            cuts = [j for j in range(m + 1) if labs[j] != labs[j + 1]]
-            # pushed right to left, as a bisection splits them off
-            tear.children += [_Tear(grid[i, j], grid[i, j + 1], labs[j], labs[j + 1])
-                              for j in reversed(cuts[1:])]
+            cuts = [j for j in range(4) if labs[j] != labs[j + 1]]
+            splits[tear] = [_Tear(grid[i, j], grid[i, j + 1], labs[j], labs[j + 1])
+                            for j in cuts[1:]]
             j = cuts[0]
             tear.lo, tear.hi = grid[i, j], grid[i, j + 1]
             tear.lab_lo, tear.lab_hi = labs[j], labs[j + 1]
-            if tear.halvings >= MAX_BISECTIONS or tear.hi - tear.lo < 1e-14:
+            if tear.hi - tear.lo < 1e-14:
                 tear.open = False
                 unresolved += 1
-    for tear in _stack_order(tears):
+        # split-off tears go right after their tear, ahead of older ones
+        tears = [t for tear in tears for t in [tear, *splits.get(tear, [])]]
+    for tear in tears:
         candidates += tear.found
     # the persistent level is the largest candidate
     val, x_best, th_best = max(candidates, key=lambda c: c[0])

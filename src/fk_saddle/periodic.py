@@ -276,8 +276,6 @@ def find_gap_pair(potential: SitePotential, periods, probes: int = GAP_PROBES,
                             default_minimize_seeds(rng, periods), params)
     mins = [(f, e) for f, e in zip(res.limits, res.energies)
             if e <= res.c0p + MINIMIZER_ENERGY_MARGIN]
-    if not mins:
-        return None
     fields = [f for f, _ in mins]
     # adjacent candidates among the normalized representatives, plus the wrap
     candidates = [(fields[i], fields[i + 1]) for i in range(len(fields) - 1)]

@@ -40,8 +40,9 @@ def test_parse_rejects_unknown_key():
     for key in ("kind = chi", "k = 4", "restarts = 1"):
         with pytest.raises(ConfigError, match="unknown key 'path.%s'" % key.split()[0]):
             parse_config("[path]\n%s\n" % key)
-    # every flow steps at the model's 1 / L and stops only at t_max
-    for key in ("dt = auto", "max-steps = 10"):
+    # every flow steps at the model's 1 / L and stops only at t_max, which
+    # each solver sets itself
+    for key in ("dt = auto", "max-steps = 10", "t-max = 0", "t-max = -1"):
         with pytest.raises(ConfigError, match="unknown key 'flow.%s'" % key.split()[0]):
             parse_config("[flow]\n%s\n" % key)
 
@@ -102,14 +103,16 @@ def test_abbreviated_flags_are_rejected(command, flag, tmp_path, capsys):
     ("[scan]\nkmax = 1\n", "scan.kmax"),
     ("[verify]\nresolutions = 2001,100\n", "verify.resolutions"),
     ("[flow]\nmax-steps = 0\n", "flow.max-steps"),
-    ("[flow]\nt-max = 0\n", "flow.t-max"),
-    ("[flow]\nt-max = -1\n", "flow.t-max"),
     ("[flow]\ndt = -0.5\n", "flow.dt"),
     ("[flow]\ntol = nan\n", "flow.tol"),
     ("[model-params]\namplitude = nan\n", "model-params.amplitude"),
     ("[model-params]\nn = 0\n", "model-params.n"),
     ("p =\n", "p: minimize needs 2 periods .* got 0"),
     ("[verify]\nresolutions =\n", "verify.resolutions"),
+    ("command = anneal\n", "command: unknown command 'anneal'"),
+    ("[verify]\ngrid = 1\n", "verify.grid: must be >= 2"),
+    ("[verify]\ncross-check = maybe\n", "line 2: verify.cross-check: expected a boolean"),
+    ("[flow\ntol = 1e-9\n", "line 1: unterminated section header"),
 ])
 def test_parse_rejects_bad_values(text, path):
     with pytest.raises(ConfigError, match=path):
@@ -269,6 +272,17 @@ def test_landscape_csv(tmp_path):
     assert rows[(0.5, 0.5)] == pytest.approx(2.0, abs=1e-12)
     # scientific notation with 17 significant digits
     assert re.match(r"^-?\d\.\d{16}e[+-]\d{2},", lines[1])
+
+
+def test_landscape_out_csv_parks_the_manifest_beside_it(tmp_path):
+    # the README's example: --out x.csv is the grid, and x.json the manifest
+    csv = tmp_path / "x.csv"
+    assert main(["landscape", "--grid", "11", "--out", str(csv)]) == 0
+    cols = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert cols.shape == (11 * 11, 3)
+    data = json.loads((tmp_path / "x.json").read_text())
+    assert [f["path"] for f in data["files"]] == [str(csv)]
+    assert data["scalars"]["grid_max"] == cols[:, 2].max()
 
 
 def test_landscape_spans_the_order_box(tmp_path):
@@ -566,6 +580,23 @@ def test_mpp_exits_1_when_the_mountain_pass_fails(tmp_path, monkeypatch):
     assert data["errors"] == ["chain top not certified"]
 
 
+def test_mph_exits_1_when_the_mountain_pass_fails(tmp_path, monkeypatch):
+    real = cli.mountain_pass_hetero
+
+    def failing(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.success, res.message = False, "chain top not certified"
+        return res
+
+    monkeypatch.setattr(cli, "mountain_pass_hetero", failing)
+    out = tmp_path / "mph.json"
+    assert main(["mph", "--model", "pinned-fk", "--q", "1", "--window", "20",
+                 "--seed", "5", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["scalars"]["success"] is False
+    assert data["errors"] == ["chain top not certified"]
+
+
 def test_gap_requires_seed(capsys):
     with pytest.raises(SystemExit):
         main(["gap", "--model", "classical-fk", "--p", "1,1"])
@@ -612,3 +643,24 @@ def test_validate_command(tmp_path):
     data = json.loads(out.read_text())
     names = {c["name"] for c in data["tables"]["assumptions"]}
     assert {"S1", "S2", "S3", "S4", "derivatives"} <= names
+
+
+def test_coupling_reaches_the_model(tmp_path):
+    # the (S4) bound 4 pi^2 + 4 n |coupling| moves with --coupling (default 1/16)
+    notes = []
+    for flags in ([], ["--coupling", "0.125"]):
+        out = tmp_path / "val.json"
+        assert main(["validate", "--seed", "0", "--out", str(out)] + flags) == 0
+        checks = json.loads(out.read_text())["tables"]["assumptions"]
+        notes += [c["note"] for c in checks if c["name"] == "S4"]
+    assert notes == ["bound C = 39.9784", "bound C = 40.4784"]
+
+
+def test_validate_exits_1_when_an_assumption_fails(tmp_path):
+    # an on-site term with no coupling breaks (S3) strictness
+    out = tmp_path / "val.json"
+    assert main(["validate", "--model", "helper_models:onsite_only", "--seed", "0",
+                 "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["errors"] == ["assumption checks failed"]
+    assert "S3" in {c["name"] for c in data["tables"]["assumptions"] if not c["passed"]}

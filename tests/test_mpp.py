@@ -314,6 +314,25 @@ def test_heat_flow_classifies_in_batches(classical, params, monkeypatch):
     assert calls[0] == 33
 
 
+def test_heat_flow_counts_the_tears_it_cannot_resolve(classical, params, monkeypatch):
+    # with every Newton failing no tear resolves, and a tear ends only when it
+    # narrows below 1e-14: the two tears between the 33 nodes split into four,
+    # which all end after 21 rounds ((1/32) / 4^21 < 1e-14)
+    calls = []
+    classify = mpp._classify_flow
+
+    def spy(system, X, *args):
+        calls.append(len(X))
+        return classify(system, X, *args)
+
+    monkeypatch.setattr(mpp, "_classify_flow", spy)
+    monkeypatch.setattr(mpp, "refine_critical", lambda system, x, tol: (x, 1.0, False))
+    gap = find_gap_pair(classical, (1, 1), seed=7, params=params)
+    res = best_mountain_pass(classical, gap, (2, 1), params, mode="heat-flow", N=33)
+    assert not res.success and res.message == "4 unresolved tears"
+    assert len(calls) == 22 and calls[0] == 33
+
+
 def test_critical_gate_names_the_failed_check(classical, gap, mp21):
     _, hi = gap.order_box(classical, (2, 1))
     x, e, c = mp21.critical, mp21.value, mp21.c_ref

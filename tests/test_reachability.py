@@ -210,3 +210,66 @@ def test_a_config_field_read_only_by_validate_is_flagged(tmp_path):
         "def run(cfg):\n    return cfg.model, cfg.model_params(), row.restarts\n")
     # ``n`` is read through ``model_params``; ``restarts`` only off a row
     assert unread_config_fields(tmp_path) == {"kind", "restarts"}
+
+
+def unread_defaults(src: Path) -> set:
+    """Module-level constants of ``defaults.py`` that no module other than
+    ``__init__.py`` loads, as a bare name or as an attribute (``defaults.X``).
+    A read inside ``defaults.py`` itself, as by ``default_node_count``, counts."""
+    tree = ast.parse((src / "defaults.py").read_text())
+    constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return constants - read
+
+
+def test_every_default_is_read():
+    assert unread_defaults(SRC) == set(), \
+        "constants no module reads (delete them with the code that used them)"
+
+
+def test_a_default_only_imported_is_flagged(tmp_path):
+    (tmp_path / "defaults.py").write_text(
+        "CAP = 3\nTOL = 1e-9\nSTEP = 0.5\nOLD = 80\n\n"
+        "def rule(n):\n    return min(n, CAP)\n")
+    (tmp_path / "a.py").write_text(
+        "from . import defaults\nfrom .defaults import OLD, TOL\n\n"
+        "def run(x):\n    return x < TOL, defaults.STEP\n")
+    assert unread_defaults(tmp_path) == {"OLD"}
+
+
+def unused_imports(src: Path) -> set:
+    """``module:name`` for each name a module other than ``__init__.py``
+    (whose imports are its exports) imports and never loads."""
+    unused = set()
+    for name, tree in _trees(src).items():
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused.update("%s:%s" % (name, b) for b in bound - loaded)
+    return unused
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    assert unused_imports(SRC) == set()
+
+
+def test_an_unused_import_is_flagged(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\nimport math\nimport os.path\n"
+        "import numpy as np\nfrom .defaults import CAP, OLD as STALE\n\n"
+        "def run(x: np.ndarray):\n    return os.path.join(str(CAP), str(x))\n")
+    assert unused_imports(tmp_path) == {"a.py:math", "a.py:STALE"}
