@@ -103,6 +103,8 @@ def test_abbreviated_flags_are_rejected(command, flag, tmp_path, capsys):
     ("[scan]\nkmax = 1\n", "scan.kmax"),
     ("[verify]\nresolutions = 2001,100\n", "verify.resolutions"),
     ("[flow]\nmax-steps = 0\n", "flow.max-steps"),
+    ("[flow]\nt-max = 0\n", "flow.t-max"),
+    ("[flow]\nt-max = -1\n", "flow.t-max"),
     ("[flow]\ndt = -0.5\n", "flow.dt"),
     ("[flow]\ntol = nan\n", "flow.tol"),
     ("[model-params]\namplitude = nan\n", "model-params.amplitude"),
