@@ -12,7 +12,7 @@ from .fields import FkSaddleError, PeriodError, WindowError, validate_periods
 from .model import (BUILTIN_MODELS, ClassicalFKPotential, PluginPotential,
                     SitePotential, TwoWellFKPotential, ball_offsets,
                     make_potential, validate_assumptions)
-from .semiflow import FlowError, FlowParams, flow, flow_to_stationarity
+from .semiflow import FlowError, flow, flow_to_stationarity
 from .periodic import (GapPair, MinimizeResult, NoGapError, PeriodicSystem,
                        find_gap_pair, minimize_periodic)
 from .mpp import (MinimaxResult, best_mountain_pass, box_path, chi_path,

@@ -37,7 +37,6 @@ from .model import make_potential, residual_field, validate_assumptions
 from .mpp import best_mountain_pass, multiplicity_scan
 from .periodic import (default_minimize_seeds, find_gap_pair, minimize_periodic,
                        require_gap)
-from .semiflow import FlowParams
 from .verify import (cross_check_mountain_pass, run_property_suite,
                      sample_landscape)
 
@@ -92,17 +91,17 @@ class Manifest:
         return path
 
 
-def _gap_or_fail(pot, cfg, params):
+def _gap_or_fail(pot, cfg):
     gap = find_gap_pair(pot, (1,) * pot.n, probes=cfg.probes,
-                        seed=cfg.seed or 0, params=params)
+                        seed=cfg.seed or 0, tol=cfg.tol)
     return require_gap(gap)
 
 
-def _minimize_kink(pot, cfg, gap0, params, man, **kw):
+def _minimize_kink(pot, cfg, gap0, man, **kw):
     """The heteroclinic ground state on the job's window.  A fixed window
     whose tail bound is not below TAIL_BOUND_TOL fails the run (the
     doubling policy never stops short of it)."""
-    res = minimize_hetero(pot, cfg.q, gap0, params, window=cfg.window, **kw)
+    res = minimize_hetero(pot, cfg.q, gap0, cfg.tol, window=cfg.window, **kw)
     if not res.tail_bound < TAIL_BOUND_TOL:
         man.errors.append("tail bound %g at window W=%d is not below "
                           "TAIL_BOUND_TOL=%g: widen the window or leave it "
@@ -125,13 +124,12 @@ def run(cfg: RunConfig) -> Manifest:
     """Dispatch one validated configuration; returns the filled manifest."""
     cfg.validate()
     pot = make_potential(cfg.model, **cfg.model_params())
-    params = FlowParams(stationarity_tol=cfg.tol)
     man = Manifest(cfg)
     cmd = cfg.command
 
     if cmd == "minimize":
         seeds = default_minimize_seeds(np.random.default_rng(cfg.seed or 0), cfg.p)
-        res = minimize_periodic(pot, cfg.p, seeds, params)
+        res = minimize_periodic(pot, cfg.p, seeds, cfg.tol)
         man.scalars["c0p"] = res.c0p
         man.scalars["iterations"] = res.iterations
         man.scalars["residuals"] = [
@@ -144,7 +142,7 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "gap":
         gap = find_gap_pair(pot, cfg.p, probes=cfg.probes, seed=cfg.seed or 0,
-                            params=params)
+                            tol=cfg.tol)
         if gap is None:
             man.errors.append("no gap found")
         else:
@@ -153,8 +151,8 @@ def run(cfg: RunConfig) -> Manifest:
             man.tables["evidence"] = gap.evidence
 
     elif cmd == "mpp":
-        gap = _gap_or_fail(pot, cfg, params)
-        res = best_mountain_pass(pot, gap, cfg.p, params, N=cfg.nodes)
+        gap = _gap_or_fail(pot, cfg)
+        res = best_mountain_pass(pot, gap, cfg.p, cfg.tol, N=cfg.nodes)
         man.scalars.update(_saddle(res, "d0p", "c0p"), success=res.success,
                            argmax_index=res.argmax_index,
                            iterations=res.iterations)
@@ -165,7 +163,7 @@ def run(cfg: RunConfig) -> Manifest:
             man.add_file(cfg.fields_out)
 
     elif cmd == "landscape":
-        gap = _gap_or_fail(pot, cfg, params)
+        gap = _gap_or_fail(pot, cfg)
         (ga, gb), values, vmax, at = sample_landscape(pot, gap, cfg.grid)
         path = cfg.fields_out or (
             cfg.out if cfg.out and cfg.out.endswith(".csv") else "landscape.csv")
@@ -182,8 +180,8 @@ def run(cfg: RunConfig) -> Manifest:
         man.scalars["grid_max_at"] = list(at)
 
     elif cmd == "multiplicity":
-        gap = _gap_or_fail(pot, cfg, params)
-        scan = multiplicity_scan(pot, cfg.kmax, gap, params)
+        gap = _gap_or_fail(pot, cfg)
+        scan = multiplicity_scan(pot, cfg.kmax, gap, cfg.tol)
         man.tables["rows"] = [
             dict(_saddle(r.result, "d0p", "c0p"), k=r.k, witness=r.witness,
                  ok=r.result.success, message=r.result.message)
@@ -194,8 +192,8 @@ def run(cfg: RunConfig) -> Manifest:
             man.errors.append("one or more scan rows failed")
 
     elif cmd == "hetero":
-        gap0 = _gap_or_fail(pot, cfg, params)
-        res = _minimize_kink(pot, cfg, gap0, params, man)
+        gap0 = _gap_or_fail(pot, cfg)
+        res = _minimize_kink(pot, cfg, gap0, man)
         man.scalars["c1q"] = res.c1q
         man.scalars["c1"] = res.c1
         man.scalars["c0"] = res.c0
@@ -213,14 +211,14 @@ def run(cfg: RunConfig) -> Manifest:
             man.add_file(cfg.fields_out)
 
     elif cmd == "mph":
-        gap0 = _gap_or_fail(pot, cfg, params)
-        mres = _minimize_kink(pot, cfg, gap0, params, man, check_stability=False)
+        gap0 = _gap_or_fail(pot, cfg)
+        mres = _minimize_kink(pot, cfg, gap0, man, check_stability=False)
         gap1 = find_gap_pair_hetero(pot, mres, gap0, probes=cfg.probes,
-                                    seed=cfg.seed or 0, params=params)
+                                    seed=cfg.seed or 0, tol=cfg.tol)
         if gap1 is None:
             man.errors.append("no heteroclinic gap pair found")
         else:
-            res = mountain_pass_hetero(pot, gap1, params, N=cfg.nodes)
+            res = mountain_pass_hetero(pot, gap1, cfg.tol, N=cfg.nodes)
             man.scalars.update(_saddle(res, "d1q", "c1q"), success=res.success,
                                tails=[gap0.lo.item(), gap0.hi.item()],
                                window=mres.window)
@@ -232,9 +230,9 @@ def run(cfg: RunConfig) -> Manifest:
 
     elif cmd == "verify":
         # the suite and the cross check share one gap pair on the unit torus
-        gap = _gap_or_fail(pot, cfg, params) if cfg.cross_check else None
+        gap = _gap_or_fail(pot, cfg) if cfg.cross_check else None
         reports = run_property_suite(pot, cfg.p, seed=cfg.seed or 0,
-                                     trials=cfg.trials, params=params, gap=gap,
+                                     trials=cfg.trials, tol=cfg.tol, gap=gap,
                                      probes=cfg.probes)
         man.tables["properties"] = [
             {"name": r.name, "trials": r.trials, "worst_margin": r.worst_margin,
@@ -245,7 +243,7 @@ def run(cfg: RunConfig) -> Manifest:
             man.errors.append("failed properties: %s" % ", ".join(failed))
         if cfg.cross_check:
             cc = cross_check_mountain_pass(pot, gap, resolutions=cfg.resolutions,
-                                           params=params)
+                                           tol=cfg.tol)
             man.scalars["node_flow"] = cc.node_flow
             man.scalars["heat_flow"] = cc.heat_flow
             man.scalars["oracle"] = {str(k): v for k, v in cc.oracle.items()}

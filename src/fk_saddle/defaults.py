@@ -7,7 +7,7 @@ here so that the test suite and the library agree on a single source of truth.
 # --- stationarity / convergence -------------------------------------------
 STATIONARITY_TOL = 1e-10      # l2 residual at which a field counts as stationary
 ENERGY_INCREASE_TOL = 1e-10   # largest admissible energy increase per flow step (more is a FlowError)
-FLOW_T_MAX = 200.0            # flow horizon of a run (the FlowParams default)
+FLOW_T_MAX = 200.0            # flow horizon of a run (the default t_max of semiflow.flow)
 POLISH_TOL = 1e-13            # Newton finish of a flowed ground state (torus and strip): sup residual
 POLISH_MAX_ITER = 30          # ... and its iteration cap
 NEWTON_BLOCK_SITES = 24       # Newton's block LU groups whole strip layers into blocks of about this many sites

@@ -27,8 +27,8 @@ i_1 = -W..W of a finite window; the window, the tails outside it and the
 base state belong to ``periodic.StripSystem``, whose ``total`` alone writes
 the tails into an array (the stencil's ghost layers, the window doubling and
 the kink's translate).  The tails are the ground pair's states tiled across
-q (``GapPair.frame``), and ``minimize_hetero`` reports the window and tails
-its kink ``v1`` was computed on.  Every reported value must be stable under
+q (``GapPair.frame``), and ``minimize_hetero`` reports the window its kink
+``v1`` was computed on.  Every reported value must be stable under
 window doubling, and the window policy grows the window until the tail
 contribution bound falls below tolerance.
 """
@@ -41,13 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import (DEDUP_TOL, GAP_PROBES, HETERO_SEED_SHIFTS,
-                       HETERO_SEED_WIDTH, TAIL_BOUND_TOL, WINDOW_CAP, WINDOW_START)
+                       HETERO_SEED_WIDTH, STATIONARITY_TOL, TAIL_BOUND_TOL,
+                       WINDOW_CAP, WINDOW_START)
 from .fields import FkSaddleError, WindowError, tile, validate_periods
 from .model import SitePotential
 from .mpp import MinimaxResult, best_mountain_pass
 from .periodic import (GapPair, StripSystem, polish_limits, probe_adjacency,
                        require_gap)
-from .semiflow import FlowError, FlowParams, flow
+from .semiflow import FlowError, flow
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +60,6 @@ class HeteroMinimizeResult:
     v1: np.ndarray             # the kink on the window, shape (2 window + 1, *q)
     c1q: float
     window: int
-    tails: tuple               # (left, right): the ground pair's states, one layer each
     tail_bound: float
     stability: float           # |c1q(W) - c1q(2W)| when computed
     c0: float
@@ -88,15 +88,15 @@ def _tail_bound(system: StripSystem, x) -> float:
     return L_const * system.potential.nball * float(dev_left + dev_right)
 
 
-def _minimize_on_window(potential, q, W, gap0, params, carried=()):
+def _minimize_on_window(potential, q, W, gap0, tol, carried=()):
     system = StripSystem(potential, q, W, *gap0.frame(potential, q))
     arrays = list(carried) + default_hetero_seeds(system)
     # flow first, then Newton: the flow finds the basin, Newton finishes the
     # job (weakly pinned models have diffusive modes far slower than any
     # reasonable flow budget, and the flow tolerance would anyway leave junk
     # in the far layers that keeps the tail-mass bound from converging)
-    x, _, _ = flow(system, np.stack(arrays), params)
-    fields = polish_limits(system, x, params)
+    x, _, _ = flow(system, np.stack(arrays), tol)
+    fields = polish_limits(system, x, tol)
     if not fields:
         raise FlowError("no heteroclinic seed converged on window W=%d" % W)
     es = [float(system.energy(f)) for f in fields]
@@ -105,7 +105,7 @@ def _minimize_on_window(potential, q, W, gap0, params, carried=()):
 
 
 def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
-                    params: FlowParams | None = None,
+                    tol: float = STATIONARITY_TOL,
                     window: int | None = None,
                     check_stability: bool = True) -> HeteroMinimizeResult:
     """Relax step profiles to the heteroclinic ground state.
@@ -117,14 +117,13 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
     check relaxes the minimizer again at half-width 2W, twice the sites.
     """
     gap0 = require_gap(gap0)
-    params = params or FlowParams()
     q = validate_periods(q) if len(tuple(q)) else ()
     W = int(window) if window is not None else WINDOW_START
     carried = ()
     prev_bound = math.inf
     while True:
         system, fields, es, best = _minimize_on_window(
-            potential, q, W, gap0, params, carried)
+            potential, q, W, gap0, tol, carried)
         bound = _tail_bound(system, fields[best])
         if window is not None or bound < TAIL_BOUND_TOL:
             break
@@ -143,7 +142,7 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
     stability = math.nan
     if check_stability:
         carried = [system.total(fields[best], W)]
-        _, _, be, bb = _minimize_on_window(potential, q, 2 * W, gap0, params, carried)
+        _, _, be, bb = _minimize_on_window(potential, q, 2 * W, gap0, tol, carried)
         stability = abs(es[best] - be[bb])
     # empirical lower-bound constant: worst dip of windowed partial sums
     layer = system.layer_energies(fields[best])
@@ -157,7 +156,7 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
         # the one-column reference level; varying the transverse periods must
         # reproduce it exactly per cell
         ones = (1,) * len(q)
-        _, _, e1, b1 = _minimize_on_window(potential, ones, W, gap0, params)
+        _, _, e1, b1 = _minimize_on_window(potential, ones, W, gap0, tol)
         c1 = e1[b1]
         if abs(es[best] - prods * c1) > 1e-8 * prods:
             raise FkSaddleError(
@@ -166,7 +165,7 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
     else:
         c1 = es[best]
     return HeteroMinimizeResult(
-        v1=fields[best], c1q=es[best], window=W, tails=system.tails,
+        v1=fields[best], c1q=es[best], window=W,
         tail_bound=bound, stability=stability, c0=system.c0, c1=c1,
         k1_empirical=max(0.0, -run_min))
 
@@ -178,7 +177,7 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
 def find_gap_pair_hetero(potential: SitePotential,
                          minimized: HeteroMinimizeResult, gap0: GapPair,
                          probes: int = GAP_PROBES, seed: int = 0,
-                         params: FlowParams | None = None):
+                         tol: float = STATIONARITY_TOL):
     """Adjacent ordered pair inside the heteroclinic minimizer family.
 
     The partner of the kink v1 of ``minimized`` (which fixes q and the
@@ -187,7 +186,6 @@ def find_gap_pair_hetero(potential: SitePotential,
     minimizers (as in the free chain) returns None.
     """
     gap0 = require_gap(gap0)
-    params = params or FlowParams()
     # w1(i) = v1(i + e_1): the window one layer on, the right tail entering
     v1, q = minimized.v1, minimized.v1.shape[1:]
     kink = StripSystem(potential, q, v1.shape[0] // 2, *gap0.frame(potential, q))
@@ -197,13 +195,13 @@ def find_gap_pair_hetero(potential: SitePotential,
         return None  # translate indistinguishable: no discrete kink lattice
     if np.min(width) < -1e-9:
         return None  # translate not ordered above v1
-    if np.max(np.abs(system.grad(width))) > max(1e-8, 100 * params.stationarity_tol):
+    if np.max(np.abs(system.grad(width))) > max(1e-8, 100 * tol):
         # the translate fails the equilibrium equation: the minimizer family
         # is a continuum (free-chain-like), not a discrete kink lattice
         return None
     rng = np.random.default_rng(seed)
     pair.evidence = probe_adjacency(system, np.zeros_like(width), width,
-                                    minimized.c1q, params, probes,
+                                    minimized.c1q, tol, probes,
                                     lambda: rng.uniform(0.05, 0.95))
     if pair.evidence["distinct_interior_minimizers"]:
         return None
@@ -215,7 +213,7 @@ def find_gap_pair_hetero(potential: SitePotential,
 # ---------------------------------------------------------------------------
 
 def mountain_pass_hetero(potential: SitePotential, gap1: GapPair,
-                         params: FlowParams | None = None,
+                         tol: float = STATIONARITY_TOL,
                          N: int | None = None) -> MinimaxResult:
     """Minimax over strip paths from 0 to w1 - v1 inside the order box:
     :func:`mpp.best_mountain_pass` on the pair's own transverse periods, from
@@ -225,7 +223,7 @@ def mountain_pass_hetero(potential: SitePotential, gap1: GapPair,
     The returned critical offset rides on v1; its level d1 exceeds c1 and
     its residual is below tolerance at every window site.
     """
-    return best_mountain_pass(potential, gap1, None, params, N=N)
+    return best_mountain_pass(potential, gap1, None, tol, N=N)
 
 
 # ---------------------------------------------------------------------------

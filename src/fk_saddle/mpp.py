@@ -55,11 +55,12 @@ from .defaults import (BASIN_MATCH_TOL, CHAIN_CERT_MAX_STATES, CHAIN_CERT_TOL,
                        CLASSIFY_CHECK_TIME, COMPARE_TOL, HEAT_CLASSIFY_TIME,
                        HEAT_SETTLE_TIME, HEAT_SETTLE_TOL, MAX_SWEEPS,
                        PLATEAU_TIME, PLATEAU_TOL, REFINE_TRIGGER,
-                       REPARAM_TIME, WITNESS_NODES, default_node_count)
+                       REPARAM_TIME, STATIONARITY_TOL, WITNESS_NODES,
+                       default_node_count)
 from .fields import FkSaddleError
 from .model import SitePotential
 from .periodic import require_gap
-from .semiflow import FlowParams, _l2, flow, guarded_step, refine_critical
+from .semiflow import _l2, flow, guarded_step, refine_critical
 
 
 class PathError(FkSaddleError):
@@ -305,7 +306,7 @@ def _climbing_force(system, nodes, peaks):
     return force
 
 
-def _minimax_node_flow(system, nodes0, hi, params):
+def _minimax_node_flow(system, nodes0, hi, tol):
     """The climbing string method (E, Ren & Vanden-Eijnden, J. Chem. Phys.
     126, 164103, 2007): flow the interior nodes and reparametrize every
     ``REPARAM_TIME`` of flow.  Once the string max has flattened, the local
@@ -328,7 +329,6 @@ def _minimax_node_flow(system, nodes0, hi, params):
     energies = system.energy(nodes)
     c_ref = float(min(energies[0], energies[-1]))
     reparam_sweeps = []
-    refine_tol = params.stationarity_tol
     found = None
     message = "saddle not isolated at tolerance"
     d_upper, densified = math.nan, 0
@@ -362,10 +362,10 @@ def _minimax_node_flow(system, nodes0, hi, params):
             climbing = True
         elif delta < REFINE_TRIGGER * scale:
             # j is the top climbing node: the argmax is a local maximum
-            x_ref, res_inf, ok = refine_critical(system, nodes[j], refine_tol)
+            x_ref, res_inf, ok = refine_critical(system, nodes[j], tol)
             if ok:
                 e_ref = float(system.energy(x_ref))
-                failed = _validate_critical(x_ref, hi, e_ref, c_ref, refine_tol)
+                failed = _validate_critical(x_ref, hi, e_ref, c_ref, tol)
                 if failed is None:
                     d_upper, n = _certify_chain(system, nodes, hi, j, x_ref, e_ref)
                     densified += n
@@ -502,7 +502,7 @@ class _Tear:
     open: bool = True
 
 
-def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
+def _minimax_heat_flow(system, path0: np.ndarray, hi, tol):
     """Heat-flow edge tracking (Skufca, Yorke & Eckhardt, Phys. Rev. Lett.
     96, 174101, 2006).
 
@@ -530,8 +530,7 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
     path0 = np.asarray(path0, dtype=float)
     N = path0.shape[0]
     # settle phase: flow the whole chain (endpoints are fixed points)
-    nodes, settle_steps, _ = flow(system, path0, params.with_(
-        t_max=HEAT_SETTLE_TIME, stationarity_tol=HEAT_SETTLE_TOL))
+    nodes, settle_steps, _ = flow(system, path0, HEAT_SETTLE_TOL, HEAT_SETTLE_TIME)
     c_ref = float(np.min(system.energy(path0[[0, -1]])))
     # classify node limits; reps collects the attractor representatives
     reps = []
@@ -545,7 +544,6 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
     # path; a tear's persistent level is its edge state between the two basins
     tears = [_Tear(thetas[m], thetas[m + 1], labels[m], labels[m + 1])
              for m in reversed(range(N - 1)) if labels[m] != labels[m + 1]]
-    refine_tol = params.stationarity_tol
     unresolved = 0
     while batch := [tear for tear in tears if tear.open]:
         lo, up = np.array([[tear.lo, tear.hi] for tear in batch]).T
@@ -570,7 +568,7 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
             collapsed = tear.hi - tear.lo < 1e-13
             # Newton after every 3rd round of the tear, or on collapse
             if tear.rounds % 3 == 0 or collapsed:
-                x_ref, _, ok = refine_critical(system, tear.best[1], refine_tol)
+                x_ref, _, ok = refine_critical(system, tear.best[1], tol)
                 if ok:
                     e_ref = float(system.energy(x_ref))
                     floor = max(rep_energy[tear.lab_lo], rep_energy[tear.lab_hi])
@@ -603,17 +601,17 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
         candidates += tear.found
     # the persistent level is the largest candidate
     val, x_best, th_best = max(candidates, key=lambda c: c[0])
-    x_ref, res_best, ok = refine_critical(system, x_best, refine_tol)
+    x_ref, res_best, ok = refine_critical(system, x_best, tol)
     e_ref = float(system.energy(x_ref))
     if ok and abs(e_ref - val) <= max(1e-8, 1e-8 * abs(val)):
         x_best, val = x_ref, e_ref
     else:
         res_best = float(np.max(np.abs(system.grad(x_best))))
-        ok = res_best <= refine_tol
+        ok = res_best <= tol
     # gated like a node-flow saddle, with no chain certificate
     message = ("%d unresolved tears" % unresolved if unresolved else
                "edge refinement exceeded tolerance" if not ok else
-               _validate_critical(x_best, hi, val, c_ref, refine_tol) or "")
+               _validate_critical(x_best, hi, val, c_ref, tol) or "")
     return MinimaxResult(
         value=val, argmax_index=int(np.argmin(np.abs(thetas - th_best))),
         critical=x_best, residual=res_best,
@@ -626,7 +624,7 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, params):
 # ---------------------------------------------------------------------------
 
 def mountain_pass(potential: SitePotential, gap, path0,
-                  params: FlowParams | None = None,
+                  tol: float = STATIONARITY_TOL,
                   mode: str = "node-flow") -> MinimaxResult:
     """Compute the minimax level and a critical field inside the gap box.
 
@@ -650,11 +648,11 @@ def mountain_pass(potential: SitePotential, gap, path0,
     # bare names are read from the module globals on every call, so a
     # wrapper bound to either name (the benchmark's tracer) sees every run
     engine = _minimax_node_flow if mode == "node-flow" else _minimax_heat_flow
-    return engine(system, check_chain(nodes, hi), hi, params or FlowParams())
+    return engine(system, check_chain(nodes, hi), hi, tol)
 
 
 def best_mountain_pass(potential: SitePotential, gap, periods=None,
-                       params: FlowParams | None = None,
+                       tol: float = STATIONARITY_TOL,
                        mode: str = "node-flow", N: int | None = None) -> MinimaxResult:
     """:func:`mountain_pass` from the column ramp (:func:`box_path`) across
     the first periodic axis of the order box on ``periods`` (default: the
@@ -670,7 +668,7 @@ def best_mountain_pass(potential: SitePotential, gap, periods=None,
     hi = gap.order_box(potential, periods)[1]
     lattice = hi.ndim - len(gap.periods)
     N = default_node_count(hi.shape[lattice:]) if N is None else N
-    return mountain_pass(potential, gap, box_path(hi, N, axis=lattice), params,
+    return mountain_pass(potential, gap, box_path(hi, N, axis=lattice), tol,
                          mode=mode)
 
 
@@ -735,7 +733,7 @@ def _shift_orbit_distance(a: np.ndarray, b: np.ndarray, axis: int) -> float:
 
 
 def multiplicity_scan(potential: SitePotential, k_max: int, gap,
-                      params: FlowParams | None = None) -> MultiplicityScan:
+                      tol: float = STATIONARITY_TOL) -> MultiplicityScan:
     """Mountain passes over the periods (k, 1, ..., 1), k = 1..k_max.
 
     On a torus ``GapPair`` these are the elongated tori p(k); on a strip
@@ -766,13 +764,12 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap,
     gap = require_gap(gap)
     if not gap.periods:
         raise PathError("the pair has no periodic axis to scan")
-    params = params or FlowParams()
     rows = []
     for k in range(1, k_max + 1):
         periods = (k,) + (1,) * (len(gap.periods) - 1)
         try:
             system, hi = gap.order_box(potential, periods)
-            res = best_mountain_pass(potential, gap, periods, params)
+            res = best_mountain_pass(potential, gap, periods, tol)
             witness = box_path(hi, WITNESS_NODES, k if k > 1 else None,
                                hi.ndim - len(periods))
             top = float(np.max(system.energy(witness)))

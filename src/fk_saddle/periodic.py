@@ -26,11 +26,12 @@ import numpy as np
 
 from .defaults import (DEDUP_TOL, GAP_PROBES, MINIMIZE_GRID_SEEDS,
                        MINIMIZE_RANDOM_SEEDS, MINIMIZER_ENERGY_MARGIN,
-                       POLISH_MAX_ITER, POLISH_TOL, STRICT_ORDER_TOL)
+                       POLISH_MAX_ITER, POLISH_TOL, STATIONARITY_TOL,
+                       STRICT_ORDER_TOL)
 from .fields import (FkSaddleError, PeriodError, WindowError, stencil, tile,
                      validate_periods)
 from .model import SitePotential, site_energies
-from .semiflow import FlowParams, flow_to_stationarity, refine_critical
+from .semiflow import flow_to_stationarity, refine_critical
 
 
 class NoGapError(FkSaddleError):
@@ -155,26 +156,26 @@ def _dedup(fields, energies):
     return [out[i] for i in order], [out_e[i] for i in order]
 
 
-def polish_limits(system, x, params: FlowParams) -> list:
+def polish_limits(system, x, tol: float) -> list:
     """The distinct limits of a flowed batch ``x``, Newton-finished once each.
 
     A state within l-inf DEDUP_TOL of a limit already kept is skipped; the
     others are polished to POLISH_TOL (flow-tolerance errors in ground states
     would leak into every downstream box and strip tail), and one whose
-    Newton stalls above the flow's ``stationarity_tol`` is dropped.
+    Newton stalls above the flow's ``tol`` is dropped.
     """
     kept = []
     for xi in x:
         if any(np.max(np.abs(xi - k)) <= DEDUP_TOL for k in kept):
             continue
         xr, res_inf, ok = refine_critical(system, xi, POLISH_TOL, POLISH_MAX_ITER)
-        if ok or res_inf <= params.stationarity_tol:
+        if ok or res_inf <= tol:
             kept.append(xr)
     return kept
 
 
 def minimize_periodic(potential: SitePotential, periods, seeds,
-                      params: FlowParams | None = None) -> MinimizeResult:
+                      tol: float = STATIONARITY_TOL) -> MinimizeResult:
     """Flow every seed to stationarity and keep the lowest-energy limit.
 
     Seeds are floats (constant fields) or arrays of shape ``periods``.  The
@@ -183,7 +184,6 @@ def minimize_periodic(potential: SitePotential, periods, seeds,
     distance.
     """
     periods = validate_periods(periods)
-    params = params or FlowParams()
     if not seeds:
         raise FkSaddleError("minimize_periodic needs at least one seed")
     try:
@@ -192,9 +192,9 @@ def minimize_periodic(potential: SitePotential, periods, seeds,
     except ValueError:
         raise PeriodError("seeds must be floats or arrays of shape %r" % (periods,))
     system = PeriodicSystem(potential, periods)
-    x, steps = flow_to_stationarity(system, x0, params)
+    x, steps = flow_to_stationarity(system, x0, tol)
     # every flowed state is stationary, so polishing drops none of them
-    limits = polish_limits(system, x, params)
+    limits = polish_limits(system, x, tol)
     energies = [float(system.energy(f)) for f in limits]
     fields, es = _dedup(limits, energies)
     best_i = int(np.argmin(es))
@@ -257,7 +257,7 @@ def default_minimize_seeds(rng, periods):
 
 
 def find_gap_pair(potential: SitePotential, periods, probes: int = GAP_PROBES,
-                  seed: int = 0, params: FlowParams | None = None):
+                  seed: int = 0, tol: float = STATIONARITY_TOL):
     """Locate two adjacent global minimizers, or return None.
 
     Candidate pairs are consecutive lift-normalized minimizers (plus the
@@ -270,10 +270,9 @@ def find_gap_pair(potential: SitePotential, periods, probes: int = GAP_PROBES,
     if probes < 1:
         raise FkSaddleError("probes must be >= 1")
     periods = validate_periods(periods)
-    params = params or FlowParams()
     rng = np.random.default_rng(seed)
     res = minimize_periodic(potential, periods,
-                            default_minimize_seeds(rng, periods), params)
+                            default_minimize_seeds(rng, periods), tol)
     mins = [(f, e) for f, e in zip(res.limits, res.energies)
             if e <= res.c0p + MINIMIZER_ENERGY_MARGIN]
     fields = [f for f, _ in mins]
@@ -285,7 +284,7 @@ def find_gap_pair(potential: SitePotential, periods, probes: int = GAP_PROBES,
         if np.min(w - v) <= STRICT_ORDER_TOL:
             continue  # not strictly ordered
         evidence = probe_adjacency(
-            system, v, w, res.c0p, params, probes,
+            system, v, w, res.c0p, tol, probes,
             lambda: rng.uniform(0.05, 0.95, size=periods))
         evidence["minimizer_orbits"] = len(fields)
         if not evidence["distinct_interior_minimizers"]:
@@ -293,7 +292,7 @@ def find_gap_pair(potential: SitePotential, periods, probes: int = GAP_PROBES,
     return None
 
 
-def probe_adjacency(system, lo, hi, level, params, probes, draw) -> dict:
+def probe_adjacency(system, lo, hi, level, tol, probes, draw) -> dict:
     """Probe-flow evidence that no minimizer lies strictly between lo < hi.
 
     Probe flows start on ``probes`` evenly spaced convex combinations of the
@@ -307,7 +306,7 @@ def probe_adjacency(system, lo, hi, level, params, probes, draw) -> dict:
     fractions = [(k + 1) / (probes + 1) for k in range(probes)]
     fractions += [draw() for _ in range(max(2, probes // 2))]
     x, _ = flow_to_stationarity(
-        system, np.stack([lo + f * width for f in fractions]), params)
+        system, np.stack([lo + f * width for f in fractions]), tol)
     energies = system.energy(x)
     minimizers = critical = 0
     for xi, e in zip(x, energies):

@@ -17,10 +17,12 @@ follow from the scheme.  A step that raises the energy of any batch member
 by more than ``ENERGY_INCREASE_TOL`` can only mean the system's L is wrong,
 and it is a ``FlowError`` that names L and the rise.
 
-``flow`` returns the final state, its step count and its worst l2 residual;
-it steps at the system's ``dt_safe`` and stops at stationarity or at flow
-time ``t_max``, its only horizon.  ``stationarity_tol=0.0`` runs it to
-``t_max``.
+``flow(system, x0, tol, t_max)`` returns the final state, its step count
+and its worst l2 residual; it steps at the system's ``dt_safe`` and stops
+once that residual is at most ``tol`` (default ``STATIONARITY_TOL``) or at
+flow time ``t_max`` (default ``FLOW_T_MAX``), its only horizon.  ``tol=0.0``
+runs it to ``t_max``.  ``flow_to_stationarity(system, x0, tol)`` is the flow
+that must settle: it raises if ``FLOW_T_MAX`` comes first.
 
 ``refine_critical`` is the one Newton solver of the package: the
 ground-state polish and the saddle refinement both call it.  It needs
@@ -37,7 +39,6 @@ non-generic and the certificate catches it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,22 +49,6 @@ from .fields import FkSaddleError
 
 class FlowError(FkSaddleError):
     pass
-
-
-@dataclass(frozen=True)
-class FlowParams:
-    """Integration controls for the gradient semiflow.
-
-    Every flow steps at the system's ``dt_safe``.  ``t_max`` is the flow
-    horizon; stationarity (l2 residual at most ``stationarity_tol``) stops
-    the flow earlier, so 0.0 runs it to ``t_max``.
-    """
-
-    t_max: float = FLOW_T_MAX
-    stationarity_tol: float = STATIONARITY_TOL
-
-    def with_(self, **kw) -> "FlowParams":
-        return replace(self, **kw)
 
 
 def _l2(values: np.ndarray, lat_axes: int) -> np.ndarray:
@@ -97,12 +82,13 @@ def guarded_step(system, x, dt, energy, k1=None):
     return x_new, dt, e_new, 0
 
 
-def flow(system, x0: np.ndarray, params: FlowParams):
+def flow(system, x0: np.ndarray, tol: float = STATIONARITY_TOL,
+         t_max: float = FLOW_T_MAX):
     """Integrate the semiflow from x0; returns (x, steps, residual).
 
     Works on batched states; ``residual`` is the worst l2 residual over the
-    batch, and the flow stops once it is at most ``stationarity_tol`` or at
-    flow time ``t_max``.  NaN anywhere aborts: a NaN residual takes the next
+    batch, and the flow stops once it is at most ``tol`` or at flow time
+    ``t_max``.  NaN anywhere aborts: a NaN residual takes the next
     step, whose energy check raises.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -112,8 +98,8 @@ def flow(system, x0: np.ndarray, params: FlowParams):
     g = system.grad(x)
     res = float(np.max(_l2(g, nlat)))
     t, steps = 0.0, 0
-    while not res <= params.stationarity_tol and t < params.t_max - 1e-15:
-        step = min(dt, params.t_max - t)
+    while not res <= tol and t < t_max - 1e-15:
+        step = min(dt, t_max - t)
         x, _, energy, _ = guarded_step(system, x, step, energy, k1=-g)
         t += step
         steps += 1
@@ -122,14 +108,13 @@ def flow(system, x0: np.ndarray, params: FlowParams):
     return x, steps, res
 
 
-def flow_to_stationarity(system, x0, params: FlowParams):
-    """Flow until the residual tolerance is met; returns (x, steps) and
-    raises if ``t_max`` comes first."""
-    x, steps, res = flow(system, x0, params)
-    if not res <= params.stationarity_tol:
+def flow_to_stationarity(system, x0, tol: float = STATIONARITY_TOL):
+    """Flow until the l2 residual is at most ``tol``; returns (x, steps) and
+    raises if the horizon ``FLOW_T_MAX`` comes first."""
+    x, steps, res = flow(system, x0, tol)
+    if not res <= tol:
         raise FlowError("flow did not reach residual %g within t_max=%g (%d steps, "
-                        "last residual %g)" % (params.stationarity_tol, params.t_max,
-                                               steps, res))
+                        "last residual %g)" % (tol, FLOW_T_MAX, steps, res))
     return x, steps
 
 

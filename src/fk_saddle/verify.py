@@ -32,12 +32,12 @@ import numpy as np
 from .defaults import (BOX_INVARIANCE_TOL, CLIP_ENERGY_TOL, CROSS_CHECK_TOL,
                        ENERGY_INCREASE_TOL, FD_REL_TOL, GAP_PROBES, ORACLE_BLOCK,
                        ORACLE_BOUND_SLACK, ORACLE_RESOLUTION, SCALING_TOL,
-                       STRICT_ORDER_TOL, SUBMODULARITY_TOL)
+                       STATIONARITY_TOL, STRICT_ORDER_TOL, SUBMODULARITY_TOL)
 from .fields import FkSaddleError
 from .model import SitePotential, central_differences, site_energies
 from .mpp import best_mountain_pass
 from .periodic import GapPair, find_gap_pair, minimize_periodic, require_gap
-from .semiflow import FlowParams, flow, rk4_step
+from .semiflow import flow, flow_to_stationarity, rk4_step
 
 ORACLE_BATCH = 2048            # states per energy call of the oracle; larger batches fall out of cache
 SWEEP_BLOCKS = 256             # blocks per sweep call, so no round copies the band
@@ -345,10 +345,10 @@ def _smooth_box_samples(system, rng, count, box):
     return np.clip(x, 0.0, box)
 
 
-def minimize_c0p(potential, gap: GapPair, periods, params) -> float:
+def minimize_c0p(potential, gap: GapPair, periods, tol: float) -> float:
     """Ground energy on the given torus, seeded from the gap endpoints."""
     seeds = [gap.lo.flat[0], gap.hi.flat[0]]
-    return minimize_periodic(potential, periods, seeds, params).c0p
+    return minimize_periodic(potential, periods, seeds, tol).c0p
 
 
 def _fallback_gap(potential: SitePotential, periods) -> GapPair:
@@ -363,7 +363,7 @@ def _fallback_gap(potential: SitePotential, periods) -> GapPair:
 
 
 def run_property_suite(potential: SitePotential, periods, seed: int,
-                       trials: int, params: FlowParams | None = None,
+                       trials: int, tol: float = STATIONARITY_TOL,
                        gap: GapPair | None = None, probes: int = GAP_PROBES):
     """Execute every numerically checkable inequality; returns reports.
 
@@ -373,7 +373,6 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
     instance on a model violating the standing assumptions) is reported
     failed with the error in the detail field.
     """
-    params = params or FlowParams()
     periods = tuple(int(x) for x in periods)
     reports = []
     if trials == 0:
@@ -381,7 +380,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
     if gap is None:
         try:
             gap = find_gap_pair(potential, (1,) * len(periods), probes=probes,
-                                seed=seed, params=params)
+                                seed=seed, tol=tol)
         except FkSaddleError:
             gap = None
         if gap is None:
@@ -447,9 +446,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
 
     def strong_comparison(rng):
         seeds = _smooth_box_samples(system, rng, max(4, trials // 10), box)
-        x, _, res = flow(system, seeds, params)
-        if not res <= params.stationarity_tol:
-            raise FkSaddleError("probe flows did not converge")
+        x, _ = flow_to_stationarity(system, seeds, tol)
         flats = x.reshape(len(seeds), -1)
         worst = math.inf
         pairs = 0
@@ -479,7 +476,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
 
     def box_invariance(rng):
         seeds = _smooth_box_samples(system, rng, min(trials, 20), box)
-        x, _, _ = flow(system, seeds, params.with_(t_max=1.0, stationarity_tol=0.0))
+        x, _, _ = flow(system, seeds, 0.0, 1.0)
         excursion = max(float(np.max(-x)), float(np.max(x - box)))
         return BOX_INVARIANCE_TOL - excursion, "max excursion %g" % excursion
 
@@ -494,17 +491,16 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
         # must be flow fixed points: critical points of I
         g = system.grad(np.stack([np.zeros_like(box), box]))
         worst = float(np.max(np.linalg.norm(g.reshape(2, -1), axis=1)))
-        return (params.stationarity_tol - worst,
-                "largest endpoint l2 residual %g" % worst)
+        return tol - worst, "largest endpoint l2 residual %g" % worst
 
     def scaling(rng):
         if len(periods) != 2:
             return 0.0, "scaling list defined for dimension 2 only"
         c0 = minimize_periodic(potential, (1, 1),
-                               [gap.lo.flat[0]], params).c0p
+                               [gap.lo.flat[0]], tol).c0p
         worst = 0.0
         for p in [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]:
-            c0p = minimize_c0p(potential, gap, p, params)
+            c0p = minimize_c0p(potential, gap, p, tol)
             worst = max(worst, abs(c0p - math.prod(p) * c0) / math.prod(p))
         return SCALING_TOL - worst, "max scaled error %g" % worst
 
@@ -539,7 +535,7 @@ class CrossCheckReport:
 
 def cross_check_mountain_pass(potential: SitePotential, gap: GapPair,
                               resolutions=(ORACLE_RESOLUTION,),
-                              params: FlowParams | None = None) -> CrossCheckReport:
+                              tol: float = STATIONARITY_TOL) -> CrossCheckReport:
     """Compare node-flow, heat-flow, and the bottleneck oracle on p = (2, 1).
 
     The oracle is certified for node-flow's level +- CROSS_CHECK_TOL.  The
@@ -551,10 +547,9 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair,
     """
     if potential.n != 2:
         raise FkSaddleError("cross check is defined for model dimension 2")
-    params = params or FlowParams()
     gap = require_gap(gap)
-    node = best_mountain_pass(potential, gap, (2, 1), params, mode="node-flow")
-    heat = best_mountain_pass(potential, gap, (2, 1), params, mode="heat-flow")
+    node = best_mountain_pass(potential, gap, (2, 1), tol, mode="node-flow")
+    heat = best_mountain_pass(potential, gap, (2, 1), tol, mode="heat-flow")
     failed = {name: res.message for name, res in
               (("node-flow", node), ("heat-flow", heat)) if not res.success}
     window = (node.value - CROSS_CHECK_TOL, node.value + CROSS_CHECK_TOL)

@@ -5,8 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fk_saddle import (FlowParams, find_gap_pair, find_gap_pair_hetero,
-                       make_potential, minimize_hetero, mountain_pass_hetero)
+from fk_saddle import (find_gap_pair, find_gap_pair_hetero, make_potential,
+                       minimize_hetero, mountain_pass_hetero)
+from fk_saddle.defaults import STATIONARITY_TOL
 
 
 @pytest.fixture(scope="session")
@@ -25,37 +26,37 @@ def twowell():
 
 
 @pytest.fixture(scope="session")
-def params():
-    return FlowParams()
+def tol():
+    return STATIONARITY_TOL
 
 
 @pytest.fixture(scope="session")
-def gap(classical, params):
-    g = find_gap_pair(classical, (1, 1), seed=3, params=params)
+def gap(classical, tol):
+    g = find_gap_pair(classical, (1, 1), seed=3, tol=tol)
     assert g is not None
     return g
 
 
 @pytest.fixture(scope="session")
-def pinned_gap(pinned, params):
-    g = find_gap_pair(pinned, (1, 1), seed=3, params=params)
+def pinned_gap(pinned, tol):
+    g = find_gap_pair(pinned, (1, 1), seed=3, tol=tol)
     assert g is not None
     return g
 
 
 # the pinned-fk kink (q = 1), its gap pair and the strip mountain pass
 @pytest.fixture(scope="session")
-def het(pinned, pinned_gap, params):
-    return minimize_hetero(pinned, (1,), pinned_gap, params)
+def het(pinned, pinned_gap, tol):
+    return minimize_hetero(pinned, (1,), pinned_gap, tol)
 
 
 @pytest.fixture(scope="session")
-def het_gap(pinned, pinned_gap, params, het):
-    g = find_gap_pair_hetero(pinned, het, pinned_gap, seed=5, params=params)
+def het_gap(pinned, pinned_gap, tol, het):
+    g = find_gap_pair_hetero(pinned, het, pinned_gap, seed=5, tol=tol)
     assert g is not None
     return g
 
 
 @pytest.fixture(scope="session")
-def mph(pinned, het_gap, params):
-    return mountain_pass_hetero(pinned, het_gap, params, N=65)
+def mph(pinned, het_gap, tol):
+    return mountain_pass_hetero(pinned, het_gap, tol, N=65)

@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from fk_saddle import (FlowParams, OracleGrid2D,
+from fk_saddle import (OracleGrid2D,
                        best_mountain_pass, bottleneck_minimax_2d,
                        find_gap_pair, find_gap_pair_hetero, make_potential,
                        minimize_hetero, minimize_periodic, mountain_pass_hetero,
                        multiplicity_scan, run_property_suite, sample_landscape)
-from fk_saddle.defaults import CROSS_CHECK_TOL
+from fk_saddle.defaults import CROSS_CHECK_TOL, STATIONARITY_TOL
 from fk_saddle.model import residual_field
 
 GAP_SEED = 3
@@ -34,15 +34,15 @@ def compute_bundle():
     classical = make_potential("classical-fk")
     twowell = make_potential("two-well-fk")
     pinned = make_potential("pinned-fk")
-    params = FlowParams()
+    tol = STATIONARITY_TOL
     S = {}
     T = {}
-    bundle = {"scalars": S, "times": T, "params": params}
+    bundle = {"scalars": S, "times": T}
 
     # -- criterion 1: single-cell ground state and gap pair -------------------
     t0 = time.monotonic()
-    res11 = minimize_periodic(classical, (1, 1), [0.0, 0.3, 0.6], params)
-    gap = find_gap_pair(classical, (1, 1), seed=GAP_SEED, params=params)
+    res11 = minimize_periodic(classical, (1, 1), [0.0, 0.3, 0.6], tol)
+    gap = find_gap_pair(classical, (1, 1), seed=GAP_SEED, tol=tol)
     T["c1"] = time.monotonic() - t0
     S["c0"] = res11.c0p
     S["minimizer_mod1"] = float(res11.best.flat[0] % 1.0)
@@ -53,14 +53,14 @@ def compute_bundle():
     # -- criterion 2: ground-energy scaling law -------------------------------
     t0 = time.monotonic()
     for p in [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]:
-        r = minimize_periodic(classical, p, [0.1, 0.6], params)
+        r = minimize_periodic(classical, p, [0.1, 0.6], tol)
         S["c0p_%d_%d" % p] = r.c0p
     T["c2"] = time.monotonic() - t0
 
     # -- criterion 3: three-way agreement on the two-cell torus ---------------
     t0 = time.monotonic()
-    node = best_mountain_pass(classical, gap, (2, 1), params, mode="node-flow", N=65)
-    heat = best_mountain_pass(classical, gap, (2, 1), params, mode="heat-flow", N=65)
+    node = best_mountain_pass(classical, gap, (2, 1), tol, mode="node-flow", N=65)
+    heat = best_mountain_pass(classical, gap, (2, 1), tol, mode="heat-flow", N=65)
     window = (node.value - CROSS_CHECK_TOL, node.value + CROSS_CHECK_TOL)
     grid2001 = OracleGrid2D.build(classical, gap, 2001, window)
     oracle = bottleneck_minimax_2d(grid2001)
@@ -90,12 +90,12 @@ def compute_bundle():
 
     # -- criterion 5: strict barrier across the test matrix -------------------
     t0 = time.monotonic()
-    mp11 = best_mountain_pass(classical, gap, (1, 1), params, N=33)
+    mp11 = best_mountain_pass(classical, gap, (1, 1), tol, N=33)
     S["d11"] = mp11.value
     S["c11"] = mp11.c_ref
     matrix = {}
-    gap_tw = find_gap_pair(twowell, (1, 1), seed=GAP_SEED, params=params)
-    gap_pin = find_gap_pair(pinned, (1, 1), seed=GAP_SEED, params=params)
+    gap_tw = find_gap_pair(twowell, (1, 1), seed=GAP_SEED, tol=tol)
+    gap_pin = find_gap_pair(pinned, (1, 1), seed=GAP_SEED, tol=tol)
     cases = [("classical", classical, gap, (1, 1)),
              ("classical", classical, gap, (2, 1)),
              ("classical", classical, gap, (3, 1)),
@@ -103,7 +103,7 @@ def compute_bundle():
              ("two-well", twowell, gap_tw, (2, 1)),
              ("pinned", pinned, gap_pin, (1, 1))]
     for name, pot, g, p in cases:
-        r = best_mountain_pass(pot, g, p, params)
+        r = best_mountain_pass(pot, g, p, tol)
         matrix["%s_%d_%d" % (name, p[0], p[1])] = (r.value, r.c_ref, r.success)
         S["barrier_%s_%d_%d" % (name, p[0], p[1])] = r.value - r.c_ref
     T["c5"] = time.monotonic() - t0
@@ -113,7 +113,7 @@ def compute_bundle():
     # criterion 6 reads the barriers and staircase witnesses of rows 2..8,
     # criterion 7 the rows and critical fields of k = 1..6
     t0 = time.monotonic()
-    scan = multiplicity_scan(classical, 8, gap, params)
+    scan = multiplicity_scan(classical, 8, gap, tol)
     T["c6"] = time.monotonic() - t0
     witness = {}
     barrier = {}
@@ -132,7 +132,7 @@ def compute_bundle():
     # -- criterion 8: the property suite ---------------------------------------
     t0 = time.monotonic()
     suite = run_property_suite(classical, (2, 1), seed=SUITE_SEED, trials=100,
-                               params=params, gap=gap)
+                               tol=tol, gap=gap)
     T["c8"] = time.monotonic() - t0
     for r in suite:
         S["prop_%s" % r.name] = r.worst_margin
@@ -140,13 +140,13 @@ def compute_bundle():
 
     # -- criterion 9: heteroclinic pipeline on the pinned model ----------------
     t0 = time.monotonic()
-    het = minimize_hetero(pinned, (1,), gap_pin, params)
-    het2 = minimize_hetero(pinned, (2,), gap_pin, params, window=het.window,
+    het = minimize_hetero(pinned, (1,), gap_pin, tol)
+    het2 = minimize_hetero(pinned, (2,), gap_pin, tol, window=het.window,
                            check_stability=False)
     gap1 = find_gap_pair_hetero(pinned, het, gap_pin, seed=HETERO_SEED,
-                                params=params)
-    mph = mountain_pass_hetero(pinned, gap1, params, N=65)
-    hrows = multiplicity_scan(pinned, 4, gap1, params).rows
+                                tol=tol)
+    mph = mountain_pass_hetero(pinned, gap1, tol, N=65)
+    hrows = multiplicity_scan(pinned, 4, gap1, tol).rows
     T["c9"] = time.monotonic() - t0
     S["c1"] = het.c1
     S["c1_stability"] = het.stability

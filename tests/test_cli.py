@@ -426,7 +426,7 @@ def test_fixed_window_meeting_the_tail_bound_passes(tmp_path):
     assert data["scalars"]["tail_bound"] < TAIL_BOUND_TOL
 
 
-def test_heat_flow_mpp_runs_once_in_heat_flow(classical, gap, params, monkeypatch):
+def test_heat_flow_mpp_runs_once_in_heat_flow(classical, gap, tol, monkeypatch):
     from fk_saddle import mpp
 
     modes = []
@@ -437,7 +437,7 @@ def test_heat_flow_mpp_runs_once_in_heat_flow(classical, gap, params, monkeypatc
         return real(*args, **kwargs)
 
     monkeypatch.setattr(mpp, "mountain_pass", counted)
-    res = mpp.best_mountain_pass(classical, gap, (1, 1), params, mode="heat-flow", N=9)
+    res = mpp.best_mountain_pass(classical, gap, (1, 1), tol, mode="heat-flow", N=9)
     # one run from the ramp, in heat-flow mode
     assert modes == ["heat-flow"]
     assert res.success and res.barrier == pytest.approx(2.0, abs=1e-8)
@@ -666,3 +666,15 @@ def test_validate_exits_1_when_an_assumption_fails(tmp_path):
     data = json.loads(out.read_text())
     assert data["errors"] == ["assumption checks failed"]
     assert "S3" in {c["name"] for c in data["tables"]["assumptions"] if not c["passed"]}
+
+
+def test_tol_reaches_the_flow(tmp_path):
+    # a looser stationarity tolerance stops the minimize flow sooner, at the
+    # same ground level
+    scalars = []
+    for flags in ([], ["--tol", "1e-3"]):
+        out = tmp_path / "min.json"
+        assert main(["minimize", "--p", "1,1", "--out", str(out)] + flags) == 0
+        scalars.append(json.loads(out.read_text())["scalars"])
+    assert [s["iterations"] for s in scalars] == [14, 8]
+    assert [s["c0p"] for s in scalars] == pytest.approx([-1.0, -1.0], abs=1e-12)

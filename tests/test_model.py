@@ -41,12 +41,12 @@ def test_el_residual_values(classical):
     assert el_residual(classical, u0, (0, 0)) == pytest.approx(TWO_PI, abs=1e-12)
 
 
-def test_el_residual_of_converged_minimizer(classical, params):
+def test_el_residual_of_converged_minimizer(classical, tol):
     from fk_saddle import minimize_periodic
 
-    res = minimize_periodic(classical, (2, 1), [0.1, 0.6], params)
+    res = minimize_periodic(classical, (2, 1), [0.1, 0.6], tol)
     r = residual_field(classical, res.best)
-    assert np.max(np.abs(r)) <= params.stationarity_tol
+    assert np.max(np.abs(r)) <= tol
 
 
 @settings(max_examples=25, deadline=None)
@@ -301,13 +301,13 @@ def test_lipschitz_bound_covers_hessian_spectrum(name):
 
 
 @pytest.mark.parametrize("name", BUILTINS[:3])
-def test_euler_step_at_one_over_l_is_monotone_and_descends(name, params):
+def test_euler_step_at_one_over_l_is_monotone_and_descends(name, tol):
     # at h = 1 / L the Euler map x - h grad(x) has the Jacobian 1 - h H, whose
     # entries are nonnegative under (S3), and it lowers the energy by at least
     # h |grad|^2 / 2 (the descent lemma); random ordered pairs of box states
     # on a torus and on a strip with the ground states as tails
     pot = make_potential(name)
-    gap = find_gap_pair(pot, (1, 1), seed=3, params=params)
+    gap = find_gap_pair(pot, (1, 1), seed=3, tol=tol)
     v0, w0 = gap.lo.flat[0], gap.hi.flat[0]
     rng = np.random.default_rng(11)
     # torus states are offsets from v0, strip states are the field itself

@@ -126,14 +126,14 @@ def test_box_path_matches_the_per_theta_staircase():
                           thetas[:, None, None] * box[:, :1])
 
 
-def test_path_guards(classical, gap, params):
+def test_path_guards(classical, gap, tol):
     with pytest.raises(PathError, match="at least 3 nodes"):
-        best_mountain_pass(classical, gap, (1, 1), params, N=2)
+        best_mountain_pass(classical, gap, (1, 1), tol, N=2)
     with pytest.raises(PathError):
         box_path(gap.order_box(classical, (2, 1))[1], 5, 1)
 
 
-def test_chi_witness_uniform_bound(classical, gap, params):
+def test_chi_witness_uniform_bound(classical, gap):
     # evaluating the explicit staircase path on a theta grid bounds d - c
     # uniformly in k
     witnesses = []
@@ -148,7 +148,7 @@ def test_chi_witness_uniform_bound(classical, gap, params):
     assert m0 < 10.0  # a single desk-scale constant bounds the whole column
 
 
-def test_clip_decreases_energy(classical, gap, params):
+def test_clip_decreases_energy(classical, gap):
     rng = np.random.default_rng(17)
     p = (2, 1)
     system, box = gap.order_box(classical, p)
@@ -159,8 +159,8 @@ def test_clip_decreases_energy(classical, gap, params):
 
 # --- the minimax engines ---------------------------------------------------
 
-def test_mountain_pass_single_cell(classical, gap, params):
-    res = best_mountain_pass(classical, gap, (1, 1), params, N=33)
+def test_mountain_pass_single_cell(classical, gap, tol):
+    res = best_mountain_pass(classical, gap, (1, 1), tol, N=33)
     assert res.success
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.critical.flat[0] == pytest.approx(0.5, abs=1e-9)
@@ -168,8 +168,8 @@ def test_mountain_pass_single_cell(classical, gap, params):
 
 
 @pytest.fixture(scope="module")
-def mp21(classical, gap, params):
-    return best_mountain_pass(classical, gap, (2, 1), params, N=65)
+def mp21(classical, gap, tol):
+    return best_mountain_pass(classical, gap, (2, 1), tol, N=65)
 
 
 def test_mountain_pass_two_cell_value(mp21):
@@ -194,8 +194,8 @@ def test_mountain_pass_two_cell_critical_field(classical, gap, mp21):
     assert np.max(np.abs(translate - crit)) > 1e-3
 
 
-def test_heat_flow_agrees(classical, gap, params, mp21):
-    heat = best_mountain_pass(classical, gap, (2, 1), params, mode="heat-flow", N=65)
+def test_heat_flow_agrees(classical, gap, tol, mp21):
+    heat = best_mountain_pass(classical, gap, (2, 1), tol, mode="heat-flow", N=65)
     assert heat.success
     assert abs(heat.value - mp21.value) <= 1e-6
     # certified like a node-flow saddle: strictly inside the box, above c0p
@@ -225,7 +225,7 @@ class _Cosine:
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
-def test_heat_flow_bisection_finds_basins_between_nodes(N, params, monkeypatch):
+def test_heat_flow_bisection_finds_basins_between_nodes(N, tol, monkeypatch):
     # too few nodes to sample every basin: a tear's multisection lands in a
     # basin that no node reached, and the tear is split across it (the first
     # N members classified are the nodes)
@@ -239,7 +239,7 @@ def test_heat_flow_bisection_finds_basins_between_nodes(N, params, monkeypatch):
 
     monkeypatch.setattr(mpp, "_classify_flow", spy)
     res = mpp._minimax_heat_flow(_Cosine(), np.linspace(0.0, 1.0, N)[:, None],
-                                 np.ones(1), params)
+                                 np.ones(1), tol)
     assert any(new[N:])
     assert res.success, res.message
     assert res.value == pytest.approx(1.0, abs=1e-12)
@@ -280,7 +280,7 @@ with open(Path(__file__).with_name("heat_flow_levels.json")) as fh:
 
 
 @pytest.mark.parametrize("name", sorted(HEAT_FLOW_LEVELS))
-def test_heat_flow_keeps_its_levels(request, params, name):
+def test_heat_flow_keeps_its_levels(request, tol, name):
     # the torus cases take the gap pair of ``seed``; the strip cases the
     # pinned-fk kink's gap pair at q = 1, on ``nodes`` nodes
     case = HEAT_FLOW_LEVELS[name]
@@ -288,15 +288,15 @@ def test_heat_flow_keeps_its_levels(request, params, name):
         potential, gap = (request.getfixturevalue(f) for f in ("pinned", "het_gap"))
     else:
         potential = make_potential(case["model"])
-        gap = find_gap_pair(potential, (1, 1), seed=case["seed"], params=params)
-    res = best_mountain_pass(potential, gap, case["periods"], params,
+        gap = find_gap_pair(potential, (1, 1), seed=case["seed"], tol=tol)
+    res = best_mountain_pass(potential, gap, case["periods"], tol,
                              mode="heat-flow", N=case["nodes"])
     assert res.success, res.message
     assert abs(res.value - case["value"]) <= 1e-12
     assert np.max(np.abs(res.critical.ravel() - case["critical"])) <= 1e-10
 
 
-def test_heat_flow_classifies_in_batches(classical, params, monkeypatch):
+def test_heat_flow_classifies_in_batches(classical, tol, monkeypatch):
     # the 33 settled nodes are one batch, and each multisection round one
     # more: on the (2,1) torus both tears resolve in three rounds
     calls = []
@@ -307,14 +307,14 @@ def test_heat_flow_classifies_in_batches(classical, params, monkeypatch):
         return classify(system, X, *args)
 
     monkeypatch.setattr(mpp, "_classify_flow", spy)
-    gap = find_gap_pair(classical, (1, 1), seed=7, params=params)
-    res = best_mountain_pass(classical, gap, (2, 1), params, mode="heat-flow", N=33)
+    gap = find_gap_pair(classical, (1, 1), seed=7, tol=tol)
+    res = best_mountain_pass(classical, gap, (2, 1), tol, mode="heat-flow", N=33)
     assert res.success, res.message
     assert len(calls) <= 4
     assert calls[0] == 33
 
 
-def test_heat_flow_counts_the_tears_it_cannot_resolve(classical, params, monkeypatch):
+def test_heat_flow_counts_the_tears_it_cannot_resolve(classical, tol, monkeypatch):
     # with every Newton failing no tear resolves, and a tear ends only when it
     # narrows below 1e-14: the two tears between the 33 nodes split into four,
     # which all end after 21 rounds ((1/32) / 4^21 < 1e-14)
@@ -327,8 +327,8 @@ def test_heat_flow_counts_the_tears_it_cannot_resolve(classical, params, monkeyp
 
     monkeypatch.setattr(mpp, "_classify_flow", spy)
     monkeypatch.setattr(mpp, "refine_critical", lambda system, x, tol: (x, 1.0, False))
-    gap = find_gap_pair(classical, (1, 1), seed=7, params=params)
-    res = best_mountain_pass(classical, gap, (2, 1), params, mode="heat-flow", N=33)
+    gap = find_gap_pair(classical, (1, 1), seed=7, tol=tol)
+    res = best_mountain_pass(classical, gap, (2, 1), tol, mode="heat-flow", N=33)
     assert not res.success and res.message == "4 unresolved tears"
     assert len(calls) == 22 and calls[0] == 33
 
@@ -367,11 +367,11 @@ LONG_BARRIERS = {"classical": 2.185555254, "twowell": 1.046629798,
 
 
 @pytest.mark.parametrize("model", sorted(LONG_BARRIERS))
-def test_long_period_rows_pass_the_gate(request, params, model):
+def test_long_period_rows_pass_the_gate(request, tol, model):
     pot = request.getfixturevalue(model)
-    gap = find_gap_pair(pot, (1, 1), seed=3, params=params)
+    gap = find_gap_pair(pot, (1, 1), seed=3, tol=tol)
     for k in (20, 24, 64):
-        res = best_mountain_pass(pot, gap, (k, 1), params)
+        res = best_mountain_pass(pot, gap, (k, 1), tol)
         assert res.success, (k, res.message)
         assert res.barrier == pytest.approx(LONG_BARRIERS[model], abs=1e-9)
 
@@ -390,11 +390,11 @@ def test_check_chain_guards():
         mpp.check_chain(nodes + 1e-9, hi)
 
 
-def test_barrier_strictly_positive(mp21, params):
-    assert mp21.value - mp21.c_ref > 10 * params.stationarity_tol
+def test_barrier_strictly_positive(mp21, tol):
+    assert mp21.value - mp21.c_ref > 10 * tol
 
 
-def test_no_non_climbing_node_rises(classical, gap, params, monkeypatch):
+def test_no_non_climbing_node_rises(classical, gap, tol, monkeypatch):
     # every sweep exempts only its climbing nodes, local maxima of the node
     # energies, from the energy guard (reference energy +inf): every other
     # interior node descends from its own energy
@@ -407,7 +407,7 @@ def test_no_non_climbing_node_rises(classical, gap, params, monkeypatch):
         return out
 
     monkeypatch.setattr(mpp, "guarded_step", record)
-    res = best_mountain_pass(classical, gap, (2, 1), params, N=65)
+    res = best_mountain_pass(classical, gap, (2, 1), tol, N=65)
     assert res.success and len(steps) == res.iterations
     climbed = 0
     for e, ref, after in steps:
@@ -420,19 +420,19 @@ def test_no_non_climbing_node_rises(classical, gap, params, monkeypatch):
     assert climbed > 0
 
 
-def test_node_flow_does_not_depend_on_dt(classical, gap, params):
+def test_node_flow_does_not_depend_on_dt(classical, gap, tol):
     # the same energy stating 8 L flows at dt / 8
     small = SmallStepFK(8.0)
     assert PeriodicSystem(small, (2, 1)).dt_safe == pytest.approx(
         PeriodicSystem(classical, (2, 1)).dt_safe / 8, rel=1e-12)
-    runs = [best_mountain_pass(pot, gap, (2, 1), params, N=65)
+    runs = [best_mountain_pass(pot, gap, (2, 1), tol, N=65)
             for pot in (classical, small)]
     assert all(r.success for r in runs)
     for r in runs:
         assert r.value == pytest.approx(REFERENCE_D21, abs=1e-10)
 
 
-def test_torn_chain_fails_the_certificate(classical, gap, params, mp21, monkeypatch):
+def test_torn_chain_fails_the_certificate(classical, gap, tol, mp21, monkeypatch):
     p = (2, 1)
     system, hi = gap.order_box(classical, p)
     # I(hi - x) = I(x), so the saddles come in pairs; take the one near the
@@ -446,13 +446,13 @@ def test_torn_chain_fails_the_certificate(classical, gap, params, mp21, monkeypa
     # refines the climbing node to the saddle: the certificate must refuse
     # success, and its bound still covers the chain
     monkeypatch.setattr(mpp, "_reparametrize", lambda chain, fixed: chain)
-    res = mpp._minimax_node_flow(system, nodes, hi, params)
+    res = mpp._minimax_node_flow(system, nodes, hi, tol)
     assert not res.success
     assert "not certified" in res.message
     assert res.d_upper >= ridge
 
 
-def test_a_lower_critical_point_fails_the_certificate(classical, gap, params, monkeypatch):
+def test_a_lower_critical_point_fails_the_certificate(classical, gap, tol, monkeypatch):
     # on the (3, 1) torus one column half-way up and two near the ground is
     # a critical point 0.12 below d.  The string from the column ramp has
     # its top near d, so a Newton step that lands on the lower point is
@@ -462,13 +462,13 @@ def test_a_lower_critical_point_fails_the_certificate(classical, gap, params, mo
     low, res, ok = refine_critical(system, np.array([[0.5], [0.01], [0.01]]), 1e-12)
     assert ok and float(system.energy(low)) == pytest.approx(-0.937102, abs=1e-6)
     monkeypatch.setattr(mpp, "refine_critical", lambda *a, **k: (low.copy(), res, True))
-    result = mpp.best_mountain_pass(classical, gap, (3, 1), params, N=49)
+    result = mpp.best_mountain_pass(classical, gap, (3, 1), tol, N=49)
     assert not result.success
     assert "not certified" in result.message
     assert result.d_upper > K3_LEVELS["classical"]
 
 
-def test_monotone_path_preserved(classical, gap, params):
+def test_monotone_path_preserved(classical, gap):
     from fk_saddle.semiflow import rk4_step
 
     p = (2, 1)
@@ -484,24 +484,24 @@ def test_endpoints_never_move(classical, mp21, gap):
     assert np.array_equal(mp21.final_nodes[-1], gap.order_box(classical, (2, 1))[1])
 
 
-def test_mountain_pass_guards(classical, gap, params):
+def test_mountain_pass_guards(classical, gap, tol):
     path = box_path(gap.order_box(classical, (1, 1))[1], 9)
     with pytest.raises(PathError):
-        mountain_pass(classical, gap, path, params, mode="quench")
+        mountain_pass(classical, gap, path, tol, mode="quench")
     bad = path + 0.25
     with pytest.raises(PathError):
-        mountain_pass(classical, gap, bad, params)
+        mountain_pass(classical, gap, bad, tol)
 
 
-def test_mountain_pass_reads_the_torus_from_the_nodes(classical, gap, params):
+def test_mountain_pass_reads_the_torus_from_the_nodes(classical, gap, tol):
     # a path is its node array: too few nodes or the wrong rank is a PathError,
     # and a (3, 1) chain is checked against the (3, 1) box, not another torus
     path = box_path(gap.order_box(classical, (2, 1))[1], 9)
     for bad in (path[:2], path[..., 0], path[..., None]):
         with pytest.raises(PathError, match="at least 3 nodes"):
-            mountain_pass(classical, gap, bad, params)
+            mountain_pass(classical, gap, bad, tol)
     with pytest.raises(PathError, match="pinned"):
-        mountain_pass(classical, gap, np.zeros((9, 3, 1)), params)
+        mountain_pass(classical, gap, np.zeros((9, 3, 1)), tol)
 
 
 # --- order classification ------------------------------------------------------
@@ -521,8 +521,8 @@ def test_intersects_classification():
 # --- multiplicity ------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def scan6(classical, gap, params):
-    return multiplicity_scan(classical, 6, gap, params)
+def scan6(classical, gap, tol):
+    return multiplicity_scan(classical, 6, gap, tol)
 
 
 def test_scan_rows_converged(scan6):
@@ -584,7 +584,7 @@ def test_shift_orbit_distance_matches_every_shift_of_the_common_period():
 
 @pytest.mark.parametrize("how", ["raises", "unsuccessful"])
 def test_a_failed_scan_row_is_reported_and_the_scan_goes_on(
-        classical, gap, params, monkeypatch, tmp_path, how):
+        classical, gap, tol, monkeypatch, tmp_path, how):
     # row 2's mountain pass raises, or returns a result that failed its gate
     real = mpp.best_mountain_pass
 
@@ -597,7 +597,7 @@ def test_a_failed_scan_row_is_reported_and_the_scan_goes_on(
         return dataclasses.replace(res, success=False, message="row two broke")
 
     monkeypatch.setattr(mpp, "best_mountain_pass", failing)
-    rows = multiplicity_scan(classical, 3, gap, params).rows
+    rows = multiplicity_scan(classical, 3, gap, tol).rows
     assert [r.k for r in rows] == [1, 2, 3]
     assert not rows[1].result.success and rows[1].result.message == "row two broke"
     # a row whose mountain pass raised has NaN levels and no critical field
@@ -621,15 +621,15 @@ def test_a_failed_scan_row_is_reported_and_the_scan_goes_on(
 
 
 @pytest.mark.parametrize("model", sorted(K3_LEVELS))
-def test_k3_rows_keep_their_level(request, params, model):
+def test_k3_rows_keep_their_level(request, tol, model):
     pot = request.getfixturevalue(model)
-    gap = find_gap_pair(pot, (1, 1), seed=3, params=params)
-    res = multiplicity_scan(pot, 3, gap, params).rows[2].result
+    gap = find_gap_pair(pot, (1, 1), seed=3, tol=tol)
+    res = multiplicity_scan(pot, 3, gap, tol).rows[2].result
     assert res.success
     assert res.value == pytest.approx(K3_LEVELS[model], abs=1e-9)
     assert res.value <= res.d_upper <= res.value + 1e-6
     assert res.densified > 0
 
 
-def test_minimize_c0p_matches_scaling(classical, gap, params):
-    assert minimize_c0p(classical, gap, (3, 1), params) == pytest.approx(-3.0, abs=1e-9)
+def test_minimize_c0p_matches_scaling(classical, gap, tol):
+    assert minimize_c0p(classical, gap, (3, 1), tol) == pytest.approx(-3.0, abs=1e-9)

@@ -52,9 +52,9 @@ def _widen(values, m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_block_step_matches_dense_at_the_kink_minimizer(pinned, pinned_gap, het, het_gap, m):
+def test_block_step_matches_dense_at_the_kink_minimizer(pinned, pinned_gap, het_gap, m):
     # no base: the state is the total field and carries the ground-state tails
-    v1 = _embed(pinned, het_gap.lo, het.tails)
+    v1 = _embed(pinned, het_gap.lo, pinned_gap.frame(pinned, (1,))[:2])
     system = StripSystem(pinned, (m,), WINDOW, *pinned_gap.frame(pinned, (m,)))
     assert system.stencil.block_layout[1] >= 7
     dev, eig = _deviation(system, _near(_widen(v1, m), m))
@@ -63,10 +63,9 @@ def test_block_step_matches_dense_at_the_kink_minimizer(pinned, pinned_gap, het,
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_block_step_matches_dense_at_the_strip_saddle(pinned, pinned_gap, het, het_gap,
-                                                      mph, m):
+def test_block_step_matches_dense_at_the_strip_saddle(pinned, pinned_gap, het_gap, mph, m):
     # with a base: the state is the offset from v1, the strip mountain pass
-    base = _widen(_embed(pinned, het_gap.lo, het.tails), m)
+    base = _widen(_embed(pinned, het_gap.lo, pinned_gap.frame(pinned, (1,))[:2]), m)
     crit = _widen(_embed(pinned, mph.critical, (0.0, 0.0)), m)
     system = StripSystem(pinned, (m,), WINDOW, *pinned_gap.frame(pinned, (m,)), base=base)
     dev, eig = _deviation(system, _near(crit, 10 + m))
@@ -166,9 +165,9 @@ def test_certificate_refuses_a_failed_block_solve(d0):
     assert np.array_equal(x, x0)
 
 
-def test_certificate_refuses_a_wrong_step(pinned, pinned_gap, het, het_gap, monkeypatch):
+def test_certificate_refuses_a_wrong_step(pinned, pinned_gap, het_gap, monkeypatch):
     system = StripSystem(pinned, (1,), WINDOW, *pinned_gap.frame(pinned, (1,)))
-    x0 = _near(_embed(pinned, het_gap.lo, het.tails), 0)
+    x0 = _near(_embed(pinned, het_gap.lo, pinned_gap.frame(pinned, (1,))[:2]), 0)
     _, res_ok, ok = refine_critical(system, x0, 1e-12)
     assert ok and res_ok <= 1e-12
     true_solve = BandedHessian.solve

@@ -17,6 +17,10 @@ leave a dead key behind.
 Every field of a dataclass is read, as an attribute of anything, by some
 module other than ``__init__.py``: a record field that is only written,
 echoed or read by tests goes.  Like the method check this goes by name.
+
+Every defaulted parameter of a public module-level function is passed, by
+position or by keyword, by some call in a module other than ``__init__.py``:
+a knob that only tests turn is a second code path, and it goes.
 """
 
 import ast
@@ -37,6 +41,13 @@ FIELDS_ALLOWED = {
                                     "run's reparametrizations from it",
     "MinimaxResult.final_nodes": "tests check the chain an engine ends on: "
                                  "pinned ends and bit-for-bit reruns",
+}
+
+
+# defaulted parameters no call in the package passes, each kept on purpose
+PARAMETERS_ALLOWED = {
+    "main.argv": "the console script calls main() and it reads sys.argv",
+    "minimize_hetero.check_stability": "cli._minimize_kink passes it through **kw",
 }
 
 
@@ -273,3 +284,58 @@ def test_an_unused_import_is_flagged(tmp_path):
         "import numpy as np\nfrom .defaults import CAP, OLD as STALE\n\n"
         "def run(x: np.ndarray):\n    return os.path.join(str(CAP), str(x))\n")
     assert unused_imports(tmp_path) == {"a.py:math", "a.py:STALE"}
+
+
+def unset_parameters(src: Path) -> set:
+    """``function.parameter`` for each defaulted parameter of a public
+    module-level function defined in ``src`` that no call in a module other
+    than ``__init__.py`` passes, by position or by keyword.  A call is matched
+    by the bare name or the attribute name it calls, so this goes by name too;
+    ``**kw`` at a call site passes nothing by name."""
+    trees = _trees(src)
+    defaulted = {}
+    for tree in trees.values():
+        for fn in _public(tree.body, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            defaulted[fn.name] = (
+                {a.arg: i for i, a in enumerate(positional) if i >= first}
+                | {a.arg: None for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                   if d is not None})
+    passed = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for param, index in defaulted.get(name, {}).items():
+                if ((index is not None and index < len(node.args))
+                        or any(k.arg == param for k in node.keywords)):
+                    passed.add((name, param))
+    return {"%s.%s" % (fn, param) for fn, params in defaulted.items()
+            for param in params if (fn, param) not in passed}
+
+
+def test_every_defaulted_parameter_is_passed():
+    names = unset_parameters(SRC)
+    assert names - set(PARAMETERS_ALLOWED) == set(), \
+        "defaulted parameters only tests pass (delete them or pass them in a pipeline)"
+    assert set(PARAMETERS_ALLOWED) <= names
+
+
+def test_a_parameter_only_tests_set_is_flagged(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def solve(x, tol=1e-10, t_max=200.0, *, mode='a', seed=0):\n"
+        "    return x\n\n"
+        "def scan(x, k=2, rows=None, **kw):\n    return solve(x, k, **kw)\n\n"
+        "def _private(x, cap=3):\n    return x\n\n"
+        "class Box:\n    def width(self, pad=0):\n        return pad\n")
+    (tmp_path / "b.py").write_text(
+        "from . import a\n\n"
+        "def run(x):\n    return a.solve(x, 1e-8, mode='b'), a.scan(x, 3, rows=[])\n")
+    (tmp_path / "__init__.py").write_text(
+        "from .a import solve\n\nX = solve(0.0, seed=1, t_max=1.0)\n")
+    # ``tol`` goes by position and ``mode`` by keyword through an attribute,
+    # ``k`` and ``rows`` likewise; the ``__init__.py`` call, ``**kw``, a
+    # private function and a method do not count
+    assert unset_parameters(tmp_path) == {"solve.t_max", "solve.seed"}

@@ -281,9 +281,9 @@ ORACLE_CASES = [
 
 
 @pytest.fixture(scope="module")
-def seed3_gaps(gap, pinned_gap, twowell, params):
+def seed3_gaps(gap, pinned_gap, twowell, tol):
     return {"classical": gap, "pinned": pinned_gap,
-            "twowell": find_gap_pair(twowell, (1, 1), seed=3, params=params)}
+            "twowell": find_gap_pair(twowell, (1, 1), seed=3, tol=tol)}
 
 
 @pytest.mark.parametrize("model, resolution, expected, band", [
@@ -438,14 +438,14 @@ def test_grid_max_location(classical, gap):
 
 
 @pytest.mark.parametrize("model", ["classical", "pinned", "twowell"])
-def test_band_matches_dense_grid(request, params, model):
+def test_band_matches_dense_grid(request, tol, model):
     # every packed cell and every cell of a filled block is its exact
     # energy, the window's low end where its energy lies below it, or a
     # wall no lower than its energy above the window; packed cells are
     # evaluated, so exact; the bottleneck is the one of the dense grid,
     # swept whole
     potential = request.getfixturevalue(model)
-    gap = find_gap_pair(potential, (1, 1), seed=3, params=params)
+    gap = find_gap_pair(potential, (1, 1), seed=3, tol=tol)
     for resolution in (401, 801):
         band = OracleGrid2D.build(potential, gap, resolution, window(LEVELS[model]))
         _, dense, _, _ = sample_landscape(potential, gap, resolution)
@@ -530,9 +530,9 @@ def test_oracle_memory_stays_below_a_dense_grid(classical, gap):
 
 
 @pytest.fixture(scope="module")
-def suite(classical, params):
+def suite(classical, tol):
     return run_property_suite(classical, (2, 1), seed=7, trials=50,
-                              params=params)
+                              tol=tol)
 
 
 def test_suite_all_pass(suite):
@@ -548,46 +548,46 @@ def test_suite_covers_every_property(suite):
                      "clip-decrease", "endpoint-fixity", "scaling"}
 
 
-def test_suite_zero_trials(classical, params):
+def test_suite_zero_trials(classical, tol):
     assert run_property_suite(classical, (2, 1), seed=7, trials=0,
-                              params=params) == []
+                              tol=tol) == []
 
 
-def test_suite_deterministic(classical, params):
-    a = run_property_suite(classical, (2, 1), seed=11, trials=20, params=params)
-    b = run_property_suite(classical, (2, 1), seed=11, trials=20, params=params)
+def test_suite_deterministic(classical, tol):
+    a = run_property_suite(classical, (2, 1), seed=11, trials=20, tol=tol)
+    b = run_property_suite(classical, (2, 1), seed=11, trials=20, tol=tol)
     assert [(r.name, r.worst_margin, r.passed, r.detail) for r in a] == \
            [(r.name, r.worst_margin, r.passed, r.detail) for r in b]
 
 
-def test_suite_detects_sign_flip(params):
+def test_suite_detects_sign_flip(tol):
     # flipping one bond's coupling breaks the comparison principle; the test
     # battery must have the power to see it
     reports = run_property_suite(flipped(), (2, 1), seed=7, trials=50,
-                                 params=params)
+                                 tol=tol)
     comparison = next(r for r in reports if r.name == "flow-comparison")
     assert not comparison.passed
 
 
-def test_suite_falls_back_to_the_constant_scan(params, monkeypatch):
+def test_suite_falls_back_to_the_constant_scan(tol, monkeypatch):
     # the free chain has a continuum of minimizers and no gap pair; the suite
     # then scans constant fields for its box
     from fk_saddle import verify
 
     free = make_potential("free-chain")
-    assert find_gap_pair(free, (1, 1), seed=7, params=params) is None
+    assert find_gap_pair(free, (1, 1), seed=7, tol=tol) is None
     fallbacks = []
     scan = verify._fallback_gap
     monkeypatch.setattr(verify, "_fallback_gap",
                         lambda *a: fallbacks.append(1) or scan(*a))
-    reports = run_property_suite(free, (2, 1), seed=7, trials=20, params=params)
+    reports = run_property_suite(free, (2, 1), seed=7, trials=20, tol=tol)
     assert fallbacks == [1]
     assert len(reports) == 9
     for r in reports:
         assert r.passed, "%s failed: %s" % (r.name, r.detail)
 
 
-def test_suite_falls_back_when_the_gap_search_fails(classical, params,
+def test_suite_falls_back_when_the_gap_search_fails(classical, tol,
                                                      monkeypatch):
     # a gap search whose flows blow up raises; the suite still runs on the
     # constant-scan box, which for the classical model is [v0, v0 + 1]
@@ -599,49 +599,49 @@ def test_suite_falls_back_when_the_gap_search_fails(classical, params,
 
     monkeypatch.setattr(verify, "find_gap_pair", diverge)
     reports = run_property_suite(classical, (2, 1), seed=7, trials=20,
-                                 params=params)
+                                 tol=tol)
     assert len(reports) == 9
     for r in reports:
         assert r.passed, "%s failed: %s" % (r.name, r.detail)
 
 
-def test_endpoint_fixity_fails_off_the_ground_states(classical, gap, params):
+def test_endpoint_fixity_fails_off_the_ground_states(classical, gap, tol):
     # a box whose corners are not critical points pins its chains to points
     # the flow would move
     from fk_saddle import GapPair
 
     off = GapPair(gap.lo + 0.1, gap.hi + 0.1)
     reports = run_property_suite(classical, (2, 1), seed=7, trials=4,
-                                 params=params, gap=off)
+                                 tol=tol, gap=off)
     fixity = next(r for r in reports if r.name == "endpoint-fixity")
     assert not fixity.passed and fixity.worst_margin < -1.0
     good = run_property_suite(classical, (2, 1), seed=7, trials=4,
-                              params=params, gap=gap)
+                              tol=tol, gap=gap)
     assert next(r for r in good if r.name == "endpoint-fixity").passed
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 7])
-def test_suite_passes_on_two_well(twowell, params, seed):
+def test_suite_passes_on_two_well(twowell, tol, seed):
     # the pair gap decays like exp(-H_ii t); integrated too far it sank below
     # the resolution of grad(u + v) - grad(u) and flow-comparison failed on
     # roundoff at these seeds
     reports = run_property_suite(twowell, (2, 1), seed=seed, trials=100,
-                                 params=params)
+                                 tol=tol)
     for r in reports:
         assert r.passed, "%s failed: %s" % (r.name, r.detail)
 
 
 @pytest.mark.parametrize("coupling", [-1.0 / 16.0, -1.0 / 4.0])
-def test_flow_comparison_detects_antiferromagnetic_coupling(params, coupling):
+def test_flow_comparison_detects_antiferromagnetic_coupling(tol, coupling):
     reports = run_property_suite(ClassicalFKPotential(coupling=coupling), (2, 1),
-                                 seed=7, trials=100, params=params)
+                                 seed=7, trials=100, tol=tol)
     comparison = next(r for r in reports if r.name == "flow-comparison")
     assert not comparison.passed
 
 
-def test_cross_check_threefold(classical, gap, params):
+def test_cross_check_threefold(classical, gap, tol):
     cc = cross_check_mountain_pass(classical, gap, resolutions=(401,),
-                                   params=params)
+                                   tol=tol)
     assert isinstance(cc, CrossCheckReport)
     assert cc.agree
     assert max(cc.deltas.values()) <= 1e-3
@@ -654,11 +654,11 @@ def test_cross_check_threefold(classical, gap, params):
     assert band["packed_blocks"] + band["constant_blocks"] == 41 ** 2
 
 
-def test_cross_check_band_report_at_2001(classical, gap, params):
+def test_cross_check_band_report_at_2001(classical, gap, tol):
     # the band the verify manifest reports as oracle_band, and the oracle's
     # own sample, bit for bit
     cc = cross_check_mountain_pass(classical, gap, resolutions=(2001,),
-                                   params=params)
+                                   tol=tol)
     assert cc.oracle == {2001: 0.06249999999999989}
     assert cc.node_flow == REFERENCE_D21
     assert cc.band == {2001: {
@@ -666,7 +666,7 @@ def test_cross_check_band_report_at_2001(classical, gap, params):
         "evaluated": 70300, "constant_blocks": 39689, "packed_blocks": 712}}
 
 
-def test_cross_check_records_an_oracle_outside_its_window(classical, gap, params,
+def test_cross_check_records_an_oracle_outside_its_window(classical, gap, tol,
                                                           monkeypatch):
     # a node-flow level off by more than the tolerance aims the oracle's
     # window past the answer: the oracle fails with a message naming the
@@ -680,7 +680,7 @@ def test_cross_check_records_an_oracle_outside_its_window(classical, gap, params
         return res
 
     monkeypatch.setattr(verify, "best_mountain_pass", off)
-    cc = cross_check_mountain_pass(classical, gap, resolutions=(401,), params=params)
+    cc = cross_check_mountain_pass(classical, gap, resolutions=(401,), tol=tol)
     assert cc.oracle == {} and not cc.agree
     assert set(cc.failed) == {"oracle"}
     assert cc.failed["oracle"].startswith("resolution 401: oracle bottleneck ")
@@ -689,7 +689,7 @@ def test_cross_check_records_an_oracle_outside_its_window(classical, gap, params
     assert np.isnan(cc.deltas["node-oracle"]) and np.isnan(cc.deltas["heat-oracle"])
 
 
-def test_energy_offset_invariance(classical, gap, params):
+def test_energy_offset_invariance(classical, gap, tol):
     # adding a constant to the site energy shifts every level by
     # prod(p) * constant and leaves the barrier unchanged
     from fk_saddle import best_mountain_pass
@@ -697,9 +697,9 @@ def test_energy_offset_invariance(classical, gap, params):
 
     offset = 0.37
     pot2 = shifted_classical(offset=offset)
-    gap2 = find_gap_pair(pot2, (1, 1), seed=3, params=params)
-    base = best_mountain_pass(classical, gap, (2, 1), params, N=65)
-    res2 = best_mountain_pass(pot2, gap2, (2, 1), params, N=65)
+    gap2 = find_gap_pair(pot2, (1, 1), seed=3, tol=tol)
+    base = best_mountain_pass(classical, gap, (2, 1), tol, N=65)
+    res2 = best_mountain_pass(pot2, gap2, (2, 1), tol, N=65)
     assert res2.value == pytest.approx(base.value + 2 * offset, abs=1e-9)
     assert res2.c_ref == pytest.approx(base.c_ref + 2 * offset, abs=1e-9)
     assert res2.barrier == pytest.approx(base.barrier, abs=1e-9)
