@@ -88,7 +88,8 @@ def test_flow_horizon_short_of_stationarity_raises():
     # answer: at a = 1e-3 the one step is cut to t = FLOW_T_MAX = 200 and
     # ends at residual 8e-4
     system = _Quadratic(a=1e-3)
-    with pytest.raises(FlowError, match=r"within t_max=200 \(1 steps, last residual 0\.0008\)"):
+    with pytest.raises(FlowError,
+                       match=r"within t_max=200 \(1 steps, last residual 0\.0008\)"):
         flow_to_stationarity(system, np.array([1.0]))
 
 
