@@ -16,7 +16,7 @@ field: ``base + state`` on the torus, and on the strip ``base + state`` on
 the window with ``2 r`` ghost layers on each side that hold the tails
 (written by ``total`` alone), so the strip's Dirichlet data are ordinary
 table entries.  Gathering the stencil configurations and scattering local
-gradients into equilibrium residuals are one ``np.take`` each over any
+gradients into equilibrium residuals are one ``take`` each over any
 leading batch axes (the lattice axes are always the trailing ones).  The
 Hessian is scattered from the local Hessians through the same tables into a
 block-tridiagonal :class:`BandedHessian` (layers grouped along axis 0), so
@@ -115,7 +115,7 @@ class Stencil:
         """Configurations ``(..., energy sites, nball)`` of a total-field batch."""
         total = np.asarray(total, dtype=float)
         batch = total.shape[:total.ndim - len(self.shape)]
-        return np.take(total.reshape(batch + (-1,)), self.fwd, axis=-1)
+        return total.reshape(batch + (-1,)).take(self.fwd, axis=-1)
 
     def energies(self, potential, total):
         """Local energies ``S_j`` at every energy site, in the lattice shape."""
@@ -126,7 +126,7 @@ class Stencil:
         """Equilibrium residual ``sum_b d_i S_{i - ball[b]}`` at every state site."""
         g = potential.gradient(self.gather(total))
         batch = g.shape[:-2]
-        flat = np.take(g.reshape(batch + (-1,)), self.bwd, axis=-1)
+        flat = g.reshape(batch + (-1,)).take(self.bwd, axis=-1)
         return flat.sum(-2).reshape(batch + self.shape)
 
     def banded_hessian(self, potential, total):

@@ -148,6 +148,8 @@ class ClassicalFKPotential(SitePotential):
         self.coupling = float(coupling)
         bound = self.onsite_curvature_bound() + 4.0 * abs(self.coupling) * n
         super().__init__(n=n, r=1, second_derivative_bound=max(bound, 1.0))
+        # the neighbour index as an array, so no call converts the tuple
+        self._neighbors = np.array(self.neighbor_indices, dtype=np.intp)
 
     def onsite_curvature_bound(self) -> float:
         """sup |V''| of the on-site term."""
@@ -180,9 +182,9 @@ class ClassicalFKPotential(SitePotential):
     def energy(self, cfg):
         cfg = np.asarray(cfg, dtype=float)
         c0 = cfg[..., self.origin]
-        nb = cfg[..., self.neighbor_indices]
-        diffs = nb - c0[..., None]
-        return self._onsite(c0) + self.coupling * np.sum(diffs ** 2, axis=-1)
+        diffs = cfg[..., self._neighbors] - c0[..., None]
+        diffs *= diffs
+        return self._onsite(c0) + self.coupling * diffs.sum(axis=-1)
 
     def gradient(self, cfg):
         # r = 1: the ball is the origin and its neighbours.  The neighbour sum
@@ -192,7 +194,7 @@ class ClassicalFKPotential(SitePotential):
         o = self.origin
         out = 2.0 * self.coupling * (cfg - cfg[..., o:o + 1])
         out[..., o] = (self._onsite_d1(cfg[..., o])
-                       - out[..., self.neighbor_indices].sum(axis=-1))
+                       - out[..., self._neighbors].sum(axis=-1))
         return out
 
     def hessian(self, cfg):

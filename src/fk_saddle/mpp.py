@@ -213,46 +213,84 @@ def _certify_chain(system, nodes, hi, j, x_ref, e_ref):
     On a segment [a, b] the energy stays below max(E_a, E_b) + L |b - a|^2 / 8,
     since the gradient is L-Lipschitz (L = 1 / dt_safe).  Segments whose bound
     exceeds ``e_ref + CHAIN_CERT_TOL`` are bisected along the straight line,
-    with at most as many new states per energy call as the chain has nodes,
-    until every bound is below it.  The bisection stops early, with U above
-    that level, once a state is above it or ``CHAIN_CERT_MAX_STATES`` have
-    been evaluated.
+    every open segment once a round, until every bound is below it.  The
+    bisection stops early, with U above that level, once a state is above it
+    or ``CHAIN_CERT_MAX_STATES`` have been evaluated.
+
+    Most states are forced before any is evaluated: the half of a failing
+    segment toward its higher end fails again, whatever the midpoint energy,
+    while that end's energy plus the half's quadratic term exceeds the
+    level.  The forced halvings are evaluated first, in one batch; the
+    bisection then runs over the few open segments as Python floats and
+    evaluates only the states it lacks.  Every energy call takes at most as
+    many states as the chain has nodes, and ``densified`` counts the states
+    the bisection consumes.
     """
     chain = np.clip(nodes, 0.0, hi)
     chain[j] = x_ref
     energies = system.energy(chain)
     N = chain.shape[0]
     ends = chain.reshape(N, -1)
-    steps = np.diff(ends, axis=0)
-    length2 = np.sum(steps ** 2, axis=1)
-    quad = 0.125 / system.dt_safe
+    steps = ends[1:] - ends[:-1]
+    span = 0.125 / system.dt_safe * (steps * steps).sum(axis=1)
     target = e_ref + CHAIN_CERT_TOL
-    # open segments: chain segment i, from t0 to t1, energies e0 and e1 there
-    i = np.arange(N - 1)
-    t0, t1 = np.zeros(N - 1), np.ones(N - 1)
-    e0, e1 = energies[:-1], energies[1:]
-    top = -np.inf
+    high = np.maximum(energies[:-1], energies[1:])
+    bound = high + span
+    done = bound <= target
+    top = float(bound[done].max(initial=-np.inf))
+    i = np.flatnonzero(~done)
+    if not i.size:
+        return top, 0
+    if float(high[i].max()) > target or i.size > CHAIN_CERT_MAX_STATES:
+        return max(top, float(bound[i].max())), 0
+
+    def evaluate(keys):
+        # the energies at the (segment, parameter) keys, N states per call
+        seg, t = (np.array(v) for v in zip(*keys))
+        out = np.empty(len(keys))
+        for b in range(0, len(keys), N):
+            sl = slice(b, b + N)
+            states = ends[seg[sl]] + t[sl, None] * steps[seg[sl]]
+            out[sl] = system.energy(states.reshape((-1,) + chain.shape[1:]))
+        return dict(zip(keys, out.tolist()))
+
+    # the open segments (index, t0, t1, E(t0), E(t1)) and their forced
+    # halvings, each segment's toward its higher end, within the budget
+    e, span = energies.tolist(), span.tolist()
+    opened = [(s, 0.0, 1.0, e[s], e[s + 1]) for s in i.tolist()]
+    forced = []
+    for s, a, b, ea, eb in opened:
+        while len(forced) < CHAIN_CERT_MAX_STATES:
+            m = 0.5 * (a + b)
+            forced.append((s, m))
+            a, b = (m, b) if eb >= ea else (a, m)
+            if not max(ea, eb) + span[s] * ((b - a) * (b - a)) > target:
+                break
+    known = evaluate(forced)
     densified = 0
     while True:
-        bound = np.maximum(e0, e1) + quad * length2[i] * (t1 - t0) ** 2
-        done = bound <= target
-        top = max(top, float(np.max(bound[done], initial=-np.inf)))
-        if done.all():
+        mids = [(s, 0.5 * (a + b)) for s, a, b, _, _ in opened]
+        lack = [key for key in mids if key not in known]
+        if lack:
+            known.update(evaluate(lack))
+        densified += len(opened)
+        # a round's left halves go ahead of its right halves
+        halves = [(s, a, m, ea, known[s, m]) for (s, a, _, ea, _), (_, m) in zip(opened, mids)]
+        halves += [(s, m, b, known[s, m], eb) for (s, _, b, _, eb), (_, m) in zip(opened, mids)]
+        opened, peak, worst = [], -math.inf, -math.inf
+        for half in halves:
+            s, a, b, ea, eb = half
+            level = max(ea, eb)
+            bd = level + span[s] * ((b - a) * (b - a))
+            if bd <= target:
+                top = max(top, bd)
+            else:
+                opened.append(half)
+                peak, worst = max(peak, level), max(worst, bd)
+        if not opened:
             return top, densified
-        i, t0, t1, e0, e1 = i[~done], t0[~done], t1[~done], e0[~done], e1[~done]
-        if (float(np.max(np.maximum(e0, e1))) > target
-                or densified + i.size > CHAIN_CERT_MAX_STATES):
-            return max(top, float(bound[~done].max())), densified
-        tm = 0.5 * (t0 + t1)
-        em = np.empty_like(tm)
-        for b in range(0, i.size, N):
-            sl = slice(b, b + N)
-            states = ends[i[sl]] + tm[sl, None] * steps[i[sl]]
-            em[sl] = system.energy(states.reshape((-1,) + chain.shape[1:]))
-        densified += i.size
-        i = np.concatenate([i, i])
-        t0, t1 = np.concatenate([t0, tm]), np.concatenate([tm, t1])
-        e0, e1 = np.concatenate([e0, em]), np.concatenate([em, e1])
+        if peak > target or densified + len(opened) > CHAIN_CERT_MAX_STATES:
+            return max(top, worst), densified
 
 
 def _interpolate(nodes: np.ndarray, s: np.ndarray, targets) -> np.ndarray:
@@ -265,26 +303,42 @@ def _interpolate(nodes: np.ndarray, s: np.ndarray, targets) -> np.ndarray:
     return (1.0 - w) * nodes[k] + w * nodes[k + 1]
 
 
-def _equidistribute(nodes: np.ndarray) -> np.ndarray:
-    """Redistribute a chain uniformly in cumulative l2 arc length."""
-    N = nodes.shape[0]
-    seg = np.linalg.norm(np.diff(nodes.reshape(N, -1), axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    if s[-1] < 1e-12:
-        raise ReparametrizationError("path collapsed: total arc length < 1e-12")
-    s /= s[-1]
-    out = _interpolate(nodes, s, np.linspace(0.0, 1.0, N))
-    out[0] = nodes[0]
-    out[-1] = nodes[-1]
-    return out
-
-
 def _reparametrize(nodes: np.ndarray, fixed) -> np.ndarray:
-    """Equidistribute the chain between consecutive climbing nodes
-    ``fixed``, which stay in place."""
-    cuts = [0, *fixed, len(nodes) - 1]
-    return np.concatenate([_equidistribute(nodes[a:b + 1])[:-1]
-                           for a, b in zip(cuts[:-1], cuts[1:])] + [nodes[-1:]])
+    """Equidistribute the chain in l2 arc length between consecutive
+    climbing nodes ``fixed``, which stay in place, as do both endpoints.
+
+    The segment lengths are taken once.  In each stretch between two kept
+    nodes, interior node m moves to arc length m / (segments of the
+    stretch), on the polygon through the stretch's nodes, and one gather
+    writes the moved nodes of all stretches.  A stretch of arc length below
+    1e-12 raises ``ReparametrizationError``, which names its end nodes.
+    """
+    N = len(nodes)
+    flat = nodes.reshape(N, -1)
+    d = flat[1:] - flat[:-1]
+    seg = np.sqrt((d * d).sum(axis=1))
+    cuts = [0, *fixed, N - 1]
+    at, k, w = [], [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        s = np.zeros(b - a + 1)     # arc length from node a
+        seg[a:b].cumsum(out=s[1:])
+        if s[-1] < 1e-12:
+            raise ReparametrizationError(
+                "path collapsed: the stretch from node %d to node %d has arc "
+                "length %.3g < 1e-12" % (a, b, s[-1]))
+        s /= s[-1]
+        m = np.arange(1, b - a)
+        t = m * (1.0 / (b - a))
+        j = s.searchsorted(t, side="right")     # s[j - 1] <= t < s[j]
+        lo = s[j - 1]
+        w.append((t - lo) / (s[j] - lo))
+        k.append(j + (a - 1))
+        at.append(m + a)
+    k = np.concatenate(k)
+    w = np.concatenate(w).reshape((-1,) + (1,) * (nodes.ndim - 1))
+    out = nodes.copy()
+    out[np.concatenate(at)] = (1.0 - w) * nodes[k] + w * nodes[k + 1]
+    return out
 
 
 def _sweeps_per(time: float, dt: float) -> int:
@@ -298,6 +352,8 @@ def _climbing_force(system, nodes, peaks):
     tau the unit tangent of x_{m+1} - x_{m-1} (Henkelman, Uberuaga &
     Jonsson, J. Chem. Phys. 113, 9901, 2000)."""
     force = -system.grad(nodes[1:-1])
+    if not peaks.size:
+        return force
     axes = tuple(range(1, nodes.ndim))
     tau = nodes[peaks + 1] - nodes[peaks - 1]
     tau /= np.sqrt(np.sum(tau ** 2, axis=axes, keepdims=True))
@@ -323,6 +379,11 @@ def _minimax_node_flow(system, nodes0, hi, tol):
     time or a change of the string max per ``REPARAM_TIME`` of flow, so the
     stops do not depend on the step dt.  ``MAX_SWEEPS`` is a budget guard
     only.
+
+    A sweep is one guarded Euler step of all interior nodes (the force is
+    -grad until a node climbs), and a cycle's reparametrization and
+    certificate are a few whole-chain array passes.  The guard's reference
+    energies are a copy: the step writes into ``energies`` in place.
     """
     nodes = np.asarray(nodes0, dtype=float).copy()
     dt = system.dt_safe
@@ -345,7 +406,7 @@ def _minimax_node_flow(system, nodes0, hi, tol):
         for _ in range(_sweeps_per(REPARAM_TIME, dt)):
             sweep += 1
             e = energies
-            j = 1 + int(np.argmax(e[1:-1]))
+            j = 1 + int(e[1:-1].argmax())
             peaks = (1 + np.flatnonzero((e[1:-1] > e[:-2]) & (e[1:-1] >= e[2:]))
                      if climbing else np.array([], dtype=int))
             ref = e[1:-1].copy()

@@ -84,10 +84,11 @@ class PeriodicSystem(LatticeSystem):
             raise PeriodError("periods %r do not match model dimension %d"
                               % (periods, potential.n))
         super().__init__(potential, periods, base)
+        self._lattice_axes = tuple(range(-len(periods), 0))
 
     def energy(self, x):
-        e = self.stencil.energies(self.potential, self.total(x))
-        return e.sum(axis=tuple(range(e.ndim - self.lattice_ndim, e.ndim)))
+        return self.stencil.energies(self.potential, self.total(x)).sum(
+            axis=self._lattice_axes)
 
     grad = LatticeSystem.grad
     hess_matrix = LatticeSystem.hess_matrix

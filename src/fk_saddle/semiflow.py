@@ -52,8 +52,7 @@ class FlowError(FkSaddleError):
 
 
 def _l2(values: np.ndarray, lat_axes: int) -> np.ndarray:
-    axes = tuple(range(values.ndim - lat_axes, values.ndim))
-    return np.sqrt(np.sum(values ** 2, axis=axes))
+    return np.sqrt((values * values).sum(axis=tuple(range(-lat_axes, 0))))
 
 
 def rk4_step(system, x: np.ndarray, dt: float, k1: np.ndarray | None = None):
@@ -73,7 +72,7 @@ def guarded_step(system, x, dt, energy, k1=None):
     """
     x_new, _ = rk4_step(system, x, dt, k1)
     e_new = system.energy(x_new)
-    rise = float(np.max(e_new - energy, initial=-np.inf))
+    rise = float((e_new - energy).max(initial=-np.inf))
     if math.isnan(rise):
         raise FlowError("NaN energy after a step of %g" % dt)
     if rise > ENERGY_INCREASE_TOL:
@@ -96,7 +95,7 @@ def flow(system, x0: np.ndarray, tol: float = STATIONARITY_TOL,
     nlat = system.lattice_ndim
     energy = system.energy(x)
     g = system.grad(x)
-    res = float(np.max(_l2(g, nlat)))
+    res = float(_l2(g, nlat).max())
     t, steps = 0.0, 0
     while not res <= tol and t < t_max - 1e-15:
         step = min(dt, t_max - t)
@@ -104,7 +103,7 @@ def flow(system, x0: np.ndarray, tol: float = STATIONARITY_TOL,
         t += step
         steps += 1
         g = system.grad(x)
-        res = float(np.max(_l2(g, nlat)))
+        res = float(_l2(g, nlat).max())
     return x, steps, res
 
 

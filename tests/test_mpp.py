@@ -12,7 +12,7 @@ from fk_saddle import mpp
 from fk_saddle.cli import main
 from fk_saddle.defaults import COMPARE_TOL
 from fk_saddle.fields import BandedHessian
-from fk_saddle.mpp import PathError, box_path
+from fk_saddle.mpp import PathError, ReparametrizationError, box_path
 from fk_saddle.semiflow import refine_critical
 from fk_saddle.verify import minimize_c0p
 from fk_saddle.periodic import PeriodicSystem
@@ -466,6 +466,178 @@ def test_a_lower_critical_point_fails_the_certificate(classical, gap, tol, monke
     assert not result.success
     assert "not certified" in result.message
     assert result.d_upper > K3_LEVELS["classical"]
+
+
+# Node-flow results of the string before its sweeps and certificates became
+# whole-chain passes, recorded at full precision: the classical-fk scan rows
+# k = 1..6, the (2, 1) cross-check runs of the three models and the pinned-fk
+# strip (q = 1) on 17 and 65 nodes.  Every pinned field must come back bit
+# for bit.
+with open(Path(__file__).with_name("node_flow_levels.json")) as fh:
+    NODE_FLOW_LEVELS = json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(NODE_FLOW_LEVELS))
+def test_node_flow_keeps_its_results(request, tol, name):
+    case = NODE_FLOW_LEVELS[name]
+    if case["periods"] is None:
+        potential, gap = (request.getfixturevalue(f) for f in ("pinned", "het_gap"))
+    else:
+        potential = make_potential(case["model"])
+        gap = find_gap_pair(potential, (1, 1), seed=case["seed"], tol=tol)
+    res = best_mountain_pass(potential, gap, case["periods"], tol, N=case["nodes"])
+    assert res.success, res.message
+    for key in ("value", "d_upper", "densified", "iterations", "reparam_sweeps",
+                "argmax_index"):
+        assert getattr(res, key) == case[key], key
+    assert res.critical.ravel().tolist() == case["critical"]
+
+
+# The stretch-by-stretch reparametrization and the round-by-round chain
+# certificate that the whole-chain passes replaced, kept as references.
+
+def _reference_equidistribute(nodes):
+    N = nodes.shape[0]
+    seg = np.linalg.norm(np.diff(nodes.reshape(N, -1), axis=0), axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    if s[-1] < 1e-12:
+        raise ReparametrizationError("path collapsed: total arc length < 1e-12")
+    s /= s[-1]
+    out = mpp._interpolate(nodes, s, np.linspace(0.0, 1.0, N))
+    out[0] = nodes[0]
+    out[-1] = nodes[-1]
+    return out
+
+
+def _reference_reparametrize(nodes, fixed):
+    cuts = [0, *fixed, len(nodes) - 1]
+    return np.concatenate([_reference_equidistribute(nodes[a:b + 1])[:-1]
+                           for a, b in zip(cuts[:-1], cuts[1:])] + [nodes[-1:]])
+
+
+def _reference_certify_chain(system, nodes, hi, j, x_ref, e_ref):
+    chain = np.clip(nodes, 0.0, hi)
+    chain[j] = x_ref
+    energies = system.energy(chain)
+    N = chain.shape[0]
+    ends = chain.reshape(N, -1)
+    steps = np.diff(ends, axis=0)
+    length2 = np.sum(steps ** 2, axis=1)
+    quad = 0.125 / system.dt_safe
+    target = e_ref + mpp.CHAIN_CERT_TOL
+    i = np.arange(N - 1)
+    t0, t1 = np.zeros(N - 1), np.ones(N - 1)
+    e0, e1 = energies[:-1], energies[1:]
+    top = -np.inf
+    densified = 0
+    while True:
+        bound = np.maximum(e0, e1) + quad * length2[i] * (t1 - t0) ** 2
+        done = bound <= target
+        top = max(top, float(np.max(bound[done], initial=-np.inf)))
+        if done.all():
+            return top, densified
+        i, t0, t1, e0, e1 = i[~done], t0[~done], t1[~done], e0[~done], e1[~done]
+        if (float(np.max(np.maximum(e0, e1))) > target
+                or densified + i.size > mpp.CHAIN_CERT_MAX_STATES):
+            return max(top, float(bound[~done].max())), densified
+        tm = 0.5 * (t0 + t1)
+        em = np.empty_like(tm)
+        for b in range(0, i.size, N):
+            sl = slice(b, b + N)
+            states = ends[i[sl]] + tm[sl, None] * steps[i[sl]]
+            em[sl] = system.energy(states.reshape((-1,) + chain.shape[1:]))
+        densified += i.size
+        i = np.concatenate([i, i])
+        t0, t1 = np.concatenate([t0, tm]), np.concatenate([tm, t1])
+        e0, e1 = np.concatenate([e0, em]), np.concatenate([em, e1])
+
+
+def _random_chain(rng, N, shape, zero_segments):
+    # a monotone chain from 0 with ``zero_segments`` segments of length zero
+    steps = rng.uniform(0.0, 0.1, size=(N - 1,) + shape)
+    steps[rng.choice(N - 1, zero_segments, replace=False)] = 0.0
+    return np.concatenate([np.zeros((1,) + shape), np.cumsum(steps, axis=0)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reparametrize_matches_the_stretchwise_reference(seed):
+    rng = np.random.default_rng(seed)
+    collapsed = 0
+    for _ in range(50):
+        N = int(rng.integers(3, 40))
+        shape = ((1, 1), (2, 1), (3, 2))[int(rng.integers(3))]
+        nodes = _random_chain(rng, N, shape, int(rng.integers(0, min(4, N - 1))))
+        climbing = min(int(rng.integers(0, 4)), N - 2)
+        fixed = np.sort(rng.choice(np.arange(1, N - 1), climbing, replace=False))
+        try:
+            ref = _reference_reparametrize(nodes, fixed)
+        except ReparametrizationError:
+            collapsed += 1
+            with pytest.raises(ReparametrizationError, match="path collapsed"):
+                mpp._reparametrize(nodes, fixed)
+            continue
+        out = mpp._reparametrize(nodes, fixed)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    assert collapsed < 50
+
+
+def test_a_collapsed_stretch_names_its_end_nodes():
+    nodes = _random_chain(np.random.default_rng(1), 9, (2, 1), 0)
+    nodes[3:6] = nodes[3]
+    with pytest.raises(ReparametrizationError, match=r"^path collapsed: the stretch "
+                       r"from node 3 to node 5 has arc length 0 < 1e-12$"):
+        mpp._reparametrize(nodes, [3, 5])
+    # the same nodes with one climbing node inside the flat piece
+    with pytest.raises(ReparametrizationError, match="from node 3 to node 4 "):
+        mpp._reparametrize(nodes, [3, 4, 6])
+    mpp._reparametrize(nodes, [2, 6])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certify_chain_matches_the_roundwise_reference(classical, gap, seed):
+    # the level e_ref sits below, at and above the chain's top node, so
+    # the random chains run every exit: a node or a densified state above
+    # the target, and a bisection that ends below it
+    rng = np.random.default_rng(seed)
+    exits = set()
+    for _ in range(12):
+        k = int(rng.integers(1, 4))
+        system, hi = gap.order_box(classical, (k, 1))
+        N = int(rng.integers(3, 30))
+        nodes = np.clip(box_path(hi, N) + rng.normal(0.0, 0.02, (N,) + hi.shape),
+                        0.0, hi)
+        nodes[0], nodes[-1] = 0.0, hi
+        j = int(rng.integers(1, N - 1))
+        x_ref = np.clip(nodes[j] + rng.normal(0.0, 0.01, hi.shape), 0.0, hi)
+        chain = np.clip(nodes, 0.0, hi)
+        chain[j] = x_ref
+        e_ref = float(system.energy(chain).max()) + rng.choice([-0.05, 0.0, 0.02, 0.3])
+        ref = _reference_certify_chain(system, nodes, hi, j, x_ref, e_ref)
+        assert mpp._certify_chain(system, nodes, hi, j, x_ref, e_ref) == ref
+        exits.add((ref[0] <= e_ref + mpp.CHAIN_CERT_TOL, ref[1] > 0))
+    assert len(exits) >= 2
+
+
+def test_certify_chain_exits_early_like_the_reference(classical, gap, tol, mp21,
+                                                      monkeypatch):
+    system, hi = gap.order_box(classical, (2, 1))
+    # a densified state above the target: the torn chain's ridge
+    saddle = max(mp21.critical, hi - mp21.critical, key=np.sum)
+    nodes = np.stack([np.zeros((2, 1)), saddle, hi])
+    args = (system, nodes, hi, 1, saddle, mp21.value)
+    U, densified = mpp._certify_chain(*args)
+    assert (U, densified) == _reference_certify_chain(*args)
+    assert densified > 0 and U > mp21.value + 0.5
+    # the budget: a few states of the string's own certificate
+    args = (system, mp21.final_nodes, hi, mp21.argmax_index, mp21.critical,
+            mp21.value)
+    assert mpp._certify_chain(*args) == (mp21.d_upper, mp21.densified)
+    for budget in (1, 2, 5, 9, mp21.densified - 1, mp21.densified):
+        monkeypatch.setattr(mpp, "CHAIN_CERT_MAX_STATES", budget)
+        U, densified = mpp._certify_chain(*args)
+        assert (U, densified) == _reference_certify_chain(*args)
+        assert densified <= budget
+        assert (U <= mp21.value + mpp.CHAIN_CERT_TOL) == (budget == mp21.densified)
 
 
 def test_monotone_path_preserved(classical, gap):

@@ -13,7 +13,7 @@ pipelines).
 import sys
 from pathlib import Path
 
-from fk_saddle import RunConfig, cli, hetero, periodic
+from fk_saddle import RunConfig, cli, hetero, mpp, periodic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -75,3 +75,32 @@ def test_benchmark_jobs_pass_their_checks(monkeypatch, tmp_path):
                 assert job.check(man) == [], job.label
     finally:
         sys.modules.pop("workloads", None)
+
+
+def test_each_sweep_is_one_traced_guarded_step(monkeypatch, classical, gap, tol):
+    # semiflow.rk4_steps counts rk4_step spans and mpp.sweeps the node-flow
+    # iterations: every sweep must step through one guarded_step, which
+    # steps through one rk4_step, for either count to mean what it says
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracer
+
+    try:
+        t = tracer.Tracer()
+        try:
+            layers.install(t)
+            res = mpp.best_mountain_pass(classical, gap, (2, 1), tol)
+        finally:
+            t.restore()
+        spans = t.take()
+    finally:
+        for name in ("layers", "tracer"):
+            sys.modules.pop(name, None)
+    assert res.success
+    node, = [i for i, s in enumerate(spans) if s[0] == "mpp._minimax_node_flow"]
+    steps = [i for i, s in enumerate(spans) if s[0] == "semiflow.guarded_step"]
+    assert len(steps) == res.iterations > 0
+    assert all(spans[i][1] == node for i in steps)
+    for i in steps:
+        assert [s[0] for s in spans if s[1] == i].count("semiflow.rk4_step") == 1
+    assert sum(s[0] == "semiflow.rk4_step" for s in spans) == res.iterations
