@@ -12,8 +12,10 @@ key's ``config.SCHEMA`` entry, a flag left out keeps the ``RunConfig``
 default, and ``RunConfig.validate`` checks the result, exactly as for
 ``fk-saddle run job.cfg``.
 
-Exit status: 0 on success, 1 when any stage fails (for ``verify``: when any
-property fails), 2 on configuration errors.
+Exit status: 0 on success, 1 when any stage fails (for ``verify``: also when
+any property fails), 2 on configuration errors.  The manifest's ``errors``
+name each failure, also an error a stage raises, such as ``NoGapError``; a
+model that cannot be built exits 1 and writes no manifest.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from . import __version__
 from .config import (COMMAND_FLAGS, COMMON_FLAGS, SCHEMA, SEEDED, ConfigError,
                      RunConfig, config_to_dict, parse_config, set_key)
 from .defaults import CSV_FLOAT_FORMAT, TAIL_BOUND_TOL
-from .fields import FkSaddleError
+from .fields import FkSaddleError, tile
 from .hetero import (asymptotics_report, find_gap_pair_hetero,
                      minimize_hetero, mountain_pass_hetero)
-from .model import make_potential, residual_field, validate_assumptions
+from .model import make_potential, validate_assumptions
 from .mpp import best_mountain_pass, multiplicity_scan
-from .periodic import (default_minimize_seeds, find_gap_pair, minimize_periodic,
-                       require_gap)
+from .periodic import (PeriodicSystem, default_minimize_seeds, find_gap_pair,
+                       minimize_periodic)
 from .verify import (cross_check_mountain_pass, run_property_suite,
                      sample_landscape)
 
@@ -92,9 +94,8 @@ class Manifest:
 
 
 def _gap_or_fail(pot, cfg):
-    gap = find_gap_pair(pot, (1,) * pot.n, probes=cfg.probes,
-                        seed=cfg.seed or 0, tol=cfg.tol)
-    return require_gap(gap)
+    return find_gap_pair(pot, (1,) * pot.n, probes=cfg.probes,
+                         seed=cfg.seed or 0, tol=cfg.tol)
 
 
 def _minimize_kink(pot, cfg, gap0, man, **kw):
@@ -121,10 +122,19 @@ def _saddle(res, level, ground):
 
 
 def run(cfg: RunConfig) -> Manifest:
-    """Dispatch one validated configuration; returns the filled manifest."""
+    """Dispatch one validated configuration; returns the filled manifest,
+    with the error of a stage that raised under ``errors``."""
     cfg.validate()
     pot = make_potential(cfg.model, **cfg.model_params())
     man = Manifest(cfg)
+    try:
+        _stages(cfg, pot, man)
+    except FkSaddleError as exc:
+        man.errors.append("%s: %s" % (type(exc).__name__, exc))
+    return man
+
+
+def _stages(cfg, pot, man):
     cmd = cfg.command
 
     if cmd == "minimize":
@@ -132,8 +142,8 @@ def run(cfg: RunConfig) -> Manifest:
         res = minimize_periodic(pot, cfg.p, seeds, cfg.tol)
         man.scalars["c0p"] = res.c0p
         man.scalars["iterations"] = res.iterations
-        man.scalars["residuals"] = [
-            float(np.max(np.abs(residual_field(pot, f)))) for f in res.limits]
+        g = PeriodicSystem(pot, cfg.p).grad(np.stack(res.limits))
+        man.scalars["residuals"] = np.abs(g).reshape(len(g), -1).max(axis=1).tolist()
         man.tables["limits"] = [f.tolist() for f in res.limits]
         man.tables["limit_energies"] = res.energies
         if cfg.fields_out:
@@ -143,12 +153,9 @@ def run(cfg: RunConfig) -> Manifest:
     elif cmd == "gap":
         gap = find_gap_pair(pot, cfg.p, probes=cfg.probes, seed=cfg.seed or 0,
                             tol=cfg.tol)
-        if gap is None:
-            man.errors.append("no gap found")
-        else:
-            man.scalars["v0"] = float(gap.lo.flat[0])
-            man.scalars["w0"] = float(gap.hi.flat[0])
-            man.tables["evidence"] = gap.evidence
+        man.scalars["v0"] = float(gap.lo.flat[0])
+        man.scalars["w0"] = float(gap.hi.flat[0])
+        man.tables["evidence"] = gap.evidence
 
     elif cmd == "mpp":
         gap = _gap_or_fail(pot, cfg)
@@ -159,7 +166,7 @@ def run(cfg: RunConfig) -> Manifest:
         if not res.success:
             man.errors.append(res.message)
         if cfg.fields_out:
-            _write_field_csv(cfg.fields_out, res.critical)
+            _write_field_csv(cfg.fields_out, tile(gap.lo, cfg.p) + res.critical)
             man.add_file(cfg.fields_out)
 
     elif cmd == "landscape":
@@ -215,18 +222,15 @@ def run(cfg: RunConfig) -> Manifest:
         mres = _minimize_kink(pot, cfg, gap0, man, check_stability=False)
         gap1 = find_gap_pair_hetero(pot, mres, gap0, probes=cfg.probes,
                                     seed=cfg.seed or 0, tol=cfg.tol)
-        if gap1 is None:
-            man.errors.append("no heteroclinic gap pair found")
-        else:
-            res = mountain_pass_hetero(pot, gap1, cfg.tol, N=cfg.nodes)
-            man.scalars.update(_saddle(res, "d1q", "c1q"), success=res.success,
-                               tails=[gap0.lo.item(), gap0.hi.item()],
-                               window=mres.window)
-            if not res.success:
-                man.errors.append(res.message)
-            if cfg.fields_out:
-                _write_field_csv(cfg.fields_out, gap1.lo + res.critical, -mres.window)
-                man.add_file(cfg.fields_out)
+        res = mountain_pass_hetero(pot, gap1, cfg.tol, N=cfg.nodes)
+        man.scalars.update(_saddle(res, "d1q", "c1q"), success=res.success,
+                           tails=[gap0.lo.item(), gap0.hi.item()],
+                           window=mres.window)
+        if not res.success:
+            man.errors.append(res.message)
+        if cfg.fields_out:
+            _write_field_csv(cfg.fields_out, gap1.lo + res.critical, -mres.window)
+            man.add_file(cfg.fields_out)
 
     elif cmd == "verify":
         # the suite and the cross check share one gap pair on the unit torus
@@ -266,8 +270,6 @@ def run(cfg: RunConfig) -> Manifest:
 
     else:  # pragma: no cover - guarded by validate()
         raise ConfigError("unhandled command %r" % cmd)
-
-    return man
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ from .defaults import (DEDUP_TOL, GAP_PROBES, HETERO_SEED_SHIFTS,
 from .fields import FkSaddleError, WindowError, tile, validate_periods
 from .model import SitePotential
 from .mpp import MinimaxResult, best_mountain_pass
-from .periodic import (GapPair, StripSystem, polish_limits, probe_adjacency,
-                       require_gap)
+from .periodic import (GapPair, NoGapError, StripSystem, polish_limits,
+                       probe_adjacency)
 from .semiflow import FlowError, flow
 
 
@@ -116,7 +116,6 @@ def minimize_hetero(potential: SitePotential, q, gap0: GapPair,
     stability is the change of c1q under one further window doubling: the
     check relaxes the minimizer again at half-width 2W, twice the sites.
     """
-    gap0 = require_gap(gap0)
     q = validate_periods(q) if len(tuple(q)) else ()
     W = int(window) if window is not None else WINDOW_START
     carried = ()
@@ -182,29 +181,30 @@ def find_gap_pair_hetero(potential: SitePotential,
 
     The partner of the kink v1 of ``minimized`` (which fixes q and the
     window) is its axis-1 translate.  Probe flows seeded between them
-    certify adjacency heuristically; a continuum of intermediate
-    minimizers (as in the free chain) returns None.
+    certify adjacency heuristically.  ``NoGapError`` names the check that
+    fails: the translate is indistinguishable, not ordered or not critical (a
+    continuum of minimizers, as in the free chain), or the probes rule it out.
     """
-    gap0 = require_gap(gap0)
     # w1(i) = v1(i + e_1): the window one layer on, the right tail entering
     v1, q = minimized.v1, minimized.v1.shape[1:]
     kink = StripSystem(potential, q, v1.shape[0] // 2, *gap0.frame(potential, q))
     pair = GapPair(v1, kink.total(v1, 1)[2:], ground=gap0)
     system, width = pair.order_box(potential)
     if np.max(np.abs(width)) <= DEDUP_TOL:
-        return None  # translate indistinguishable: no discrete kink lattice
+        raise NoGapError("the kink's translate is indistinguishable from it")
     if np.min(width) < -1e-9:
-        return None  # translate not ordered above v1
-    if np.max(np.abs(system.grad(width))) > max(1e-8, 100 * tol):
-        # the translate fails the equilibrium equation: the minimizer family
-        # is a continuum (free-chain-like), not a discrete kink lattice
-        return None
+        raise NoGapError("the kink's translate is not ordered above it")
+    residual = float(np.max(np.abs(system.grad(width))))
+    if residual > max(1e-8, 100 * tol):
+        raise NoGapError("the kink's translate is not critical (residual %.3g): "
+                         "the minimizer family is a continuum" % residual)
     rng = np.random.default_rng(seed)
     pair.evidence = probe_adjacency(system, np.zeros_like(width), width,
                                     minimized.c1q, tol, probes,
                                     lambda: rng.uniform(0.05, 0.95))
     if pair.evidence["distinct_interior_minimizers"]:
-        return None
+        raise NoGapError("the probe evidence rules the kink pair out: %r"
+                         % pair.evidence)
     return pair
 
 

@@ -4,8 +4,8 @@ A model is a site potential ``s`` acting on configurations over the radius-r
 index ball ``B = {k in Z^n : |k|_1 <= r}``.  The shifted local energies
 ``S_j(u) = s(u restricted to j + B)`` define the formal lattice energy; a
 field is stationary when the finite sum ``sum_{|j-i|_1 <= r} d_i S_j(u)``
-vanishes at every site, and that sum is what :func:`residual_field` returns
-(on the torus; the strip's is ``periodic.StripSystem.grad``).
+vanishes at every site, and that sum is what ``grad`` of the systems in
+``periodic`` returns, the only door from a potential to a lattice state.
 
 The standard assumptions on ``s`` are:
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import FD_STEP, FD_REL_TOL, SHIFT_PERIODICITY_TOL
-from .fields import FkSaddleError, stencil
+from .fields import FkSaddleError
 
 TWO_PI = 2.0 * np.pi
 
@@ -302,22 +302,6 @@ def make_potential(name: str, **model_params) -> SitePotential:
                              % (name, type(exc).__name__, exc)) from exc
     raise ModelError("unknown model %r (built-ins: %s)"
                      % (name, ", ".join(sorted(BUILTIN_MODELS))))
-
-
-# ---------------------------------------------------------------------------
-# field-level operations
-# ---------------------------------------------------------------------------
-
-def site_energies(potential: SitePotential, values: np.ndarray) -> np.ndarray:
-    """S_j(u) for every torus site j; values has lattice axes trailing."""
-    periods = np.shape(values)[-potential.n:]
-    return stencil(potential.ball, periods).energies(potential, values)
-
-
-def residual_field(potential: SitePotential, values: np.ndarray) -> np.ndarray:
-    """Equilibrium residual sum_{|j-i|<=r} d_i S_j(u) at every torus site."""
-    periods = np.shape(values)[-potential.n:]
-    return stencil(potential.ball, periods).residual(potential, values)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ from .defaults import (BASIN_MATCH_TOL, CHAIN_CERT_MAX_STATES, CHAIN_CERT_TOL,
                        default_node_count)
 from .fields import FkSaddleError
 from .model import SitePotential
-from .periodic import require_gap
+from .periodic import match
 from .semiflow import _l2, flow, guarded_step, refine_critical
 
 
@@ -458,16 +458,6 @@ def _minimax_node_flow(system, nodes0, hi, tol):
 # heat-flow
 # ---------------------------------------------------------------------------
 
-def _basins_of(X, reps):
-    """For each state of the batch ``X``, the index of the first
-    representative in ``reps`` within BASIN_MATCH_TOL of it (l-inf), or -1."""
-    if not len(reps):
-        return np.full(len(X), -1)
-    dist = np.abs(X.reshape(len(X), 1, -1) - np.reshape(reps, (1, len(reps), -1)))
-    near = dist.max(axis=2) <= BASIN_MATCH_TOL
-    return np.where(near.any(axis=1), near.argmax(axis=1), -1)
-
-
 def _classify_flow(system, X, reps, energy=None):
     """Flow a batch of states toward their attractors, watching for saddle
     fly-bys.
@@ -507,7 +497,7 @@ def _classify_flow(system, X, reps, energy=None):
     while True:
         stop = rn <= HEAT_SETTLE_TOL
         if steps % check_every == 0:
-            labels[idx] = _basins_of(x, frozen)
+            labels[idx] = match(x, frozen, BASIN_MATCH_TOL)
             stop |= labels[idx] >= 0
         if t >= HEAT_CLASSIFY_TIME:
             stop[:] = True
@@ -536,7 +526,7 @@ def _classify_flow(system, X, reps, energy=None):
     for b in range(len(X)):
         label, is_new = int(labels[b]), False
         if label < 0:
-            label = int(_basins_of(X[b:b + 1], reps)[0])
+            label = int(match(X[b:b + 1], reps, BASIN_MATCH_TOL)[0])
             is_new = label < 0
             if is_new:
                 reps.append(X[b].copy())
@@ -642,8 +632,8 @@ def _minimax_heat_flow(system, path0: np.ndarray, hi, tol):
                         continue
                     # a stuck saddle can be a "basin" itself; the tear is then
                     # already represented by that rep
-                    if collapsed and _basins_of(
-                            x_ref[None], [reps[tear.lab_lo], reps[tear.lab_hi]])[0] >= 0:
+                    if collapsed and match(x_ref[None], [reps[tear.lab_lo], reps[tear.lab_hi]],
+                                           BASIN_MATCH_TOL)[0] >= 0:
                         tear.open = False
                         continue
             labs = [tear.lab_lo] + [r[0] for r in row] + [tear.lab_hi]
@@ -699,7 +689,7 @@ def mountain_pass(potential: SitePotential, gap, path0,
     the exact critical point strictly inside.
     """
     nodes = np.asarray(path0, dtype=float)
-    lattice = nodes.ndim - len(require_gap(gap).periods)
+    lattice = nodes.ndim - len(gap.periods)
     if lattice < 1:
         raise PathError("a chain is at least 3 nodes shaped (N, ..., *p) with "
                         "%d periods, got shape %r" % (len(gap.periods), nodes.shape))
@@ -725,7 +715,6 @@ def best_mountain_pass(potential: SitePotential, gap, periods=None,
     through one nucleation at a time; the staircase phi_k, which ramps the
     mirror columns together, can stall the string at an index-2 point.
     """
-    gap = require_gap(gap)
     hi = gap.order_box(potential, periods)[1]
     lattice = hi.ndim - len(gap.periods)
     N = default_node_count(hi.shape[lattice:]) if N is None else N
@@ -822,7 +811,6 @@ def multiplicity_scan(potential: SitePotential, k_max: int, gap,
     """
     if k_max < 2:
         raise PathError("k_max must be >= 2")
-    gap = require_gap(gap)
     if not gap.periods:
         raise PathError("the pair has no periodic axis to scan")
     rows = []

@@ -30,12 +30,13 @@ from .defaults import (DEDUP_TOL, GAP_PROBES, MINIMIZE_GRID_SEEDS,
                        STRICT_ORDER_TOL)
 from .fields import (FkSaddleError, PeriodError, WindowError, stencil, tile,
                      validate_periods)
-from .model import SitePotential, site_energies
+from .model import SitePotential
 from .semiflow import flow_to_stationarity, refine_critical
 
 
 class NoGapError(FkSaddleError):
-    """Raised by gap-dependent operations when no gap pair is available."""
+    """Raised by ``find_gap_pair`` and ``hetero.find_gap_pair_hetero`` where
+    they find no adjacent pair; the message names the reason."""
 
 
 class LatticeSystem:
@@ -144,13 +145,23 @@ class MinimizeResult:
     iterations: int
 
 
+def match(X, reps, tol):
+    """For each state of the batch ``X``, the index of the first
+    representative in ``reps`` within ``tol`` of it (l-inf), or -1."""
+    if not len(reps):
+        return np.full(len(X), -1)
+    dist = np.abs(X.reshape(len(X), 1, -1) - np.reshape(reps, (1, len(reps), -1)))
+    near = dist.max(axis=2) <= tol
+    return np.where(near.any(axis=1), near.argmax(axis=1), -1)
+
+
 def _dedup(fields, energies):
     """Lift-normalize (subtract the integer that puts the value at site 0
     into [0, 1)), then merge fields within l-inf distance DEDUP_TOL."""
     out, out_e = [], []
     for f, e in zip(fields, energies):
         nf = f - math.floor(f.flat[0])
-        if not any(np.max(np.abs(nf - g)) <= DEDUP_TOL for g in out):
+        if match(nf[None], out, DEDUP_TOL)[0] < 0:
             out.append(nf)
             out_e.append(e)
     order = np.argsort([g.flat[0] for g in out], kind="stable")
@@ -167,7 +178,7 @@ def polish_limits(system, x, tol: float) -> list:
     """
     kept = []
     for xi in x:
-        if any(np.max(np.abs(xi - k)) <= DEDUP_TOL for k in kept):
+        if match(xi[None], kept, DEDUP_TOL)[0] >= 0:
             continue
         xr, res_inf, ok = refine_critical(system, xi, POLISH_TOL, POLISH_MAX_ITER)
         if ok or res_inf <= tol:
@@ -228,7 +239,8 @@ class GapPair:
             raise PeriodError("a ground pair of axis-0 period %d does not fill "
                               "the strip's one-layer tails" % self.periods[0])
         layer = (1,) + tuple(q)
-        c0 = float(np.mean(site_energies(potential, self.lo)))
+        torus = PeriodicSystem(potential, self.lo.shape)
+        c0 = float(torus.energy(self.lo)) / self.lo.size
         return tile(self.lo, layer), tile(self.hi, layer), c0
 
     def order_box(self, potential: SitePotential, periods=None):
@@ -259,14 +271,15 @@ def default_minimize_seeds(rng, periods):
 
 def find_gap_pair(potential: SitePotential, periods, probes: int = GAP_PROBES,
                   seed: int = 0, tol: float = STATIONARITY_TOL):
-    """Locate two adjacent global minimizers, or return None.
+    """Locate two adjacent global minimizers.
 
     Candidate pairs are consecutive lift-normalized minimizers (plus the
     integer-wrap pair).  Adjacency is certified heuristically: probe flows
     seeded on interior convex combinations and random interior fields must
     all fall back to the endpoints; a probe limit that is stationary but has
     energy above c0p does not break adjacency (it is not a minimizer) and is
-    recorded in the evidence.
+    recorded in the evidence.  When no candidate qualifies it raises
+    ``NoGapError`` with the count of minimizer orbits.
     """
     if probes < 1:
         raise FkSaddleError("probes must be >= 1")
@@ -290,7 +303,9 @@ def find_gap_pair(potential: SitePotential, periods, probes: int = GAP_PROBES,
         evidence["minimizer_orbits"] = len(fields)
         if not evidence["distinct_interior_minimizers"]:
             return GapPair(v, w, evidence)
-    return None
+    raise NoGapError("no gap pair on the torus %r: %d minimizer orbits, and every "
+                     "strictly ordered candidate pair has interior minimizers"
+                     % (periods, len(fields)))
 
 
 def probe_adjacency(system, lo, hi, level, tol, probes, draw) -> dict:
@@ -308,21 +323,8 @@ def probe_adjacency(system, lo, hi, level, tol, probes, draw) -> dict:
     fractions += [draw() for _ in range(max(2, probes // 2))]
     x, _ = flow_to_stationarity(
         system, np.stack([lo + f * width for f in fractions]), tol)
-    energies = system.energy(x)
-    minimizers = critical = 0
-    for xi, e in zip(x, energies):
-        if min(np.max(np.abs(xi - lo)), np.max(np.abs(xi - hi))) <= DEDUP_TOL:
-            continue
-        if e > level + MINIMIZER_ENERGY_MARGIN:
-            critical += 1
-        else:
-            minimizers += 1
+    interior = match(x, [lo, hi], DEDUP_TOL) < 0
+    high = system.energy(x) > level + MINIMIZER_ENERGY_MARGIN
     return {"probes": len(fractions),
-            "distinct_interior_minimizers": minimizers,
-            "interior_critical_points": critical}
-
-
-def require_gap(gap) -> GapPair:
-    if gap is None:
-        raise NoGapError("no gap found: the minimizer set has no adjacent pair")
-    return gap
+            "distinct_interior_minimizers": int(np.count_nonzero(interior & ~high)),
+            "interior_critical_points": int(np.count_nonzero(interior & high))}

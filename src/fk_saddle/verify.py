@@ -34,9 +34,9 @@ from .defaults import (BOX_INVARIANCE_TOL, CLIP_ENERGY_TOL, CROSS_CHECK_TOL,
                        ORACLE_BOUND_SLACK, ORACLE_RESOLUTION, SCALING_TOL,
                        STATIONARITY_TOL, STRICT_ORDER_TOL, SUBMODULARITY_TOL)
 from .fields import FkSaddleError
-from .model import SitePotential, central_differences, site_energies
+from .model import SitePotential, central_differences
 from .mpp import best_mountain_pass
-from .periodic import GapPair, find_gap_pair, minimize_periodic, require_gap
+from .periodic import GapPair, PeriodicSystem, find_gap_pair, minimize_periodic
 from .semiflow import flow, flow_to_stationarity, rk4_step
 
 ORACLE_BATCH = 2048            # states per energy call of the oracle; larger batches fall out of cache
@@ -152,7 +152,7 @@ def _order_box_axes(potential, gap, resolution):
     ``resolution`` each, spanning the order box [0, hi]."""
     if potential.n != 2:
         raise FkSaddleError("the 2-variable oracle needs model dimension 2")
-    system, hi = require_gap(gap).order_box(potential, (2, 1))
+    system, hi = gap.order_box(potential, (2, 1))
     return (system, np.linspace(0.0, hi[0, 0], resolution),
             np.linspace(0.0, hi[1, 0], resolution))
 
@@ -368,7 +368,8 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
     """Execute every numerically checkable inequality; returns reports.
 
     Without a ``gap`` the suite searches the unit torus for one with
-    ``probes`` adjacency probes (``find_gap_pair``'s keyword).  Failures are
+    ``probes`` adjacency probes (``find_gap_pair``'s keyword), and boxes the
+    constant scan's minimizer where the search raises.  Failures are
     report rows, not exceptions; a property whose setup blows up (for
     instance on a model violating the standing assumptions) is reported
     failed with the error in the detail field.
@@ -382,8 +383,6 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
             gap = find_gap_pair(potential, (1,) * len(periods), probes=probes,
                                 seed=seed, tol=tol)
         except FkSaddleError:
-            gap = None
-        if gap is None:
             gap = _fallback_gap(potential, periods)
     system, box = gap.order_box(potential, periods)
 
@@ -405,9 +404,7 @@ def run_property_suite(potential: SitePotential, periods, seed: int,
     def submodularity(rng):
         u = rng.uniform(-2.0, 2.0, size=(trials,) + periods)
         v = rng.uniform(-2.0, 2.0, size=(trials,) + periods)
-        lat = tuple(range(1, 1 + len(periods)))
-        def J(x):
-            return site_energies(potential, x).sum(axis=lat)
+        J = PeriodicSystem(potential, periods).energy
         lhs = J(np.maximum(u, v)) + J(np.minimum(u, v))
         rhs = J(u) + J(v)
         worst = float(np.min(rhs - lhs))
@@ -547,7 +544,6 @@ def cross_check_mountain_pass(potential: SitePotential, gap: GapPair,
     """
     if potential.n != 2:
         raise FkSaddleError("cross check is defined for model dimension 2")
-    gap = require_gap(gap)
     node = best_mountain_pass(potential, gap, (2, 1), tol, mode="node-flow")
     heat = best_mountain_pass(potential, gap, (2, 1), tol, mode="heat-flow")
     failed = {name: res.message for name, res in

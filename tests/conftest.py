@@ -32,16 +32,12 @@ def tol():
 
 @pytest.fixture(scope="session")
 def gap(classical, tol):
-    g = find_gap_pair(classical, (1, 1), seed=3, tol=tol)
-    assert g is not None
-    return g
+    return find_gap_pair(classical, (1, 1), seed=3, tol=tol)
 
 
 @pytest.fixture(scope="session")
 def pinned_gap(pinned, tol):
-    g = find_gap_pair(pinned, (1, 1), seed=3, tol=tol)
-    assert g is not None
-    return g
+    return find_gap_pair(pinned, (1, 1), seed=3, tol=tol)
 
 
 # the pinned-fk kink (q = 1), its gap pair and the strip mountain pass
@@ -52,9 +48,7 @@ def het(pinned, pinned_gap, tol):
 
 @pytest.fixture(scope="session")
 def het_gap(pinned, pinned_gap, tol, het):
-    g = find_gap_pair_hetero(pinned, het, pinned_gap, seed=5, tol=tol)
-    assert g is not None
-    return g
+    return find_gap_pair_hetero(pinned, het, pinned_gap, seed=5, tol=tol)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from fk_saddle.cli import (FLAG_KEYS, _config_from_args, build_parser, main,
                            schema_entry)
 from fk_saddle.config import COMMAND_FLAGS, COMMON_FLAGS, SCHEMA, config_to_dict
 from fk_saddle.defaults import TAIL_BOUND_TOL, WINDOW_CAP
+from fk_saddle.semiflow import FlowError
 
 
 def test_parse_minimal_defaults():
@@ -392,6 +393,21 @@ def test_mph_fields_out_is_the_saddle_on_the_window(tmp_path, monkeypatch):
     assert np.array_equal(values, (args[1].lo + res.critical).ravel())
 
 
+def test_mpp_fields_out_is_the_saddle_on_the_torus(tmp_path, monkeypatch):
+    # the CSV holds lo + critical on the periods, the saddle itself, as mph
+    # writes v1 + critical
+    calls = _spy(monkeypatch, "best_mountain_pass")
+    out, csv = tmp_path / "mpp.json", tmp_path / "saddle.csv"
+    assert main(["mpp", "--model", "classical-fk", "--p", "2,1", "--seed", "1",
+                 "--out", str(out), "--fields-out", str(csv)]) == 0
+    coords, values = _fields_csv(json.loads(out.read_text()), csv)
+    assert coords.tolist() == [list(i) for i in np.ndindex(2, 1)]
+    (args, res), = calls
+    assert np.array_equal(values, (np.tile(args[1].lo, (2, 1)) + res.critical).ravel())
+    # v0 = -1/4 under both sites, one of them flipped over the barrier
+    assert values == pytest.approx([0.2563, -0.2437], abs=1e-4)
+
+
 def test_minimize_fields_out_is_the_best_limit(tmp_path, monkeypatch):
     calls = _spy(monkeypatch, "minimize_periodic")
     out, csv = tmp_path / "min.json", tmp_path / "best.csv"
@@ -562,7 +578,28 @@ def test_gap_exits_1_when_there_is_no_gap(tmp_path):
     assert main(["gap", "--model", "free-chain", "--p", "1,1", "--seed", "3",
                  "--out", str(out)]) == 1
     data = json.loads(out.read_text())
-    assert not data["ok"] and data["errors"] == ["no gap found"]
+    assert not data["ok"]
+    [error] = data["errors"]
+    assert re.fullmatch(r"NoGapError: no gap pair on the torus \(1, 1\): \d+ minimizer "
+                        r"orbits, and every strictly ordered candidate pair has "
+                        r"interior minimizers", error)
+
+
+def test_a_stage_error_lands_in_the_manifest(tmp_path, monkeypatch):
+    # the property suite has run when the cross check raises: the manifest
+    # keeps its rows and names the error, and the run exits 1
+    def raising(*args, **kwargs):
+        raise FlowError("flow did not reach residual 1e-10 within t_max=200")
+
+    monkeypatch.setattr(cli, "cross_check_mountain_pass", raising)
+    out = tmp_path / "cc.json"
+    assert main(["verify", "--model", "classical-fk", "--p", "2,1", "--trials", "2",
+                 "--cross-check", "--seed", "7", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert len(data["tables"]["properties"]) == 9
+    assert all(p["passed"] for p in data["tables"]["properties"])
+    assert data["errors"] == [
+        "FlowError: flow did not reach residual 1e-10 within t_max=200"]
 
 
 def test_mpp_exits_1_when_the_mountain_pass_fails(tmp_path, monkeypatch):

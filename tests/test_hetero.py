@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from fk_saddle import hetero
 from fk_saddle.defaults import default_node_count
 from fk_saddle.fields import PeriodError, WindowError
 from fk_saddle.mpp import PathError, box_path
+from fk_saddle.periodic import NoGapError
 from fk_saddle.semiflow import flow
 
 from helper_models import SmallStepFK, dense
@@ -204,8 +206,26 @@ def test_hetero_gap_free_chain(tol):
     # so no adjacent pair exists (the minimizer family is a continuum)
     fixed = minimize_hetero(free, (1,), gap0, tol, window=20,
                             check_stability=False)
-    out = find_gap_pair_hetero(free, fixed, gap0, seed=0, tol=tol)
-    assert out is None
+    with pytest.raises(NoGapError, match="translate is not critical .*continuum"):
+        find_gap_pair_hetero(free, fixed, gap0, seed=0, tol=tol)
+
+
+@pytest.mark.parametrize("how, reason", [
+    ("flat", "translate is indistinguishable"),
+    ("reversed", "translate is not ordered"),
+    ("probed", "probe evidence rules the kink pair out: .*'distinct_interior_minimizers': 1")])
+def test_hetero_gap_names_the_failed_check(pinned, pinned_gap, tol, het, how, reason,
+                                           monkeypatch):
+    # a kink flat at the right tail is its own translate; a kink running
+    # from the right tail down to the left one has its translate below it
+    v1 = {"flat": np.full_like(het.v1, pinned_gap.hi.item()),
+          "reversed": het.v1[::-1].copy()}.get(how, het.v1)
+    if how == "probed":
+        monkeypatch.setattr(hetero, "probe_adjacency", lambda *a: {
+            "probes": 3, "distinct_interior_minimizers": 1, "interior_critical_points": 0})
+    with pytest.raises(NoGapError, match=reason):
+        find_gap_pair_hetero(pinned, dataclasses.replace(het, v1=v1), pinned_gap,
+                             tol=tol)
 
 
 def test_hetero_gap_deterministic(pinned, pinned_gap, tol, het):

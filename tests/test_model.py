@@ -7,7 +7,7 @@ from fk_saddle import (PeriodicSystem, StripSystem, find_gap_pair,
                        make_potential, validate_assumptions)
 from fk_saddle.cli import main
 from fk_saddle.model import (ClassicalFKPotential, ModelError, PluginPotential,
-                             ball_offsets, residual_field, site_energies)
+                             ball_offsets)
 from fk_saddle.semiflow import rk4_step
 
 from helper_models import (FlippedBondPotential, dense, el_residual,
@@ -45,7 +45,7 @@ def test_el_residual_of_converged_minimizer(classical, tol):
     from fk_saddle import minimize_periodic
 
     res = minimize_periodic(classical, (2, 1), [0.1, 0.6], tol)
-    r = residual_field(classical, res.best)
+    r = PeriodicSystem(classical, (2, 1)).grad(res.best)
     assert np.max(np.abs(r)) <= tol
 
 
@@ -186,7 +186,7 @@ def test_submodularity_random_fields(data):
     draw = lambda: np.array(data.draw(st.lists(
         st.floats(-2, 2, allow_nan=False), min_size=4, max_size=4))).reshape(2, 2)
     u, v = draw(), draw()
-    J = lambda x: float(site_energies(pot, x).sum())
+    J = lambda x: float(PeriodicSystem(pot, (2, 2)).energy(x))
     lhs = J(np.maximum(u, v)) + J(np.minimum(u, v))
     rhs = J(u) + J(v)
     assert lhs <= rhs + 1e-10

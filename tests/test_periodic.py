@@ -4,7 +4,7 @@ import pytest
 from fk_saddle import find_gap_pair, make_potential, minimize_periodic
 from fk_saddle.fields import BandedHessian, PeriodError
 from fk_saddle.model import ModelError, PluginPotential
-from fk_saddle.periodic import NoGapError, PeriodicSystem, require_gap
+from fk_saddle.periodic import NoGapError, PeriodicSystem
 from fk_saddle.semiflow import (FlowError, flow, flow_to_stationarity,
                                 refine_critical)
 from fk_saddle.verify import run_property_suite
@@ -148,19 +148,15 @@ def test_gap_pair_classical(gap):
 
 def test_gap_pair_free_chain(tol):
     free = make_potential("free-chain")
-    assert find_gap_pair(free, (1, 1), seed=0, tol=tol) is None
+    with pytest.raises(NoGapError, match=r"\d+ minimizer orbits, and every strictly "
+                       r"ordered candidate pair has interior minimizers"):
+        find_gap_pair(free, (1, 1), seed=0, tol=tol)
 
 
 def test_gap_pair_two_well(twowell, tol):
     g = find_gap_pair(twowell, (1, 1), seed=1, tol=tol)
-    assert g is not None
     width = g.hi - g.lo
     assert np.max(np.abs(width - 0.5)) < 1e-8
-
-
-def test_require_gap_raises():
-    with pytest.raises(NoGapError):
-        require_gap(None)
 
 
 def test_flow_comparison_order(classical, gap):

@@ -21,6 +21,11 @@ echoed or read by tests goes.  Like the method check this goes by name.
 Every defaulted parameter of a public module-level function is passed, by
 position or by keyword, by some call in a module other than ``__init__.py``:
 a knob that only tests turn is a second code path, and it goes.
+
+Two decisions have one door each: only ``fields.py`` and ``periodic.py``
+name the stencil engine, so every lattice energy, gradient and Hessian goes
+through a system, and only the gap searches of ``periodic.py`` and
+``hetero.py`` raise ``NoGapError``.
 """
 
 import ast
@@ -339,3 +344,42 @@ def test_a_parameter_only_tests_set_is_flagged(tmp_path):
     # ``k`` and ``rows`` likewise; the ``__init__.py`` call, ``**kw``, a
     # private function and a method do not count
     assert unset_parameters(tmp_path) == {"solve.t_max", "solve.seed"}
+
+
+def stencil_users(src: Path) -> set:
+    """Modules that name the stencil engine (``stencil`` or ``Stencil``) as a
+    name, an attribute, an import or a definition."""
+    names = {"stencil", "Stencil"}
+    return {name for name, tree in _trees(src).items() for node in ast.walk(tree)
+            if any(getattr(node, key, None) in names for key in ("id", "attr", "name"))}
+
+
+def no_gap_raisers(src: Path) -> set:
+    """Modules with a ``raise NoGapError`` statement."""
+    def raised(exc):
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return getattr(exc, "id", None) or getattr(exc, "attr", None)
+    return {name for name, tree in _trees(src).items() for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and raised(node.exc) == "NoGapError"}
+
+
+def test_only_the_systems_reach_the_stencil():
+    assert stencil_users(SRC) == {"fields.py", "periodic.py"}
+
+
+def test_only_the_gap_searches_raise_no_gap():
+    assert no_gap_raisers(SRC) == {"periodic.py", "hetero.py"}
+
+
+def test_the_door_checks_see_imports_attributes_and_raises(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .fields import stencil as s\n\n"
+        "def f(x):\n    raise periodic.NoGapError('none')\n")
+    (tmp_path / "b.py").write_text(
+        "def g(system):\n    if system:\n        raise NoGapError\n"
+        "    return system.stencil\n")
+    (tmp_path / "c.py").write_text(
+        "def h(NoGapError, pot):\n    return NoGapError('kept'), pot.stencil_bound()\n")
+    # building a NoGapError without raising it, and a longer name, do not count
+    assert stencil_users(tmp_path) == {"a.py", "b.py"}
+    assert no_gap_raisers(tmp_path) == {"a.py", "b.py"}

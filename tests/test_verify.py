@@ -16,6 +16,7 @@ from fk_saddle import (FkSaddleError, OracleGrid2D, bottleneck_minimax_2d,
                        verify)
 from fk_saddle.defaults import CROSS_CHECK_TOL, ORACLE_BLOCK as B
 from fk_saddle.model import ClassicalFKPotential
+from fk_saddle.periodic import NoGapError
 from fk_saddle.verify import CrossCheckReport
 
 from helper_models import dense_bottleneck, flipped, shifted_classical
@@ -575,7 +576,8 @@ def test_suite_falls_back_to_the_constant_scan(tol, monkeypatch):
     from fk_saddle import verify
 
     free = make_potential("free-chain")
-    assert find_gap_pair(free, (1, 1), seed=7, tol=tol) is None
+    with pytest.raises(NoGapError, match="minimizer orbits"):
+        find_gap_pair(free, (1, 1), seed=7, tol=tol)
     fallbacks = []
     scan = verify._fallback_gap
     monkeypatch.setattr(verify, "_fallback_gap",
